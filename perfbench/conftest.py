@@ -1,0 +1,9 @@
+"""Make the benchmark modules and the package sources importable in its tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
