@@ -21,7 +21,6 @@ from .adjoint_tensor import (
 )
 from .rmatrix import (
     CoefficientSet,
-    SpectralOperator,
     asymptotic_check,
     build_R,
     build_R_tilde,
@@ -52,7 +51,6 @@ __all__ = [
     "Decomposition",
     "LevelOneAction",
     "LocalHamiltonian",
-    "SpectralOperator",
     "SpinOperators",
     "Submodule",
     "SunBasis",

@@ -1,11 +1,13 @@
 """Integrable spin chain built from the adjoint R-matrix.
 
 The local Hamiltonian is the logarithmic-derivative density h = R'(0) sigma,
-assembled from the exact rational derivatives of the scalar coefficient
-functions; an independent direct assembly from the closed-form projector
-coefficients and a central finite difference of R(lam) sigma serve as
-cross-checks.  The density is deliberately non-Hermitian while keeping a
-real two-site spectrum.
+assembled once from the exact rational derivatives of the scalar coefficient
+functions.  Two independent constructions, a direct assembly from the
+closed-form projector coefficients and a central finite difference of
+R(lam) sigma, are kept as an oracle, :func:`h_oracle_residuals`, which
+``verify hamiltonian`` reports as the ``h-assembly-agreement`` and
+``h-finite-difference`` checks.  The density is deliberately non-Hermitian
+while keeping a real two-site spectrum.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "SpinOperators",
     "ChainHamiltonian",
     "local_h",
+    "h_oracle_residuals",
     "spin_operators",
     "spinform_h",
     "verify_spinform",
@@ -34,23 +37,17 @@ __all__ = [
 ]
 
 CHAIN_DIM_CAP = 10_000
+FD_STEP = 1e-5  # step of the central finite difference in h_oracle_residuals
 
 
 @dataclass
 class LocalHamiltonian:
-    """Two-site density h with its adjoint-pair block and diagnostics.
-
-    ``assembly_residual`` is the disagreement between the derivative-based
-    and the direct projector-coefficient assembly; ``fd_residual`` compares
-    against a central finite difference of R(lam) sigma.
-    """
+    """Two-site density h with its adjoint-pair block."""
 
     n: int
     h: np.ndarray
     O_block: np.ndarray  # 2x2 on the ordered hwv basis {v_s, v_a}
     rescale_factor: float
-    assembly_residual: float
-    fd_residual: float
 
 
 @dataclass(frozen=True)
@@ -89,18 +86,16 @@ def _h_coefficients(n: int) -> tuple[dict[str, float], np.ndarray]:
     return diag, block
 
 
-def local_h(dec: Decomposition, tol: Tolerance = DEFAULT_TOL, fd_step: float = 1e-5) -> LocalHamiltonian:
-    """Local Hamiltonian h = R'(0) sigma, triple-checked.
+def local_h(dec: Decomposition) -> LocalHamiltonian:
+    """Local Hamiltonian h = R'(0) sigma.
 
-    (a) exact derivatives of the coefficient functions composed with sigma,
-    (b) direct assembly from the projector coefficients, and (c) a central
-    finite difference of R(lam) sigma; (a) and (b) must agree within
-    ``tol.abs_tol``, (a) and (c) within 1e-6.
+    The exact derivatives of the R-form coefficients at 0 are assembled and
+    composed with sigma.  ``verify hamiltonian`` compares the result with two
+    independent constructions through :func:`h_oracle_residuals`.
     """
     n = dec.n
     m = n * n - 1
     c = CoefficientSet(n)
-    # (a) derivative of the R-form coefficients at 0, then composed with sigma
     deriv_diag = {
         "sym_top": 0.0,
         "anti_left": -c.f1_deriv0(),
@@ -110,32 +105,28 @@ def local_h(dec: Decomposition, tol: Tolerance = DEFAULT_TOL, fd_step: float = 1
     }
     dR0 = _assemble(dec, deriv_diag, c.N_deriv0())
     h = _permute_cols_swap(dR0, m)
-    # (b) direct assembly from the closed-form coefficients
-    diag, block = _h_coefficients(n)
-    h_direct = _assemble(dec, diag, block)
-    assembly_residual = max_abs(h - h_direct)
-    if assembly_residual > tol.abs_tol * m:
-        raise AssertionError(
-            f"local Hamiltonian assembly paths disagree by {assembly_residual:.3e}"
-        )
-    # (c) central finite difference of R(lam) sigma
-    r_plus = _permute_cols_swap(build_R(dec, fd_step, tol), m)
-    r_minus = _permute_cols_swap(build_R(dec, -fd_step, tol), m)
-    fd = (r_plus - r_minus) / (2.0 * fd_step)
-    fd_residual = max_abs(h - fd)
-    if fd_residual > 1e-6 * max(1.0, max_abs(h)):
-        raise AssertionError(f"finite-difference cross-check failed: {fd_residual:.3e}")
+    # h = I'(0), so its adjoint-pair block is M'(0) = N'(0) diag(1, -1)
+    block = c.N_deriv0() @ np.diag([1.0, -1.0])
     # multiplier that turns h into the closed spin form (up to a constant);
     # the n = 3 form carries its own normalization
     rescale = 8.0 / (6.0 + n * n) if n > 3 else 8.0 / 3.0
-    return LocalHamiltonian(
-        n=n,
-        h=h,
-        O_block=block,
-        rescale_factor=rescale,
-        assembly_residual=float(assembly_residual),
-        fd_residual=float(fd_residual),
-    )
+    return LocalHamiltonian(n=n, h=h, O_block=block, rescale_factor=rescale)
+
+
+def h_oracle_residuals(dec: Decomposition, local: LocalHamiltonian) -> tuple[float, float]:
+    """Max-abs residuals of ``local.h`` against its two independent constructions.
+
+    Returns (table, finite difference): the direct assembly from the
+    closed-form projector coefficients of :func:`_h_coefficients`, and the
+    central finite difference of R(lam) sigma with step :data:`FD_STEP`.
+    """
+    m = dec.n * dec.n - 1
+    diag, block = _h_coefficients(dec.n)
+    table = max_abs(local.h - _assemble(dec, diag, block))
+    r_plus = _permute_cols_swap(build_R(dec, FD_STEP), m)
+    r_minus = _permute_cols_swap(build_R(dec, -FD_STEP), m)
+    fd = (r_plus - r_minus) / (2.0 * FD_STEP)
+    return table, max_abs(local.h - fd)
 
 
 def spin_operators(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> SpinOperators:
@@ -230,7 +221,7 @@ def _embed_pair(h4: np.ndarray, m: int, sites: int, pair: tuple[int, int]) -> np
     return np.ascontiguousarray(tensor.transpose(axes)).reshape(dim, dim)
 
 
-def chain_H(local: LocalHamiltonian, sites: int, tol: Tolerance = DEFAULT_TOL) -> ChainHamiltonian:
+def chain_H(local: LocalHamiltonian, sites: int) -> ChainHamiltonian:
     """Periodic chain Hamiltonian H = sum_i h_{i,i+1} with site N+1 = 1."""
     n = local.n
     m = n * n - 1
@@ -252,7 +243,7 @@ def chain_H(local: LocalHamiltonian, sites: int, tol: Tolerance = DEFAULT_TOL) -
     return ChainHamiltonian(n=n, sites=sites, H=total)
 
 
-def transfer_matrix(dec: Decomposition, lam: complex, sites: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
     """Transfer matrix t(lam): auxiliary-space trace of the R-matrix monodromy.
 
     The monodromy is the ordered product of R factors over an auxiliary
@@ -267,7 +258,7 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int, tol: Tolerance
     check_pole_distance(lam, n)
     if m**sites > CHAIN_DIM_CAP:
         raise ValueError(f"transfer-matrix dimension {m**sites} exceeds the dense cap")
-    r4 = build_R(dec, lam, tol).reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
+    r4 = build_R(dec, lam).reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
     # w carries [aux_out, aux_in, o_1..o_k, i_1..i_k]
     w = r4.transpose(0, 2, 1, 3)
     for _ in range(sites - 1):
@@ -288,12 +279,10 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int, tol: Tolerance
     return t.reshape(dim, dim)
 
 
-def commutation_check(
-    dec: Decomposition, lam: complex, mu: complex, sites: int, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def commutation_check(dec: Decomposition, lam: complex, mu: complex, sites: int) -> float:
     """Normalized commutator residual of two transfer matrices."""
-    t1 = transfer_matrix(dec, lam, sites, tol)
-    t2 = transfer_matrix(dec, mu, sites, tol)
+    t1 = transfer_matrix(dec, lam, sites)
+    t2 = transfer_matrix(dec, mu, sites)
     return float(frobenius(t1 @ t2 - t2 @ t1) / (frobenius(t1) * frobenius(t2)))
 
 

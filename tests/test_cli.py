@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from adjrmat import jsonio
+from adjrmat import jsonio, spinchain
 from adjrmat.cli import main
 
 
@@ -94,6 +94,64 @@ def test_determinism_byte_identical(tmp_path):
     assert main(["verify", "ybe", "--n", "3", "--samples", "2", "--seed", "42", "--out", str(out1)]) == 0
     assert main(["verify", "ybe", "--n", "3", "--samples", "2", "--seed", "42", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ``verify all --n 3 --seed 42``: every check, in report order
+VERIFY_ALL_N3_IDS = (
+    ["intertwiner-inversion"] * 5
+    + ["intertwining-level0", "intertwining-level1"] * 5
+    + ["coefficient-recovery"]
+    + ["r-at-zero-is-swap", "r-assembly-agreement"]
+    + ["ybe-R", "ybe-Rtilde"] * 5
+    + ["asymptotic-falloff"]
+    + [
+        "h-assembly-agreement",
+        "h-finite-difference",
+        "h-nonhermiticity",
+        "two-site-spectrum-real",
+        "two-site-spectrum-values",
+        "spin-operators-noncommuting",
+        "spinform-fit",
+    ]
+    + [
+        "chain-global-symmetry",
+        "chain-spectrum-complex",
+        "transfer-commutation",
+        "transfer-hamiltonian-commutation",
+        "transfer-commutation",
+        "transfer-hamiltonian-commutation",
+    ]
+    + ["su3-nblock-eigenvalues"] * 3
+    + ["su3-local-h-coefficients"]
+)
+
+
+def test_verify_all_check_ids_are_pinned(tmp_path):
+    code, payload = run(tmp_path, "verify", "all", "--n", "3", "--seed", "42")
+    assert code == 0
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS
+    assert payload["counts"]["total"] == len(VERIFY_ALL_N3_IDS)
+
+
+def test_verify_ybe_without_samples(tmp_path):
+    """With no (lam, mu) pairs drawn there is no lambda for the R-assembly check."""
+    code, payload = run(tmp_path, "verify", "ybe", "--n", "3", "--samples", "0")
+    assert code == 0
+    assert [c["id"] for c in payload["checks"]] == ["r-at-zero-is-swap", "asymptotic-falloff"]
+
+
+def test_wrong_h_table_fails_only_its_check(tmp_path, monkeypatch):
+    """A wrong projector coefficient in the h table is a failing check, not a crash."""
+    original = spinchain._h_coefficients
+
+    def wrong_diag(n):  # n = 3 has no mixed module, so perturb an antisymmetric one
+        diag, block = original(n)
+        return {**diag, "anti_left": 2.5}, block
+
+    monkeypatch.setattr(spinchain, "_h_coefficients", wrong_diag)
+    code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "3")
+    assert code == 1
+    assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["h-assembly-agreement"]
 
 
 def test_spectrum_two_sites_real(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from adjrmat.adjoint_tensor import casimir_op, permutation_op
+from adjrmat.numerics import DEFAULT_TOL
 from adjrmat.rmatrix import (
-    AssemblyError,
     CoefficientSet,
     asymptotic_check,
     build_R,
@@ -12,6 +12,7 @@ from adjrmat.rmatrix import (
     check_pole_distance,
     derive_coefficients,
     intertwining_residual,
+    r_assembly_residual,
     sample_spectral_parameters,
     sample_ybe_pairs,
     ybe_residual,
@@ -229,8 +230,17 @@ def test_sampler_respects_guards(rng):
 
 
 def test_assembly_cross_check_runs(algebra, rng):
-    """build_R recomputes itself along two routes; both must agree."""
+    """The direct assembly of R agrees with I(lam) sigma."""
     for n in (3, 4, 5, 6):
         dec = algebra.dec(n)
+        m = n * n - 1
         lam = sample_spectral_parameters(rng, n, 1)[0]
-        build_R(dec, lam)  # raises AssemblyError on any sign-convention bug
+        assert r_assembly_residual(dec, lam) <= DEFAULT_TOL.abs_tol * m
+
+
+def test_assembly_residual_catches_dropped_parity(algebra, monkeypatch):
+    """An N block that forgets diag(1, -1) no longer matches I(lam) sigma."""
+    dec = algebra.dec(3)
+    m = 8
+    monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
+    assert r_assembly_residual(dec, 0.5 + 0.2j) > DEFAULT_TOL.abs_tol * m

@@ -7,6 +7,7 @@ from adjrmat.rmatrix import sample_ybe_pairs
 from adjrmat.spinchain import (
     chain_H,
     commutation_check,
+    h_oracle_residuals,
     local_h,
     spin_operators,
     spinform_h,
@@ -72,10 +73,11 @@ def test_su3_local_coefficients(algebra, locals_cache):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_local_h_diagnostics(locals_cache, n):
+def test_local_h_diagnostics(algebra, locals_cache, n):
     loc = locals_cache(n)
-    assert loc.assembly_residual < TOL
-    assert loc.fd_residual < 1e-6
+    table_residual, fd_residual = h_oracle_residuals(algebra.dec(n), loc)
+    assert table_residual < TOL
+    assert fd_residual < 1e-6
     assert np.linalg.norm(loc.h - loc.h.conj().T) > 0.1
 
 
