@@ -296,18 +296,12 @@ def _labels(n: int) -> dict[str, str]:
     return labels
 
 
-def highest_weight_vectors(
-    basis: SunBasis,
-    tol: Tolerance = DEFAULT_TOL,
-    with_alternatives: bool = False,
-):
+def highest_weight_vectors(basis: SunBasis, tol: Tolerance = DEFAULT_TOL) -> list[HighestWeight]:
     """Highest-weight vectors of the tensor-square submodules, in table order.
 
     The adjoint-copy rows are built in the fundamental tensor-square space
     ({Omega, 1 (x) e_1n} etc. as n^2 x n^2 products) and re-expanded into
-    I^a (x) I^b coordinates by trace projection.  With ``with_alternatives``
-    the equivalent d/f-contraction forms of the two adjoint rows are returned
-    as well (for cross-checking).
+    I^a (x) I^b coordinates by trace projection.
     """
     n = basis.n
     labels = _labels(n)
@@ -354,14 +348,7 @@ def highest_weight_vectors(
     rows.append(
         HighestWeight("singlet", labels["singlet"], 1, np.eye(basis.dim, dtype=complex).ravel())
     )
-
-    if not with_alternatives:
-        return rows
-    alt = {
-        "adjoint_sym": n * np.einsum("a,abc->bc", w_1n, basis.d).ravel(),
-        "adjoint_anti": np.sqrt(n * n - 4.0) * np.einsum("a,abc->bc", w_1n, basis.f).ravel(),
-    }
-    return rows, alt
+    return rows
 
 
 def _orbit(
@@ -369,13 +356,12 @@ def _orbit(
     seed: np.ndarray,
     tol: Tolerance,
     lows: np.ndarray,
-    max_rounds: int | None = None,
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Close the lowering orbit of ``seed``; returns (basis, word log).
+) -> np.ndarray:
+    """Close the lowering orbit of ``seed``; returns an orthonormal basis of its span.
 
-    The word log records, for every basis column after the first, the pair
-    (parent column, lowering-operator index) that produced it, so the orbit
-    can be replayed verbatim on an equivalent seed.
+    Each round applies every lowering operator to the columns accepted in
+    the previous round and keeps the images that extend the span; the orbit
+    is closed when a round adds nothing.
     """
     m = rep.dim
     D = m * m
@@ -383,16 +369,14 @@ def _orbit(
     if nrm < tol.rank_tol:
         raise ValueError("highest-weight vector is numerically zero")
     B = (seed / nrm).reshape(D, 1).astype(complex)
-    words: list[tuple[int, int]] = []
     frontier = [0]
     nlow = lows.shape[0]
     lows_t = np.ascontiguousarray(lows.transpose(0, 2, 1))
     rounds = 0
-    cap = max_rounds if max_rounds is not None else D
     while frontier:
         rounds += 1
-        if rounds > cap:
-            raise RuntimeError(f"orbit did not close within {cap} rounds")
+        if rounds > D:
+            raise RuntimeError(f"orbit did not close within {D} rounds")
         p = len(frontier)
         block = np.ascontiguousarray(B[:, frontier]).reshape(m, m, p)
         v_left = block.reshape(m, m * p)  # rows j, columns (k, p)
@@ -405,64 +389,43 @@ def _orbit(
             slab[:, o * p : (o + 1) * p] = (left + right).reshape(D, p)
         # scale-free rank decisions: drop near-null images, normalize the rest
         norms = np.linalg.norm(slab, axis=0)
-        keep = np.nonzero(norms >= tol.rank_tol)[0]
-        cands = slab[:, keep] / norms[keep]
-        new, accepted = extend_orthonormal(B, cands, tol)
+        keep = norms >= tol.rank_tol
+        new, _ = extend_orthonormal(B, slab[:, keep] / norms[keep], tol)
         k0 = B.shape[1]
-        for ci in accepted:
-            orig = int(keep[ci])
-            words.append((frontier[orig % p], orig // p))
         if new.shape[1]:
             B = np.hstack([B, new])
         frontier = list(range(k0, B.shape[1]))
-    return B, words
-
-
-def _replay(
-    rep: AdjointRep,
-    seed: np.ndarray,
-    words: list[tuple[int, int]],
-    tol: Tolerance,
-    lows: np.ndarray,
-) -> np.ndarray:
-    """Rebuild an orbit basis by applying a recorded word log to a new seed."""
-    m = rep.dim
-    D = m * m
-    nrm = np.linalg.norm(seed)
-    if nrm < tol.rank_tol:
-        raise ValueError("replay seed is numerically zero")
-    B = np.empty((D, 1 + len(words)), dtype=complex)
-    B[:, 0] = seed / nrm
-    for k, (parent, op) in enumerate(words, start=1):
-        cand = apply_pair(lows[op], B[:, parent])
-        cand = cand / np.linalg.norm(cand)
-        cur = B[:, :k]
-        for _ in range(2):
-            cand = cand - cur @ (np.conj(cur).T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm < tol.rank_tol:
-            raise RuntimeError("isometry replay degenerated: dependent word image")
-        B[:, k] = cand / nrm
     return B
+
+
+def _tensor_embedding(t: np.ndarray) -> np.ndarray:
+    """Columns t^{a..}/||t^{a..}|| of an invariant 3-tensor, as a (D, m) basis.
+
+    For t = d (resp. f) the columns span the symmetric (resp. antisymmetric)
+    adjoint copy in adjoint (x) adjoint; they are orthonormal by invariance.
+    """
+    m = t.shape[0]
+    cols = t.reshape(m, m * m).T
+    return cols / np.linalg.norm(cols, axis=0)
 
 
 def _measure(
     rep: AdjointRep, B: np.ndarray, tol: Tolerance, omega_dense: np.ndarray
 ) -> tuple[float, int]:
-    """Measured Casimir eigenvalue and exchange parity of an orbit basis."""
+    """Measured Casimir eigenvalue and exchange parity of a submodule basis."""
     m = rep.dim
     omega_b = omega_dense @ B
     ev = np.vdot(B[:, 0], omega_b[:, 0])
     res = max_abs(np.linalg.norm(omega_b - ev * B, axis=0))
     if abs(ev.imag) > tol.abs_tol * m or res > tol.abs_tol * m:
         raise AssertionError(
-            f"orbit basis is not a Casimir eigenspace (ev={ev}, residual={res:.3e})"
+            f"submodule basis is not a Casimir eigenspace (ev={ev}, residual={res:.3e})"
         )
     swapped = apply_swap(B, m)
     par = np.vdot(B[:, 0], swapped[:, 0]).real
     parity = 1 if par > 0 else -1
     if max_abs(swapped - parity * B) > tol.abs_tol * m:
-        raise AssertionError("orbit basis has indefinite exchange parity")
+        raise AssertionError("submodule basis has indefinite exchange parity")
     return float(ev.real), parity
 
 
@@ -491,7 +454,7 @@ def generate_submodule(
         coords = np.asarray(hwv, dtype=complex)
     lows = lowering_ops(rep) if _lows is None else _lows
     omega = casimir_op(rep) if _omega is None else _omega
-    B, _ = _orbit(rep, coords, tol, lows)
+    B = _orbit(rep, coords, tol, lows)
     omega_ev, measured_parity = _measure(rep, B, tol, omega)
     if parity is not None and measured_parity != parity:
         raise AssertionError(f"measured parity {measured_parity} != stated parity {parity}")
@@ -508,11 +471,15 @@ def generate_submodule(
 def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     """Decompose adjoint (x) adjoint into submodules with the s->a isometry.
 
-    The two adjoint copies are generated with the identical lowering-word
-    sequence and orthonormalization order, which makes column-to-column
-    mapping of their bases an equivariant partial isometry; the phase
-    convention is iso(v_s) = +(norm ratio) v_a.  Completeness and mutual
-    orthogonality of the projectors are verified before returning.
+    The two adjoint copies are spanned by the invariant tensors: the columns
+    d^{a..}/||d^{a..}|| give the symmetric copy and minus the columns
+    f^{a..}/||f^{a..}|| the antisymmetric one.  Column a of each basis is the
+    image of the generator I^a, so mapping column to column is the
+    equivariant isometry -Ef Ed^dagger; the sign fixes the phase convention
+    iso(v_s) = +(norm ratio) v_a.  Every other submodule is the lowering
+    orbit of its highest-weight vector.  Casimir eigenvalue and exchange
+    parity of every basis, completeness and mutual orthogonality of the
+    projectors, and the isometry phase are verified before returning.
     """
     basis = rep.basis
     m = rep.dim
@@ -520,25 +487,17 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     rows = highest_weight_vectors(basis, tol)
     lows = lowering_ops(rep)
     omega = casimir_op(rep)
+    embeddings = {
+        "adjoint_sym": _tensor_embedding(basis.d),
+        "adjoint_anti": -_tensor_embedding(basis.f),
+    }
     submodules: list[Submodule] = []
-    sym_words = None
-    sym_B = None
     for row in rows:
-        if row.role == "adjoint_sym":
-            sym_B, sym_words = _orbit(rep, row.coords, tol, lows)
-            omega_ev, measured = _measure(rep, sym_B, tol, omega)
-            if measured != row.parity:
-                raise AssertionError("adjoint_sym parity mismatch")
-            submodules.append(
-                Submodule(row.label, row.role, row.coords, sym_B, omega_ev, measured)
-            )
-        elif row.role == "adjoint_anti":
-            if sym_words is None:
-                raise AssertionError("adjoint_sym must precede adjoint_anti")
-            B = _replay(rep, row.coords, sym_words, tol, lows)
+        if row.role in embeddings:
+            B = embeddings[row.role]
             omega_ev, measured = _measure(rep, B, tol, omega)
             if measured != row.parity:
-                raise AssertionError("adjoint_anti parity mismatch")
+                raise AssertionError(f"{row.role} parity mismatch")
             submodules.append(Submodule(row.label, row.role, row.coords, B, omega_ev, measured))
         else:
             submodules.append(generate_submodule(rep, row, tol=tol, _lows=lows, _omega=omega))

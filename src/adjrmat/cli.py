@@ -4,7 +4,8 @@ All output is JSON.  Reports are deterministic for a fixed (configuration,
 seed) pair: the seed is recorded verbatim, floats carry 17 significant
 digits, and no timing or host information enters the report.
 
-Exit codes: 0 all checks passed, 1 verification failure, 2 usage or
+Exit codes: 0 all checks passed, 1 verification failure (a failing check,
+or an internal self-check that raised; one line on stderr), 2 usage or
 configuration error.
 """
 
@@ -147,13 +148,13 @@ def suite_identities(ctx: _Context) -> list[dict]:
     checks = [
         _check(
             "anticommutator-annihilation-left",
-            verify_anticommutator_identity(rep, "anti_left", tol=cfg.tol),
+            verify_anticommutator_identity(rep, "anti_left"),
             1e-9,
             **extra,
         ),
         _check(
             "anticommutator-annihilation-right",
-            verify_anticommutator_identity(rep, "anti_right", tol=cfg.tol),
+            verify_anticommutator_identity(rep, "anti_right"),
             1e-9,
             **extra,
         ),
@@ -164,14 +165,14 @@ def suite_identities(ctx: _Context) -> list[dict]:
     lams = sample_spectral_parameters(rng, n, count)
     for mu, lam in zip(mus, lams):
         params = {"mu": _cpair(mu), "lambda": _cpair(lam)}
-        hw = verify_hw_relations(rep, mu, lam, tol=cfg.tol)
+        hw = verify_hw_relations(rep, mu, lam)
         for key in ("single_sym", "single_anti", "double_sym", "double_anti"):
             checks.append(_check(f"hw-action-{key.replace('_', '-')}", hw[key], 1e-8,
                                  params=params, **extra))
         checks.append(
             _check(
                 "singlet-double-action",
-                verify_singlet_double_action(rep, mu, lam, tol=cfg.tol),
+                verify_singlet_double_action(rep, mu, lam),
                 1e-8,
                 params=params,
                 **extra,
@@ -200,7 +201,7 @@ def suite_intertwiner(ctx: _Context) -> list[dict]:
         params = {"lambda": _cpair(lam)}
         checks.append(_check("intertwining-level0", worst0, 1e-8, params=params))
         checks.append(_check("intertwining-level1", worst1, 1e-8, params=params))
-    recovery = derive_coefficients(dec, sample_spectral_parameters(rng, n, 3), cfg.tol, rng=rng)
+    recovery = derive_coefficients(dec, sample_spectral_parameters(rng, n, 3), rng=rng)
     checks.append(
         _check(
             "coefficient-recovery",
@@ -615,12 +616,13 @@ def main(argv=None) -> int:
             _emit(payload, cfg.out)
             return 0
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"adjrmat: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"adjrmat: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (AssertionError, RuntimeError) as exc:
+        # an internal self-validation (basis, decomposition, eigensolver) failed
+        print(f"adjrmat: self-check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

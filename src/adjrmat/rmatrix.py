@@ -29,7 +29,7 @@ import numpy as np
 
 from .adjoint_tensor import Decomposition, casimir_op
 from .liealg import matrix_unit
-from .numerics import DEFAULT_TOL, Tolerance, frobenius, max_abs
+from .numerics import frobenius, max_abs
 from .yangian_action import LevelOneAction
 
 __all__ = [
@@ -399,7 +399,6 @@ def _hw_coefficient(v_ref: np.ndarray, u: np.ndarray) -> complex:
 def derive_coefficients(
     dec: Decomposition,
     lam_samples,
-    tol: Tolerance = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
     max_resamples: int = 20,
 ) -> dict:

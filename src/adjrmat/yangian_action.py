@@ -25,7 +25,7 @@ from .adjoint_tensor import (
     highest_weight_vectors,
 )
 from .liealg import matrix_unit
-from .numerics import DEFAULT_TOL, Tolerance, kron
+from .numerics import DEFAULT_TOL, kron
 
 __all__ = [
     "LevelOneAction",
@@ -103,18 +103,11 @@ def delta_action(rep: AdjointRep, x: np.ndarray) -> np.ndarray:
     return kron(a, eye) + kron(eye, a)
 
 
-def _hw_map(rep: AdjointRep, hwvs=None) -> dict[str, HighestWeight]:
-    rows = highest_weight_vectors(rep.basis) if hwvs is None else hwvs
-    return {row.role: row for row in rows}
+def _hw_map(rep: AdjointRep) -> dict[str, HighestWeight]:
+    return {row.role: row for row in highest_weight_vectors(rep.basis)}
 
 
-def verify_anticommutator_identity(
-    rep: AdjointRep,
-    target: str = "anti_left",
-    x_indices: tuple[int, int] | None = None,
-    hwvs=None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def verify_anticommutator_identity(rep: AdjointRep, target: str = "anti_left") -> float:
     """Residual of the quartic-part annihilation identity on a mixed-parity hwv.
 
     The sum tr(x {I^a, I^b}) (S^a S^b (x) 1 + 1 (x) S^a S^b) annihilates the
@@ -128,9 +121,9 @@ def verify_anticommutator_identity(
     defaults = {"anti_left": (n - 1, n), "anti_right": (1, 2)}
     if target not in defaults:
         raise ValueError(f"unknown target {target!r}; expected one of {sorted(defaults)}")
-    i, j = x_indices if x_indices is not None else defaults[target]
+    i, j = defaults[target]
     x = matrix_unit(rep.basis, i, j, coords=False).matrix
-    v = _hw_map(rep, hwvs)[target].coords
+    v = _hw_map(rep)[target].coords
     t_full = 4.0 * quartic_part(rep, x)  # identity carries no 1/4 prefactor
     image = apply_pair(t_full, v)
     return float(np.linalg.norm(image) / np.linalg.norm(v))
@@ -147,13 +140,7 @@ def _rhs_factors(n: int, mu: complex, lam: complex) -> dict[str, complex]:
     }
 
 
-def verify_hw_relations(
-    rep: AdjointRep,
-    mu: complex,
-    lam: complex,
-    hwvs=None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> dict[str, float]:
+def verify_hw_relations(rep: AdjointRep, mu: complex, lam: complex) -> dict[str, float]:
     """Residuals of the four single/double level-1 actions on the adjoint hwvs.
 
     Each action maps the symmetric/antisymmetric adjoint highest-weight vector
@@ -163,7 +150,7 @@ def verify_hw_relations(
     n = rep.n
     if n < VERIFIED_RANGE[0]:
         raise ValueError(f"identity checks require n >= {VERIFIED_RANGE[0]}, got n={n}")
-    hw = _hw_map(rep, hwvs)
+    hw = _hw_map(rep)
     v_top = hw["sym_top"].coords
     v_s = hw["adjoint_sym"].coords
     v_a = hw["adjoint_anti"].coords
@@ -188,13 +175,7 @@ def verify_hw_relations(
     return {k: float(v) for k, v in out.items()}
 
 
-def verify_singlet_double_action(
-    rep: AdjointRep,
-    mu: complex,
-    lam: complex,
-    hwvs=None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def verify_singlet_double_action(rep: AdjointRep, mu: complex, lam: complex) -> float:
     """Residual of the double action of J(e_1n) on the singlet hwv.
 
     J(e_1n)^2 maps the singlet onto -2(mu-lam-1)(mu-lam-n) e_1n (x) e_1n;
@@ -203,7 +184,7 @@ def verify_singlet_double_action(
     n = rep.n
     if n < VERIFIED_RANGE[0]:
         raise ValueError(f"identity checks require n >= {VERIFIED_RANGE[0]}, got n={n}")
-    hw = _hw_map(rep, hwvs)
+    hw = _hw_map(rep)
     v0 = hw["singlet"].coords
     v_top = hw["sym_top"].coords
     j = LevelOneAction(rep, matrix_unit(rep.basis, 1, n, coords=False).matrix, mu, lam)

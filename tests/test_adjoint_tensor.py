@@ -4,6 +4,7 @@ import pytest
 from adjrmat.adjoint_tensor import (
     ad_matrix,
     apply_casimir,
+    apply_pair,
     apply_swap,
     casimir_op,
     generate_submodule,
@@ -76,12 +77,14 @@ def test_permutation_operator(algebra):
 @pytest.mark.parametrize("n", [4, 5])
 def test_vs_constructions_agree(algebra, n):
     basis = algebra.basis(n)
-    rows, alt = highest_weight_vectors(basis, with_alternatives=True)
-    hw = {r.role: r for r in rows}
-    assert np.max(np.abs(hw["adjoint_sym"].coords - alt["adjoint_sym"])) < TOL
+    hw = {r.role: r for r in highest_weight_vectors(basis)}
+    w_1n = matrix_unit(basis, 1, n).coords
+    alt_s = n * np.einsum("a,abc->bc", w_1n, basis.d).ravel()
+    alt_a = np.sqrt(n * n - 4.0) * np.einsum("a,abc->bc", w_1n, basis.f).ravel()
+    assert np.max(np.abs(hw["adjoint_sym"].coords - alt_s)) < TOL
     # the matrix-product form of v_a is the one satisfying the level-1
     # action identities; the f-contraction form carries the opposite sign
-    assert np.max(np.abs(hw["adjoint_anti"].coords + alt["adjoint_anti"])) < TOL
+    assert np.max(np.abs(hw["adjoint_anti"].coords + alt_a)) < TOL
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -185,7 +188,7 @@ def test_operator_reconstruction_from_projectors(algebra, n):
     assert np.max(np.abs(sigma - permutation_op(m))) < TOL * m
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_isometry_properties(algebra, n):
     rep, dec = algebra.rep(n), algebra.dec(n)
     iso = dec.iso_s_to_a
@@ -201,17 +204,26 @@ def test_isometry_properties(algebra, n):
     assert np.linalg.norm(image - ratio * v_a) < TOL
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_isometry_equivariance(algebra, n):
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_isometry_equivariance(algebra, rng, n):
+    """iso (action P_s) = (action P_a) iso for the level-0 action of every generator.
+
+    For n <= 4 both sides are formed on all of V (x) V; at n = 5 they are
+    applied to a few random unit vectors instead of forming D x D actions.
+    """
     basis, rep, dec = algebra(n)
     m = rep.dim
     iso = dec.iso_s_to_a
     p_s = dec.by_role("adjoint_sym").projector
     p_a = dec.by_role("adjoint_anti").projector
+    if n <= 4:
+        x = np.eye(m * m, dtype=complex)
+    else:
+        x = rng.standard_normal((m * m, 4)) + 1j * rng.standard_normal((m * m, 4))
+        x /= np.linalg.norm(x, axis=0)
     for a in range(m):
-        action = np.kron(rep.S[a], np.eye(m)) + np.kron(np.eye(m), rep.S[a])
-        lhs = iso @ (action @ p_s)
-        rhs = (action @ p_a) @ iso
+        lhs = iso @ apply_pair(rep.S[a], p_s @ x)
+        rhs = apply_pair(rep.S[a], p_a @ (iso @ x))
         assert np.max(np.abs(lhs - rhs)) < TOL * m
 
 

@@ -154,6 +154,24 @@ def test_wrong_h_table_fails_only_its_check(tmp_path, monkeypatch):
     assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["h-assembly-agreement"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "ybe", "--n", "3", "--tol", "1e-20"],
+        ["build", "projectors", "--n", "3", "--tol", "1e-18"],
+    ],
+)
+def test_self_check_failure_is_a_clean_exit(tmp_path, capsys, argv):
+    """A tolerance below rounding trips the basis self-validation: exit 1, one line, no trace."""
+    code, payload = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert payload is None
+    assert err.startswith("adjrmat: self-check failed: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_spectrum_two_sites_real(tmp_path):
     code, payload = run(tmp_path, "spectrum", "--n", "3", "--sites", "2")
     assert code == 0
