@@ -6,6 +6,10 @@ sqrt(2).  Generator order: symmetric off-diagonal pairs (i<j, lexicographic),
 then antisymmetric off-diagonal pairs in the same order, then the n-1
 diagonal Cartan generators with increasing support.
 
+:func:`weight_basis` rotates these coordinates to the weight basis of the
+adjoint module (matrix units e_ij, i != j, then the Cartan generators),
+in which the Cartan subalgebra acts diagonally.
+
 Conventions: [I^a, I^b] = sum_c f^{abc} I^c with f purely imaginary and
 totally antisymmetric; {I^a, I^b} = sum_c d^{abc} I^c + (2/n) delta_ab 1
 with d real and totally symmetric.
@@ -19,7 +23,14 @@ import numpy as np
 
 from .numerics import DEFAULT_TOL, Tolerance, ensure_finite, max_abs
 
-__all__ = ["SunBasis", "MatrixUnit", "build_basis", "structure_constants", "matrix_unit"]
+__all__ = [
+    "SunBasis",
+    "MatrixUnit",
+    "build_basis",
+    "structure_constants",
+    "matrix_unit",
+    "weight_basis",
+]
 
 
 @dataclass(frozen=True)
@@ -148,3 +159,32 @@ def matrix_unit(basis: SunBasis, i: int, j: int, coords: bool = True) -> MatrixU
         if max_abs(recon - mat) > DEFAULT_TOL.abs_tol:
             raise AssertionError(f"round-trip reconstruction of e_{i}{j} failed")
     return MatrixUnit(i=i, j=j, matrix=mat, coords=w)
+
+
+def weight_basis(basis: SunBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary change of coordinates to the weight basis of the adjoint module.
+
+    The weight basis {B_b} is orthonormal for tr(X^dagger Y): the matrix units
+    e_ij (i != j, same pair order as the generators, e_ij before e_ji) with
+    weight e_i - e_j, then the n-1 Cartan generators with weight 0.  Returns
+    ``(U, weights)`` with U[b, a] = tr(B_b^dagger I^a), so U x are the weight
+    coordinates of sum_a x^a I^a, and ``weights`` the (m, n) integer array of
+    the weights in the e_1..e_n frame: ad(H) acts on B_b as diag(H) . weights[b].
+    """
+    n = basis.n
+    m = basis.dim
+    gens = basis.generators
+    units = np.zeros((m, n, n), dtype=complex)
+    weights = np.zeros((m, n), dtype=int)
+    b = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for p, q in ((i, j), (j, i)):
+                units[b, p, q] = 1.0
+                weights[b, p] += 1
+                weights[b, q] -= 1
+                b += 1
+    units[b:] = gens[m - (n - 1):]
+    # tr(B_b^dagger I^a) = sum_ij conj(B_b)_ij (I^a)_ij
+    U = np.einsum("bij,aij->ba", np.conj(units), gens)
+    return U, weights

@@ -19,6 +19,12 @@ lam = n only; evaluation is refused inside a guard disk around them.
 :func:`build_R` assembles R(lam) once, directly from the N(lam) block.  The
 composed form I(lam) sigma is kept as an oracle, :func:`r_assembly_residual`,
 which ``verify ybe`` reports as the ``r-assembly-agreement`` check.
+
+The dense Yang-Baxter residual works in the weight basis of
+:func:`liealg.weight_basis`.  R(lam) is su(n)-invariant, so it conserves
+Cartan weight and both sides of the YBE are block-diagonal in the total
+weight of the three sites; they are formed one block at a time, with the
+weight violation of the rotated R-matrices kept as a floor on the result.
 """
 
 from __future__ import annotations
@@ -28,13 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint_tensor import Decomposition, casimir_op
-from .liealg import matrix_unit
+from .liealg import matrix_unit, weight_basis
 from .numerics import frobenius, max_abs
 from .yangian_action import LevelOneAction
 
 __all__ = [
     "POLE_GUARD",
     "DEFAULT_SEED",
+    "DENSE_YBE_MAX_DIM",
     "CoefficientSet",
     "check_pole_distance",
     "build_intertwiner",
@@ -50,6 +57,8 @@ __all__ = [
 
 POLE_GUARD = 0.1
 DEFAULT_SEED = 7
+# largest three-site dimension (n^2-1)^3 for which the dense YBE residual runs
+DENSE_YBE_MAX_DIM = 3375
 
 
 @dataclass(frozen=True)
@@ -229,25 +238,30 @@ def ybe_residual(
 ) -> float:
     """Relative residual of the Yang-Baxter equation at (lam, mu).
 
-    Dense mode materializes both sides on the three-site space (allowed for
-    (n^2-1)^3 <= 3375, i.e. n <= 4).  Matrix-free mode applies both sides to
+    Dense mode (allowed for (n^2-1)^3 <= DENSE_YBE_MAX_DIM, i.e. n <= 4)
+    forms both sides R12(lam) R13(lam+mu) R23(mu) and R23(mu) R13(lam+mu)
+    R12(lam) exactly, one total-weight block of the three-site space at a
+    time, and returns sqrt(sum_W ||L_W - R_W||^2 / sum_W ||L_W||^2), the
+    Frobenius ratio over the whole space.  The blocks are exact because
+    R(lam) is su(n)-invariant and so conserves Cartan weight; the weight
+    violation max_k ||offblock(R_k)|| / ||R_k|| of the three rotated
+    R-matrices is a floor on the result, so a non-invariant R cannot hide
+    its error outside the blocks.  Matrix-free mode applies both sides to
     random unit probe vectors through factored tensor contractions and
     returns the maximum relative residual over the probes.
     """
     _ybe_guard(dec, lam, mu)
     build = {"R": build_R, "Rtilde": build_R_tilde}[solution]
     m = dec.n * dec.n - 1
+    if mode == "dense":
+        if m**3 > DENSE_YBE_MAX_DIM:
+            raise ValueError(f"dense mode needs (n^2-1)^3 <= {DENSE_YBE_MAX_DIM}, got {m**3}")
+        return _ybe_dense_blocks(dec, [build(dec, z) for z in (lam, lam + mu, mu)])
+    if mode != "matrix_free":
+        raise ValueError(f"unknown mode {mode!r}")
     r_lam = build(dec, lam).reshape(m, m, m, m)
     r_sum = build(dec, lam + mu).reshape(m, m, m, m)
     r_mu = build(dec, mu).reshape(m, m, m, m)
-    if mode == "dense":
-        if m**3 > 3375:
-            raise ValueError(f"dense mode needs (n^2-1)^3 <= 3375, got {m**3}")
-        lhs = np.einsum("abde,dcxi,eiyz->abcxyz", r_lam, r_sum, r_mu, optimize=True)
-        rhs = np.einsum("bcef,afgz,gexy->abcxyz", r_mu, r_sum, r_lam, optimize=True)
-        return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
-    if mode != "matrix_free":
-        raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
@@ -258,6 +272,34 @@ def ybe_residual(
         rhs = _apply_23(r_mu, _apply_13(r_sum, _apply_12(r_lam, v)))
         worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)))
     return worst
+
+
+def _ybe_dense_blocks(dec: Decomposition, rs: list[np.ndarray]) -> float:
+    """Dense YBE residual of (R12, R13, R23) = ``rs``, block by block in total weight."""
+    m = dec.n * dec.n - 1
+    u, weights = weight_basis(dec.rep.basis)
+    w2 = np.kron(u, u)
+    pair_w = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
+    off = np.any(pair_w[:, None, :] != pair_w[None, :, :], axis=2)
+    r12, r13, r23 = (w2 @ r @ np.conj(w2).T for r in rs)
+    floor = max(np.linalg.norm(r[off]) / np.linalg.norm(r) for r in (r12, r13, r23))
+    r12, r13, r23 = (r.reshape(m, m, m, m) for r in (r12, r13, r23))
+    triple_w = (pair_w.reshape(m, m, 1, -1) + weights[None, None, :, :]).reshape(m**3, -1)
+    _, label, sizes = np.unique(triple_w, axis=0, return_inverse=True, return_counts=True)
+    blocks = np.split(np.argsort(label.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
+    diff2 = norm2 = 0.0
+    for idx in blocks:
+        a, b, c = np.unravel_index(idx, (m, m, m))
+        a_r, b_r, c_r = a[:, None], b[:, None], c[:, None]
+        a_c, b_c, c_c = a[None, :], b[None, :], c[None, :]
+        x12 = r12[a_r, b_r, a_c, b_c] * (c_r == c_c)
+        x13 = r13[a_r, c_r, a_c, c_c] * (b_r == b_c)
+        x23 = r23[b_r, c_r, b_c, c_c] * (a_r == a_c)
+        lhs = x12 @ (x13 @ x23)
+        rhs = x23 @ (x13 @ x12)
+        diff2 += np.linalg.norm(lhs - rhs) ** 2
+        norm2 += np.linalg.norm(lhs) ** 2
+    return float(max(np.sqrt(diff2 / norm2), floor))
 
 
 def _apply_12(r4: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -308,16 +350,18 @@ def asymptotic_check(dec: Decomposition, lam_list) -> dict:
 
 def intertwining_residual(
     dec: Decomposition,
-    x: np.ndarray,
+    xs: np.ndarray,
     lam: complex,
     probes: int = 5,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Relative residuals of the level-0 and level-1 intertwining relations.
+    """Worst relative residuals of the level-0 and level-1 intertwining relations.
 
     Checks I(lam) D(x) = D(x) I(lam) and I(lam) J(x)_{0,lam} = J(x)_{lam,0} I(lam)
-    for the generator attached to x.  Dense evaluation up to n = 5; larger
-    ranks are probed on random unit vectors (same contract, sampled).
+    for every generator x in the stack ``xs`` (shape (k, n, n)), building
+    I(lam) once, and returns the largest (level-0, level-1) pair.  Dense
+    evaluation up to n = 5; larger ranks are probed on random unit vectors
+    (same contract, sampled), ``probes`` fresh ones per generator.
     """
     from .adjoint_tensor import ad_matrix, apply_pair
     from .yangian_action import LevelOneAction, delta_action, level1_action
@@ -325,28 +369,32 @@ def intertwining_residual(
     rep = dec.rep
     m = rep.dim
     eye_i = build_intertwiner(dec, lam)
-    if m <= 24:  # n <= 5: dense operators stay small
-        d_op = delta_action(rep, x)
-        res0 = max_abs(eye_i @ d_op - d_op @ eye_i) / max(1.0, max_abs(d_op))
-        j0 = level1_action(rep, x, 0.0, lam)
-        j1 = level1_action(rep, x, lam, 0.0)
-        res1 = max_abs(eye_i @ j0 - j1 @ eye_i) / max(1.0, max_abs(j0))
-        return float(res0), float(res1)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    a = ad_matrix(rep.basis, x)
-    j0 = LevelOneAction(rep, x, 0.0, lam)
-    j1 = LevelOneAction(rep, x, lam, 0.0)
     res0 = res1 = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(m * m) + 1j * rng.standard_normal(m * m)
-        v /= np.linalg.norm(v)
-        lhs0 = eye_i @ apply_pair(a, v)
-        rhs0 = apply_pair(a, eye_i @ v)
-        res0 = max(res0, float(np.linalg.norm(lhs0 - rhs0) / max(1.0, np.linalg.norm(lhs0))))
-        lhs1 = eye_i @ j0.apply(v)
-        rhs1 = j1.apply(eye_i @ v)
-        res1 = max(res1, float(np.linalg.norm(lhs1 - rhs1) / max(1.0, np.linalg.norm(lhs1))))
+    for x in xs:
+        if m <= 24:  # n <= 5: dense operators stay small
+            d_op = delta_action(rep, x)
+            r0 = max_abs(eye_i @ d_op - d_op @ eye_i) / max(1.0, max_abs(d_op))
+            j0 = level1_action(rep, x, 0.0, lam)
+            j1 = level1_action(rep, x, lam, 0.0)
+            r1 = max_abs(eye_i @ j0 - j1 @ eye_i) / max(1.0, max_abs(j0))
+            res0, res1 = max(res0, float(r0)), max(res1, float(r1))
+        else:
+            a = ad_matrix(rep.basis, x)
+            j0 = LevelOneAction(rep, x, 0.0, lam)
+            j1 = LevelOneAction(rep, x, lam, 0.0)
+            for _ in range(probes):
+                v = rng.standard_normal(m * m) + 1j * rng.standard_normal(m * m)
+                v /= np.linalg.norm(v)
+                lhs0 = eye_i @ apply_pair(a, v)
+                rhs0 = apply_pair(a, eye_i @ v)
+                err0 = np.linalg.norm(lhs0 - rhs0) / max(1.0, np.linalg.norm(lhs0))
+                res0 = max(res0, float(err0))
+                lhs1 = eye_i @ j0.apply(v)
+                rhs1 = j1.apply(eye_i @ v)
+                err1 = np.linalg.norm(lhs1 - rhs1) / max(1.0, np.linalg.norm(lhs1))
+                res1 = max(res1, float(err1))
     return res0, res1
 
 

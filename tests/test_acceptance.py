@@ -6,7 +6,7 @@ runtime budgets cover construction as well as verification.
 
 import json
 from contextlib import contextmanager
-from time import perf_counter
+from time import perf_counter, process_time
 
 import numpy as np
 
@@ -66,14 +66,20 @@ EXPECTED_PARITIES = {
 @contextmanager
 def criterion(number, description, budget=None):
     start = perf_counter()
+    cpu_start = process_time()
     try:
         yield
     except Exception:
         print(f"ACCEPTANCE {number}: FAIL - {description}")
         raise
     elapsed = perf_counter() - start
+    cpu = process_time() - cpu_start
     if budget is not None:
-        assert elapsed < budget, f"criterion {number} took {elapsed:.1f}s (budget {budget}s)"
+        # the budget is on wall time; CPU time is reported so that a run slowed
+        # by other processes sharing the CPUs shows as wall >> CPU
+        assert elapsed < budget, (
+            f"criterion {number} took {elapsed:.1f} s wall / {cpu:.1f} s CPU (budget {budget} s)"
+        )
         print(f"ACCEPTANCE {number}: PASS ({elapsed:.1f}s < {budget}s) - {description}")
     else:
         print(f"ACCEPTANCE {number}: PASS ({elapsed:.1f}s) - {description}")
@@ -142,9 +148,8 @@ def test_criterion_4_intertwiner():
                 prod = build_intertwiner(dec, lam) @ build_intertwiner(dec, -lam)
                 assert np.max(np.abs(prod - eye)) <= 1e-8
             for lam in sample_spectral_parameters(rng, n, 5):
-                for a in range(basis.dim):
-                    r0, r1 = intertwining_residual(dec, basis.generators[a], lam)
-                    assert r0 <= 1e-8 and r1 <= 1e-8
+                r0, r1 = intertwining_residual(dec, basis.generators, lam)
+                assert r0 <= 1e-8 and r1 <= 1e-8
             recovery = derive_coefficients(dec, sample_spectral_parameters(rng, n, 3), rng=rng)
             assert recovery["max_error"] <= 1e-8
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from adjrmat.liealg import build_basis, matrix_unit, structure_constants
+from adjrmat.adjoint_tensor import ad_matrix
+from adjrmat.liealg import build_basis, matrix_unit, structure_constants, weight_basis
 
 TOL = 1e-9
 
@@ -156,3 +157,23 @@ def test_matrix_unit_index_range():
         matrix_unit(basis, 0, 2)
     with pytest.raises(ValueError):
         matrix_unit(basis, 1, 4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_weight_basis_diagonalizes_cartan(n):
+    """U is unitary and U ad(H_k) U^dagger is diagonal with the returned weights."""
+    basis = build_basis(n)
+    m = basis.dim
+    u, weights = weight_basis(basis)
+    assert u.shape == (m, m) and weights.shape == (m, n)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(m))) < 1e-14
+    cartan = basis.generators[m - (n - 1):]
+    for h in cartan:
+        rotated = u @ ad_matrix(basis, h) @ u.conj().T
+        eigenvalues = np.diag(rotated)
+        assert np.max(np.abs(rotated - np.diag(eigenvalues))) < 1e-14
+        assert np.max(np.abs(eigenvalues - weights @ np.diag(h).real)) < 1e-14
+    # the nonzero weights are the n(n-1) roots, each once; the Cartan part has weight 0
+    roots = {tuple(w) for w in weights if np.any(w)}
+    assert len(roots) == n * (n - 1)
+    assert not np.any(weights[n * (n - 1):])

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from adjrmat.adjoint_tensor import casimir_op, permutation_op
+from adjrmat.liealg import weight_basis
 from adjrmat.numerics import DEFAULT_TOL
+from adjrmat import rmatrix
 from adjrmat.rmatrix import (
+    DENSE_YBE_MAX_DIM,
     CoefficientSet,
     asymptotic_check,
     build_R,
@@ -40,10 +43,9 @@ def test_intertwiner_inversion(algebra, rng, n):
 def test_intertwining_property(algebra, rng, n):
     basis, dec = algebra.basis(n), algebra.dec(n)
     for lam in sample_spectral_parameters(rng, n, 2):
-        for a in range(basis.dim):
-            r0, r1 = intertwining_residual(dec, basis.generators[a], lam)
-            assert r0 < 1e-8
-            assert r1 < 1e-8
+        r0, r1 = intertwining_residual(dec, basis.generators, lam)
+        assert r0 < 1e-8
+        assert r1 < 1e-8
 
 
 def test_coefficient_closed_forms():
@@ -128,6 +130,66 @@ def test_ybe_dense_both_solutions(algebra, rng, solution):
         assert ybe_residual(dec, lam, mu, mode="dense", solution=solution) < 1e-8
 
 
+def _ybe_einsum_oracle(dec, lam, mu, solution="R"):
+    """The dense YBE residual as one three-site contraction per side, O(m^8)."""
+    build = {"R": build_R, "Rtilde": build_R_tilde}[solution]
+    m = dec.n * dec.n - 1
+    r_lam, r_sum, r_mu = (build(dec, z).reshape(m, m, m, m) for z in (lam, lam + mu, mu))
+    lhs = np.einsum("abde,dcxi,eiyz->abcxyz", r_lam, r_sum, r_mu, optimize=True)
+    rhs = np.einsum("bcef,afgz,gexy->abcxyz", r_mu, r_sum, r_lam, optimize=True)
+    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ybe_weight_blocks_match_einsum_oracle(algebra, n):
+    dec = algebra.dec(n)
+    for lam, mu in sample_ybe_pairs(np.random.default_rng(n), n, 2):
+        for solution in ("R", "Rtilde"):
+            blocks = ybe_residual(dec, lam, mu, mode="dense", solution=solution)
+            assert abs(blocks - _ybe_einsum_oracle(dec, lam, mu, solution)) < 1e-13
+
+
+def test_ybe_weight_blocks_match_oracle_when_failing(algebra, monkeypatch):
+    """With the parity diag(1, -1) dropped from N, both paths give the same failure."""
+    dec = algebra.dec(3)
+    monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
+    lam, mu = 0.5 + 0.2j, -0.3 + 0.4j
+    blocks = ybe_residual(dec, lam, mu, mode="dense")
+    oracle = _ybe_einsum_oracle(dec, lam, mu)
+    assert blocks > 1e-8
+    assert abs(blocks - oracle) <= 1e-10 * oracle
+
+
+def _offblock_part(dec, p):
+    """The part of a two-site operator that changes the total weight."""
+    m = dec.n * dec.n - 1
+    u, weights = weight_basis(dec.rep.basis)
+    w2 = np.kron(u, u)
+    pair_w = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
+    off = np.any(pair_w[:, None, :] != pair_w[None, :, :], axis=2)
+    return w2.conj().T @ np.where(off, w2 @ p @ w2.conj().T, 0.0) @ w2
+
+
+@pytest.mark.parametrize("offblock_only", [False, True])
+def test_ybe_dense_rejects_non_invariant_R(algebra, monkeypatch, offblock_only):
+    """A weight-violating perturbation of R fails the dense YBE check."""
+    dec = algebra.dec(3)
+    m = 8
+    rng = np.random.default_rng(5)
+    p = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
+    if offblock_only:
+        # invisible inside the weight blocks, so only the symmetry floor sees it
+        p = _offblock_part(dec, p)
+    exact = rmatrix.build_R
+
+    def perturbed(dec_, lam):
+        r = exact(dec_, lam)
+        return r + 1e-6 * np.linalg.norm(r) / np.linalg.norm(p) * p
+
+    monkeypatch.setattr(rmatrix, "build_R", perturbed)
+    assert ybe_residual(dec, 0.7, -1.3j, mode="dense") > 1e-8
+
+
 def test_ybe_matrix_free_agrees_with_dense(algebra, rng):
     """The probe estimator is validated against the dense residual."""
     dec = algebra.dec(3)
@@ -146,6 +208,7 @@ def test_ybe_matrix_free_su5(algebra, rng):
 
 def test_ybe_dense_mode_capped(algebra):
     dec = algebra.dec(5)
+    assert 24**3 > DENSE_YBE_MAX_DIM >= 15**3
     with pytest.raises(ValueError):
         ybe_residual(dec, 0.4, 0.2, mode="dense")
 
