@@ -3,7 +3,9 @@
 Vectors of the two-site module live in coordinates: an element
 sum_{a,b} v^{ab} I^a (x) I^b of su(n) (x) su(n) is stored as the flat complex
 array v of length (n^2-1)^2 with row-major index a*(n^2-1)+b, matching the
-Kronecker-product convention of :mod:`adjrmat.numerics`.
+Kronecker-product convention of :mod:`adjrmat.numerics`.  Lowering orbits
+are closed internally in two-site weight coordinates (see :func:`_orbit`),
+but every basis this module returns is in these Gell-Mann coordinates.
 
 Two distinct objects both called "Casimir" are kept strictly separate:
 
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import SunBasis, matrix_unit
-from .numerics import DEFAULT_TOL, Tolerance, extend_orthonormal, kron, max_abs
+from .liealg import SunBasis, matrix_unit, weight_basis
+from .numerics import DEFAULT_TOL, Tolerance, kron, max_abs
 
 __all__ = [
     "AdjointRep",
@@ -351,51 +353,150 @@ def highest_weight_vectors(basis: SunBasis, tol: Tolerance = DEFAULT_TOL) -> lis
     return rows
 
 
-def _orbit(
-    rep: AdjointRep,
-    seed: np.ndarray,
-    tol: Tolerance,
-    lows: np.ndarray,
-) -> np.ndarray:
+@dataclass(frozen=True)
+class _WeightBlocks:
+    """Two-site weight blocks and the lowering operators restricted to them.
+
+    ``U`` is the single-site change to weight coordinates of
+    :func:`liealg.weight_basis`; two-site weight coordinates are (U (x) U) x.
+    ``blocks[k]`` lists the flat pair indices of one total weight.
+    ``lowers[k]`` maps block k under all lowering operators at once: its
+    rows run over the target blocks, listed in ``targets[k]`` as
+    (target block, first row, end row).
+    """
+
+    U: np.ndarray
+    blocks: list[np.ndarray]
+    lowers: list[np.ndarray]
+    targets: list[list[tuple[int, int, int]]]
+
+    def to_weight(self, x: np.ndarray) -> np.ndarray:
+        m = self.U.shape[0]
+        return (self.U @ x.reshape(m, m) @ self.U.T).ravel()
+
+    def from_weight(self, xw: np.ndarray) -> np.ndarray:
+        """(U (x) U)^dagger on the columns of a (D, k) array, as two matmuls."""
+        m = self.U.shape[0]
+        uh = np.conj(self.U).T
+        k = xw.shape[1]
+        t = (uh @ xw.reshape(m, m * k)).reshape(m, m, k)
+        return np.matmul(uh, t).reshape(m * m, k)
+
+
+def _weight_blocks(rep: AdjointRep, tol: Tolerance) -> _WeightBlocks:
+    """Group the pair indices by total weight and gather the lowering operators.
+
+    ad(e_ji) (i < j) shifts weights by e_j - e_i, so on two-site weight
+    coordinates ad(e_ji) (x) 1 + 1 (x) ad(e_ji) maps block W into block
+    W + e_j - e_i.  Entries of the rotated operators outside that shift must
+    vanish; a larger one means the weight frame is wrong and raises.
+    """
+    n, m = rep.n, rep.dim
+    U, weights = weight_basis(rep.basis)
+    uh = np.conj(U).T
+    lows = np.stack([U @ a @ uh for a in lowering_ops(rep)])
+    shifts = np.zeros((len(lows), n), dtype=int)
+    for o, (i, j) in enumerate(_pairs(n)):
+        shifts[o, j - 1] += 1
+        shifts[o, i - 1] -= 1
+    for o in range(len(lows)):
+        on_shift = np.all(weights[:, None, :] == weights[None, :, :] + shifts[o], axis=2)
+        stray = max_abs(lows[o][~on_shift])
+        if stray > tol.abs_tol:
+            raise AssertionError(f"lowering operator leaves its weight shift ({stray:.3e})")
+    total = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, n)
+    keys, inverse = np.unique(total, axis=0, return_inverse=True)
+    order = np.argsort(inverse.ravel(), kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(inverse.ravel()))[:-1])
+    index = {tuple(key): k for k, key in enumerate(keys)}
+    lowers: list[np.ndarray] = []
+    targets: list[list[tuple[int, int, int]]] = []
+    for key, src in zip(keys, blocks):
+        sp, sq = divmod(src, m)
+        rows, ops, segs = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], []
+        lo = 0
+        for o, shift in enumerate(shifts):
+            t = index.get(tuple(key + shift))
+            if t is None:
+                continue
+            rows.append(blocks[t])
+            ops.append(np.full(len(blocks[t]), o))
+            segs.append((t, lo, lo + len(blocks[t])))
+            lo += len(blocks[t])
+        tp, tq = divmod(np.concatenate(rows), m)
+        op = np.concatenate(ops)[:, None]
+        tp, tq = tp[:, None], tq[:, None]
+        piece = lows[op, tp, sp] * (tq == sq) + (tp == sp) * lows[op, tq, sq]
+        lowers.append(piece)
+        targets.append(segs)
+    return _WeightBlocks(U=U, blocks=blocks, lowers=lowers, targets=targets)
+
+
+def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Close the lowering orbit of ``seed``; returns an orthonormal basis of its span.
 
-    Each round applies every lowering operator to the columns accepted in
-    the previous round and keeps the images that extend the span; the orbit
-    is closed when a round adds nothing.
+    The orbit is closed in two-site weight coordinates, one weight block at
+    a time.  Each round applies every lowering operator to the columns
+    accepted in the previous round and groups the images by target block.
+    There the images are normalized (near-null ones dropped), projected twice
+    against the columns the block already holds, and the new directions are
+    the left singular vectors with singular value at least ``tol.rank_tol``.
+    The orbit is closed when a round adds nothing.  The basis is returned in
+    Gell-Mann coordinates.  ``seed`` must be a weight vector: support in more
+    than one weight block raises ``ValueError``.
     """
-    m = rep.dim
-    D = m * m
-    nrm = np.linalg.norm(seed)
+    xw = frame.to_weight(np.asarray(seed, dtype=complex))
+    nrm = np.linalg.norm(xw)
     if nrm < tol.rank_tol:
         raise ValueError("highest-weight vector is numerically zero")
-    B = (seed / nrm).reshape(D, 1).astype(complex)
-    frontier = [0]
-    nlow = lows.shape[0]
-    lows_t = np.ascontiguousarray(lows.transpose(0, 2, 1))
+    block_norms = np.array([np.linalg.norm(xw[idx]) for idx in frame.blocks])
+    w0 = int(np.argmax(block_norms))
+    off = np.linalg.norm(np.delete(block_norms, w0)) / nrm
+    if off > tol.rank_tol:
+        raise ValueError(
+            f"seed is not a weight vector: {off:.3e} of its norm lies outside "
+            "its dominant weight block"
+        )
+    seed_w = xw[frame.blocks[w0]]
+    accepted = {w0: (seed_w / np.linalg.norm(seed_w))[:, None]}
+    frontier = dict(accepted)
+    D = len(xw)
     rounds = 0
     while frontier:
         rounds += 1
         if rounds > D:
             raise RuntimeError(f"orbit did not close within {D} rounds")
-        p = len(frontier)
-        block = np.ascontiguousarray(B[:, frontier]).reshape(m, m, p)
-        v_left = block.reshape(m, m * p)  # rows j, columns (k, p)
-        v_right = np.ascontiguousarray(block.transpose(0, 2, 1)).reshape(m * p, m)
-        # candidate columns in operator-major order: index = op * p + parent
-        slab = np.empty((D, nlow * p), dtype=complex)
-        for o in range(nlow):
-            left = (lows[o] @ v_left).reshape(m, m, p)
-            right = (v_right @ lows_t[o]).reshape(m, p, m).transpose(0, 2, 1)
-            slab[:, o * p : (o + 1) * p] = (left + right).reshape(D, p)
-        # scale-free rank decisions: drop near-null images, normalize the rest
-        norms = np.linalg.norm(slab, axis=0)
-        keep = norms >= tol.rank_tol
-        new, _ = extend_orthonormal(B, slab[:, keep] / norms[keep], tol)
-        k0 = B.shape[1]
-        if new.shape[1]:
-            B = np.hstack([B, new])
-        frontier = list(range(k0, B.shape[1]))
-    return B
+        images: dict[int, list[np.ndarray]] = {}
+        for w, cols in frontier.items():
+            image = frame.lowers[w] @ cols
+            for t, lo, hi in frame.targets[w]:
+                images.setdefault(t, []).append(image[lo:hi])
+        frontier = {}
+        for t, parts in images.items():
+            cand = np.hstack(parts)
+            norms = np.linalg.norm(cand, axis=0)
+            keep = norms >= tol.rank_tol
+            if not keep.any():
+                continue
+            cand = cand[:, keep] / norms[keep]
+            held = accepted.get(t)
+            if held is not None:
+                held_h = np.conj(held).T
+                for _ in range(2):
+                    cand -= held @ (held_h @ cand)
+            u, s, _ = np.linalg.svd(cand, full_matrices=False)
+            new = u[:, s >= tol.rank_tol]
+            if new.shape[1]:
+                accepted[t] = new if held is None else np.hstack([held, new])
+                frontier[t] = new
+    dim = sum(q.shape[1] for q in accepted.values())
+    basis_w = np.zeros((D, dim), dtype=complex)
+    col = 0
+    for t in sorted(accepted):
+        q = accepted[t]
+        basis_w[frame.blocks[t], col : col + q.shape[1]] = q
+        col += q.shape[1]
+    return frame.from_weight(basis_w)
 
 
 def _tensor_embedding(t: np.ndarray) -> np.ndarray:
@@ -436,14 +537,18 @@ def generate_submodule(
     tol: Tolerance = DEFAULT_TOL,
     label: str | None = None,
     role: str | None = None,
-    _lows: np.ndarray | None = None,
+    _frame: _WeightBlocks | None = None,
     _omega: np.ndarray | None = None,
 ) -> Submodule:
     """Generate the irreducible submodule spanned by the lowering orbit of ``hwv``.
 
     ``hwv`` may be a :class:`HighestWeight` or a raw coordinate vector plus
-    explicit ``parity``.  The measured Casimir eigenvalue and exchange parity
-    are validated on every basis vector; a stated parity must match.
+    explicit ``parity``.  A raw vector must be a weight vector (support in a
+    single two-site weight block); otherwise ``ValueError`` is raised, since
+    its lowering orbit would not span a submodule.  The orbit is closed in
+    weight blocks (see :func:`_orbit`); the measured Casimir eigenvalue and
+    exchange parity are validated on every basis vector in Gell-Mann
+    coordinates against the dense Omega_op, and a stated parity must match.
     """
     if isinstance(hwv, HighestWeight):
         coords = hwv.coords
@@ -452,9 +557,9 @@ def generate_submodule(
         role = hwv.role if role is None else role
     else:
         coords = np.asarray(hwv, dtype=complex)
-    lows = lowering_ops(rep) if _lows is None else _lows
+    frame = _weight_blocks(rep, tol) if _frame is None else _frame
     omega = casimir_op(rep) if _omega is None else _omega
-    B = _orbit(rep, coords, tol, lows)
+    B = _orbit(frame, coords, tol)
     omega_ev, measured_parity = _measure(rep, B, tol, omega)
     if parity is not None and measured_parity != parity:
         raise AssertionError(f"measured parity {measured_parity} != stated parity {parity}")
@@ -477,15 +582,19 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     image of the generator I^a, so mapping column to column is the
     equivariant isometry -Ef Ed^dagger; the sign fixes the phase convention
     iso(v_s) = +(norm ratio) v_a.  Every other submodule is the lowering
-    orbit of its highest-weight vector.  Casimir eigenvalue and exchange
-    parity of every basis, completeness and mutual orthogonality of the
-    projectors, and the isometry phase are verified before returning.
+    orbit of its highest-weight vector, closed one two-site weight block at a
+    time (the blocks and the gathered lowering operators are built once per
+    call and shared by the orbits).  The checks read only the Gell-Mann
+    bases and the dense Omega_op, never the weight frame: Casimir eigenvalue
+    and exchange parity of every basis, the sum of dimensions, completeness
+    and mutual orthogonality of the projectors, and the isometry phase are
+    verified before returning.
     """
     basis = rep.basis
     m = rep.dim
     D = m * m
     rows = highest_weight_vectors(basis, tol)
-    lows = lowering_ops(rep)
+    frame = _weight_blocks(rep, tol)
     omega = casimir_op(rep)
     embeddings = {
         "adjoint_sym": _tensor_embedding(basis.d),
@@ -500,7 +609,7 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
                 raise AssertionError(f"{row.role} parity mismatch")
             submodules.append(Submodule(row.label, row.role, row.coords, B, omega_ev, measured))
         else:
-            submodules.append(generate_submodule(rep, row, tol=tol, _lows=lows, _omega=omega))
+            submodules.append(generate_submodule(rep, row, tol=tol, _frame=frame, _omega=omega))
 
     dims = sum(sub.dim for sub in submodules)
     if dims != D:

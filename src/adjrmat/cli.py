@@ -220,7 +220,7 @@ def suite_ybe(ctx: _Context) -> list[dict]:
     if mode is None:
         mode = "dense" if m**3 <= DENSE_YBE_MAX_DIM else "matrix_free"
     if mode == "dense" and m**3 > DENSE_YBE_MAX_DIM:
-        raise ConfigError(f"dense YBE mode is limited to n <= 4 (needs (n^2-1)^3 <= 3375)")
+        raise ConfigError(f"dense YBE mode is limited to n <= 4 (needs (n^2-1)^3 <= {DENSE_YBE_MAX_DIM})")
     rng = ctx.rng()
     count = cfg.samples if cfg.samples is not None else 5
     if cfg.lam is not None and cfg.mu is not None:

@@ -141,14 +141,20 @@ def spin_operators(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> SpinOperato
     even number of spin factors and are insensitive to the distinction, but
     the sign of C_A (and hence of [K, C_A]) is fixed by it: this is the
     convention under which the closed spin form of the density holds.
+
+    Both cubic sums reduce to the single stack w[x] = sum_{b,c} d^{xbc} S^b S^c,
+    since d is totally symmetric; it is formed with two matmuls, the stack of
+    products S^b S^c and then d reshaped to (m, m^2) against it.
     """
     S = np.ascontiguousarray(rep.S.transpose(0, 2, 1))
     d = rep.basis.d
     m = rep.dim
     q = casimir_op(rep)
-    # w[x] = sum_{b,c} d^{xbc} S^b S^c
-    w = np.einsum("xbc,bij,cjk->xik", d, S, S, optimize=True)
-    term1 = np.einsum("cik,cjl->ijkl", np.einsum("abc,aij,bjk->cik", d, S, S, optimize=True), S, optimize=True)
+    # pair[(b, i), (c, k)] = (S^b S^c)_{ik}, regrouped as rows (b, c), columns (i, k)
+    pair = S.reshape(m * m, m) @ np.ascontiguousarray(S.transpose(1, 0, 2)).reshape(m, m * m)
+    pair = pair.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+    w = (d.reshape(m, m * m) @ pair).reshape(m, m, m)
+    term1 = np.einsum("cik,cjl->ijkl", w, S, optimize=True)
     term2 = np.einsum("aik,ajl->ijkl", S, w, optimize=True)
     c_a = (term1 - term2).reshape(m * m, m * m)
     left = np.einsum("aij,fjk->afik", S, w, optimize=True)  # S^a w[f] on site 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from adjrmat.adjoint_tensor import (
     casimir_op,
     generate_submodule,
     highest_weight_vectors,
+    lowering_ops,
     permutation_op,
     raising_ops,
     tensor_coords,
     tensor_from_coords,
 )
 from adjrmat.liealg import matrix_unit
+from adjrmat.numerics import DEFAULT_TOL, extend_orthonormal
 
 TOL = 1e-9
 
@@ -274,3 +278,92 @@ def test_generate_submodule_rejects_zero_vector(algebra):
     rep = algebra.rep(3)
     with pytest.raises(ValueError):
         generate_submodule(rep, np.zeros(64, dtype=complex), parity=1)
+
+
+def test_generate_submodule_rejects_non_weight_vector(algebra):
+    """A seed with support in two weight blocks spans no module; it is refused."""
+    basis, rep = algebra.basis(3), algebra.rep(3)
+    hw = {r.role: r for r in highest_weight_vectors(basis)}
+    mixed = hw["sym_top"].coords + hw["singlet"].coords
+    with pytest.raises(ValueError, match="not a weight vector"):
+        generate_submodule(rep, mixed, parity=1)
+
+
+def _orbit_oracle(rep, seed, tol=DEFAULT_TOL):
+    """The retired dense lowering orbit: Gram-Schmidt over Gell-Mann coordinates.
+
+    Each round applies every ad(e_ji) (x) 1 + 1 (x) ad(e_ji) to the columns
+    accepted in the previous round and extends the basis with the images
+    that are not yet in its span, until a round adds nothing.
+    """
+    m = rep.dim
+    D = m * m
+    lows = lowering_ops(rep)
+    lows_t = np.ascontiguousarray(lows.transpose(0, 2, 1))
+    B = (seed / np.linalg.norm(seed)).reshape(D, 1).astype(complex)
+    frontier = [0]
+    while frontier:
+        p = len(frontier)
+        block = np.ascontiguousarray(B[:, frontier]).reshape(m, m, p)
+        v_left = block.reshape(m, m * p)
+        v_right = np.ascontiguousarray(block.transpose(0, 2, 1)).reshape(m * p, m)
+        slab = np.empty((D, len(lows) * p), dtype=complex)
+        for o in range(len(lows)):
+            left = (lows[o] @ v_left).reshape(m, m, p)
+            right = (v_right @ lows_t[o]).reshape(m, p, m).transpose(0, 2, 1)
+            slab[:, o * p : (o + 1) * p] = (left + right).reshape(D, p)
+        norms = np.linalg.norm(slab, axis=0)
+        keep = norms >= tol.rank_tol
+        new, _ = extend_orthonormal(B, slab[:, keep] / norms[keep], tol)
+        k0 = B.shape[1]
+        B = np.hstack([B, new])
+        frontier = list(range(k0, B.shape[1]))
+    return B
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_weight_block_orbit_matches_oracle(algebra, n):
+    """Every module, and the isometry, agree with the retired dense orbit.
+
+    The oracle closes all seven orbits, the two adjoint copies included, and
+    takes the isometry from the invariant tensors directly.
+    """
+    basis, rep, dec = algebra(n)
+    m = rep.dim
+    rows = {r.role: r for r in highest_weight_vectors(basis)}
+    oracle = {}
+    for sub in dec.submodules:
+        B = _orbit_oracle(rep, rows[sub.role].coords)
+        assert sub.dim == B.shape[1], sub.role
+        proj = B @ B.conj().T
+        assert np.max(np.abs(sub.basis @ sub.basis.conj().T - proj)) <= 1e-13, sub.role
+        if sub.role in ("adjoint_sym", "adjoint_anti"):
+            oracle[sub.role] = proj
+
+    def embedding(t):
+        cols = t.reshape(m, m * m).T
+        return cols / np.linalg.norm(cols, axis=0)
+
+    iso = dec.iso_s_to_a
+    assert np.max(np.abs(iso + embedding(basis.f) @ embedding(basis.d).conj().T)) <= 1e-13
+    assert np.max(np.abs(iso.conj().T @ iso - oracle["adjoint_sym"])) <= 1e-13
+    assert np.max(np.abs(iso @ iso.conj().T - oracle["adjoint_anti"])) <= 1e-13
+
+
+def _weyl_dimension(label):
+    """dim V(a) = prod_{i<j} (sum_{k=i}^{j-1} (a_k + 1)) / (j - i) for Dynkin labels a."""
+    a = [int(c) for c in re.fullmatch(r"\((\d+)\)[sa]", label).group(1)]
+    num = den = 1
+    for i in range(len(a)):
+        for j in range(i + 1, len(a) + 1):
+            num *= sum(a[i:j]) + (j - i)
+            den *= j - i
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_module_dimensions_match_weyl_formula(algebra, n):
+    for sub in algebra.dec(n).submodules:
+        assert len(re.fullmatch(r"\((\d+)\)[sa]", sub.label).group(1)) == n - 1
+        assert _weyl_dimension(sub.label) == sub.dim, sub.label

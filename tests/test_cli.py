@@ -211,6 +211,13 @@ def test_rejects_small_n(tmp_path):
     assert code == 2
 
 
+def test_dense_ybe_refused_above_cap(tmp_path, capsys):
+    code, payload = run(tmp_path, "verify", "ybe", "--n", "5", "--dense")
+    assert code == 2 and payload is None
+    err = capsys.readouterr().err
+    assert err == "adjrmat: dense YBE mode is limited to n <= 4 (needs (n^2-1)^3 <= 3375)\n"
+
+
 def test_bad_lambda_format():
     with pytest.raises(SystemExit) as info:
         main(["build", "rmatrix", "--n", "3", "--lambda", "nonsense"])

@@ -116,6 +116,30 @@ def test_spin_operators_hermitian_and_q_is_casimir(algebra, n):
         assert np.max(np.abs(op - op.conj().T)) < TOL * m
 
 
+def _spin_operators_einsum_oracle(rep):
+    """C_A and K from the three-operand einsums that spin_operators replaced."""
+    S = np.ascontiguousarray(rep.S.transpose(0, 2, 1))
+    d = rep.basis.d
+    m = rep.dim
+    w = np.einsum("xbc,bij,cjk->xik", d, S, S, optimize=True)
+    w2 = np.einsum("abc,aij,bjk->cik", d, S, S, optimize=True)
+    term1 = np.einsum("cik,cjl->ijkl", w2, S, optimize=True)
+    term2 = np.einsum("aik,ajl->ijkl", S, w, optimize=True)
+    c_a = (term1 - term2).reshape(m * m, m * m)
+    left = np.einsum("aij,fjk->afik", S, w, optimize=True)
+    right = np.einsum("fij,ajk->afik", S, w, optimize=True)
+    k = np.einsum("afik,afjl->ijkl", left, right, optimize=True).reshape(m * m, m * m)
+    return casimir_op(rep), c_a, k
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_spin_operators_match_einsum_oracle(algebra, n):
+    rep = algebra.rep(n)
+    ops = spin_operators(rep)
+    for got, want in zip((ops.Q, ops.C_A, ops.K), _spin_operators_einsum_oracle(rep)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_k_ca_do_not_commute(algebra, n):
     ops = spin_operators(algebra.rep(n))
