@@ -18,11 +18,12 @@ Two distinct objects both called "Casimir" are kept strictly separate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .liealg import SunBasis, matrix_unit, weight_basis
+from .liealg import SunBasis, matrix_unit, weight_basis, weight_blocks
 from .numerics import DEFAULT_TOL, Tolerance, kron, max_abs
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "HighestWeight",
     "Submodule",
     "Decomposition",
+    "PairFrame",
     "ROLE_ORDER",
     "adjoint_rep",
     "ad_matrix",
@@ -92,8 +94,9 @@ class HighestWeight:
 class Submodule:
     """Irreducible factor of adjoint (x) adjoint.
 
-    ``basis`` holds orthonormal coordinate columns; the projector is
-    materialized lazily as basis @ basis^dagger.
+    ``basis`` holds orthonormal coordinate columns.  The D x D projector
+    basis @ basis^dagger is formed on each access and never kept: the hot
+    paths use the operator form of :mod:`adjrmat.rmatrix` instead.
     """
 
     label: str
@@ -102,7 +105,6 @@ class Submodule:
     basis: np.ndarray  # (D, dim) orthonormal columns
     omega_eigenvalue: float
     exchange_parity: int
-    _projector: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -110,9 +112,7 @@ class Submodule:
 
     @property
     def projector(self) -> np.ndarray:
-        if self._projector is None:
-            self._projector = self.basis @ np.conj(self.basis).T
-        return self._projector
+        return self.basis @ np.conj(self.basis).T
 
 
 @dataclass
@@ -123,6 +123,11 @@ class Decomposition:
     rep: AdjointRep
     submodules: list[Submodule]
     iso_s_to_a: np.ndarray
+
+    @cached_property
+    def frame(self) -> "PairFrame":
+        """The :class:`PairFrame` of the basis, built on first use."""
+        return PairFrame(self.rep.basis)
 
     def by_role(self, role: str) -> Submodule:
         for sub in self.submodules:
@@ -405,9 +410,8 @@ def _weight_blocks(rep: AdjointRep, tol: Tolerance) -> _WeightBlocks:
         if stray > tol.abs_tol:
             raise AssertionError(f"lowering operator leaves its weight shift ({stray:.3e})")
     total = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, n)
-    keys, inverse = np.unique(total, axis=0, return_inverse=True)
-    order = np.argsort(inverse.ravel(), kind="stable")
-    blocks = np.split(order, np.cumsum(np.bincount(inverse.ravel()))[:-1])
+    blocks = weight_blocks(total)
+    keys = [total[idx[0]] for idx in blocks]
     index = {tuple(key): k for k, key in enumerate(keys)}
     lowers: list[np.ndarray] = []
     targets: list[list[tuple[int, int, int]]] = []
@@ -508,6 +512,74 @@ def _tensor_embedding(t: np.ndarray) -> np.ndarray:
     m = t.shape[0]
     cols = t.reshape(m, m * m).T
     return cols / np.linalg.norm(cols, axis=0)
+
+
+# entries of d, f and Omega_op below this size are roundoff of the trace projection
+_SPARSE_ZERO = 1e-12
+# from this rank on, Omega_op and E are applied as scipy CSR matrices; below it
+# as dense arrays (D <= 576), which keeps the import of scipy.sparse (about
+# 0.2 s and 22 MB of resident memory) out of small-rank runs
+_SPARSE_FROM_RANK = 6
+
+
+class PairFrame:
+    """Invariant building blocks of operators on adjoint (x) adjoint, from the basis alone.
+
+    ``E = [Ed Ef]`` holds the normalized columns d^{a..} and -f^{a..}, the
+    bases of the two adjoint copies in :func:`build_decomposition`.
+    Omega_op = sum_c S^c (x) S^c is kept as the list of its nonzeros
+    (``omega_entries``: rows, columns, values), built from the nonzeros of
+    f; the dense S stack is never read.  The matrices of :meth:`factors` are
+    built at the first apply, which is the only place scipy is imported.
+    """
+
+    def __init__(self, basis: SunBasis):
+        n, m = basis.n, basis.dim
+        self.n, self.m = n, m
+        e = np.hstack([_tensor_embedding(basis.d), -_tensor_embedding(basis.f)])
+        self.E = np.where(np.abs(e) > _SPARSE_ZERO, e, 0.0)
+        # Omega[(i,k),(j,l)] = sum_c S^c_ij S^c_kl = -sum_c F^{cij} F^{ckl}, where f = iF
+        big_f = basis.f.imag
+        c, i, j = np.nonzero(np.abs(big_f) > _SPARSE_ZERO)
+        starts = np.searchsorted(c, np.arange(m + 1))
+        flat, vals = [], []
+        for a in range(m):
+            ii, jj = i[starts[a] : starts[a + 1]], j[starts[a] : starts[a + 1]]
+            rows = (ii[:, None] * m + ii[None, :]).ravel()
+            cols = (jj[:, None] * m + jj[None, :]).ravel()
+            flat.append(rows * (m * m) + cols)
+            vals.append(-np.outer(big_f[a, ii, jj], big_f[a, ii, jj]).ravel())
+        key, inverse = np.unique(np.concatenate(flat), return_inverse=True)
+        total = np.bincount(inverse.ravel(), weights=np.concatenate(vals))
+        keep = np.abs(total) > _SPARSE_ZERO
+        rows, cols = np.divmod(key[keep], m * m)
+        self.omega_entries = (rows, cols, total[keep])
+        self._factors = None
+
+    def factors(self):
+        """(Omega_op, E, E^dagger) for applying operators, built on first use.
+
+        They are CSR matrices from rank :data:`_SPARSE_FROM_RANK` on and dense
+        arrays below it; both multiply (D, k) arrays with ``@``.
+        """
+        if self._factors is None:
+            D = self.m * self.m
+            rows, cols, vals = self.omega_entries
+            e_h = np.ascontiguousarray(np.conj(self.E).T)
+            if self.n < _SPARSE_FROM_RANK:
+                omega = np.zeros((D, D), dtype=complex)
+                omega[rows, cols] = vals
+                self._factors = (omega, self.E, e_h)
+            else:
+                from scipy import sparse
+
+                omega = sparse.csr_array((vals, (rows, cols)), shape=(D, D))
+                self._factors = (omega, sparse.csr_array(self.E), sparse.csr_array(e_h))
+        return self._factors
+
+    def omega(self, x: np.ndarray) -> np.ndarray:
+        """Omega_op applied to the columns of a (D, k) array."""
+        return self.factors()[0] @ x
 
 
 def _measure(

@@ -30,6 +30,7 @@ __all__ = [
     "structure_constants",
     "matrix_unit",
     "weight_basis",
+    "weight_blocks",
 ]
 
 
@@ -188,3 +189,13 @@ def weight_basis(basis: SunBasis) -> tuple[np.ndarray, np.ndarray]:
     # tr(B_b^dagger I^a) = sum_ij conj(B_b)_ij (I^a)_ij
     U = np.einsum("bij,aij->ba", np.conj(units), gens)
     return U, weights
+
+
+def weight_blocks(weights: np.ndarray) -> list[np.ndarray]:
+    """Indices of the rows of an integer (N, n) weight array, grouped by equal weight.
+
+    The blocks follow the sorted order of the distinct weights, and each
+    lists its indices in increasing order.
+    """
+    _, label, sizes = np.unique(weights, axis=0, return_inverse=True, return_counts=True)
+    return np.split(np.argsort(label.ravel(), kind="stable"), np.cumsum(sizes)[:-1])

@@ -16,9 +16,17 @@ the s->a isometry of the decomposition.  Closed forms:
 and the R-form block N(lam) = M(lam) diag(1, -1).  Poles sit at lam = 1 and
 lam = n only; evaluation is refused inside a guard disk around them.
 
-:func:`build_R` assembles R(lam) once, directly from the N(lam) block.  The
-composed form I(lam) sigma is kept as an oracle, :func:`r_assembly_residual`,
-which ``verify ybe`` reports as the ``r-assembly-agreement`` check.
+Every projector has a closed form in sigma, the two-site Casimir Omega_op
+and the columns of d and f (:func:`operator_form`), so I(lam), R(lam),
+sigma I(lam) and h = R'(0) sigma are each a few scalars on Pi+-, Omega_op
+Pi+, a rank-2m part and the singlet (:class:`PairOperator`), built from the
+basis alone.  The probes, ``r-at-zero-is-swap`` and the asymptotic check
+apply that form without forming a D x D matrix; :func:`build_R` and the
+other ``build_*`` functions return its :meth:`PairOperator.dense`.  The
+projector-sum assembly from the decomposition, :func:`_assemble`, is the
+oracle: :func:`r_assembly_residual` compares the operator form of R(lam)
+with the projector-sum I(lam) sigma, and ``verify ybe`` reports it as the
+``r-assembly-agreement`` check.
 
 The dense Yang-Baxter residual works in the weight basis of
 :func:`liealg.weight_basis`.  R(lam) is su(n)-invariant, so it conserves
@@ -29,13 +37,13 @@ weight violation of the rotated R-matrices kept as a floor on the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjoint_tensor import Decomposition, casimir_op
-from .liealg import matrix_unit, weight_basis
-from .numerics import frobenius, max_abs
+from .adjoint_tensor import Decomposition, PairFrame, apply_swap
+from .liealg import matrix_unit, weight_basis, weight_blocks
+from .numerics import max_abs
 from .yangian_action import LevelOneAction
 
 __all__ = [
@@ -44,10 +52,16 @@ __all__ = [
     "DENSE_YBE_MAX_DIM",
     "CoefficientSet",
     "check_pole_distance",
+    "PairOperator",
+    "operator_form",
+    "intertwiner_op",
+    "r_op",
+    "r_tilde_op",
     "build_intertwiner",
     "build_R",
     "build_R_tilde",
     "r_assembly_residual",
+    "r_at_zero_residual",
     "ybe_residual",
     "asymptotic_check",
     "derive_coefficients",
@@ -129,6 +143,169 @@ def check_pole_distance(lam: complex, n: int, guard: float = POLE_GUARD):
             )
 
 
+# ---------------------------------------------------------------------------
+# the operator form
+# ---------------------------------------------------------------------------
+
+# identity columns per chunk when a whole operator is checked through its apply
+_CHUNK = 256
+_FLIP = np.diag([1.0, -1.0])
+
+
+@dataclass(frozen=True)
+class PairOperator:
+    """X = plus Pi+ + minus Pi- + omega Omega_op Pi+ + E (block (x) 1_m) E^dagger + singlet s s^dagger.
+
+    Pi+- = (1 +- sigma)/2, E = [Ed Ef] from the frame, and s = vec(1)/sqrt(m).
+    :meth:`apply` forms no D x D matrix (D = m^2): sigma is a transpose,
+    Omega_op and E come from :meth:`PairFrame.factors` (sparse from rank 6
+    on), and s^dagger is a trace.  :meth:`dense` materializes X.
+    """
+
+    frame: PairFrame
+    plus: complex
+    minus: complex
+    omega: complex
+    block: np.ndarray  # 2 x 2, acting on the column pairs (Ed_a, Ef_a)
+    singlet: complex
+
+    def swap_right(self) -> "PairOperator":
+        """X sigma: sigma fixes Pi+, Omega_op Pi+, Ed and s, and negates Pi- and Ef."""
+        return replace(self, minus=-self.minus, block=self.block @ _FLIP)
+
+    def swap_left(self) -> "PairOperator":
+        """sigma X."""
+        return replace(self, minus=-self.minus, block=_FLIP @ self.block)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """X on two-site coordinates shaped (D,), (D, batch) or (m, m, batch)."""
+        m = self.frame.m
+        v = np.asarray(x, dtype=complex).reshape(m, m, -1)
+        k = v.shape[2]
+        omega, e, e_h = self.frame.factors()
+        sym = 0.5 * (v + v.transpose(1, 0, 2))
+        out = (self.plus - self.minus) * sym + self.minus * v
+        out += self.omega * (omega @ sym.reshape(m * m, k)).reshape(m, m, k)
+        coef = (e_h @ v.reshape(m * m, k)).reshape(2, m * k)
+        out += (e @ (self.block @ coef).reshape(2 * m, k)).reshape(m, m, k)
+        diag = np.arange(m)
+        out[diag, diag] += (self.singlet / m) * np.trace(v)
+        return out.reshape(np.shape(x))
+
+    def dense(self) -> np.ndarray:
+        """X as a dense D x D matrix."""
+        m = self.frame.m
+        D = m * m
+        idx = np.arange(D)
+        swap = _swap_perm(m)
+        out = np.zeros((D, D), dtype=complex)
+        out[idx, idx] = 0.5 * (self.plus + self.minus)
+        out[idx, swap] += 0.5 * (self.plus - self.minus)
+        rows, cols, vals = self.frame.omega_entries
+        half = 0.5 * self.omega * vals
+        flat = out.reshape(-1)
+        np.add.at(flat, rows * D + cols, half)
+        np.add.at(flat, rows * D + swap[cols], half)
+        e = self.frame.E
+        e_block = np.einsum("dia,ij->dja", e.reshape(D, 2, m), self.block).reshape(D, 2 * m)
+        out += e_block @ np.conj(e).T
+        ones = idx[:m] * (m + 1)
+        out[np.ix_(ones, ones)] += self.singlet / m
+        return out
+
+
+def operator_form(frame: PairFrame, diag: dict[str, complex], block: np.ndarray) -> PairOperator:
+    """The :class:`PairOperator` of sum_role diag[role] P_role + ``block`` on the adjoint pair.
+
+    ``diag`` and ``block`` are what the projector-sum assembly :func:`_assemble`
+    takes: scalars on the submodule projectors (a missing role counts as 0)
+    and the 2 x 2 block in the {v_s, v_a} basis.  The projectors in closed form,
+
+        P_top = [(Omega_op + 2) Pi+ - (2 - n) Ed Ed^dagger - (2 - 2n) s s^dagger] / 4,
+        P_mixed = Pi+ - Ed Ed^dagger - s s^dagger - P_top,
+        P_anti_left + P_anti_right = Pi- - Ef Ef^dagger,
+
+    with P_adjoint_sym = Ed Ed^dagger, P_adjoint_anti = Ef Ef^dagger and
+    P_singlet = s s^dagger, turn the sum into a few scalars.  The two
+    antisymmetric modules share one term, so their coefficients must agree;
+    for n = 3 there is no mixed module and P_top alone fills the rest of Pi+.
+    """
+    n = frame.n
+    anti = diag.get("anti_left", 0.0)
+    if diag.get("anti_right", 0.0) != anti:
+        raise AssertionError("the operator form needs equal anti_left and anti_right coefficients")
+    top = diag.get("sym_top", 0.0)
+    mixed = diag.get("mixed_sym", 0.0) if n > 3 else top
+    t = (top - mixed) / 4.0
+    return PairOperator(
+        frame=frame,
+        plus=mixed + 2.0 * t,
+        minus=anti,
+        omega=t,
+        block=np.asarray(block, dtype=complex) - np.diag([mixed + t * (2.0 - n), anti]),
+        singlet=diag.get("singlet", 0.0) - mixed - t * (2.0 - 2.0 * n),
+    )
+
+
+def _intertwiner_coefficients(c: CoefficientSet, lam: complex):
+    """Projector scalars and the M(lam) block of I(lam)."""
+    diag = {
+        "sym_top": 1.0,
+        "anti_left": c.f1(lam),
+        "anti_right": c.f2(lam),
+        "mixed_sym": c.f3(lam),
+        "singlet": c.f4(lam),
+    }
+    return diag, c.M(lam)
+
+
+def _r_coefficients(c: CoefficientSet, lam: complex):
+    """R(lam) = I(lam) sigma: the antisymmetric scalars flip sign and M becomes N."""
+    diag, _ = _intertwiner_coefficients(c, lam)
+    diag["anti_left"], diag["anti_right"] = -diag["anti_left"], -diag["anti_right"]
+    return diag, c.N(lam)
+
+
+def intertwiner_op(dec: Decomposition, lam: complex) -> PairOperator:
+    """I(lam) in operator form."""
+    lam = complex(lam)
+    check_pole_distance(lam, dec.n)
+    coeffs = _intertwiner_coefficients(CoefficientSet(dec.n), lam)
+    return operator_form(dec.frame, *coeffs)
+
+
+def r_op(dec: Decomposition, lam: complex) -> PairOperator:
+    """R(lam) = I(lam) sigma in operator form, from the N(lam) block."""
+    lam = complex(lam)
+    check_pole_distance(lam, dec.n)
+    coeffs = _r_coefficients(CoefficientSet(dec.n), lam)
+    return operator_form(dec.frame, *coeffs)
+
+
+def r_tilde_op(dec: Decomposition, lam: complex) -> PairOperator:
+    """The second solution sigma I(lam) in operator form."""
+    return intertwiner_op(dec, lam).swap_left()
+
+
+def build_intertwiner(dec: Decomposition, lam: complex) -> np.ndarray:
+    """Dense intertwiner I(lam) on the two-site coordinates."""
+    return intertwiner_op(dec, lam).dense()
+
+
+def build_R(dec: Decomposition, lam: complex) -> np.ndarray:
+    """Dense R(lam) = I(lam) sigma, from its operator form.
+
+    Its agreement with the projector-sum I(lam) composed with sigma is
+    :func:`r_assembly_residual`.
+    """
+    return r_op(dec, lam).dense()
+
+
+def build_R_tilde(dec: Decomposition, lam: complex) -> np.ndarray:
+    """The second solution sigma I(lam), dense."""
+    return r_tilde_op(dec, lam).dense()
+
+
 def _block_operator(dec: Decomposition, block: np.ndarray) -> np.ndarray:
     """Operator acting as ``block`` on the adjoint pair in the {v_s, v_a} basis."""
     p_s = dec.by_role("adjoint_sym").projector
@@ -139,6 +316,7 @@ def _block_operator(dec: Decomposition, block: np.ndarray) -> np.ndarray:
 
 
 def _assemble(dec: Decomposition, diag: dict[str, complex], block: np.ndarray) -> np.ndarray:
+    """The projector-sum assembly from the decomposition, kept as the oracle of the operator form."""
     out = _block_operator(dec, block)
     for sub in dec.submodules:
         if sub.role in diag:
@@ -146,59 +324,36 @@ def _assemble(dec: Decomposition, diag: dict[str, complex], block: np.ndarray) -
     return out
 
 
-def build_intertwiner(dec: Decomposition, lam: complex) -> np.ndarray:
-    """Dense intertwiner I(lam) on the two-site coordinates."""
-    lam = complex(lam)
-    check_pole_distance(lam, dec.n)
-    c = CoefficientSet(dec.n)
-    diag = {
-        "sym_top": 1.0,
-        "anti_left": c.f1(lam),
-        "anti_right": c.f2(lam),
-        "mixed_sym": c.f3(lam),
-        "singlet": c.f4(lam),
-    }
-    return _assemble(dec, diag, c.M(lam))
-
-
-def build_R(dec: Decomposition, lam: complex) -> np.ndarray:
-    """Dense R(lam) = I(lam) sigma, assembled directly.
-
-    The direct assembly flips the sign of the scalar coefficients on the
-    antisymmetric submodules and uses the N(lam) block.  Its agreement with
-    the composed form I(lam) sigma is :func:`r_assembly_residual`.
-    """
-    lam = complex(lam)
-    check_pole_distance(lam, dec.n)
-    c = CoefficientSet(dec.n)
-    diag = {
-        "sym_top": 1.0,
-        "anti_left": -c.f1(lam),
-        "anti_right": -c.f2(lam),
-        "mixed_sym": c.f3(lam),
-        "singlet": c.f4(lam),
-    }
-    return _assemble(dec, diag, c.N(lam))
-
-
 def r_assembly_residual(dec: Decomposition, lam: complex) -> float:
-    """Max-abs disagreement of :func:`build_R` with I(lam) sigma over max(1, max-abs R).
+    """Max-abs disagreement of the operator form of R(lam) with I(lam) sigma, over max(1, max-abs R).
 
-    A sign or parity bug in either assembly shows up here; the two agree to
-    within ``abs_tol * (n^2 - 1)``.
+    I(lam) is the projector sum of the decomposition with the M(lam) block,
+    so this checks the operator form, its N(lam) block and the closed-form
+    projectors at once; the two agree to within ``abs_tol * (n^2 - 1)``.
     """
+    lam = complex(lam)
     m = dec.n * dec.n - 1
-    direct = build_R(dec, lam)
-    composed = _permute_cols_swap(build_intertwiner(dec, lam), m)
+    direct = r_op(dec, lam).dense()
+    composed = _permute_cols_swap(
+        _assemble(dec, *_intertwiner_coefficients(CoefficientSet(dec.n), lam)), m
+    )
     return max_abs(direct - composed) / max(1.0, max_abs(direct))
 
 
-def build_R_tilde(dec: Decomposition, lam: complex) -> np.ndarray:
-    """The second solution sigma I(lam)."""
-    lam = complex(lam)
-    check_pole_distance(lam, dec.n)
+def _identity_columns(D: int):
+    """The D x D identity, :data:`_CHUNK` columns at a time."""
+    for start in range(0, D, _CHUNK):
+        cols = np.arange(start, min(D, start + _CHUNK))
+        block = np.zeros((D, len(cols)), dtype=complex)
+        block[cols, np.arange(len(cols))] = 1.0
+        yield block
+
+
+def r_at_zero_residual(dec: Decomposition) -> float:
+    """Max-abs of R(0) - sigma, with R(0) applied to the identity in column chunks."""
     m = dec.n * dec.n - 1
-    return _permute_rows_swap(build_intertwiner(dec, lam), m)
+    op = r_op(dec, 0.0)
+    return max(max_abs(op.apply(e) - apply_swap(e, m)) for e in _identity_columns(m * m))
 
 
 def _swap_perm(m: int) -> np.ndarray:
@@ -210,11 +365,6 @@ def _swap_perm(m: int) -> np.ndarray:
 def _permute_cols_swap(a: np.ndarray, m: int) -> np.ndarray:
     """a @ sigma without materializing sigma."""
     return a[:, _swap_perm(m)]
-
-
-def _permute_rows_swap(a: np.ndarray, m: int) -> np.ndarray:
-    """sigma @ a without materializing sigma."""
-    return a[_swap_perm(m), :]
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +396,13 @@ def ybe_residual(
     R(lam) is su(n)-invariant and so conserves Cartan weight; the weight
     violation max_k ||offblock(R_k)|| / ||R_k|| of the three rotated
     R-matrices is a floor on the result, so a non-invariant R cannot hide
-    its error outside the blocks.  Matrix-free mode applies both sides to
-    random unit probe vectors through factored tensor contractions and
-    returns the maximum relative residual over the probes.
+    its error outside the blocks.  Dense mode reads the module-level
+    :func:`build_R` / :func:`build_R_tilde`.  Matrix-free mode applies both
+    sides to random unit probe vectors, one two-site operator form
+    (:class:`PairOperator`) at a time, and returns the maximum relative
+    residual over the probes; it forms no D x D matrix and costs O(nnz(f) m)
+    per factor and probe.  The dense mode is its oracle at n <= 4, and the
+    retired dense-R einsums are kept in the tests as ``_ybe_probe_oracle``.
     """
     _ybe_guard(dec, lam, mu)
     build = {"R": build_R, "Rtilde": build_R_tilde}[solution]
@@ -259,19 +413,24 @@ def ybe_residual(
         return _ybe_dense_blocks(dec, [build(dec, z) for z in (lam, lam + mu, mu)])
     if mode != "matrix_free":
         raise ValueError(f"unknown mode {mode!r}")
-    r_lam = build(dec, lam).reshape(m, m, m, m)
-    r_sum = build(dec, lam + mu).reshape(m, m, m, m)
-    r_mu = build(dec, mu).reshape(m, m, m, m)
+    ops = {"R": r_op, "Rtilde": r_tilde_op}[solution]
+    r_lam, r_sum, r_mu = (ops(dec, z) for z in (lam, lam + mu, mu))
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     for _ in range(probes):
         v = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
         v /= np.linalg.norm(v)
-        lhs = _apply_12(r_lam, _apply_13(r_sum, _apply_23(r_mu, v)))
-        rhs = _apply_23(r_mu, _apply_13(r_sum, _apply_12(r_lam, v)))
+        lhs = _on_sites(r_lam, (0, 1), _on_sites(r_sum, (0, 2), _on_sites(r_mu, (1, 2), v)))
+        rhs = _on_sites(r_mu, (1, 2), _on_sites(r_sum, (0, 2), _on_sites(r_lam, (0, 1), v)))
         worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)))
     return worst
+
+
+def _on_sites(op: PairOperator, pair: tuple[int, int], v: np.ndarray) -> np.ndarray:
+    """Apply the two-site operator ``op`` to the sites ``pair`` of an (m, m, m) array."""
+    axes = (*pair, 3 - sum(pair))  # the spectator site goes last, as the batch axis
+    return op.apply(v.transpose(axes)).transpose(np.argsort(axes))
 
 
 def _ybe_dense_blocks(dec: Decomposition, rs: list[np.ndarray]) -> float:
@@ -285,10 +444,8 @@ def _ybe_dense_blocks(dec: Decomposition, rs: list[np.ndarray]) -> float:
     floor = max(np.linalg.norm(r[off]) / np.linalg.norm(r) for r in (r12, r13, r23))
     r12, r13, r23 = (r.reshape(m, m, m, m) for r in (r12, r13, r23))
     triple_w = (pair_w.reshape(m, m, 1, -1) + weights[None, None, :, :]).reshape(m**3, -1)
-    _, label, sizes = np.unique(triple_w, axis=0, return_inverse=True, return_counts=True)
-    blocks = np.split(np.argsort(label.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
     diff2 = norm2 = 0.0
-    for idx in blocks:
+    for idx in weight_blocks(triple_w):
         a, b, c = np.unravel_index(idx, (m, m, m))
         a_r, b_r, c_r = a[:, None], b[:, None], c[:, None]
         a_c, b_c, c_c = a[None, :], b[None, :], c[None, :]
@@ -302,35 +459,28 @@ def _ybe_dense_blocks(dec: Decomposition, rs: list[np.ndarray]) -> float:
     return float(max(np.sqrt(diff2 / norm2), floor))
 
 
-def _apply_12(r4: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("abxy,xyc->abc", r4, v, optimize=True)
-
-
-def _apply_13(r4: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("acxz,xyz->ayc", r4, v, optimize=True)
-
-
-def _apply_23(r4: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("bcyz,xyz->xbc", r4, v, optimize=True)
-
-
 def asymptotic_check(dec: Decomposition, lam_list) -> dict:
     """Check the large-lam expansion R = (1 + 2/lam) 1 - (1/lam) Omega_op + O(lam^-2).
 
-    Remainders must fall off quadratically: between consecutive entries whose
-    moduli differ by a factor of ten, the remainder ratio has to sit within a
+    Each remainder is the Frobenius norm of R(lam) - (1 + 2/lam) 1 +
+    Omega_op/lam, with the operator form of R and the sparse Omega_op applied
+    to the identity in column chunks; no D x D matrix is formed.  Remainders
+    must fall off quadratically: between consecutive entries whose moduli
+    differ by a factor of ten, the remainder ratio has to sit within a
     factor 1.5 of 100.
     """
     lams = [complex(z) for z in lam_list]
     if any(abs(z) < 10.0 for z in lams):
         raise ValueError("asymptotic check requires |lam| >= 10")
     m = dec.n * dec.n - 1
-    omega = casimir_op(dec.rep)
-    eye = np.eye(m * m)
     remainders = []
     for z in lams:
-        r = build_R(dec, z)
-        remainders.append(frobenius(r - (1.0 + 2.0 / z) * eye + omega / z))
+        op = r_op(dec, z)
+        square = sum(
+            np.linalg.norm(op.apply(e) - (1.0 + 2.0 / z) * e + dec.frame.omega(e) / z) ** 2
+            for e in _identity_columns(m * m)
+        )
+        remainders.append(float(np.sqrt(square)))
     ratios = []
     ratio_ok = True
     for (z1, rem1), (z2, rem2) in zip(zip(lams, remainders), zip(lams[1:], remainders[1:])):
@@ -360,20 +510,25 @@ def intertwining_residual(
     Checks I(lam) D(x) = D(x) I(lam) and I(lam) J(x)_{0,lam} = J(x)_{lam,0} I(lam)
     for every generator x in the stack ``xs`` (shape (k, n, n)), building
     I(lam) once, and returns the largest (level-0, level-1) pair.  Dense
-    evaluation up to n = 5; larger ranks are probed on random unit vectors
-    (same contract, sampled), ``probes`` fresh ones per generator.
+    evaluation up to n = 5; larger ranks apply the operator form of I(lam)
+    to random unit probe vectors (same contract, sampled), ``probes`` fresh
+    ones per generator.
     """
     from .adjoint_tensor import ad_matrix, apply_pair
     from .yangian_action import LevelOneAction, delta_action, level1_action
 
     rep = dec.rep
     m = rep.dim
-    eye_i = build_intertwiner(dec, lam)
+    dense = m <= 24  # n <= 5: dense operators stay small
+    if dense:
+        eye_i = build_intertwiner(dec, lam)
+    else:
+        op = intertwiner_op(dec, lam)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     res0 = res1 = 0.0
     for x in xs:
-        if m <= 24:  # n <= 5: dense operators stay small
+        if dense:
             d_op = delta_action(rep, x)
             r0 = max_abs(eye_i @ d_op - d_op @ eye_i) / max(1.0, max_abs(d_op))
             j0 = level1_action(rep, x, 0.0, lam)
@@ -387,12 +542,13 @@ def intertwining_residual(
             for _ in range(probes):
                 v = rng.standard_normal(m * m) + 1j * rng.standard_normal(m * m)
                 v /= np.linalg.norm(v)
-                lhs0 = eye_i @ apply_pair(a, v)
-                rhs0 = apply_pair(a, eye_i @ v)
+                iv = op.apply(v)
+                lhs0 = op.apply(apply_pair(a, v))
+                rhs0 = apply_pair(a, iv)
                 err0 = np.linalg.norm(lhs0 - rhs0) / max(1.0, np.linalg.norm(lhs0))
                 res0 = max(res0, float(err0))
-                lhs1 = eye_i @ j0.apply(v)
-                rhs1 = j1.apply(eye_i @ v)
+                lhs1 = op.apply(j0.apply(v))
+                rhs1 = j1.apply(iv)
                 err1 = np.linalg.norm(lhs1 - rhs1) / max(1.0, np.linalg.norm(lhs1))
                 res1 = max(res1, float(err1))
     return res0, res1

@@ -17,8 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint_tensor import AdjointRep, Decomposition, casimir_op, permutation_op
+from .liealg import SunBasis, weight_basis, weight_blocks
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, frobenius, max_abs
-from .rmatrix import CoefficientSet, _assemble, _permute_cols_swap, build_R, check_pole_distance
+from .rmatrix import (
+    CoefficientSet,
+    _assemble,
+    _permute_cols_swap,
+    build_R,
+    check_pole_distance,
+    operator_form,
+)
 
 __all__ = [
     "CHAIN_DIM_CAP",
@@ -48,6 +56,7 @@ class LocalHamiltonian:
     h: np.ndarray
     O_block: np.ndarray  # 2x2 on the ordered hwv basis {v_s, v_a}
     rescale_factor: float
+    basis: SunBasis  # the Gell-Mann coordinates h is written in
 
 
 @dataclass(frozen=True)
@@ -89,12 +98,12 @@ def _h_coefficients(n: int) -> tuple[dict[str, float], np.ndarray]:
 def local_h(dec: Decomposition) -> LocalHamiltonian:
     """Local Hamiltonian h = R'(0) sigma.
 
-    The exact derivatives of the R-form coefficients at 0 are assembled and
-    composed with sigma.  ``verify hamiltonian`` compares the result with two
-    independent constructions through :func:`h_oracle_residuals`.
+    The exact derivatives of the R-form coefficients at 0 go through the
+    operator form of :mod:`rmatrix`, which is composed with sigma and made
+    dense.  ``verify hamiltonian`` compares the result with two independent
+    constructions through :func:`h_oracle_residuals`.
     """
     n = dec.n
-    m = n * n - 1
     c = CoefficientSet(n)
     deriv_diag = {
         "sym_top": 0.0,
@@ -103,14 +112,13 @@ def local_h(dec: Decomposition) -> LocalHamiltonian:
         "mixed_sym": c.f3_deriv0(),
         "singlet": c.f4_deriv0(),
     }
-    dR0 = _assemble(dec, deriv_diag, c.N_deriv0())
-    h = _permute_cols_swap(dR0, m)
+    h = operator_form(dec.frame, deriv_diag, c.N_deriv0()).swap_right().dense()
     # h = I'(0), so its adjoint-pair block is M'(0) = N'(0) diag(1, -1)
     block = c.N_deriv0() @ np.diag([1.0, -1.0])
     # multiplier that turns h into the closed spin form (up to a constant);
     # the n = 3 form carries its own normalization
     rescale = 8.0 / (6.0 + n * n) if n > 3 else 8.0 / 3.0
-    return LocalHamiltonian(n=n, h=h, O_block=block, rescale_factor=rescale)
+    return LocalHamiltonian(n=n, h=h, O_block=block, rescale_factor=rescale, basis=dec.rep.basis)
 
 
 def h_oracle_residuals(dec: Decomposition, local: LocalHamiltonian) -> tuple[float, float]:
@@ -293,6 +301,29 @@ def commutation_check(dec: Decomposition, lam: complex, mu: complex, sites: int)
 
 
 def two_site_spectrum(local: LocalHamiltonian, tol: Tolerance = DEFAULT_TOL):
-    """Eigenvalues of the two-site density (sorted by real, then imaginary part)."""
-    pairs = eig_general(local.h, tol)
-    return sorted((w for w, _ in pairs), key=lambda z: (z.real, z.imag))
+    """Eigenvalues of the two-site density (sorted by real, then imaginary part).
+
+    h is su(n)-invariant, so it conserves Cartan weight: rotated to two-site
+    weight coordinates by U (x) U (:func:`liealg.weight_basis`) it is
+    block-diagonal in the total weight, and each block goes through
+    :func:`eig_general` with its residual contract (at n = 5 the largest
+    block has 36 of the 576 dimensions).  An entry of the rotated h above
+    ``tol.abs_tol`` outside the blocks raises ``AssertionError``.
+    """
+    u, weights = weight_basis(local.basis)
+    m = u.shape[0]
+    u_h = np.conj(u).T
+    # (U (x) U) h (U (x) U)^dagger, one site index at a time
+    t = (u @ local.h.reshape(m, m * m * m)).reshape(m, m, m * m)
+    t = np.matmul(u, t).reshape(m * m * m, m) @ u_h
+    t = (t.reshape(m * m, m, m).transpose(0, 2, 1) @ u_h).transpose(0, 2, 1)
+    h_w = t.reshape(m * m, m * m)
+    pair_w = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
+    off = np.any(pair_w[:, None, :] != pair_w[None, :, :], axis=2)
+    stray = max_abs(h_w[off])
+    if stray > tol.abs_tol:
+        raise AssertionError(f"two-site density leaves its weight blocks ({stray:.3e})")
+    eigenvalues = []
+    for idx in weight_blocks(pair_w):
+        eigenvalues.extend(z for z, _ in eig_general(h_w[np.ix_(idx, idx)], tol))
+    return sorted(eigenvalues, key=lambda z: (z.real, z.imag))

@@ -367,3 +367,14 @@ def test_module_dimensions_match_weyl_formula(algebra, n):
     for sub in algebra.dec(n).submodules:
         assert len(re.fullmatch(r"\((\d+)\)[sa]", sub.label).group(1)) == n - 1
         assert _weyl_dimension(sub.label) == sub.dim, sub.label
+
+
+def test_submodules_keep_no_projector(algebra):
+    """A projector is formed on each access; a submodule holds only its basis."""
+    dec = algebra.dec(3)
+    for sub in dec.submodules:
+        first = sub.projector
+        assert sub.projector is not first
+        assert np.max(np.abs(first - sub.basis @ sub.basis.conj().T)) == 0.0
+        held = [v for v in vars(sub).values() if isinstance(v, np.ndarray)]
+        assert all(v.shape != first.shape for v in held)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adjrmat import jsonio, spinchain
 from adjrmat.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(tmp_path, *args):
@@ -138,6 +144,40 @@ def test_verify_ybe_without_samples(tmp_path):
     code, payload = run(tmp_path, "verify", "ybe", "--n", "3", "--samples", "0")
     assert code == 0
     assert [c["id"] for c in payload["checks"]] == ["r-at-zero-is-swap", "asymptotic-falloff"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "ybe", "--n", "3", "--samples", "-1"],
+        ["verify", "intertwiner", "--n", "3", "--samples", "-2"],
+    ],
+)
+def test_negative_samples_is_a_usage_error(tmp_path, capsys, argv):
+    code, payload = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert payload is None
+    assert err.startswith("adjrmat: --samples must be non-negative")
+    assert err.count("\n") == 1
+
+
+def test_cli_import_and_decomposition_leave_scipy_unloaded(tmp_path):
+    """scipy is imported only by the first sparse apply (n >= 6), never by a cold start."""
+    code = (
+        "import sys\n"
+        "import adjrmat.cli\n"
+        "from adjrmat.adjoint_tensor import adjoint_rep, build_decomposition\n"
+        "from adjrmat.liealg import build_basis\n"
+        "build_decomposition(adjoint_rep(build_basis(4)))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        f"argv = ['verify', 'ybe', '--n', '4', '--samples', '1', '--out', {str(tmp_path / 'r.json')!r}]\n"
+        "assert adjrmat.cli.main(argv) == 0\n"
+        "assert 'scipy' not in sys.modules, 'verify ybe --n 4 imported scipy'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_wrong_h_table_fails_only_its_check(tmp_path, monkeypatch):

@@ -2,20 +2,28 @@ import numpy as np
 import pytest
 
 from adjrmat.adjoint_tensor import casimir_op, permutation_op
+from adjrmat.spinchain import local_h
 from adjrmat.liealg import weight_basis
 from adjrmat.numerics import DEFAULT_TOL
 from adjrmat import rmatrix
 from adjrmat.rmatrix import (
     DENSE_YBE_MAX_DIM,
     CoefficientSet,
+    _assemble,
+    _intertwiner_coefficients,
     asymptotic_check,
     build_R,
     build_R_tilde,
     build_intertwiner,
     check_pole_distance,
     derive_coefficients,
+    intertwiner_op,
     intertwining_residual,
+    operator_form,
     r_assembly_residual,
+    r_at_zero_residual,
+    r_op,
+    r_tilde_op,
     sample_spectral_parameters,
     sample_ybe_pairs,
     ybe_residual,
@@ -307,3 +315,116 @@ def test_assembly_residual_catches_dropped_parity(algebra, monkeypatch):
     m = 8
     monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
     assert r_assembly_residual(dec, 0.5 + 0.2j) > DEFAULT_TOL.abs_tol * m
+
+
+def _scaled_gap(a, b):
+    return np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_operator_form_matches_projector_sum(algebra, n):
+    """dense() of I, R, sigma I and h against the projector-sum assembly it replaces."""
+    dec = algebra.dec(n)
+    m = n * n - 1
+    swap = rmatrix._swap_perm(m)
+    c = CoefficientSet(n)
+    for lam in (0.37 + 0.21j, -1.3 + 0.8j):
+        oracle_i = _assemble(dec, *_intertwiner_coefficients(c, lam))
+        assert _scaled_gap(intertwiner_op(dec, lam).dense(), oracle_i) <= 1e-13
+        assert _scaled_gap(r_op(dec, lam).dense(), oracle_i[:, swap]) <= 1e-13
+        assert _scaled_gap(r_tilde_op(dec, lam).dense(), oracle_i[swap, :]) <= 1e-13
+    # h = R'(0) sigma from the exact derivatives, as local_h assembled it before
+    deriv_diag = {
+        "sym_top": 0.0,
+        "anti_left": -c.f1_deriv0(),
+        "anti_right": -c.f1_deriv0(),
+        "mixed_sym": c.f3_deriv0(),
+        "singlet": c.f4_deriv0(),
+    }
+    oracle_h = _assemble(dec, deriv_diag, c.N_deriv0())[:, swap]
+    assert _scaled_gap(local_h(dec).h, oracle_h) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 6])  # dense and sparse factors
+def test_operator_apply_matches_dense(algebra, rng, n):
+    """apply on (D,), (D, k) and (m, m, k) arrays agrees with dense()."""
+    dec = algebra.dec(n)
+    m = n * n - 1
+    op = r_op(dec, 0.6 - 0.4j)
+    dense = op.dense()
+    x = rng.standard_normal((m * m, 3)) + 1j * rng.standard_normal((m * m, 3))
+    want = dense @ x
+    assert np.max(np.abs(op.apply(x) - want)) < 1e-13
+    assert np.max(np.abs(op.apply(x[:, 0]) - want[:, 0])) < 1e-13
+    assert np.max(np.abs(op.apply(x.reshape(m, m, 3)).reshape(m * m, 3) - want)) < 1e-13
+    swapped = x.reshape(m, m, 3).transpose(1, 0, 2).reshape(m * m, 3)  # sigma x
+    assert np.max(np.abs(op.swap_right().apply(x) - dense @ swapped)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_omega_from_f_matches_casimir_op(algebra, n):
+    rep, dec = algebra.rep(n), algebra.dec(n)
+    x = np.eye(rep.dim**2)
+    assert np.max(np.abs(dec.frame.omega(x) - casimir_op(rep))) < 1e-14
+
+
+def test_operator_form_refuses_unequal_antisymmetric_coefficients(algebra):
+    frame = algebra.dec(4).frame
+    with pytest.raises(AssertionError, match="anti_left"):
+        operator_form(frame, {"anti_left": 1.0, "anti_right": 2.0}, np.eye(2))
+
+
+def test_r_at_zero_residual_catches_dropped_parity(algebra, monkeypatch):
+    """N(0) = M(0) = 1 would make R(0) act as +1 on the antisymmetric adjoint copy."""
+    dec = algebra.dec(3)
+    assert r_at_zero_residual(dec) <= 1e-12
+    monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
+    assert r_at_zero_residual(dec) > 0.1
+
+
+def _ybe_probe_oracle(dec, lam, mu, probes, rng, solution="R"):
+    """The retired probe path: dense m^4 R applied to each probe by einsum."""
+    build = {"R": build_R, "Rtilde": build_R_tilde}[solution]
+    m = dec.n * dec.n - 1
+    r_lam, r_sum, r_mu = (build(dec, z).reshape(m, m, m, m) for z in (lam, lam + mu, mu))
+
+    def apply_12(r4, v):
+        return np.einsum("abxy,xyc->abc", r4, v, optimize=True)
+
+    def apply_13(r4, v):
+        return np.einsum("acxz,xyz->ayc", r4, v, optimize=True)
+
+    def apply_23(r4, v):
+        return np.einsum("bcyz,xyz->xbc", r4, v, optimize=True)
+
+    worst = 0.0
+    for _ in range(probes):
+        v = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+        v /= np.linalg.norm(v)
+        lhs = apply_12(r_lam, apply_13(r_sum, apply_23(r_mu, v)))
+        rhs = apply_23(r_mu, apply_13(r_sum, apply_12(r_lam, v)))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)))
+    return worst
+
+
+@pytest.mark.parametrize("solution", ["R", "Rtilde"])
+def test_ybe_probes_match_einsum_oracle(algebra, solution):
+    dec = algebra.dec(5)
+    for k, (lam, mu) in enumerate(sample_ybe_pairs(np.random.default_rng(11), 5, 2)):
+        probed = ybe_residual(dec, lam, mu, mode="matrix_free", probes=3, solution=solution,
+                              rng=np.random.default_rng(k))
+        oracle = _ybe_probe_oracle(dec, lam, mu, 3, np.random.default_rng(k), solution)
+        assert probed < 1e-8
+        assert abs(probed - oracle) <= 1e-12
+
+
+def test_ybe_probes_match_einsum_oracle_when_failing(algebra, monkeypatch):
+    """With the parity diag(1, -1) dropped from N, both probe paths fail alike."""
+    dec = algebra.dec(5)
+    monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
+    lam, mu = 0.5 + 0.2j, -0.3 + 0.4j
+    probed = ybe_residual(dec, lam, mu, mode="matrix_free", probes=3,
+                          rng=np.random.default_rng(3))
+    oracle = _ybe_probe_oracle(dec, lam, mu, 3, np.random.default_rng(3))
+    assert probed > 1e-8 and oracle > 1e-8
+    assert abs(probed - oracle) <= 1e-12

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,25 @@ def test_local_h_diagnostics(algebra, locals_cache, n):
 def test_two_site_spectrum_real(locals_cache, n):
     spec = two_site_spectrum(locals_cache(n))
     assert max(abs(w.imag) for w in spec) < 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_two_site_spectrum_blocks_match_dense(locals_cache, n):
+    """The weight-block spectrum against one dense solve of h."""
+    loc = locals_cache(n)
+    dense = sorted((w for w, _ in eig_general(loc.h)), key=lambda z: (z.real, z.imag))
+    blocks = two_site_spectrum(loc)
+    assert len(blocks) == len(dense)
+    assert max(abs(a - b) for a, b in zip(blocks, dense)) <= 1e-10
+
+
+def test_two_site_spectrum_refuses_weight_violation(locals_cache):
+    loc = locals_cache(3)
+    rng = np.random.default_rng(2)
+    noise = rng.standard_normal(loc.h.shape) + 1j * rng.standard_normal(loc.h.shape)
+    broken = dataclasses.replace(loc, h=loc.h + 1e-6 * noise)
+    with pytest.raises(AssertionError, match="weight blocks"):
+        two_site_spectrum(broken)
 
 
 @pytest.mark.parametrize("n", [3, 4])
