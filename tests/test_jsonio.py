@@ -1,0 +1,217 @@
+"""The matrix wire format against the retired per-element encoder.
+
+``_dumps_oracle`` is the encoder ``jsonio.dumps`` used before lists of
+[re, im] float pairs got a vectorised path: every entry is formatted on its
+own.  ``dumps`` must reproduce its bytes exactly, on hand-picked payloads and
+on the files the CLI writes.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from adjrmat import jsonio
+from adjrmat.cli import main
+
+
+def _oracle_format_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} cannot be serialized")
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
+def _oracle_is_scalar(v) -> bool:
+    return isinstance(v, (bool, int, float, str, np.integer, np.floating)) or v is None
+
+
+def _oracle_is_leaf_array(items) -> bool:
+    if all(_oracle_is_scalar(v) for v in items):
+        return True
+    return all(
+        isinstance(v, (list, tuple)) and len(v) == 2 and all(_oracle_is_scalar(u) for u in v)
+        for v in items
+    )
+
+
+def _oracle_leaf_token(v) -> str:
+    if isinstance(v, bool) or isinstance(v, np.bool_):
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _oracle_format_float(float(v))
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_oracle_leaf_token(u) for u in v) + "]"
+    raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+def _oracle_encode(obj, indent: int, level: int, out: list[str]):
+    pad = " " * (indent * level)
+    pad_in = " " * (indent * (level + 1))
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(pad_in + json.dumps(str(key)) + ": ")
+            _oracle_encode(value, indent, level + 1, out)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+        if not items:
+            out.append("[]")
+            return
+        if _oracle_is_leaf_array(items):
+            out.append("[" + ", ".join(_oracle_leaf_token(v) for v in items) + "]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(items):
+            out.append(pad_in)
+            _oracle_encode(value, indent, level + 1, out)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(pad + "]")
+    else:
+        out.append(_oracle_leaf_token(obj))
+
+
+def _dumps_oracle(obj, indent: int = 2) -> str:
+    out: list[str] = []
+    _oracle_encode(obj, indent, 0, out)
+    return "".join(out) + "\n"
+
+
+def _first_difference(text: str, expected: str) -> str | None:
+    """None if equal, else where they part; cheaper than pytest's diff of long strings."""
+    if text == expected:
+        return None
+    i = next((k for k, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
+    return f"differ at offset {i}: {text[i - 40 : i + 40]!r} != {expected[i - 40 : i + 40]!r}"
+
+
+TINY = 5e-324
+EDGE_FLOATS = [
+    0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308 / 3, 1.0 / 3.0, -2.5,
+    1e16 - 2.0, 1e16, 1e16 + 2.0, -(1e16 - 2.0), 9007199254740993.0, 1e300, -1e-300,
+]
+
+PAYLOADS = {
+    "edge-floats-as-pairs": {"data": [[x, y] for x in EDGE_FLOATS for y in (0.0, -0.0, x)]},
+    "edge-floats-flat": {"values": EDGE_FLOATS},
+    "mixed-scalars-in-pairs": {
+        "data": [[1, 2.0], [True, 0.5], [None, -0.0], [np.float64(0.25), 1.0],
+                 [np.float64(-0.0), np.int64(3)], [False, None]],
+    },
+    "numpy-floats-only": {"data": [[np.float64(0.1), np.float64(-0.0)]] * 3},
+    "tuples": {"data": [(0.5, -0.0), (1.0, 2.0)]},
+    "strings-in-pairs": {"data": [["a", 1.0], [0.5, "b"]]},
+    "ragged": {"data": [[0.5, 1.0], [0.25], [1.0, 2.0, 3.0]]},
+    "empty-list": [],
+    "empty-dict": {},
+    "empty-data": {"rows": 0, "cols": 0, "data": []},
+    "empty-pair-in-matrix": {"rows": 2, "cols": 1, "data": [[0.5, 1.0], []]},
+    "nested": {
+        "kind": "report",
+        "checks": [{"id": "a", "residual": 1e-17, "pass": True, "params": {"lam": [0.5, -0.0]}},
+                   {"id": "b", "residual": 0.0, "pass": False, "extra": {}}],
+        "eigenvalues": [[4.0, 0.0], [4.0, -0.0], [-1.5, 1e-300]],
+        "grid": [[[[0.5, 0.5], [0.0, -0.0]], [[TINY, 1.0], [2.0, 3.0]]]],
+        "counts": {"total": 2, "failed": 1},
+    },
+    "one-by-one": jsonio.matrix_to_json(np.array([[-0.0 + 5e-324j]])),
+    "one-by-one-zero": jsonio.matrix_to_json(np.zeros((1, 1), dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_dumps_matches_oracle(name):
+    payload = PAYLOADS[name]
+    assert jsonio.dumps(payload) == _dumps_oracle(payload)
+    assert jsonio.dumps(payload, indent=4) == _dumps_oracle(payload, indent=4)
+
+
+def test_large_pair_list_matches_oracle_across_chunks(rng):
+    pool = np.array(EDGE_FLOATS + list(rng.standard_normal(50)))
+    m = np.empty(3 * jsonio._PAIR_CHUNK + 7, dtype=complex)
+    m.real = rng.choice(pool, m.size)
+    m.imag = rng.choice(pool, m.size)
+    payload = jsonio.matrix_to_json(m.reshape(-1, 1))
+    assert _first_difference(jsonio.dumps(payload), _dumps_oracle(payload)) is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wrap", ["pairs", "flat", "mixed-pairs"])
+def test_non_finite_values_raise(bad, wrap):
+    if wrap == "pairs":
+        payload = {"data": [[0.5, 1.0], [2.0, bad], [bad, -math.inf]]}
+    elif wrap == "flat":
+        payload = {"values": [0.5, bad]}
+    else:
+        payload = {"data": [[1, 0.5], [bad, 2]]}
+    with pytest.raises(ValueError, match="non-finite value .* cannot be serialized") as fast:
+        jsonio.dumps(payload)
+    with pytest.raises(ValueError) as oracle:
+        _dumps_oracle(payload)
+    assert str(fast.value) == str(oracle.value)
+
+
+def test_matrix_to_json_matches_per_entry_form(rng):
+    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    m[0, 0] = complex(-0.0, -0.0)
+    for mat in (m, m.T, m[:, ::2], m[::2, :1]):
+        payload = jsonio.matrix_to_json(mat)
+        assert (payload["rows"], payload["cols"]) == mat.shape
+        expected = [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
+        assert payload["data"] == expected
+        assert all(type(x) is float for pair in payload["data"] for x in pair)
+        assert str(payload["data"][0]) == str(expected[0])
+    with pytest.raises(ValueError, match="expected a matrix"):
+        jsonio.matrix_to_json(np.zeros(3))
+
+
+def test_tensor3_to_json_matches_per_entry_form(rng):
+    t = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    t[1, 2, 3] = complex(-0.0, 0.0)
+    expected = [[[[float(z.real), float(z.imag)] for z in row] for row in plane] for plane in t]
+    out = jsonio.tensor3_to_json(t)
+    assert out == expected
+    assert jsonio.dumps(out) == _dumps_oracle(expected)
+
+
+def test_matrix_from_json_shapes():
+    back = jsonio.matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, -0.0], [0, 2]]})
+    assert back.shape == (1, 2) and back.dtype == complex
+    assert np.signbit(back[0, 0].imag) and back[0, 1] == 2j
+    assert jsonio.matrix_from_json({"rows": 0, "cols": 3, "data": []}).shape == (0, 3)
+    with pytest.raises(ValueError, match="length 2 != 1x3"):
+        jsonio.matrix_from_json({"rows": 1, "cols": 3, "data": [[1.0, 0.0], [0.0, 1.0]]})
+    bad = ([[1.0, 0.0], [1.0]], [[1.0, 0.0, 2.0]], [1.0, 0.0], [[]], [["1", "2"]], [[None, 1.0]])
+    for data in bad:
+        with pytest.raises(ValueError):
+            jsonio.matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "rmatrix", "--n", "3", "--lambda", "0.5,0.2"),
+        ("build", "projectors", "--n", "3"),
+        ("build", "hamiltonian", "--n", "3", "--sites", "2"),
+        ("spectrum", "--n", "3", "--sites", "2"),
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_cli_output_matches_oracle(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert _first_difference(text, _dumps_oracle(json.loads(text))) is None

@@ -1,0 +1,51 @@
+"""Property tests of the matrix wire format: exact round trips, and the bytes
+of the retired per-element encoder, on random complex matrices."""
+
+import json
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from adjrmat import jsonio  # noqa: E402
+from test_jsonio import EDGE_FLOATS, _dumps_oracle  # noqa: E402
+
+# a small pool makes repeated values (and both signed zeros) common
+_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS + [0.5, -0.5, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def complex_matrices(draw):
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    m = np.empty(shape, dtype=complex)
+    # set the parts separately: re + 1j*im would not keep every signed zero
+    m.real = draw(hnp.arrays(np.float64, shape, elements=_floats))
+    m.imag = draw(hnp.arrays(np.float64, shape, elements=_floats))
+    return m
+
+
+def _bits(m: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(complex_matrices())
+def test_matrix_round_trip_is_bit_exact(m):
+    back = jsonio.matrix_from_json(json.loads(jsonio.dumps(jsonio.matrix_to_json(m))))
+    assert back.shape == m.shape
+    assert np.array_equal(_bits(back), _bits(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(complex_matrices())
+def test_dumps_matches_oracle(m):
+    payload = jsonio.matrix_to_json(m)
+    assert jsonio.dumps(payload) == _dumps_oracle(payload)
