@@ -13,7 +13,9 @@ Two distinct objects both called "Casimir" are kept strictly separate:
   the highest-weight-vector formulas (products taken in the fundamental
   tensor-square space);
 * the *operator* Omega_op = sum_a S^a (x) S^a acting on the adjoint two-site
-  coordinates, whose eigenvalues label the irreducible submodules.
+  coordinates, whose eigenvalues label the irreducible submodules.  It is
+  built in one place, :class:`PairFrame` (``rep.frame``), from the nonzeros
+  of f.
 """
 
 from __future__ import annotations
@@ -35,13 +37,10 @@ __all__ = [
     "ROLE_ORDER",
     "adjoint_rep",
     "ad_matrix",
-    "coords_of",
-    "from_coords",
     "tensor_coords",
     "tensor_from_coords",
     "casimir_element",
     "casimir_op",
-    "apply_casimir",
     "permutation_op",
     "apply_swap",
     "apply_pair",
@@ -78,6 +77,11 @@ class AdjointRep:
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @cached_property
+    def frame(self) -> "PairFrame":
+        """The :class:`PairFrame` of the basis (the only source of Omega_op), built on first use."""
+        return PairFrame(self.basis)
 
 
 @dataclass(frozen=True)
@@ -124,11 +128,6 @@ class Decomposition:
     submodules: list[Submodule]
     iso_s_to_a: np.ndarray
 
-    @cached_property
-    def frame(self) -> "PairFrame":
-        """The :class:`PairFrame` of the basis, built on first use."""
-        return PairFrame(self.rep.basis)
-
     def by_role(self, role: str) -> Submodule:
         for sub in self.submodules:
             if sub.role == role:
@@ -164,15 +163,6 @@ def ad_matrix(basis: SunBasis, x: np.ndarray) -> np.ndarray:
     gens = basis.generators
     comm = np.einsum("ij,bjk->bik", x, gens) - np.einsum("bij,jk->bik", gens, x)
     return np.einsum("aij,bji->ab", gens, comm, optimize=True)
-
-
-def coords_of(basis: SunBasis, x: np.ndarray) -> np.ndarray:
-    """Coordinates w^a = tr(I^a x) of a traceless n x n matrix."""
-    return np.einsum("aij,ji->a", basis.generators, x, optimize=True)
-
-
-def from_coords(basis: SunBasis, w: np.ndarray) -> np.ndarray:
-    return np.einsum("a,aij->ij", w, basis.generators)
 
 
 def casimir_element(basis: SunBasis) -> np.ndarray:
@@ -213,24 +203,12 @@ def tensor_from_coords(basis: SunBasis, v: np.ndarray) -> np.ndarray:
 
 
 def casimir_op(rep: AdjointRep) -> np.ndarray:
-    """Omega_op = sum_a S^a (x) S^a on the two-site coordinates (dense)."""
-    m = rep.dim
-    t = np.tensordot(rep.S, rep.S, axes=(0, 0))  # (i, j, k, l)
-    return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(m * m, m * m)
+    """Omega_op = sum_a S^a (x) S^a on the two-site coordinates, as a new dense array.
 
-
-def apply_casimir(rep: AdjointRep, v: np.ndarray, chunk: int = 64) -> np.ndarray:
-    """Apply Omega_op to flat coordinates; v may be (D,) or (D, batch)."""
-    S = rep.S
-    m = rep.dim
-    single = v.ndim == 1
-    block = v.reshape(m, m, 1) if single else v.reshape(m, m, -1)
-    out = np.empty_like(block)
-    for s in range(0, block.shape[2], chunk):
-        piece = block[:, :, s : s + chunk]
-        t = np.einsum("aij,jlp->ailp", S, piece, optimize=True)
-        out[:, :, s : s + chunk] = np.einsum("ailp,akl->ikp", t, S, optimize=True)
-    return out.reshape(-1) if single else out.reshape(m * m, -1)
+    It is the scatter of ``rep.frame.omega_entries`` (:meth:`PairFrame.dense_omega`)
+    and imports no scipy.
+    """
+    return rep.frame.dense_omega()
 
 
 def permutation_op(dim_v: int) -> np.ndarray:
@@ -529,7 +507,9 @@ class PairFrame:
     bases of the two adjoint copies in :func:`build_decomposition`.
     Omega_op = sum_c S^c (x) S^c is kept as the list of its nonzeros
     (``omega_entries``: rows, columns, values), built from the nonzeros of
-    f; the dense S stack is never read.  The matrices of :meth:`factors` are
+    f; the dense S stack is never read.  Every Omega_op of the package comes
+    from these entries: :meth:`omega` applies them and :meth:`dense_omega`
+    scatters them into a dense array.  The matrices of :meth:`factors` are
     built at the first apply, which is the only place scipy is imported.
     """
 
@@ -563,29 +543,38 @@ class PairFrame:
         arrays below it; both multiply (D, k) arrays with ``@``.
         """
         if self._factors is None:
-            D = self.m * self.m
-            rows, cols, vals = self.omega_entries
             e_h = np.ascontiguousarray(np.conj(self.E).T)
             if self.n < _SPARSE_FROM_RANK:
-                omega = np.zeros((D, D), dtype=complex)
-                omega[rows, cols] = vals
-                self._factors = (omega, self.E, e_h)
+                self._factors = (self.dense_omega(), self.E, e_h)
             else:
                 from scipy import sparse
 
+                D = self.m * self.m
+                rows, cols, vals = self.omega_entries
                 omega = sparse.csr_array((vals, (rows, cols)), shape=(D, D))
                 self._factors = (omega, sparse.csr_array(self.E), sparse.csr_array(e_h))
         return self._factors
 
+    def dense_omega(self) -> np.ndarray:
+        """Omega_op as a new dense D x D array, scattered from ``omega_entries``."""
+        D = self.m * self.m
+        rows, cols, vals = self.omega_entries
+        omega = np.zeros((D, D), dtype=complex)
+        omega[rows, cols] = vals
+        return omega
+
     def omega(self, x: np.ndarray) -> np.ndarray:
-        """Omega_op applied to the columns of a (D, k) array."""
+        """Omega_op applied to a (D,) vector or to the columns of a (D, k) array."""
         return self.factors()[0] @ x
 
 
 def _measure(
-    rep: AdjointRep, B: np.ndarray, tol: Tolerance, omega_dense: np.ndarray
+    rep: AdjointRep, B: np.ndarray, tol: Tolerance, omega_dense: np.ndarray, parity: int | None
 ) -> tuple[float, int]:
-    """Measured Casimir eigenvalue and exchange parity of a submodule basis."""
+    """Measured Casimir eigenvalue and exchange parity of a submodule basis.
+
+    A stated ``parity`` (``None`` for none) must match the measured one.
+    """
     m = rep.dim
     omega_b = omega_dense @ B
     ev = np.vdot(B[:, 0], omega_b[:, 0])
@@ -596,10 +585,12 @@ def _measure(
         )
     swapped = apply_swap(B, m)
     par = np.vdot(B[:, 0], swapped[:, 0]).real
-    parity = 1 if par > 0 else -1
-    if max_abs(swapped - parity * B) > tol.abs_tol * m:
+    measured = 1 if par > 0 else -1
+    if max_abs(swapped - measured * B) > tol.abs_tol * m:
         raise AssertionError("submodule basis has indefinite exchange parity")
-    return float(ev.real), parity
+    if parity is not None and measured != parity:
+        raise AssertionError(f"measured parity {measured} != stated parity {parity}")
+    return float(ev.real), measured
 
 
 def generate_submodule(
@@ -609,8 +600,6 @@ def generate_submodule(
     tol: Tolerance = DEFAULT_TOL,
     label: str | None = None,
     role: str | None = None,
-    _frame: _WeightBlocks | None = None,
-    _omega: np.ndarray | None = None,
 ) -> Submodule:
     """Generate the irreducible submodule spanned by the lowering orbit of ``hwv``.
 
@@ -629,20 +618,9 @@ def generate_submodule(
         role = hwv.role if role is None else role
     else:
         coords = np.asarray(hwv, dtype=complex)
-    frame = _weight_blocks(rep, tol) if _frame is None else _frame
-    omega = casimir_op(rep) if _omega is None else _omega
-    B = _orbit(frame, coords, tol)
-    omega_ev, measured_parity = _measure(rep, B, tol, omega)
-    if parity is not None and measured_parity != parity:
-        raise AssertionError(f"measured parity {measured_parity} != stated parity {parity}")
-    return Submodule(
-        label=label or "",
-        role=role or "",
-        hw_vector=coords,
-        basis=B,
-        omega_eigenvalue=omega_ev,
-        exchange_parity=measured_parity,
-    )
+    B = _orbit(_weight_blocks(rep, tol), coords, tol)
+    omega_ev, parity = _measure(rep, B, tol, casimir_op(rep), parity)
+    return Submodule(label or "", role or "", coords, B, omega_ev, parity)
 
 
 def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
@@ -657,10 +635,10 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     orbit of its highest-weight vector, closed one two-site weight block at a
     time (the blocks and the gathered lowering operators are built once per
     call and shared by the orbits).  The checks read only the Gell-Mann
-    bases and the dense Omega_op, never the weight frame: Casimir eigenvalue
-    and exchange parity of every basis, the sum of dimensions, completeness
-    and mutual orthogonality of the projectors, and the isometry phase are
-    verified before returning.
+    bases and the dense Omega_op (one :func:`casimir_op` per call), never the
+    weight frame: Casimir eigenvalue and exchange parity of every basis, the
+    sum of dimensions, completeness and mutual orthogonality of the
+    projectors, and the isometry phase are verified before returning.
     """
     basis = rep.basis
     m = rep.dim
@@ -674,14 +652,9 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     }
     submodules: list[Submodule] = []
     for row in rows:
-        if row.role in embeddings:
-            B = embeddings[row.role]
-            omega_ev, measured = _measure(rep, B, tol, omega)
-            if measured != row.parity:
-                raise AssertionError(f"{row.role} parity mismatch")
-            submodules.append(Submodule(row.label, row.role, row.coords, B, omega_ev, measured))
-        else:
-            submodules.append(generate_submodule(rep, row, tol=tol, _frame=frame, _omega=omega))
+        B = embeddings[row.role] if row.role in embeddings else _orbit(frame, row.coords, tol)
+        omega_ev, parity = _measure(rep, B, tol, omega, row.parity)
+        submodules.append(Submodule(row.label, row.role, row.coords, B, omega_ev, parity))
 
     dims = sum(sub.dim for sub in submodules)
     if dims != D:

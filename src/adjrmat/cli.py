@@ -72,7 +72,6 @@ class RunConfig:
     tol: Tolerance
     samples: int | None = None
     sites: int = 3
-    mode: str | None = None  # None = auto, else "dense" | "matrix_free"
     lam: complex | None = None
     mu: complex | None = None
     out: str | None = None
@@ -219,11 +218,7 @@ def suite_ybe(ctx: _Context) -> list[dict]:
     n = cfg.n
     dec = ctx.dec
     m = n * n - 1
-    mode = cfg.mode
-    if mode is None:
-        mode = "dense" if m**3 <= DENSE_YBE_MAX_DIM else "matrix_free"
-    if mode == "dense" and m**3 > DENSE_YBE_MAX_DIM:
-        raise ConfigError(f"dense YBE mode is limited to n <= 4 (needs (n^2-1)^3 <= {DENSE_YBE_MAX_DIM})")
+    mode = "dense" if m**3 <= DENSE_YBE_MAX_DIM else "matrix_free"
     rng = ctx.rng()
     count = cfg.samples if cfg.samples is not None else 5
     if cfg.lam is not None and cfg.mu is not None:
@@ -417,7 +412,6 @@ def run_verify(suite: str, cfg: RunConfig) -> dict:
         "seed": cfg.seed,
         "samples": cfg.samples,
         "sites": cfg.sites,
-        "mode": cfg.mode,
         "tolerances": {"abs_tol": cfg.tol.abs_tol, "rank_tol": cfg.tol.rank_tol},
         "checks": checks,
         "counts": {"total": len(checks), "failed": failed},
@@ -546,9 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="RE,IM", help="explicit spectral parameter (ybe suite)")
     verify.add_argument("--mu", dest="mu", type=_parse_complex, default=None,
                         metavar="RE,IM", help="explicit second spectral parameter (ybe suite)")
-    mode = verify.add_mutually_exclusive_group()
-    mode.add_argument("--dense", dest="mode", action="store_const", const="dense")
-    mode.add_argument("--matrix-free", dest="mode", action="store_const", const="matrix_free")
 
     spectrum = sub.add_parser("spectrum", help="eigenvalues of the chain Hamiltonian")
     _add_common(spectrum, sites_default=2)
@@ -579,7 +570,6 @@ def _make_config(args) -> RunConfig:
         tol=tol,
         samples=getattr(args, "samples", None),
         sites=args.sites,
-        mode=getattr(args, "mode", None),
         lam=getattr(args, "lam", None) if verify_pair else None,
         mu=getattr(args, "mu", None) if verify_pair else None,
         out=args.out,

@@ -48,6 +48,8 @@ from .yangian_action import LevelOneAction
 
 __all__ = [
     "POLE_GUARD",
+    "SAMPLE_RADIUS",
+    "MAX_RESAMPLES",
     "DEFAULT_SEED",
     "DENSE_YBE_MAX_DIM",
     "CoefficientSet",
@@ -70,6 +72,10 @@ __all__ = [
 ]
 
 POLE_GUARD = 0.1
+# spectral parameters are sampled from the disk |lam| <= SAMPLE_RADIUS
+SAMPLE_RADIUS = 3.0
+# ill-conditioned samples derive_coefficients may replace before it gives up
+MAX_RESAMPLES = 20
 DEFAULT_SEED = 7
 # largest three-site dimension (n^2-1)^3 for which the dense YBE residual runs
 DENSE_YBE_MAX_DIM = 3375
@@ -135,11 +141,11 @@ class CoefficientSet:
         )
 
 
-def check_pole_distance(lam: complex, n: int, guard: float = POLE_GUARD):
+def check_pole_distance(lam: complex, n: int):
     for pole in (1.0, float(n)):
-        if abs(lam - pole) < guard:
+        if abs(lam - pole) < POLE_GUARD:
             raise ValueError(
-                f"spectral parameter {lam} lies within {guard} of the pole at {pole}"
+                f"spectral parameter {lam} lies within {POLE_GUARD} of the pole at {pole}"
             )
 
 
@@ -271,7 +277,7 @@ def intertwiner_op(dec: Decomposition, lam: complex) -> PairOperator:
     lam = complex(lam)
     check_pole_distance(lam, dec.n)
     coeffs = _intertwiner_coefficients(CoefficientSet(dec.n), lam)
-    return operator_form(dec.frame, *coeffs)
+    return operator_form(dec.rep.frame, *coeffs)
 
 
 def r_op(dec: Decomposition, lam: complex) -> PairOperator:
@@ -279,7 +285,7 @@ def r_op(dec: Decomposition, lam: complex) -> PairOperator:
     lam = complex(lam)
     check_pole_distance(lam, dec.n)
     coeffs = _r_coefficients(CoefficientSet(dec.n), lam)
-    return operator_form(dec.frame, *coeffs)
+    return operator_form(dec.rep.frame, *coeffs)
 
 
 def r_tilde_op(dec: Decomposition, lam: complex) -> PairOperator:
@@ -477,7 +483,7 @@ def asymptotic_check(dec: Decomposition, lam_list) -> dict:
     for z in lams:
         op = r_op(dec, z)
         square = sum(
-            np.linalg.norm(op.apply(e) - (1.0 + 2.0 / z) * e + dec.frame.omega(e) / z) ** 2
+            np.linalg.norm(op.apply(e) - (1.0 + 2.0 / z) * e + dec.rep.frame.omega(e) / z) ** 2
             for e in _identity_columns(m * m)
         )
         remainders.append(float(np.sqrt(square)))
@@ -560,38 +566,31 @@ def intertwining_residual(
 
 
 def sample_spectral_parameters(
-    rng: np.random.Generator,
-    n: int,
-    count: int,
-    radius: float = 3.0,
-    guard: float = POLE_GUARD,
-    symmetric: bool = False,
+    rng: np.random.Generator, n: int, count: int, symmetric: bool = False
 ) -> list[complex]:
-    """Draw spectral parameters uniformly from the disk |lam| <= radius,
-    rejecting the guard disks around the poles {1, n} (and their negatives
-    when ``symmetric`` evaluation at -lam is also required)."""
+    """Draw spectral parameters uniformly from the disk |lam| <= SAMPLE_RADIUS,
+    rejecting the POLE_GUARD disks around the poles {1, n} (and their
+    negatives when ``symmetric`` evaluation at -lam is also required)."""
     out: list[complex] = []
     while len(out) < count:
-        r = radius * np.sqrt(rng.uniform())
+        r = SAMPLE_RADIUS * np.sqrt(rng.uniform())
         theta = rng.uniform(0.0, 2.0 * np.pi)
         z = complex(r * np.cos(theta), r * np.sin(theta))
         points = [z, -z] if symmetric else [z]
         if all(
-            abs(p - pole) >= guard for p in points for pole in (1.0, float(n))
+            abs(p - pole) >= POLE_GUARD for p in points for pole in (1.0, float(n))
         ):
             out.append(z)
     return out
 
 
-def sample_ybe_pairs(
-    rng: np.random.Generator, n: int, count: int, radius: float = 3.0, guard: float = POLE_GUARD
-) -> list[tuple[complex, complex]]:
+def sample_ybe_pairs(rng: np.random.Generator, n: int, count: int) -> list[tuple[complex, complex]]:
     """(lam, mu) pairs with lam, mu and lam+mu all clear of the pole guards."""
     pairs: list[tuple[complex, complex]] = []
     while len(pairs) < count:
-        lam = sample_spectral_parameters(rng, n, 1, radius, guard)[0]
-        mu = sample_spectral_parameters(rng, n, 1, radius, guard)[0]
-        if all(abs(lam + mu - pole) >= guard for pole in (1.0, float(n))):
+        lam = sample_spectral_parameters(rng, n, 1)[0]
+        mu = sample_spectral_parameters(rng, n, 1)[0]
+        if all(abs(lam + mu - pole) >= POLE_GUARD for pole in (1.0, float(n))):
             pairs.append((lam, mu))
     return pairs
 
@@ -604,7 +603,6 @@ def derive_coefficients(
     dec: Decomposition,
     lam_samples,
     rng: np.random.Generator | None = None,
-    max_resamples: int = 20,
 ) -> dict:
     """Re-derive f1, f3, f4 and M(lam) numerically and compare to closed forms.
 
@@ -612,7 +610,8 @@ def derive_coefficients(
     vectors, evaluating all level-1 actions explicitly and solving the small
     linear systems; it never consults the closed forms, which makes it the
     anti-regression oracle for the assembled operator.  Samples whose 2x2
-    system turns out ill-conditioned are replaced by fresh draws.
+    system turns out ill-conditioned are replaced by fresh draws, at most
+    :data:`MAX_RESAMPLES` times.
     """
     from .adjoint_tensor import highest_weight_vectors
 
@@ -683,7 +682,7 @@ def derive_coefficients(
         system = np.array([[beta_s, beta_a], [beta2_s, beta2_a]], dtype=complex)
         if np.linalg.cond(system) > 1e8:
             attempts += 1
-            if attempts > max_resamples:
+            if attempts > MAX_RESAMPLES:
                 raise RuntimeError("could not find well-conditioned samples for M recovery")
             queue.append(sample_spectral_parameters(rng, n, 1)[0])
             continue

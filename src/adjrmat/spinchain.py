@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint_tensor import AdjointRep, Decomposition, casimir_op, permutation_op
+from .adjoint_tensor import AdjointRep, Decomposition, casimir_op
 from .liealg import SunBasis, weight_basis, weight_blocks
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, frobenius, max_abs
 from .rmatrix import (
@@ -112,7 +112,7 @@ def local_h(dec: Decomposition) -> LocalHamiltonian:
         "mixed_sym": c.f3_deriv0(),
         "singlet": c.f4_deriv0(),
     }
-    h = operator_form(dec.frame, deriv_diag, c.N_deriv0()).swap_right().dense()
+    h = operator_form(dec.rep.frame, deriv_diag, c.N_deriv0()).swap_right().dense()
     # h = I'(0), so its adjoint-pair block is M'(0) = N'(0) diag(1, -1)
     block = c.N_deriv0() @ np.diag([1.0, -1.0])
     # multiplier that turns h into the closed spin form (up to a constant);
@@ -248,9 +248,6 @@ def chain_H(local: LocalHamiltonian, sites: int) -> ChainHamiltonian:
         )
     h = local.h
     total = np.zeros((dim, dim), dtype=complex)
-    if sites == 2:
-        sigma = permutation_op(m)
-        return ChainHamiltonian(n=n, sites=2, H=h + sigma @ h @ sigma)
     for i in range(1, sites):
         total += _embed_pair(h, m, sites, (i, i + 1))
     total += _embed_pair(h, m, sites, (sites, 1))

@@ -19,7 +19,6 @@ from .adjoint_tensor import (
     AdjointRep,
     HighestWeight,
     ad_matrix,
-    apply_casimir,
     apply_pair,
     casimir_op,
     highest_weight_vectors,
@@ -64,18 +63,23 @@ class LevelOneAction:
         self.quartic = quartic_part(rep, x)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply to flat two-site coordinates (vector or column block)."""
+        """Apply to flat two-site coordinates (vector or column block).
+
+        Omega_op is applied by the frame of the representation
+        (:meth:`PairFrame.omega`), from the nonzeros of f.
+        """
         m = self.rep.dim
+        omega = self.rep.frame.omega
         single = v.ndim == 1
-        block = v.reshape(m, m, 1) if single else v.reshape(m, m, -1)
+        block = v.reshape(m, m, -1)
         x1 = self.mu * self.ad_x + self.quartic
         x2 = self.lam * self.ad_x + self.quartic
         out = np.einsum("ij,jkp->ikp", x1, block) + np.einsum("ikp,jk->ijp", block, x2)
         # mixing term (1/2) [ad(x) (x) 1, Omega_op]
-        omega_block = apply_casimir(self.rep, v).reshape(m, m, -1)
+        omega_block = omega(block.reshape(m * m, -1)).reshape(m, m, -1)
         out += 0.5 * np.einsum("ij,jkp->ikp", self.ad_x, omega_block)
         first = np.einsum("ij,jkp->ikp", self.ad_x, block).reshape(m * m, -1)
-        out -= 0.5 * apply_casimir(self.rep, first).reshape(m, m, -1)
+        out -= 0.5 * omega(first).reshape(m, m, -1)
         flat = out.reshape(m * m, -1)
         return flat[:, 0] if single else flat
 

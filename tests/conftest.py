@@ -28,6 +28,18 @@ class _Algebra:
             self._dec[n] = build_decomposition(self.rep(n))
         return self._dec[n]
 
+    def omega_oracle(self, n):
+        """Omega_op = sum_a S^a (x) S^a as a dense tensordot of the S stack.
+
+        The package builds Omega_op only from the nonzeros of f
+        (``PairFrame``); this is its independent oracle.  Not cached: at
+        n = 7 it takes 85 MB.
+        """
+        S = self.rep(n).S
+        m = S.shape[1]
+        t = np.tensordot(S, S, axes=(0, 0))  # (i, j, k, l)
+        return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(m * m, m * m)
+
     def __call__(self, n):
         """(basis, rep, dec) triple; builds the decomposition."""
         return self.basis(n), self.rep(n), self.dec(n)

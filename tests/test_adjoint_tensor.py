@@ -5,7 +5,6 @@ import pytest
 
 from adjrmat.adjoint_tensor import (
     ad_matrix,
-    apply_casimir,
     apply_pair,
     apply_swap,
     casimir_op,
@@ -44,14 +43,14 @@ def test_representation_property(algebra):
 def test_casimir_on_singlet(algebra):
     basis, rep = algebra.basis(4), algebra.rep(4)
     omega_coords = np.eye(rep.dim, dtype=complex).ravel()
-    assert np.linalg.norm(apply_casimir(rep, omega_coords) + 2 * 4 * omega_coords) < TOL
+    assert np.linalg.norm(rep.frame.omega(omega_coords) + 2 * 4 * omega_coords) < TOL
 
 
 def test_casimir_on_top_vector(algebra):
     basis, rep = algebra.basis(4), algebra.rep(4)
     w = matrix_unit(basis, 1, 4).coords
     v = np.outer(w, w).ravel()
-    assert np.linalg.norm(apply_casimir(rep, v) - 2.0 * v) < TOL
+    assert np.linalg.norm(rep.frame.omega(v) - 2.0 * v) < TOL
 
 
 def test_casimir_spectrum_su4(algebra):
@@ -136,7 +135,7 @@ def test_su4_dimensions_against_joint_eigenspace_oracle(algebra):
     """Multiplicities of the joint (Casimir, swap) eigenvalues on V (x) V."""
     basis, rep, dec = algebra(4)
     m = rep.dim
-    omega = casimir_op(rep)
+    omega = algebra.omega_oracle(4)
     sigma = permutation_op(m)
     vals, vecs = np.linalg.eigh(omega)
     sector_dims = {}
@@ -187,7 +186,7 @@ def test_operator_reconstruction_from_projectors(algebra, n):
     rep, dec = algebra.rep(n), algebra.dec(n)
     m = rep.dim
     omega = sum(sub.omega_eigenvalue * sub.projector for sub in dec.submodules)
-    assert np.max(np.abs(omega - casimir_op(rep))) < TOL * m
+    assert np.max(np.abs(omega - algebra.omega_oracle(n))) < TOL * m
     sigma = sum(sub.exchange_parity * sub.projector for sub in dec.submodules)
     assert np.max(np.abs(sigma - permutation_op(m))) < TOL * m
 

@@ -251,11 +251,18 @@ def test_rejects_small_n(tmp_path):
     assert code == 2
 
 
-def test_dense_ybe_refused_above_cap(tmp_path, capsys):
-    code, payload = run(tmp_path, "verify", "ybe", "--n", "5", "--dense")
-    assert code == 2 and payload is None
-    err = capsys.readouterr().err
-    assert err == "adjrmat: dense YBE mode is limited to n <= 4 (needs (n^2-1)^3 <= 3375)\n"
+def test_ybe_mode_flags_are_usage_errors(tmp_path, capsys):
+    """verify ybe picks dense or probes from the rank; there is no flag to force either."""
+    out = tmp_path / "out.json"
+    for flag in ("--dense", "--matrix-free"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "ybe", "--n", "5", flag, "--out", str(out)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+    code, payload = run(tmp_path, "verify", "ybe", "--n", "3", "--samples", "1")
+    assert code == 0 and "mode" not in payload
+    assert {c["params"]["mode"] for c in payload["checks"] if c["id"].startswith("ybe-")} == {"dense"}
 
 
 def test_bad_lambda_format():

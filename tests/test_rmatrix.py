@@ -361,15 +361,31 @@ def test_operator_apply_matches_dense(algebra, rng, n):
     assert np.max(np.abs(op.swap_right().apply(x) - dense @ swapped)) < 1e-13
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_omega_from_f_matches_casimir_op(algebra, n):
-    rep, dec = algebra.rep(n), algebra.dec(n)
-    x = np.eye(rep.dim**2)
-    assert np.max(np.abs(dec.frame.omega(x) - casimir_op(rep))) < 1e-14
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_omega_from_f_matches_casimir_op(algebra, rng, n):
+    """The frame's Omega_op, scattered dense and applied, against the S-stack tensordot."""
+    rep = algebra.rep(n)
+    oracle = algebra.omega_oracle(n)
+    x = rng.standard_normal((rep.dim**2, 3)) + 1j * rng.standard_normal((rep.dim**2, 3))
+    assert np.max(np.abs(rep.frame.omega(x) - oracle @ x)) < 1e-12
+    assert np.max(np.abs(rep.frame.omega(x[:, 0]) - oracle @ x[:, 0])) < 1e-12
+    diff = casimir_op(rep)
+    diff -= oracle
+    del oracle
+    assert np.max(np.abs(diff)) < 1e-14
+
+
+def test_intertwining_probes_su6(algebra):
+    """From n = 6 the intertwining relations are probed through the CSR frame."""
+    basis, dec = algebra.basis(6), algebra.dec(6)
+    res0, res1 = intertwining_residual(
+        dec, basis.generators, 0.37 - 0.52j, probes=2, rng=np.random.default_rng(5)
+    )
+    assert res0 <= 1e-8 and res1 <= 1e-8
 
 
 def test_operator_form_refuses_unequal_antisymmetric_coefficients(algebra):
-    frame = algebra.dec(4).frame
+    frame = algebra.rep(4).frame
     with pytest.raises(AssertionError, match="anti_left"):
         operator_form(frame, {"anti_left": 1.0, "anti_right": 2.0}, np.eye(2))
 

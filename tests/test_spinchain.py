@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import ad_matrix, casimir_op, permutation_op
+from adjrmat.adjoint_tensor import ad_matrix, permutation_op
 from adjrmat.numerics import eig_general
 from adjrmat.rmatrix import sample_ybe_pairs
 from adjrmat.spinchain import (
@@ -131,14 +131,15 @@ def test_two_site_spectrum_values(algebra, locals_cache, n):
 def test_spin_operators_hermitian_and_q_is_casimir(algebra, n):
     rep = algebra.rep(n)
     ops = spin_operators(rep)
-    assert np.max(np.abs(ops.Q - casimir_op(rep))) == 0.0
+    assert np.max(np.abs(ops.Q - algebra.omega_oracle(n))) < 1e-14
     m = rep.dim
     for op in (ops.Q, ops.C_A, ops.K):
         assert np.max(np.abs(op - op.conj().T)) < TOL * m
 
 
-def _spin_operators_einsum_oracle(rep):
-    """C_A and K from the three-operand einsums that spin_operators replaced."""
+def _spin_operators_einsum_oracle(algebra, n):
+    """Q from the S stack, and C_A and K from the three-operand einsums that spin_operators replaced."""
+    rep = algebra.rep(n)
     S = np.ascontiguousarray(rep.S.transpose(0, 2, 1))
     d = rep.basis.d
     m = rep.dim
@@ -150,14 +151,14 @@ def _spin_operators_einsum_oracle(rep):
     left = np.einsum("aij,fjk->afik", S, w, optimize=True)
     right = np.einsum("fij,ajk->afik", S, w, optimize=True)
     k = np.einsum("afik,afjl->ijkl", left, right, optimize=True).reshape(m * m, m * m)
-    return casimir_op(rep), c_a, k
+    return algebra.omega_oracle(n), c_a, k
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spin_operators_match_einsum_oracle(algebra, n):
     rep = algebra.rep(n)
     ops = spin_operators(rep)
-    for got, want in zip((ops.Q, ops.C_A, ops.K), _spin_operators_einsum_oracle(rep)):
+    for got, want in zip((ops.Q, ops.C_A, ops.K), _spin_operators_einsum_oracle(algebra, n)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -133,6 +133,24 @@ def test_dense_matches_matrix_free(algebra, rng):
     assert np.linalg.norm(act.apply(v) - dense @ v) < 1e-12
 
 
+def test_apply_matches_kron_built_action_su6(algebra, rng):
+    """apply (the frame's CSR Omega_op from n = 6) against J(x) built from krons and the S stack."""
+    basis, rep = algebra.basis(6), algebra.rep(6)
+    m = rep.dim
+    x = matrix_unit(basis, 2, 5, coords=False).matrix + 0.3 * basis.generators[7]
+    mu, lam = 0.4 - 0.9j, -1.2 + 0.3j
+    act = LevelOneAction(rep, x, mu, lam)
+    eye = np.eye(m)
+    omega = algebra.omega_oracle(6)
+    left = np.kron(act.ad_x, eye)
+    v = rng.standard_normal((m * m, 3)) + 1j * rng.standard_normal((m * m, 3))
+    local = np.kron(mu * act.ad_x + act.quartic, eye) + np.kron(eye, lam * act.ad_x + act.quartic)
+    want = local @ v + 0.5 * (left @ (omega @ v) - omega @ (left @ v))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(act.apply(v) - want)) < 1e-12 * scale
+    assert np.max(np.abs(act.apply(v[:, 1]) - want[:, 1])) < 1e-12 * scale
+
+
 def test_rejects_nontraceless_generator(algebra):
     rep = algebra.rep(3)
     with pytest.raises(ValueError):
