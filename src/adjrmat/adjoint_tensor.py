@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .liealg import SunBasis, matrix_unit, weight_basis, weight_blocks
+from .liealg import SunBasis, matrix_unit, pair_weights, weight_basis, weight_blocks
 from .numerics import DEFAULT_TOL, Tolerance, kron, max_abs
 
 __all__ = [
@@ -171,27 +171,21 @@ def casimir_element(basis: SunBasis) -> np.ndarray:
     return np.einsum("aij,akl->ikjl", g, g, optimize=True).reshape(basis.n**2, basis.n**2)
 
 
-def tensor_coords(
-    basis: SunBasis,
-    y: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    check: bool = True,
-) -> np.ndarray:
+def tensor_coords(basis: SunBasis, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Expand an n^2 x n^2 matrix over the I^a (x) I^b basis.
 
-    Returns the flat coordinate vector of length (n^2-1)^2.  When ``check``
-    is set, an expansion residual above ``tol.abs_tol`` (the matrix does not
-    lie in su(n) (x) su(n)) raises, which signals a convention bug upstream.
+    Returns the flat coordinate vector of length (n^2-1)^2.  An expansion
+    residual above ``tol.abs_tol`` (the matrix does not lie in
+    su(n) (x) su(n)) raises, which signals a convention bug upstream.
     """
     n, g = basis.n, basis.generators
     y4 = y.reshape(n, n, n, n)
     z = np.einsum("aij,jlik->alk", g, y4, optimize=True)
     c = np.einsum("bkl,alk->ab", g, z, optimize=True)
-    if check:
-        recon = np.einsum("ab,aij,bkl->ikjl", c, g, g, optimize=True).reshape(n * n, n * n)
-        res = max_abs(recon - y)
-        if res > tol.abs_tol * basis.dim:
-            raise ValueError(f"expansion residual {res:.3e}: matrix is outside su(n) (x) su(n)")
+    recon = np.einsum("ab,aij,bkl->ikjl", c, g, g, optimize=True).reshape(n * n, n * n)
+    res = max_abs(recon - y)
+    if res > tol.abs_tol * basis.dim:
+        raise ValueError(f"expansion residual {res:.3e}: matrix is outside su(n) (x) su(n)")
     return c.ravel()
 
 
@@ -387,7 +381,7 @@ def _weight_blocks(rep: AdjointRep, tol: Tolerance) -> _WeightBlocks:
         stray = max_abs(lows[o][~on_shift])
         if stray > tol.abs_tol:
             raise AssertionError(f"lowering operator leaves its weight shift ({stray:.3e})")
-    total = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, n)
+    total = pair_weights(weights)
     blocks = weight_blocks(total)
     keys = [total[idx[0]] for idx in blocks]
     index = {tuple(key): k for k, key in enumerate(keys)}

@@ -15,7 +15,8 @@ import argparse
 import dataclasses
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,34 +88,29 @@ class RunConfig:
 
 @dataclass
 class _Context:
-    """Lazily built algebra objects shared by the checks of one command."""
+    """Lazily built algebra objects shared by the checks of one command.
+
+    R(lam), I(lam) and h need only ``rep``; ``dec`` is built on first use,
+    by the checks and artifacts that read a submodule.
+    """
 
     cfg: RunConfig
-    _cache: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def basis(self):
-        if "basis" not in self._cache:
-            self._cache["basis"] = build_basis(self.cfg.n, self.cfg.tol)
-        return self._cache["basis"]
+        return build_basis(self.cfg.n, self.cfg.tol)
 
-    @property
+    @cached_property
     def rep(self):
-        if "rep" not in self._cache:
-            self._cache["rep"] = adjoint_rep(self.basis, self.cfg.tol, validate=self.cfg.n <= 5)
-        return self._cache["rep"]
+        return adjoint_rep(self.basis, self.cfg.tol, validate=self.cfg.n <= 5)
 
-    @property
+    @cached_property
     def dec(self):
-        if "dec" not in self._cache:
-            self._cache["dec"] = build_decomposition(self.rep, self.cfg.tol)
-        return self._cache["dec"]
+        return build_decomposition(self.rep, self.cfg.tol)
 
-    @property
+    @cached_property
     def local(self):
-        if "local" not in self._cache:
-            self._cache["local"] = local_h(self.dec)
-        return self._cache["local"]
+        return local_h(self.rep)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.cfg.seed)
@@ -187,21 +183,21 @@ def suite_identities(ctx: _Context) -> list[dict]:
 def suite_intertwiner(ctx: _Context) -> list[dict]:
     cfg = ctx.cfg
     n = cfg.n
-    dec = ctx.dec
+    rep = ctx.rep
     m = n * n - 1
     eye = np.eye(m * m)
     rng = ctx.rng()
     count = cfg.samples if cfg.samples is not None else 5
     checks = []
     for lam in sample_spectral_parameters(rng, n, count, symmetric=True):
-        res = max_abs(build_intertwiner(dec, lam) @ build_intertwiner(dec, -lam) - eye)
+        res = max_abs(build_intertwiner(rep, lam) @ build_intertwiner(rep, -lam) - eye)
         checks.append(_check("intertwiner-inversion", res, 1e-8, params={"lambda": _cpair(lam)}))
     for lam in sample_spectral_parameters(rng, n, count):
-        worst0, worst1 = intertwining_residual(dec, ctx.basis.generators, lam, rng=rng)
+        worst0, worst1 = intertwining_residual(rep, ctx.basis.generators, lam, rng=rng)
         params = {"lambda": _cpair(lam)}
         checks.append(_check("intertwining-level0", worst0, 1e-8, params=params))
         checks.append(_check("intertwining-level1", worst1, 1e-8, params=params))
-    recovery = derive_coefficients(dec, sample_spectral_parameters(rng, n, 3), rng=rng)
+    recovery = derive_coefficients(ctx.dec, sample_spectral_parameters(rng, n, 3), rng=rng)
     checks.append(
         _check(
             "coefficient-recovery",
@@ -225,7 +221,7 @@ def suite_ybe(ctx: _Context) -> list[dict]:
         pairs = [(cfg.lam, cfg.mu)]
     else:
         pairs = sample_ybe_pairs(rng, n, count)
-    checks = [_check("r-at-zero-is-swap", r_at_zero_residual(dec), 1e-12)]
+    checks = [_check("r-at-zero-is-swap", r_at_zero_residual(ctx.rep), 1e-12)]
     # the direct and the composed assembly of R are compared once, at the first pair
     for lam, _ in pairs[:1]:
         checks.append(_check("r-assembly-agreement", r_assembly_residual(dec, lam),
@@ -235,7 +231,7 @@ def suite_ybe(ctx: _Context) -> list[dict]:
         for solution in ("R", "Rtilde"):
             res = ybe_residual(dec, lam, mu, mode=mode, probes=10, solution=solution, rng=rng)
             checks.append(_check(f"ybe-{solution}", res, 1e-8, params=params))
-    asym = asymptotic_check(dec, [100.0, 1000.0])
+    asym = asymptotic_check(ctx.rep, [100.0, 1000.0])
     ratio = asym["ratios"][0]
     checks.append(
         _check(
@@ -458,7 +454,7 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
     if kind == "rmatrix":
         if lam is None:
             raise ConfigError("build rmatrix requires --lambda RE,IM")
-        return jsonio.matrix_to_json(build_R(ctx.dec, lam))
+        return jsonio.matrix_to_json(build_R(ctx.rep, lam))
     if kind == "hamiltonian":
         chain = chain_H(ctx.local, cfg.sites)
         return jsonio.matrix_to_json(chain.H)

@@ -31,6 +31,8 @@ __all__ = [
     "matrix_unit",
     "weight_basis",
     "weight_blocks",
+    "pair_weights",
+    "off_block_mask",
 ]
 
 
@@ -199,3 +201,17 @@ def weight_blocks(weights: np.ndarray) -> list[np.ndarray]:
     """
     _, label, sizes = np.unique(weights, axis=0, return_inverse=True, return_counts=True)
     return np.split(np.argsort(label.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def pair_weights(weights: np.ndarray) -> np.ndarray:
+    """Total weights of the two-site pairs of an (m, n) weight array.
+
+    Row a*m + b of the (m^2, n) result is weights[a] + weights[b].
+    """
+    m = len(weights)
+    return (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
+
+
+def off_block_mask(weights: np.ndarray) -> np.ndarray:
+    """Boolean (N, N) mask of the entries that join rows of different weight of an (N, n) array."""
+    return np.any(weights[:, None, :] != weights[None, :, :], axis=2)

@@ -1,8 +1,8 @@
 """Dense complex linear algebra substrate.
 
 Matrices are plain numpy arrays of dtype complex128, coordinate vectors are
-1-D arrays.  Structural predicates (hermitian, unitary, projector) are always
-decided against an explicit tolerance, never exactly.
+1-D arrays.  Residual contracts (orthonormalization, the eigensolver) are
+decided against an explicit :class:`Tolerance`, never exactly.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ __all__ = [
     "frobenius",
     "max_abs",
     "ensure_finite",
-    "is_hermitian",
-    "is_unitary",
-    "is_projector",
     "orthonormalize",
     "extend_orthonormal",
     "eig_general",
@@ -74,18 +71,6 @@ def ensure_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
         raise FloatingPointError(f"non-finite entries in {what}")
     return a
-
-
-def is_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return max_abs(a - dagger(a)) <= tol.abs_tol
-
-
-def is_unitary(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return max_abs(dagger(a) @ a - np.eye(a.shape[0])) <= tol.abs_tol
-
-
-def is_projector(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return is_hermitian(a, tol) and max_abs(a @ a - a) <= tol.abs_tol
 
 
 def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
@@ -163,17 +148,13 @@ def extend_orthonormal(
     return np.column_stack(out_cols), accepted
 
 
-def eig_general(
-    m: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    check: bool = True,
-) -> list[tuple[complex, np.ndarray]]:
+def eig_general(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs of a general (non-Hermitian) dense square matrix.
 
     Backed by LAPACK's Hessenberg-reduction + shifted-QR driver.  Every
-    returned pair (lam, v) satisfies ||m v - lam v|| <= abs_tol * ||m||_F,
-    verified when ``check`` is set; the eigenvalue count (with multiplicity)
-    equals the dimension.
+    returned pair (lam, v) is verified to satisfy
+    ||m v - lam v|| <= abs_tol * max(||m||_F, 1); the eigenvalue count (with
+    multiplicity) equals the dimension.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -184,12 +165,9 @@ def eig_general(
         raise EigensolverError(
             f"eigensolver did not converge for a {m.shape[0]}x{m.shape[0]} matrix"
         ) from exc
-    if check:
-        scale = frobenius(m)
-        res = max_abs(np.linalg.norm(m @ v - v * w[None, :], axis=0))
-        if res > tol.abs_tol * max(scale, 1.0):
-            raise EigensolverError(
-                f"eigen residual {res:.3e} exceeds contract for a "
-                f"{m.shape[0]}x{m.shape[0]} matrix"
-            )
+    res = max_abs(np.linalg.norm(m @ v - v * w[None, :], axis=0))
+    if res > tol.abs_tol * max(frobenius(m), 1.0):
+        raise EigensolverError(
+            f"eigen residual {res:.3e} exceeds contract for a {m.shape[0]}x{m.shape[0]} matrix"
+        )
     return [(complex(w[i]), v[:, i]) for i in range(m.shape[0])]

@@ -19,14 +19,15 @@ lam = n only; evaluation is refused inside a guard disk around them.
 Every projector has a closed form in sigma, the two-site Casimir Omega_op
 and the columns of d and f (:func:`operator_form`), so I(lam), R(lam),
 sigma I(lam) and h = R'(0) sigma are each a few scalars on Pi+-, Omega_op
-Pi+, a rank-2m part and the singlet (:class:`PairOperator`), built from the
-basis alone.  The probes, ``r-at-zero-is-swap`` and the asymptotic check
-apply that form without forming a D x D matrix; :func:`build_R` and the
-other ``build_*`` functions return its :meth:`PairOperator.dense`.  The
-projector-sum assembly from the decomposition, :func:`_assemble`, is the
-oracle: :func:`r_assembly_residual` compares the operator form of R(lam)
-with the projector-sum I(lam) sigma, and ``verify ybe`` reports it as the
-``r-assembly-agreement`` check.
+Pi+, a rank-2m part and the singlet (:class:`PairOperator`), built from
+``rep.frame`` alone, so the builders and the checks that only apply them take
+an :class:`AdjointRep`.  The probes, ``r-at-zero-is-swap`` and the asymptotic
+check apply that form without forming a D x D matrix; :func:`build_R` and the
+other ``build_*`` functions return its :meth:`PairOperator.dense`.  Only the
+oracles read submodules and take a :class:`Decomposition`: the projector-sum
+assembly :func:`_assemble`, which :func:`r_assembly_residual` compares with
+the operator form of R(lam) (the ``r-assembly-agreement`` check of
+``verify ybe``), and :func:`derive_coefficients`.
 
 The dense Yang-Baxter residual works in the weight basis of
 :func:`liealg.weight_basis`.  R(lam) is su(n)-invariant, so it conserves
@@ -41,8 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjoint_tensor import Decomposition, PairFrame, apply_swap
-from .liealg import matrix_unit, weight_basis, weight_blocks
+from .adjoint_tensor import AdjointRep, Decomposition, PairFrame, apply_swap
+from .liealg import matrix_unit, off_block_mask, pair_weights, weight_basis, weight_blocks
 from .numerics import max_abs
 from .yangian_action import LevelOneAction
 
@@ -272,44 +273,44 @@ def _r_coefficients(c: CoefficientSet, lam: complex):
     return diag, c.N(lam)
 
 
-def intertwiner_op(dec: Decomposition, lam: complex) -> PairOperator:
+def intertwiner_op(rep: AdjointRep, lam: complex) -> PairOperator:
     """I(lam) in operator form."""
     lam = complex(lam)
-    check_pole_distance(lam, dec.n)
-    coeffs = _intertwiner_coefficients(CoefficientSet(dec.n), lam)
-    return operator_form(dec.rep.frame, *coeffs)
+    check_pole_distance(lam, rep.n)
+    coeffs = _intertwiner_coefficients(CoefficientSet(rep.n), lam)
+    return operator_form(rep.frame, *coeffs)
 
 
-def r_op(dec: Decomposition, lam: complex) -> PairOperator:
+def r_op(rep: AdjointRep, lam: complex) -> PairOperator:
     """R(lam) = I(lam) sigma in operator form, from the N(lam) block."""
     lam = complex(lam)
-    check_pole_distance(lam, dec.n)
-    coeffs = _r_coefficients(CoefficientSet(dec.n), lam)
-    return operator_form(dec.rep.frame, *coeffs)
+    check_pole_distance(lam, rep.n)
+    coeffs = _r_coefficients(CoefficientSet(rep.n), lam)
+    return operator_form(rep.frame, *coeffs)
 
 
-def r_tilde_op(dec: Decomposition, lam: complex) -> PairOperator:
+def r_tilde_op(rep: AdjointRep, lam: complex) -> PairOperator:
     """The second solution sigma I(lam) in operator form."""
-    return intertwiner_op(dec, lam).swap_left()
+    return intertwiner_op(rep, lam).swap_left()
 
 
-def build_intertwiner(dec: Decomposition, lam: complex) -> np.ndarray:
+def build_intertwiner(rep: AdjointRep, lam: complex) -> np.ndarray:
     """Dense intertwiner I(lam) on the two-site coordinates."""
-    return intertwiner_op(dec, lam).dense()
+    return intertwiner_op(rep, lam).dense()
 
 
-def build_R(dec: Decomposition, lam: complex) -> np.ndarray:
+def build_R(rep: AdjointRep, lam: complex) -> np.ndarray:
     """Dense R(lam) = I(lam) sigma, from its operator form.
 
     Its agreement with the projector-sum I(lam) composed with sigma is
     :func:`r_assembly_residual`.
     """
-    return r_op(dec, lam).dense()
+    return r_op(rep, lam).dense()
 
 
-def build_R_tilde(dec: Decomposition, lam: complex) -> np.ndarray:
+def build_R_tilde(rep: AdjointRep, lam: complex) -> np.ndarray:
     """The second solution sigma I(lam), dense."""
-    return r_tilde_op(dec, lam).dense()
+    return r_tilde_op(rep, lam).dense()
 
 
 def _block_operator(dec: Decomposition, block: np.ndarray) -> np.ndarray:
@@ -339,7 +340,7 @@ def r_assembly_residual(dec: Decomposition, lam: complex) -> float:
     """
     lam = complex(lam)
     m = dec.n * dec.n - 1
-    direct = r_op(dec, lam).dense()
+    direct = r_op(dec.rep, lam).dense()
     composed = _permute_cols_swap(
         _assemble(dec, *_intertwiner_coefficients(CoefficientSet(dec.n), lam)), m
     )
@@ -355,10 +356,10 @@ def _identity_columns(D: int):
         yield block
 
 
-def r_at_zero_residual(dec: Decomposition) -> float:
+def r_at_zero_residual(rep: AdjointRep) -> float:
     """Max-abs of R(0) - sigma, with R(0) applied to the identity in column chunks."""
-    m = dec.n * dec.n - 1
-    op = r_op(dec, 0.0)
+    m = rep.dim
+    op = r_op(rep, 0.0)
     return max(max_abs(op.apply(e) - apply_swap(e, m)) for e in _identity_columns(m * m))
 
 
@@ -376,11 +377,6 @@ def _permute_cols_swap(a: np.ndarray, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Yang-Baxter residuals
 # ---------------------------------------------------------------------------
-
-
-def _ybe_guard(dec: Decomposition, lam: complex, mu: complex):
-    for z in (lam, mu, lam + mu):
-        check_pole_distance(z, dec.n)
 
 
 def ybe_residual(
@@ -409,18 +405,23 @@ def ybe_residual(
     residual over the probes; it forms no D x D matrix and costs O(nnz(f) m)
     per factor and probe.  The dense mode is its oracle at n <= 4, and the
     retired dense-R einsums are kept in the tests as ``_ybe_probe_oracle``.
+
+    Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
+    benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
     """
-    _ybe_guard(dec, lam, mu)
+    rep = dec.rep
+    for z in (lam, mu, lam + mu):
+        check_pole_distance(z, rep.n)
     build = {"R": build_R, "Rtilde": build_R_tilde}[solution]
-    m = dec.n * dec.n - 1
+    m = rep.dim
     if mode == "dense":
         if m**3 > DENSE_YBE_MAX_DIM:
             raise ValueError(f"dense mode needs (n^2-1)^3 <= {DENSE_YBE_MAX_DIM}, got {m**3}")
-        return _ybe_dense_blocks(dec, [build(dec, z) for z in (lam, lam + mu, mu)])
+        return _ybe_dense_blocks(rep, [build(rep, z) for z in (lam, lam + mu, mu)])
     if mode != "matrix_free":
         raise ValueError(f"unknown mode {mode!r}")
     ops = {"R": r_op, "Rtilde": r_tilde_op}[solution]
-    r_lam, r_sum, r_mu = (ops(dec, z) for z in (lam, lam + mu, mu))
+    r_lam, r_sum, r_mu = (ops(rep, z) for z in (lam, lam + mu, mu))
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
@@ -439,13 +440,13 @@ def _on_sites(op: PairOperator, pair: tuple[int, int], v: np.ndarray) -> np.ndar
     return op.apply(v.transpose(axes)).transpose(np.argsort(axes))
 
 
-def _ybe_dense_blocks(dec: Decomposition, rs: list[np.ndarray]) -> float:
+def _ybe_dense_blocks(rep: AdjointRep, rs: list[np.ndarray]) -> float:
     """Dense YBE residual of (R12, R13, R23) = ``rs``, block by block in total weight."""
-    m = dec.n * dec.n - 1
-    u, weights = weight_basis(dec.rep.basis)
+    m = rep.dim
+    u, weights = weight_basis(rep.basis)
     w2 = np.kron(u, u)
-    pair_w = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
-    off = np.any(pair_w[:, None, :] != pair_w[None, :, :], axis=2)
+    pair_w = pair_weights(weights)
+    off = off_block_mask(pair_w)
     r12, r13, r23 = (w2 @ r @ np.conj(w2).T for r in rs)
     floor = max(np.linalg.norm(r[off]) / np.linalg.norm(r) for r in (r12, r13, r23))
     r12, r13, r23 = (r.reshape(m, m, m, m) for r in (r12, r13, r23))
@@ -465,7 +466,7 @@ def _ybe_dense_blocks(dec: Decomposition, rs: list[np.ndarray]) -> float:
     return float(max(np.sqrt(diff2 / norm2), floor))
 
 
-def asymptotic_check(dec: Decomposition, lam_list) -> dict:
+def asymptotic_check(rep: AdjointRep, lam_list) -> dict:
     """Check the large-lam expansion R = (1 + 2/lam) 1 - (1/lam) Omega_op + O(lam^-2).
 
     Each remainder is the Frobenius norm of R(lam) - (1 + 2/lam) 1 +
@@ -478,12 +479,12 @@ def asymptotic_check(dec: Decomposition, lam_list) -> dict:
     lams = [complex(z) for z in lam_list]
     if any(abs(z) < 10.0 for z in lams):
         raise ValueError("asymptotic check requires |lam| >= 10")
-    m = dec.n * dec.n - 1
+    m = rep.dim
     remainders = []
     for z in lams:
-        op = r_op(dec, z)
+        op = r_op(rep, z)
         square = sum(
-            np.linalg.norm(op.apply(e) - (1.0 + 2.0 / z) * e + dec.rep.frame.omega(e) / z) ** 2
+            np.linalg.norm(op.apply(e) - (1.0 + 2.0 / z) * e + rep.frame.omega(e) / z) ** 2
             for e in _identity_columns(m * m)
         )
         remainders.append(float(np.sqrt(square)))
@@ -505,7 +506,7 @@ def asymptotic_check(dec: Decomposition, lam_list) -> dict:
 
 
 def intertwining_residual(
-    dec: Decomposition,
+    rep: AdjointRep,
     xs: np.ndarray,
     lam: complex,
     probes: int = 5,
@@ -523,13 +524,12 @@ def intertwining_residual(
     from .adjoint_tensor import ad_matrix, apply_pair
     from .yangian_action import LevelOneAction, delta_action, level1_action
 
-    rep = dec.rep
     m = rep.dim
     dense = m <= 24  # n <= 5: dense operators stay small
     if dense:
-        eye_i = build_intertwiner(dec, lam)
+        eye_i = build_intertwiner(rep, lam)
     else:
-        op = intertwiner_op(dec, lam)
+        op = intertwiner_op(rep, lam)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     res0 = res1 = 0.0

@@ -2,12 +2,14 @@
 
 The local Hamiltonian is the logarithmic-derivative density h = R'(0) sigma,
 assembled once from the exact rational derivatives of the scalar coefficient
-functions.  Two independent constructions, a direct assembly from the
-closed-form projector coefficients and a central finite difference of
-R(lam) sigma, are kept as an oracle, :func:`h_oracle_residuals`, which
-``verify hamiltonian`` reports as the ``h-assembly-agreement`` and
-``h-finite-difference`` checks.  The density is deliberately non-Hermitian
-while keeping a real two-site spectrum.
+functions through the operator form of :mod:`rmatrix`, so :func:`local_h`
+takes only the :class:`AdjointRep` and builds no decomposition.  Two
+independent constructions, a direct assembly from the closed-form projector
+coefficients (which reads the submodules of a :class:`Decomposition`) and a
+central finite difference of R(lam) sigma, are kept as an oracle,
+:func:`h_oracle_residuals`, which ``verify hamiltonian`` reports as the
+``h-assembly-agreement`` and ``h-finite-difference`` checks.  The density is
+deliberately non-Hermitian while keeping a real two-site spectrum.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint_tensor import AdjointRep, Decomposition, casimir_op
-from .liealg import SunBasis, weight_basis, weight_blocks
+from .liealg import SunBasis, off_block_mask, pair_weights, weight_basis, weight_blocks
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, frobenius, max_abs
 from .rmatrix import (
     CoefficientSet,
@@ -95,7 +97,7 @@ def _h_coefficients(n: int) -> tuple[dict[str, float], np.ndarray]:
     return diag, block
 
 
-def local_h(dec: Decomposition) -> LocalHamiltonian:
+def local_h(rep: AdjointRep) -> LocalHamiltonian:
     """Local Hamiltonian h = R'(0) sigma.
 
     The exact derivatives of the R-form coefficients at 0 go through the
@@ -103,7 +105,7 @@ def local_h(dec: Decomposition) -> LocalHamiltonian:
     dense.  ``verify hamiltonian`` compares the result with two independent
     constructions through :func:`h_oracle_residuals`.
     """
-    n = dec.n
+    n = rep.n
     c = CoefficientSet(n)
     deriv_diag = {
         "sym_top": 0.0,
@@ -112,13 +114,13 @@ def local_h(dec: Decomposition) -> LocalHamiltonian:
         "mixed_sym": c.f3_deriv0(),
         "singlet": c.f4_deriv0(),
     }
-    h = operator_form(dec.rep.frame, deriv_diag, c.N_deriv0()).swap_right().dense()
+    h = operator_form(rep.frame, deriv_diag, c.N_deriv0()).swap_right().dense()
     # h = I'(0), so its adjoint-pair block is M'(0) = N'(0) diag(1, -1)
     block = c.N_deriv0() @ np.diag([1.0, -1.0])
     # multiplier that turns h into the closed spin form (up to a constant);
     # the n = 3 form carries its own normalization
     rescale = 8.0 / (6.0 + n * n) if n > 3 else 8.0 / 3.0
-    return LocalHamiltonian(n=n, h=h, O_block=block, rescale_factor=rescale, basis=dec.rep.basis)
+    return LocalHamiltonian(n=n, h=h, O_block=block, rescale_factor=rescale, basis=rep.basis)
 
 
 def h_oracle_residuals(dec: Decomposition, local: LocalHamiltonian) -> tuple[float, float]:
@@ -127,12 +129,13 @@ def h_oracle_residuals(dec: Decomposition, local: LocalHamiltonian) -> tuple[flo
     Returns (table, finite difference): the direct assembly from the
     closed-form projector coefficients of :func:`_h_coefficients`, and the
     central finite difference of R(lam) sigma with step :data:`FD_STEP`.
+    Only the table reads the submodules of ``dec``.
     """
     m = dec.n * dec.n - 1
     diag, block = _h_coefficients(dec.n)
     table = max_abs(local.h - _assemble(dec, diag, block))
-    r_plus = _permute_cols_swap(build_R(dec, FD_STEP), m)
-    r_minus = _permute_cols_swap(build_R(dec, -FD_STEP), m)
+    r_plus = _permute_cols_swap(build_R(dec.rep, FD_STEP), m)
+    r_minus = _permute_cols_swap(build_R(dec.rep, -FD_STEP), m)
     fd = (r_plus - r_minus) / (2.0 * FD_STEP)
     return table, max_abs(local.h - fd)
 
@@ -263,13 +266,16 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
     generates the reflected chain).  The chain of R factors is contracted
     directly; the monodromy on the auxiliary (x) chain space is never
     materialized as a matrix.
+
+    Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
+    benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
     """
     n = dec.n
     m = n * n - 1
     check_pole_distance(lam, n)
     if m**sites > CHAIN_DIM_CAP:
         raise ValueError(f"transfer-matrix dimension {m**sites} exceeds the dense cap")
-    r4 = build_R(dec, lam).reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
+    r4 = build_R(dec.rep, lam).reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
     # w carries [aux_out, aux_in, o_1..o_k, i_1..i_k]
     w = r4.transpose(0, 2, 1, 3)
     for _ in range(sites - 1):
@@ -291,7 +297,11 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
 
 
 def commutation_check(dec: Decomposition, lam: complex, mu: complex, sites: int) -> float:
-    """Normalized commutator residual of two transfer matrices."""
+    """Normalized commutator residual of two transfer matrices.
+
+    ``dec`` is passed on to :func:`transfer_matrix`, which keeps it for the
+    benchmark tracer; only ``dec.rep`` is read.
+    """
     t1 = transfer_matrix(dec, lam, sites)
     t2 = transfer_matrix(dec, mu, sites)
     return float(frobenius(t1 @ t2 - t2 @ t1) / (frobenius(t1) * frobenius(t2)))
@@ -315,9 +325,8 @@ def two_site_spectrum(local: LocalHamiltonian, tol: Tolerance = DEFAULT_TOL):
     t = np.matmul(u, t).reshape(m * m * m, m) @ u_h
     t = (t.reshape(m * m, m, m).transpose(0, 2, 1) @ u_h).transpose(0, 2, 1)
     h_w = t.reshape(m * m, m * m)
-    pair_w = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
-    off = np.any(pair_w[:, None, :] != pair_w[None, :, :], axis=2)
-    stray = max_abs(h_w[off])
+    pair_w = pair_weights(weights)
+    stray = max_abs(h_w[off_block_mask(pair_w)])
     if stray > tol.abs_tol:
         raise AssertionError(f"two-site density leaves its weight blocks ({stray:.3e})")
     eigenvalues = []

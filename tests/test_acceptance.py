@@ -145,10 +145,10 @@ def test_criterion_4_intertwiner():
             dec = build_decomposition(adjoint_rep(basis, validate=False))
             eye = np.eye((n * n - 1) ** 2)
             for lam in sample_spectral_parameters(rng, n, 5, symmetric=True):
-                prod = build_intertwiner(dec, lam) @ build_intertwiner(dec, -lam)
+                prod = build_intertwiner(dec.rep, lam) @ build_intertwiner(dec.rep, -lam)
                 assert np.max(np.abs(prod - eye)) <= 1e-8
             for lam in sample_spectral_parameters(rng, n, 5):
-                r0, r1 = intertwining_residual(dec, basis.generators, lam)
+                r0, r1 = intertwining_residual(dec.rep, basis.generators, lam)
                 assert r0 <= 1e-8 and r1 <= 1e-8
             recovery = derive_coefficients(dec, sample_spectral_parameters(rng, n, 3), rng=rng)
             assert recovery["max_error"] <= 1e-8
@@ -164,9 +164,9 @@ def test_criterion_5_yang_baxter():
                     assert ybe_residual(dec, lam, mu, mode="dense", solution=solution) <= 1e-8
             if n == 3:
                 sigma = permutation_op(8)
-                assert np.max(np.abs(build_R(dec, 0.0) - sigma)) <= 1e-12
-        dec4 = build_decomposition(adjoint_rep(build_basis(4), validate=False))
-        report = asymptotic_check(dec4, [100.0, 1000.0])
+                assert np.max(np.abs(build_R(dec.rep, 0.0) - sigma)) <= 1e-12
+        rep4 = adjoint_rep(build_basis(4), validate=False)
+        report = asymptotic_check(rep4, [100.0, 1000.0])
         assert 100.0 / 1.5 <= report["ratios"][0] <= 100.0 * 1.5
         for n in (5, 6):
             dec = build_decomposition(adjoint_rep(build_basis(n), validate=False))
@@ -192,7 +192,7 @@ def test_criterion_6_su3_closed_forms():
             )
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
         dec = build_decomposition(adjoint_rep(build_basis(3), validate=False))
-        loc = local_h(dec)
+        loc = local_h(dec.rep)
         for role, want in (
             ("anti_left", 2.0),
             ("anti_right", 2.0),
@@ -216,7 +216,7 @@ def test_criterion_7_hamiltonian():
         locs = {}
         for n in range(3, 7):
             dec = build_decomposition(adjoint_rep(build_basis(n), validate=False))
-            loc = local_h(dec)
+            loc = local_h(dec.rep)
             locs[n] = (dec, loc)
             assert h_oracle_residuals(dec, loc)[1] <= 1e-6
             assert np.linalg.norm(loc.h - loc.h.conj().T) > 0.1

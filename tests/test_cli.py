@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adjrmat import jsonio, spinchain
+from adjrmat import cli, jsonio, spinchain
 from adjrmat.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -178,6 +178,23 @@ def test_cli_import_and_decomposition_leave_scipy_unloaded(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_rmatrix_and_hamiltonian_commands_build_no_decomposition(tmp_path, monkeypatch):
+    """R(lambda) and h come from the adjoint rep alone; only submodule readers decompose."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_decomposition was called")
+
+    monkeypatch.setattr(cli, "build_decomposition", refuse)
+    for argv in (
+        ["build", "rmatrix", "--n", "3", "--lambda", "0.5,0.2"],
+        ["build", "hamiltonian", "--n", "3", "--sites", "2"],
+        ["spectrum", "--n", "3", "--sites", "2"],
+    ):
+        assert run(tmp_path, *argv)[0] == 0, argv
+    # the patch is live: a command that reads submodules fails its self-check
+    assert run(tmp_path, "build", "projectors", "--n", "3")[0] == 1
 
 
 def test_wrong_h_table_fails_only_its_check(tmp_path, monkeypatch):

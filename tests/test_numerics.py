@@ -5,9 +5,6 @@ from adjrmat.numerics import (
     Tolerance,
     eig_general,
     extend_orthonormal,
-    is_hermitian,
-    is_projector,
-    is_unitary,
     kron,
     orthonormalize,
 )
@@ -146,15 +143,3 @@ def test_tolerance_must_be_positive():
     with pytest.raises(ValueError):
         Tolerance(rank_tol=-1e-9)
 
-
-def test_structural_predicates():
-    h = np.array([[1.0, 1j], [-1j, 2.0]])
-    assert is_hermitian(h)
-    skewed = h.copy()
-    skewed[0, 1] += 1e-6
-    assert not is_hermitian(skewed)
-    u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert is_unitary(u)
-    p = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    assert is_projector(p)
-    assert not is_projector(2.0 * p)

@@ -33,25 +33,25 @@ TOL = 1e-9
 
 
 def test_intertwiner_at_zero_is_identity(algebra):
-    dec = algebra.dec(3)
+    rep = algebra.rep(3)
     eye = np.eye(64)
-    assert np.max(np.abs(build_intertwiner(dec, 0.0) - eye)) < 1e-12
+    assert np.max(np.abs(build_intertwiner(rep, 0.0) - eye)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_intertwiner_inversion(algebra, rng, n):
-    dec = algebra.dec(n)
+    rep = algebra.rep(n)
     eye = np.eye((n * n - 1) ** 2)
     for lam in sample_spectral_parameters(rng, n, 10, symmetric=True):
-        prod = build_intertwiner(dec, lam) @ build_intertwiner(dec, -lam)
+        prod = build_intertwiner(rep, lam) @ build_intertwiner(rep, -lam)
         assert np.max(np.abs(prod - eye)) < 1e-8
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_intertwining_property(algebra, rng, n):
-    basis, dec = algebra.basis(n), algebra.dec(n)
+    basis, rep = algebra.basis(n), algebra.rep(n)
     for lam in sample_spectral_parameters(rng, n, 2):
-        r0, r1 = intertwining_residual(dec, basis.generators, lam)
+        r0, r1 = intertwining_residual(rep, basis.generators, lam)
         assert r0 < 1e-8
         assert r1 < 1e-8
 
@@ -92,9 +92,9 @@ def test_derive_f4_across_ranks(algebra, n):
 
 
 def test_r_at_zero_is_swap(algebra):
-    dec = algebra.dec(4)
+    rep = algebra.rep(4)
     sigma = permutation_op(15)
-    assert np.max(np.abs(build_R(dec, 0.0) - sigma)) < 1e-12
+    assert np.max(np.abs(build_R(rep, 0.0) - sigma)) < 1e-12
 
 
 def test_su3_block_eigenvalues_closed_form():
@@ -112,11 +112,11 @@ def test_su3_block_eigenvalues_closed_form():
 
 
 def test_rtilde_is_swap_conjugate(algebra, rng):
-    dec = algebra.dec(3)
+    rep = algebra.rep(3)
     sigma = permutation_op(8)
     for lam in sample_spectral_parameters(rng, 3, 3):
-        lhs = build_R_tilde(dec, lam)
-        rhs = sigma @ build_R(dec, lam) @ sigma
+        lhs = build_R_tilde(rep, lam)
+        rhs = sigma @ build_R(rep, lam) @ sigma
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -142,7 +142,7 @@ def _ybe_einsum_oracle(dec, lam, mu, solution="R"):
     """The dense YBE residual as one three-site contraction per side, O(m^8)."""
     build = {"R": build_R, "Rtilde": build_R_tilde}[solution]
     m = dec.n * dec.n - 1
-    r_lam, r_sum, r_mu = (build(dec, z).reshape(m, m, m, m) for z in (lam, lam + mu, mu))
+    r_lam, r_sum, r_mu = (build(dec.rep, z).reshape(m, m, m, m) for z in (lam, lam + mu, mu))
     lhs = np.einsum("abde,dcxi,eiyz->abcxyz", r_lam, r_sum, r_mu, optimize=True)
     rhs = np.einsum("bcef,afgz,gexy->abcxyz", r_mu, r_sum, r_lam, optimize=True)
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
@@ -190,8 +190,8 @@ def test_ybe_dense_rejects_non_invariant_R(algebra, monkeypatch, offblock_only):
         p = _offblock_part(dec, p)
     exact = rmatrix.build_R
 
-    def perturbed(dec_, lam):
-        r = exact(dec_, lam)
+    def perturbed(rep, lam):
+        r = exact(rep, lam)
         return r + 1e-6 * np.linalg.norm(r) / np.linalg.norm(p) * p
 
     monkeypatch.setattr(rmatrix, "build_R", perturbed)
@@ -223,35 +223,33 @@ def test_ybe_dense_mode_capped(algebra):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_unitarity(algebra, rng, n):
-    dec = algebra.dec(n)
+    rep = algebra.rep(n)
     m = n * n - 1
     sigma = permutation_op(m)
     eye = np.eye(m * m)
     for lam in sample_spectral_parameters(rng, n, 10, symmetric=True):
-        prod = build_R(dec, lam) @ sigma @ build_R(dec, -lam) @ sigma
+        prod = build_R(rep, lam) @ sigma @ build_R(rep, -lam) @ sigma
         assert np.max(np.abs(prod - eye)) < 1e-8
 
 
 def test_sun_invariance(algebra, rng):
-    basis, rep, dec = algebra(4)
+    rep = algebra.rep(4)
     m = rep.dim
     lam = sample_spectral_parameters(rng, 4, 1)[0]
-    r = build_R(dec, lam)
+    r = build_R(rep, lam)
     for a in range(m):
         action = np.kron(rep.S[a], np.eye(m)) + np.kron(np.eye(m), rep.S[a])
         assert np.max(np.abs(r @ action - action @ r)) < 1e-8
 
 
 def test_asymptotic_ratio(algebra):
-    dec = algebra.dec(4)
-    report = asymptotic_check(dec, [100.0, 1000.0])
+    report = asymptotic_check(algebra.rep(4), [100.0, 1000.0])
     assert report["pass"]
     assert 100.0 / 1.5 <= report["ratios"][0] <= 100.0 * 1.5
 
 
 def test_asymptotic_far_remainder(algebra):
-    dec = algebra.dec(4)
-    report = asymptotic_check(dec, [1000.0, 1e6])
+    report = asymptotic_check(algebra.rep(4), [1000.0, 1e6])
     # the remainder constant estimated at 1e3 bounds the value at 1e6
     const = report["remainders"][0] * 1e6
     omega = casimir_op(algebra.rep(4))
@@ -261,12 +259,12 @@ def test_asymptotic_far_remainder(algebra):
 
 def test_asymptotic_requires_both_subleading_terms(algebra):
     """Dropping the Casimir term degrades the falloff to first order."""
-    dec = algebra.dec(4)
+    rep = algebra.rep(4)
     m = 15
     eye = np.eye(m * m)
     rems = []
     for lam in (100.0, 1000.0):
-        r = build_R(dec, lam)
+        r = build_R(rep, lam)
         rems.append(np.linalg.norm(r - (1.0 + 2.0 / lam) * eye))
     ratio = rems[0] / rems[1]
     assert ratio < 100.0 / 1.5  # first-order falloff only
@@ -274,15 +272,15 @@ def test_asymptotic_requires_both_subleading_terms(algebra):
 
 def test_asymptotic_rejects_small_lambda(algebra):
     with pytest.raises(ValueError):
-        asymptotic_check(algebra.dec(3), [5.0, 50.0])
+        asymptotic_check(algebra.rep(3), [5.0, 50.0])
 
 
 def test_pole_guard(algebra):
     dec = algebra.dec(3)
     with pytest.raises(ValueError, match="pole at 1"):
-        build_intertwiner(dec, 1.05)
+        build_intertwiner(dec.rep, 1.05)
     with pytest.raises(ValueError, match="pole at 3"):
-        build_R(dec, 2.95)
+        build_R(dec.rep, 2.95)
     with pytest.raises(ValueError):
         ybe_residual(dec, 0.6, 0.45, mode="dense")  # lam + mu hits the pole at 1
     check_pole_distance(0.5, 3)
@@ -330,9 +328,9 @@ def test_operator_form_matches_projector_sum(algebra, n):
     c = CoefficientSet(n)
     for lam in (0.37 + 0.21j, -1.3 + 0.8j):
         oracle_i = _assemble(dec, *_intertwiner_coefficients(c, lam))
-        assert _scaled_gap(intertwiner_op(dec, lam).dense(), oracle_i) <= 1e-13
-        assert _scaled_gap(r_op(dec, lam).dense(), oracle_i[:, swap]) <= 1e-13
-        assert _scaled_gap(r_tilde_op(dec, lam).dense(), oracle_i[swap, :]) <= 1e-13
+        assert _scaled_gap(intertwiner_op(dec.rep, lam).dense(), oracle_i) <= 1e-13
+        assert _scaled_gap(r_op(dec.rep, lam).dense(), oracle_i[:, swap]) <= 1e-13
+        assert _scaled_gap(r_tilde_op(dec.rep, lam).dense(), oracle_i[swap, :]) <= 1e-13
     # h = R'(0) sigma from the exact derivatives, as local_h assembled it before
     deriv_diag = {
         "sym_top": 0.0,
@@ -342,15 +340,15 @@ def test_operator_form_matches_projector_sum(algebra, n):
         "singlet": c.f4_deriv0(),
     }
     oracle_h = _assemble(dec, deriv_diag, c.N_deriv0())[:, swap]
-    assert _scaled_gap(local_h(dec).h, oracle_h) <= 1e-13
+    assert _scaled_gap(local_h(dec.rep).h, oracle_h) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [3, 6])  # dense and sparse factors
 def test_operator_apply_matches_dense(algebra, rng, n):
     """apply on (D,), (D, k) and (m, m, k) arrays agrees with dense()."""
-    dec = algebra.dec(n)
+    rep = algebra.rep(n)
     m = n * n - 1
-    op = r_op(dec, 0.6 - 0.4j)
+    op = r_op(rep, 0.6 - 0.4j)
     dense = op.dense()
     x = rng.standard_normal((m * m, 3)) + 1j * rng.standard_normal((m * m, 3))
     want = dense @ x
@@ -377,9 +375,9 @@ def test_omega_from_f_matches_casimir_op(algebra, rng, n):
 
 def test_intertwining_probes_su6(algebra):
     """From n = 6 the intertwining relations are probed through the CSR frame."""
-    basis, dec = algebra.basis(6), algebra.dec(6)
+    basis, rep = algebra.basis(6), algebra.rep(6)
     res0, res1 = intertwining_residual(
-        dec, basis.generators, 0.37 - 0.52j, probes=2, rng=np.random.default_rng(5)
+        rep, basis.generators, 0.37 - 0.52j, probes=2, rng=np.random.default_rng(5)
     )
     assert res0 <= 1e-8 and res1 <= 1e-8
 
@@ -392,17 +390,17 @@ def test_operator_form_refuses_unequal_antisymmetric_coefficients(algebra):
 
 def test_r_at_zero_residual_catches_dropped_parity(algebra, monkeypatch):
     """N(0) = M(0) = 1 would make R(0) act as +1 on the antisymmetric adjoint copy."""
-    dec = algebra.dec(3)
-    assert r_at_zero_residual(dec) <= 1e-12
+    rep = algebra.rep(3)
+    assert r_at_zero_residual(rep) <= 1e-12
     monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
-    assert r_at_zero_residual(dec) > 0.1
+    assert r_at_zero_residual(rep) > 0.1
 
 
 def _ybe_probe_oracle(dec, lam, mu, probes, rng, solution="R"):
     """The retired probe path: dense m^4 R applied to each probe by einsum."""
     build = {"R": build_R, "Rtilde": build_R_tilde}[solution]
     m = dec.n * dec.n - 1
-    r_lam, r_sum, r_mu = (build(dec, z).reshape(m, m, m, m) for z in (lam, lam + mu, mu))
+    r_lam, r_sum, r_mu = (build(dec.rep, z).reshape(m, m, m, m) for z in (lam, lam + mu, mu))
 
     def apply_12(r4, v):
         return np.einsum("abxy,xyc->abc", r4, v, optimize=True)

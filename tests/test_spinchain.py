@@ -27,7 +27,7 @@ def locals_cache(algebra):
 
     def get(n):
         if n not in cache:
-            cache[n] = local_h(algebra.dec(n))
+            cache[n] = local_h(algebra.rep(n))
         return cache[n]
 
     return get
