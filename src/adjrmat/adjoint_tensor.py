@@ -25,7 +25,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .liealg import SunBasis, matrix_unit, pair_weights, weight_basis, weight_blocks
+from .liealg import (
+    SunBasis,
+    matrix_unit,
+    off_block_mask,
+    pair_weights,
+    weight_basis,
+    weight_blocks,
+)
 from .numerics import DEFAULT_TOL, Tolerance, kron, max_abs
 
 __all__ = [
@@ -34,6 +41,7 @@ __all__ = [
     "Submodule",
     "Decomposition",
     "PairFrame",
+    "TripleFrame",
     "ROLE_ORDER",
     "adjoint_rep",
     "ad_matrix",
@@ -44,6 +52,9 @@ __all__ = [
     "permutation_op",
     "apply_swap",
     "apply_pair",
+    "site_left",
+    "site_right",
+    "rotate_pair",
     "lowering_ops",
     "raising_ops",
     "highest_weight_vectors",
@@ -82,6 +93,11 @@ class AdjointRep:
     def frame(self) -> "PairFrame":
         """The :class:`PairFrame` of the basis (the only source of Omega_op), built on first use."""
         return PairFrame(self.basis)
+
+    @cached_property
+    def triple_frame(self) -> "TripleFrame":
+        """The :class:`TripleFrame` of the basis (the dense Yang-Baxter blocks), built on first use."""
+        return TripleFrame(self.basis)
 
 
 @dataclass(frozen=True)
@@ -232,6 +248,33 @@ def apply_pair(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(m * m, -1)
 
 
+def site_left(a: np.ndarray, x: np.ndarray, site: int) -> np.ndarray:
+    """(a (x) 1) x for ``site`` 0 and (1 (x) a) x for ``site`` 1, on a (D,) or (D, k) array.
+
+    One m x m matmul on a reshaped view: m^3 k multiply-adds, where the
+    product with the dense D x D factor would take m^4 k.
+    """
+    m = a.shape[0]
+    if site == 0:
+        return (a @ x.reshape(m, -1)).reshape(x.shape)
+    return np.matmul(a, x.reshape(m, m, -1)).reshape(x.shape)
+
+
+def site_right(x: np.ndarray, a: np.ndarray, site: int) -> np.ndarray:
+    """x (a (x) 1) for ``site`` 0 and x (1 (x) a) for ``site`` 1, on a (k, D) array."""
+    m = a.shape[0]
+    if site == 0:
+        return np.matmul(a.T, x.reshape(-1, m, m)).reshape(x.shape)
+    return (x.reshape(-1, m) @ a).reshape(x.shape)
+
+
+def rotate_pair(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(u (x) u) r (u (x) u)^dagger for a D x D two-site operator r, one site index at a time."""
+    u_h = np.conj(u).T
+    r = site_left(u, site_left(u, r, 0), 1)
+    return site_right(site_right(r, u_h, 1), u_h, 0)
+
+
 def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
@@ -353,11 +396,8 @@ class _WeightBlocks:
 
     def from_weight(self, xw: np.ndarray) -> np.ndarray:
         """(U (x) U)^dagger on the columns of a (D, k) array, as two matmuls."""
-        m = self.U.shape[0]
         uh = np.conj(self.U).T
-        k = xw.shape[1]
-        t = (uh @ xw.reshape(m, m * k)).reshape(m, m, k)
-        return np.matmul(uh, t).reshape(m * m, k)
+        return site_left(uh, site_left(uh, xw, 0), 1)
 
 
 def _weight_blocks(rep: AdjointRep, tol: Tolerance) -> _WeightBlocks:
@@ -560,6 +600,40 @@ class PairFrame:
     def omega(self, x: np.ndarray) -> np.ndarray:
         """Omega_op applied to a (D,) vector or to the columns of a (D, k) array."""
         return self.factors()[0] @ x
+
+
+class TripleFrame:
+    """Weight coordinates of three adjoint sites, for the dense Yang-Baxter residual.
+
+    ``u`` is the change to weight coordinates of :func:`liealg.weight_basis`
+    (a two-site operator r has weight coordinates ``rotate_pair(u, r)``),
+    and ``off`` masks the entries of a two-site operator in weight
+    coordinates that join different total weights.  ``gathers`` holds, for
+    each total weight of the three sites, the flat indices that read R12,
+    R13 and R23 restricted to it out of their (m, m, m, m) weight-coordinate
+    arrays with one zero appended: an entry whose spectator site differs
+    between row and column reads that zero.
+    """
+
+    def __init__(self, basis: SunBasis):
+        m = basis.dim
+        self.u, weights = weight_basis(basis)
+        pair_w = pair_weights(weights)
+        self.off = off_block_mask(pair_w)
+        triple_w = (pair_w.reshape(m, m, 1, -1) + weights[None, None, :, :]).reshape(m**3, -1)
+
+        # the smallest unsigned type that holds m^4: 1.4 MB of indices at n = 4
+        dtype = np.min_scalar_type(m**4)
+
+        def flat(p, q, spectator):
+            # entry (p, q; p', q') of a two-site operator, (p*m + q)*m^2 + p'*m + q'
+            idx = ((p[:, None] * m + q[:, None]) * m + p[None, :]) * m + q[None, :]
+            return np.where(spectator[:, None] == spectator[None, :], idx, m**4).astype(dtype)
+
+        self.gathers = []
+        for block in weight_blocks(triple_w):
+            a, b, c = np.unravel_index(block, (m, m, m))
+            self.gathers.append((flat(a, b, c), flat(a, c, b), flat(b, c, a)))
 
 
 def _measure(

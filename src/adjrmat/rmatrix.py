@@ -34,6 +34,8 @@ The dense Yang-Baxter residual works in the weight basis of
 Cartan weight and both sides of the YBE are block-diagonal in the total
 weight of the three sites; they are formed one block at a time, with the
 weight violation of the rotated R-matrices kept as a floor on the result.
+The rotation, masks and block gather indices depend only on the basis and
+are built once per representation (``rep.triple_frame``).
 """
 
 from __future__ import annotations
@@ -42,10 +44,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjoint_tensor import AdjointRep, Decomposition, PairFrame, apply_swap
-from .liealg import matrix_unit, off_block_mask, pair_weights, weight_basis, weight_blocks
+from .adjoint_tensor import (
+    AdjointRep,
+    Decomposition,
+    PairFrame,
+    ad_matrix,
+    apply_pair,
+    apply_swap,
+    rotate_pair,
+    site_left,
+    site_right,
+)
+from .liealg import matrix_unit
 from .numerics import max_abs
-from .yangian_action import LevelOneAction
+from .yangian_action import LevelOneAction, quartic_part
 
 __all__ = [
     "POLE_GUARD",
@@ -65,6 +77,8 @@ __all__ = [
     "build_R_tilde",
     "r_assembly_residual",
     "r_at_zero_residual",
+    "inversion_residual",
+    "intertwining_residual",
     "ybe_residual",
     "asymptotic_check",
     "derive_coefficients",
@@ -441,24 +455,18 @@ def _on_sites(op: PairOperator, pair: tuple[int, int], v: np.ndarray) -> np.ndar
 
 
 def _ybe_dense_blocks(rep: AdjointRep, rs: list[np.ndarray]) -> float:
-    """Dense YBE residual of (R12, R13, R23) = ``rs``, block by block in total weight."""
-    m = rep.dim
-    u, weights = weight_basis(rep.basis)
-    w2 = np.kron(u, u)
-    pair_w = pair_weights(weights)
-    off = off_block_mask(pair_w)
-    r12, r13, r23 = (w2 @ r @ np.conj(w2).T for r in rs)
-    floor = max(np.linalg.norm(r[off]) / np.linalg.norm(r) for r in (r12, r13, r23))
-    r12, r13, r23 = (r.reshape(m, m, m, m) for r in (r12, r13, r23))
-    triple_w = (pair_w.reshape(m, m, 1, -1) + weights[None, None, :, :]).reshape(m**3, -1)
+    """Dense YBE residual of (R12, R13, R23) = ``rs``, block by block in total weight.
+
+    The weight coordinates, masks and per-block gather indices come from
+    ``rep.triple_frame``, built once per representation.
+    """
+    frame = rep.triple_frame
+    r12, r13, r23 = (rotate_pair(frame.u, r) for r in rs)
+    floor = max(np.linalg.norm(r[frame.off]) / np.linalg.norm(r) for r in (r12, r13, r23))
+    r12, r13, r23 = (np.append(r.ravel(), 0.0) for r in (r12, r13, r23))
     diff2 = norm2 = 0.0
-    for idx in weight_blocks(triple_w):
-        a, b, c = np.unravel_index(idx, (m, m, m))
-        a_r, b_r, c_r = a[:, None], b[:, None], c[:, None]
-        a_c, b_c, c_c = a[None, :], b[None, :], c[None, :]
-        x12 = r12[a_r, b_r, a_c, b_c] * (c_r == c_c)
-        x13 = r13[a_r, c_r, a_c, c_c] * (b_r == b_c)
-        x23 = r23[b_r, c_r, b_c, c_c] * (a_r == a_c)
+    for i12, i13, i23 in frame.gathers:
+        x12, x13, x23 = r12[i12], r13[i13], r23[i23]
         lhs = x12 @ (x13 @ x23)
         rhs = x23 @ (x13 @ x12)
         diff2 += np.linalg.norm(lhs - rhs) ** 2
@@ -505,43 +513,50 @@ def asymptotic_check(rep: AdjointRep, lam_list) -> dict:
     }
 
 
+def inversion_residual(rep: AdjointRep, lam: complex) -> float:
+    """Max-abs of I(lam) I(-lam) - 1, with I(lam) applied in operator form to the columns of I(-lam).
+
+    From rank 6 on, where Omega_op is sparse, this replaces the D^3 product
+    of two dense intertwiners by about nnz(Omega_op) D + O(m D^2) work.
+    """
+    prod = intertwiner_op(rep, lam).apply(build_intertwiner(rep, -lam))
+    prod[np.diag_indices_from(prod)] -= 1.0
+    return max_abs(prod)
+
+
 def intertwining_residual(
     rep: AdjointRep,
     xs: np.ndarray,
-    lam: complex,
+    lams,
     probes: int = 5,
     rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Worst relative residuals of the level-0 and level-1 intertwining relations.
+) -> list[tuple[float, float]]:
+    """Worst relative residuals of the level-0 and level-1 intertwining relations, per lam.
 
     Checks I(lam) D(x) = D(x) I(lam) and I(lam) J(x)_{0,lam} = J(x)_{lam,0} I(lam)
-    for every generator x in the stack ``xs`` (shape (k, n, n)), building
-    I(lam) once, and returns the largest (level-0, level-1) pair.  Dense
-    evaluation up to n = 5; larger ranks apply the operator form of I(lam)
-    to random unit probe vectors (same contract, sampled), ``probes`` fresh
-    ones per generator.
-    """
-    from .adjoint_tensor import ad_matrix, apply_pair
-    from .yangian_action import LevelOneAction, delta_action, level1_action
+    for every generator x in the stack ``xs`` (shape (k, n, n)) and every
+    spectral parameter in ``lams``, and returns one (level-0, level-1) pair
+    per lam: the largest over the generators of
+    max_abs(I D - D I) / max(1, max_abs(D)) and
+    max_abs(I J_0 - J_1 I) / max(1, max_abs(J_0)).
 
+    Up to n = 5 the commutators are formed densely, using linearity in lam:
+    each generator's lam-independent level-1 part is built once for all of
+    ``lams`` (:func:`_dense_intertwining`).  Larger ranks apply the operator form of I(lam) to random unit probe vectors
+    (same contract, sampled), ``probes`` fresh ones per generator, drawn lam
+    by lam and generator by generator.
+    """
+    lams = [complex(z) for z in lams]
+    if rep.dim <= 24:  # n <= 5: dense operators stay small
+        return _dense_intertwining(rep, xs, lams)
     m = rep.dim
-    dense = m <= 24  # n <= 5: dense operators stay small
-    if dense:
-        eye_i = build_intertwiner(rep, lam)
-    else:
-        op = intertwiner_op(rep, lam)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    res0 = res1 = 0.0
-    for x in xs:
-        if dense:
-            d_op = delta_action(rep, x)
-            r0 = max_abs(eye_i @ d_op - d_op @ eye_i) / max(1.0, max_abs(d_op))
-            j0 = level1_action(rep, x, 0.0, lam)
-            j1 = level1_action(rep, x, lam, 0.0)
-            r1 = max_abs(eye_i @ j0 - j1 @ eye_i) / max(1.0, max_abs(j0))
-            res0, res1 = max(res0, float(r0)), max(res1, float(r1))
-        else:
+    out = []
+    for lam in lams:
+        op = intertwiner_op(rep, lam)
+        res0 = res1 = 0.0
+        for x in xs:
             a = ad_matrix(rep.basis, x)
             j0 = LevelOneAction(rep, x, 0.0, lam)
             j1 = LevelOneAction(rep, x, lam, 0.0)
@@ -557,7 +572,48 @@ def intertwining_residual(
                 rhs1 = j1.apply(iv)
                 err1 = np.linalg.norm(lhs1 - rhs1) / max(1.0, np.linalg.norm(lhs1))
                 res1 = max(res1, float(err1))
-    return res0, res1
+        out.append((res0, res1))
+    return out
+
+
+def _dense_intertwining(rep: AdjointRep, xs: np.ndarray, lams: list[complex]):
+    """The dense residuals of :func:`intertwining_residual`, using linearity in lam.
+
+    With a = ad(x), T = T(x) and K = T (x) 1 + 1 (x) T + (1/2)[a (x) 1, Omega_op],
+    the level-1 actions are J_0 = lam (1 (x) a) + K and J_1 = lam (a (x) 1) + K, so
+
+        I J_0 - J_1 I = lam (I (1 (x) a) - (a (x) 1) I) + (I K - K I).
+
+    K is built once per generator, and every product with a (x) 1 or 1 (x) a
+    is an m x m matmul (:func:`site_left`, :func:`site_right`); only I K and
+    K I are D^3 products.
+    """
+    i_lams = [build_intertwiner(rep, lam) for lam in lams]
+    omega = rep.frame.dense_omega()
+    eye = np.eye(rep.dim)
+    res = np.zeros((len(lams), 2))
+    for x in xs:
+        a = ad_matrix(rep.basis, x)
+        one_a = np.kron(eye, a)
+        scale0 = max(1.0, max_abs(np.kron(a, eye) + one_a))
+        k = site_left(a, omega, 0)
+        k -= site_right(omega, a, 0)
+        k *= 0.5
+        t = quartic_part(rep, x)
+        k += np.kron(t, eye) + np.kron(eye, t)
+        for row, lam, i_lam in zip(res, lams, i_lams):
+            # lin = I (1 (x) a) - (a (x) 1) I, and c = [I, a (x) 1 + 1 (x) a] from it
+            lin = site_right(i_lam, a, 1)
+            lin -= site_left(a, i_lam, 0)
+            c = site_right(i_lam, a, 0)
+            c -= site_left(a, i_lam, 1)
+            c += lin
+            row[0] = max(row[0], max_abs(c) / scale0)
+            c = i_lam @ k
+            c -= k @ i_lam
+            c += lam * lin
+            row[1] = max(row[1], max_abs(c) / max(1.0, max_abs(k + lam * one_a)))
+    return [(float(r0), float(r1)) for r0, r1 in res]
 
 
 # ---------------------------------------------------------------------------

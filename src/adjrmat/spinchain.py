@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint_tensor import AdjointRep, Decomposition, casimir_op
+from .adjoint_tensor import AdjointRep, Decomposition, casimir_op, rotate_pair
 from .liealg import SunBasis, off_block_mask, pair_weights, weight_basis, weight_blocks
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, frobenius, max_abs
 from .rmatrix import (
@@ -318,13 +318,7 @@ def two_site_spectrum(local: LocalHamiltonian, tol: Tolerance = DEFAULT_TOL):
     ``tol.abs_tol`` outside the blocks raises ``AssertionError``.
     """
     u, weights = weight_basis(local.basis)
-    m = u.shape[0]
-    u_h = np.conj(u).T
-    # (U (x) U) h (U (x) U)^dagger, one site index at a time
-    t = (u @ local.h.reshape(m, m * m * m)).reshape(m, m, m * m)
-    t = np.matmul(u, t).reshape(m * m * m, m) @ u_h
-    t = (t.reshape(m * m, m, m).transpose(0, 2, 1) @ u_h).transpose(0, 2, 1)
-    h_w = t.reshape(m * m, m * m)
+    h_w = rotate_pair(u, local.h)
     pair_w = pair_weights(weights)
     stray = max_abs(h_w[off_block_mask(pair_w)])
     if stray > tol.abs_tol:

@@ -9,6 +9,11 @@ parameters (mu, lam) is
 with the quartic part T(x) = (1/4) sum_ab tr(x {I^a, I^b}) S^a S^b, traces
 taken in the fundamental n x n space and all products S^a S^b as adjoint
 matrix products.
+
+The dense D x D forms (:meth:`LevelOneAction.dense`, :func:`level1_action`,
+:func:`delta_action`) are the oracle of the dense intertwining checks of
+:func:`rmatrix.intertwining_residual`, which use linearity in the spectral
+parameters instead; no command builds them.
 """
 
 from __future__ import annotations

@@ -4,6 +4,15 @@ import pytest
 from adjrmat.adjoint_tensor import adjoint_rep, build_decomposition
 from adjrmat.liealg import build_basis
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, and no example database written into the tree
+    settings.register_profile("reproducible", derandomize=True, database=None)
+    settings.load_profile("reproducible")
+
 
 class _Algebra:
     """Layer-lazy cache: decompositions are only built when requested."""

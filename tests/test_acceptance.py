@@ -147,8 +147,8 @@ def test_criterion_4_intertwiner():
             for lam in sample_spectral_parameters(rng, n, 5, symmetric=True):
                 prod = build_intertwiner(dec.rep, lam) @ build_intertwiner(dec.rep, -lam)
                 assert np.max(np.abs(prod - eye)) <= 1e-8
-            for lam in sample_spectral_parameters(rng, n, 5):
-                r0, r1 = intertwining_residual(dec.rep, basis.generators, lam)
+            lams = sample_spectral_parameters(rng, n, 5)
+            for r0, r1 in intertwining_residual(dec.rep, basis.generators, lams):
                 assert r0 <= 1e-8 and r1 <= 1e-8
             recovery = derive_coefficients(dec, sample_spectral_parameters(rng, n, 3), rng=rng)
             assert recovery["max_error"] <= 1e-8

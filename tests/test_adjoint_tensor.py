@@ -13,6 +13,9 @@ from adjrmat.adjoint_tensor import (
     lowering_ops,
     permutation_op,
     raising_ops,
+    rotate_pair,
+    site_left,
+    site_right,
     tensor_coords,
     tensor_from_coords,
 )
@@ -20,6 +23,26 @@ from adjrmat.liealg import matrix_unit
 from adjrmat.numerics import DEFAULT_TOL, extend_orthonormal
 
 TOL = 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_site_products_match_kron(rng, k):
+    """site_left / site_right against the dense a (x) 1 and 1 (x) a, on both sides."""
+    m = 5
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    x = rng.standard_normal((m * m, k)) + 1j * rng.standard_normal((m * m, k))
+    for site, dense in enumerate((np.kron(a, np.eye(m)), np.kron(np.eye(m), a))):
+        assert np.max(np.abs(site_left(a, x, site) - dense @ x)) < 1e-12
+        assert np.max(np.abs(site_right(x.T, a, site) - x.T @ dense)) < 1e-12
+        assert np.max(np.abs(site_left(a, x[:, 0], site) - dense @ x[:, 0])) < 1e-12
+
+
+def test_rotate_pair_matches_kron(rng):
+    m = 4
+    u = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    r = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
+    w2 = np.kron(u, u)
+    assert np.max(np.abs(rotate_pair(u, r) - w2 @ r @ w2.conj().T)) < 1e-12
 
 
 def test_adjoint_matrices_su3(algebra):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adjrmat import cli, jsonio, spinchain
+from adjrmat import cli, jsonio, spinchain, yangian_action
 from adjrmat.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -195,6 +195,24 @@ def test_rmatrix_and_hamiltonian_commands_build_no_decomposition(tmp_path, monke
         assert run(tmp_path, *argv)[0] == 0, argv
     # the patch is live: a command that reads submodules fails its self-check
     assert run(tmp_path, "build", "projectors", "--n", "3")[0] == 1
+
+
+def test_intertwiner_checks_build_no_dense_level1_action(tmp_path, monkeypatch):
+    """The dense intertwining checks use linearity in lambda, not the dense actions of the tests' oracle."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense level-0 or level-1 action was built")
+
+    monkeypatch.setattr(yangian_action, "level1_action", refuse)
+    monkeypatch.setattr(yangian_action, "delta_action", refuse)
+    monkeypatch.setattr(yangian_action.LevelOneAction, "dense", refuse)
+    code, payload = run(tmp_path, "verify", "intertwiner", "--n", "4")
+    assert code == 0
+    # the intertwiner suite's ids, which lead the n = 3 list
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[:16]
+    code, payload = run(tmp_path, "verify", "all", "--n", "3", "--seed", "42")
+    assert code == 0
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS
 
 
 def test_wrong_h_table_fails_only_its_check(tmp_path, monkeypatch):

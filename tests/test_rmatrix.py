@@ -4,10 +4,11 @@ import pytest
 from adjrmat.adjoint_tensor import casimir_op, permutation_op
 from adjrmat.spinchain import local_h
 from adjrmat.liealg import weight_basis
-from adjrmat.numerics import DEFAULT_TOL
+from adjrmat.numerics import DEFAULT_TOL, max_abs
 from adjrmat import rmatrix
 from adjrmat.rmatrix import (
     DENSE_YBE_MAX_DIM,
+    SAMPLE_RADIUS,
     CoefficientSet,
     _assemble,
     _intertwiner_coefficients,
@@ -19,6 +20,7 @@ from adjrmat.rmatrix import (
     derive_coefficients,
     intertwiner_op,
     intertwining_residual,
+    inversion_residual,
     operator_form,
     r_assembly_residual,
     r_at_zero_residual,
@@ -28,6 +30,7 @@ from adjrmat.rmatrix import (
     sample_ybe_pairs,
     ybe_residual,
 )
+from adjrmat.yangian_action import delta_action, level1_action
 
 TOL = 1e-9
 
@@ -47,13 +50,67 @@ def test_intertwiner_inversion(algebra, rng, n):
         assert np.max(np.abs(prod - eye)) < 1e-8
 
 
+def test_inversion_residual_matches_dense_product(algebra, rng):
+    rep = algebra.rep(4)
+    eye = np.eye(rep.dim**2)
+    for lam in sample_spectral_parameters(rng, 4, 3, symmetric=True):
+        dense = max_abs(build_intertwiner(rep, lam) @ build_intertwiner(rep, -lam) - eye)
+        res = inversion_residual(rep, lam)
+        assert res < 1e-8
+        assert abs(res - dense) < 1e-13
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_intertwining_property(algebra, rng, n):
     basis, rep = algebra.basis(n), algebra.rep(n)
-    for lam in sample_spectral_parameters(rng, n, 2):
-        r0, r1 = intertwining_residual(rep, basis.generators, lam)
+    for r0, r1 in intertwining_residual(rep, basis.generators, sample_spectral_parameters(rng, n, 2)):
         assert r0 < 1e-8
         assert r1 < 1e-8
+
+
+def _intertwining_oracle(rep, xs, lams):
+    """The retired dense path: delta_action and level1_action per generator and per lam."""
+    out = []
+    for lam in lams:
+        i_lam = build_intertwiner(rep, lam)
+        res0 = res1 = 0.0
+        for x in xs:
+            d_op = delta_action(rep, x)
+            res0 = max(res0, max_abs(i_lam @ d_op - d_op @ i_lam) / max(1.0, max_abs(d_op)))
+            j0 = level1_action(rep, x, 0.0, lam)
+            j1 = level1_action(rep, x, lam, 0.0)
+            res1 = max(res1, max_abs(i_lam @ j0 - j1 @ i_lam) / max(1.0, max_abs(j0)))
+        out.append((res0, res1))
+    return out
+
+
+# the last one lies near the edge |lam| = SAMPLE_RADIUS of the sampling disk
+_ORACLE_LAMS = [0.37 - 0.52j, -1.2 + 0.8j, 0.98 * SAMPLE_RADIUS * np.exp(2.0j)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dense_intertwining_matches_retired_path(algebra, n):
+    basis, rep = algebra.basis(n), algebra.rep(n)
+    got = intertwining_residual(rep, basis.generators, _ORACLE_LAMS)
+    want = _intertwining_oracle(rep, basis.generators, _ORACLE_LAMS)
+    assert len(got) == len(_ORACLE_LAMS)
+    for pair, oracle in zip(got, want):
+        assert max(pair) < 1e-8
+        assert max(abs(g - w) for g, w in zip(pair, oracle)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_intertwining_level1_catches_wrong_block(algebra, monkeypatch, n):
+    """Any 2x2 block keeps I(lam) invariant, so only the level-1 relation sees N(lam) in place of M(lam)."""
+    basis, rep = algebra.basis(n), algebra.rep(n)
+    right = CoefficientSet.M
+    monkeypatch.setattr(CoefficientSet, "M", lambda self, lam: right(self, lam) @ np.diag([1.0, -1.0]))
+    lams = _ORACLE_LAMS[:2]
+    got = intertwining_residual(rep, basis.generators, lams)
+    for (r0, r1), (_, oracle1) in zip(got, _intertwining_oracle(rep, basis.generators, lams)):
+        assert r0 <= 1e-8
+        assert r1 > 1e-8
+        assert abs(r1 - oracle1) <= 1e-12 * oracle1
 
 
 def test_coefficient_closed_forms():
@@ -376,8 +433,8 @@ def test_omega_from_f_matches_casimir_op(algebra, rng, n):
 def test_intertwining_probes_su6(algebra):
     """From n = 6 the intertwining relations are probed through the CSR frame."""
     basis, rep = algebra.basis(6), algebra.rep(6)
-    res0, res1 = intertwining_residual(
-        rep, basis.generators, 0.37 - 0.52j, probes=2, rng=np.random.default_rng(5)
+    [(res0, res1)] = intertwining_residual(
+        rep, basis.generators, [0.37 - 0.52j], probes=2, rng=np.random.default_rng(5)
     )
     assert res0 <= 1e-8 and res1 <= 1e-8
 
