@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, jsonio
 from .adjoint_tensor import adjoint_rep, build_decomposition
 from .liealg import build_basis
-from .numerics import Tolerance, eig_general, frobenius, max_abs
+from .numerics import Tolerance, frobenius, max_abs
 from .rmatrix import (
     DEFAULT_SEED,
     DENSE_YBE_MAX_DIM,
@@ -41,7 +41,9 @@ from .rmatrix import (
 )
 from .spinchain import (
     chain_H,
+    chain_spectrum,
     commutation_check,
+    global_symmetry_residual,
     h_oracle_residuals,
     local_h,
     spin_operators,
@@ -293,28 +295,14 @@ def suite_chain(ctx: _Context) -> list[dict]:
     dec = ctx.dec
     m = n * n - 1
     chain = chain_H(local, sites)
-    checks = []
-    # global invariance under the diagonal algebra action
-    from .adjoint_tensor import ad_matrix
-
-    worst = 0.0
-    dim = m**sites
-    scale = max(1.0, max_abs(chain.H))
-    for a in range(m):
-        gen = ad_matrix(ctx.basis, ctx.basis.generators[a])
-        total = sum(
-            np.kron(np.kron(np.eye(m**(s - 1)), gen), np.eye(m**(sites - s)))
-            for s in range(1, sites + 1)
-        )
-        worst = max(worst, max_abs(chain.H @ total - total @ chain.H) / scale)
-    checks.append(_check("chain-global-symmetry", worst, 1e-8))
-    eigs = [w for w, _ in eig_general(chain.H, cfg.tol)]
+    checks = [_check("chain-global-symmetry", global_symmetry_residual(chain, ctx.basis), 1e-8)]
+    eigs = chain_spectrum(local, sites, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)
     op = ">" if sites >= 3 else "<="
     threshold = 1e-6 if sites >= 3 else 1e-8
     check_id = "chain-spectrum-complex" if sites >= 3 else "chain-spectrum-real"
     checks.append(_check(check_id, max_imag, threshold, op=op,
-                         params={"sites": sites, "dimension": dim}))
+                         params={"sites": sites, "dimension": m**sites}))
     rng = ctx.rng()
     for nsites in (2, 3):
         lam, mu = sample_ybe_pairs(rng, n, 1)[0]
@@ -322,7 +310,7 @@ def suite_chain(ctx: _Context) -> list[dict]:
         checks.append(_check("transfer-commutation", res, 1e-8,
                              params={"sites": nsites, "lambda": _cpair(lam), "mu": _cpair(mu)}))
         t = transfer_matrix(dec, lam, nsites)
-        h_n = chain_H(local, nsites).H
+        h_n = chain.H if nsites == sites else chain_H(local, nsites).H
         res_h = frobenius(t @ h_n - h_n @ t) / (frobenius(t) * frobenius(h_n))
         checks.append(_check("transfer-hamiltonian-commutation", res_h, 1e-7,
                              params={"sites": nsites, "lambda": _cpair(lam)}))
@@ -470,9 +458,7 @@ def run_spectrum(cfg: RunConfig, convention: str) -> dict:
         fit = verify_spinform(local, ops, cfg.tol)
         h = fit["scale"] * local.h + fit["shift"] * np.eye(local.h.shape[0])
         local = dataclasses.replace(local, h=h)
-    chain = chain_H(local, cfg.sites)
-    eigs = [w for w, _ in eig_general(chain.H, cfg.tol)]
-    eigs.sort(key=lambda z: (z.real, z.imag))
+    eigs = chain_spectrum(local, cfg.sites, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)
     return {
         "kind": "spectrum",

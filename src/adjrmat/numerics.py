@@ -1,8 +1,9 @@
 """Dense complex linear algebra substrate.
 
-Matrices are plain numpy arrays of dtype complex128, coordinate vectors are
-1-D arrays.  Residual contracts (orthonormalization, the eigensolver) are
-decided against an explicit :class:`Tolerance`, never exactly.
+Matrices are plain numpy arrays of dtype complex128 (the eigensolver also
+takes real float64 input), coordinate vectors are 1-D arrays.  Residual
+contracts (orthonormalization, the eigensolver) are decided against an
+explicit :class:`Tolerance`, never exactly.
 """
 
 from __future__ import annotations
@@ -154,9 +155,11 @@ def eig_general(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[tuple[compl
     Backed by LAPACK's Hessenberg-reduction + shifted-QR driver.  Every
     returned pair (lam, v) is verified to satisfy
     ||m v - lam v|| <= abs_tol * max(||m||_F, 1); the eigenvalue count (with
-    multiplicity) equals the dimension.
+    multiplicity) equals the dimension.  A real matrix is solved in real
+    arithmetic, so its complex eigenvalues come in exactly conjugate pairs.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     try:

@@ -14,12 +14,13 @@ deliberately non-Hermitian while keeping a real two-site spectrum.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint_tensor import AdjointRep, Decomposition, casimir_op, rotate_pair
-from .liealg import SunBasis, off_block_mask, pair_weights, weight_basis, weight_blocks
+from .adjoint_tensor import AdjointRep, Decomposition, ad_matrix, casimir_op, rotate_pair
+from .liealg import SunBasis, pair_weights, weight_basis, weight_blocks
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, frobenius, max_abs
 from .rmatrix import (
     CoefficientSet,
@@ -43,7 +44,9 @@ __all__ = [
     "chain_H",
     "transfer_matrix",
     "commutation_check",
+    "global_symmetry_residual",
     "two_site_spectrum",
+    "chain_spectrum",
 ]
 
 CHAIN_DIM_CAP = 10_000
@@ -263,9 +266,12 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
     The monodromy is the ordered product of R factors over an auxiliary
     adjoint space with the site-1 factor leftmost; this ordering makes t(lam)
     the generating object for H = sum_i h_{i,i+1} (the opposite ordering
-    generates the reflected chain).  The chain of R factors is contracted
-    directly; the monodromy on the auxiliary (x) chain space is never
-    materialized as a matrix.
+    generates the reflected chain).  The first L-1 factors are contracted
+    along the auxiliary index, and the last factor is contracted over both
+    of its auxiliary indices in one ``tensordot``, which takes the trace
+    inside that product.  The largest array has m^(2L) entries, those of
+    t(lam) itself; the monodromy on the auxiliary (x) chain space is never
+    formed.
 
     Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
     benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
@@ -273,12 +279,14 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
     n = dec.n
     m = n * n - 1
     check_pole_distance(lam, n)
+    if sites < 2:
+        raise ValueError("a chain needs at least two sites")
     if m**sites > CHAIN_DIM_CAP:
         raise ValueError(f"transfer-matrix dimension {m**sites} exceeds the dense cap")
     r4 = build_R(dec.rep, lam).reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
     # w carries [aux_out, aux_in, o_1..o_k, i_1..i_k]
     w = r4.transpose(0, 2, 1, 3)
-    for _ in range(sites - 1):
+    for _ in range(sites - 2):
         k = (w.ndim - 2) // 2
         # append the factor for the next site on the right of the product
         w = np.tensordot(w, r4, axes=([1], [0]))
@@ -291,9 +299,12 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
             + [2 * k + 3]
         )
         w = w.transpose(perm)
-    t = np.trace(w, axis1=0, axis2=1)
+    # the last factor closes the trace: its aux_out meets w's aux_in, its aux_in w's aux_out
+    k = sites - 1
+    t = np.tensordot(w, r4, axes=([1, 0], [0, 2]))  # [o_1..o_k, i_1..i_k, o_L, i_L]
+    perm = list(range(k)) + [2 * k] + list(range(k, 2 * k)) + [2 * k + 1]
     dim = m**sites
-    return t.reshape(dim, dim)
+    return t.transpose(perm).reshape(dim, dim)
 
 
 def commutation_check(dec: Decomposition, lam: complex, mu: complex, sites: int) -> float:
@@ -307,6 +318,63 @@ def commutation_check(dec: Decomposition, lam: complex, mu: complex, sites: int)
     return float(frobenius(t1 @ t2 - t2 @ t1) / (frobenius(t1) * frobenius(t2)))
 
 
+def global_symmetry_residual(chain: ChainHamiltonian, basis: SunBasis) -> float:
+    """Largest normalized commutator of H with the diagonal action of a generator.
+
+    Returns max over the generators x of max_abs([H, sum_s ad_s(x)]) /
+    max(1, max_abs(H)), where ad_s(x) acts on site s.  Each ad_s(x) is
+    applied to one output or one input site index of H by an m x m matmul
+    on a reshaped view: 2 L m dim^2 multiply-adds per generator, where the
+    products with the L-site Kronecker sum would take 2 dim^3.
+    """
+    m = basis.dim
+    sites = chain.sites
+    dim = m**sites
+    h = chain.H
+    scale = max(1.0, max_abs(h))
+    worst = 0.0
+    for gen in basis.generators:
+        ad = ad_matrix(basis, gen)
+        # H T on the input indices, the last one a plain matmul
+        comm = (h.reshape(-1, m) @ ad).reshape(dim, dim)
+        for s in range(1, sites):
+            comm += np.matmul(ad.T, h.reshape(dim * m ** (s - 1), m, -1)).reshape(dim, dim)
+        # minus T H on the output indices
+        for s in range(1, sites + 1):
+            comm -= np.matmul(ad, h.reshape(m ** (s - 1), m, -1)).reshape(dim, dim)
+        worst = max(worst, max_abs(comm) / scale)
+    return worst
+
+
+def _sector_eigenvalues(
+    op_w: np.ndarray, weights: np.ndarray, tol: Tolerance, what: str, real: bool = False
+) -> list[complex]:
+    """Eigenvalues of an operator in weight coordinates, one total-weight block at a time.
+
+    ``weights`` holds the total weight of each row.  An entry of ``op_w``
+    above ``tol.abs_tol`` joining two different weights raises
+    ``AssertionError``; so does, with ``real``, an imaginary part above
+    ``tol.abs_tol``, after which the blocks are solved in real arithmetic.
+    Each block goes through :func:`eig_general` with its residual contract.
+    """
+    blocks = weight_blocks(weights)
+    label = np.empty(len(weights), dtype=int)
+    for b, idx in enumerate(blocks):
+        label[idx] = b
+    stray = max_abs(op_w[label[:, None] != label[None, :]])
+    if stray > tol.abs_tol:
+        raise AssertionError(f"{what} leaves its weight blocks ({stray:.3e})")
+    if real:
+        imag = max_abs(op_w.imag)
+        if imag > tol.abs_tol:
+            raise AssertionError(f"{what} is not real in weight coordinates ({imag:.3e})")
+        op_w = op_w.real
+    eigenvalues = []
+    for idx in blocks:
+        eigenvalues.extend(z for z, _ in eig_general(op_w[np.ix_(idx, idx)], tol))
+    return sorted(eigenvalues, key=lambda z: (z.real, z.imag))
+
+
 def two_site_spectrum(local: LocalHamiltonian, tol: Tolerance = DEFAULT_TOL):
     """Eigenvalues of the two-site density (sorted by real, then imaginary part).
 
@@ -315,15 +383,33 @@ def two_site_spectrum(local: LocalHamiltonian, tol: Tolerance = DEFAULT_TOL):
     block-diagonal in the total weight, and each block goes through
     :func:`eig_general` with its residual contract (at n = 5 the largest
     block has 36 of the 576 dimensions).  An entry of the rotated h above
-    ``tol.abs_tol`` outside the blocks raises ``AssertionError``.
+    ``tol.abs_tol`` outside the blocks raises ``AssertionError``.  The
+    blocks are solved in complex arithmetic; :func:`chain_spectrum` shares
+    the block solve.
     """
     u, weights = weight_basis(local.basis)
-    h_w = rotate_pair(u, local.h)
-    pair_w = pair_weights(weights)
-    stray = max_abs(h_w[off_block_mask(pair_w)])
-    if stray > tol.abs_tol:
-        raise AssertionError(f"two-site density leaves its weight blocks ({stray:.3e})")
-    eigenvalues = []
-    for idx in weight_blocks(pair_w):
-        eigenvalues.extend(z for z, _ in eig_general(h_w[np.ix_(idx, idx)], tol))
-    return sorted(eigenvalues, key=lambda z: (z.real, z.imag))
+    return _sector_eigenvalues(
+        rotate_pair(u, local.h), pair_weights(weights), tol, "two-site density"
+    )
+
+
+def chain_spectrum(local: LocalHamiltonian, sites: int, tol: Tolerance = DEFAULT_TOL):
+    """Eigenvalues of the periodic chain H (sorted by real, then imaginary part).
+
+    H conserves the total Cartan weight.  h is rotated to two-site weight
+    coordinates with :func:`rotate_pair` and the chain is assembled from it
+    by :func:`chain_H`, which gives H in the product weight basis; the m^L
+    indices are grouped by total weight (37 sectors at n = 3, L = 3, the
+    largest of 56) and each sector goes through :func:`eig_general`.  In
+    weight coordinates H is real, so the sectors are solved in real
+    arithmetic and every complex eigenvalue comes with its exact (bit-equal)
+    conjugate.  An entry above ``tol.abs_tol`` outside the sectors, or an
+    imaginary part above it, raises ``AssertionError``.
+    """
+    u, weights = weight_basis(local.basis)
+    rotated = dataclasses.replace(local, h=rotate_pair(u, local.h))
+    total = weights  # total[a_1..a_k] = weights[a_1] + ... + weights[a_k], site 1 slowest
+    for _ in range(sites - 1):
+        total = (total[:, None, :] + weights[None, :, :]).reshape(-1, weights.shape[1])
+    return _sector_eigenvalues(chain_H(rotated, sites).H, total, tol, "chain Hamiltonian",
+                               real=True)

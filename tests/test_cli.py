@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,20 @@ def test_spectrum_three_sites_flags_complex(tmp_path):
     assert code == 0
     assert payload["all_real"] is False
     assert payload["complex_count"] > 0
+
+
+def test_spectrum_deterministic_with_exact_conjugate_pairs(tmp_path):
+    """Two runs print the same bytes; every complex eigenvalue has its bit-equal conjugate."""
+    texts = []
+    for k in range(2):
+        out = tmp_path / f"spectrum{k}.json"
+        assert main(["spectrum", "--n", "3", "--sites", "3", "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    eigs = json.loads(texts[0])["eigenvalues"]
+    pairs = Counter((re, im) for re, im in eigs if im != 0.0)
+    assert pairs
+    assert pairs == Counter((re, -im) for re, im in pairs.elements())
 
 
 def test_spectrum_rejects_short_chain(tmp_path):

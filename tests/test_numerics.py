@@ -132,6 +132,20 @@ def test_eig_trace_and_det(rng, dim):
     assert abs(np.prod(vals) - det) < 1e-7 * max(1.0, abs(det))
 
 
+def test_eig_real_input_gives_exact_conjugate_pairs(rng):
+    m = rng.standard_normal((9, 9))
+    vals = [w for w, _ in eig_general(m)]
+    pairs = sorted((w.real, w.imag) for w in vals if w.imag != 0.0)
+    assert pairs and pairs == sorted((re, -im) for re, im in pairs)
+    assert abs(sum(vals) - np.trace(m)) < 1e-10
+
+
+def test_eig_complex_input_unchanged(rng):
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    w = np.linalg.eig(m)[0]
+    assert [z for z, _ in eig_general(m)] == [complex(z) for z in w]
+
+
 def test_eig_rejects_nonsquare():
     with pytest.raises(ValueError):
         eig_general(np.zeros((2, 3)))

@@ -1,14 +1,18 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from adjrmat.adjoint_tensor import ad_matrix, permutation_op
 from adjrmat.numerics import eig_general
-from adjrmat.rmatrix import sample_ybe_pairs
+from adjrmat.rmatrix import build_R, sample_ybe_pairs
 from adjrmat.spinchain import (
     chain_H,
+    chain_spectrum,
     commutation_check,
+    global_symmetry_residual,
     h_oracle_residuals,
     local_h,
     spin_operators,
@@ -200,23 +204,62 @@ def test_two_site_chain_is_h_plus_flipped(locals_cache):
 
 
 def test_chain_global_symmetry(algebra, locals_cache):
+    """The library residual against the L-site Kronecker sums of ad(x)."""
     basis = algebra.basis(3)
     loc = locals_cache(3)
     chain = chain_H(loc, 3)
     m = 8
+    scale = max(1.0, np.max(np.abs(chain.H)))
+    worst = 0.0
     for a in range(m):
         gen = ad_matrix(basis, basis.generators[a])
         total = sum(
             np.kron(np.kron(np.eye(m ** (s - 1)), gen), np.eye(m ** (3 - s)))
             for s in (1, 2, 3)
         )
-        assert np.max(np.abs(chain.H @ total - total @ chain.H)) < TOL * m * m
+        comm = np.max(np.abs(chain.H @ total - total @ chain.H))
+        assert comm < TOL * m * m
+        worst = max(worst, comm / scale)
+    assert abs(global_symmetry_residual(chain, basis) - worst) <= 1e-13
+
+
+def test_global_symmetry_residual_detects_broken_invariance(algebra, locals_cache):
+    loc = locals_cache(3)
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal(loc.h.shape) + 1j * rng.standard_normal(loc.h.shape)
+    broken = dataclasses.replace(loc, h=loc.h + 1e-3 * noise)
+    for sites in (2, 3):
+        assert global_symmetry_residual(chain_H(broken, sites), algebra.basis(3)) > 1e-8
 
 
 def test_chain_three_sites_has_complex_spectrum(locals_cache):
-    chain = chain_H(locals_cache(3), 3)
-    eigs = [w for w, _ in eig_general(chain.H)]
+    eigs = chain_spectrum(locals_cache(3), 3)
     assert max(abs(w.imag) for w in eigs) > 1e-6
+
+
+@pytest.mark.parametrize("n, sites", [(3, 2), (3, 3), (4, 2)])
+def test_chain_spectrum_matches_dense(locals_cache, n, sites):
+    """The weight-sector spectrum against one dense solve of H, matched by assignment.
+
+    The defective cluster of L = 3 is resolved only to about 1e-7.
+    """
+    loc = locals_cache(n)
+    dense = np.array([w for w, _ in eig_general(chain_H(loc, sites).H)])
+    sectors = np.array(chain_spectrum(loc, sites))
+    assert len(sectors) == len(dense)
+    cost = np.abs(sectors[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-6
+    assert np.sum(np.abs(sectors.imag) > 1e-6) == np.sum(np.abs(dense.imag) > 1e-6)
+
+
+def test_chain_spectrum_refuses_weight_violation(locals_cache):
+    loc = locals_cache(3)
+    rng = np.random.default_rng(2)
+    noise = rng.standard_normal(loc.h.shape) + 1j * rng.standard_normal(loc.h.shape)
+    broken = dataclasses.replace(loc, h=loc.h + 1e-6 * noise)
+    with pytest.raises(AssertionError, match="weight blocks"):
+        chain_spectrum(broken, 2)
 
 
 def test_chain_dimension_cap(locals_cache):
@@ -254,3 +297,44 @@ def test_transfer_at_zero_is_translation(algebra):
     translation = np.zeros((dim, dim))
     translation[idx, shifted] = 1.0
     assert np.max(np.abs(t0 - translation)) < 1e-12
+
+
+def _transfer_matrix_oracle(dec, lam, sites):
+    """t(lam) from the full monodromy tensor, traced last (m^(2L+2) entries)."""
+    m = dec.n * dec.n - 1
+    r4 = build_R(dec.rep, lam).reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
+    w = r4.transpose(0, 2, 1, 3)  # [aux_out, aux_in, o_1..o_k, i_1..i_k]
+    for _ in range(sites - 1):
+        k = (w.ndim - 2) // 2
+        w = np.tensordot(w, r4, axes=([1], [0]))
+        perm = (
+            [0, 2 * k + 2]
+            + list(range(1, 1 + k))
+            + [2 * k + 1]
+            + list(range(1 + k, 1 + 2 * k))
+            + [2 * k + 3]
+        )
+        w = w.transpose(perm)
+    return np.trace(w, axis1=0, axis2=1).reshape(m**sites, m**sites)
+
+
+@pytest.mark.parametrize("n, sites", [(3, 2), (3, 3), (4, 2)])
+def test_transfer_matrix_matches_full_tensor_oracle(algebra, n, sites):
+    dec = algebra.dec(n)
+    for lam in (0.37 + 0.21j, -1.3 + 0.8j):
+        want = _transfer_matrix_oracle(dec, lam, sites)
+        got = transfer_matrix(dec, lam, sites)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_transfer_matrix_memory(algebra):
+    """One n = 3, L = 3 transfer matrix stays far below the 268 MB monodromy tensor."""
+    dec = algebra.dec(3)
+    transfer_matrix(dec, 0.37 + 0.21j, 3)
+    tracemalloc.start()
+    try:
+        transfer_matrix(dec, 0.37 + 0.21j, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
