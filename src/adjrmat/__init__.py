@@ -29,7 +29,6 @@ from .rmatrix import (
     ybe_residual,
 )
 from .spinchain import (
-    ChainHamiltonian,
     LocalHamiltonian,
     SpinOperators,
     chain_H,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjointRep",
-    "ChainHamiltonian",
     "CoefficientSet",
     "DEFAULT_TOL",
     "Decomposition",

@@ -143,6 +143,7 @@ class Decomposition:
     rep: AdjointRep
     submodules: list[Submodule]
     iso_s_to_a: np.ndarray
+    completeness_residual: float  # max_abs(B^dagger B - 1) of the stacked bases
 
     def by_role(self, role: str) -> Submodule:
         for sub in self.submodules:
@@ -636,15 +637,14 @@ class TripleFrame:
             self.gathers.append((flat(a, b, c), flat(a, c, b), flat(b, c, a)))
 
 
-def _measure(
-    rep: AdjointRep, B: np.ndarray, tol: Tolerance, omega_dense: np.ndarray, parity: int | None
-) -> tuple[float, int]:
+def _measure(rep: AdjointRep, B: np.ndarray, tol: Tolerance, parity: int | None) -> tuple[float, int]:
     """Measured Casimir eigenvalue and exchange parity of a submodule basis.
 
-    A stated ``parity`` (``None`` for none) must match the measured one.
+    Omega_op is applied through ``rep.frame``.  A stated ``parity`` (``None``
+    for none) must match the measured one.
     """
     m = rep.dim
-    omega_b = omega_dense @ B
+    omega_b = rep.frame.omega(B)
     ev = np.vdot(B[:, 0], omega_b[:, 0])
     res = max_abs(np.linalg.norm(omega_b - ev * B, axis=0))
     if abs(ev.imag) > tol.abs_tol * m or res > tol.abs_tol * m:
@@ -677,7 +677,8 @@ def generate_submodule(
     its lowering orbit would not span a submodule.  The orbit is closed in
     weight blocks (see :func:`_orbit`); the measured Casimir eigenvalue and
     exchange parity are validated on every basis vector in Gell-Mann
-    coordinates against the dense Omega_op, and a stated parity must match.
+    coordinates against Omega_op applied through ``rep.frame``, and a stated
+    parity must match.
     """
     if isinstance(hwv, HighestWeight):
         coords = hwv.coords
@@ -687,7 +688,7 @@ def generate_submodule(
     else:
         coords = np.asarray(hwv, dtype=complex)
     B = _orbit(_weight_blocks(rep, tol), coords, tol)
-    omega_ev, parity = _measure(rep, B, tol, casimir_op(rep), parity)
+    omega_ev, parity = _measure(rep, B, tol, parity)
     return Submodule(label or "", role or "", coords, B, omega_ev, parity)
 
 
@@ -703,17 +704,17 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     orbit of its highest-weight vector, closed one two-site weight block at a
     time (the blocks and the gathered lowering operators are built once per
     call and shared by the orbits).  The checks read only the Gell-Mann
-    bases and the dense Omega_op (one :func:`casimir_op` per call), never the
-    weight frame: Casimir eigenvalue and exchange parity of every basis, the
-    sum of dimensions, completeness and mutual orthogonality of the
-    projectors, and the isometry phase are verified before returning.
+    bases and Omega_op applied through ``rep.frame``, never the weight frame:
+    Casimir eigenvalue and exchange parity of every basis, the sum of
+    dimensions, completeness and mutual orthogonality of the projectors
+    (whose residual is kept as ``completeness_residual``), and the isometry
+    phase are verified before returning.
     """
     basis = rep.basis
     m = rep.dim
     D = m * m
     rows = highest_weight_vectors(basis, tol)
     frame = _weight_blocks(rep, tol)
-    omega = casimir_op(rep)
     embeddings = {
         "adjoint_sym": _tensor_embedding(basis.d),
         "adjoint_anti": -_tensor_embedding(basis.f),
@@ -721,7 +722,7 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     submodules: list[Submodule] = []
     for row in rows:
         B = embeddings[row.role] if row.role in embeddings else _orbit(frame, row.coords, tol)
-        omega_ev, parity = _measure(rep, B, tol, omega, row.parity)
+        omega_ev, parity = _measure(rep, B, tol, row.parity)
         submodules.append(Submodule(row.label, row.role, row.coords, B, omega_ev, parity))
 
     dims = sum(sub.dim for sub in submodules)
@@ -742,4 +743,5 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     if not (abs(overlap - 1.0) <= 1e-6):
         raise AssertionError(f"isometry phase convention violated (overlap {overlap})")
 
-    return Decomposition(n=basis.n, rep=rep, submodules=submodules, iso_s_to_a=iso)
+    return Decomposition(n=basis.n, rep=rep, submodules=submodules, iso_s_to_a=iso,
+                         completeness_residual=float(gram_res))

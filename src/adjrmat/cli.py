@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, jsonio
 from .adjoint_tensor import adjoint_rep, build_decomposition
 from .liealg import build_basis
-from .numerics import Tolerance, frobenius, max_abs
+from .numerics import Tolerance, frobenius
 from .rmatrix import (
     DEFAULT_SEED,
     DENSE_YBE_MAX_DIM,
@@ -294,8 +294,8 @@ def suite_chain(ctx: _Context) -> list[dict]:
     local = ctx.local
     dec = ctx.dec
     m = n * n - 1
-    chain = chain_H(local, sites)
-    checks = [_check("chain-global-symmetry", global_symmetry_residual(chain, ctx.basis), 1e-8)]
+    h_chain = chain_H(local, sites)
+    checks = [_check("chain-global-symmetry", global_symmetry_residual(h_chain, ctx.basis), 1e-8)]
     eigs = chain_spectrum(local, sites, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)
     op = ">" if sites >= 3 else "<="
@@ -310,7 +310,7 @@ def suite_chain(ctx: _Context) -> list[dict]:
         checks.append(_check("transfer-commutation", res, 1e-8,
                              params={"sites": nsites, "lambda": _cpair(lam), "mu": _cpair(mu)}))
         t = transfer_matrix(dec, lam, nsites)
-        h_n = chain.H if nsites == sites else chain_H(local, nsites).H
+        h_n = h_chain if nsites == sites else chain_H(local, nsites)
         res_h = frobenius(t @ h_n - h_n @ t) / (frobenius(t) * frobenius(h_n))
         checks.append(_check("transfer-hamiltonian-commutation", res_h, 1e-7,
                              params={"sites": nsites, "lambda": _cpair(lam)}))
@@ -420,12 +420,10 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
         }
     if kind == "projectors":
         dec = ctx.dec
-        stacked = np.hstack([s.basis for s in dec.submodules])
-        completeness = max_abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1]))
         return {
             "kind": "decomposition",
             "n": cfg.n,
-            "completeness_residual": float(completeness),
+            "completeness_residual": dec.completeness_residual,
             "modules": [
                 {
                     "label": s.label,
@@ -443,8 +441,7 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
             raise ConfigError("build rmatrix requires --lambda RE,IM")
         return jsonio.matrix_to_json(build_R(ctx.rep, lam))
     if kind == "hamiltonian":
-        chain = chain_H(ctx.local, cfg.sites)
-        return jsonio.matrix_to_json(chain.H)
+        return jsonio.matrix_to_json(chain_H(ctx.local, cfg.sites))
     raise ConfigError(f"unknown build kind {kind!r}")
 
 

@@ -102,10 +102,6 @@ class CoefficientSet:
 
     n: int
 
-    @property
-    def poles(self) -> tuple[float, float]:
-        return (1.0, float(self.n))
-
     def f1(self, lam: complex) -> complex:
         return (1.0 + lam) / (1.0 - lam)
 

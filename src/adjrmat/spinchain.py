@@ -10,11 +10,17 @@ central finite difference of R(lam) sigma, are kept as an oracle,
 :func:`h_oracle_residuals`, which ``verify hamiltonian`` reports as the
 ``h-assembly-agreement`` and ``h-finite-difference`` checks.  The density is
 deliberately non-Hermitian while keeping a real two-site spectrum.
+
+The periodic chain is built from its translation symmetry: :func:`chain_H`
+rolls one bond term h (x) 1 around the ring of sites and returns H as a
+plain m^L x m^L array, and :func:`transfer_matrix` is one contraction of L
+R factors around the auxiliary ring.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +41,6 @@ __all__ = [
     "CHAIN_DIM_CAP",
     "LocalHamiltonian",
     "SpinOperators",
-    "ChainHamiltonian",
     "local_h",
     "h_oracle_residuals",
     "spin_operators",
@@ -71,13 +76,6 @@ class SpinOperators:
     Q: np.ndarray
     C_A: np.ndarray
     K: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChainHamiltonian:
-    n: int
-    sites: int
-    H: np.ndarray
 
 
 def _h_coefficients(n: int) -> tuple[dict[str, float], np.ndarray]:
@@ -228,23 +226,15 @@ def verify_spinform(
     return {"scale": float(scale), "shift": float(shift.real), "residual": float(residual)}
 
 
-def _embed_pair(h4: np.ndarray, m: int, sites: int, pair: tuple[int, int]) -> np.ndarray:
-    """Embed a two-site operator onto the (1-based) site pair of a chain."""
-    p, q = pair
-    dim = m**sites
-    rest = sites - 2
-    op = np.kron(h4.reshape(m * m, m * m), np.eye(m**rest)) if rest else h4.reshape(m * m, m * m)
-    tensor = op.reshape((m,) * (2 * sites))
-    order = [p - 1, q - 1] + [s for s in range(sites) if s not in (p - 1, q - 1)]
-    perm = np.argsort(order)  # send slot layout (p, q, rest...) to (1, ..., N)
-    axes = list(perm) + [sites + int(x) for x in perm]
-    return np.ascontiguousarray(tensor.transpose(axes)).reshape(dim, dim)
+def chain_H(local: LocalHamiltonian, sites: int) -> np.ndarray:
+    """Periodic chain Hamiltonian H = sum_i h_{i,i+1} with site L+1 = 1, as an m^L x m^L array.
 
-
-def chain_H(local: LocalHamiltonian, sites: int) -> ChainHamiltonian:
-    """Periodic chain Hamiltonian H = sum_i h_{i,i+1} with site N+1 = 1."""
-    n = local.n
-    m = n * n - 1
+    The bond-(1,2) term h (x) 1 is formed once and viewed as a 2L-axis
+    tensor [o_1..o_L, i_1..i_L]; the bond-(k+1,k+2) term is that tensor
+    with its site axes rotated by k, on the outputs and the inputs alike.
+    The L rotations are added in bond order (1,2), (2,3), ..., (L,1).
+    """
+    m = local.n * local.n - 1
     if sites < 2:
         raise ValueError("a chain needs at least two sites")
     dim = m**sites
@@ -252,12 +242,13 @@ def chain_H(local: LocalHamiltonian, sites: int) -> ChainHamiltonian:
         raise ValueError(
             f"chain dimension {dim} exceeds the dense cap {CHAIN_DIM_CAP}"
         )
-    h = local.h
-    total = np.zeros((dim, dim), dtype=complex)
-    for i in range(1, sites):
-        total += _embed_pair(h, m, sites, (i, i + 1))
-    total += _embed_pair(h, m, sites, (sites, 1))
-    return ChainHamiltonian(n=n, sites=sites, H=total)
+    bond = np.kron(local.h, np.eye(m ** (sites - 2))).reshape((m,) * (2 * sites))
+    total = np.zeros((m,) * (2 * sites), dtype=complex)
+    for k in range(sites):
+        # site axis s of the bond-(k+1,k+2) term is site axis s - k of the bond-(1,2) term
+        roll = [(s - k) % sites for s in range(sites)]
+        total += bond.transpose(roll + [sites + r for r in roll])
+    return total.reshape(dim, dim)
 
 
 def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
@@ -266,12 +257,10 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
     The monodromy is the ordered product of R factors over an auxiliary
     adjoint space with the site-1 factor leftmost; this ordering makes t(lam)
     the generating object for H = sum_i h_{i,i+1} (the opposite ordering
-    generates the reflected chain).  The first L-1 factors are contracted
-    along the auxiliary index, and the last factor is contracted over both
-    of its auxiliary indices in one ``tensordot``, which takes the trace
-    inside that product.  The largest array has m^(2L) entries, those of
-    t(lam) itself; the monodromy on the auxiliary (x) chain space is never
-    formed.
+    generates the reflected chain).  t(lam) is one ``einsum`` over the
+    auxiliary ring: factor k is R[aux_k, out_k, aux_{k+1}, in_k] with
+    aux_L = aux_0, which closes the trace.  The monodromy on the auxiliary
+    (x) chain space is never formed.
 
     Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
     benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
@@ -284,27 +273,12 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
     if m**sites > CHAIN_DIM_CAP:
         raise ValueError(f"transfer-matrix dimension {m**sites} exceeds the dense cap")
     r4 = build_R(dec.rep, lam).reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
-    # w carries [aux_out, aux_in, o_1..o_k, i_1..i_k]
-    w = r4.transpose(0, 2, 1, 3)
-    for _ in range(sites - 2):
-        k = (w.ndim - 2) // 2
-        # append the factor for the next site on the right of the product
-        w = np.tensordot(w, r4, axes=([1], [0]))
-        # [aux_out, o_1..o_k, i_1..i_k, o_new, aux_in, i_new] -> canonical layout
-        perm = (
-            [0, 2 * k + 2]
-            + list(range(1, 1 + k))
-            + [2 * k + 1]
-            + list(range(1 + k, 1 + 2 * k))
-            + [2 * k + 3]
-        )
-        w = w.transpose(perm)
-    # the last factor closes the trace: its aux_out meets w's aux_in, its aux_in w's aux_out
-    k = sites - 1
-    t = np.tensordot(w, r4, axes=([1, 0], [0, 2]))  # [o_1..o_k, i_1..i_k, o_L, i_L]
-    perm = list(range(k)) + [2 * k] + list(range(k, 2 * k)) + [2 * k + 1]
-    dim = m**sites
-    return t.transpose(perm).reshape(dim, dim)
+    # labels: aux_k is k, out_k is sites + k, in_k is 2 sites + k
+    operands = []
+    for k in range(sites):
+        operands += [r4, [k, sites + k, (k + 1) % sites, 2 * sites + k]]
+    t = np.einsum(*operands, list(range(sites, 3 * sites)), optimize=True)
+    return t.reshape(m**sites, m**sites)
 
 
 def commutation_check(dec: Decomposition, lam: complex, mu: complex, sites: int) -> float:
@@ -318,19 +292,21 @@ def commutation_check(dec: Decomposition, lam: complex, mu: complex, sites: int)
     return float(frobenius(t1 @ t2 - t2 @ t1) / (frobenius(t1) * frobenius(t2)))
 
 
-def global_symmetry_residual(chain: ChainHamiltonian, basis: SunBasis) -> float:
-    """Largest normalized commutator of H with the diagonal action of a generator.
+def global_symmetry_residual(h: np.ndarray, basis: SunBasis) -> float:
+    """Largest normalized commutator of a chain H with the diagonal action of a generator.
 
     Returns max over the generators x of max_abs([H, sum_s ad_s(x)]) /
     max(1, max_abs(H)), where ad_s(x) acts on site s.  Each ad_s(x) is
     applied to one output or one input site index of H by an m x m matmul
     on a reshaped view: 2 L m dim^2 multiply-adds per generator, where the
-    products with the L-site Kronecker sum would take 2 dim^3.
+    products with the L-site Kronecker sum would take 2 dim^3.  L is read
+    off the size of H.
     """
     m = basis.dim
-    sites = chain.sites
-    dim = m**sites
-    h = chain.H
+    dim = h.shape[0]
+    sites = round(math.log(dim, m))
+    if m**sites != dim:
+        raise ValueError(f"dimension {dim} is not a power of {m}")
     scale = max(1.0, max_abs(h))
     worst = 0.0
     for gen in basis.generators:
@@ -411,5 +387,5 @@ def chain_spectrum(local: LocalHamiltonian, sites: int, tol: Tolerance = DEFAULT
     total = weights  # total[a_1..a_k] = weights[a_1] + ... + weights[a_k], site 1 slowest
     for _ in range(sites - 1):
         total = (total[:, None, :] + weights[None, :, :]).reshape(-1, weights.shape[1])
-    return _sector_eigenvalues(chain_H(rotated, sites).H, total, tol, "chain Hamiltonian",
+    return _sector_eigenvalues(chain_H(rotated, sites), total, tol, "chain Hamiltonian",
                                real=True)

@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,18 @@ from adjrmat.liealg import build_basis
 
 try:
     from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
 except ImportError:  # the property tests skip themselves
     pass
 else:
     # the same examples on every run, and no example database written into the tree
     settings.register_profile("reproducible", derandomize=True, database=None)
     settings.load_profile("reproducible")
+    # Hypothesis still caches the literals of the source files under its home
+    # directory, by default .hypothesis/ in the working directory; this one is
+    # removed when the test process exits
+    _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 class _Algebra:

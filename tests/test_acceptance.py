@@ -227,8 +227,7 @@ def test_criterion_7_hamiltonian():
             ops = spin_operators(dec.rep)
             assert verify_spinform(loc, ops)["residual"] <= 1e-9
         dec3, loc3 = locs[3]
-        chain = chain_H(loc3, 3)
-        eigs = [w for w, _ in eig_general(chain.H)]
+        eigs = [w for w, _ in eig_general(chain_H(loc3, 3))]
         assert max(abs(w.imag) for w in eigs) > 1e-6
         for sites in (2, 3):
             lam, mu = sample_ybe_pairs(rng, 3, 1)[0]

@@ -199,17 +199,75 @@ def test_commutator_term_is_sole_antihermitian_part(algebra, n):
 def test_two_site_chain_is_h_plus_flipped(locals_cache):
     loc = locals_cache(3)
     sigma = permutation_op(8)
-    chain = chain_H(loc, 2)
-    assert np.max(np.abs(chain.H - (loc.h + sigma @ loc.h @ sigma))) < 1e-12
+    h_chain = chain_H(loc, 2)
+    assert np.max(np.abs(h_chain - (loc.h + sigma @ loc.h @ sigma))) < 1e-12
+
+
+def _embed_pair(h4, m, sites, pair):
+    """Embed a two-site operator onto the (1-based) site pair of a chain."""
+    p, q = pair
+    dim = m**sites
+    rest = sites - 2
+    op = np.kron(h4.reshape(m * m, m * m), np.eye(m**rest)) if rest else h4.reshape(m * m, m * m)
+    tensor = op.reshape((m,) * (2 * sites))
+    order = [p - 1, q - 1] + [s for s in range(sites) if s not in (p - 1, q - 1)]
+    perm = np.argsort(order)  # send slot layout (p, q, rest...) to (1, ..., N)
+    axes = list(perm) + [sites + int(x) for x in perm]
+    return np.ascontiguousarray(tensor.transpose(axes)).reshape(dim, dim)
+
+
+def _bond_sum(h, m, sites, bonds):
+    """The per-bond oracle: h embedded on each listed bond by its own kron, added in list order."""
+    total = np.zeros((m**sites, m**sites), dtype=complex)
+    for bond in bonds:
+        total += _embed_pair(h, m, sites, bond)
+    return total
+
+
+def _site_shift(m, sites):
+    """The permutation matrix that moves the state of each site to the next one around the ring."""
+    dim = m**sites
+    idx = np.arange(dim)
+    digits = np.unravel_index(idx, (m,) * sites)
+    shifted = np.ravel_multi_index(tuple(digits[(k - 1) % sites] for k in range(sites)), (m,) * sites)
+    translation = np.zeros((dim, dim))
+    translation[idx, shifted] = 1.0
+    return translation
+
+
+@pytest.mark.parametrize("n, sites", [(3, 2), (3, 3), (4, 2)])
+def test_chain_H_matches_per_bond_oracle(locals_cache, n, sites):
+    loc = locals_cache(n)
+    ring = [(i, i % sites + 1) for i in range(1, sites + 1)]  # (1,2), (2,3), ..., (L,1)
+    assert np.array_equal(chain_H(loc, sites), _bond_sum(loc.h, n * n - 1, sites, ring))
+
+
+def test_chain_H_is_translation_invariant(locals_cache):
+    """T H T^-1 = H for the site shift T; a ring with a bond dropped, doubled or misplaced is not."""
+    loc = locals_cache(3)
+    m, sites = 8, 3
+    shift = _site_shift(m, sites)
+
+    def residual(h):
+        return np.max(np.abs(shift @ h @ shift.T - h))  # T^-1 = T^T for a permutation
+
+    assert residual(chain_H(loc, sites)) < 1e-12
+    for bonds in (
+        [(1, 2), (2, 3)],
+        [(1, 2), (2, 3), (3, 1), (2, 3)],
+        [(1, 2), (2, 3), (1, 3)],
+        [(1, 2), (2, 3), (1, 2)],
+    ):
+        assert residual(_bond_sum(loc.h, m, sites, bonds)) > 1e-3
 
 
 def test_chain_global_symmetry(algebra, locals_cache):
     """The library residual against the L-site Kronecker sums of ad(x)."""
     basis = algebra.basis(3)
     loc = locals_cache(3)
-    chain = chain_H(loc, 3)
+    h_chain = chain_H(loc, 3)
     m = 8
-    scale = max(1.0, np.max(np.abs(chain.H)))
+    scale = max(1.0, np.max(np.abs(h_chain)))
     worst = 0.0
     for a in range(m):
         gen = ad_matrix(basis, basis.generators[a])
@@ -217,10 +275,10 @@ def test_chain_global_symmetry(algebra, locals_cache):
             np.kron(np.kron(np.eye(m ** (s - 1)), gen), np.eye(m ** (3 - s)))
             for s in (1, 2, 3)
         )
-        comm = np.max(np.abs(chain.H @ total - total @ chain.H))
+        comm = np.max(np.abs(h_chain @ total - total @ h_chain))
         assert comm < TOL * m * m
         worst = max(worst, comm / scale)
-    assert abs(global_symmetry_residual(chain, basis) - worst) <= 1e-13
+    assert abs(global_symmetry_residual(h_chain, basis) - worst) <= 1e-13
 
 
 def test_global_symmetry_residual_detects_broken_invariance(algebra, locals_cache):
@@ -244,7 +302,7 @@ def test_chain_spectrum_matches_dense(locals_cache, n, sites):
     The defective cluster of L = 3 is resolved only to about 1e-7.
     """
     loc = locals_cache(n)
-    dense = np.array([w for w, _ in eig_general(chain_H(loc, sites).H)])
+    dense = np.array([w for w, _ in eig_general(chain_H(loc, sites))])
     sectors = np.array(chain_spectrum(loc, sites))
     assert len(sectors) == len(dense)
     cost = np.abs(sectors[:, None] - dense[None, :])
@@ -281,7 +339,7 @@ def test_transfer_commutes_with_chain(algebra, locals_cache, rng):
     for sites in (2, 3):
         lam = sample_ybe_pairs(rng, 3, 1)[0][0]
         t = transfer_matrix(dec, lam, sites)
-        h = chain_H(loc, sites).H
+        h = chain_H(loc, sites)
         res = np.linalg.norm(t @ h - h @ t) / (np.linalg.norm(t) * np.linalg.norm(h))
         assert res < 1e-7
 
@@ -290,12 +348,7 @@ def test_transfer_at_zero_is_translation(algebra):
     dec = algebra.dec(3)
     m, sites = 8, 3
     t0 = transfer_matrix(dec, 0.0, sites)
-    dim = m**sites
-    idx = np.arange(dim)
-    digits = np.unravel_index(idx, (m,) * sites)
-    shifted = np.ravel_multi_index(tuple(digits[(k - 1) % sites] for k in range(sites)), (m,) * sites)
-    translation = np.zeros((dim, dim))
-    translation[idx, shifted] = 1.0
+    translation = _site_shift(m, sites)
     assert np.max(np.abs(t0 - translation)) < 1e-12
 
 
