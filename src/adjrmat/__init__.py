@@ -29,7 +29,6 @@ from .rmatrix import (
     ybe_residual,
 )
 from .spinchain import (
-    LocalHamiltonian,
     SpinOperators,
     chain_H,
     local_h,
@@ -48,7 +47,6 @@ __all__ = [
     "DEFAULT_TOL",
     "Decomposition",
     "LevelOneAction",
-    "LocalHamiltonian",
     "SpinOperators",
     "Submodule",
     "SunBasis",

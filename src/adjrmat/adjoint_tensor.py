@@ -58,7 +58,6 @@ __all__ = [
     "lowering_ops",
     "raising_ops",
     "highest_weight_vectors",
-    "generate_submodule",
     "build_decomposition",
 ]
 
@@ -637,11 +636,11 @@ class TripleFrame:
             self.gathers.append((flat(a, b, c), flat(a, c, b), flat(b, c, a)))
 
 
-def _measure(rep: AdjointRep, B: np.ndarray, tol: Tolerance, parity: int | None) -> tuple[float, int]:
+def _measure(rep: AdjointRep, B: np.ndarray, tol: Tolerance, parity: int) -> tuple[float, int]:
     """Measured Casimir eigenvalue and exchange parity of a submodule basis.
 
-    Omega_op is applied through ``rep.frame``.  A stated ``parity`` (``None``
-    for none) must match the measured one.
+    Omega_op is applied through ``rep.frame``.  The stated ``parity`` must
+    match the measured one.
     """
     m = rep.dim
     omega_b = rep.frame.omega(B)
@@ -656,40 +655,9 @@ def _measure(rep: AdjointRep, B: np.ndarray, tol: Tolerance, parity: int | None)
     measured = 1 if par > 0 else -1
     if max_abs(swapped - measured * B) > tol.abs_tol * m:
         raise AssertionError("submodule basis has indefinite exchange parity")
-    if parity is not None and measured != parity:
+    if measured != parity:
         raise AssertionError(f"measured parity {measured} != stated parity {parity}")
     return float(ev.real), measured
-
-
-def generate_submodule(
-    rep: AdjointRep,
-    hwv,
-    parity: int | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-    label: str | None = None,
-    role: str | None = None,
-) -> Submodule:
-    """Generate the irreducible submodule spanned by the lowering orbit of ``hwv``.
-
-    ``hwv`` may be a :class:`HighestWeight` or a raw coordinate vector plus
-    explicit ``parity``.  A raw vector must be a weight vector (support in a
-    single two-site weight block); otherwise ``ValueError`` is raised, since
-    its lowering orbit would not span a submodule.  The orbit is closed in
-    weight blocks (see :func:`_orbit`); the measured Casimir eigenvalue and
-    exchange parity are validated on every basis vector in Gell-Mann
-    coordinates against Omega_op applied through ``rep.frame``, and a stated
-    parity must match.
-    """
-    if isinstance(hwv, HighestWeight):
-        coords = hwv.coords
-        parity = hwv.parity if parity is None else parity
-        label = hwv.label if label is None else label
-        role = hwv.role if role is None else role
-    else:
-        coords = np.asarray(hwv, dtype=complex)
-    B = _orbit(_weight_blocks(rep, tol), coords, tol)
-    omega_ev, parity = _measure(rep, B, tol, parity)
-    return Submodule(label or "", role or "", coords, B, omega_ev, parity)
 
 
 def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomposition:

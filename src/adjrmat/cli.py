@@ -12,7 +12,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from dataclasses import dataclass
@@ -111,7 +110,7 @@ class _Context:
         return build_decomposition(self.rep, self.cfg.tol)
 
     @cached_property
-    def local(self):
+    def h(self):
         return local_h(self.rep)
 
     def rng(self) -> np.random.Generator:
@@ -248,15 +247,15 @@ def suite_ybe(ctx: _Context) -> list[dict]:
 def suite_hamiltonian(ctx: _Context) -> list[dict]:
     cfg = ctx.cfg
     n = cfg.n
-    local = ctx.local
+    h = ctx.h
     m = n * n - 1
-    table_residual, fd_residual = h_oracle_residuals(ctx.dec, local)
+    table_residual, fd_residual = h_oracle_residuals(ctx.dec, h)
     checks = [
         _check("h-assembly-agreement", table_residual, cfg.tol.abs_tol * m),
         _check("h-finite-difference", fd_residual, 1e-6),
-        _check("h-nonhermiticity", frobenius(local.h - local.h.conj().T), 0.1, op=">"),
+        _check("h-nonhermiticity", frobenius(h - h.conj().T), 0.1, op=">"),
     ]
-    spectrum = two_site_spectrum(local, cfg.tol)
+    spectrum = two_site_spectrum(h, ctx.basis, cfg.tol)
     max_imag = max(abs(w.imag) for w in spectrum)
     checks.append(_check("two-site-spectrum-real", max_imag, 1e-8))
     # spectral consistency: projector coefficients + the 2x2 block spectrum
@@ -266,7 +265,8 @@ def suite_hamiltonian(ctx: _Context) -> list[dict]:
     for sub in ctx.dec.submodules:
         if sub.role in coeffs:
             expected.extend([coeffs[sub.role]] * sub.dim)
-    block_eigs = np.linalg.eigvals(local.O_block)
+    # h = I'(0), so its adjoint-pair block is M'(0) = N'(0) diag(1, -1)
+    block_eigs = np.linalg.eigvals(CoefficientSet(n).N_deriv0() @ np.diag([1.0, -1.0]))
     for w in block_eigs:
         expected.extend([w.real] * m)
     expected.sort()
@@ -277,7 +277,7 @@ def suite_hamiltonian(ctx: _Context) -> list[dict]:
     ops = spin_operators(ctx.rep, cfg.tol)
     comm = ops.K @ ops.C_A - ops.C_A @ ops.K
     checks.append(_check("spin-operators-noncommuting", frobenius(comm), 0.1, op=">"))
-    fit = verify_spinform(local, ops, cfg.tol)
+    fit = verify_spinform(h, ops, n, cfg.tol)
     checks.append(
         _check("spinform-fit", fit["residual"], 1e-9,
                params={"scale": fit["scale"], "shift": fit["shift"]})
@@ -291,12 +291,12 @@ def suite_chain(ctx: _Context) -> list[dict]:
     if n != 3:
         raise ConfigError("the chain suite runs at n = 3 (larger ranks exceed the dense cap)")
     sites = cfg.sites
-    local = ctx.local
+    h = ctx.h
     dec = ctx.dec
     m = n * n - 1
-    h_chain = chain_H(local, sites)
+    h_chain = chain_H(h, sites)
     checks = [_check("chain-global-symmetry", global_symmetry_residual(h_chain, ctx.basis), 1e-8)]
-    eigs = chain_spectrum(local, sites, cfg.tol)
+    eigs = chain_spectrum(h, ctx.basis, sites, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)
     op = ">" if sites >= 3 else "<="
     threshold = 1e-6 if sites >= 3 else 1e-8
@@ -310,7 +310,7 @@ def suite_chain(ctx: _Context) -> list[dict]:
         checks.append(_check("transfer-commutation", res, 1e-8,
                              params={"sites": nsites, "lambda": _cpair(lam), "mu": _cpair(mu)}))
         t = transfer_matrix(dec, lam, nsites)
-        h_n = h_chain if nsites == sites else chain_H(local, nsites)
+        h_n = h_chain if nsites == sites else chain_H(h, nsites)
         res_h = frobenius(t @ h_n - h_n @ t) / (frobenius(t) * frobenius(h_n))
         checks.append(_check("transfer-hamiltonian-commutation", res_h, 1e-7,
                              params={"sites": nsites, "lambda": _cpair(lam)}))
@@ -338,16 +338,16 @@ def suite_su3(ctx: _Context) -> list[dict]:
         )
         res = max(abs(g - w) for g, w in zip(got, want))
         checks.append(_check("su3-nblock-eigenvalues", res, 1e-9, params={"lambda": _cpair(lam)}))
-    local = ctx.local
+    h = ctx.h
     got = {}
     for sub in dec.submodules:
-        got[sub.role] = complex(np.trace(sub.projector @ local.h) / sub.dim)
+        got[sub.role] = complex(np.trace(sub.projector @ h) / sub.dim)
     vs = dec.by_role("adjoint_sym").hw_vector
     va = dec.by_role("adjoint_anti").hw_vector
     vs = vs / np.linalg.norm(vs)
     va = va / np.linalg.norm(va)
-    off_sa = complex(np.vdot(vs, local.h @ va))
-    off_as = complex(np.vdot(va, local.h @ vs))
+    off_sa = complex(np.vdot(vs, h @ va))
+    off_as = complex(np.vdot(va, h @ vs))
     want = {
         "anti_left": 2.0,
         "anti_right": 2.0,
@@ -441,7 +441,7 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
             raise ConfigError("build rmatrix requires --lambda RE,IM")
         return jsonio.matrix_to_json(build_R(ctx.rep, lam))
     if kind == "hamiltonian":
-        return jsonio.matrix_to_json(chain_H(ctx.local, cfg.sites))
+        return jsonio.matrix_to_json(chain_H(ctx.h, cfg.sites))
     raise ConfigError(f"unknown build kind {kind!r}")
 
 
@@ -449,13 +449,12 @@ def run_spectrum(cfg: RunConfig, convention: str) -> dict:
     if cfg.sites < 2:
         raise ConfigError("spectrum requires at least two sites")
     ctx = _Context(cfg)
-    local = ctx.local
+    h = ctx.h
     if convention == "rescaled":
         ops = spin_operators(ctx.rep, cfg.tol)
-        fit = verify_spinform(local, ops, cfg.tol)
-        h = fit["scale"] * local.h + fit["shift"] * np.eye(local.h.shape[0])
-        local = dataclasses.replace(local, h=h)
-    eigs = chain_spectrum(local, cfg.sites, cfg.tol)
+        fit = verify_spinform(h, ops, cfg.n, cfg.tol)
+        h = fit["scale"] * h + fit["shift"] * np.eye(h.shape[0])
+    eigs = chain_spectrum(h, ctx.basis, cfg.sites, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)
     return {
         "kind": "spectrum",

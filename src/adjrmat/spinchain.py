@@ -3,23 +3,25 @@
 The local Hamiltonian is the logarithmic-derivative density h = R'(0) sigma,
 assembled once from the exact rational derivatives of the scalar coefficient
 functions through the operator form of :mod:`rmatrix`, so :func:`local_h`
-takes only the :class:`AdjointRep` and builds no decomposition.  Two
-independent constructions, a direct assembly from the closed-form projector
-coefficients (which reads the submodules of a :class:`Decomposition`) and a
-central finite difference of R(lam) sigma, are kept as an oracle,
-:func:`h_oracle_residuals`, which ``verify hamiltonian`` reports as the
-``h-assembly-agreement`` and ``h-finite-difference`` checks.  The density is
-deliberately non-Hermitian while keeping a real two-site spectrum.
+takes only the :class:`AdjointRep`, builds no decomposition and returns h as
+a plain D x D array in Gell-Mann coordinates, the form every function here
+takes it in.  Two independent constructions, a direct assembly from the
+closed-form projector coefficients (which reads the submodules of a
+:class:`Decomposition`) and a central finite difference of R(lam) sigma, are
+kept as an oracle, :func:`h_oracle_residuals`, which ``verify hamiltonian``
+reports as the ``h-assembly-agreement`` and ``h-finite-difference`` checks.
+The density is deliberately non-Hermitian while keeping a real two-site
+spectrum.
 
 The periodic chain is built from its translation symmetry: :func:`chain_H`
 rolls one bond term h (x) 1 around the ring of sites and returns H as a
 plain m^L x m^L array, and :func:`transfer_matrix` is one contraction of L
-R factors around the auxiliary ring.
+R factors around the auxiliary ring.  Both spectra, of h and of H, are
+solved one Cartan-weight sector at a time in real arithmetic.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,7 +41,6 @@ from .rmatrix import (
 
 __all__ = [
     "CHAIN_DIM_CAP",
-    "LocalHamiltonian",
     "SpinOperators",
     "local_h",
     "h_oracle_residuals",
@@ -56,17 +57,6 @@ __all__ = [
 
 CHAIN_DIM_CAP = 10_000
 FD_STEP = 1e-5  # step of the central finite difference in h_oracle_residuals
-
-
-@dataclass
-class LocalHamiltonian:
-    """Two-site density h with its adjoint-pair block."""
-
-    n: int
-    h: np.ndarray
-    O_block: np.ndarray  # 2x2 on the ordered hwv basis {v_s, v_a}
-    rescale_factor: float
-    basis: SunBasis  # the Gell-Mann coordinates h is written in
 
 
 @dataclass(frozen=True)
@@ -98,16 +88,15 @@ def _h_coefficients(n: int) -> tuple[dict[str, float], np.ndarray]:
     return diag, block
 
 
-def local_h(rep: AdjointRep) -> LocalHamiltonian:
-    """Local Hamiltonian h = R'(0) sigma.
+def local_h(rep: AdjointRep) -> np.ndarray:
+    """Local Hamiltonian h = R'(0) sigma, the D x D array in Gell-Mann coordinates.
 
     The exact derivatives of the R-form coefficients at 0 go through the
     operator form of :mod:`rmatrix`, which is composed with sigma and made
     dense.  ``verify hamiltonian`` compares the result with two independent
     constructions through :func:`h_oracle_residuals`.
     """
-    n = rep.n
-    c = CoefficientSet(n)
+    c = CoefficientSet(rep.n)
     deriv_diag = {
         "sym_top": 0.0,
         "anti_left": -c.f1_deriv0(),
@@ -115,17 +104,11 @@ def local_h(rep: AdjointRep) -> LocalHamiltonian:
         "mixed_sym": c.f3_deriv0(),
         "singlet": c.f4_deriv0(),
     }
-    h = operator_form(rep.frame, deriv_diag, c.N_deriv0()).swap_right().dense()
-    # h = I'(0), so its adjoint-pair block is M'(0) = N'(0) diag(1, -1)
-    block = c.N_deriv0() @ np.diag([1.0, -1.0])
-    # multiplier that turns h into the closed spin form (up to a constant);
-    # the n = 3 form carries its own normalization
-    rescale = 8.0 / (6.0 + n * n) if n > 3 else 8.0 / 3.0
-    return LocalHamiltonian(n=n, h=h, O_block=block, rescale_factor=rescale, basis=rep.basis)
+    return operator_form(rep.frame, deriv_diag, c.N_deriv0()).swap_right().dense()
 
 
-def h_oracle_residuals(dec: Decomposition, local: LocalHamiltonian) -> tuple[float, float]:
-    """Max-abs residuals of ``local.h`` against its two independent constructions.
+def h_oracle_residuals(dec: Decomposition, h: np.ndarray) -> tuple[float, float]:
+    """Max-abs residuals of the density ``h`` against its two independent constructions.
 
     Returns (table, finite difference): the direct assembly from the
     closed-form projector coefficients of :func:`_h_coefficients`, and the
@@ -134,11 +117,11 @@ def h_oracle_residuals(dec: Decomposition, local: LocalHamiltonian) -> tuple[flo
     """
     m = dec.n * dec.n - 1
     diag, block = _h_coefficients(dec.n)
-    table = max_abs(local.h - _assemble(dec, diag, block))
+    table = max_abs(h - _assemble(dec, diag, block))
     r_plus = _permute_cols_swap(build_R(dec.rep, FD_STEP), m)
     r_minus = _permute_cols_swap(build_R(dec.rep, -FD_STEP), m)
     fd = (r_plus - r_minus) / (2.0 * FD_STEP)
-    return table, max_abs(local.h - fd)
+    return table, max_abs(h - fd)
 
 
 def spin_operators(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> SpinOperators:
@@ -205,36 +188,36 @@ def spinform_h(ops: SpinOperators, n: int) -> np.ndarray:
 
 
 def verify_spinform(
-    local: LocalHamiltonian, ops: SpinOperators, tol: Tolerance = DEFAULT_TOL
+    h: np.ndarray, ops: SpinOperators, n: int, tol: Tolerance = DEFAULT_TOL
 ) -> dict:
-    """Fit spinform_h = scale * h + c * 1 and validate the residual.
+    """Fit spinform_h = scale * h + c * 1 to the density ``h`` and validate the residual.
 
-    ``scale`` is fixed by the rescaling convention of :class:`LocalHamiltonian`;
-    the additive constant is recovered by trace matching (the unique
-    least-squares optimal shift).
+    ``scale`` is the fixed rescaling 8 / (6 + n^2), or 8/3 at n = 3, whose
+    spin form carries its own normalization; the additive constant is
+    recovered by trace matching (the unique least-squares optimal shift).
     """
-    n = local.n
     hs = spinform_h(ops, n)
     dim = hs.shape[0]
-    scale = local.rescale_factor
-    shift = complex(np.trace(hs - scale * local.h)) / dim
+    scale = 8.0 / (6.0 + n * n) if n > 3 else 8.0 / 3.0
+    shift = complex(np.trace(hs - scale * h)) / dim
     if abs(shift.imag) > tol.abs_tol * dim:
         raise AssertionError(f"trace-matched shift is not real: {shift}")
-    residual = max_abs(hs - scale * local.h - shift * np.eye(dim))
+    residual = max_abs(hs - scale * h - shift * np.eye(dim))
     if residual > tol.abs_tol * dim:
         raise AssertionError(f"spin-form fit residual {residual:.3e} exceeds tolerance")
     return {"scale": float(scale), "shift": float(shift.real), "residual": float(residual)}
 
 
-def chain_H(local: LocalHamiltonian, sites: int) -> np.ndarray:
+def chain_H(h: np.ndarray, sites: int) -> np.ndarray:
     """Periodic chain Hamiltonian H = sum_i h_{i,i+1} with site L+1 = 1, as an m^L x m^L array.
 
-    The bond-(1,2) term h (x) 1 is formed once and viewed as a 2L-axis
-    tensor [o_1..o_L, i_1..i_L]; the bond-(k+1,k+2) term is that tensor
+    m is read off the m^2 x m^2 density ``h``.  The bond-(1,2) term h (x) 1
+    is formed once and viewed as a 2L-axis tensor [o_1..o_L, i_1..i_L]; the
+    bond-(k+1,k+2) term is that tensor
     with its site axes rotated by k, on the outputs and the inputs alike.
     The L rotations are added in bond order (1,2), (2,3), ..., (L,1).
     """
-    m = local.n * local.n - 1
+    m = math.isqrt(h.shape[0])
     if sites < 2:
         raise ValueError("a chain needs at least two sites")
     dim = m**sites
@@ -242,7 +225,7 @@ def chain_H(local: LocalHamiltonian, sites: int) -> np.ndarray:
         raise ValueError(
             f"chain dimension {dim} exceeds the dense cap {CHAIN_DIM_CAP}"
         )
-    bond = np.kron(local.h, np.eye(m ** (sites - 2))).reshape((m,) * (2 * sites))
+    bond = np.kron(h, np.eye(m ** (sites - 2))).reshape((m,) * (2 * sites))
     total = np.zeros((m,) * (2 * sites), dtype=complex)
     for k in range(sites):
         # site axis s of the bond-(k+1,k+2) term is site axis s - k of the bond-(1,2) term
@@ -323,15 +306,16 @@ def global_symmetry_residual(h: np.ndarray, basis: SunBasis) -> float:
 
 
 def _sector_eigenvalues(
-    op_w: np.ndarray, weights: np.ndarray, tol: Tolerance, what: str, real: bool = False
+    op_w: np.ndarray, weights: np.ndarray, tol: Tolerance, what: str
 ) -> list[complex]:
-    """Eigenvalues of an operator in weight coordinates, one total-weight block at a time.
+    """Eigenvalues of a real operator in weight coordinates, one total-weight block at a time.
 
     ``weights`` holds the total weight of each row.  An entry of ``op_w``
     above ``tol.abs_tol`` joining two different weights raises
-    ``AssertionError``; so does, with ``real``, an imaginary part above
-    ``tol.abs_tol``, after which the blocks are solved in real arithmetic.
-    Each block goes through :func:`eig_general` with its residual contract.
+    ``AssertionError``, and so does an imaginary part above ``tol.abs_tol``.
+    The blocks are then solved in real arithmetic, so every complex
+    eigenvalue comes with its exact (bit-equal) conjugate; each goes through
+    :func:`eig_general` with its residual contract.
     """
     blocks = weight_blocks(weights)
     label = np.empty(len(weights), dtype=int)
@@ -340,52 +324,49 @@ def _sector_eigenvalues(
     stray = max_abs(op_w[label[:, None] != label[None, :]])
     if stray > tol.abs_tol:
         raise AssertionError(f"{what} leaves its weight blocks ({stray:.3e})")
-    if real:
-        imag = max_abs(op_w.imag)
-        if imag > tol.abs_tol:
-            raise AssertionError(f"{what} is not real in weight coordinates ({imag:.3e})")
-        op_w = op_w.real
+    imag = max_abs(op_w.imag)
+    if imag > tol.abs_tol:
+        raise AssertionError(f"{what} is not real in weight coordinates ({imag:.3e})")
+    op_w = op_w.real
     eigenvalues = []
     for idx in blocks:
         eigenvalues.extend(z for z, _ in eig_general(op_w[np.ix_(idx, idx)], tol))
     return sorted(eigenvalues, key=lambda z: (z.real, z.imag))
 
 
-def two_site_spectrum(local: LocalHamiltonian, tol: Tolerance = DEFAULT_TOL):
-    """Eigenvalues of the two-site density (sorted by real, then imaginary part).
+def two_site_spectrum(h: np.ndarray, basis: SunBasis, tol: Tolerance = DEFAULT_TOL):
+    """Eigenvalues of the two-site density ``h`` (sorted by real, then imaginary part).
 
-    h is su(n)-invariant, so it conserves Cartan weight: rotated to two-site
+    ``basis`` gives the Gell-Mann coordinates ``h`` is written in.  h is
+    su(n)-invariant, so it conserves Cartan weight: rotated to two-site
     weight coordinates by U (x) U (:func:`liealg.weight_basis`) it is
     block-diagonal in the total weight, and each block goes through
     :func:`eig_general` with its residual contract (at n = 5 the largest
-    block has 36 of the 576 dimensions).  An entry of the rotated h above
-    ``tol.abs_tol`` outside the blocks raises ``AssertionError``.  The
-    blocks are solved in complex arithmetic; :func:`chain_spectrum` shares
-    the block solve.
+    block has 36 of the 576 dimensions).  In weight coordinates h is real,
+    so the blocks are solved in real arithmetic, the same block solve as
+    :func:`chain_spectrum`.  An entry of the rotated h above ``tol.abs_tol``
+    outside the blocks, or an imaginary part above it, raises
+    ``AssertionError``.
     """
-    u, weights = weight_basis(local.basis)
-    return _sector_eigenvalues(
-        rotate_pair(u, local.h), pair_weights(weights), tol, "two-site density"
-    )
+    u, weights = weight_basis(basis)
+    return _sector_eigenvalues(rotate_pair(u, h), pair_weights(weights), tol, "two-site density")
 
 
-def chain_spectrum(local: LocalHamiltonian, sites: int, tol: Tolerance = DEFAULT_TOL):
-    """Eigenvalues of the periodic chain H (sorted by real, then imaginary part).
+def chain_spectrum(h: np.ndarray, basis: SunBasis, sites: int, tol: Tolerance = DEFAULT_TOL):
+    """Eigenvalues of the periodic chain H of ``h`` (sorted by real, then imaginary part).
 
-    H conserves the total Cartan weight.  h is rotated to two-site weight
+    ``basis`` gives the Gell-Mann coordinates ``h`` is written in.  H
+    conserves the total Cartan weight.  h is rotated to two-site weight
     coordinates with :func:`rotate_pair` and the chain is assembled from it
     by :func:`chain_H`, which gives H in the product weight basis; the m^L
     indices are grouped by total weight (37 sectors at n = 3, L = 3, the
-    largest of 56) and each sector goes through :func:`eig_general`.  In
-    weight coordinates H is real, so the sectors are solved in real
-    arithmetic and every complex eigenvalue comes with its exact (bit-equal)
-    conjugate.  An entry above ``tol.abs_tol`` outside the sectors, or an
-    imaginary part above it, raises ``AssertionError``.
+    largest of 56) and solved as in :func:`two_site_spectrum`, in real
+    arithmetic, so every complex eigenvalue comes with its exact (bit-equal)
+    conjugate.
     """
-    u, weights = weight_basis(local.basis)
-    rotated = dataclasses.replace(local, h=rotate_pair(u, local.h))
+    u, weights = weight_basis(basis)
     total = weights  # total[a_1..a_k] = weights[a_1] + ... + weights[a_k], site 1 slowest
     for _ in range(sites - 1):
         total = (total[:, None, :] + weights[None, :, :]).reshape(-1, weights.shape[1])
-    return _sector_eigenvalues(chain_H(rotated, sites), total, tol, "chain Hamiltonian",
-                               real=True)
+    return _sector_eigenvalues(chain_H(rotate_pair(u, h), sites), total, tol,
+                               "chain Hamiltonian")

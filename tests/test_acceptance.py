@@ -192,7 +192,7 @@ def test_criterion_6_su3_closed_forms():
             )
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
         dec = build_decomposition(adjoint_rep(build_basis(3), validate=False))
-        loc = local_h(dec.rep)
+        h = local_h(dec.rep)
         for role, want in (
             ("anti_left", 2.0),
             ("anti_right", 2.0),
@@ -201,13 +201,13 @@ def test_criterion_6_su3_closed_forms():
             ("singlet", 8.0 / 3.0),
         ):
             sub = dec.by_role(role)
-            assert abs(np.trace(sub.projector @ loc.h) / sub.dim - want) <= 1e-10
+            assert abs(np.trace(sub.projector @ h) / sub.dim - want) <= 1e-10
         vs = dec.by_role("adjoint_sym").hw_vector
         va = dec.by_role("adjoint_anti").hw_vector
         vs = vs / np.linalg.norm(vs)
         va = va / np.linalg.norm(va)
-        assert abs(np.vdot(vs, loc.h @ va) - np.sqrt(5.0) / 2.0) <= 1e-10
-        assert abs(np.vdot(va, loc.h @ vs) + np.sqrt(5.0) / 2.0) <= 1e-10
+        assert abs(np.vdot(vs, h @ va) - np.sqrt(5.0) / 2.0) <= 1e-10
+        assert abs(np.vdot(va, h @ vs) + np.sqrt(5.0) / 2.0) <= 1e-10
 
 
 def test_criterion_7_hamiltonian():
@@ -216,18 +216,18 @@ def test_criterion_7_hamiltonian():
         locs = {}
         for n in range(3, 7):
             dec = build_decomposition(adjoint_rep(build_basis(n), validate=False))
-            loc = local_h(dec.rep)
-            locs[n] = (dec, loc)
-            assert h_oracle_residuals(dec, loc)[1] <= 1e-6
-            assert np.linalg.norm(loc.h - loc.h.conj().T) > 0.1
-            spec = two_site_spectrum(loc)
+            h = local_h(dec.rep)
+            locs[n] = (dec, h)
+            assert h_oracle_residuals(dec, h)[1] <= 1e-6
+            assert np.linalg.norm(h - h.conj().T) > 0.1
+            spec = two_site_spectrum(h, dec.rep.basis)
             assert max(abs(w.imag) for w in spec) <= 1e-8
         for n in (3, 4, 5):
-            dec, loc = locs[n]
+            dec, h = locs[n]
             ops = spin_operators(dec.rep)
-            assert verify_spinform(loc, ops)["residual"] <= 1e-9
-        dec3, loc3 = locs[3]
-        eigs = [w for w, _ in eig_general(chain_H(loc3, 3))]
+            assert verify_spinform(h, ops, n)["residual"] <= 1e-9
+        dec3, h3 = locs[3]
+        eigs = [w for w, _ in eig_general(chain_H(h3, 3))]
         assert max(abs(w.imag) for w in eigs) > 1e-6
         for sites in (2, 3):
             lam, mu = sample_ybe_pairs(rng, 3, 1)[0]

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from adjrmat.adjoint_tensor import (
+    _orbit,
+    _weight_blocks,
     ad_matrix,
     apply_pair,
     apply_swap,
     casimir_op,
-    generate_submodule,
     highest_weight_vectors,
     lowering_ops,
     permutation_op,
@@ -136,18 +137,14 @@ def test_hwvs_annihilated_by_raising(algebra, n):
 
 
 def test_submodule_su3_top_is_27(algebra):
-    basis, rep = algebra.basis(3), algebra.rep(3)
-    hw = {r.role: r for r in highest_weight_vectors(basis)}
-    sub = generate_submodule(rep, hw["sym_top"])
+    sub = algebra.dec(3).by_role("sym_top")
     assert sub.dim == 27
     assert abs(sub.omega_eigenvalue - 2.0) < 1e-8
     assert sub.exchange_parity == 1
 
 
 def test_singlet_projector(algebra):
-    basis, rep = algebra.basis(3), algebra.rep(3)
-    hw = {r.role: r for r in highest_weight_vectors(basis)}
-    sub = generate_submodule(rep, hw["singlet"])
+    sub = algebra.dec(3).by_role("singlet")
     assert sub.dim == 1
     omega_coords = np.eye(8, dtype=complex).ravel()
     expected = np.outer(omega_coords, omega_coords.conj()) / 8.0
@@ -296,19 +293,19 @@ def test_ad_matrix_is_commutator_action(algebra, rng):
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_generate_submodule_rejects_zero_vector(algebra):
+def test_orbit_rejects_zero_vector(algebra):
     rep = algebra.rep(3)
     with pytest.raises(ValueError):
-        generate_submodule(rep, np.zeros(64, dtype=complex), parity=1)
+        _orbit(_weight_blocks(rep, DEFAULT_TOL), np.zeros(64, dtype=complex), DEFAULT_TOL)
 
 
-def test_generate_submodule_rejects_non_weight_vector(algebra):
+def test_orbit_rejects_non_weight_vector(algebra):
     """A seed with support in two weight blocks spans no module; it is refused."""
     basis, rep = algebra.basis(3), algebra.rep(3)
     hw = {r.role: r for r in highest_weight_vectors(basis)}
     mixed = hw["sym_top"].coords + hw["singlet"].coords
     with pytest.raises(ValueError, match="not a weight vector"):
-        generate_submodule(rep, mixed, parity=1)
+        _orbit(_weight_blocks(rep, DEFAULT_TOL), mixed, DEFAULT_TOL)
 
 
 def _orbit_oracle(rep, seed, tol=DEFAULT_TOL):

@@ -397,7 +397,7 @@ def test_operator_form_matches_projector_sum(algebra, n):
         "singlet": c.f4_deriv0(),
     }
     oracle_h = _assemble(dec, deriv_diag, c.N_deriv0())[:, swap]
-    assert _scaled_gap(local_h(dec.rep).h, oracle_h) <= 1e-13
+    assert _scaled_gap(local_h(dec.rep), oracle_h) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [3, 6])  # dense and sparse factors

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,7 @@ from scipy.optimize import linear_sum_assignment
 
 from adjrmat.adjoint_tensor import ad_matrix, permutation_op
 from adjrmat.numerics import eig_general
-from adjrmat.rmatrix import build_R, sample_ybe_pairs
+from adjrmat.rmatrix import CoefficientSet, build_R, sample_ybe_pairs
 from adjrmat.spinchain import (
     chain_H,
     chain_spectrum,
@@ -40,26 +39,27 @@ def locals_cache(algebra):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_singlet_coefficient(algebra, locals_cache, n):
     dec = algebra.dec(n)
-    loc = locals_cache(n)
+    h = locals_cache(n)
     sub = dec.by_role("singlet")
-    coeff = np.trace(sub.projector @ loc.h) / sub.dim
+    coeff = np.trace(sub.projector @ h) / sub.dim
     assert abs(coeff - (2.0 + 2.0 * n) / n) < TOL
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_o_block_closed_form(locals_cache, n):
-    loc = locals_cache(n)
+def test_o_block_closed_form(n):
+    """The adjoint-pair block M'(0) = N'(0) diag(1, -1) of h against its hand table."""
     root = np.sqrt(n * n - 4.0)
     want = np.array(
         [[(n + 2.0) ** 2 / (2.0 * n), root / 2.0], [-root / 2.0, 2.0 - n / 2.0]]
     )
-    assert np.max(np.abs(loc.O_block - want)) < TOL
+    block = CoefficientSet(n).N_deriv0() @ np.diag([1.0, -1.0])
+    assert np.max(np.abs(block - want)) < TOL
 
 
 def test_su3_local_coefficients(algebra, locals_cache):
     """Projector coefficients 2, 2, 25/6, 1/2, 8/3 and off-diagonals +/- sqrt(5)/2."""
     dec = algebra.dec(3)
-    loc = locals_cache(3)
+    h = locals_cache(3)
     for role, want in (
         ("anti_left", 2.0),
         ("anti_right", 2.0),
@@ -69,54 +69,60 @@ def test_su3_local_coefficients(algebra, locals_cache):
         ("sym_top", 0.0),
     ):
         sub = dec.by_role(role)
-        assert abs(np.trace(sub.projector @ loc.h) / sub.dim - want) < 1e-10
+        assert abs(np.trace(sub.projector @ h) / sub.dim - want) < 1e-10
     vs = dec.by_role("adjoint_sym").hw_vector
     va = dec.by_role("adjoint_anti").hw_vector
     vs = vs / np.linalg.norm(vs)
     va = va / np.linalg.norm(va)
-    assert abs(np.vdot(vs, loc.h @ va) - np.sqrt(5.0) / 2.0) < 1e-10
-    assert abs(np.vdot(va, loc.h @ vs) + np.sqrt(5.0) / 2.0) < 1e-10
+    assert abs(np.vdot(vs, h @ va) - np.sqrt(5.0) / 2.0) < 1e-10
+    assert abs(np.vdot(va, h @ vs) + np.sqrt(5.0) / 2.0) < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_local_h_diagnostics(algebra, locals_cache, n):
-    loc = locals_cache(n)
-    table_residual, fd_residual = h_oracle_residuals(algebra.dec(n), loc)
+    h = locals_cache(n)
+    table_residual, fd_residual = h_oracle_residuals(algebra.dec(n), h)
     assert table_residual < TOL
     assert fd_residual < 1e-6
-    assert np.linalg.norm(loc.h - loc.h.conj().T) > 0.1
+    assert np.linalg.norm(h - h.conj().T) > 0.1
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_two_site_spectrum_real(locals_cache, n):
-    spec = two_site_spectrum(locals_cache(n))
+def test_two_site_spectrum_real(algebra, locals_cache, n):
+    spec = two_site_spectrum(locals_cache(n), algebra.basis(n))
     assert max(abs(w.imag) for w in spec) < 1e-8
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_two_site_spectrum_blocks_match_dense(locals_cache, n):
+def test_two_site_spectrum_blocks_match_dense(algebra, locals_cache, n):
     """The weight-block spectrum against one dense solve of h."""
-    loc = locals_cache(n)
-    dense = sorted((w for w, _ in eig_general(loc.h)), key=lambda z: (z.real, z.imag))
-    blocks = two_site_spectrum(loc)
+    h = locals_cache(n)
+    dense = sorted((w for w, _ in eig_general(h)), key=lambda z: (z.real, z.imag))
+    blocks = two_site_spectrum(h, algebra.basis(n))
     assert len(blocks) == len(dense)
     assert max(abs(a - b) for a, b in zip(blocks, dense)) <= 1e-10
 
 
-def test_two_site_spectrum_refuses_weight_violation(locals_cache):
-    loc = locals_cache(3)
+def test_two_site_spectrum_refuses_weight_violation(algebra, locals_cache):
+    h = locals_cache(3)
     rng = np.random.default_rng(2)
-    noise = rng.standard_normal(loc.h.shape) + 1j * rng.standard_normal(loc.h.shape)
-    broken = dataclasses.replace(loc, h=loc.h + 1e-6 * noise)
+    noise = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
     with pytest.raises(AssertionError, match="weight blocks"):
-        two_site_spectrum(broken)
+        two_site_spectrum(h + 1e-6 * noise, algebra.basis(3))
+
+
+def test_two_site_spectrum_refuses_imaginary_part(algebra, locals_cache):
+    """An imaginary shift conserves weight but leaves h complex in weight coordinates."""
+    h = locals_cache(3)
+    with pytest.raises(AssertionError, match="not real in weight coordinates"):
+        two_site_spectrum(h + 1e-6j * np.eye(h.shape[0]), algebra.basis(3))
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_two_site_spectrum_values(algebra, locals_cache, n):
     """Spectrum = projector coefficients plus the block eigenvalues (x m)."""
     dec = algebra.dec(n)
-    loc = locals_cache(n)
+    h = locals_cache(n)
     m = n * n - 1
     coeffs = {"sym_top": 0.0, "anti_left": 2.0, "anti_right": 2.0, "mixed_sym": 4.0,
               "singlet": (2.0 + 2.0 * n) / n}
@@ -124,10 +130,10 @@ def test_two_site_spectrum_values(algebra, locals_cache, n):
     for sub in dec.submodules:
         if sub.role in coeffs:
             expected.extend([coeffs[sub.role]] * sub.dim)
-    for w in np.linalg.eigvals(loc.O_block):
+    for w in np.linalg.eigvals(CoefficientSet(n).N_deriv0() @ np.diag([1.0, -1.0])):
         expected.extend([w.real] * m)
     expected.sort()
-    got = sorted(w.real for w in two_site_spectrum(loc))
+    got = sorted(w.real for w in two_site_spectrum(h, algebra.basis(n)))
     assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-8
 
 
@@ -175,7 +181,7 @@ def test_k_ca_do_not_commute(algebra, n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spinform_fit(algebra, locals_cache, n):
     ops = spin_operators(algebra.rep(n))
-    fit = verify_spinform(locals_cache(n), ops)
+    fit = verify_spinform(locals_cache(n), ops, n)
     assert fit["residual"] < TOL
     if n == 3:
         assert abs(fit["scale"] - 8.0 / 3.0) < 1e-12
@@ -197,10 +203,10 @@ def test_commutator_term_is_sole_antihermitian_part(algebra, n):
 
 
 def test_two_site_chain_is_h_plus_flipped(locals_cache):
-    loc = locals_cache(3)
+    h = locals_cache(3)
     sigma = permutation_op(8)
-    h_chain = chain_H(loc, 2)
-    assert np.max(np.abs(h_chain - (loc.h + sigma @ loc.h @ sigma))) < 1e-12
+    h_chain = chain_H(h, 2)
+    assert np.max(np.abs(h_chain - (h + sigma @ h @ sigma))) < 1e-12
 
 
 def _embed_pair(h4, m, sites, pair):
@@ -237,35 +243,34 @@ def _site_shift(m, sites):
 
 @pytest.mark.parametrize("n, sites", [(3, 2), (3, 3), (4, 2)])
 def test_chain_H_matches_per_bond_oracle(locals_cache, n, sites):
-    loc = locals_cache(n)
+    h = locals_cache(n)
     ring = [(i, i % sites + 1) for i in range(1, sites + 1)]  # (1,2), (2,3), ..., (L,1)
-    assert np.array_equal(chain_H(loc, sites), _bond_sum(loc.h, n * n - 1, sites, ring))
+    assert np.array_equal(chain_H(h, sites), _bond_sum(h, n * n - 1, sites, ring))
 
 
 def test_chain_H_is_translation_invariant(locals_cache):
     """T H T^-1 = H for the site shift T; a ring with a bond dropped, doubled or misplaced is not."""
-    loc = locals_cache(3)
+    h = locals_cache(3)
     m, sites = 8, 3
     shift = _site_shift(m, sites)
 
-    def residual(h):
-        return np.max(np.abs(shift @ h @ shift.T - h))  # T^-1 = T^T for a permutation
+    def residual(op):
+        return np.max(np.abs(shift @ op @ shift.T - op))  # T^-1 = T^T for a permutation
 
-    assert residual(chain_H(loc, sites)) < 1e-12
+    assert residual(chain_H(h, sites)) < 1e-12
     for bonds in (
         [(1, 2), (2, 3)],
         [(1, 2), (2, 3), (3, 1), (2, 3)],
         [(1, 2), (2, 3), (1, 3)],
         [(1, 2), (2, 3), (1, 2)],
     ):
-        assert residual(_bond_sum(loc.h, m, sites, bonds)) > 1e-3
+        assert residual(_bond_sum(h, m, sites, bonds)) > 1e-3
 
 
 def test_chain_global_symmetry(algebra, locals_cache):
     """The library residual against the L-site Kronecker sums of ad(x)."""
     basis = algebra.basis(3)
-    loc = locals_cache(3)
-    h_chain = chain_H(loc, 3)
+    h_chain = chain_H(locals_cache(3), 3)
     m = 8
     scale = max(1.0, np.max(np.abs(h_chain)))
     worst = 0.0
@@ -282,28 +287,28 @@ def test_chain_global_symmetry(algebra, locals_cache):
 
 
 def test_global_symmetry_residual_detects_broken_invariance(algebra, locals_cache):
-    loc = locals_cache(3)
+    h = locals_cache(3)
     rng = np.random.default_rng(5)
-    noise = rng.standard_normal(loc.h.shape) + 1j * rng.standard_normal(loc.h.shape)
-    broken = dataclasses.replace(loc, h=loc.h + 1e-3 * noise)
+    noise = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+    broken = h + 1e-3 * noise
     for sites in (2, 3):
         assert global_symmetry_residual(chain_H(broken, sites), algebra.basis(3)) > 1e-8
 
 
-def test_chain_three_sites_has_complex_spectrum(locals_cache):
-    eigs = chain_spectrum(locals_cache(3), 3)
+def test_chain_three_sites_has_complex_spectrum(algebra, locals_cache):
+    eigs = chain_spectrum(locals_cache(3), algebra.basis(3), 3)
     assert max(abs(w.imag) for w in eigs) > 1e-6
 
 
 @pytest.mark.parametrize("n, sites", [(3, 2), (3, 3), (4, 2)])
-def test_chain_spectrum_matches_dense(locals_cache, n, sites):
+def test_chain_spectrum_matches_dense(algebra, locals_cache, n, sites):
     """The weight-sector spectrum against one dense solve of H, matched by assignment.
 
     The defective cluster of L = 3 is resolved only to about 1e-7.
     """
-    loc = locals_cache(n)
-    dense = np.array([w for w, _ in eig_general(chain_H(loc, sites))])
-    sectors = np.array(chain_spectrum(loc, sites))
+    h = locals_cache(n)
+    dense = np.array([w for w, _ in eig_general(chain_H(h, sites))])
+    sectors = np.array(chain_spectrum(h, algebra.basis(n), sites))
     assert len(sectors) == len(dense)
     cost = np.abs(sectors[:, None] - dense[None, :])
     rows, cols = linear_sum_assignment(cost)
@@ -311,13 +316,12 @@ def test_chain_spectrum_matches_dense(locals_cache, n, sites):
     assert np.sum(np.abs(sectors.imag) > 1e-6) == np.sum(np.abs(dense.imag) > 1e-6)
 
 
-def test_chain_spectrum_refuses_weight_violation(locals_cache):
-    loc = locals_cache(3)
+def test_chain_spectrum_refuses_weight_violation(algebra, locals_cache):
+    h = locals_cache(3)
     rng = np.random.default_rng(2)
-    noise = rng.standard_normal(loc.h.shape) + 1j * rng.standard_normal(loc.h.shape)
-    broken = dataclasses.replace(loc, h=loc.h + 1e-6 * noise)
+    noise = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
     with pytest.raises(AssertionError, match="weight blocks"):
-        chain_spectrum(broken, 2)
+        chain_spectrum(h + 1e-6 * noise, algebra.basis(3), 2)
 
 
 def test_chain_dimension_cap(locals_cache):
@@ -335,12 +339,14 @@ def test_transfer_commutation(algebra, rng):
 
 def test_transfer_commutes_with_chain(algebra, locals_cache, rng):
     dec = algebra.dec(3)
-    loc = locals_cache(3)
+    h = locals_cache(3)
     for sites in (2, 3):
         lam = sample_ybe_pairs(rng, 3, 1)[0][0]
         t = transfer_matrix(dec, lam, sites)
-        h = chain_H(loc, sites)
-        res = np.linalg.norm(t @ h - h @ t) / (np.linalg.norm(t) * np.linalg.norm(h))
+        h_chain = chain_H(h, sites)
+        res = np.linalg.norm(t @ h_chain - h_chain @ t) / (
+            np.linalg.norm(t) * np.linalg.norm(h_chain)
+        )
         assert res < 1e-7
 
 
