@@ -414,7 +414,7 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
         return {
             "kind": "sun-basis",
             "n": cfg.n,
-            "generators": [jsonio.matrix_to_json(g) for g in basis.generators],
+            "generators": [jsonio.matrix_payload(g) for g in basis.generators],
             "f": jsonio.tensor3_to_json(basis.f),
             "d": jsonio.tensor3_to_json(basis.d),
         }
@@ -431,7 +431,7 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
                     "dim": s.dim,
                     "omega_eigenvalue": s.omega_eigenvalue,
                     "exchange_parity": s.exchange_parity,
-                    "projector": jsonio.matrix_to_json(s.projector),
+                    "projector": jsonio.matrix_payload(s.projector),
                 }
                 for s in dec.submodules
             ],
@@ -439,9 +439,9 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
     if kind == "rmatrix":
         if lam is None:
             raise ConfigError("build rmatrix requires --lambda RE,IM")
-        return jsonio.matrix_to_json(build_R(ctx.rep, lam))
+        return jsonio.matrix_payload(build_R(ctx.rep, lam))
     if kind == "hamiltonian":
-        return jsonio.matrix_to_json(chain_H(ctx.h, cfg.sites))
+        return jsonio.matrix_payload(chain_H(ctx.h, cfg.sites))
     raise ConfigError(f"unknown build kind {kind!r}")
 
 
@@ -462,7 +462,7 @@ def run_spectrum(cfg: RunConfig, convention: str) -> dict:
         "sites": cfg.sites,
         "convention": convention,
         "seed": cfg.seed,
-        "eigenvalues": [_cpair(w) for w in eigs],
+        "eigenvalues": np.array(eigs, dtype=complex),
         "max_imag": float(max_imag),
         "complex_count": int(sum(1 for w in eigs if abs(w.imag) > 1e-6)),
         "all_real": bool(max_imag <= 1e-8),

@@ -4,11 +4,17 @@ Floats are rendered with 17 significant digits so every double round-trips
 exactly and repeated runs produce byte-identical reports.  Matrices travel as
 {"rows": R, "cols": C, "data": [[re, im], ...]} with the entries row-major.
 
-A list of [re, im] pairs of Python floats (matrix data, eigenvalue lists) is
-formatted in chunks of 32,768 pairs, calling the float formatter once per
-distinct double (by bit pattern) of a chunk and gathering the tokens with
-numpy.  The bytes are the same as formatting every entry on its own; the
-Python-level cost follows the number of distinct values, not of entries.
+``dumps`` writes a one-dimensional complex numpy array exactly as the list of
+its [re, im] pairs.  The CLI hands it :func:`matrix_payload`, whose "data" is
+that array, so no Python list stands between a built matrix and its text.
+:func:`matrix_to_json` is the plain JSON value, the form ``json.loads`` gives
+back from the written file.
+
+A complex array, or a list of [re, im] pairs of Python floats, is formatted
+in chunks of 32,768 entries, calling the float formatter once per distinct
+double (by bit pattern) of a chunk and gathering the tokens with numpy.  The
+bytes are the same as formatting every entry on its own; the Python-level
+cost follows the number of distinct values, not of entries.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 __all__ = [
     "dumps",
     "complex_pair",
+    "matrix_payload",
     "matrix_to_json",
     "matrix_from_json",
     "tensor3_to_json",
@@ -66,6 +73,8 @@ def _encode(obj, indent: int, level: int, out: list[str]):
             _encode(value, indent, level + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "]")
+    elif isinstance(obj, np.ndarray):
+        out.append(_complex_array_token(obj))
     else:
         out.append(_leaf_token(obj))
 
@@ -84,19 +93,30 @@ def _is_float_pairs(items) -> bool:
 
 
 def _float_pairs_token(items) -> str:
-    """Format [[re, im], ...] with one _format_float call per distinct double of a chunk."""
-    flat = chain.from_iterable(items)
+    """Format [[re, im], ...] of Python floats through the complex-array core."""
+    values = np.fromiter(chain.from_iterable(items), dtype=np.float64, count=2 * len(items))
+    return _complex_array_token(values.view(np.complex128))
+
+
+def _complex_array_token(data: np.ndarray) -> str:
+    """Format a 1-D complex array as [[re, im], ...].
+
+    _format_float runs once per distinct double (by bit pattern) of each chunk.
+    """
+    if data.dtype != np.complex128 or data.ndim != 1:
+        raise TypeError(f"cannot serialize {data.dtype} array of shape {data.shape}")
+    if not data.size:
+        return "[]"
     chunks = []
-    for start in range(0, len(items), _PAIR_CHUNK):
-        count = 2 * min(_PAIR_CHUNK, len(items) - start)
-        values = np.fromiter(flat, dtype=np.float64, count=count)
+    for start in range(0, data.size, _PAIR_CHUNK):
+        values = np.ascontiguousarray(data[start : start + _PAIR_CHUNK]).view(np.float64)
         finite = np.isfinite(values)
         if not finite.all():
             _format_float(float(values[np.argmin(finite)]))  # raises on the first one
         # distinct bit patterns, not values: 0.0 == -0.0 but they print differently
         bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
         tokens = np.array([_format_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        woven = np.empty(2 * count - 1, dtype=object)
+        woven = np.empty(2 * values.size - 1, dtype=object)
         woven[0::2] = tokens[inverse]
         woven[1::4] = ", "
         woven[3::4] = "], ["
@@ -146,15 +166,26 @@ def complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
+def matrix_payload(m: np.ndarray) -> dict:
+    """{"rows", "cols", "data"} with "data" the row-major entries as a 1-D complex array.
+
+    ``dumps`` writes it byte-for-byte as :func:`matrix_to_json` of the same matrix.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": np.ascontiguousarray(m).view(float).reshape(-1, 2).tolist(),
+        "data": np.ascontiguousarray(m).reshape(-1),
     }
+
+
+def matrix_to_json(m: np.ndarray) -> dict:
+    """The matrix as a plain JSON value: "data" is a list of [re, im] lists of floats."""
+    payload = matrix_payload(m)
+    payload["data"] = payload["data"].view(float).reshape(-1, 2).tolist()
+    return payload
 
 
 def matrix_from_json(d: dict) -> np.ndarray:

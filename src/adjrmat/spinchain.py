@@ -211,11 +211,12 @@ def verify_spinform(
 def chain_H(h: np.ndarray, sites: int) -> np.ndarray:
     """Periodic chain Hamiltonian H = sum_i h_{i,i+1} with site L+1 = 1, as an m^L x m^L array.
 
-    m is read off the m^2 x m^2 density ``h``.  The bond-(1,2) term h (x) 1
-    is formed once and viewed as a 2L-axis tensor [o_1..o_L, i_1..i_L]; the
-    bond-(k+1,k+2) term is that tensor
-    with its site axes rotated by k, on the outputs and the inputs alike.
-    The L rotations are added in bond order (1,2), (2,3), ..., (L,1).
+    m is read off the m^2 x m^2 density ``h``.  H is built as a 2L-axis
+    tensor [o_1..o_L, i_1..i_L].  The bond-(k, k+1) term is h on the site
+    pair (k, k+1) times the identity on every other site, so it is added as
+    h into the diagonal view of H (an ``einsum`` view, o_s = i_s on every
+    spectator site s); the m^(2L)-entry h (x) 1 is never formed.  The L bonds
+    are added in order (1,2), (2,3), ..., (L,1).
     """
     m = math.isqrt(h.shape[0])
     if sites < 2:
@@ -225,12 +226,17 @@ def chain_H(h: np.ndarray, sites: int) -> np.ndarray:
         raise ValueError(
             f"chain dimension {dim} exceeds the dense cap {CHAIN_DIM_CAP}"
         )
-    bond = np.kron(h, np.eye(m ** (sites - 2))).reshape((m,) * (2 * sites))
+    term = h.reshape((m,) * 4 + (1,) * (sites - 2))  # [o_a, o_b, i_a, i_b], spectators broadcast
     total = np.zeros((m,) * (2 * sites), dtype=complex)
-    for k in range(sites):
-        # site axis s of the bond-(k+1,k+2) term is site axis s - k of the bond-(1,2) term
-        roll = [(s - k) % sites for s in range(sites)]
-        total += bond.transpose(roll + [sites + r for r in roll])
+    outs = [chr(ord("A") + s) for s in range(sites)]
+    for a in range(sites):
+        b = (a + 1) % sites
+        ins = [chr(ord("a") + s) if s in (a, b) else outs[s] for s in range(sites)]
+        spectators = "".join(outs[s] for s in range(sites) if s not in (a, b))
+        view = np.einsum(
+            f"{''.join(outs + ins)}->{outs[a]}{outs[b]}{ins[a]}{ins[b]}{spectators}", total
+        )
+        view += term
     return total.reshape(dim, dim)
 
 
@@ -318,13 +324,15 @@ def _sector_eigenvalues(
     :func:`eig_general` with its residual contract.
     """
     blocks = weight_blocks(weights)
-    label = np.empty(len(weights), dtype=int)
-    for b, idx in enumerate(blocks):
-        label[idx] = b
-    stray = max_abs(op_w[label[:, None] != label[None, :]])
+    stray = imag = 0.0
+    for idx in blocks:  # a block of rows at a time: no dense mask or abs(op_w) beside op_w
+        rows = op_w[idx]
+        imag = max(imag, max_abs(rows.imag))
+        rows = np.abs(rows)
+        rows[:, idx] = 0.0
+        stray = max(stray, max_abs(rows))
     if stray > tol.abs_tol:
         raise AssertionError(f"{what} leaves its weight blocks ({stray:.3e})")
-    imag = max_abs(op_w.imag)
     if imag > tol.abs_tol:
         raise AssertionError(f"{what} is not real in weight coordinates ({imag:.3e})")
     op_w = op_w.real

@@ -3,7 +3,8 @@
 ``_dumps_oracle`` is the encoder ``jsonio.dumps`` used before lists of
 [re, im] float pairs got a vectorised path: every entry is formatted on its
 own.  ``dumps`` must reproduce its bytes exactly, on hand-picked payloads and
-on the files the CLI writes.
+on the files the CLI writes.  A complex array given to ``dumps`` must give
+the oracle's bytes for the list of its [re, im] pairs.
 """
 
 import json
@@ -146,6 +147,104 @@ def test_large_pair_list_matches_oracle_across_chunks(rng):
     m.imag = rng.choice(pool, m.size)
     payload = jsonio.matrix_to_json(m.reshape(-1, 1))
     assert _first_difference(jsonio.dumps(payload), _dumps_oracle(payload)) is None
+
+
+def _as_lists(obj):
+    """The payload with every complex array replaced by its list of [re, im] float pairs."""
+    if isinstance(obj, np.ndarray):
+        return [[float(z.real), float(z.imag)] for z in obj]
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(value) for value in obj]
+    return obj
+
+
+def _edge_matrix(rng, shape) -> np.ndarray:
+    m = np.empty(shape, dtype=complex)
+    # set the parts separately: re + 1j*im would not keep every signed zero
+    m.real = rng.choice(np.array(EDGE_FLOATS), shape)
+    m.imag = rng.choice(np.array(EDGE_FLOATS), shape)
+    return m
+
+
+def test_complex_array_matches_oracle_across_chunks(rng):
+    pool = np.array(EDGE_FLOATS + list(rng.standard_normal(50)))
+    data = np.empty(3 * jsonio._PAIR_CHUNK + 7, dtype=complex)
+    data.real = rng.choice(pool, data.size)
+    data.imag = rng.choice(pool, data.size)
+    payload = {"data": data}
+    assert _first_difference(jsonio.dumps(payload), _dumps_oracle(_as_lists(payload))) is None
+
+
+def test_complex_array_keeps_edge_floats():
+    data = np.empty(3 * len(EDGE_FLOATS), dtype=complex)
+    data.real = np.repeat(EDGE_FLOATS, 3)
+    data.imag = [y for x in EDGE_FLOATS for y in (0.0, -0.0, x)]
+    payload = {"data": data}
+    plain = _as_lists(payload)
+    for indent in (2, 4):
+        assert jsonio.dumps(payload, indent=indent) == _dumps_oracle(plain, indent=indent)
+
+
+def test_matrix_payload_matches_matrix_to_json(rng):
+    m = _edge_matrix(rng, (5, 6))
+    cases = [m, m.T, m[::2, 1::3], m[:, ::-1], m[:1, :1], np.array([[-0.0 + 5e-324j]]),
+             np.zeros((0, 4), dtype=complex), np.zeros((3, 0), dtype=complex),
+             np.arange(6.0).reshape(2, 3)]
+    for mat in cases:
+        payload = jsonio.matrix_payload(mat)
+        assert payload["data"].dtype == np.complex128 and payload["data"].ndim == 1
+        assert payload["data"].flags.c_contiguous
+        plain = jsonio.matrix_to_json(mat)
+        assert _as_lists(payload) == plain
+        for indent in (2, 4):
+            assert jsonio.dumps(payload, indent=indent) == _dumps_oracle(plain, indent=indent)
+    with pytest.raises(ValueError, match="expected a matrix"):
+        jsonio.matrix_payload(np.zeros(3))
+
+
+def test_complex_arrays_nested_in_dicts(rng):
+    payload = {
+        "kind": "decomposition",
+        "modules": [
+            {"label": "a", "projector": jsonio.matrix_payload(_edge_matrix(rng, (3, 3)))},
+            {"label": "b", "projector": jsonio.matrix_payload(_edge_matrix(rng, (2, 2)).T)},
+            {"label": "empty", "projector": jsonio.matrix_payload(np.zeros((0, 2), dtype=complex))},
+        ],
+        "eigenvalues": _edge_matrix(rng, (11,)),
+        "single": np.array([1e16 + 2j]),
+        "strided": _edge_matrix(rng, (9,))[::3],
+        "count": 3,
+    }
+    plain = _as_lists(payload)
+    for indent in (2, 4):
+        assert jsonio.dumps(payload, indent=indent) == _dumps_oracle(plain, indent=indent)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.zeros((2, 2), dtype=complex), np.zeros(3), np.zeros(3, dtype=np.complex64)],
+    ids=["complex-2d", "float64", "complex64"],
+)
+def test_other_arrays_are_refused(array):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        jsonio.dumps({"data": array})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_non_finite_array_entries_raise_as_the_list_path(bad, part):
+    data = np.array([0.5 + 1j, 2.0 + 0j, complex(-math.inf, 1.0)])
+    data[1] = complex(bad, 0.0) if part == "real" else complex(2.0, bad)
+    with pytest.raises(ValueError) as fast:
+        jsonio.dumps({"data": data})
+    with pytest.raises(ValueError) as pairs:
+        jsonio.dumps(_as_lists({"data": data}))
+    with pytest.raises(ValueError) as oracle:
+        _dumps_oracle(_as_lists({"data": data}))
+    assert str(fast.value) == str(pairs.value) == str(oracle.value)
+    assert str(fast.value) == f"non-finite value {bad!r} cannot be serialized"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

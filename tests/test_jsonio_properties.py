@@ -1,5 +1,6 @@
 """Property tests of the matrix wire format: exact round trips, and the bytes
-of the retired per-element encoder, on random complex matrices."""
+of the retired per-element encoder, on random complex matrices, written from
+the plain lists of ``matrix_to_json`` and from the array of ``matrix_payload``."""
 
 import json
 
@@ -49,3 +50,6 @@ def test_matrix_round_trip_is_bit_exact(m):
 def test_dumps_matches_oracle(m):
     payload = jsonio.matrix_to_json(m)
     assert jsonio.dumps(payload) == _dumps_oracle(payload)
+    assert jsonio.dumps(jsonio.matrix_payload(m)) == jsonio.dumps(payload)
+    transposed = jsonio.matrix_to_json(m.T)
+    assert jsonio.dumps(jsonio.matrix_payload(m.T), indent=4) == _dumps_oracle(transposed, indent=4)

@@ -248,6 +248,16 @@ def test_chain_H_matches_per_bond_oracle(locals_cache, n, sites):
     assert np.array_equal(chain_H(h, sites), _bond_sum(h, n * n - 1, sites, ring))
 
 
+@pytest.mark.parametrize("sites", [2, 3, 4, 5])
+def test_chain_H_matches_per_bond_oracle_on_random_density(rng, sites):
+    """A dense h with no exchange symmetry fixes the orientation of every bond, (L,1) included."""
+    m = 3
+    h = rng.standard_normal((m * m, m * m)) + 1j * rng.standard_normal((m * m, m * m))
+    h[rng.random(h.shape) < 0.3] = -0.0
+    ring = [(i, i % sites + 1) for i in range(1, sites + 1)]
+    assert np.array_equal(chain_H(h, sites), _bond_sum(h, m, sites, ring))
+
+
 def test_chain_H_is_translation_invariant(locals_cache):
     """T H T^-1 = H for the site shift T; a ring with a bond dropped, doubled or misplaced is not."""
     h = locals_cache(3)
