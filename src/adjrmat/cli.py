@@ -415,8 +415,8 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
             "kind": "sun-basis",
             "n": cfg.n,
             "generators": [jsonio.matrix_payload(g) for g in basis.generators],
-            "f": jsonio.tensor3_to_json(basis.f),
-            "d": jsonio.tensor3_to_json(basis.d),
+            "f": np.asarray(basis.f, dtype=complex),
+            "d": np.asarray(basis.d, dtype=complex),
         }
     if kind == "projectors":
         dec = ctx.dec

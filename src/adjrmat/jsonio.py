@@ -4,24 +4,25 @@ Floats are rendered with 17 significant digits so every double round-trips
 exactly and repeated runs produce byte-identical reports.  Matrices travel as
 {"rows": R, "cols": C, "data": [[re, im], ...]} with the entries row-major.
 
-``dumps`` writes a one-dimensional complex numpy array exactly as the list of
-its [re, im] pairs.  The CLI hands it :func:`matrix_payload`, whose "data" is
-that array, so no Python list stands between a built matrix and its text.
-:func:`matrix_to_json` is the plain JSON value, the form ``json.loads`` gives
-back from the written file.
+``dumps`` writes a complex numpy array exactly as the nested lists of its
+``.view(float).reshape(*shape, 2).tolist()``: a one-dimensional array is the
+list of its [re, im] pairs.  The CLI hands it :func:`matrix_payload`, whose
+"data" is that array, and the basis tensors as arrays, so no Python list
+stands between a built object and its text.  :func:`matrix_to_json` and
+:func:`tensor3_to_json` are the plain JSON values, the form ``json.loads``
+gives back from the written file.
 
-A complex array, or a list of [re, im] pairs of Python floats, is formatted
-in chunks of 32,768 entries, calling the float formatter once per distinct
-double (by bit pattern) of a chunk and gathering the tokens with numpy.  The
-bytes are the same as formatting every entry on its own; the Python-level
-cost follows the number of distinct values, not of entries.
+Lists are formatted entry by entry.  A one-dimensional complex array is
+formatted in chunks of 32,768 entries, calling the float formatter once per
+distinct double (by bit pattern) of a chunk and gathering the tokens with
+numpy; the bytes are the same as formatting every entry on its own, and the
+Python-level cost follows the number of distinct values, not of entries.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -61,9 +62,6 @@ def _encode(obj, indent: int, level: int, out: list[str]):
         if not items:
             out.append("[]")
             return
-        if _is_float_pairs(items):
-            out.append(_float_pairs_token(items))
-            return
         if _is_leaf_array(items):
             out.append("[" + ", ".join(_leaf_token(v) for v in items) + "]")
             return
@@ -73,6 +71,8 @@ def _encode(obj, indent: int, level: int, out: list[str]):
             _encode(value, indent, level + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim > 1:
+        _encode(list(obj), indent, level, out)  # nested like the lists of .tolist()
     elif isinstance(obj, np.ndarray):
         out.append(_complex_array_token(obj))
     else:
@@ -81,21 +81,6 @@ def _encode(obj, indent: int, level: int, out: list[str]):
 
 # pairs formatted and joined per chunk, which bounds the transient arrays and strings
 _PAIR_CHUNK = 1 << 15
-
-
-def _is_float_pairs(items) -> bool:
-    """True if every item is a list of exactly two Python floats."""
-    return (
-        set(map(type, items)) == {list}
-        and set(map(len, items)) == {2}
-        and set(map(type, chain.from_iterable(items))) == {float}
-    )
-
-
-def _float_pairs_token(items) -> str:
-    """Format [[re, im], ...] of Python floats through the complex-array core."""
-    values = np.fromiter(chain.from_iterable(items), dtype=np.float64, count=2 * len(items))
-    return _complex_array_token(values.view(np.complex128))
 
 
 def _complex_array_token(data: np.ndarray) -> str:

@@ -53,41 +53,6 @@ def test_build_hamiltonian_file(tmp_path):
     assert payload["rows"] == payload["cols"] == 64
 
 
-def _is_plain_matrix(value) -> bool:
-    """The JSON value ``json.loads`` gives back: a list of [re, im] lists of Python floats."""
-    return type(value["data"]) is list and all(
-        type(pair) is list and len(pair) == 2 and all(type(x) is float for x in pair)
-        for pair in value["data"]
-    )
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("build", "rmatrix", "--n", "3", "--lambda", "0.5,0.2"),
-        ("build", "hamiltonian", "--n", "3", "--sites", "2"),
-        ("build", "projectors", "--n", "3"),
-    ],
-    ids=lambda argv: argv[1],
-)
-def test_artifact_text_is_dumps_of_matrix_to_json(tmp_path, argv):
-    """Each written matrix, read back, re-serialises from plain lists to the same bytes."""
-    out = tmp_path / "out.json"
-    assert main([*argv, "--out", str(out)]) == 0
-    text = out.read_text(encoding="utf-8")
-    payload = json.loads(text)
-    if argv[1] == "projectors":
-        for module in payload["modules"]:
-            value = jsonio.matrix_to_json(jsonio.matrix_from_json(module["projector"]))
-            assert _is_plain_matrix(value) and value == module["projector"]
-            module["projector"] = value
-        assert jsonio.dumps(payload) == text
-    else:
-        value = jsonio.matrix_to_json(jsonio.matrix_from_json(payload))
-        assert _is_plain_matrix(value) and value == payload
-        assert jsonio.dumps(value) == text
-
-
 def test_verify_su3_passes(tmp_path):
     code, payload = run(tmp_path, "verify", "su3", "--n", "3")
     assert code == 0

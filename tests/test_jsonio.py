@@ -1,9 +1,8 @@
 """The matrix wire format against the retired per-element encoder.
 
-``_dumps_oracle`` is the encoder ``jsonio.dumps`` used before lists of
-[re, im] float pairs got a vectorised path: every entry is formatted on its
+``_dumps_oracle`` is the per-element encoder: every entry is formatted on its
 own.  ``dumps`` must reproduce its bytes exactly, on hand-picked payloads and
-on the files the CLI writes.  A complex array given to ``dumps`` must give
+on the files the CLI writes, and a complex array given to ``dumps`` must give
 the oracle's bytes for the list of its [re, im] pairs.
 """
 
@@ -140,13 +139,6 @@ def test_dumps_matches_oracle(name):
     assert jsonio.dumps(payload, indent=4) == _dumps_oracle(payload, indent=4)
 
 
-def test_large_pair_list_matches_oracle_across_chunks(rng):
-    pool = np.array(EDGE_FLOATS + list(rng.standard_normal(50)))
-    m = np.empty(3 * jsonio._PAIR_CHUNK + 7, dtype=complex)
-    m.real = rng.choice(pool, m.size)
-    m.imag = rng.choice(pool, m.size)
-    payload = jsonio.matrix_to_json(m.reshape(-1, 1))
-    assert _first_difference(jsonio.dumps(payload), _dumps_oracle(payload)) is None
 
 
 def _as_lists(obj):
@@ -168,23 +160,15 @@ def _edge_matrix(rng, shape) -> np.ndarray:
     return m
 
 
-def test_complex_array_matches_oracle_across_chunks(rng):
+def test_large_pair_list_matches_oracle_across_chunks(rng):
+    """Both input forms of a matrix column longer than three chunks."""
     pool = np.array(EDGE_FLOATS + list(rng.standard_normal(50)))
-    data = np.empty(3 * jsonio._PAIR_CHUNK + 7, dtype=complex)
-    data.real = rng.choice(pool, data.size)
-    data.imag = rng.choice(pool, data.size)
-    payload = {"data": data}
-    assert _first_difference(jsonio.dumps(payload), _dumps_oracle(_as_lists(payload))) is None
-
-
-def test_complex_array_keeps_edge_floats():
-    data = np.empty(3 * len(EDGE_FLOATS), dtype=complex)
-    data.real = np.repeat(EDGE_FLOATS, 3)
-    data.imag = [y for x in EDGE_FLOATS for y in (0.0, -0.0, x)]
-    payload = {"data": data}
-    plain = _as_lists(payload)
-    for indent in (2, 4):
-        assert jsonio.dumps(payload, indent=indent) == _dumps_oracle(plain, indent=indent)
+    m = np.empty((3 * jsonio._PAIR_CHUNK + 7, 1), dtype=complex)
+    m.real = rng.choice(pool, m.shape)
+    m.imag = rng.choice(pool, m.shape)
+    expected = _dumps_oracle(jsonio.matrix_to_json(m))
+    for payload in (jsonio.matrix_to_json(m), jsonio.matrix_payload(m)):
+        assert _first_difference(jsonio.dumps(payload), expected) is None
 
 
 def test_matrix_payload_matches_matrix_to_json(rng):
@@ -224,8 +208,8 @@ def test_complex_arrays_nested_in_dicts(rng):
 
 @pytest.mark.parametrize(
     "array",
-    [np.zeros((2, 2), dtype=complex), np.zeros(3), np.zeros(3, dtype=np.complex64)],
-    ids=["complex-2d", "float64", "complex64"],
+    [np.array(1j), np.zeros(3), np.zeros((2, 3)), np.zeros(3, dtype=np.complex64)],
+    ids=["complex-0d", "float64", "float64-2d", "complex64"],
 )
 def test_other_arrays_are_refused(array):
     with pytest.raises(TypeError, match="cannot serialize"):
@@ -284,6 +268,11 @@ def test_tensor3_to_json_matches_per_entry_form(rng):
     out = jsonio.tensor3_to_json(t)
     assert out == expected
     assert jsonio.dumps(out) == _dumps_oracle(expected)
+    # a complex array of any rank is written as the nested lists of its tolist()
+    for arr in (t, t.transpose(2, 0, 1), t[:, ::2, ::-1], t[:, :0], t[:0], t[0]):
+        plain = np.ascontiguousarray(arr).view(float).reshape(*arr.shape, 2).tolist()
+        for indent in (2, 4):
+            assert jsonio.dumps({"t": arr}, indent=indent) == _dumps_oracle({"t": plain}, indent=indent)
 
 
 def test_matrix_from_json_shapes():
@@ -313,4 +302,10 @@ def test_cli_output_matches_oracle(tmp_path, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
-    assert _first_difference(text, _dumps_oracle(json.loads(text))) is None
+    payload = json.loads(text)
+    assert _first_difference(text, _dumps_oracle(payload)) is None
+    matrices = [mod["projector"] for mod in payload.get("modules", [])]
+    if "rows" in payload:
+        matrices.append(payload)
+    for value in matrices:  # the harness's round trip through the plain-list form
+        assert jsonio.matrix_to_json(jsonio.matrix_from_json(value)) == value
