@@ -192,12 +192,12 @@ def suite_intertwiner(ctx: _Context) -> list[dict]:
         checks.append(_check("intertwiner-inversion", inversion_residual(rep, lam), 1e-8,
                              params={"lambda": _cpair(lam)}))
     lams = sample_spectral_parameters(rng, n, count)
-    residuals = intertwining_residual(rep, ctx.basis.generators, lams, rng=rng)
+    residuals = intertwining_residual(rep, lams, rng=rng)
     for lam, (worst0, worst1) in zip(lams, residuals):
         params = {"lambda": _cpair(lam)}
         checks.append(_check("intertwining-level0", worst0, 1e-8, params=params))
         checks.append(_check("intertwining-level1", worst1, 1e-8, params=params))
-    recovery = derive_coefficients(ctx.dec, sample_spectral_parameters(rng, n, 3), rng=rng)
+    recovery = derive_coefficients(rep, sample_spectral_parameters(rng, n, 3), rng=rng)
     checks.append(
         _check(
             "coefficient-recovery",

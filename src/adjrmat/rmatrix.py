@@ -23,11 +23,13 @@ Pi+, a rank-2m part and the singlet (:class:`PairOperator`), built from
 ``rep.frame`` alone, so the builders and the checks that only apply them take
 an :class:`AdjointRep`.  The probes, ``r-at-zero-is-swap`` and the asymptotic
 check apply that form without forming a D x D matrix; :func:`build_R` and the
-other ``build_*`` functions return its :meth:`PairOperator.dense`.  Only the
-oracles read submodules and take a :class:`Decomposition`: the projector-sum
+other ``build_*`` functions return its :meth:`PairOperator.dense`.  Only one
+oracle reads the submodules of a :class:`Decomposition`: the projector-sum
 assembly :func:`_assemble`, which :func:`r_assembly_residual` compares with
 the operator form of R(lam) (the ``r-assembly-agreement`` check of
-``verify ybe``), and :func:`derive_coefficients`.
+``verify ybe``).  :func:`derive_coefficients` recovers the coefficients from
+the level-1 action on the highest-weight vectors and takes an
+:class:`AdjointRep`.
 
 The dense Yang-Baxter residual works in the weight basis of
 :func:`liealg.weight_basis`.  R(lam) is su(n)-invariant, so it conserves
@@ -51,6 +53,7 @@ from .adjoint_tensor import (
     ad_matrix,
     apply_pair,
     apply_swap,
+    highest_weight_vectors,
     rotate_pair,
     site_left,
     site_right,
@@ -522,7 +525,6 @@ def inversion_residual(rep: AdjointRep, lam: complex) -> float:
 
 def intertwining_residual(
     rep: AdjointRep,
-    xs: np.ndarray,
     lams,
     probes: int = 5,
     rng: np.random.Generator | None = None,
@@ -530,21 +532,21 @@ def intertwining_residual(
     """Worst relative residuals of the level-0 and level-1 intertwining relations, per lam.
 
     Checks I(lam) D(x) = D(x) I(lam) and I(lam) J(x)_{0,lam} = J(x)_{lam,0} I(lam)
-    for every generator x in the stack ``xs`` (shape (k, n, n)) and every
-    spectral parameter in ``lams``, and returns one (level-0, level-1) pair
-    per lam: the largest over the generators of
-    max_abs(I D - D I) / max(1, max_abs(D)) and
+    for every generator x of ``rep.basis`` and every spectral parameter in
+    ``lams``, and returns one (level-0, level-1) pair per lam: the largest
+    over the generators of max_abs(I D - D I) / max(1, max_abs(D)) and
     max_abs(I J_0 - J_1 I) / max(1, max_abs(J_0)).
 
     Up to n = 5 the commutators are formed densely, using linearity in lam:
     each generator's lam-independent level-1 part is built once for all of
-    ``lams`` (:func:`_dense_intertwining`).  Larger ranks apply the operator form of I(lam) to random unit probe vectors
-    (same contract, sampled), ``probes`` fresh ones per generator, drawn lam
-    by lam and generator by generator.
+    ``lams`` (:func:`_dense_intertwining`).  Larger ranks apply the operator
+    form of I(lam) to random unit probe vectors (same contract, sampled),
+    ``probes`` fresh ones per generator, drawn lam by lam and generator by
+    generator.
     """
     lams = [complex(z) for z in lams]
     if rep.dim <= 24:  # n <= 5: dense operators stay small
-        return _dense_intertwining(rep, xs, lams)
+        return _dense_intertwining(rep, lams)
     m = rep.dim
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
@@ -552,7 +554,7 @@ def intertwining_residual(
     for lam in lams:
         op = intertwiner_op(rep, lam)
         res0 = res1 = 0.0
-        for x in xs:
+        for x in rep.basis.generators:
             a = ad_matrix(rep.basis, x)
             j0 = LevelOneAction(rep, x, 0.0, lam)
             j1 = LevelOneAction(rep, x, lam, 0.0)
@@ -572,7 +574,7 @@ def intertwining_residual(
     return out
 
 
-def _dense_intertwining(rep: AdjointRep, xs: np.ndarray, lams: list[complex]):
+def _dense_intertwining(rep: AdjointRep, lams: list[complex]):
     """The dense residuals of :func:`intertwining_residual`, using linearity in lam.
 
     With a = ad(x), T = T(x) and K = T (x) 1 + 1 (x) T + (1/2)[a (x) 1, Omega_op],
@@ -588,7 +590,7 @@ def _dense_intertwining(rep: AdjointRep, xs: np.ndarray, lams: list[complex]):
     omega = rep.frame.dense_omega()
     eye = np.eye(rep.dim)
     res = np.zeros((len(lams), 2))
-    for x in xs:
+    for x in rep.basis.generators:
         a = ad_matrix(rep.basis, x)
         one_a = np.kron(eye, a)
         scale0 = max(1.0, max_abs(np.kron(a, eye) + one_a))
@@ -647,122 +649,72 @@ def sample_ybe_pairs(rng: np.random.Generator, n: int, count: int) -> list[tuple
     return pairs
 
 
-def _hw_coefficient(v_ref: np.ndarray, u: np.ndarray) -> complex:
-    return complex(np.vdot(v_ref, u) / np.vdot(v_ref, v_ref))
+def _top_coefficient(v_top: np.ndarray, path: list[LevelOneAction], v: np.ndarray) -> complex:
+    """<v_top, J(y_k) ... J(y_1) v> / <v_top, v_top> for ``path`` = [J(y_1), ..., J(y_k)]."""
+    for j in path:
+        v = j.apply(v)
+    return complex(np.vdot(v_top, v) / np.vdot(v_top, v_top))
 
 
 def derive_coefficients(
-    dec: Decomposition,
+    rep: AdjointRep,
     lam_samples,
     rng: np.random.Generator | None = None,
 ) -> dict:
-    """Re-derive f1, f3, f4 and M(lam) numerically and compare to closed forms.
+    """Re-derive f1..f4 and M(lam) from the level-1 action and compare them to the closed forms.
 
-    The recovery imposes the intertwining relation on the highest-weight
-    vectors, evaluating all level-1 actions explicitly and solving the small
-    linear systems; it never consults the closed forms, which makes it the
-    anti-regression oracle for the assembled operator.  Samples whose 2x2
-    system turns out ill-conditioned are replaced by fresh draws, at most
-    :data:`MAX_RESAMPLES` times.
+    I(lam) fixes the top vector and carries J(y) at spectral parameters
+    (0, lam) into J(y) at (lam, 0).  So along a path [y_1, ..., y_k] of
+    generators from a highest-weight vector v to the top vector,
+    <top, J_{0,lam}(y_k) ... J_{0,lam}(y_1) v> = <top, J_{lam,0}(y_k) ...
+    J_{lam,0}(y_1) I(lam) v>, and a scalar of I(lam) is the ratio of the two
+    top coefficients (:func:`_top_coefficient`): f1 along [e_{n-1,n}] from
+    anti_left, f2 along [e_12] from anti_right, f3 along [e_12, e_{n-1,n}]
+    from mixed_sym (n >= 4) and f4 along [e_1n, e_1n] from the singlet.  M
+    is the 2x2 solve of the paths [e_1n] and [e_{1,n-1}, e_{n-1,n}] on v_s
+    and v_a.  Only the adjoint representation is read, never the closed
+    forms, which makes this the anti-regression oracle for the assembled
+    operator.  Samples whose 2x2 system turns out ill-conditioned are
+    replaced by fresh draws, at most :data:`MAX_RESAMPLES` times.
     """
-    from .adjoint_tensor import highest_weight_vectors
+    n = rep.n
+    hw = {row.role: row.coords for row in highest_weight_vectors(rep.basis)}
+    e_12, e_1n1, e_n1n, e_1n = (1, 2), (1, n - 1), (n - 1, n), (1, n)
+    units = {ij: matrix_unit(rep.basis, *ij, coords=False).matrix for ij in (e_12, e_1n1, e_n1n, e_1n)}
+    paths = {"f1": ("anti_left", [e_n1n]), "f2": ("anti_right", [e_12]),
+             "f3": ("mixed_sym", [e_12, e_n1n]), "f4": ("singlet", [e_1n, e_1n])}
+    if "mixed_sym" not in hw:  # n = 3
+        del paths["f3"]
 
-    n = dec.n
-    coeffs = CoefficientSet(n)
-    rep = dec.rep
-    basis = rep.basis
-    rows = {r.role: r for r in highest_weight_vectors(basis)}
-    v_top = rows["sym_top"].coords
-    e_1n = matrix_unit(basis, 1, n, coords=False).matrix
-    e_n1n = matrix_unit(basis, n - 1, n, coords=False).matrix
-    e_12 = matrix_unit(basis, 1, 2, coords=False).matrix
-    e_1n1 = matrix_unit(basis, 1, n - 1, coords=False).matrix
+    def top(side, path, role):
+        return _top_coefficient(hw["sym_top"], [side[ij] for ij in path], hw[role])
+
+    def adjoint_rows(side):
+        return np.array([[top(side, path, role) for role in ("adjoint_sym", "adjoint_anti")]
+                         for path in ([e_1n], [e_1n1, e_n1n])])
+
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-
-    def act(x, mu, lamv, vec):
-        return LevelOneAction(rep, x, mu, lamv).apply(vec)
-
     results = []
     queue = [complex(z) for z in lam_samples]
     attempts = 0
     while queue:
         lam = queue.pop(0)
         check_pole_distance(lam, n)
-        entry = {"lambda": lam}
-        # f1 from the left antisymmetric module, y = J(e_{n-1,n})
-        v = rows["anti_left"].coords
-        u0 = act(e_n1n, 0.0, lam, v)
-        u1 = act(e_n1n, lam, 0.0, v)
-        f1_num = _hw_coefficient(v_top, u0) / _hw_coefficient(v_top, u1)
-        # f2 from the right antisymmetric module, y = J(e_12)
-        v = rows["anti_right"].coords
-        u0 = act(e_12, 0.0, lam, v)
-        u1 = act(e_12, lam, 0.0, v)
-        f2_num = _hw_coefficient(v_top, u0) / _hw_coefficient(v_top, u1)
-        # f3 related to f1/f2 through the mixed symmetric module, y = J(e_12)
-        f3_num = None
-        if "mixed_sym" in rows:
-            v = rows["mixed_sym"].coords
-            u0 = act(e_12, 0.0, lam, v)
-            u1 = act(e_12, lam, 0.0, v)
-            for role, known in (("anti_left", f1_num), ("anti_right", f2_num)):
-                proj = dec.by_role(role).basis
-                z0 = proj @ (np.conj(proj).T @ u0)
-                z1 = proj @ (np.conj(proj).T @ u1)
-                if np.linalg.norm(z1) > 1e-6 * np.linalg.norm(u1):
-                    f3_num = known * complex(np.vdot(z1, z0) / np.vdot(z1, z1))
-                    break
-            if f3_num is None:
-                raise RuntimeError("mixed-module projection vanished; cannot recover f3")
-        # f4 from the singlet double action of J(e_1n)
-        v = rows["singlet"].coords
-        u0 = act(e_1n, 0.0, lam, act(e_1n, 0.0, lam, v))
-        u1 = act(e_1n, lam, 0.0, act(e_1n, lam, 0.0, v))
-        f4_num = _hw_coefficient(v_top, u0) / _hw_coefficient(v_top, u1)
-        # M from the single and double actions on the adjoint pair
-        v_s = rows["adjoint_sym"].coords
-        v_a = rows["adjoint_anti"].coords
-        alpha_s = _hw_coefficient(v_top, act(e_1n, 0.0, lam, v_s))
-        alpha_a = _hw_coefficient(v_top, act(e_1n, 0.0, lam, v_a))
-        beta_s = _hw_coefficient(v_top, act(e_1n, lam, 0.0, v_s))
-        beta_a = _hw_coefficient(v_top, act(e_1n, lam, 0.0, v_a))
-        alpha2_s = _hw_coefficient(v_top, act(e_n1n, 0.0, lam, act(e_1n1, 0.0, lam, v_s)))
-        alpha2_a = _hw_coefficient(v_top, act(e_n1n, 0.0, lam, act(e_1n1, 0.0, lam, v_a)))
-        beta2_s = _hw_coefficient(v_top, act(e_n1n, lam, 0.0, act(e_1n1, lam, 0.0, v_s)))
-        beta2_a = _hw_coefficient(v_top, act(e_n1n, lam, 0.0, act(e_1n1, lam, 0.0, v_a)))
-        system = np.array([[beta_s, beta_a], [beta2_s, beta2_a]], dtype=complex)
+        # J(x) at (0, lam) and at (lam, 0), built once per generator
+        j0, j1 = ({ij: LevelOneAction(rep, x, mu, nu) for ij, x in units.items()}
+                  for mu, nu in ((0.0, lam), (lam, 0.0)))
+        system = adjoint_rows(j1)
         if np.linalg.cond(system) > 1e8:
             attempts += 1
             if attempts > MAX_RESAMPLES:
                 raise RuntimeError("could not find well-conditioned samples for M recovery")
             queue.append(sample_spectral_parameters(rng, n, 1)[0])
             continue
-        m_left = np.linalg.solve(system, np.array([alpha_s, alpha2_s], dtype=complex))
-        m_right = np.linalg.solve(system, np.array([alpha_a, alpha2_a], dtype=complex))
-        m_num = np.array([[m_left[0], m_right[0]], [m_left[1], m_right[1]]], dtype=complex)
-        entry.update(
-            f1=f1_num,
-            f2=f2_num,
-            f3=f3_num,
-            f4=f4_num,
-            M=m_num,
-            f1_error=abs(f1_num - coeffs.f1(lam)),
-            f2_error=abs(f2_num - coeffs.f1(lam)),
-            f3_error=abs(f3_num - coeffs.f3(lam)) if f3_num is not None else None,
-            f4_error=abs(f4_num - coeffs.f4(lam)),
-            M_error=max_abs(m_num - coeffs.M(lam)),
-        )
+        entry = {"lambda": lam, "M": np.linalg.solve(system, adjoint_rows(j0))}
+        entry.update((key, top(j0, path, role) / top(j1, path, role)) for key, (role, path) in paths.items())
+        diag, block = _intertwiner_coefficients(CoefficientSet(n), lam)
+        errors = [abs(entry[key] - diag[role]) for key, (role, _) in paths.items()]
+        entry["error"] = max(errors + [max_abs(entry["M"] - block)])
         results.append(entry)
-    errors = [
-        e
-        for entry in results
-        for e in (
-            entry["f1_error"],
-            entry["f2_error"],
-            entry["f3_error"] if entry["f3_error"] is not None else 0.0,
-            entry["f4_error"],
-            entry["M_error"],
-        )
-    ]
-    return {"samples": results, "max_error": float(max(errors)) if errors else 0.0}
+    return {"samples": results, "max_error": float(max((e["error"] for e in results), default=0.0))}

@@ -13,11 +13,11 @@ reports as the ``h-assembly-agreement`` and ``h-finite-difference`` checks.
 The density is deliberately non-Hermitian while keeping a real two-site
 spectrum.
 
-The periodic chain is built from its translation symmetry: :func:`chain_H`
-rolls one bond term h (x) 1 around the ring of sites and returns H as a
-plain m^L x m^L array, and :func:`transfer_matrix` is one contraction of L
-R factors around the auxiliary ring.  Both spectra, of h and of H, are
-solved one Cartan-weight sector at a time in real arithmetic.
+The periodic chain is built bond by bond: :func:`chain_H` adds h into the
+diagonal view of H for each bond of the ring, never forming h (x) 1, and
+returns H as a plain m^L x m^L array, and :func:`transfer_matrix` is one
+contraction of L R factors around the auxiliary ring.  Both spectra, of h
+and of H, are solved one Cartan-weight sector at a time in real arithmetic.
 """
 
 from __future__ import annotations

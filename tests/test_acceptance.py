@@ -141,16 +141,15 @@ def test_criterion_4_intertwiner():
     with criterion(4, "inversion, intertwining property, coefficient recovery (n=3, 4)"):
         rng = np.random.default_rng(SEED)
         for n in (3, 4):
-            basis = build_basis(n)
-            dec = build_decomposition(adjoint_rep(basis, validate=False))
+            rep = adjoint_rep(build_basis(n), validate=False)
             eye = np.eye((n * n - 1) ** 2)
             for lam in sample_spectral_parameters(rng, n, 5, symmetric=True):
-                prod = build_intertwiner(dec.rep, lam) @ build_intertwiner(dec.rep, -lam)
+                prod = build_intertwiner(rep, lam) @ build_intertwiner(rep, -lam)
                 assert np.max(np.abs(prod - eye)) <= 1e-8
             lams = sample_spectral_parameters(rng, n, 5)
-            for r0, r1 in intertwining_residual(dec.rep, basis.generators, lams):
+            for r0, r1 in intertwining_residual(rep, lams):
                 assert r0 <= 1e-8 and r1 <= 1e-8
-            recovery = derive_coefficients(dec, sample_spectral_parameters(rng, n, 3), rng=rng)
+            recovery = derive_coefficients(rep, sample_spectral_parameters(rng, n, 3), rng=rng)
             assert recovery["max_error"] <= 1e-8
 
 

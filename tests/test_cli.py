@@ -182,7 +182,7 @@ def test_cli_import_and_decomposition_leave_scipy_unloaded(tmp_path):
 
 
 def test_rmatrix_and_hamiltonian_commands_build_no_decomposition(tmp_path, monkeypatch):
-    """R(lambda) and h come from the adjoint rep alone; only submodule readers decompose."""
+    """R(lambda), h and the coefficient recovery need only the adjoint rep; only submodule readers decompose."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("build_decomposition was called")
@@ -192,6 +192,8 @@ def test_rmatrix_and_hamiltonian_commands_build_no_decomposition(tmp_path, monke
         ["build", "rmatrix", "--n", "3", "--lambda", "0.5,0.2"],
         ["build", "hamiltonian", "--n", "3", "--sites", "2"],
         ["spectrum", "--n", "3", "--sites", "2"],
+        ["verify", "intertwiner", "--n", "4"],
+        ["verify", "identities", "--n", "4"],
     ):
         assert run(tmp_path, *argv)[0] == 0, argv
     # the patch is live: a command that reads submodules fails its self-check

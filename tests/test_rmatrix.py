@@ -62,8 +62,8 @@ def test_inversion_residual_matches_dense_product(algebra, rng):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_intertwining_property(algebra, rng, n):
-    basis, rep = algebra.basis(n), algebra.rep(n)
-    for r0, r1 in intertwining_residual(rep, basis.generators, sample_spectral_parameters(rng, n, 2)):
+    rep = algebra.rep(n)
+    for r0, r1 in intertwining_residual(rep, sample_spectral_parameters(rng, n, 2)):
         assert r0 < 1e-8
         assert r1 < 1e-8
 
@@ -91,7 +91,7 @@ _ORACLE_LAMS = [0.37 - 0.52j, -1.2 + 0.8j, 0.98 * SAMPLE_RADIUS * np.exp(2.0j)]
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_dense_intertwining_matches_retired_path(algebra, n):
     basis, rep = algebra.basis(n), algebra.rep(n)
-    got = intertwining_residual(rep, basis.generators, _ORACLE_LAMS)
+    got = intertwining_residual(rep, _ORACLE_LAMS)
     want = _intertwining_oracle(rep, basis.generators, _ORACLE_LAMS)
     assert len(got) == len(_ORACLE_LAMS)
     for pair, oracle in zip(got, want):
@@ -106,7 +106,7 @@ def test_intertwining_level1_catches_wrong_block(algebra, monkeypatch, n):
     right = CoefficientSet.M
     monkeypatch.setattr(CoefficientSet, "M", lambda self, lam: right(self, lam) @ np.diag([1.0, -1.0]))
     lams = _ORACLE_LAMS[:2]
-    got = intertwining_residual(rep, basis.generators, lams)
+    got = intertwining_residual(rep, lams)
     for (r0, r1), (_, oracle1) in zip(got, _intertwining_oracle(rep, basis.generators, lams)):
         assert r0 <= 1e-8
         assert r1 > 1e-8
@@ -128,8 +128,7 @@ def test_coefficient_closed_forms():
 
 
 def test_derive_coefficients_fixed_samples(algebra):
-    dec = algebra.dec(4)
-    report = derive_coefficients(dec, [1j, 2 + 1j, -0.3])
+    report = derive_coefficients(algebra.rep(4), [1j, 2 + 1j, -0.3])
     assert report["max_error"] < 1e-8
     c = CoefficientSet(4)
     for entry in report["samples"]:
@@ -138,14 +137,25 @@ def test_derive_coefficients_fixed_samples(algebra):
         assert abs(entry["f3"] - c.f3(lam)) < 1e-8
         assert abs(entry["f4"] - c.f4(lam)) < 1e-8
         assert np.max(np.abs(entry["M"] - c.M(lam))) < 1e-8
+    assert derive_coefficients(algebra.rep(4), []) == {"samples": [], "max_error": 0.0}
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_derive_f4_across_ranks(algebra, n):
-    dec = algebra.dec(n)
-    report = derive_coefficients(dec, [0.8 + 0.6j])
-    entry = report["samples"][0]
-    assert abs(entry["f4"] - CoefficientSet(n).f4(entry["lambda"])) < 1e-8
+    """Every recovered coefficient, f3 and M included, against the closed forms."""
+    report = derive_coefficients(algebra.rep(n), [0.8 + 0.6j])
+    [entry] = report["samples"]
+    c, lam = CoefficientSet(n), entry["lambda"]
+    for key in ("f1", "f2", "f3", "f4"):
+        assert abs(entry[key] - getattr(c, key)(lam)) < 1e-8, key
+    assert np.max(np.abs(entry["M"] - c.M(lam))) < 1e-8
+    assert report["max_error"] < 1e-8
+
+
+def test_derive_coefficients_sees_a_wrong_f3(algebra, monkeypatch):
+    """f3 enters max_error: the closed form f1 in place of f1^2 is caught."""
+    monkeypatch.setattr(CoefficientSet, "f3", CoefficientSet.f1)
+    assert derive_coefficients(algebra.rep(4), [0.37 + 0.21j])["max_error"] > 1e-8
 
 
 def test_r_at_zero_is_swap(algebra):
@@ -432,10 +442,8 @@ def test_omega_from_f_matches_casimir_op(algebra, rng, n):
 
 def test_intertwining_probes_su6(algebra):
     """From n = 6 the intertwining relations are probed through the CSR frame."""
-    basis, rep = algebra.basis(6), algebra.rep(6)
-    [(res0, res1)] = intertwining_residual(
-        rep, basis.generators, [0.37 - 0.52j], probes=2, rng=np.random.default_rng(5)
-    )
+    rep = algebra.rep(6)
+    [(res0, res1)] = intertwining_residual(rep, [0.37 - 0.52j], probes=2, rng=np.random.default_rng(5))
     assert res0 <= 1e-8 and res1 <= 1e-8
 
 

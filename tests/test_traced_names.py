@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from adjrmat.adjoint_tensor import Decomposition
+from adjrmat.adjoint_tensor import Decomposition, adjoint_rep
 from adjrmat.rmatrix import ybe_residual
 from adjrmat.spinchain import commutation_check, transfer_matrix
 
@@ -48,6 +48,23 @@ def test_traced_functions_take_a_decomposition():
     """ybe_residual and transfer_matrix spans read ``dec.n``; commutation_check passes dec on."""
     for fn in (ybe_residual, transfer_matrix, commutation_check):
         assert typing.get_type_hints(fn)["dec"] is Decomposition
+
+
+def test_setup_probe_call_matches_adjoint_rep():
+    """perfbench/setup_probe.py times ``adjoint_rep(build_basis(n), validate=n <= 5)``.
+
+    Without the ``validate`` parameter every ``setup_s`` sample of the
+    benchmark would raise.
+    """
+    probe = ast.parse((TRACING.parent / "setup_probe.py").read_text())
+    keywords = [
+        kw.arg
+        for node in ast.walk(probe)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "adjoint_rep"
+        for kw in node.keywords
+    ]
+    assert "validate" in keywords
+    assert set(keywords) <= set(inspect.signature(adjoint_rep).parameters)
 
 
 def test_traced_decomposition_attributes(algebra):
