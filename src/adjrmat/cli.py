@@ -41,14 +41,14 @@ from .rmatrix import (
 from .spinchain import (
     chain_H,
     chain_spectrum,
-    commutation_check,
     global_symmetry_residual,
     h_oracle_residuals,
     local_h,
+    sector_commutator,
     spin_operators,
-    transfer_matrix,
     two_site_spectrum,
     verify_spinform,
+    weight_chain,
 )
 from .yangian_action import (
     VERIFIED_RANGE,
@@ -291,12 +291,14 @@ def suite_chain(ctx: _Context) -> list[dict]:
     if n != 3:
         raise ConfigError("the chain suite runs at n = 3 (larger ranks exceed the dense cap)")
     sites = cfg.sites
-    h = ctx.h
-    dec = ctx.dec
     m = n * n - 1
-    h_chain = chain_H(h, sites)
-    checks = [_check("chain-global-symmetry", global_symmetry_residual(h_chain, ctx.basis), 1e-8)]
-    eigs = chain_spectrum(h, ctx.basis, sites, cfg.tol)
+    # every check runs in the product weight basis, one total-weight sector at a time;
+    # H_w is built once per chain length, the chain under test first
+    chains = {L: weight_chain(ctx.basis, L) for L in (sites, 2, 3)}
+    hams = {L: chain.hamiltonian(ctx.h) for L, chain in chains.items()}
+    chain, h_w = chains[sites], hams[sites]
+    checks = [_check("chain-global-symmetry", global_symmetry_residual(chain, h_w), 1e-8)]
+    eigs = chain.spectrum(h_w, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)
     op = ">" if sites >= 3 else "<="
     threshold = 1e-6 if sites >= 3 else 1e-8
@@ -306,12 +308,12 @@ def suite_chain(ctx: _Context) -> list[dict]:
     rng = ctx.rng()
     for nsites in (2, 3):
         lam, mu = sample_ybe_pairs(rng, n, 1)[0]
-        res = commutation_check(dec, lam, mu, nsites)
+        chain = chains[nsites]
+        t_lam = chain.transfer(ctx.rep, lam)
+        res = sector_commutator(chain, t_lam, chain.transfer(ctx.rep, mu))
         checks.append(_check("transfer-commutation", res, 1e-8,
                              params={"sites": nsites, "lambda": _cpair(lam), "mu": _cpair(mu)}))
-        t = transfer_matrix(dec, lam, nsites)
-        h_n = h_chain if nsites == sites else chain_H(h, nsites)
-        res_h = frobenius(t @ h_n - h_n @ t) / (frobenius(t) * frobenius(h_n))
+        res_h = sector_commutator(chain, t_lam, hams[nsites])
         checks.append(_check("transfer-hamiltonian-commutation", res_h, 1e-7,
                              params={"sites": nsites, "lambda": _cpair(lam)}))
     return checks

@@ -39,8 +39,8 @@ class Tolerance:
     rank_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rank_tol > 0.0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0.0 < t < np.inf for t in (self.abs_tol, self.rank_tol)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()

@@ -16,8 +16,16 @@ spectrum.
 The periodic chain is built bond by bond: :func:`chain_H` adds h into the
 diagonal view of H for each bond of the ring, never forming h (x) 1, and
 returns H as a plain m^L x m^L array, and :func:`transfer_matrix` is one
-contraction of L R factors around the auxiliary ring.  Both spectra, of h
-and of H, are solved one Cartan-weight sector at a time in real arithmetic.
+contraction of L R factors around the auxiliary ring.
+
+H and t(lam) conserve the total Cartan weight, so the chain is studied in
+the product weight basis of a :class:`WeightChain`, where both are
+block-diagonal: H_w is the chain of the rotated density and t_w(lam) the
+ring of the rotated R.  Every chain check goes one total-weight sector at a
+time: the spectrum (in real arithmetic, as the two-site one), the transfer
+commutators (:func:`sector_commutator`) and the su(n) invariance of H
+(:func:`global_symmetry_residual`, over the weight basis of su(n)).  No
+m^L x m^L matrix product is formed.
 """
 
 from __future__ import annotations
@@ -29,13 +37,12 @@ import numpy as np
 
 from .adjoint_tensor import AdjointRep, Decomposition, ad_matrix, casimir_op, rotate_pair
 from .liealg import SunBasis, pair_weights, weight_basis, weight_blocks
-from .numerics import DEFAULT_TOL, Tolerance, eig_general, frobenius, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, eig_general, max_abs
 from .rmatrix import (
     CoefficientSet,
     _assemble,
     _permute_cols_swap,
     build_R,
-    check_pole_distance,
     operator_form,
 )
 
@@ -49,6 +56,9 @@ __all__ = [
     "verify_spinform",
     "chain_H",
     "transfer_matrix",
+    "WeightChain",
+    "weight_chain",
+    "sector_commutator",
     "commutation_check",
     "global_symmetry_residual",
     "two_site_spectrum",
@@ -208,6 +218,16 @@ def verify_spinform(
     return {"scale": float(scale), "shift": float(shift.real), "residual": float(residual)}
 
 
+def _chain_dim(m: int, sites: int) -> int:
+    """m^L, after checking that a chain of ``sites`` sites is allowed and fits the dense cap."""
+    if sites < 2:
+        raise ValueError("a chain needs at least two sites")
+    dim = m**sites
+    if dim > CHAIN_DIM_CAP:
+        raise ValueError(f"chain dimension {dim} exceeds the dense cap {CHAIN_DIM_CAP}")
+    return dim
+
+
 def chain_H(h: np.ndarray, sites: int) -> np.ndarray:
     """Periodic chain Hamiltonian H = sum_i h_{i,i+1} with site L+1 = 1, as an m^L x m^L array.
 
@@ -219,13 +239,7 @@ def chain_H(h: np.ndarray, sites: int) -> np.ndarray:
     are added in order (1,2), (2,3), ..., (L,1).
     """
     m = math.isqrt(h.shape[0])
-    if sites < 2:
-        raise ValueError("a chain needs at least two sites")
-    dim = m**sites
-    if dim > CHAIN_DIM_CAP:
-        raise ValueError(
-            f"chain dimension {dim} exceeds the dense cap {CHAIN_DIM_CAP}"
-        )
+    dim = _chain_dim(m, sites)
     term = h.reshape((m,) * 4 + (1,) * (sites - 2))  # [o_a, o_b, i_a, i_b], spectators broadcast
     total = np.zeros((m,) * (2 * sites), dtype=complex)
     outs = [chr(ord("A") + s) for s in range(sites)]
@@ -240,28 +254,20 @@ def chain_H(h: np.ndarray, sites: int) -> np.ndarray:
     return total.reshape(dim, dim)
 
 
-def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
-    """Transfer matrix t(lam): auxiliary-space trace of the R-matrix monodromy.
+def _ring_trace(r: np.ndarray, sites: int) -> np.ndarray:
+    """Auxiliary-space trace of the monodromy of the two-site operator ``r`` around a ring.
 
-    The monodromy is the ordered product of R factors over an auxiliary
-    adjoint space with the site-1 factor leftmost; this ordering makes t(lam)
-    the generating object for H = sum_i h_{i,i+1} (the opposite ordering
-    generates the reflected chain).  t(lam) is one ``einsum`` over the
-    auxiliary ring: factor k is R[aux_k, out_k, aux_{k+1}, in_k] with
-    aux_L = aux_0, which closes the trace.  The monodromy on the auxiliary
-    (x) chain space is never formed.
-
-    Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
-    benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
+    Factor k is r[aux_k, out_k, aux_{k+1}, in_k] with aux_L = aux_0, which
+    closes the trace, and the site-1 factor is leftmost; the whole ring is
+    one ``einsum``, so the monodromy on the auxiliary (x) chain space is
+    never formed.  The result is written in the site coordinates of ``r``.
     """
-    n = dec.n
-    m = n * n - 1
-    check_pole_distance(lam, n)
+    m = math.isqrt(r.shape[0])
     if sites < 2:
         raise ValueError("a chain needs at least two sites")
     if m**sites > CHAIN_DIM_CAP:
         raise ValueError(f"transfer-matrix dimension {m**sites} exceeds the dense cap")
-    r4 = build_R(dec.rep, lam).reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
+    r4 = r.reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
     # labels: aux_k is k, out_k is sites + k, in_k is 2 sites + k
     operands = []
     for k in range(sites):
@@ -270,60 +276,193 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
     return t.reshape(m**sites, m**sites)
 
 
+def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
+    """Transfer matrix t(lam) in Gell-Mann coordinates: auxiliary-space trace of the R-matrix monodromy.
+
+    The monodromy is the ordered product of R factors over an auxiliary
+    adjoint space with the site-1 factor leftmost; this ordering makes t(lam)
+    the generating object for H = sum_i h_{i,i+1} (the opposite ordering
+    generates the reflected chain).  :meth:`WeightChain.transfer` is the
+    same ring contraction in the product weight basis, which the chain
+    suite uses.
+
+    Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
+    benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
+    """
+    return _ring_trace(build_R(dec.rep, lam), sites)
+
+
+@dataclass(frozen=True)
+class WeightChain:
+    """The product weight basis of a periodic chain of ``sites`` sites, split by total weight.
+
+    ``u`` and ``weights`` are those of :func:`liealg.weight_basis`; the
+    product state a_1..a_L (site 1 slowest) has total weight weights[a_1] +
+    ... + weights[a_L].  H and t(lam) conserve that weight, so both are
+    block-diagonal here: ``blocks`` lists the states of each sector, in the
+    sorted order of the distinct total weights ``sector_weights``, and
+    ``label`` the sector of each state (37 sectors at n = 3, L = 3, the
+    largest of 56; 61 at L = 4, the largest of 346).
+    """
+
+    basis: SunBasis
+    sites: int
+    u: np.ndarray
+    weights: np.ndarray
+    blocks: list[np.ndarray]
+    sector_weights: np.ndarray
+    label: np.ndarray
+
+    def hamiltonian(self, h: np.ndarray) -> np.ndarray:
+        """H_w = U^(x)L H U^(x)L^dagger: :func:`chain_H` of the density rotated by :func:`rotate_pair`."""
+        return chain_H(rotate_pair(self.u, h), self.sites)
+
+    def transfer(self, rep: AdjointRep, lam: complex) -> np.ndarray:
+        """t_w(lam) = U^(x)L t(lam) U^(x)L^dagger, the ring contraction of (u (x) u) R (u (x) u)^dagger."""
+        return _ring_trace(rotate_pair(self.u, build_R(rep, lam)), self.sites)
+
+    def spectrum(self, h_w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
+        """Eigenvalues of the chain operator ``h_w``, one sector at a time (see :func:`chain_spectrum`)."""
+        return _sector_eigenvalues(h_w, self.blocks, tol, "chain Hamiltonian")
+
+
+def weight_chain(basis: SunBasis, sites: int) -> WeightChain:
+    """The :class:`WeightChain` of ``sites`` sites over the weight basis of ``basis``."""
+    _chain_dim(basis.dim, sites)
+    u, weights = weight_basis(basis)
+    total = weights  # total[a_1..a_k] = weights[a_1] + ... + weights[a_k], site 1 slowest
+    for _ in range(sites - 1):
+        total = (total[:, None, :] + weights[None, :, :]).reshape(-1, weights.shape[1])
+    blocks = weight_blocks(total)
+    label = np.empty(len(total), dtype=int)
+    for k, idx in enumerate(blocks):
+        label[idx] = k
+    return WeightChain(basis=basis, sites=sites, u=u, weights=weights, blocks=blocks,
+                       sector_weights=total[[idx[0] for idx in blocks]], label=label)
+
+
+def _split_sectors(op_w: np.ndarray, blocks: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
+    """The diagonal sector blocks of ``op_w`` and the Frobenius norm of everything outside them.
+
+    One row block at a time, as in :func:`_sector_eigenvalues`: nothing of
+    the size of ``op_w`` is allocated.
+    """
+    diag, off2 = [], 0.0
+    for idx in blocks:
+        rows = op_w[idx]
+        diag.append(rows[:, idx])
+        rows[:, idx] = 0.0
+        off2 += np.linalg.norm(rows) ** 2
+    return diag, float(np.sqrt(off2))
+
+
+def sector_commutator(chain: WeightChain, a: np.ndarray, b: np.ndarray) -> float:
+    """Normalized commutator ||AB - BA||_F / (||A||_F ||B||_F) of two chain operators, sector by sector.
+
+    ``a`` and ``b`` are in the product weight basis of ``chain``.  The
+    commutator is summed as sqrt(sum_W ||A_W B_W - B_W A_W||^2) over the
+    diagonal sector blocks, and each factor's off-sector share ||X_off|| /
+    ||X|| is a floor, so an operator that leaves its sectors cannot pass on
+    commuting blocks.  Frobenius norms are unitarily invariant: for
+    operators that conserve weight this is the ratio of the Gell-Mann
+    operators up to roundoff.
+    """
+    a_w, a_off = _split_sectors(a, chain.blocks)
+    b_w, b_off = _split_sectors(b, chain.blocks)
+    diff2 = sum(np.linalg.norm(x @ y - y @ x) ** 2 for x, y in zip(a_w, b_w))
+    a_norm = np.sqrt(sum(np.linalg.norm(x) ** 2 for x in a_w) + a_off**2)
+    b_norm = np.sqrt(sum(np.linalg.norm(y) ** 2 for y in b_w) + b_off**2)
+    return float(max(np.sqrt(diff2) / (a_norm * b_norm), a_off / a_norm, b_off / b_norm))
+
+
 def commutation_check(dec: Decomposition, lam: complex, mu: complex, sites: int) -> float:
-    """Normalized commutator residual of two transfer matrices.
+    """:func:`sector_commutator` of t(lam) and t(mu) on ``sites`` sites, in the product weight basis.
 
-    ``dec`` is passed on to :func:`transfer_matrix`, which keeps it for the
-    benchmark tracer; only ``dec.rep`` is read.
+    Only ``dec.rep`` is read; ``dec`` stays the parameter for the benchmark
+    tracer, as in :func:`transfer_matrix`.
     """
-    t1 = transfer_matrix(dec, lam, sites)
-    t2 = transfer_matrix(dec, mu, sites)
-    return float(frobenius(t1 @ t2 - t2 @ t1) / (frobenius(t1) * frobenius(t2)))
+    chain = weight_chain(dec.rep.basis, sites)
+    return sector_commutator(chain, chain.transfer(dec.rep, lam), chain.transfer(dec.rep, mu))
 
 
-def global_symmetry_residual(h: np.ndarray, basis: SunBasis) -> float:
-    """Largest normalized commutator of a chain H with the diagonal action of a generator.
+def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
+    """Largest normalized commutator of a chain H with the diagonal action of su(n).
 
-    Returns max over the generators x of max_abs([H, sum_s ad_s(x)]) /
-    max(1, max_abs(H)), where ad_s(x) acts on site s.  Each ad_s(x) is
-    applied to one output or one input site index of H by an m x m matmul
-    on a reshaped view: 2 L m dim^2 multiply-adds per generator, where the
-    products with the L-site Kronecker sum would take 2 dim^3.  L is read
-    off the size of H.
+    ``h_w`` is H in the product weight basis of ``chain``.  Returns the max
+    over x in the weight basis of su(n) (x) C of max_abs([H_w, sum_s
+    ad_s(x)]) / max(1, max_abs(H_w)), where ad_s(x) acts on site s:
+    - for a Cartan generator H_k, sum_s ad_s(H_k) is diagonal, the charge
+      diag(H_k) . W of each state's total weight W, so the commutator is
+      each entry of H_w times the charge difference of its column and row.
+      It vanishes inside the sectors and reads H_w's off-sector entries;
+    - for a root vector e_ij, sum_s ad_s(e_ij) maps sector W to W + alpha,
+      alpha = e_i - e_j, so the commutator is H_{W+alpha} X - X H_W, one
+      sector pair at a time, with the block X gathered from the nonzeros of
+      ad(e_ij) in weight coordinates.
+    For an H that conserves weight this is the maximum over the dense
+    Kronecker sums up to roundoff.  Otherwise the root terms see only the
+    sector blocks of H_w, and the Cartan terms carry what lies outside them.
+    Nothing of the size of H is allocated besides row blocks.
     """
-    m = basis.dim
-    dim = h.shape[0]
-    sites = round(math.log(dim, m))
-    if m**sites != dim:
-        raise ValueError(f"dimension {dim} is not a power of {m}")
-    scale = max(1.0, max_abs(h))
+    basis, sites, blocks = chain.basis, chain.sites, chain.blocks
+    n, m = basis.n, basis.dim
+    dim = m**sites
+    if h_w.shape != (dim, dim):
+        raise ValueError(f"a {sites}-site chain operator is {dim} x {dim}, got {h_w.shape}")
+    roots = m - (n - 1)  # the weight basis lists the e_ij before the Cartan generators
+    cartan = np.real(np.diagonal(basis.generators[roots:], axis1=1, axis2=2))
+    charge = (chain.sector_weights @ cartan.T)[chain.label]  # bit-equal within a sector
     worst = 0.0
-    for gen in basis.generators:
-        ad = ad_matrix(basis, gen)
-        # H T on the input indices, the last one a plain matmul
-        comm = (h.reshape(-1, m) @ ad).reshape(dim, dim)
-        for s in range(1, sites):
-            comm += np.matmul(ad.T, h.reshape(dim * m ** (s - 1), m, -1)).reshape(dim, dim)
-        # minus T H on the output indices
-        for s in range(1, sites + 1):
-            comm -= np.matmul(ad, h.reshape(m ** (s - 1), m, -1)).reshape(dim, dim)
-        worst = max(worst, max_abs(comm) / scale)
-    return worst
+    diag = []
+    for idx in blocks:
+        rows = h_w[idx]
+        diag.append(rows[:, idx])
+        # max over the H_k of |H_ab| |charge_k(b) - charge_k(a)|, the charge spread taken first
+        spread = np.max(np.abs(charge - charge[idx[0]]), axis=1)
+        worst = max(worst, max_abs(np.abs(rows) * spread))
+    digits = np.indices((m,) * sites).reshape(sites, dim)  # the site states of each product state
+    on_site = [[np.flatnonzero(digits[s] == a) for a in range(m)] for s in range(sites)]
+    strides = m ** np.arange(sites - 1, -1, -1)
+    pos = np.empty(dim, dtype=int)  # place of each state in its sector
+    for idx in blocks:
+        pos[idx] = np.arange(len(idx))
+    u_h = np.conj(chain.u).T
+    for alpha in chain.weights[:roots]:
+        unit = np.zeros((n, n))
+        unit[np.argmax(alpha), np.argmin(alpha)] = 1.0
+        x1 = chain.u @ ad_matrix(basis, unit) @ u_h
+        # the nonzeros of sum_s ad_s(e_ij): site s goes from a to c, with weight up by alpha
+        steps = np.argwhere(np.all(chain.weights[:, None] - chain.weights[None, :] == alpha, axis=2))
+        src, dst, vals = [], [], []
+        for s in range(sites):
+            for c, a in steps:
+                src.append(on_site[s][a])
+                dst.append(on_site[s][a] + (c - a) * strides[s])
+                vals.append(np.full(len(on_site[s][a]), x1[c, a]))
+        src, dst, vals = (np.concatenate(x) for x in (src, dst, vals))
+        order = np.argsort(chain.label[src], kind="stable")  # grouped by source sector
+        src, dst, vals = src[order], dst[order], vals[order]
+        cuts = np.flatnonzero(np.diff(chain.label[src])) + 1
+        for q, p, v in zip(np.split(src, cuts), np.split(dst, cuts), np.split(vals, cuts)):
+            k, t = chain.label[q[0]], chain.label[p[0]]
+            x = np.zeros((len(blocks[t]), len(blocks[k])), dtype=complex)
+            x[pos[p], pos[q]] = v
+            worst = max(worst, max_abs(diag[t] @ x - x @ diag[k]))
+    return worst / max(1.0, max_abs(h_w))
 
 
 def _sector_eigenvalues(
-    op_w: np.ndarray, weights: np.ndarray, tol: Tolerance, what: str
+    op_w: np.ndarray, blocks: list[np.ndarray], tol: Tolerance, what: str
 ) -> list[complex]:
     """Eigenvalues of a real operator in weight coordinates, one total-weight block at a time.
 
-    ``weights`` holds the total weight of each row.  An entry of ``op_w``
+    ``blocks`` lists the rows of each total weight.  An entry of ``op_w``
     above ``tol.abs_tol`` joining two different weights raises
     ``AssertionError``, and so does an imaginary part above ``tol.abs_tol``.
     The blocks are then solved in real arithmetic, so every complex
     eigenvalue comes with its exact (bit-equal) conjugate; each goes through
     :func:`eig_general` with its residual contract.
     """
-    blocks = weight_blocks(weights)
     stray = imag = 0.0
     for idx in blocks:  # a block of rows at a time: no dense mask or abs(op_w) beside op_w
         rows = op_w[idx]
@@ -357,24 +496,18 @@ def two_site_spectrum(h: np.ndarray, basis: SunBasis, tol: Tolerance = DEFAULT_T
     ``AssertionError``.
     """
     u, weights = weight_basis(basis)
-    return _sector_eigenvalues(rotate_pair(u, h), pair_weights(weights), tol, "two-site density")
+    return _sector_eigenvalues(rotate_pair(u, h), weight_blocks(pair_weights(weights)), tol,
+                               "two-site density")
 
 
 def chain_spectrum(h: np.ndarray, basis: SunBasis, sites: int, tol: Tolerance = DEFAULT_TOL):
     """Eigenvalues of the periodic chain H of ``h`` (sorted by real, then imaginary part).
 
     ``basis`` gives the Gell-Mann coordinates ``h`` is written in.  H
-    conserves the total Cartan weight.  h is rotated to two-site weight
-    coordinates with :func:`rotate_pair` and the chain is assembled from it
-    by :func:`chain_H`, which gives H in the product weight basis; the m^L
-    indices are grouped by total weight (37 sectors at n = 3, L = 3, the
-    largest of 56) and solved as in :func:`two_site_spectrum`, in real
-    arithmetic, so every complex eigenvalue comes with its exact (bit-equal)
-    conjugate.
+    conserves the total Cartan weight, so in the product weight basis of
+    :func:`weight_chain` it is block-diagonal; the sectors are solved as in
+    :func:`two_site_spectrum`, in real arithmetic, so every complex
+    eigenvalue comes with its exact (bit-equal) conjugate.
     """
-    u, weights = weight_basis(basis)
-    total = weights  # total[a_1..a_k] = weights[a_1] + ... + weights[a_k], site 1 slowest
-    for _ in range(sites - 1):
-        total = (total[:, None, :] + weights[None, :, :]).reshape(-1, weights.shape[1])
-    return _sector_eigenvalues(chain_H(rotate_pair(u, h), sites), total, tol,
-                               "chain Hamiltonian")
+    chain = weight_chain(basis, sites)
+    return chain.spectrum(chain.hamiltonian(h), tol)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -161,6 +162,80 @@ def test_negative_samples_is_a_usage_error(tmp_path, capsys, argv):
     assert payload is None
     assert err.startswith("adjrmat: --samples must be non-negative")
     assert err.count("\n") == 1
+
+
+def test_infinite_tolerance_is_a_usage_error(tmp_path, capsys):
+    """A non-finite --tol is refused before any check runs: exit 2, one line, no report."""
+    code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "3", "--tol", "inf")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert payload is None
+    assert err == "adjrmat: tolerances must be finite and strictly positive\n"
+
+
+# ``verify chain --n 3 --sites 3 --seed 1``: every entry but its residual
+VERIFY_CHAIN_N3_ENTRIES = [
+    {"id": "chain-global-symmetry", "threshold": 1e-08, "op": "<=", "pass": True},
+    {"id": "chain-spectrum-complex", "params": {"sites": 3, "dimension": 512},
+     "threshold": 1e-06, "op": ">", "pass": True},
+    {"id": "transfer-commutation",
+     "params": {"sites": 2, "lambda": [2.0431299223715738, -0.6572782839956276],
+                "mu": [1.0802757567112202, -0.3611658953150257]},
+     "threshold": 1e-08, "op": "<=", "pass": True},
+    {"id": "transfer-hamiltonian-commutation",
+     "params": {"sites": 2, "lambda": [2.0431299223715738, -0.6572782839956276]},
+     "threshold": 1e-07, "op": "<=", "pass": True},
+    {"id": "transfer-commutation",
+     "params": {"sites": 3, "lambda": [-1.4845843959462306, 0.776203735759713],
+                "mu": [-2.297073894226365, 1.4740335372194544]},
+     "threshold": 1e-08, "op": "<=", "pass": True},
+    {"id": "transfer-hamiltonian-commutation",
+     "params": {"sites": 3, "lambda": [-1.4845843959462306, 0.776203735759713]},
+     "threshold": 1e-07, "op": "<=", "pass": True},
+]
+
+
+def test_verify_chain_entries_are_pinned(tmp_path):
+    code, payload = run(tmp_path, "verify", "chain", "--n", "3", "--sites", "3", "--seed", "1")
+    assert code == 0
+    entries = [{k: v for k, v in c.items() if k != "residual"} for c in payload["checks"]]
+    assert entries == VERIFY_CHAIN_N3_ENTRIES
+
+
+def test_verify_chain_four_sites(tmp_path):
+    """The 4,096-state chain: every check passes in under 10 s."""
+    start = time.perf_counter()
+    code, payload = run(tmp_path, "verify", "chain", "--n", "3", "--sites", "4", "--seed", "1")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert [c["id"] for c in payload["checks"]] == [c["id"] for c in VERIFY_CHAIN_N3_ENTRIES]
+    assert all(c["pass"] for c in payload["checks"])
+    assert payload["checks"][1]["params"] == {"sites": 4, "dimension": 4096}
+    assert elapsed < 10.0
+
+
+def test_chain_suite_builds_each_chain_operator_once(tmp_path, monkeypatch):
+    """H_w once per chain length, t(lambda) once per (lambda, length), and no decomposition."""
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(spinchain, name)
+
+        def wrapper(op, sites):
+            calls[name, sites] += 1
+            return original(op, sites)
+
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_decomposition was called")
+
+    for name in ("chain_H", "_ring_trace"):
+        monkeypatch.setattr(spinchain, name, counted(name))
+    monkeypatch.setattr(cli, "build_decomposition", refuse)
+    assert run(tmp_path, "verify", "chain", "--n", "3", "--sites", "3")[0] == 0
+    assert calls == {("chain_H", 3): 1, ("chain_H", 2): 1,
+                     ("_ring_trace", 2): 2, ("_ring_trace", 3): 2}
 
 
 def test_cli_import_and_decomposition_leave_scipy_unloaded(tmp_path):

@@ -157,3 +157,11 @@ def test_tolerance_must_be_positive():
     with pytest.raises(ValueError):
         Tolerance(rank_tol=-1e-9)
 
+
+@pytest.mark.parametrize(
+    "kwargs", [{"abs_tol": np.inf}, {"rank_tol": np.inf}, {"abs_tol": np.nan}, {"rank_tol": -np.inf}]
+)
+def test_tolerance_must_be_finite(kwargs):
+    with pytest.raises(ValueError, match="tolerances must be finite and strictly positive"):
+        Tolerance(**kwargs)
+

@@ -1,10 +1,12 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from adjrmat.adjoint_tensor import ad_matrix, permutation_op
+from adjrmat.adjoint_tensor import ad_matrix, permutation_op, rotate_pair
+from adjrmat.liealg import off_block_mask, pair_weights, weight_basis
 from adjrmat.numerics import eig_general
 from adjrmat.rmatrix import CoefficientSet, build_R, sample_ybe_pairs
 from adjrmat.spinchain import (
@@ -14,11 +16,13 @@ from adjrmat.spinchain import (
     global_symmetry_residual,
     h_oracle_residuals,
     local_h,
+    sector_commutator,
     spin_operators,
     spinform_h,
     transfer_matrix,
     two_site_spectrum,
     verify_spinform,
+    weight_chain,
 )
 
 TOL = 1e-9
@@ -277,32 +281,128 @@ def test_chain_H_is_translation_invariant(locals_cache):
         assert residual(_bond_sum(h, m, sites, bonds)) > 1e-3
 
 
-def test_chain_global_symmetry(algebra, locals_cache):
-    """The library residual against the L-site Kronecker sums of ad(x)."""
-    basis = algebra.basis(3)
-    h_chain = chain_H(locals_cache(3), 3)
-    m = 8
-    scale = max(1.0, np.max(np.abs(h_chain)))
+def _gell_mann_symmetry_oracle(h_chain, basis, sites):
+    """max over the Gell-Mann generators of max_abs([H, sum_s ad_s(x)]) / max(1, max_abs(H)), by dense Kronecker sums."""
+    m = basis.dim
     worst = 0.0
-    for a in range(m):
-        gen = ad_matrix(basis, basis.generators[a])
-        total = sum(
-            np.kron(np.kron(np.eye(m ** (s - 1)), gen), np.eye(m ** (3 - s)))
-            for s in (1, 2, 3)
-        )
-        comm = np.max(np.abs(h_chain @ total - total @ h_chain))
-        assert comm < TOL * m * m
-        worst = max(worst, comm / scale)
-    assert abs(global_symmetry_residual(h_chain, basis) - worst) <= 1e-13
+    for gen in basis.generators:
+        ad = ad_matrix(basis, gen)
+        total = sum(np.kron(np.kron(np.eye(m**s), ad), np.eye(m ** (sites - 1 - s))) for s in range(sites))
+        worst = max(worst, np.max(np.abs(h_chain @ total - total @ h_chain)))
+    return worst / max(1.0, np.max(np.abs(h_chain)))
+
+
+def _weight_commutators(chain, h_w):
+    """max_abs([H_w, sum_s ad_s(x)]) for each x of the weight basis of su(n), by dense Kronecker sums.
+
+    The weight basis is read off U: B_b = sum_a conj(U[b, a]) I^a, the root
+    vectors first, then the Cartan generators.
+    """
+    basis, sites, u = chain.basis, chain.sites, chain.u
+    m = basis.dim
+    out = []
+    for unit in np.einsum("ba,aij->bij", np.conj(u), basis.generators):
+        x1 = u @ ad_matrix(basis, unit) @ np.conj(u).T
+        total = sum(np.kron(np.kron(np.eye(m**s), x1), np.eye(m ** (sites - 1 - s))) for s in range(sites))
+        out.append(np.max(np.abs(h_w @ total - total @ h_w)))
+    return np.array(out)
+
+
+def _weight_conserving_noise(basis, h, seed):
+    """h plus real noise of size 1e-3 inside the two-site weight blocks of rotate_pair(u, h), rotated back.
+
+    The result conserves weight but is not su(n)-invariant.
+    """
+    u, weights = weight_basis(basis)
+    inside = ~off_block_mask(pair_weights(weights))
+    noise = np.where(inside, np.random.default_rng(seed).standard_normal(h.shape), 0.0)
+    return rotate_pair(np.conj(u).T, rotate_pair(u, h) + 1e-3 * noise)
+
+
+def test_chain_global_symmetry(algebra, locals_cache):
+    """On the true H the Gell-Mann Kronecker-sum oracle and the sector residual both vanish."""
+    basis = algebra.basis(3)
+    h = locals_cache(3)
+    for sites in (2, 3):
+        assert _gell_mann_symmetry_oracle(chain_H(h, sites), basis, sites) <= 1e-13
+        chain = weight_chain(basis, sites)
+        assert global_symmetry_residual(chain, chain.hamiltonian(h)) <= 1e-13
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_global_symmetry_residual_matches_weight_kronecker_oracle(algebra, locals_cache, sites):
+    basis = algebra.basis(3)
+    chain = weight_chain(basis, sites)
+    for h in (locals_cache(3), _weight_conserving_noise(basis, locals_cache(3), 7)):
+        h_w = chain.hamiltonian(h)
+        want = _weight_commutators(chain, h_w).max() / max(1.0, np.max(np.abs(h_w)))
+        assert abs(global_symmetry_residual(chain, h_w) - want) <= 1e-13
+
+
+def test_global_symmetry_residual_reads_the_stray_through_the_cartan_generators(algebra, locals_cache):
+    """For an H that leaves its sectors, the root terms see the sector blocks and the Cartan terms the rest."""
+    basis = algebra.basis(3)
+    chain = weight_chain(basis, 2)
+    h = locals_cache(3)
+    noise = np.random.default_rng(3).standard_normal(h.shape)
+    h_w = chain.hamiltonian(h + 1e-3 * noise)
+    inside = np.zeros_like(h_w)
+    for idx in chain.blocks:
+        inside[np.ix_(idx, idx)] = h_w[np.ix_(idx, idx)]
+    roots = basis.dim - (basis.n - 1)
+    want = max(_weight_commutators(chain, h_w)[roots:].max(),
+               _weight_commutators(chain, inside)[:roots].max())
+    got = global_symmetry_residual(chain, h_w) * max(1.0, np.max(np.abs(h_w)))
+    assert want > 1e-4
+    assert abs(got - want) <= 1e-13
 
 
 def test_global_symmetry_residual_detects_broken_invariance(algebra, locals_cache):
+    """Noise that leaves the weight sectors is caught; so is noise that keeps them.
+
+    The weight-conserving density passes the sector spectrum, so its stray
+    is below tolerance: its residual comes from the root commutators.
+    """
+    basis = algebra.basis(3)
     h = locals_cache(3)
     rng = np.random.default_rng(5)
     noise = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
-    broken = h + 1e-3 * noise
+    conserving = _weight_conserving_noise(basis, h, 5)
     for sites in (2, 3):
-        assert global_symmetry_residual(chain_H(broken, sites), algebra.basis(3)) > 1e-8
+        chain = weight_chain(basis, sites)
+        assert global_symmetry_residual(chain, chain.hamiltonian(h + 1e-3 * noise)) > 1e-8
+        chain_spectrum(conserving, basis, sites)  # raises if the density leaves its sectors
+        assert global_symmetry_residual(chain, chain.hamiltonian(conserving)) > 1e-8
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_weight_chain_is_the_rotated_gell_mann_chain(algebra, locals_cache, sites):
+    """H_w and t_w(lam) are U^(x)L H U^(x)L^dagger and U^(x)L t U^(x)L^dagger."""
+    basis, rep, dec = algebra(3)
+    h = locals_cache(3)
+    chain = weight_chain(basis, sites)
+    big_u = reduce(np.kron, [chain.u] * sites)
+
+    def rotated(op):
+        return big_u @ op @ np.conj(big_u).T
+
+    assert np.max(np.abs(chain.hamiltonian(h) - rotated(chain_H(h, sites)))) <= 1e-12
+    lam = 0.37 + 0.21j
+    t = transfer_matrix(dec, lam, sites)
+    assert np.max(np.abs(chain.transfer(rep, lam) - rotated(t))) <= 1e-12 * np.max(np.abs(t))
+
+
+def test_weight_chain_sectors(algebra):
+    """37 sectors of the 512 states at L = 3, the largest of 56; labels and weights agree with the blocks."""
+    chain = weight_chain(algebra.basis(3), 3)
+    assert len(chain.blocks) == 37
+    assert max(len(idx) for idx in chain.blocks) == 56
+    assert sorted(np.concatenate(chain.blocks).tolist()) == list(range(512))
+    digits = np.indices((8,) * 3).reshape(3, -1)
+    total = chain.weights[digits].sum(axis=0)
+    for k, idx in enumerate(chain.blocks):
+        assert np.all(chain.label[idx] == k)
+        assert np.all(total[idx] == chain.sector_weights[k])
 
 
 def test_chain_three_sites_has_complex_spectrum(algebra, locals_cache):
@@ -358,6 +458,38 @@ def test_transfer_commutes_with_chain(algebra, locals_cache, rng):
             np.linalg.norm(t) * np.linalg.norm(h_chain)
         )
         assert res < 1e-7
+
+
+def _dense_ratio(a, b):
+    """The Gell-Mann Frobenius ratio ||AB - BA|| / (||A|| ||B||) of the dense checks."""
+    return np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def test_transfer_residuals_match_dense_ratio(algebra, locals_cache, rng):
+    """The sector residuals against the dense ratio, at the lambdas of test_transfer_commutes_with_chain."""
+    basis, rep, dec = algebra(3)
+    h = locals_cache(3)
+    for sites in (2, 3):
+        lam, mu = sample_ybe_pairs(rng, 3, 1)[0]
+        chain = weight_chain(basis, sites)
+        t_w = chain.transfer(rep, lam)
+        t, t_mu = transfer_matrix(dec, lam, sites), transfer_matrix(dec, mu, sites)
+        got = sector_commutator(chain, t_w, chain.transfer(rep, mu))
+        assert abs(got - _dense_ratio(t, t_mu)) <= 1e-15
+        got_h = sector_commutator(chain, t_w, chain.hamiltonian(h))
+        assert abs(got_h - _dense_ratio(t, chain_H(h, sites))) <= 1e-15
+
+
+def test_sector_commutator_cannot_hide_off_sector_error(algebra, locals_cache):
+    """A t_w whose blocks commute with H_w, plus one off-sector entry of relative size 1e-6."""
+    basis, rep, _ = algebra(3)
+    chain = weight_chain(basis, 3)
+    h_w = chain.hamiltonian(locals_cache(3))
+    t_w = chain.transfer(rep, 0.37 + 0.21j)
+    assert sector_commutator(chain, t_w, h_w) <= 1e-15
+    t_w[chain.blocks[0][0], chain.blocks[1][0]] += 1e-6 * np.linalg.norm(t_w)
+    assert sector_commutator(chain, t_w, h_w) >= 1e-7
+    assert sector_commutator(chain, h_w, t_w) >= 1e-7
 
 
 def test_transfer_at_zero_is_translation(algebra):
