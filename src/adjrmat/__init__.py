@@ -17,7 +17,6 @@ from .adjoint_tensor import (
     build_decomposition,
     casimir_op,
     highest_weight_vectors,
-    permutation_op,
 )
 from .rmatrix import (
     CoefficientSet,
@@ -66,7 +65,6 @@ __all__ = [
     "level1_action",
     "local_h",
     "matrix_unit",
-    "permutation_op",
     "spin_operators",
     "spinform_h",
     "structure_constants",

@@ -4,8 +4,11 @@ Vectors of the two-site module live in coordinates: an element
 sum_{a,b} v^{ab} I^a (x) I^b of su(n) (x) su(n) is stored as the flat complex
 array v of length (n^2-1)^2 with row-major index a*(n^2-1)+b, matching the
 Kronecker-product convention of :mod:`adjrmat.numerics`.  Lowering orbits
-are closed internally in two-site weight coordinates (see :func:`_orbit`),
-but every basis this module returns is in these Gell-Mann coordinates.
+are closed internally in the two-site weight frame ``rep.weight_frame`` of
+:func:`liealg.weight_chain` (see :func:`_orbit`), but every basis this module
+returns is in these Gell-Mann coordinates.  The representation also holds
+the gather indices of the dense Yang-Baxter blocks over the three-site
+frame (``rep.ybe_gathers``), built once.
 
 Two distinct objects both called "Casimir" are kept strictly separate:
 
@@ -25,14 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .liealg import (
-    SunBasis,
-    matrix_unit,
-    off_block_mask,
-    pair_weights,
-    weight_basis,
-    weight_blocks,
-)
+from .liealg import SunBasis, WeightChain, matrix_unit, weight_chain
 from .numerics import DEFAULT_TOL, Tolerance, kron, max_abs
 
 __all__ = [
@@ -41,22 +37,18 @@ __all__ = [
     "Submodule",
     "Decomposition",
     "PairFrame",
-    "TripleFrame",
     "ROLE_ORDER",
     "adjoint_rep",
     "ad_matrix",
     "tensor_coords",
-    "tensor_from_coords",
     "casimir_element",
     "casimir_op",
-    "permutation_op",
     "apply_swap",
     "apply_pair",
     "site_left",
     "site_right",
     "rotate_pair",
-    "lowering_ops",
-    "raising_ops",
+    "root_action",
     "highest_weight_vectors",
     "build_decomposition",
 ]
@@ -94,9 +86,14 @@ class AdjointRep:
         return PairFrame(self.basis)
 
     @cached_property
-    def triple_frame(self) -> "TripleFrame":
-        """The :class:`TripleFrame` of the basis (the dense Yang-Baxter blocks), built on first use."""
-        return TripleFrame(self.basis)
+    def weight_frame(self) -> WeightChain:
+        """``weight_chain(basis, 2)``, the weight frame of two sites, built on first use."""
+        return weight_chain(self.basis, 2)
+
+    @cached_property
+    def ybe_gathers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The gather indices of the dense Yang-Baxter blocks (:func:`_triple_gathers`), built on first use."""
+        return _triple_gathers(weight_chain(self.basis, 3))
 
 
 @dataclass(frozen=True)
@@ -205,13 +202,6 @@ def tensor_coords(basis: SunBasis, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) 
     return c.ravel()
 
 
-def tensor_from_coords(basis: SunBasis, v: np.ndarray) -> np.ndarray:
-    m, g = basis.dim, basis.generators
-    c = v.reshape(m, m)
-    n = basis.n
-    return np.einsum("ab,aij,bkl->ikjl", c, g, g, optimize=True).reshape(n * n, n * n)
-
-
 def casimir_op(rep: AdjointRep) -> np.ndarray:
     """Omega_op = sum_a S^a (x) S^a on the two-site coordinates, as a new dense array.
 
@@ -219,16 +209,6 @@ def casimir_op(rep: AdjointRep) -> np.ndarray:
     and imports no scipy.
     """
     return rep.frame.dense_omega()
-
-
-def permutation_op(dim_v: int) -> np.ndarray:
-    """Swap operator sigma on V (x) V for dim(V) = dim_v; sigma(v (x) w) = w (x) v."""
-    d2 = dim_v * dim_v
-    sigma = np.zeros((d2, d2), dtype=complex)
-    idx = np.arange(d2)
-    i, j = divmod(idx, dim_v)
-    sigma[idx, j * dim_v + i] = 1.0
-    return sigma
 
 
 def apply_swap(v: np.ndarray, dim_v: int) -> np.ndarray:
@@ -275,26 +255,35 @@ def rotate_pair(u: np.ndarray, r: np.ndarray) -> np.ndarray:
     return site_right(site_right(r, u_h, 1), u_h, 0)
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+def root_action(chain: WeightChain, alpha: np.ndarray) -> np.ndarray:
+    """ad(e_pq) for the root alpha = e_p - e_q, in the single-site weight coordinates of ``chain``."""
+    unit = np.zeros((chain.basis.n, chain.basis.n))
+    unit[np.argmax(alpha), np.argmin(alpha)] = 1.0
+    return chain.u @ ad_matrix(chain.basis, unit) @ np.conj(chain.u).T
 
 
-def lowering_ops(rep: AdjointRep) -> np.ndarray:
-    """Stack of ad(e_ji) for i < j in lexicographic (i, j) order."""
-    ops = [
-        ad_matrix(rep.basis, matrix_unit(rep.basis, j, i, coords=False).matrix)
-        for i, j in _pairs(rep.n)
-    ]
-    return np.stack(ops)
+def _triple_gathers(chain: WeightChain) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Gather indices of the dense Yang-Baxter blocks, one triple per sector of a 3-site ``chain``.
 
+    Each triple reads R12, R13 and R23 restricted to the sector out of
+    their (m, m, m, m) weight-coordinate arrays with one zero appended: an
+    entry whose spectator site differs between row and column reads that
+    zero.
+    """
+    m = chain.basis.dim
+    # the smallest unsigned type that holds m^4: 1.4 MB of indices at n = 4
+    dtype = np.min_scalar_type(m**4)
 
-def raising_ops(rep: AdjointRep) -> np.ndarray:
-    """Stack of ad(e_ij) for i < j in lexicographic (i, j) order."""
-    ops = [
-        ad_matrix(rep.basis, matrix_unit(rep.basis, i, j, coords=False).matrix)
-        for i, j in _pairs(rep.n)
-    ]
-    return np.stack(ops)
+    def flat(p, q, spectator):
+        # entry (p, q; p', q') of a two-site operator, (p*m + q)*m^2 + p'*m + q'
+        idx = ((p[:, None] * m + q[:, None]) * m + p[None, :]) * m + q[None, :]
+        return np.where(spectator[:, None] == spectator[None, :], idx, m**4).astype(dtype)
+
+    gathers = []
+    for block in chain.blocks:
+        a, b, c = np.unravel_index(block, (m, m, m))
+        gathers.append((flat(a, b, c), flat(a, c, b), flat(b, c, a)))
+    return gathers
 
 
 def _labels(n: int) -> dict[str, str]:
@@ -375,77 +364,49 @@ def highest_weight_vectors(basis: SunBasis, tol: Tolerance = DEFAULT_TOL) -> lis
 
 @dataclass(frozen=True)
 class _WeightBlocks:
-    """Two-site weight blocks and the lowering operators restricted to them.
+    """The lowering operators restricted to the two-site weight sectors of ``chain``.
 
-    ``U`` is the single-site change to weight coordinates of
-    :func:`liealg.weight_basis`; two-site weight coordinates are (U (x) U) x.
-    ``blocks[k]`` lists the flat pair indices of one total weight.
-    ``lowers[k]`` maps block k under all lowering operators at once: its
-    rows run over the target blocks, listed in ``targets[k]`` as
-    (target block, first row, end row).
+    Two-site weight coordinates are (U (x) U) x, with U = ``chain.u``.
+    ``lowers[k]`` maps sector k under all lowering operators at once: its
+    rows run over the target sectors, listed in ``targets[k]`` as (target
+    sector, first row, end row).
     """
 
-    U: np.ndarray
-    blocks: list[np.ndarray]
+    chain: WeightChain
     lowers: list[np.ndarray]
     targets: list[list[tuple[int, int, int]]]
 
     def to_weight(self, x: np.ndarray) -> np.ndarray:
-        m = self.U.shape[0]
-        return (self.U @ x.reshape(m, m) @ self.U.T).ravel()
+        u = self.chain.u
+        m = u.shape[0]
+        return (u @ x.reshape(m, m) @ u.T).ravel()
 
     def from_weight(self, xw: np.ndarray) -> np.ndarray:
         """(U (x) U)^dagger on the columns of a (D, k) array, as two matmuls."""
-        uh = np.conj(self.U).T
+        uh = np.conj(self.chain.u).T
         return site_left(uh, site_left(uh, xw, 0), 1)
 
 
 def _weight_blocks(rep: AdjointRep, tol: Tolerance) -> _WeightBlocks:
-    """Group the pair indices by total weight and gather the lowering operators.
+    """Stack the sector blocks of the lowering operators over ``rep.weight_frame``.
 
     ad(e_ji) (i < j) shifts weights by e_j - e_i, so on two-site weight
-    coordinates ad(e_ji) (x) 1 + 1 (x) ad(e_ji) maps block W into block
-    W + e_j - e_i.  Entries of the rotated operators outside that shift must
-    vanish; a larger one means the weight frame is wrong and raises.
+    coordinates ad(e_ji) (x) 1 + 1 (x) ad(e_ji) maps sector W into sector
+    W + e_j - e_i; :meth:`WeightChain.shift_blocks` gives those blocks (and
+    raises if the frame is wrong).  They are stacked per source sector in
+    lexicographic (i, j) order.
     """
-    n, m = rep.n, rep.dim
-    U, weights = weight_basis(rep.basis)
-    uh = np.conj(U).T
-    lows = np.stack([U @ a @ uh for a in lowering_ops(rep)])
-    shifts = np.zeros((len(lows), n), dtype=int)
-    for o, (i, j) in enumerate(_pairs(n)):
-        shifts[o, j - 1] += 1
-        shifts[o, i - 1] -= 1
-    for o in range(len(lows)):
-        on_shift = np.all(weights[:, None, :] == weights[None, :, :] + shifts[o], axis=2)
-        stray = max_abs(lows[o][~on_shift])
-        if stray > tol.abs_tol:
-            raise AssertionError(f"lowering operator leaves its weight shift ({stray:.3e})")
-    total = pair_weights(weights)
-    blocks = weight_blocks(total)
-    keys = [total[idx[0]] for idx in blocks]
-    index = {tuple(key): k for k, key in enumerate(keys)}
-    lowers: list[np.ndarray] = []
-    targets: list[list[tuple[int, int, int]]] = []
-    for key, src in zip(keys, blocks):
-        sp, sq = divmod(src, m)
-        rows, ops, segs = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], []
-        lo = 0
-        for o, shift in enumerate(shifts):
-            t = index.get(tuple(key + shift))
-            if t is None:
-                continue
-            rows.append(blocks[t])
-            ops.append(np.full(len(blocks[t]), o))
-            segs.append((t, lo, lo + len(blocks[t])))
-            lo += len(blocks[t])
-        tp, tq = divmod(np.concatenate(rows), m)
-        op = np.concatenate(ops)[:, None]
-        tp, tq = tp[:, None], tq[:, None]
-        piece = lows[op, tp, sp] * (tq == sq) + (tp == sp) * lows[op, tq, sq]
-        lowers.append(piece)
-        targets.append(segs)
-    return _WeightBlocks(U=U, blocks=blocks, lowers=lowers, targets=targets)
+    chain = rep.weight_frame
+    lowers = [[np.zeros((0, len(idx)), dtype=complex)] for idx in chain.blocks]
+    targets: list[list[tuple[int, int, int]]] = [[] for _ in chain.blocks]
+    roots = rep.dim - (rep.n - 1)
+    # the weight basis lists e_ij, e_ji for i < j: the lowering roots e_j - e_i are the odd rows
+    for alpha in chain.weights[1:roots:2]:
+        for k, t, block in chain.shift_blocks(root_action(chain, alpha), alpha, tol):
+            lo = targets[k][-1][2] if targets[k] else 0
+            targets[k].append((t, lo, lo + len(block)))
+            lowers[k].append(block)
+    return _WeightBlocks(chain=chain, lowers=[np.vstack(x) for x in lowers], targets=targets)
 
 
 def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -465,7 +426,8 @@ def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray
     nrm = np.linalg.norm(xw)
     if nrm < tol.rank_tol:
         raise ValueError("highest-weight vector is numerically zero")
-    block_norms = np.array([np.linalg.norm(xw[idx]) for idx in frame.blocks])
+    blocks = frame.chain.blocks
+    block_norms = np.array([np.linalg.norm(xw[idx]) for idx in blocks])
     w0 = int(np.argmax(block_norms))
     off = np.linalg.norm(np.delete(block_norms, w0)) / nrm
     if off > tol.rank_tol:
@@ -473,7 +435,7 @@ def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray
             f"seed is not a weight vector: {off:.3e} of its norm lies outside "
             "its dominant weight block"
         )
-    seed_w = xw[frame.blocks[w0]]
+    seed_w = xw[blocks[w0]]
     accepted = {w0: (seed_w / np.linalg.norm(seed_w))[:, None]}
     frontier = dict(accepted)
     D = len(xw)
@@ -510,7 +472,7 @@ def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray
     col = 0
     for t in sorted(accepted):
         q = accepted[t]
-        basis_w[frame.blocks[t], col : col + q.shape[1]] = q
+        basis_w[blocks[t], col : col + q.shape[1]] = q
         col += q.shape[1]
     return frame.from_weight(basis_w)
 
@@ -602,40 +564,6 @@ class PairFrame:
         return self.factors()[0] @ x
 
 
-class TripleFrame:
-    """Weight coordinates of three adjoint sites, for the dense Yang-Baxter residual.
-
-    ``u`` is the change to weight coordinates of :func:`liealg.weight_basis`
-    (a two-site operator r has weight coordinates ``rotate_pair(u, r)``),
-    and ``off`` masks the entries of a two-site operator in weight
-    coordinates that join different total weights.  ``gathers`` holds, for
-    each total weight of the three sites, the flat indices that read R12,
-    R13 and R23 restricted to it out of their (m, m, m, m) weight-coordinate
-    arrays with one zero appended: an entry whose spectator site differs
-    between row and column reads that zero.
-    """
-
-    def __init__(self, basis: SunBasis):
-        m = basis.dim
-        self.u, weights = weight_basis(basis)
-        pair_w = pair_weights(weights)
-        self.off = off_block_mask(pair_w)
-        triple_w = (pair_w.reshape(m, m, 1, -1) + weights[None, None, :, :]).reshape(m**3, -1)
-
-        # the smallest unsigned type that holds m^4: 1.4 MB of indices at n = 4
-        dtype = np.min_scalar_type(m**4)
-
-        def flat(p, q, spectator):
-            # entry (p, q; p', q') of a two-site operator, (p*m + q)*m^2 + p'*m + q'
-            idx = ((p[:, None] * m + q[:, None]) * m + p[None, :]) * m + q[None, :]
-            return np.where(spectator[:, None] == spectator[None, :], idx, m**4).astype(dtype)
-
-        self.gathers = []
-        for block in weight_blocks(triple_w):
-            a, b, c = np.unravel_index(block, (m, m, m))
-            self.gathers.append((flat(a, b, c), flat(a, c, b), flat(b, c, a)))
-
-
 def _measure(rep: AdjointRep, B: np.ndarray, tol: Tolerance, parity: int) -> tuple[float, int]:
     """Measured Casimir eigenvalue and exchange parity of a submodule basis.
 
@@ -669,10 +597,11 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     image of the generator I^a, so mapping column to column is the
     equivariant isometry -Ef Ed^dagger; the sign fixes the phase convention
     iso(v_s) = +(norm ratio) v_a.  Every other submodule is the lowering
-    orbit of its highest-weight vector, closed one two-site weight block at a
-    time (the blocks and the gathered lowering operators are built once per
-    call and shared by the orbits).  The checks read only the Gell-Mann
-    bases and Omega_op applied through ``rep.frame``, never the weight frame:
+    orbit of its highest-weight vector, closed one sector of
+    ``rep.weight_frame`` at a time (the stacked lowering blocks are built
+    once per call and shared by the orbits).  The checks read only the
+    Gell-Mann bases and Omega_op applied through ``rep.frame``, never the
+    weight frame:
     Casimir eigenvalue and exchange parity of every basis, the sum of
     dimensions, completeness and mutual orthogonality of the projectors
     (whose residual is kept as ``completeness_residual``), and the isometry

@@ -39,16 +39,19 @@ from .rmatrix import (
     ybe_residual,
 )
 from .spinchain import (
+    chain_frame,
     chain_H,
     chain_spectrum,
     global_symmetry_residual,
     h_oracle_residuals,
     local_h,
     sector_commutator,
+    sector_spectrum,
     spin_operators,
     two_site_spectrum,
     verify_spinform,
-    weight_chain,
+    weight_hamiltonian,
+    weight_transfer,
 )
 from .yangian_action import (
     VERIFIED_RANGE,
@@ -81,6 +84,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ConfigError(f"--n must be at least 3, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {self.seed}")
         if self.samples is not None and self.samples < 0:
             raise ConfigError(f"--samples must be non-negative, got {self.samples}")
         if (self.lam is None) != (self.mu is None):
@@ -294,11 +299,11 @@ def suite_chain(ctx: _Context) -> list[dict]:
     m = n * n - 1
     # every check runs in the product weight basis, one total-weight sector at a time;
     # H_w is built once per chain length, the chain under test first
-    chains = {L: weight_chain(ctx.basis, L) for L in (sites, 2, 3)}
-    hams = {L: chain.hamiltonian(ctx.h) for L, chain in chains.items()}
+    chains = {L: chain_frame(ctx.basis, L) for L in dict.fromkeys((sites, 2, 3))}
+    hams = {L: weight_hamiltonian(chain, ctx.h) for L, chain in chains.items()}
     chain, h_w = chains[sites], hams[sites]
     checks = [_check("chain-global-symmetry", global_symmetry_residual(chain, h_w), 1e-8)]
-    eigs = chain.spectrum(h_w, cfg.tol)
+    eigs = sector_spectrum(chain, h_w, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)
     op = ">" if sites >= 3 else "<="
     threshold = 1e-6 if sites >= 3 else 1e-8
@@ -309,8 +314,8 @@ def suite_chain(ctx: _Context) -> list[dict]:
     for nsites in (2, 3):
         lam, mu = sample_ybe_pairs(rng, n, 1)[0]
         chain = chains[nsites]
-        t_lam = chain.transfer(ctx.rep, lam)
-        res = sector_commutator(chain, t_lam, chain.transfer(ctx.rep, mu))
+        t_lam = weight_transfer(chain, ctx.rep, lam)
+        res = sector_commutator(chain, t_lam, weight_transfer(chain, ctx.rep, mu))
         checks.append(_check("transfer-commutation", res, 1e-8,
                              params={"sites": nsites, "lambda": _cpair(lam), "mu": _cpair(mu)}))
         res_h = sector_commutator(chain, t_lam, hams[nsites])
@@ -534,9 +539,12 @@ def _resolve_seed(args) -> int:
     env = os.environ.get(ENV_SEED)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
+        if seed < 0:
+            raise ConfigError(f"{ENV_SEED} must be non-negative, got {seed}")
+        return seed
     return DEFAULT_SEED
 
 

@@ -8,9 +8,9 @@ exactly and repeated runs produce byte-identical reports.  Matrices travel as
 ``.view(float).reshape(*shape, 2).tolist()``: a one-dimensional array is the
 list of its [re, im] pairs.  The CLI hands it :func:`matrix_payload`, whose
 "data" is that array, and the basis tensors as arrays, so no Python list
-stands between a built object and its text.  :func:`matrix_to_json` and
-:func:`tensor3_to_json` are the plain JSON values, the form ``json.loads``
-gives back from the written file.
+stands between a built object and its text.  :func:`matrix_to_json` is the
+plain JSON value of a matrix, the form ``json.loads`` gives back from the
+written file.
 
 Lists are formatted entry by entry.  A one-dimensional complex array is
 formatted in chunks of 32,768 entries, calling the float formatter once per
@@ -32,7 +32,6 @@ __all__ = [
     "matrix_payload",
     "matrix_to_json",
     "matrix_from_json",
-    "tensor3_to_json",
 ]
 
 
@@ -186,8 +185,3 @@ def matrix_from_json(d: dict) -> np.ndarray:
     if pairs.shape[0] != rows * cols:
         raise ValueError(f"matrix data length {pairs.shape[0]} != {rows}x{cols}")
     return np.ascontiguousarray(pairs).view(complex).reshape(rows, cols)
-
-
-def tensor3_to_json(t: np.ndarray) -> list:
-    t = np.ascontiguousarray(t, dtype=complex)
-    return t.view(float).reshape(*t.shape, 2).tolist()

@@ -8,7 +8,12 @@ diagonal Cartan generators with increasing support.
 
 :func:`weight_basis` rotates these coordinates to the weight basis of the
 adjoint module (matrix units e_ij, i != j, then the Cartan generators),
-in which the Cartan subalgebra acts diagonally.
+in which the Cartan subalgebra acts diagonally.  :func:`weight_chain` is the
+one weight frame of the package: the product weight basis of any number of
+adjoint sites, split into total-weight sectors, with the sector blocks of
+sum_s x_s for a single-site x that shifts weight by a root
+(:meth:`WeightChain.shift_blocks`).  The orbits of the decomposition, the
+dense Yang-Baxter residual and both spectra work on it one sector at a time.
 
 Conventions: [I^a, I^b] = sum_c f^{abc} I^c with f purely imaginary and
 totally antisymmetric; {I^a, I^b} = sum_c d^{abc} I^c + (2/n) delta_ab 1
@@ -18,6 +23,7 @@ with d real and totally symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +36,8 @@ __all__ = [
     "structure_constants",
     "matrix_unit",
     "weight_basis",
-    "weight_blocks",
-    "pair_weights",
-    "off_block_mask",
+    "WeightChain",
+    "weight_chain",
 ]
 
 
@@ -193,25 +198,102 @@ def weight_basis(basis: SunBasis) -> tuple[np.ndarray, np.ndarray]:
     return U, weights
 
 
-def weight_blocks(weights: np.ndarray) -> list[np.ndarray]:
-    """Indices of the rows of an integer (N, n) weight array, grouped by equal weight.
+@dataclass(frozen=True)
+class WeightChain:
+    """The product weight basis of ``sites`` adjoint sites, split by total weight.
 
-    The blocks follow the sorted order of the distinct weights, and each
-    lists its indices in increasing order.
+    ``u`` and ``weights`` are those of :func:`weight_basis`; the product
+    state a_1..a_L (site 1 slowest) has total weight weights[a_1] + ... +
+    weights[a_L].  An su(n)-invariant operator conserves that weight, so it
+    is block-diagonal here: ``blocks`` lists the states of each sector, in
+    increasing order and in the sorted order of the distinct total weights
+    ``sector_weights``, and ``label`` gives the sector of each state (37
+    sectors at n = 3, L = 3, the largest of 56; 61 at L = 4, the largest of
+    346).  Every weight-sector computation of the package reads this frame:
+    the lowering orbits and the two-site spectrum (2 sites), the dense
+    Yang-Baxter blocks (3 sites) and the chain checks (L sites).  Besides
+    ``u`` it holds tables of the m^L states, never an m^L x m^L array, and
+    it applies no dense cap.
     """
-    _, label, sizes = np.unique(weights, axis=0, return_inverse=True, return_counts=True)
-    return np.split(np.argsort(label.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
+
+    basis: SunBasis
+    sites: int
+    u: np.ndarray
+    weights: np.ndarray
+    blocks: list[np.ndarray]
+    sector_weights: np.ndarray
+    label: np.ndarray
+
+    @cached_property
+    def _site_tables(self) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
+        """The states with site s in state a, the stride of each site, and each state's place in its sector."""
+        m, sites = self.basis.dim, self.sites
+        digits = np.indices((m,) * sites).reshape(sites, -1)
+        on_site = [[np.flatnonzero(digits[s] == a) for a in range(m)] for s in range(sites)]
+        pos = np.empty(len(self.label), dtype=int)
+        for idx in self.blocks:
+            pos[idx] = np.arange(len(idx))
+        return on_site, m ** np.arange(sites - 1, -1, -1), pos
+
+    def shift_blocks(self, x: np.ndarray, alpha: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+        """The sector blocks of sum_s x_s, for a single-site x that shifts weight by ``alpha``.
+
+        ``x`` is an m x m operator in weight coordinates and x_s acts as x on
+        site s.  Sector W goes to sector W + alpha, so sum_s x_s is a list of
+        (source sector, target sector, block) triples, in source sector
+        order; sectors whose image is empty are left out.  An entry of x
+        above ``tol.abs_tol`` that does not shift weight by alpha means the
+        frame is wrong, and raises ``AssertionError``.
+        """
+        on_shift = np.all(self.weights[:, None] - self.weights[None, :] == alpha, axis=2)
+        stray = max_abs(x[~on_shift])
+        if stray > tol.abs_tol:
+            raise AssertionError(f"single-site operator leaves its weight shift ({stray:.3e})")
+        on_site, strides, pos = self._site_tables
+        src, dst, vals = [], [], []
+        for s in range(self.sites):
+            for c, a in np.argwhere(on_shift):  # site s goes from a to c
+                src.append(on_site[s][a])
+                dst.append(on_site[s][a] + (c - a) * strides[s])
+                vals.append(np.full(len(on_site[s][a]), x[c, a]))
+        src, dst, vals = (np.concatenate(v) for v in (src, dst, vals))
+        order = np.argsort(self.label[src], kind="stable")  # grouped by source sector
+        src, dst, vals = src[order], dst[order], vals[order]
+        starts = np.flatnonzero(np.diff(self.label[src], prepend=-1))
+        ends = np.append(starts[1:], len(src))
+        rows, cols = pos[dst], pos[src]
+        out = []
+        for k, t, lo, hi in zip(self.label[src[starts]].tolist(), self.label[dst[starts]].tolist(),
+                                starts.tolist(), ends.tolist()):
+            block = np.zeros((len(self.blocks[t]), len(self.blocks[k])), dtype=complex)
+            block[rows[lo:hi], cols[lo:hi]] = vals[lo:hi]
+            out.append((k, t, block))
+        return out
+
+    def split(self, op_w: np.ndarray) -> tuple[list[np.ndarray], float]:
+        """The diagonal sector blocks of ``op_w`` and the Frobenius norm of everything outside them.
+
+        ``op_w`` is an operator on the states of the frame.  It is read one
+        row block at a time: nothing of its size is allocated.
+        """
+        diag, off2 = [], 0.0
+        for idx in self.blocks:
+            rows = op_w[idx]
+            diag.append(rows[:, idx])
+            rows[:, idx] = 0.0
+            off2 += np.linalg.norm(rows) ** 2
+        return diag, float(np.sqrt(off2))
 
 
-def pair_weights(weights: np.ndarray) -> np.ndarray:
-    """Total weights of the two-site pairs of an (m, n) weight array.
-
-    Row a*m + b of the (m^2, n) result is weights[a] + weights[b].
-    """
-    m = len(weights)
-    return (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
-
-
-def off_block_mask(weights: np.ndarray) -> np.ndarray:
-    """Boolean (N, N) mask of the entries that join rows of different weight of an (N, n) array."""
-    return np.any(weights[:, None, :] != weights[None, :, :], axis=2)
+def weight_chain(basis: SunBasis, sites: int) -> WeightChain:
+    """The :class:`WeightChain` of ``sites`` sites over the weight basis of ``basis``."""
+    u, weights = weight_basis(basis)
+    total = weights  # total[a_1..a_k] = weights[a_1] + ... + weights[a_k], site 1 slowest
+    for _ in range(sites - 1):
+        total = (total[:, None, :] + weights[None, :, :]).reshape(-1, weights.shape[1])
+    sector_weights, label, sizes = np.unique(total, axis=0, return_inverse=True,
+                                             return_counts=True)
+    label = label.ravel()
+    blocks = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
+    return WeightChain(basis=basis, sites=sites, u=u, weights=weights, blocks=blocks,
+                       sector_weights=sector_weights, label=label)

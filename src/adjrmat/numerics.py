@@ -21,7 +21,6 @@ __all__ = [
     "frobenius",
     "max_abs",
     "ensure_finite",
-    "orthonormalize",
     "extend_orthonormal",
     "eig_general",
 ]
@@ -74,26 +73,6 @@ def ensure_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     return a
 
 
-def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormalize a sequence of 1-D vectors.
-
-    Modified Gram-Schmidt with one re-orthogonalization pass.  Vectors whose
-    residual norm after projection falls below ``tol.rank_tol`` are dropped;
-    the output order follows the input order of the survivors.  Empty input
-    yields an empty list.
-    """
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        u = np.asarray(v, dtype=complex).copy()
-        for _ in range(2):
-            for q in basis:
-                u -= q * np.vdot(q, u)
-        nrm = np.linalg.norm(u)
-        if nrm >= tol.rank_tol:
-            basis.append(u / nrm)
-    return basis
-
-
 def extend_orthonormal(
     basis: np.ndarray | None,
     candidates: np.ndarray,
@@ -104,9 +83,9 @@ def extend_orthonormal(
     ``basis`` is a (d, k) matrix with orthonormal columns (or None) and
     ``candidates`` a (d, p) matrix processed left to right; candidates whose
     residual norm after projection falls below ``tol.rank_tol`` are discarded.
-    Equivalent to :func:`orthonormalize` (Gram-Schmidt with one
-    re-orthogonalization pass) but organized by recursive halving so the
-    projections run as matrix-matrix products.
+    It is modified Gram-Schmidt with one re-orthogonalization pass,
+    organized by recursive halving so the projections run as matrix-matrix
+    products.
 
     Returns the accepted new columns as a (d, q) matrix together with the
     indices of the surviving candidates.

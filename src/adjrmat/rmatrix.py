@@ -31,13 +31,14 @@ the operator form of R(lam) (the ``r-assembly-agreement`` check of
 the level-1 action on the highest-weight vectors and takes an
 :class:`AdjointRep`.
 
-The dense Yang-Baxter residual works in the weight basis of
-:func:`liealg.weight_basis`.  R(lam) is su(n)-invariant, so it conserves
+The dense Yang-Baxter residual works in the weight frame of
+:func:`liealg.weight_chain`.  R(lam) is su(n)-invariant, so it conserves
 Cartan weight and both sides of the YBE are block-diagonal in the total
-weight of the three sites; they are formed one block at a time, with the
-weight violation of the rotated R-matrices kept as a floor on the result.
-The rotation, masks and block gather indices depend only on the basis and
-are built once per representation (``rep.triple_frame``).
+weight of the three sites; they are formed one sector at a time, with the
+off-sector share of the rotated R-matrices in the two-site frame
+(``rep.weight_frame``) kept as a floor on the result.  The block gather
+indices depend only on the basis and are built once per representation
+(``rep.ybe_gathers``).
 """
 
 from __future__ import annotations
@@ -456,15 +457,16 @@ def _on_sites(op: PairOperator, pair: tuple[int, int], v: np.ndarray) -> np.ndar
 def _ybe_dense_blocks(rep: AdjointRep, rs: list[np.ndarray]) -> float:
     """Dense YBE residual of (R12, R13, R23) = ``rs``, block by block in total weight.
 
-    The weight coordinates, masks and per-block gather indices come from
-    ``rep.triple_frame``, built once per representation.
+    The R-matrices are rotated to weight coordinates by ``rep.weight_frame``,
+    whose off-sector share of each is the floor, and the per-sector gather
+    indices are ``rep.ybe_gathers``, both built once per representation.
     """
-    frame = rep.triple_frame
+    frame = rep.weight_frame
     r12, r13, r23 = (rotate_pair(frame.u, r) for r in rs)
-    floor = max(np.linalg.norm(r[frame.off]) / np.linalg.norm(r) for r in (r12, r13, r23))
+    floor = max(frame.split(r)[1] / np.linalg.norm(r) for r in (r12, r13, r23))
     r12, r13, r23 = (np.append(r.ravel(), 0.0) for r in (r12, r13, r23))
     diff2 = norm2 = 0.0
-    for i12, i13, i23 in frame.gathers:
+    for i12, i13, i23 in rep.ybe_gathers:
         x12, x13, x23 = r12[i12], r13[i13], r23[i23]
         lhs = x12 @ (x13 @ x23)
         rhs = x23 @ (x13 @ x12)

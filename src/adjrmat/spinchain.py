@@ -19,12 +19,14 @@ returns H as a plain m^L x m^L array, and :func:`transfer_matrix` is one
 contraction of L R factors around the auxiliary ring.
 
 H and t(lam) conserve the total Cartan weight, so the chain is studied in
-the product weight basis of a :class:`WeightChain`, where both are
-block-diagonal: H_w is the chain of the rotated density and t_w(lam) the
-ring of the rotated R.  Every chain check goes one total-weight sector at a
-time: the spectrum (in real arithmetic, as the two-site one), the transfer
-commutators (:func:`sector_commutator`) and the su(n) invariance of H
-(:func:`global_symmetry_residual`, over the weight basis of su(n)).  No
+the weight frame of :func:`liealg.weight_chain` (:func:`chain_frame`), where
+both are block-diagonal.  What needs h or R is here, as functions of the
+frame: H_w (:func:`weight_hamiltonian`) is the chain of the rotated density
+and t_w(lam) (:func:`weight_transfer`) the ring of the rotated R.  Every
+chain check goes one total-weight sector at a time: the spectrum
+(:func:`sector_spectrum`, in real arithmetic, as the two-site one), the
+transfer commutators (:func:`sector_commutator`) and the su(n) invariance of
+H (:func:`global_symmetry_residual`, over the weight basis of su(n)).  No
 m^L x m^L matrix product is formed.
 """
 
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint_tensor import AdjointRep, Decomposition, ad_matrix, casimir_op, rotate_pair
-from .liealg import SunBasis, pair_weights, weight_basis, weight_blocks
+from .adjoint_tensor import AdjointRep, Decomposition, casimir_op, root_action, rotate_pair
+from .liealg import SunBasis, WeightChain, weight_chain
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, max_abs
 from .rmatrix import (
     CoefficientSet,
@@ -56,8 +58,10 @@ __all__ = [
     "verify_spinform",
     "chain_H",
     "transfer_matrix",
-    "WeightChain",
-    "weight_chain",
+    "chain_frame",
+    "weight_hamiltonian",
+    "weight_transfer",
+    "sector_spectrum",
     "sector_commutator",
     "commutation_check",
     "global_symmetry_residual",
@@ -282,9 +286,9 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
     The monodromy is the ordered product of R factors over an auxiliary
     adjoint space with the site-1 factor leftmost; this ordering makes t(lam)
     the generating object for H = sum_i h_{i,i+1} (the opposite ordering
-    generates the reflected chain).  :meth:`WeightChain.transfer` is the
-    same ring contraction in the product weight basis, which the chain
-    suite uses.
+    generates the reflected chain).  :func:`weight_transfer` is the same
+    ring contraction in the product weight basis, which the chain suite
+    uses.
 
     Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
     benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
@@ -292,68 +296,25 @@ def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
     return _ring_trace(build_R(dec.rep, lam), sites)
 
 
-@dataclass(frozen=True)
-class WeightChain:
-    """The product weight basis of a periodic chain of ``sites`` sites, split by total weight.
+def chain_frame(basis: SunBasis, sites: int) -> WeightChain:
+    """:func:`liealg.weight_chain` of a chain of ``sites`` sites.
 
-    ``u`` and ``weights`` are those of :func:`liealg.weight_basis`; the
-    product state a_1..a_L (site 1 slowest) has total weight weights[a_1] +
-    ... + weights[a_L].  H and t(lam) conserve that weight, so both are
-    block-diagonal here: ``blocks`` lists the states of each sector, in the
-    sorted order of the distinct total weights ``sector_weights``, and
-    ``label`` the sector of each state (37 sectors at n = 3, L = 3, the
-    largest of 56; 61 at L = 4, the largest of 346).
+    It is refused as :func:`chain_H` refuses the chain (fewer than two
+    sites, or m^L above :data:`CHAIN_DIM_CAP`), before the frame's tables of
+    m^L states are built.
     """
-
-    basis: SunBasis
-    sites: int
-    u: np.ndarray
-    weights: np.ndarray
-    blocks: list[np.ndarray]
-    sector_weights: np.ndarray
-    label: np.ndarray
-
-    def hamiltonian(self, h: np.ndarray) -> np.ndarray:
-        """H_w = U^(x)L H U^(x)L^dagger: :func:`chain_H` of the density rotated by :func:`rotate_pair`."""
-        return chain_H(rotate_pair(self.u, h), self.sites)
-
-    def transfer(self, rep: AdjointRep, lam: complex) -> np.ndarray:
-        """t_w(lam) = U^(x)L t(lam) U^(x)L^dagger, the ring contraction of (u (x) u) R (u (x) u)^dagger."""
-        return _ring_trace(rotate_pair(self.u, build_R(rep, lam)), self.sites)
-
-    def spectrum(self, h_w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
-        """Eigenvalues of the chain operator ``h_w``, one sector at a time (see :func:`chain_spectrum`)."""
-        return _sector_eigenvalues(h_w, self.blocks, tol, "chain Hamiltonian")
-
-
-def weight_chain(basis: SunBasis, sites: int) -> WeightChain:
-    """The :class:`WeightChain` of ``sites`` sites over the weight basis of ``basis``."""
     _chain_dim(basis.dim, sites)
-    u, weights = weight_basis(basis)
-    total = weights  # total[a_1..a_k] = weights[a_1] + ... + weights[a_k], site 1 slowest
-    for _ in range(sites - 1):
-        total = (total[:, None, :] + weights[None, :, :]).reshape(-1, weights.shape[1])
-    blocks = weight_blocks(total)
-    label = np.empty(len(total), dtype=int)
-    for k, idx in enumerate(blocks):
-        label[idx] = k
-    return WeightChain(basis=basis, sites=sites, u=u, weights=weights, blocks=blocks,
-                       sector_weights=total[[idx[0] for idx in blocks]], label=label)
+    return weight_chain(basis, sites)
 
 
-def _split_sectors(op_w: np.ndarray, blocks: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
-    """The diagonal sector blocks of ``op_w`` and the Frobenius norm of everything outside them.
+def weight_hamiltonian(chain: WeightChain, h: np.ndarray) -> np.ndarray:
+    """H_w = U^(x)L H U^(x)L^dagger: :func:`chain_H` of the density rotated by :func:`rotate_pair`."""
+    return chain_H(rotate_pair(chain.u, h), chain.sites)
 
-    One row block at a time, as in :func:`_sector_eigenvalues`: nothing of
-    the size of ``op_w`` is allocated.
-    """
-    diag, off2 = [], 0.0
-    for idx in blocks:
-        rows = op_w[idx]
-        diag.append(rows[:, idx])
-        rows[:, idx] = 0.0
-        off2 += np.linalg.norm(rows) ** 2
-    return diag, float(np.sqrt(off2))
+
+def weight_transfer(chain: WeightChain, rep: AdjointRep, lam: complex) -> np.ndarray:
+    """t_w(lam) = U^(x)L t(lam) U^(x)L^dagger, the ring contraction of (u (x) u) R (u (x) u)^dagger."""
+    return _ring_trace(rotate_pair(chain.u, build_R(rep, lam)), chain.sites)
 
 
 def sector_commutator(chain: WeightChain, a: np.ndarray, b: np.ndarray) -> float:
@@ -367,8 +328,8 @@ def sector_commutator(chain: WeightChain, a: np.ndarray, b: np.ndarray) -> float
     operators that conserve weight this is the ratio of the Gell-Mann
     operators up to roundoff.
     """
-    a_w, a_off = _split_sectors(a, chain.blocks)
-    b_w, b_off = _split_sectors(b, chain.blocks)
+    a_w, a_off = chain.split(a)
+    b_w, b_off = chain.split(b)
     diff2 = sum(np.linalg.norm(x @ y - y @ x) ** 2 for x, y in zip(a_w, b_w))
     a_norm = np.sqrt(sum(np.linalg.norm(x) ** 2 for x in a_w) + a_off**2)
     b_norm = np.sqrt(sum(np.linalg.norm(y) ** 2 for y in b_w) + b_off**2)
@@ -381,8 +342,9 @@ def commutation_check(dec: Decomposition, lam: complex, mu: complex, sites: int)
     Only ``dec.rep`` is read; ``dec`` stays the parameter for the benchmark
     tracer, as in :func:`transfer_matrix`.
     """
-    chain = weight_chain(dec.rep.basis, sites)
-    return sector_commutator(chain, chain.transfer(dec.rep, lam), chain.transfer(dec.rep, mu))
+    chain = chain_frame(dec.rep.basis, sites)
+    return sector_commutator(chain, weight_transfer(chain, dec.rep, lam),
+                             weight_transfer(chain, dec.rep, mu))
 
 
 def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
@@ -397,8 +359,8 @@ def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
       It vanishes inside the sectors and reads H_w's off-sector entries;
     - for a root vector e_ij, sum_s ad_s(e_ij) maps sector W to W + alpha,
       alpha = e_i - e_j, so the commutator is H_{W+alpha} X - X H_W, one
-      sector pair at a time, with the block X gathered from the nonzeros of
-      ad(e_ij) in weight coordinates.
+      sector pair at a time, with the blocks X of
+      :meth:`WeightChain.shift_blocks` (which raises if the frame is wrong).
     For an H that conserves weight this is the maximum over the dense
     Kronecker sums up to roundoff.  Otherwise the root terms see only the
     sector blocks of H_w, and the Cartan terms carry what lies outside them.
@@ -420,51 +382,27 @@ def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
         # max over the H_k of |H_ab| |charge_k(b) - charge_k(a)|, the charge spread taken first
         spread = np.max(np.abs(charge - charge[idx[0]]), axis=1)
         worst = max(worst, max_abs(np.abs(rows) * spread))
-    digits = np.indices((m,) * sites).reshape(sites, dim)  # the site states of each product state
-    on_site = [[np.flatnonzero(digits[s] == a) for a in range(m)] for s in range(sites)]
-    strides = m ** np.arange(sites - 1, -1, -1)
-    pos = np.empty(dim, dtype=int)  # place of each state in its sector
-    for idx in blocks:
-        pos[idx] = np.arange(len(idx))
-    u_h = np.conj(chain.u).T
     for alpha in chain.weights[:roots]:
-        unit = np.zeros((n, n))
-        unit[np.argmax(alpha), np.argmin(alpha)] = 1.0
-        x1 = chain.u @ ad_matrix(basis, unit) @ u_h
-        # the nonzeros of sum_s ad_s(e_ij): site s goes from a to c, with weight up by alpha
-        steps = np.argwhere(np.all(chain.weights[:, None] - chain.weights[None, :] == alpha, axis=2))
-        src, dst, vals = [], [], []
-        for s in range(sites):
-            for c, a in steps:
-                src.append(on_site[s][a])
-                dst.append(on_site[s][a] + (c - a) * strides[s])
-                vals.append(np.full(len(on_site[s][a]), x1[c, a]))
-        src, dst, vals = (np.concatenate(x) for x in (src, dst, vals))
-        order = np.argsort(chain.label[src], kind="stable")  # grouped by source sector
-        src, dst, vals = src[order], dst[order], vals[order]
-        cuts = np.flatnonzero(np.diff(chain.label[src])) + 1
-        for q, p, v in zip(np.split(src, cuts), np.split(dst, cuts), np.split(vals, cuts)):
-            k, t = chain.label[q[0]], chain.label[p[0]]
-            x = np.zeros((len(blocks[t]), len(blocks[k])), dtype=complex)
-            x[pos[p], pos[q]] = v
+        for k, t, x in chain.shift_blocks(root_action(chain, alpha), alpha):
             worst = max(worst, max_abs(diag[t] @ x - x @ diag[k]))
     return worst / max(1.0, max_abs(h_w))
 
 
-def _sector_eigenvalues(
-    op_w: np.ndarray, blocks: list[np.ndarray], tol: Tolerance, what: str
+def sector_spectrum(
+    chain: WeightChain, op_w: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+    what: str = "chain Hamiltonian",
 ) -> list[complex]:
-    """Eigenvalues of a real operator in weight coordinates, one total-weight block at a time.
+    """Eigenvalues of a real operator in the weight coordinates of ``chain``, one sector at a time.
 
-    ``blocks`` lists the rows of each total weight.  An entry of ``op_w``
-    above ``tol.abs_tol`` joining two different weights raises
-    ``AssertionError``, and so does an imaginary part above ``tol.abs_tol``.
+    An entry of ``op_w`` above ``tol.abs_tol`` joining two different
+    sectors raises ``AssertionError`` (its message names ``what``), and so
+    does an imaginary part above ``tol.abs_tol``.
     The blocks are then solved in real arithmetic, so every complex
     eigenvalue comes with its exact (bit-equal) conjugate; each goes through
     :func:`eig_general` with its residual contract.
     """
     stray = imag = 0.0
-    for idx in blocks:  # a block of rows at a time: no dense mask or abs(op_w) beside op_w
+    for idx in chain.blocks:  # a block of rows at a time: no dense mask or abs(op_w) beside op_w
         rows = op_w[idx]
         imag = max(imag, max_abs(rows.imag))
         rows = np.abs(rows)
@@ -476,7 +414,7 @@ def _sector_eigenvalues(
         raise AssertionError(f"{what} is not real in weight coordinates ({imag:.3e})")
     op_w = op_w.real
     eigenvalues = []
-    for idx in blocks:
+    for idx in chain.blocks:
         eigenvalues.extend(z for z, _ in eig_general(op_w[np.ix_(idx, idx)], tol))
     return sorted(eigenvalues, key=lambda z: (z.real, z.imag))
 
@@ -485,9 +423,9 @@ def two_site_spectrum(h: np.ndarray, basis: SunBasis, tol: Tolerance = DEFAULT_T
     """Eigenvalues of the two-site density ``h`` (sorted by real, then imaginary part).
 
     ``basis`` gives the Gell-Mann coordinates ``h`` is written in.  h is
-    su(n)-invariant, so it conserves Cartan weight: rotated to two-site
-    weight coordinates by U (x) U (:func:`liealg.weight_basis`) it is
-    block-diagonal in the total weight, and each block goes through
+    su(n)-invariant, so it conserves Cartan weight: rotated to the two-site
+    frame of :func:`liealg.weight_chain` it is block-diagonal in the total
+    weight, and each block goes through
     :func:`eig_general` with its residual contract (at n = 5 the largest
     block has 36 of the 576 dimensions).  In weight coordinates h is real,
     so the blocks are solved in real arithmetic, the same block solve as
@@ -495,9 +433,8 @@ def two_site_spectrum(h: np.ndarray, basis: SunBasis, tol: Tolerance = DEFAULT_T
     outside the blocks, or an imaginary part above it, raises
     ``AssertionError``.
     """
-    u, weights = weight_basis(basis)
-    return _sector_eigenvalues(rotate_pair(u, h), weight_blocks(pair_weights(weights)), tol,
-                               "two-site density")
+    chain = weight_chain(basis, 2)
+    return sector_spectrum(chain, rotate_pair(chain.u, h), tol, "two-site density")
 
 
 def chain_spectrum(h: np.ndarray, basis: SunBasis, sites: int, tol: Tolerance = DEFAULT_TOL):
@@ -505,9 +442,9 @@ def chain_spectrum(h: np.ndarray, basis: SunBasis, sites: int, tol: Tolerance = 
 
     ``basis`` gives the Gell-Mann coordinates ``h`` is written in.  H
     conserves the total Cartan weight, so in the product weight basis of
-    :func:`weight_chain` it is block-diagonal; the sectors are solved as in
+    :func:`chain_frame` it is block-diagonal; the sectors are solved as in
     :func:`two_site_spectrum`, in real arithmetic, so every complex
     eigenvalue comes with its exact (bit-equal) conjugate.
     """
-    chain = weight_chain(basis, sites)
-    return chain.spectrum(chain.hamiltonian(h), tol)
+    chain = chain_frame(basis, sites)
+    return sector_spectrum(chain, weight_hamiltonian(chain, h), tol)

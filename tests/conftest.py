@@ -3,8 +3,9 @@ import tempfile
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import adjoint_rep, build_decomposition
-from adjrmat.liealg import build_basis
+from adjrmat.adjoint_tensor import ad_matrix, adjoint_rep, build_decomposition
+from adjrmat.liealg import build_basis, matrix_unit
+from adjrmat.numerics import DEFAULT_TOL
 
 try:
     from hypothesis import settings
@@ -20,6 +21,65 @@ else:
     # removed when the test process exits
     _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
     set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+# -- oracles: plain constructions the package no longer needs, kept to check it against
+
+
+def orthonormalize(vectors, tol=DEFAULT_TOL):
+    """Orthonormalize a sequence of 1-D vectors.
+
+    Modified Gram-Schmidt with one re-orthogonalization pass.  Vectors whose
+    residual norm after projection falls below ``tol.rank_tol`` are dropped;
+    the output order follows the input order of the survivors.  Empty input
+    yields an empty list.
+    """
+    basis = []
+    for v in vectors:
+        u = np.asarray(v, dtype=complex).copy()
+        for _ in range(2):
+            for q in basis:
+                u -= q * np.vdot(q, u)
+        nrm = np.linalg.norm(u)
+        if nrm >= tol.rank_tol:
+            basis.append(u / nrm)
+    return basis
+
+
+def permutation_op(dim_v):
+    """Swap operator sigma on V (x) V for dim(V) = dim_v; sigma(v (x) w) = w (x) v."""
+    d2 = dim_v * dim_v
+    sigma = np.zeros((d2, d2), dtype=complex)
+    idx = np.arange(d2)
+    i, j = divmod(idx, dim_v)
+    sigma[idx, j * dim_v + i] = 1.0
+    return sigma
+
+
+def _root_ops(rep, lower):
+    n = rep.n
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return np.stack([
+        ad_matrix(rep.basis, matrix_unit(rep.basis, *((j, i) if lower else (i, j)), coords=False).matrix)
+        for i, j in pairs
+    ])
+
+
+def lowering_ops(rep):
+    """Stack of ad(e_ji) for i < j in lexicographic (i, j) order."""
+    return _root_ops(rep, lower=True)
+
+
+def raising_ops(rep):
+    """Stack of ad(e_ij) for i < j in lexicographic (i, j) order."""
+    return _root_ops(rep, lower=False)
+
+
+def tensor_from_coords(basis, v):
+    """The n^2 x n^2 matrix sum_ab v^{ab} I^a (x) I^b of flat two-site coordinates."""
+    m, n, g = basis.dim, basis.n, basis.generators
+    c = v.reshape(m, m)
+    return np.einsum("ab,aij,bkl->ikjl", c, g, g, optimize=True).reshape(n * n, n * n)
 
 
 class _Algebra:

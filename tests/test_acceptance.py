@@ -10,7 +10,7 @@ from time import perf_counter, process_time
 
 import numpy as np
 
-from adjrmat.adjoint_tensor import adjoint_rep, build_decomposition, permutation_op
+from adjrmat.adjoint_tensor import adjoint_rep, build_decomposition
 from adjrmat.cli import main
 from adjrmat.liealg import build_basis
 from adjrmat.numerics import eig_general
@@ -39,6 +39,8 @@ from adjrmat.yangian_action import (
     verify_hw_relations,
     verify_singlet_double_action,
 )
+
+from conftest import permutation_op
 
 SEED = 20240117
 

@@ -11,17 +11,15 @@ from adjrmat.adjoint_tensor import (
     apply_swap,
     casimir_op,
     highest_weight_vectors,
-    lowering_ops,
-    permutation_op,
-    raising_ops,
     rotate_pair,
     site_left,
     site_right,
     tensor_coords,
-    tensor_from_coords,
 )
-from adjrmat.liealg import matrix_unit
+from adjrmat.liealg import matrix_unit, weight_basis
 from adjrmat.numerics import DEFAULT_TOL, extend_orthonormal
+
+from conftest import lowering_ops, permutation_op, raising_ops, tensor_from_coords
 
 TOL = 1e-9
 
@@ -397,3 +395,61 @@ def test_submodules_keep_no_projector(algebra):
         assert np.max(np.abs(first - sub.basis @ sub.basis.conj().T)) == 0.0
         held = [v for v in vars(sub).values() if isinstance(v, np.ndarray)]
         assert all(v.shape != first.shape for v in held)
+
+
+def _lowering_gather_oracle(rep):
+    """The retired lowering gather: per two-site weight block, every ad(e_ji) (x) 1 + 1 (x) ad(e_ji).
+
+    Returns (blocks, lowers, targets) as the decomposition built them before
+    the weight frame: the pair indices grouped by total weight, and for each
+    block the stacked images under the lowering operators gathered entry by
+    entry from their rotated matrices, with the (target, first row, end row)
+    segments.
+    """
+    n, m = rep.n, rep.dim
+    U, weights = weight_basis(rep.basis)
+    uh = np.conj(U).T
+    lows = np.stack([U @ a @ uh for a in lowering_ops(rep)])
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    shifts = np.zeros((len(lows), n), dtype=int)
+    for o, (i, j) in enumerate(pairs):
+        shifts[o, j - 1] += 1
+        shifts[o, i - 1] -= 1
+    total = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
+    _, label, sizes = np.unique(total, axis=0, return_inverse=True, return_counts=True)
+    blocks = np.split(np.argsort(label.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
+    keys = [total[idx[0]] for idx in blocks]
+    index = {tuple(key): k for k, key in enumerate(keys)}
+    lowers, targets = [], []
+    for key, src in zip(keys, blocks):
+        sp, sq = divmod(src, m)
+        rows, ops, segs = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], []
+        lo = 0
+        for o, shift in enumerate(shifts):
+            t = index.get(tuple(key + shift))
+            if t is None:
+                continue
+            rows.append(blocks[t])
+            ops.append(np.full(len(blocks[t]), o))
+            segs.append((t, lo, lo + len(blocks[t])))
+            lo += len(blocks[t])
+        tp, tq = divmod(np.concatenate(rows), m)
+        op = np.concatenate(ops)[:, None]
+        tp, tq = tp[:, None], tq[:, None]
+        lowers.append(lows[op, tp, sp] * (tq == sq) + (tp == sp) * lows[op, tq, sq])
+        targets.append(segs)
+    return blocks, lowers, targets
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_lowering_blocks_match_retired_gather(algebra, n):
+    """The frame's root blocks, stacked per sector, equal the retired gather bit for bit."""
+    rep = algebra.rep(n)
+    blocks, lowers, targets = _lowering_gather_oracle(rep)
+    frame = _weight_blocks(rep, DEFAULT_TOL)
+    assert len(frame.chain.blocks) == len(blocks)
+    assert all(np.array_equal(got, want) for got, want in zip(frame.chain.blocks, blocks))
+    assert frame.targets == targets
+    for got, want, segs in zip(frame.lowers, lowers, targets):
+        assert got.shape == want.shape
+        assert all(np.array_equal(got[lo:hi], want[lo:hi]) for _, lo, hi in segs)

@@ -164,6 +164,32 @@ def test_negative_samples_is_a_usage_error(tmp_path, capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "su3", "--n", "3", "--seed", "-1"],
+        ["spectrum", "--n", "3", "--sites", "2", "--seed", "-5"],
+        ["verify", "ybe", "--n", "3", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    """Every command refuses a negative seed before any check runs: exit 2, one line, no report."""
+    code, payload = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert payload is None
+    assert err == f"adjrmat: --seed must be non-negative, got {argv[-1]}\n"
+
+
+def test_negative_env_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ADJRMAT_SEED", "-1")
+    code, payload = run(tmp_path, "verify", "su3", "--n", "3")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert payload is None
+    assert err == "adjrmat: ADJRMAT_SEED must be non-negative, got -1\n"
+
+
 def test_infinite_tolerance_is_a_usage_error(tmp_path, capsys):
     """A non-finite --tol is refused before any check runs: exit 2, one line, no report."""
     code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "3", "--tol", "inf")

@@ -1,8 +1,23 @@
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import ad_matrix
-from adjrmat.liealg import build_basis, matrix_unit, structure_constants, weight_basis
+from adjrmat import liealg
+from adjrmat.adjoint_tensor import ad_matrix, adjoint_rep, build_decomposition, root_action
+from adjrmat.liealg import (
+    build_basis,
+    matrix_unit,
+    structure_constants,
+    weight_basis,
+    weight_chain,
+)
+from adjrmat.spinchain import (
+    CHAIN_DIM_CAP,
+    chain_frame,
+    chain_H,
+    global_symmetry_residual,
+    local_h,
+    weight_hamiltonian,
+)
 
 TOL = 1e-9
 
@@ -177,3 +192,77 @@ def test_weight_basis_diagonalizes_cartan(n):
     roots = {tuple(w) for w in weights if np.any(w)}
     assert len(roots) == n * (n - 1)
     assert not np.any(weights[n * (n - 1):])
+
+
+def _grouped(total):
+    """Row indices of an integer weight array grouped by equal row, the rows in sorted order."""
+    groups = {}
+    for i, w in enumerate(map(tuple, total)):
+        groups.setdefault(w, []).append(i)
+    return [np.array(groups[w]) for w in sorted(groups)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_weight_chain_blocks_are_the_pair_and_triple_groupings(algebra, n):
+    """The frames of 2 and 3 sites group the pair and triple weights, as the orbits and the YBE did."""
+    basis = algebra.basis(n)
+    m = basis.dim
+    _, weights = weight_basis(basis)
+    pair_w = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
+    triple_w = (pair_w.reshape(m, m, 1, -1) + weights[None, None, :, :]).reshape(m**3, -1)
+    for sites, total in ((2, pair_w), (3, triple_w)):
+        chain = weight_chain(basis, sites)
+        want = _grouped(total)
+        assert len(chain.blocks) == len(want)
+        assert all(np.array_equal(got, idx) for got, idx in zip(chain.blocks, want))
+        assert np.array_equal(chain.sector_weights, [total[idx[0]] for idx in want])
+
+
+def test_shift_blocks_match_dense_kronecker_sums(algebra):
+    """At n = 3, L = 3, the sector blocks of every root rebuild the rotated sum_s ad_s(e_alpha)."""
+    basis = algebra.basis(3)
+    m, sites = basis.dim, 3
+    chain = weight_chain(basis, sites)
+    u = chain.u
+    units = np.einsum("ba,aij->bij", np.conj(u), basis.generators)  # the weight basis B_b
+    roots = m - (basis.n - 1)
+    for unit, alpha in zip(units[:roots], chain.weights[:roots]):
+        x = u @ ad_matrix(basis, unit) @ np.conj(u).T
+        assert np.max(np.abs(root_action(chain, alpha) - x)) <= 1e-14
+        total = sum(np.kron(np.kron(np.eye(m**s), x), np.eye(m ** (sites - 1 - s)))
+                    for s in range(sites))
+        rebuilt = np.zeros_like(total)
+        for k, t, block in chain.shift_blocks(x, alpha):
+            assert np.array_equal(chain.sector_weights[t], chain.sector_weights[k] + alpha)
+            rebuilt[np.ix_(chain.blocks[t], chain.blocks[k])] = block
+        assert np.max(np.abs(rebuilt - total)) <= 1e-14
+
+
+def test_a_frame_with_swapped_weights_is_refused(algebra, monkeypatch):
+    """Both the orbits and the chain symmetry check refuse a frame whose weights are wrong."""
+    basis = algebra.basis(3)
+    h = local_h(algebra.rep(3))
+    right = liealg.weight_basis
+
+    def swapped(basis):
+        u, weights = right(basis)
+        return u, weights[[1, 0, *range(2, len(weights))]]  # e_1 - e_2 and e_2 - e_1 traded
+
+    monkeypatch.setattr(liealg, "weight_basis", swapped)
+    with pytest.raises(AssertionError, match="leaves its weight shift"):
+        build_decomposition(adjoint_rep(basis))  # a new rep builds its frame under the swap
+    chain = weight_chain(basis, 2)
+    with pytest.raises(AssertionError, match="leaves its weight shift"):
+        global_symmetry_residual(chain, weight_hamiltonian(chain, h))
+
+
+def test_the_frame_has_no_dense_cap(algebra):
+    """The frame of 3 sites at n = 5 builds; the dense chain of that size is still refused."""
+    basis = algebra.basis(5)
+    chain = weight_chain(basis, 3)
+    assert len(chain.label) == 24**3 > CHAIN_DIM_CAP
+    assert sum(len(idx) for idx in chain.blocks) == 24**3
+    with pytest.raises(ValueError, match="13824"):
+        chain_H(np.zeros((576, 576)), 3)
+    with pytest.raises(ValueError, match="13824"):
+        chain_frame(basis, 3)

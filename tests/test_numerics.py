@@ -6,8 +6,9 @@ from adjrmat.numerics import (
     eig_general,
     extend_orthonormal,
     kron,
-    orthonormalize,
 )
+
+from conftest import orthonormalize
 
 TOL = 1e-9
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import casimir_op, permutation_op
+from adjrmat.adjoint_tensor import casimir_op
 from adjrmat.spinchain import local_h
 from adjrmat.liealg import weight_basis
 from adjrmat.numerics import DEFAULT_TOL, max_abs
@@ -31,6 +31,8 @@ from adjrmat.rmatrix import (
     ybe_residual,
 )
 from adjrmat.yangian_action import delta_action, level1_action
+
+from conftest import permutation_op
 
 TOL = 1e-9
 

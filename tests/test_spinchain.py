@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from adjrmat.adjoint_tensor import ad_matrix, permutation_op, rotate_pair
-from adjrmat.liealg import off_block_mask, pair_weights, weight_basis
+from adjrmat.adjoint_tensor import ad_matrix, rotate_pair
+from adjrmat.liealg import weight_basis, weight_chain
 from adjrmat.numerics import eig_general
 from adjrmat.rmatrix import CoefficientSet, build_R, sample_ybe_pairs
 from adjrmat.spinchain import (
@@ -22,8 +22,11 @@ from adjrmat.spinchain import (
     transfer_matrix,
     two_site_spectrum,
     verify_spinform,
-    weight_chain,
+    weight_hamiltonian,
+    weight_transfer,
 )
+
+from conftest import permutation_op
 
 TOL = 1e-9
 
@@ -314,7 +317,8 @@ def _weight_conserving_noise(basis, h, seed):
     The result conserves weight but is not su(n)-invariant.
     """
     u, weights = weight_basis(basis)
-    inside = ~off_block_mask(pair_weights(weights))
+    pair_w = (weights[:, None, :] + weights[None, :, :]).reshape(len(weights) ** 2, -1)
+    inside = np.all(pair_w[:, None, :] == pair_w[None, :, :], axis=2)
     noise = np.where(inside, np.random.default_rng(seed).standard_normal(h.shape), 0.0)
     return rotate_pair(np.conj(u).T, rotate_pair(u, h) + 1e-3 * noise)
 
@@ -326,7 +330,7 @@ def test_chain_global_symmetry(algebra, locals_cache):
     for sites in (2, 3):
         assert _gell_mann_symmetry_oracle(chain_H(h, sites), basis, sites) <= 1e-13
         chain = weight_chain(basis, sites)
-        assert global_symmetry_residual(chain, chain.hamiltonian(h)) <= 1e-13
+        assert global_symmetry_residual(chain, weight_hamiltonian(chain, h)) <= 1e-13
 
 
 @pytest.mark.parametrize("sites", [2, 3])
@@ -334,7 +338,7 @@ def test_global_symmetry_residual_matches_weight_kronecker_oracle(algebra, local
     basis = algebra.basis(3)
     chain = weight_chain(basis, sites)
     for h in (locals_cache(3), _weight_conserving_noise(basis, locals_cache(3), 7)):
-        h_w = chain.hamiltonian(h)
+        h_w = weight_hamiltonian(chain, h)
         want = _weight_commutators(chain, h_w).max() / max(1.0, np.max(np.abs(h_w)))
         assert abs(global_symmetry_residual(chain, h_w) - want) <= 1e-13
 
@@ -345,7 +349,7 @@ def test_global_symmetry_residual_reads_the_stray_through_the_cartan_generators(
     chain = weight_chain(basis, 2)
     h = locals_cache(3)
     noise = np.random.default_rng(3).standard_normal(h.shape)
-    h_w = chain.hamiltonian(h + 1e-3 * noise)
+    h_w = weight_hamiltonian(chain, h + 1e-3 * noise)
     inside = np.zeros_like(h_w)
     for idx in chain.blocks:
         inside[np.ix_(idx, idx)] = h_w[np.ix_(idx, idx)]
@@ -370,9 +374,9 @@ def test_global_symmetry_residual_detects_broken_invariance(algebra, locals_cach
     conserving = _weight_conserving_noise(basis, h, 5)
     for sites in (2, 3):
         chain = weight_chain(basis, sites)
-        assert global_symmetry_residual(chain, chain.hamiltonian(h + 1e-3 * noise)) > 1e-8
+        assert global_symmetry_residual(chain, weight_hamiltonian(chain, h + 1e-3 * noise)) > 1e-8
         chain_spectrum(conserving, basis, sites)  # raises if the density leaves its sectors
-        assert global_symmetry_residual(chain, chain.hamiltonian(conserving)) > 1e-8
+        assert global_symmetry_residual(chain, weight_hamiltonian(chain, conserving)) > 1e-8
 
 
 @pytest.mark.parametrize("sites", [2, 3])
@@ -386,10 +390,10 @@ def test_weight_chain_is_the_rotated_gell_mann_chain(algebra, locals_cache, site
     def rotated(op):
         return big_u @ op @ np.conj(big_u).T
 
-    assert np.max(np.abs(chain.hamiltonian(h) - rotated(chain_H(h, sites)))) <= 1e-12
+    assert np.max(np.abs(weight_hamiltonian(chain, h) - rotated(chain_H(h, sites)))) <= 1e-12
     lam = 0.37 + 0.21j
     t = transfer_matrix(dec, lam, sites)
-    assert np.max(np.abs(chain.transfer(rep, lam) - rotated(t))) <= 1e-12 * np.max(np.abs(t))
+    assert np.max(np.abs(weight_transfer(chain, rep, lam) - rotated(t))) <= 1e-12 * np.max(np.abs(t))
 
 
 def test_weight_chain_sectors(algebra):
@@ -472,11 +476,11 @@ def test_transfer_residuals_match_dense_ratio(algebra, locals_cache, rng):
     for sites in (2, 3):
         lam, mu = sample_ybe_pairs(rng, 3, 1)[0]
         chain = weight_chain(basis, sites)
-        t_w = chain.transfer(rep, lam)
+        t_w = weight_transfer(chain, rep, lam)
         t, t_mu = transfer_matrix(dec, lam, sites), transfer_matrix(dec, mu, sites)
-        got = sector_commutator(chain, t_w, chain.transfer(rep, mu))
+        got = sector_commutator(chain, t_w, weight_transfer(chain, rep, mu))
         assert abs(got - _dense_ratio(t, t_mu)) <= 1e-15
-        got_h = sector_commutator(chain, t_w, chain.hamiltonian(h))
+        got_h = sector_commutator(chain, t_w, weight_hamiltonian(chain, h))
         assert abs(got_h - _dense_ratio(t, chain_H(h, sites))) <= 1e-15
 
 
@@ -484,8 +488,8 @@ def test_sector_commutator_cannot_hide_off_sector_error(algebra, locals_cache):
     """A t_w whose blocks commute with H_w, plus one off-sector entry of relative size 1e-6."""
     basis, rep, _ = algebra(3)
     chain = weight_chain(basis, 3)
-    h_w = chain.hamiltonian(locals_cache(3))
-    t_w = chain.transfer(rep, 0.37 + 0.21j)
+    h_w = weight_hamiltonian(chain, locals_cache(3))
+    t_w = weight_transfer(chain, rep, 0.37 + 0.21j)
     assert sector_commutator(chain, t_w, h_w) <= 1e-15
     t_w[chain.blocks[0][0], chain.blocks[1][0]] += 1e-6 * np.linalg.norm(t_w)
     assert sector_commutator(chain, t_w, h_w) >= 1e-7
