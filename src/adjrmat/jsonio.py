@@ -12,11 +12,14 @@ stands between a built object and its text.  :func:`matrix_to_json` is the
 plain JSON value of a matrix, the form ``json.loads`` gives back from the
 written file.
 
-Lists are formatted entry by entry.  A one-dimensional complex array is
-formatted in chunks of 32,768 entries, calling the float formatter once per
-distinct double (by bit pattern) of a chunk and gathering the tokens with
-numpy; the bytes are the same as formatting every entry on its own, and the
-Python-level cost follows the number of distinct values, not of entries.
+Lists are formatted entry by entry.  A complex array of any rank goes to one
+vectorised core in one call.  Its work follows the pairs that are not
+(+0.0, +0.0) and the distinct doubles of the whole array, not the number of
+entries: a run of such zero pairs inside a row is one repeated string, the
+float formatter runs once per distinct double (by bit pattern) of the other
+pairs, and the tokens, separators and zero runs are gathered with numpy into
+one object array and joined once.  The bytes are the same as formatting every
+entry on its own.
 """
 
 from __future__ import annotations
@@ -70,42 +73,89 @@ def _encode(obj, indent: int, level: int, out: list[str]):
             _encode(value, indent, level + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, np.ndarray) and obj.ndim > 1:
-        _encode(list(obj), indent, level, out)  # nested like the lists of .tolist()
     elif isinstance(obj, np.ndarray):
-        out.append(_complex_array_token(obj))
+        out.append(_complex_array_token(obj, indent, level))
     else:
         out.append(_leaf_token(obj))
 
 
-# pairs formatted and joined per chunk, which bounds the transient arrays and strings
-_PAIR_CHUNK = 1 << 15
+# a (+0.0, +0.0) pair and the separator that follows it inside a row
+_ZERO_PAIR = "0.0, 0.0], ["
 
 
-def _complex_array_token(data: np.ndarray) -> str:
-    """Format a 1-D complex array as [[re, im], ...].
+def _complex_array_token(data: np.ndarray, indent: int, level: int) -> str:
+    """The text of a complex array at nesting ``level``: the nested lists of its [re, im] pairs.
 
-    _format_float runs once per distinct double (by bit pattern) of each chunk.
+    The work follows the pairs that are not (+0.0, +0.0), not the entries.
+    _format_float runs once per distinct double (by bit pattern) of those
+    pairs over the whole array.  They, and the last pair of each row, are
+    written one by one as four pieces: re, ", ", im, and what follows up to
+    the next such pair: "], [" inside a row, or the lists closed and
+    reopened between rows, then ``_ZERO_PAIR`` repeated once per zero pair
+    skipped.  The pieces are gathered in one object array and joined once.
     """
-    if data.dtype != np.complex128 or data.ndim != 1:
+    if data.dtype != np.complex128 or data.ndim < 1:
         raise TypeError(f"cannot serialize {data.dtype} array of shape {data.shape}")
+    rank, width = data.ndim, data.shape[-1]
+    pads = [" " * (indent * (level + a)) for a in range(rank)]
     if not data.size:
-        return "[]"
-    chunks = []
-    for start in range(0, data.size, _PAIR_CHUNK):
-        values = np.ascontiguousarray(data[start : start + _PAIR_CHUNK]).view(np.float64)
-        finite = np.isfinite(values)
-        if not finite.all():
-            _format_float(float(values[np.argmin(finite)]))  # raises on the first one
-        # distinct bit patterns, not values: 0.0 == -0.0 but they print differently
-        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-        tokens = np.array([_format_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        woven = np.empty(2 * values.size - 1, dtype=object)
-        woven[0::2] = tokens[inverse]
-        woven[1::4] = ", "
-        woven[3::4] = "], ["
-        chunks.append("".join(woven.tolist()))
-    return "[[" + "], [".join(chunks) + "]]"
+        if rank == 1 or not len(data):
+            return "[]"
+        inner = _complex_array_token(data[0], indent, level + 1)  # every item is the same
+        return "[\n" + ",\n".join([pads[1] + inner] * len(data)) + "\n" + pads[0] + "]"
+    # bit patterns, not values: 0.0 == -0.0 but they print differently
+    bits = np.ascontiguousarray(data).reshape(-1).view(np.uint64).reshape(-1, 2)
+    nonzero = (bits[:, 0] | bits[:, 1]) != 0
+    used = np.compress(nonzero, bits, axis=0).reshape(-1)
+    finite = np.isfinite(used.view(np.float64))
+    if not finite.all():
+        _format_float(float(used.view(np.float64)[np.argmin(finite)]))  # raises on the first one
+    doubles, inverse = np.unique(used, return_inverse=True)
+    # made in order of first appearance, so the gather below reads them in
+    # the order they lie in memory when most doubles are distinct
+    first = np.full(doubles.size, used.size)
+    np.minimum.at(first, inverse, np.arange(used.size))
+    order = np.argsort(first)
+    tokens = np.empty(doubles.size + 1, dtype=object)
+    tokens[order] = [_format_float(x) for x in doubles[order].view(np.float64).tolist()]
+    tokens[-1] = "0.0"  # for a zero pair that ends a row
+    written = nonzero.copy()
+    written[width - 1 :: width] = True
+    idx = np.flatnonzero(written)
+    which = np.full((idx.size, 2), doubles.size)
+    which[nonzero[idx]] = inverse.reshape(-1, 2)
+    # what follows each written pair, by kind: "], [" inside a row (rank);
+    # after a row, the lists of the j axes that roll over before the next row
+    # closed and reopened (j < rank - 1), or every list closed at the end (rank - 1)
+    ends = np.flatnonzero(idx % width == width - 1)
+    kind = np.full(idx.size, rank)
+    kind[ends] = rank - 1
+    row = np.arange(1, ends.size)
+    rolled = np.zeros(row.size, dtype=np.intp)
+    span = 1
+    for size in data.shape[-2:0:-1]:
+        span *= size
+        rolled += row % span == 0
+    kind[ends[:-1]] = rolled
+    skipped = np.diff(idx, append=idx[-1] + 1) - 1  # zero pairs, all in the same row
+    follows, follow = np.unique(kind * width + skipped, return_inverse=True)
+    closes = ["\n" + pads[a] + "]" for a in range(rank - 1)]  # closes[a] ends a list of axis a
+    opens = [pads[a] + "[\n" for a in range(rank - 1)]
+    seps = [
+        "]]" + "".join(closes[rank - 1 - j :][::-1]) + ",\n"
+        + "".join(opens[rank - 1 - j :]) + pads[-1] + "[["
+        for j in range(rank - 1)
+    ]
+    seps += ["]]" + "".join(closes[::-1]), "], ["]
+    follows = [seps[k // width] + _ZERO_PAIR * (k % width) for k in follows.tolist()]
+    pieces = np.empty((idx.size, 4), dtype=object)
+    pieces[:, 0::2] = tokens[which]
+    pieces[:, 1] = ", "
+    pieces[:, 3] = np.array(follows, dtype=object)[follow]
+    # the lists opened, and the zero pairs before the first written one
+    head = "".join("[\n" + pads[a + 1] for a in range(rank - 1)) + "[[" + _ZERO_PAIR * int(idx[0])
+    pieces[0, 0] = head + pieces[0, 0]
+    return "".join(pieces.reshape(-1).tolist())
 
 
 def _is_scalar(v) -> bool:
@@ -142,7 +192,8 @@ def dumps(obj, indent: int = 2) -> str:
     """Serialize to a deterministic JSON string (keys keep insertion order)."""
     out: list[str] = []
     _encode(obj, indent, 0, out)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def complex_pair(z: complex) -> list[float]:

@@ -161,9 +161,9 @@ def _edge_matrix(rng, shape) -> np.ndarray:
 
 
 def test_large_pair_list_matches_oracle_across_chunks(rng):
-    """Both input forms of a matrix column longer than three chunks."""
+    """Both input forms of a matrix column of 98,311 pairs drawn from a small pool."""
     pool = np.array(EDGE_FLOATS + list(rng.standard_normal(50)))
-    m = np.empty((3 * jsonio._PAIR_CHUNK + 7, 1), dtype=complex)
+    m = np.empty((3 * 32768 + 7, 1), dtype=complex)
     m.real = rng.choice(pool, m.shape)
     m.imag = rng.choice(pool, m.shape)
     expected = _dumps_oracle(jsonio.matrix_to_json(m))
@@ -271,6 +271,43 @@ def test_dumps_writes_complex_arrays_as_nested_pairs(rng):
             assert jsonio.dumps({"t": arr}, indent=indent) == _dumps_oracle({"t": plain}, indent=indent)
 
 
+def _bit_patterns(values) -> set[int]:
+    return set(np.asarray(values, dtype=np.float64).reshape(-1).view(np.uint64).tolist())
+
+
+def test_format_float_runs_once_per_distinct_nonzero_pair_double(monkeypatch, rng):
+    """The cost model of the array core: one format per distinct double of the
+    pairs that are not (+0.0, +0.0), counted by bit pattern over the whole array."""
+    m = np.zeros((300, 300), dtype=complex)
+    live = rng.random(m.shape) < 0.05
+    # set the parts separately: re + 1j*im would not keep every signed zero
+    m.real[live] = rng.choice(np.array(EDGE_FLOATS), live.sum())
+    m.imag[live] = rng.choice(np.array(EDGE_FLOATS + [0.25, -7.0]), live.sum())
+    m[0, 0], m[5, 7], m[299, 299] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(1.0, 0.0)
+    calls = []
+    format_float = jsonio._format_float
+    monkeypatch.setattr(jsonio, "_format_float", lambda x: calls.append(x) or format_float(x))
+    text = jsonio.dumps(jsonio.matrix_payload(m))
+    pairs = m.reshape(-1).view(np.uint64).reshape(-1, 2)
+    nonzero = pairs[(pairs != 0).any(axis=1)].view(np.float64)
+    assert len(calls) == len(_bit_patterns(calls)) == len(_bit_patterns(nonzero))
+    assert _bit_patterns(calls) == _bit_patterns(nonzero)
+    assert text == _dumps_oracle(jsonio.matrix_to_json(m))
+
+
+def test_an_array_of_any_rank_enters_the_core_once(monkeypatch, rng):
+    t = rng.standard_normal((4, 5, 6)) + 1j * rng.standard_normal((4, 5, 6))
+    t[1] = 0.0
+    calls = []
+    core = jsonio._complex_array_token
+    monkeypatch.setattr(jsonio, "_complex_array_token", lambda *a: calls.append(a[0].shape) or core(*a))
+    text = jsonio.dumps({"t": t, "m": t[0], "v": t[0, 0]})
+    assert calls == [(4, 5, 6), (5, 6), (6,)]
+    plain = {key: np.ascontiguousarray(a).view(float).reshape(*a.shape, 2).tolist()
+             for key, a in (("t", t), ("m", t[0]), ("v", t[0, 0]))}
+    assert text == _dumps_oracle(plain)
+
+
 def test_matrix_from_json_shapes():
     back = jsonio.matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, -0.0], [0, 2]]})
     assert back.shape == (1, 2) and back.dtype == complex
@@ -291,6 +328,10 @@ def test_matrix_from_json_shapes():
         ("build", "projectors", "--n", "3"),
         ("build", "hamiltonian", "--n", "3", "--sites", "2"),
         ("spectrum", "--n", "3", "--sites", "2"),
+        # the 3-D f and d tensors
+        pytest.param(("build", "basis", "--n", "3"), id="build-basis"),
+        # 262,144 entries, mostly runs of zero pairs
+        pytest.param(("build", "hamiltonian", "--n", "3", "--sites", "3"), id="build-hamiltonian-3-sites"),
     ],
     ids=lambda argv: "-".join(argv[:2]),
 )
