@@ -12,6 +12,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__, jsonio
 from .adjoint_tensor import adjoint_rep, build_decomposition
 from .liealg import build_basis
-from .numerics import Tolerance, frobenius
+from .numerics import Tolerance, blas_threads_at_most, frobenius
 from .rmatrix import (
     DEFAULT_SEED,
     DENSE_YBE_MAX_DIM,
@@ -62,6 +63,10 @@ from .yangian_action import (
 
 ENV_SEED = "ADJRMAT_SEED"
 USAGE_ERROR = 2
+# a command whose largest dense space (three adjoint sites, or the chain) has
+# at most this dimension runs on one BLAS thread: that is n = 3 up to three
+# sites, where threads cost more than they save and stall when a core is busy
+ONE_BLAS_THREAD_MAX_DIM = 512
 
 
 class ConfigError(Exception):
@@ -575,24 +580,31 @@ def _emit(payload: dict, out: str | None):
             raise ConfigError(f"cannot write report to {out}: {exc}") from exc
 
 
+def _run(args, cfg: RunConfig) -> int:
+    if args.command == "build":
+        payload = run_build(args.kind, cfg, lam=getattr(args, "lam", None))
+        _emit(payload, cfg.out)
+        return 0
+    if args.command == "verify":
+        report = run_verify(args.suite, cfg)
+        _emit(report, cfg.out)
+        return 0 if report["pass"] else 1
+    if args.command == "spectrum":
+        payload = run_spectrum(cfg, args.convention or "raw")
+        _emit(payload, cfg.out)
+        return 0
+    raise ConfigError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _make_config(args)
-        if args.command == "build":
-            payload = run_build(args.kind, cfg, lam=getattr(args, "lam", None))
-            _emit(payload, cfg.out)
-            return 0
-        if args.command == "verify":
-            report = run_verify(args.suite, cfg)
-            _emit(report, cfg.out)
-            return 0 if report["pass"] else 1
-        if args.command == "spectrum":
-            payload = run_spectrum(cfg, args.convention or "raw")
-            _emit(payload, cfg.out)
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        m = cfg.n * cfg.n - 1
+        small = m ** max(3, cfg.sites) <= ONE_BLAS_THREAD_MAX_DIM
+        with blas_threads_at_most(1) if small else contextlib.nullcontext():
+            return _run(args, cfg)
     except (ConfigError, ValueError) as exc:
         print(f"adjrmat: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -8,6 +8,9 @@ explicit :class:`Tolerance`, never exactly.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ __all__ = [
     "ensure_finite",
     "extend_orthonormal",
     "eig_general",
+    "blas_threads_at_most",
 ]
 
 
@@ -153,3 +157,56 @@ def eig_general(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[tuple[compl
             f"eigen residual {res:.3e} exceeds contract for a {m.shape[0]}x{m.shape[0]} matrix"
         )
     return [(complex(w[i]), v[:, i]) for i in range(m.shape[0])]
+
+
+# the thread-count entry points of an OpenBLAS build: prefix, then suffix
+_OPENBLAS_NAMES = ("scipy_openblas{}64_", "scipy_openblas{}", "openblas{}64_", "openblas{}")
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS loaded when first asked.
+
+    Found through the shared objects mapped into this process, so only on
+    Linux; elsewhere, or for another BLAS, the tuple is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_NAMES:
+            get = getattr(lib, name.format("_get_num_threads"), None)
+            put = getattr(lib, name.format("_set_num_threads"), None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def blas_threads_at_most(limit: int):
+    """Run the block with at most ``limit`` OpenBLAS threads, then restore the count.
+
+    On operands of a few hundred rows a threaded BLAS call spends more on
+    handing work to its threads than it saves, and when another process
+    holds a core the call waits for a descheduled thread.  Without OpenBLAS
+    this does nothing.
+    """
+    saved = [(put, get()) for get, put in _openblas_thread_controls()]
+    for put, count in saved:
+        if count > limit:
+            put(limit)
+    try:
+        yield
+    finally:
+        for put, count in saved:
+            if count > limit:
+                put(count)

@@ -434,3 +434,23 @@ def test_jsonio_float_fidelity():
     values = [1.0 / 3.0, 1e-300, -0.0, 2.0**52 + 0.123, 5.0]
     text = jsonio.dumps({"values": values})
     assert json.loads(text)["values"] == values
+
+
+@pytest.mark.parametrize("n, sites, threads", [("3", "3", 1), ("3", "4", 2), ("4", "2", 2)])
+def test_small_commands_run_on_one_blas_thread(tmp_path, monkeypatch, n, sites, threads):
+    """Up to three sites at n = 3 a command runs on one BLAS thread; larger ones keep theirs."""
+    from adjrmat.numerics import _openblas_thread_controls
+
+    if not _openblas_thread_controls():
+        pytest.skip("numpy is not linked to an OpenBLAS this process can find")
+    get, put = _openblas_thread_controls()[0]
+    before = get()
+    put(2)
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda args, cfg: seen.append(get()) or 0)
+    try:
+        assert main(["build", "basis", "--n", n, "--sites", sites,
+                     "--out", str(tmp_path / "out.json")]) == 0
+        assert seen == [threads] and get() == 2
+    finally:
+        put(before)

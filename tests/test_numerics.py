@@ -3,6 +3,8 @@ import pytest
 
 from adjrmat.numerics import (
     Tolerance,
+    _openblas_thread_controls,
+    blas_threads_at_most,
     eig_general,
     extend_orthonormal,
     kron,
@@ -166,3 +168,28 @@ def test_tolerance_must_be_finite(kwargs):
     with pytest.raises(ValueError, match="tolerances must be finite and strictly positive"):
         Tolerance(**kwargs)
 
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """numpy's OpenBLAS set to two threads for the test; the count is restored after."""
+    if not _openblas_thread_controls():
+        pytest.skip("numpy is not linked to an OpenBLAS this process can find")
+    get, put = _openblas_thread_controls()[0]
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def test_blas_threads_at_most_limits_the_block_then_restores(openblas_at_two_threads):
+    get = openblas_at_two_threads
+    with blas_threads_at_most(1):
+        assert get() == 1
+    assert get() == 2
+    with pytest.raises(ZeroDivisionError):
+        with blas_threads_at_most(1):
+            1 / 0
+    assert get() == 2
+    with blas_threads_at_most(4):
+        assert get() == 2  # a limit never raises the count
