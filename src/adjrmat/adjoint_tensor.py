@@ -5,8 +5,12 @@ sum_{a,b} v^{ab} I^a (x) I^b of su(n) (x) su(n) is stored as the flat complex
 array v of length (n^2-1)^2 with row-major index a*(n^2-1)+b, matching the
 Kronecker-product convention of :mod:`adjrmat.numerics`.  Lowering orbits
 are closed internally in the two-site weight frame ``rep.weight_frame`` of
-:func:`liealg.weight_chain` (see :func:`_orbit`), but every basis this module
-returns is in these Gell-Mann coordinates.  The representation also holds
+:func:`liealg.weight_chain` (see :func:`_orbit`), and the completeness of the
+decomposition is checked there, one weight sector at a time, but every basis
+this module returns is in these Gell-Mann coordinates.  A decomposition holds
+only its (D, dim) bases: the D x D projectors and the s->a isometry are
+formed when they are read, and no check of :func:`build_decomposition` forms
+one.  The representation also holds
 the gather indices of the dense Yang-Baxter blocks over the three-site
 frame (``rep.ybe_gathers``), built once.
 
@@ -138,14 +142,24 @@ class Decomposition:
     n: int
     rep: AdjointRep
     submodules: list[Submodule]
-    iso_s_to_a: np.ndarray
-    completeness_residual: float  # max_abs(B^dagger B - 1) of the stacked bases
+    # max_abs(B^dagger B - 1) of the stacked bases, taken one weight sector at a time
+    completeness_residual: float
 
     def by_role(self, role: str) -> Submodule:
         for sub in self.submodules:
             if sub.role == role:
                 return sub
         raise KeyError(f"no submodule with role {role!r}")
+
+    @cached_property
+    def iso_s_to_a(self) -> np.ndarray:
+        """The D x D equivariant isometry B_a B_s^dagger, formed on first read and kept.
+
+        Nothing in the package reads it: the oracles apply it as
+        B_a (B_s^dagger v).
+        """
+        anti = self.by_role("adjoint_anti").basis
+        return anti @ np.conj(self.by_role("adjoint_sym").basis).T
 
 
 def adjoint_rep(basis: SunBasis, tol: Tolerance = DEFAULT_TOL, validate: bool = True) -> AdjointRep:
@@ -160,15 +174,41 @@ def adjoint_rep(basis: SunBasis, tol: Tolerance = DEFAULT_TOL, validate: bool = 
         m = basis.dim
         if max_abs(S - np.conj(S).transpose(0, 2, 1)) > tol.abs_tol:
             raise AssertionError("adjoint matrices are not Hermitian")
-        for a in range(m):
-            comm = S[a] @ S - S @ S[a]
-            rhs = np.einsum("bc,cij->bij", basis.f[a], S)
-            if max_abs(comm - rhs) > tol.abs_tol * m:
-                raise AssertionError("adjoint matrices violate the representation property")
+        if _representation_residual(S, basis.f) > tol.abs_tol * m:
+            raise AssertionError("adjoint matrices violate the representation property")
         cas = np.einsum("aij,ajk->ik", S, S, optimize=True)
         if max_abs(cas - 2.0 * basis.n * np.eye(m)) > tol.abs_tol * m:
             raise AssertionError("adjoint Casimir sum deviates from 2n * 1")
     return AdjointRep(basis=basis, S=S)
+
+
+# target size of a temporary of the representation check, in bytes: blocks of
+# about 1 MB ran faster than one 5 MB block at n = 5 (cache), and a block is
+# never less than one generator (4 MB at n = 8)
+_VALIDATE_BLOCK_BYTES = 2**20
+
+
+def _representation_residual(S: np.ndarray, f: np.ndarray) -> float:
+    """max_abs([S^a, S^b] - sum_c f^{abc} S^c) over all a, b, for a Hermitian stack S.
+
+    The generators a are taken in blocks of b, sized so that a temporary
+    holds about :data:`_VALIDATE_BLOCK_BYTES` (b m^3 entries).  Per
+    block, the products (S^a S^b)_ij are one (b m, m) @ (m, m m) matmul;
+    S^b S^a is their conjugate transpose in (i, j), as S is Hermitian; and
+    the right side is one (b m, m) @ (m, m m) matmul of f against S.
+    """
+    m = S.shape[0]
+    step = max(1, _VALIDATE_BLOCK_BYTES // (16 * m**3))
+    right = S.transpose(1, 0, 2).reshape(m, m * m)  # (k; b, j) = S^b_kj
+    stack = S.reshape(m, m * m)  # (c; i, j) = S^c_ij
+    worst = 0.0
+    for lo in range(0, m, step):
+        block = slice(lo, lo + step)
+        prod = (S[block].reshape(-1, m) @ right).reshape(-1, m, m, m)  # (a, i, b, j)
+        comm = prod - np.conj(prod.transpose(0, 3, 2, 1))
+        rhs = (f[block].reshape(-1, m) @ stack).reshape(-1, m, m, m)  # (a, b, i, j)
+        worst = max(worst, max_abs(comm.transpose(0, 2, 1, 3) - rhs))
+    return worst
 
 
 def ad_matrix(basis: SunBasis, x: np.ndarray) -> np.ndarray:
@@ -419,8 +459,10 @@ def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray
     against the columns the block already holds, and the new directions are
     the left singular vectors with singular value at least ``tol.rank_tol``.
     The orbit is closed when a round adds nothing.  The basis is returned in
-    Gell-Mann coordinates.  ``seed`` must be a weight vector: support in more
-    than one weight block raises ``ValueError``.
+    two-site weight coordinates, its columns grouped by sector in increasing
+    order; :meth:`_WeightBlocks.from_weight` takes it to Gell-Mann
+    coordinates.  ``seed`` must be a weight vector: support in more than one
+    weight block raises ``ValueError``.
     """
     xw = frame.to_weight(np.asarray(seed, dtype=complex))
     nrm = np.linalg.norm(xw)
@@ -474,7 +516,7 @@ def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray
         q = accepted[t]
         basis_w[blocks[t], col : col + q.shape[1]] = q
         col += q.shape[1]
-    return frame.from_weight(basis_w)
+    return basis_w
 
 
 def _tensor_embedding(t: np.ndarray) -> np.ndarray:
@@ -588,6 +630,30 @@ def _measure(rep: AdjointRep, B: np.ndarray, tol: Tolerance, parity: int) -> tup
     return float(ev.real), measured
 
 
+def _sector_columns(chain: WeightChain, xw: np.ndarray) -> tuple[list[tuple[int, np.ndarray]], float]:
+    """Split the columns of a weight-coordinate (D, k) array by sector of ``chain``.
+
+    Each column goes to the sector of its largest entry.  Returns the
+    (sector, rows of the sector in its columns) pairs and the largest share
+    of a column's norm outside its sector (0 for weight vectors).
+    """
+    label = chain.label
+    sq = np.abs(xw)
+    sq *= sq
+    home = label[np.argmax(sq, axis=0)]
+    total = sq.sum(axis=0)
+    sq[label[:, None] == home[None, :]] = 0.0
+    off = float(np.sqrt(sq.sum(axis=0) / total).max(initial=0.0))
+    cols = np.argsort(home, kind="stable")
+    sectors, starts = np.unique(home[cols], return_index=True)
+    ends = np.append(starts[1:], len(cols))
+    rows = xw[np.concatenate(chain.blocks)]  # grouped by sector, as the columns are below
+    edges = np.cumsum([0] + [len(idx) for idx in chain.blocks])
+    parts = [(w, rows[edges[w] : edges[w + 1]][:, cols[lo:hi]])
+             for w, lo, hi in zip(sectors.tolist(), starts.tolist(), ends.tolist())]
+    return parts, off
+
+
 def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
     """Decompose adjoint (x) adjoint into submodules with the s->a isometry.
 
@@ -595,50 +661,72 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     d^{a..}/||d^{a..}|| give the symmetric copy and minus the columns
     f^{a..}/||f^{a..}|| the antisymmetric one.  Column a of each basis is the
     image of the generator I^a, so mapping column to column is the
-    equivariant isometry -Ef Ed^dagger; the sign fixes the phase convention
-    iso(v_s) = +(norm ratio) v_a.  Every other submodule is the lowering
-    orbit of its highest-weight vector, closed one sector of
-    ``rep.weight_frame`` at a time (the stacked lowering blocks are built
-    once per call and shared by the orbits).  The checks read only the
-    Gell-Mann bases and Omega_op applied through ``rep.frame``, never the
-    weight frame:
-    Casimir eigenvalue and exchange parity of every basis, the sum of
-    dimensions, completeness and mutual orthogonality of the projectors
-    (whose residual is kept as ``completeness_residual``), and the isometry
-    phase are verified before returning.
+    equivariant isometry -Ef Ed^dagger (``Decomposition.iso_s_to_a``, formed
+    only when read); the sign fixes the phase convention iso(v_s) = +(norm
+    ratio) v_a.  Every other submodule is the lowering orbit of its
+    highest-weight vector, closed one sector of ``rep.weight_frame`` at a
+    time (the stacked lowering blocks are built once per call and shared by
+    the orbits).  Checked before returning, with no D x D array formed:
+
+    * the Casimir eigenvalue and exchange parity of every Gell-Mann basis,
+      with Omega_op applied through ``rep.frame``;
+    * the sum of dimensions;
+    * completeness and mutual orthogonality, as the Gram residual
+      max_W max_abs(G_W - 1) over the sectors W of the weight frame.  The
+      orbits come in weight coordinates from :func:`_orbit`; the adjoint
+      copies are rotated there on both indices, (U (x) U) B U^T, so that
+      every column is a weight vector.  Columns in different sectors are
+      orthogonal, so the largest off-sector share of any column is a floor
+      on the residual, and so is max_abs(U U^dagger - 1): the sector Grams
+      equal the Gell-Mann one only if U is unitary.  The result is kept as
+      ``completeness_residual``;
+    * the isometry phase, as B_a (B_s^dagger v_s).
     """
     basis = rep.basis
     m = rep.dim
     D = m * m
     rows = highest_weight_vectors(basis, tol)
     frame = _weight_blocks(rep, tol)
+    chain = frame.chain
+    u = chain.u
     embeddings = {
         "adjoint_sym": _tensor_embedding(basis.d),
         "adjoint_anti": -_tensor_embedding(basis.f),
     }
     submodules: list[Submodule] = []
+    sectors: dict[int, list[np.ndarray]] = {}
+    gram_res = max_abs(u @ np.conj(u).T - np.eye(m))
     for row in rows:
-        B = embeddings[row.role] if row.role in embeddings else _orbit(frame, row.coords, tol)
+        if row.role in embeddings:
+            B = embeddings[row.role]
+            xw = site_left(u, site_left(u, B, 0), 1) @ u.T
+        else:
+            xw = _orbit(frame, row.coords, tol)
+            B = frame.from_weight(xw)
+        parts, off = _sector_columns(chain, xw)
+        del xw
+        gram_res = max(gram_res, off)
+        for w, cols in parts:
+            sectors.setdefault(w, []).append(cols)
         omega_ev, parity = _measure(rep, B, tol, row.parity)
         submodules.append(Submodule(row.label, row.role, row.coords, B, omega_ev, parity))
 
     dims = sum(sub.dim for sub in submodules)
     if dims != D:
         raise AssertionError(f"submodule dimensions sum to {dims}, expected {D}")
-    stacked = np.hstack([sub.basis for sub in submodules])
-    gram_res = max_abs(np.conj(stacked).T @ stacked - np.eye(D))
+    for parts in sectors.values():
+        cols = np.hstack(parts)
+        gram_res = max(gram_res, max_abs(np.conj(cols).T @ cols - np.eye(cols.shape[1])))
     if gram_res > tol.abs_tol * m:
         raise AssertionError(f"projector completeness residual {gram_res:.3e}")
 
-    sym = next(s for s in submodules if s.role == "adjoint_sym")
-    anti = next(s for s in submodules if s.role == "adjoint_anti")
-    iso = anti.basis @ np.conj(sym.basis).T
+    dec = Decomposition(n=basis.n, rep=rep, submodules=submodules,
+                        completeness_residual=float(gram_res))
     # phase check: iso maps the symmetric hwv onto a positive multiple of the antisymmetric one
-    v_s = sym.hw_vector
-    v_a = anti.hw_vector
-    overlap = np.vdot(v_a / np.linalg.norm(v_a), iso @ (v_s / np.linalg.norm(v_s)))
+    sym, anti = dec.by_role("adjoint_sym"), dec.by_role("adjoint_anti")
+    v_s = sym.hw_vector / np.linalg.norm(sym.hw_vector)
+    v_a = anti.hw_vector / np.linalg.norm(anti.hw_vector)
+    overlap = np.vdot(v_a, anti.basis @ (np.conj(sym.basis).T @ v_s))
     if not (abs(overlap - 1.0) <= 1e-6):
         raise AssertionError(f"isometry phase convention violated (overlap {overlap})")
-
-    return Decomposition(n=basis.n, rep=rep, submodules=submodules, iso_s_to_a=iso,
-                         completeness_residual=float(gram_res))
+    return dec

@@ -25,10 +25,13 @@ an :class:`AdjointRep`.  The probes, ``r-at-zero-is-swap`` and the asymptotic
 check apply that form without forming a D x D matrix; :func:`build_R` and the
 other ``build_*`` functions return its :meth:`PairOperator.dense`.  Only one
 oracle reads the submodules of a :class:`Decomposition`: the projector-sum
-assembly :func:`_assemble`, which :func:`r_assembly_residual` compares with
-the operator form of R(lam) (the ``r-assembly-agreement`` check of
-``verify ybe``).  :func:`derive_coefficients` recovers the coefficients from
-the level-1 action on the highest-weight vectors and takes an
+assembly, applied to a block of columns as sum_r c_r B_r (B_r^dagger v)
+(:func:`_assemble_apply`), so that it forms no D x D projector or isometry.
+:func:`r_assembly_residual` compares it with the operator form of R(lam) on
+random unit columns, a Freivalds check (the ``r-assembly-agreement`` check of
+``verify ybe``); its dense form survives in the tests as the oracle of the
+apply.  :func:`derive_coefficients` recovers the coefficients from the
+level-1 action on the highest-weight vectors and takes an
 :class:`AdjointRep`.
 
 The dense Yang-Baxter residual works in the weight frame of
@@ -238,9 +241,10 @@ class PairOperator:
 def operator_form(frame: PairFrame, diag: dict[str, complex], block: np.ndarray) -> PairOperator:
     """The :class:`PairOperator` of sum_role diag[role] P_role + ``block`` on the adjoint pair.
 
-    ``diag`` and ``block`` are what the projector-sum assembly :func:`_assemble`
-    takes: scalars on the submodule projectors (a missing role counts as 0)
-    and the 2 x 2 block in the {v_s, v_a} basis.  The projectors in closed form,
+    ``diag`` and ``block`` are what the projector-sum assembly
+    :func:`_assemble_apply` takes: scalars on the submodule projectors (a
+    missing role counts as 0) and the 2 x 2 block in the {v_s, v_a} basis.
+    The projectors in closed form,
 
         P_top = [(Omega_op + 2) Pi+ - (2 - n) Ed Ed^dagger - (2 - 2n) s s^dagger] / 4,
         P_mixed = Pi+ - Ed Ed^dagger - s s^dagger - P_top,
@@ -327,37 +331,62 @@ def build_R_tilde(rep: AdjointRep, lam: complex) -> np.ndarray:
     return r_tilde_op(rep, lam).dense()
 
 
-def _block_operator(dec: Decomposition, block: np.ndarray) -> np.ndarray:
-    """Operator acting as ``block`` on the adjoint pair in the {v_s, v_a} basis."""
-    p_s = dec.by_role("adjoint_sym").projector
-    p_a = dec.by_role("adjoint_anti").projector
-    iso = dec.iso_s_to_a
-    iso_h = np.conj(iso).T
-    return block[0, 0] * p_s + block[0, 1] * iso_h + block[1, 0] * iso + block[1, 1] * p_a
+# random unit columns on which the projector-sum oracles are compared
+_ASSEMBLY_PROBES = 8
 
 
-def _assemble(dec: Decomposition, diag: dict[str, complex], block: np.ndarray) -> np.ndarray:
-    """The projector-sum assembly from the decomposition, kept as the oracle of the operator form."""
-    out = _block_operator(dec, block)
+def _probe_block(D: int) -> np.ndarray:
+    """:data:`_ASSEMBLY_PROBES` random complex unit columns of length D.
+
+    They are drawn from a fresh generator seeded with :data:`DEFAULT_SEED`,
+    so an oracle that draws them leaves the stream of its caller as it was.
+    """
+    rng = np.random.default_rng(DEFAULT_SEED)
+    v = rng.standard_normal((D, _ASSEMBLY_PROBES)) + 1j * rng.standard_normal((D, _ASSEMBLY_PROBES))
+    return v / np.linalg.norm(v, axis=0)
+
+
+def _assemble_apply(dec: Decomposition, diag: dict[str, complex], block: np.ndarray,
+                    v: np.ndarray) -> np.ndarray:
+    """The projector-sum assembly applied to the columns of a (D, k) array ``v``.
+
+    Returns sum_role diag[role] B_role (B_role^dagger v) plus ``block`` on the
+    adjoint pair in the {v_s, v_a} basis, with the isometry applied as
+    iso v = B_a (B_s^dagger v) and iso^dagger v = B_s (B_a^dagger v).  Only
+    (D, k) and (dim, k) arrays are formed.
+    """
+
+    def coords(b):  # b^dagger v, without a conjugate copy of b
+        return np.conj(b.T @ np.conj(v))
+
+    b_s = dec.by_role("adjoint_sym").basis
+    b_a = dec.by_role("adjoint_anti").basis
+    c_s, c_a = coords(b_s), coords(b_a)
+    out = b_s @ (block[0, 0] * c_s + block[0, 1] * c_a)
+    out += b_a @ (block[1, 0] * c_s + block[1, 1] * c_a)
     for sub in dec.submodules:
         if sub.role in diag:
-            out += diag[sub.role] * sub.projector
+            out += diag[sub.role] * (sub.basis @ coords(sub.basis))
     return out
 
 
 def r_assembly_residual(dec: Decomposition, lam: complex) -> float:
-    """Max-abs disagreement of the operator form of R(lam) with I(lam) sigma, over max(1, max-abs R).
+    """Max-abs disagreement of the operator form of R(lam) with I(lam) sigma, over max(1, max-abs R V).
 
-    I(lam) is the projector sum of the decomposition with the M(lam) block,
-    so this checks the operator form, its N(lam) block and the closed-form
+    Both are applied to the same block V of :data:`_ASSEMBLY_PROBES` random
+    unit columns (:func:`_probe_block`, from a generator of its own): R(lam)
+    V in operator form against the projector sum
+    :func:`_assemble_apply` of I(lam), with the M(lam) block, on sigma V.
+    This checks the operator form, its N(lam) block and the closed-form
     projectors at once; the two agree to within ``abs_tol * (n^2 - 1)``.
+    Operators that differ disagree on random columns with probability 1.
     """
     lam = complex(lam)
-    m = dec.n * dec.n - 1
-    direct = r_op(dec.rep, lam).dense()
-    composed = _permute_cols_swap(
-        _assemble(dec, *_intertwiner_coefficients(CoefficientSet(dec.n), lam)), m
-    )
+    m = dec.rep.dim
+    v = _probe_block(m * m)
+    direct = r_op(dec.rep, lam).apply(v)
+    coeffs = _intertwiner_coefficients(CoefficientSet(dec.n), lam)
+    composed = _assemble_apply(dec, *coeffs, apply_swap(v, m))
     return max_abs(direct - composed) / max(1.0, max_abs(direct))
 
 

@@ -7,9 +7,10 @@ takes only the :class:`AdjointRep`, builds no decomposition and returns h as
 a plain D x D array in Gell-Mann coordinates, the form every function here
 takes it in.  Two independent constructions, a direct assembly from the
 closed-form projector coefficients (which reads the submodules of a
-:class:`Decomposition`) and a central finite difference of R(lam) sigma, are
-kept as an oracle, :func:`h_oracle_residuals`, which ``verify hamiltonian``
-reports as the ``h-assembly-agreement`` and ``h-finite-difference`` checks.
+:class:`Decomposition` and is compared with h on a block of random unit
+columns) and a central finite difference of R(lam) sigma, are kept as an
+oracle, :func:`h_oracle_residuals`, which ``verify hamiltonian`` reports as
+the ``h-assembly-agreement`` and ``h-finite-difference`` checks.
 The density is deliberately non-Hermitian while keeping a real two-site
 spectrum.
 
@@ -42,8 +43,9 @@ from .liealg import SunBasis, WeightChain, weight_chain
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, max_abs
 from .rmatrix import (
     CoefficientSet,
-    _assemble,
+    _assemble_apply,
     _permute_cols_swap,
+    _probe_block,
     build_R,
     operator_form,
 )
@@ -124,18 +126,25 @@ def local_h(rep: AdjointRep) -> np.ndarray:
 def h_oracle_residuals(dec: Decomposition, h: np.ndarray) -> tuple[float, float]:
     """Max-abs residuals of the density ``h`` against its two independent constructions.
 
-    Returns (table, finite difference): the direct assembly from the
-    closed-form projector coefficients of :func:`_h_coefficients`, and the
-    central finite difference of R(lam) sigma with step :data:`FD_STEP`.
-    Only the table reads the submodules of ``dec``.
+    Returns (table, finite difference): max_abs(h V - A V) on a block V of
+    random unit columns (:func:`rmatrix._probe_block`, from a generator of
+    its own), where A is the direct assembly from the closed-form projector
+    coefficients of :func:`_h_coefficients`, applied without forming it
+    (:func:`rmatrix._assemble_apply`); and the central finite difference of
+    R(lam) sigma with step :data:`FD_STEP`, on all of h.  Only the table
+    reads the submodules of ``dec``.
     """
     m = dec.n * dec.n - 1
-    diag, block = _h_coefficients(dec.n)
-    table = max_abs(h - _assemble(dec, diag, block))
     r_plus = _permute_cols_swap(build_R(dec.rep, FD_STEP), m)
     r_minus = _permute_cols_swap(build_R(dec.rep, -FD_STEP), m)
     fd = (r_plus - r_minus) / (2.0 * FD_STEP)
-    return table, max_abs(h - fd)
+    return _h_table_residual(dec, h), max_abs(h - fd)
+
+
+def _h_table_residual(dec: Decomposition, h: np.ndarray) -> float:
+    """The table half of :func:`h_oracle_residuals`; it forms no D x D array besides ``h``."""
+    v = _probe_block(h.shape[0])
+    return max_abs(h @ v - _assemble_apply(dec, *_h_coefficients(dec.n), v))
 
 
 def spin_operators(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> SpinOperators:

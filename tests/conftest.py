@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,32 @@ def tensor_from_coords(basis, v):
     m, n, g = basis.dim, basis.n, basis.generators
     c = v.reshape(m, m)
     return np.einsum("ab,aij,bkl->ikjl", c, g, g, optimize=True).reshape(n * n, n * n)
+
+
+def _assemble(dec, diag, block):
+    """The dense projector-sum assembly: sum_role diag[role] P_role plus ``block`` on the adjoint pair.
+
+    ``block`` acts in the {v_s, v_a} basis through the D x D projectors and
+    the isometry of ``dec``.  The package applies this sum to columns
+    instead (``rmatrix._assemble_apply``); this is its oracle.
+    """
+    iso = dec.iso_s_to_a
+    out = block[0, 0] * dec.by_role("adjoint_sym").projector + block[0, 1] * iso.conj().T
+    out += block[1, 0] * iso + block[1, 1] * dec.by_role("adjoint_anti").projector
+    for sub in dec.submodules:
+        if sub.role in diag:
+            out += diag[sub.role] * sub.projector
+    return out
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class _Algebra:

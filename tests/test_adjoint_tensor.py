@@ -1,14 +1,19 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
+from adjrmat import adjoint_tensor
 from adjrmat.adjoint_tensor import (
     _orbit,
+    _representation_residual,
     _weight_blocks,
     ad_matrix,
+    adjoint_rep,
     apply_pair,
     apply_swap,
+    build_decomposition,
     casimir_op,
     highest_weight_vectors,
     rotate_pair,
@@ -16,10 +21,10 @@ from adjrmat.adjoint_tensor import (
     site_right,
     tensor_coords,
 )
-from adjrmat.liealg import matrix_unit, weight_basis
+from adjrmat.liealg import build_basis, matrix_unit, weight_basis
 from adjrmat.numerics import DEFAULT_TOL, extend_orthonormal
 
-from conftest import lowering_ops, permutation_op, raising_ops, tensor_from_coords
+from conftest import lowering_ops, permutation_op, raising_ops, tensor_from_coords, traced_peak
 
 TOL = 1e-9
 
@@ -186,6 +191,99 @@ def test_projector_completeness_and_orthogonality(algebra, n):
     for i, a in enumerate(dec.submodules):
         for b in dec.submodules[i + 1 :]:
             assert np.max(np.abs(a.projector @ b.projector)) < TOL
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sector_completeness_matches_dense_gram(algebra, n):
+    """The Gram residual taken per weight sector equals the retired one of the stacked bases."""
+    dec = algebra.dec(n)
+    stacked = np.hstack([sub.basis for sub in dec.submodules])
+    dense = np.max(np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1])))
+    assert abs(dec.completeness_residual - dense) <= 1e-14
+
+
+def _edit_first_orbit(monkeypatch, edit):
+    """Rebind ``_orbit`` so that ``edit`` changes the weight-coordinate basis of the first orbit (sym_top)."""
+    original = adjoint_tensor._orbit
+    calls = []
+
+    def orbit(frame, seed, tol):
+        basis = original(frame, seed, tol)
+        if not calls:
+            edit(frame.chain, basis)
+        calls.append(seed)
+        return basis
+
+    monkeypatch.setattr(adjoint_tensor, "_orbit", orbit)
+
+
+def test_completeness_catches_a_scaled_orbit_column(algebra, monkeypatch):
+    def scale(chain, basis):  # not column 0, which sets the measured Casimir eigenvalue
+        basis[:, -1] *= 1.0 + 1e-6
+
+    _edit_first_orbit(monkeypatch, scale)
+    with pytest.raises(AssertionError, match="completeness"):
+        build_decomposition(algebra.rep(3))
+
+
+def test_completeness_catches_a_column_rotated_into_another_sector(algebra, monkeypatch):
+    """Column 0 turned by 1e-4 towards a column of the same module in another sector.
+
+    It stays in the module's Casimir eigenspace and exchange parity, so
+    only completeness can see it.
+    """
+
+    def rotate(chain, basis):
+        first, last = basis[:, 0].copy(), basis[:, -1].copy()
+        sectors = chain.label[np.argmax(np.abs(basis[:, [0, -1]]), axis=0)]
+        assert sectors[0] != sectors[1]
+        basis[:, 0] = np.cos(1e-4) * first + np.sin(1e-4) * last
+
+    _edit_first_orbit(monkeypatch, rotate)
+    with pytest.raises(AssertionError, match="completeness"):
+        build_decomposition(algebra.rep(3))
+
+
+def test_decomposition_forms_no_dense_gram(algebra):
+    """At n = 6 the decomposition peaks below three D x D complex arrays (its bases hold one)."""
+    rep = algebra.rep(6)
+    D = rep.dim**2
+    assert traced_peak(build_decomposition, rep) < 3 * D * D * 16
+
+
+def test_isometry_is_formed_only_when_read(algebra):
+    dec = algebra.dec(3)
+    fresh = dataclasses.replace(dec)
+    assert "iso_s_to_a" not in vars(fresh)
+    assert fresh.iso_s_to_a is fresh.iso_s_to_a
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_blocked_representation_check_matches_the_generator_loop(algebra, n):
+    basis, rep = algebra.basis(n), algebra.rep(n)
+    S = rep.S
+    loop = max(np.max(np.abs(S[a] @ S - S @ S[a] - np.einsum("bc,cij->bij", basis.f[a], S)))
+               for a in range(rep.dim))
+    assert abs(_representation_residual(S, basis.f) - loop) <= 1e-14
+
+
+def test_adjoint_rep_refuses_a_wrong_structure_constant(algebra):
+    """One f^{abc} off by 1e-6 (with its antisymmetric images, so S stays Hermitian) is refused."""
+    basis = algebra.basis(4)
+    f = basis.f.copy()
+    a, b, c = (int(i[0]) for i in np.nonzero(np.abs(f) > 0.1))
+    for p in ((a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a)):
+        f[p] *= 1.0 + 1e-6
+    with pytest.raises(AssertionError, match="representation property"):
+        adjoint_rep(dataclasses.replace(basis, f=f))
+
+
+def test_representation_check_never_forms_an_m4_array():
+    """At n = 8 the check runs one generator at a time, far below one m^4 complex array."""
+    basis = build_basis(8)
+    m = basis.dim
+    S = basis.f.transpose(0, 2, 1).copy()
+    assert traced_peak(_representation_residual, S, basis.f) < 0.15 * m**4 * 16
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -5,12 +5,11 @@ from adjrmat.adjoint_tensor import casimir_op
 from adjrmat.spinchain import local_h
 from adjrmat.liealg import weight_basis
 from adjrmat.numerics import DEFAULT_TOL, max_abs
-from adjrmat import rmatrix
+from adjrmat import rmatrix, spinchain
 from adjrmat.rmatrix import (
     DENSE_YBE_MAX_DIM,
     SAMPLE_RADIUS,
     CoefficientSet,
-    _assemble,
     _intertwiner_coefficients,
     asymptotic_check,
     build_R,
@@ -32,7 +31,7 @@ from adjrmat.rmatrix import (
 )
 from adjrmat.yangian_action import delta_action, level1_action
 
-from conftest import permutation_op
+from conftest import _assemble, permutation_op, traced_peak
 
 TOL = 1e-9
 
@@ -382,6 +381,40 @@ def test_assembly_residual_catches_dropped_parity(algebra, monkeypatch):
     m = 8
     monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
     assert r_assembly_residual(dec, 0.5 + 0.2j) > DEFAULT_TOL.abs_tol * m
+
+
+@pytest.mark.parametrize("role", ["sym_top", "anti_left", "singlet"])
+def test_assembly_residual_catches_one_wrong_scalar(algebra, monkeypatch, role):
+    """A 1e-6 relative error in one projector scalar of I(lam), on the projector-sum side, fails."""
+    dec = algebra.dec(3)
+    apply = rmatrix._assemble_apply
+
+    def perturbed(dec, diag, block, v):
+        return apply(dec, {**diag, role: diag[role] * (1.0 + 1e-6)}, block, v)
+
+    assert r_assembly_residual(dec, 0.5 + 0.2j) <= DEFAULT_TOL.abs_tol * 8
+    monkeypatch.setattr(rmatrix, "_assemble_apply", perturbed)
+    assert r_assembly_residual(dec, 0.5 + 0.2j) > DEFAULT_TOL.abs_tol * 8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_assemble_apply_matches_dense_projector_sum(algebra, n):
+    """The projector sum applied to columns equals the retired dense sum times them."""
+    dec = algebra.dec(n)
+    m = n * n - 1
+    v = rmatrix._probe_block(m * m)
+    for diag, block in (_intertwiner_coefficients(CoefficientSet(n), 0.37 + 0.21j),
+                        spinchain._h_coefficients(n)):
+        dense = _assemble(dec, diag, block) @ v
+        assert _scaled_gap(rmatrix._assemble_apply(dec, diag, block, v), dense) <= 1e-13
+
+
+def test_r_assembly_forms_no_dense_matrix(algebra):
+    """At n = 6 the r-assembly oracle peaks below half of one D x D complex array."""
+    dec = algebra.dec(6)
+    D = 35 * 35
+    r_assembly_residual(dec, 0.37 + 0.21j)  # builds the sparse factors of the frame
+    assert traced_peak(r_assembly_residual, dec, 0.37 + 0.21j) < 0.5 * D * D * 16
 
 
 def _scaled_gap(a, b):

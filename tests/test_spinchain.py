@@ -10,6 +10,7 @@ from adjrmat.liealg import weight_basis, weight_chain
 from adjrmat.numerics import eig_general
 from adjrmat.rmatrix import CoefficientSet, build_R, sample_ybe_pairs
 from adjrmat.spinchain import (
+    _h_table_residual,
     chain_H,
     chain_spectrum,
     commutation_check,
@@ -26,7 +27,7 @@ from adjrmat.spinchain import (
     weight_transfer,
 )
 
-from conftest import permutation_op
+from conftest import permutation_op, traced_peak
 
 TOL = 1e-9
 
@@ -92,6 +93,14 @@ def test_local_h_diagnostics(algebra, locals_cache, n):
     assert table_residual < TOL
     assert fd_residual < 1e-6
     assert np.linalg.norm(h - h.conj().T) > 0.1
+
+
+def test_h_table_forms_no_dense_matrix_besides_h(algebra):
+    """At n = 6 the table half of the h oracle peaks below half of one D x D complex array."""
+    rep = algebra.rep(6)
+    D = rep.dim**2
+    h = local_h(rep)
+    assert traced_peak(_h_table_residual, algebra.dec(6), h) < 0.5 * D * D * 16
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
