@@ -5,8 +5,8 @@ sum_{a,b} v^{ab} I^a (x) I^b of su(n) (x) su(n) is stored as the flat complex
 array v of length (n^2-1)^2 with row-major index a*(n^2-1)+b, matching the
 Kronecker-product convention of :mod:`adjrmat.numerics`.  Lowering orbits
 are closed internally in the two-site weight frame ``rep.weight_frame`` of
-:func:`liealg.weight_chain` (see :func:`_orbit`), and the completeness of the
-decomposition is checked there, one weight sector at a time, but every basis
+:func:`liealg.weight_chain` (see :func:`_orbit`), and the decomposition is
+checked there, one weight sector at a time, but every basis
 this module returns is in these Gell-Mann coordinates.  A decomposition holds
 only its (D, dim) bases: the D x D projectors and the s->a isometry are
 formed when they are read, and no check of :func:`build_decomposition` forms
@@ -22,7 +22,8 @@ Two distinct objects both called "Casimir" are kept strictly separate:
 * the *operator* Omega_op = sum_a S^a (x) S^a acting on the adjoint two-site
   coordinates, whose eigenvalues label the irreducible submodules.  It is
   built in one place, :class:`PairFrame` (``rep.frame``), from the nonzeros
-  of f.
+  of f, and acts through its weight-sector blocks, as every invariant
+  two-site term of the frame does.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "Submodule",
     "Decomposition",
     "PairFrame",
+    "TERMS",
     "ROLE_ORDER",
     "adjoint_rep",
     "ad_matrix",
@@ -86,8 +88,8 @@ class AdjointRep:
 
     @cached_property
     def frame(self) -> "PairFrame":
-        """The :class:`PairFrame` of the basis (the only source of Omega_op), built on first use."""
-        return PairFrame(self.basis)
+        """The :class:`PairFrame` of the basis over ``weight_frame`` (the only source of Omega_op), built on first use."""
+        return PairFrame(self.basis, self.weight_frame)
 
     @cached_property
     def weight_frame(self) -> WeightChain:
@@ -245,27 +247,19 @@ def tensor_coords(basis: SunBasis, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) 
 def casimir_op(rep: AdjointRep) -> np.ndarray:
     """Omega_op = sum_a S^a (x) S^a on the two-site coordinates, as a new dense array.
 
-    It is the scatter of ``rep.frame.omega_entries`` (:meth:`PairFrame.dense_omega`)
-    and imports no scipy.
+    It is the scatter of ``rep.frame.omega_entries`` (:meth:`PairFrame.dense_omega`).
     """
     return rep.frame.dense_omega()
 
 
 def apply_swap(v: np.ndarray, dim_v: int) -> np.ndarray:
-    if v.ndim == 1:
-        return v.reshape(dim_v, dim_v).T.reshape(-1)
-    return v.reshape(dim_v, dim_v, -1).transpose(1, 0, 2).reshape(dim_v * dim_v, -1)
+    """sigma v for flat two-site coordinates shaped (D,) or (D, k): entry (a, b) goes to (b, a)."""
+    return v.reshape(dim_v, dim_v, -1).transpose(1, 0, 2).reshape(v.shape)
 
 
 def apply_pair(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply a (x) 1 + 1 (x) a to flat two-site coordinates (batched)."""
-    m = a.shape[0]
-    if v.ndim == 1:
-        mat = v.reshape(m, m)
-        return (a @ mat + mat @ a.T).reshape(-1)
-    block = v.reshape(m, m, -1)
-    out = np.einsum("ij,jkp->ikp", a, block) + np.einsum("ikp,jk->ijp", block, a)
-    return out.reshape(m * m, -1)
+    return site_left(a, v, 0) + site_left(a, v, 1)
 
 
 def site_left(a: np.ndarray, x: np.ndarray, site: int) -> np.ndarray:
@@ -416,16 +410,6 @@ class _WeightBlocks:
     lowers: list[np.ndarray]
     targets: list[list[tuple[int, int, int]]]
 
-    def to_weight(self, x: np.ndarray) -> np.ndarray:
-        u = self.chain.u
-        m = u.shape[0]
-        return (u @ x.reshape(m, m) @ u.T).ravel()
-
-    def from_weight(self, xw: np.ndarray) -> np.ndarray:
-        """(U (x) U)^dagger on the columns of a (D, k) array, as two matmuls."""
-        uh = np.conj(self.chain.u).T
-        return site_left(uh, site_left(uh, xw, 0), 1)
-
 
 def _weight_blocks(rep: AdjointRep, tol: Tolerance) -> _WeightBlocks:
     """Stack the sector blocks of the lowering operators over ``rep.weight_frame``.
@@ -460,11 +444,12 @@ def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray
     the left singular vectors with singular value at least ``tol.rank_tol``.
     The orbit is closed when a round adds nothing.  The basis is returned in
     two-site weight coordinates, its columns grouped by sector in increasing
-    order; :meth:`_WeightBlocks.from_weight` takes it to Gell-Mann
+    order; :meth:`PairFrame.from_weight` takes it to Gell-Mann
     coordinates.  ``seed`` must be a weight vector: support in more than one
     weight block raises ``ValueError``.
     """
-    xw = frame.to_weight(np.asarray(seed, dtype=complex))
+    u = frame.chain.u
+    xw = (u @ np.reshape(seed, (len(u), -1)) @ u.T).ravel()
     nrm = np.linalg.norm(xw)
     if nrm < tol.rank_tol:
         raise ValueError("highest-weight vector is numerically zero")
@@ -530,30 +515,30 @@ def _tensor_embedding(t: np.ndarray) -> np.ndarray:
     return cols / np.linalg.norm(cols, axis=0)
 
 
-# entries of d, f and Omega_op below this size are roundoff of the trace projection
+# entries of d, f, u and Omega_op below this size are roundoff of the trace projection
 _SPARSE_ZERO = 1e-12
-# from this rank on, Omega_op and E are applied as scipy CSR matrices; below it
-# as dense arrays (D <= 576), which keeps the import of scipy.sparse (about
-# 0.2 s and 22 MB of resident memory) out of small-rank runs
-_SPARSE_FROM_RANK = 6
+# the terms of PairFrame.terms: 1, sigma, Omega_op, Omega_op sigma, E^i E^j^dagger for i, j in {d, f}, s s^dagger
+TERMS = ("eye", "swap", "omega", "omega_swap", "dd", "df", "fd", "ff", "singlet")
 
 
 class PairFrame:
     """Invariant building blocks of operators on adjoint (x) adjoint, from the basis alone.
 
     ``E = [Ed Ef]`` holds the normalized columns d^{a..} and -f^{a..}, the
-    bases of the two adjoint copies in :func:`build_decomposition`.
-    Omega_op = sum_c S^c (x) S^c is kept as the list of its nonzeros
-    (``omega_entries``: rows, columns, values), built from the nonzeros of
-    f; the dense S stack is never read.  Every Omega_op of the package comes
-    from these entries: :meth:`omega` applies them and :meth:`dense_omega`
-    scatters them into a dense array.  The matrices of :meth:`factors` are
-    built at the first apply, which is the only place scipy is imported.
+    bases of the two adjoint copies.  Omega_op = sum_c S^c (x) S^c is kept
+    as its nonzeros (``omega_entries``: rows, columns, values), from the
+    nonzeros of f; :meth:`dense_omega` scatters them.  An invariant operator
+    conserves total weight, so in the weight frame ``chain``
+    (``rep.weight_frame``, coordinates (U (x) U) x) it is a set of small
+    sector blocks: ``terms`` holds those of the :data:`TERMS`, stacked by
+    sector size (at most five sizes at any n).  An operator is a combination
+    of them (:meth:`combine`) and acts by one gather, batched matmul and
+    scatter per size (:meth:`apply_weight`), as Omega_op does in :meth:`omega`.
     """
 
-    def __init__(self, basis: SunBasis):
+    def __init__(self, basis: SunBasis, chain: WeightChain):
         n, m = basis.n, basis.dim
-        self.n, self.m = n, m
+        self.n, self.m, self.chain = n, m, chain
         e = np.hstack([_tensor_embedding(basis.d), -_tensor_embedding(basis.f)])
         self.E = np.where(np.abs(e) > _SPARSE_ZERO, e, 0.0)
         # Omega[(i,k),(j,l)] = sum_c S^c_ij S^c_kl = -sum_c F^{cij} F^{ckl}, where f = iF
@@ -572,26 +557,90 @@ class PairFrame:
         keep = np.abs(total) > _SPARSE_ZERO
         rows, cols = np.divmod(key[keep], m * m)
         self.omega_entries = (rows, cols, total[keep])
-        self._factors = None
 
-    def factors(self):
-        """(Omega_op, E, E^dagger) for applying operators, built on first use.
+    @cached_property
+    def sectors(self) -> list[np.ndarray]:
+        """The states of the sectors of ``chain``, one (S, d) array per sector size d, in increasing size."""
+        sizes = sorted({len(idx) for idx in self.chain.blocks})
+        return [np.stack([idx for idx in self.chain.blocks if len(idx) == d]) for d in sizes]
 
-        They are CSR matrices from rank :data:`_SPARSE_FROM_RANK` on and dense
-        arrays below it; both multiply (D, k) arrays with ``@``.
+    @cached_property
+    def terms(self) -> list[np.ndarray]:
+        """The sector blocks of the :data:`TERMS`, one (len(TERMS), S, d, d) stack per entry of ``sectors``.
+
+        sigma permutes the states of a sector, E is rotated on its rows and
+        s is vec(U U^T)/sqrt(m).  Omega_op is ``omega_entries`` rotated
+        through U (x) U, at most 16 entries for each (U has at most two
+        nonzeros per column); those that leave their sector cancel exactly.
         """
-        if self._factors is None:
-            e_h = np.ascontiguousarray(np.conj(self.E).T)
-            if self.n < _SPARSE_FROM_RANK:
-                self._factors = (self.dense_omega(), self.E, e_h)
-            else:
-                from scipy import sparse
+        m, u, D = self.m, self.chain.u, self.m * self.m
+        offsets = np.cumsum([0] + [idx.size * idx.shape[1] for idx in self.sectors])
+        pos, row0 = np.empty(D, dtype=int), np.empty(D, dtype=int)  # place in the sector, flat row start
+        for idx, lo in zip(self.sectors, offsets):
+            S, d = idx.shape
+            pos[idx] = np.arange(d)
+            row0[idx] = lo + d * np.arange(S * d).reshape(S, d)
+        big = np.abs(u) > _SPARSE_ZERO
+        nz = np.argsort(~big, axis=0, kind="stable")[:2]  # (2, m): rows of the nonzeros of each column
+        nz_u = np.where(np.take_along_axis(big, nz, 0), np.take_along_axis(u, nz, 0), 0.0)
+        rows, cols, vals = self.omega_entries
+        (i, k), (j, l) = np.divmod(rows, m), np.divmod(cols, m)
+        to_row = (nz[:, None, i] * m + nz[None, :, k]).reshape(4, 1, -1)
+        to_col = (nz[:, None, j] * m + nz[None, :, l]).reshape(1, 4, -1)
+        weight = (nz_u[:, None, i] * nz_u[None, :, k]).reshape(4, 1, -1) * vals
+        weight = weight * np.conj(nz_u[:, None, j] * nz_u[None, :, l]).reshape(1, 4, -1)
+        to_row, to_col = np.broadcast_arrays(to_row, to_col)
+        inside = self.chain.label[to_row] == self.chain.label[to_col]
+        key, weight = row0[to_row[inside]] + pos[to_col[inside]], weight[inside]
+        omega = np.bincount(key, weight.real, offsets[-1]) + 1j * np.bincount(key, weight.imag, offsets[-1])
+        swap = apply_swap(np.arange(D), m)
+        e_w = self.to_weight(self.E).reshape(D, 2, m)
+        s_w = (u @ u.T).ravel() / np.sqrt(m)
+        out = []
+        for idx, lo, hi in zip(self.sectors, offsets, offsets[1:]):
+            S, d = idx.shape
+            t = np.zeros((len(TERMS), S, d, d), dtype=complex)
+            t[0] = np.eye(d)
+            t[1, np.arange(S)[:, None], pos[swap[idx]], np.arange(d)] = 1.0
+            t[2] = omega[lo:hi].reshape(S, d, d)
+            t[3] = t[2] @ t[1]
+            e, s = e_w[idx], s_w[idx]
+            for p in range(4):
+                t[4 + p] = e[:, :, p // 2] @ np.conj(e[:, :, p % 2]).transpose(0, 2, 1)
+            t[8] = s[:, :, None] * np.conj(s)[:, None, :]
+            out.append(t)
+        return out
 
-                D = self.m * self.m
-                rows, cols, vals = self.omega_entries
-                omega = sparse.csr_array((vals, (rows, cols)), shape=(D, D))
-                self._factors = (omega, sparse.csr_array(self.E), sparse.csr_array(e_h))
-        return self._factors
+    def term(self, name: str) -> list[np.ndarray]:
+        """The sector blocks of the term ``name`` of :data:`TERMS`, one (S, d, d) stack per size."""
+        return [t[TERMS.index(name)] for t in self.terms]
+
+    def sector_terms(self, w: int) -> np.ndarray:
+        """The (len(TERMS), d, d) term blocks of sector ``w`` of ``chain``."""
+        idx = self.chain.blocks[w]
+        g = next(g for g, states in enumerate(self.sectors) if states.shape[1] == len(idx))
+        return self.terms[g][:, np.flatnonzero(self.sectors[g][:, 0] == idx[0])[0]]
+
+    def combine(self, coefficients) -> list[np.ndarray]:
+        """The sector blocks of sum_t coefficients[t] TERMS[t], one (S, d, d) stack per size."""
+        return [np.tensordot(np.asarray(coefficients, dtype=complex), t, axes=1) for t in self.terms]
+
+    def apply_weight(self, blocks: list[np.ndarray], xw: np.ndarray) -> np.ndarray:
+        """The operator with sector blocks ``blocks`` on weight coordinates shaped (D,) or (D, k)."""
+        x = xw.reshape(len(xw), -1)
+        out = np.empty(x.shape, dtype=complex)  # the sectors cover every state
+        for idx, b in zip(self.sectors, blocks):
+            out[idx] = b @ x[idx]
+        return out.reshape(xw.shape)
+
+    def to_weight(self, x: np.ndarray) -> np.ndarray:
+        """(U (x) U) x for a (D,) or (D, k) array, one site index at a time."""
+        return site_left(self.chain.u, site_left(self.chain.u, x, 0), 1)
+
+    def from_weight(self, xw: np.ndarray) -> np.ndarray:
+        """(U (x) U)^dagger xw for a (D,) or (D, k) array."""
+        uh = np.conj(self.chain.u).T
+        return site_left(uh, site_left(uh, xw, 0), 1)
 
     def dense_omega(self) -> np.ndarray:
         """Omega_op as a new dense D x D array, scattered from ``omega_entries``."""
@@ -602,28 +651,34 @@ class PairFrame:
         return omega
 
     def omega(self, x: np.ndarray) -> np.ndarray:
-        """Omega_op applied to a (D,) vector or to the columns of a (D, k) array."""
-        return self.factors()[0] @ x
+        """Omega_op applied to a (D,) vector or to the columns of a (D, k) array, through its sector blocks."""
+        return self.from_weight(self.apply_weight(self.term("omega"), self.to_weight(x)))
 
 
-def _measure(rep: AdjointRep, B: np.ndarray, tol: Tolerance, parity: int) -> tuple[float, int]:
+def _measure(frame: PairFrame, parts: list[tuple[int, np.ndarray]], tol: Tolerance,
+             parity: int) -> tuple[float, int]:
     """Measured Casimir eigenvalue and exchange parity of a submodule basis.
 
-    Omega_op is applied through ``rep.frame``.  The stated ``parity`` must
-    match the measured one.
+    ``parts`` is the basis in the weight frame, split by :func:`_sector_columns`;
+    Omega_op and sigma act on each part through the sector blocks of
+    ``frame``.  The stated ``parity`` must match the measured one.
     """
-    m = rep.dim
-    omega_b = rep.frame.omega(B)
-    ev = np.vdot(B[:, 0], omega_b[:, 0])
-    res = max_abs(np.linalg.norm(omega_b - ev * B, axis=0))
-    if abs(ev.imag) > tol.abs_tol * m or res > tol.abs_tol * m:
+    terms = frame.sector_terms(parts[0][0])
+    x = parts[0][1][:, 0]
+    # a Rayleigh quotient: the off-sector tail of a column is left to the completeness check
+    ev = np.vdot(x, terms[2] @ x) / np.vdot(x, x)
+    measured = 1 if np.vdot(x, terms[1] @ x).real > 0 else -1
+    res = swap_res = 0.0
+    for w, cols in parts:
+        terms = frame.sector_terms(w)
+        res = max(res, max_abs(np.linalg.norm(terms[2] @ cols - ev * cols, axis=0)))
+        swap_res = max(swap_res, max_abs(terms[1] @ cols - measured * cols))
+    tol_m = tol.abs_tol * frame.m
+    if abs(ev.imag) > tol_m or res > tol_m:
         raise AssertionError(
             f"submodule basis is not a Casimir eigenspace (ev={ev}, residual={res:.3e})"
         )
-    swapped = apply_swap(B, m)
-    par = np.vdot(B[:, 0], swapped[:, 0]).real
-    measured = 1 if par > 0 else -1
-    if max_abs(swapped - measured * B) > tol.abs_tol * m:
+    if swap_res > tol_m:
         raise AssertionError("submodule basis has indefinite exchange parity")
     if measured != parity:
         raise AssertionError(f"measured parity {measured} != stated parity {parity}")
@@ -666,28 +721,29 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     ratio) v_a.  Every other submodule is the lowering orbit of its
     highest-weight vector, closed one sector of ``rep.weight_frame`` at a
     time (the stacked lowering blocks are built once per call and shared by
-    the orbits).  Checked before returning, with no D x D array formed:
+    the orbits).  Every basis is checked in that frame, split by sector:
+    the orbits come in weight coordinates from :func:`_orbit`, and the
+    adjoint copies are rotated there on both indices, (U (x) U) B U^T, so
+    that every column is a weight vector.  Checked before returning, with no
+    D x D array formed:
 
-    * the Casimir eigenvalue and exchange parity of every Gell-Mann basis,
-      with Omega_op applied through ``rep.frame``;
+    * the Casimir eigenvalue and exchange parity of every basis, with the
+      Omega_op and sigma blocks of ``rep.frame`` (:func:`_measure`);
     * the sum of dimensions;
     * completeness and mutual orthogonality, as the Gram residual
-      max_W max_abs(G_W - 1) over the sectors W of the weight frame.  The
-      orbits come in weight coordinates from :func:`_orbit`; the adjoint
-      copies are rotated there on both indices, (U (x) U) B U^T, so that
-      every column is a weight vector.  Columns in different sectors are
-      orthogonal, so the largest off-sector share of any column is a floor
-      on the residual, and so is max_abs(U U^dagger - 1): the sector Grams
-      equal the Gell-Mann one only if U is unitary.  The result is kept as
-      ``completeness_residual``;
+      max_W max_abs(G_W - 1) over the sectors W of the weight frame.
+      Columns in different sectors are orthogonal, so the largest
+      off-sector share of any column is a floor on the residual, and so is
+      max_abs(U U^dagger - 1): the sector Grams equal the Gell-Mann one only
+      if U is unitary.  The result is kept as ``completeness_residual``;
     * the isometry phase, as B_a (B_s^dagger v_s).
     """
     basis = rep.basis
     m = rep.dim
     D = m * m
     rows = highest_weight_vectors(basis, tol)
-    frame = _weight_blocks(rep, tol)
-    chain = frame.chain
+    lowering, pair = _weight_blocks(rep, tol), rep.frame
+    chain = lowering.chain
     u = chain.u
     embeddings = {
         "adjoint_sym": _tensor_embedding(basis.d),
@@ -699,16 +755,16 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     for row in rows:
         if row.role in embeddings:
             B = embeddings[row.role]
-            xw = site_left(u, site_left(u, B, 0), 1) @ u.T
+            xw = pair.to_weight(B) @ u.T
         else:
-            xw = _orbit(frame, row.coords, tol)
-            B = frame.from_weight(xw)
+            xw = _orbit(lowering, row.coords, tol)
+            B = pair.from_weight(xw)
         parts, off = _sector_columns(chain, xw)
         del xw
         gram_res = max(gram_res, off)
         for w, cols in parts:
             sectors.setdefault(w, []).append(cols)
-        omega_ev, parity = _measure(rep, B, tol, row.parity)
+        omega_ev, parity = _measure(pair, parts, tol, row.parity)
         submodules.append(Submodule(row.label, row.role, row.coords, B, omega_ev, parity))
 
     dims = sum(sub.dim for sub in submodules)

@@ -285,8 +285,7 @@ def suite_hamiltonian(ctx: _Context) -> list[dict]:
         _check("two-site-spectrum-values", float(np.max(np.abs(np.array(got) - np.array(expected)))), 1e-8)
     )
     ops = spin_operators(ctx.rep, cfg.tol)
-    comm = ops.K @ ops.C_A - ops.C_A @ ops.K
-    checks.append(_check("spin-operators-noncommuting", frobenius(comm), 0.1, op=">"))
+    checks.append(_check("spin-operators-noncommuting", frobenius(ops.commutator), 0.1, op=">"))
     fit = verify_spinform(h, ops, n, cfg.tol)
     checks.append(
         _check("spinform-fit", fit["residual"], 1e-9,

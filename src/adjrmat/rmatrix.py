@@ -21,8 +21,11 @@ and the columns of d and f (:func:`operator_form`), so I(lam), R(lam),
 sigma I(lam) and h = R'(0) sigma are each a few scalars on Pi+-, Omega_op
 Pi+, a rank-2m part and the singlet (:class:`PairOperator`), built from
 ``rep.frame`` alone, so the builders and the checks that only apply them take
-an :class:`AdjointRep`.  The probes, ``r-at-zero-is-swap`` and the asymptotic
-check apply that form without forming a D x D matrix; :func:`build_R` and the
+an :class:`AdjointRep`.  Each acts through its weight-sector blocks, a
+combination of the term blocks of the frame, on one path at every n: the
+probes apply them, and ``r-at-zero-is-swap``, the inversion and the
+asymptotic check compare them, exactly over every column and without
+forming a D x D matrix; :func:`build_R` and the
 other ``build_*`` functions return its :meth:`PairOperator.dense`.  Only one
 oracle reads the submodules of a :class:`Decomposition`: the projector-sum
 assembly, applied to a block of columns as sum_r c_r B_r (B_r^dagger v)
@@ -47,6 +50,7 @@ indices depend only on the basis and are built once per representation
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -171,8 +175,6 @@ def check_pole_distance(lam: complex, n: int):
 # the operator form
 # ---------------------------------------------------------------------------
 
-# identity columns per chunk when a whole operator is checked through its apply
-_CHUNK = 256
 _FLIP = np.diag([1.0, -1.0])
 
 
@@ -181,9 +183,9 @@ class PairOperator:
     """X = plus Pi+ + minus Pi- + omega Omega_op Pi+ + E (block (x) 1_m) E^dagger + singlet s s^dagger.
 
     Pi+- = (1 +- sigma)/2, E = [Ed Ef] from the frame, and s = vec(1)/sqrt(m).
-    :meth:`apply` forms no D x D matrix (D = m^2): sigma is a transpose,
-    Omega_op and E come from :meth:`PairFrame.factors` (sparse from rank 6
-    on), and s^dagger is a trace.  :meth:`dense` materializes X.
+    X acts through its blocks in the two-site weight frame (:attr:`blocks`,
+    applied by :meth:`PairFrame.apply_weight`), on Gell-Mann coordinates
+    rotated in and out by :meth:`apply`; :meth:`dense` materializes X.
     """
 
     frame: PairFrame
@@ -201,20 +203,19 @@ class PairOperator:
         """sigma X."""
         return replace(self, minus=-self.minus, block=_FLIP @ self.block)
 
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        """The sector blocks of X, one (S, d, d) stack per sector size of the frame, built on first use."""
+        b = self.block
+        return self.frame.combine([0.5 * (self.plus + self.minus), 0.5 * (self.plus - self.minus),
+                                   0.5 * self.omega, 0.5 * self.omega,
+                                   b[0, 0], b[0, 1], b[1, 0], b[1, 1], self.singlet])
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """X on two-site coordinates shaped (D,), (D, batch) or (m, m, batch)."""
-        m = self.frame.m
-        v = np.asarray(x, dtype=complex).reshape(m, m, -1)
-        k = v.shape[2]
-        omega, e, e_h = self.frame.factors()
-        sym = 0.5 * (v + v.transpose(1, 0, 2))
-        out = (self.plus - self.minus) * sym + self.minus * v
-        out += self.omega * (omega @ sym.reshape(m * m, k)).reshape(m, m, k)
-        coef = (e_h @ v.reshape(m * m, k)).reshape(2, m * k)
-        out += (e @ (self.block @ coef).reshape(2 * m, k)).reshape(m, m, k)
-        diag = np.arange(m)
-        out[diag, diag] += (self.singlet / m) * np.trace(v)
-        return out.reshape(np.shape(x))
+        """X on two-site Gell-Mann coordinates shaped (D,), (D, batch) or (m, m, batch)."""
+        frame = self.frame
+        v = np.reshape(x, (frame.m**2, -1))
+        return frame.from_weight(frame.apply_weight(self.blocks, frame.to_weight(v))).reshape(np.shape(x))
 
     def dense(self) -> np.ndarray:
         """X as a dense D x D matrix."""
@@ -390,31 +391,14 @@ def r_assembly_residual(dec: Decomposition, lam: complex) -> float:
     return max_abs(direct - composed) / max(1.0, max_abs(direct))
 
 
-def _identity_columns(D: int):
-    """The D x D identity, :data:`_CHUNK` columns at a time."""
-    for start in range(0, D, _CHUNK):
-        cols = np.arange(start, min(D, start + _CHUNK))
-        block = np.zeros((D, len(cols)), dtype=complex)
-        block[cols, np.arange(len(cols))] = 1.0
-        yield block
-
-
 def r_at_zero_residual(rep: AdjointRep) -> float:
-    """Max-abs of R(0) - sigma, with R(0) applied to the identity in column chunks."""
-    m = rep.dim
-    op = r_op(rep, 0.0)
-    return max(max_abs(op.apply(e) - apply_swap(e, m)) for e in _identity_columns(m * m))
+    """Max-abs of R(0) - sigma over every entry of their sector blocks in the two-site weight frame."""
+    blocks = r_op(rep, 0.0).blocks
+    return max(max_abs(r - s) for r, s in zip(blocks, rep.frame.term("swap")))
 
 
 def _swap_perm(m: int) -> np.ndarray:
-    idx = np.arange(m * m)
-    i, j = divmod(idx, m)
-    return j * m + i
-
-
-def _permute_cols_swap(a: np.ndarray, m: int) -> np.ndarray:
-    """a @ sigma without materializing sigma."""
-    return a[:, _swap_perm(m)]
+    return apply_swap(np.arange(m * m), m)
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +426,12 @@ def ybe_residual(
     violation max_k ||offblock(R_k)|| / ||R_k|| of the three rotated
     R-matrices is a floor on the result, so a non-invariant R cannot hide
     its error outside the blocks.  Dense mode reads the module-level
-    :func:`build_R` / :func:`build_R_tilde`.  Matrix-free mode applies both
-    sides to random unit probe vectors, one two-site operator form
-    (:class:`PairOperator`) at a time, and returns the maximum relative
-    residual over the probes; it forms no D x D matrix and costs O(nnz(f) m)
-    per factor and probe.  The dense mode is its oracle at n <= 4, and the
-    retired dense-R einsums are kept in the tests as ``_ybe_probe_oracle``.
+    :func:`build_R` / :func:`build_R_tilde`.  Matrix-free mode rotates random
+    unit probe vectors once into the three-site weight frame (the norms are
+    unitarily invariant), applies both sides there one factor at a time
+    through its sector blocks, and returns the maximum relative residual
+    over the probes; its oracles are the dense mode at n <= 4 and the
+    dense-R einsums of the tests (``_ybe_probe_oracle``).
 
     Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
     benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
@@ -467,10 +451,12 @@ def ybe_residual(
     r_lam, r_sum, r_mu = (ops(rep, z) for z in (lam, lam + mu, mu))
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
+    u = rep.weight_frame.u
     worst = 0.0
     for _ in range(probes):
         v = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
         v /= np.linalg.norm(v)
+        v = np.matmul(u, (u @ v.reshape(m, -1)).reshape(m, m, m)) @ u.T  # to the three-site weight frame
         lhs = _on_sites(r_lam, (0, 1), _on_sites(r_sum, (0, 2), _on_sites(r_mu, (1, 2), v)))
         rhs = _on_sites(r_mu, (1, 2), _on_sites(r_sum, (0, 2), _on_sites(r_lam, (0, 1), v)))
         worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)))
@@ -478,9 +464,11 @@ def ybe_residual(
 
 
 def _on_sites(op: PairOperator, pair: tuple[int, int], v: np.ndarray) -> np.ndarray:
-    """Apply the two-site operator ``op`` to the sites ``pair`` of an (m, m, m) array."""
+    """Apply the two-site operator ``op`` to the sites ``pair`` of an (m, m, m) array in weight coordinates."""
+    m = v.shape[0]
     axes = (*pair, 3 - sum(pair))  # the spectator site goes last, as the batch axis
-    return op.apply(v.transpose(axes)).transpose(np.argsort(axes))
+    out = op.frame.apply_weight(op.blocks, v.transpose(axes).reshape(m * m, m))
+    return out.reshape(m, m, m).transpose(np.argsort(axes))
 
 
 def _ybe_dense_blocks(rep: AdjointRep, rs: list[np.ndarray]) -> float:
@@ -508,24 +496,19 @@ def asymptotic_check(rep: AdjointRep, lam_list) -> dict:
     """Check the large-lam expansion R = (1 + 2/lam) 1 - (1/lam) Omega_op + O(lam^-2).
 
     Each remainder is the Frobenius norm of R(lam) - (1 + 2/lam) 1 +
-    Omega_op/lam, with the operator form of R and the sparse Omega_op applied
-    to the identity in column chunks; no D x D matrix is formed.  Remainders
-    must fall off quadratically: between consecutive entries whose moduli
-    differ by a factor of ten, the remainder ratio has to sit within a
-    factor 1.5 of 100.
+    Omega_op/lam, summed exactly over the sector blocks of the two-site
+    weight frame (the norm is unitarily invariant).  Remainders must fall
+    off quadratically: between consecutive entries whose moduli differ by a
+    factor of ten, the remainder ratio has to sit within a factor 1.5 of 100.
     """
     lams = [complex(z) for z in lam_list]
     if any(abs(z) < 10.0 for z in lams):
         raise ValueError("asymptotic check requires |lam| >= 10")
-    m = rep.dim
+    eye, omega = rep.frame.term("eye"), rep.frame.term("omega")
     remainders = []
     for z in lams:
-        op = r_op(rep, z)
-        square = sum(
-            np.linalg.norm(op.apply(e) - (1.0 + 2.0 / z) * e + rep.frame.omega(e) / z) ** 2
-            for e in _identity_columns(m * m)
-        )
-        remainders.append(float(np.sqrt(square)))
+        rests = (r - (1.0 + 2.0 / z) * e + o / z for r, e, o in zip(r_op(rep, z).blocks, eye, omega))
+        remainders.append(float(np.sqrt(sum(np.linalg.norm(x) ** 2 for x in rests))))
     ratios = []
     ratio_ok = True
     for (z1, rem1), (z2, rem2) in zip(zip(lams, remainders), zip(lams[1:], remainders[1:])):
@@ -544,14 +527,12 @@ def asymptotic_check(rep: AdjointRep, lam_list) -> dict:
 
 
 def inversion_residual(rep: AdjointRep, lam: complex) -> float:
-    """Max-abs of I(lam) I(-lam) e - e over every column e of the identity.
+    """Max-abs of I(lam) I(-lam) - 1 over every entry of its sector blocks in the two-site weight frame.
 
-    Both factors are applied in operator form to the identity in column
-    chunks, so no D x D matrix is formed; from rank 6 on, where Omega_op is
-    sparse, the work is about nnz(Omega_op) D + O(m D^2).
+    The product is one batched matmul per sector size, exact over every column.
     """
-    plus, minus = intertwiner_op(rep, lam), intertwiner_op(rep, -lam)
-    return max(max_abs(plus.apply(minus.apply(e)) - e) for e in _identity_columns(rep.dim**2))
+    plus, minus = intertwiner_op(rep, lam).blocks, intertwiner_op(rep, -lam).blocks
+    return max(max_abs(a @ b - np.eye(a.shape[1])) for a, b in zip(plus, minus))
 
 
 def intertwining_residual(

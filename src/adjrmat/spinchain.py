@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,8 @@ from .numerics import DEFAULT_TOL, Tolerance, eig_general, max_abs
 from .rmatrix import (
     CoefficientSet,
     _assemble_apply,
-    _permute_cols_swap,
     _probe_block,
+    _swap_perm,
     build_R,
     operator_form,
 )
@@ -82,6 +83,11 @@ class SpinOperators:
     Q: np.ndarray
     C_A: np.ndarray
     K: np.ndarray
+
+    @cached_property
+    def commutator(self) -> np.ndarray:
+        """[K, C_A], formed on first read and kept, so a suite forms it once."""
+        return self.K @ self.C_A - self.C_A @ self.K
 
 
 def _h_coefficients(n: int) -> tuple[dict[str, float], np.ndarray]:
@@ -134,10 +140,8 @@ def h_oracle_residuals(dec: Decomposition, h: np.ndarray) -> tuple[float, float]
     R(lam) sigma with step :data:`FD_STEP`, on all of h.  Only the table
     reads the submodules of ``dec``.
     """
-    m = dec.n * dec.n - 1
-    r_plus = _permute_cols_swap(build_R(dec.rep, FD_STEP), m)
-    r_minus = _permute_cols_swap(build_R(dec.rep, -FD_STEP), m)
-    fd = (r_plus - r_minus) / (2.0 * FD_STEP)
+    swap = _swap_perm(dec.rep.dim)  # R sigma, without forming sigma
+    fd = (build_R(dec.rep, FD_STEP)[:, swap] - build_R(dec.rep, -FD_STEP)[:, swap]) / (2.0 * FD_STEP)
     return _h_table_residual(dec, h), max_abs(h - fd)
 
 
@@ -192,10 +196,10 @@ def spinform_h(ops: SpinOperators, n: int) -> np.ndarray:
     Q^4, K and [K, C_A]; n = 3 has its own shorter form (the quartic term is
     absent).
     """
-    q, c_a, k = ops.Q, ops.C_A, ops.K
+    q, k = ops.Q, ops.K
     q2 = q @ q
     q3 = q2 @ q
-    comm = k @ c_a - c_a @ k
+    comm = ops.commutator
     if n == 3:
         return q - (7.0 / 9.0) * q2 - (2.0 / 9.0) * q3 - (11.0 / 81.0) * k + comm / 324.0
     q4 = q3 @ q

@@ -10,6 +10,8 @@ with the quartic part T(x) = (1/4) sum_ab tr(x {I^a, I^b}) S^a S^b, traces
 taken in the fundamental n x n space and all products S^a S^b as adjoint
 matrix products.
 
+On vectors (:meth:`LevelOneAction.apply`) the site factors are m x m
+matmuls and Omega_op acts through its weight-sector blocks in ``rep.frame``.
 The dense D x D forms (:meth:`LevelOneAction.dense`, :func:`level1_action`,
 :func:`delta_action`) are the oracle of the dense intertwining checks of
 :func:`rmatrix.intertwining_residual`, which use linearity in the spectral
@@ -27,6 +29,7 @@ from .adjoint_tensor import (
     apply_pair,
     casimir_op,
     highest_weight_vectors,
+    site_left,
 )
 from .liealg import matrix_unit
 from .numerics import DEFAULT_TOL, kron
@@ -68,25 +71,13 @@ class LevelOneAction:
         self.quartic = quartic_part(rep, x)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply to flat two-site coordinates (vector or column block).
-
-        Omega_op is applied by the frame of the representation
-        (:meth:`PairFrame.omega`), from the nonzeros of f.
-        """
-        m = self.rep.dim
+        """Apply to flat two-site coordinates (vector or column block), Omega_op by :meth:`PairFrame.omega`."""
         omega = self.rep.frame.omega
-        single = v.ndim == 1
-        block = v.reshape(m, m, -1)
-        x1 = self.mu * self.ad_x + self.quartic
-        x2 = self.lam * self.ad_x + self.quartic
-        out = np.einsum("ij,jkp->ikp", x1, block) + np.einsum("ikp,jk->ijp", block, x2)
+        out = site_left(self.mu * self.ad_x + self.quartic, v, 0)
+        out += site_left(self.lam * self.ad_x + self.quartic, v, 1)
         # mixing term (1/2) [ad(x) (x) 1, Omega_op]
-        omega_block = omega(block.reshape(m * m, -1)).reshape(m, m, -1)
-        out += 0.5 * np.einsum("ij,jkp->ikp", self.ad_x, omega_block)
-        first = np.einsum("ij,jkp->ikp", self.ad_x, block).reshape(m * m, -1)
-        out -= 0.5 * omega(first).reshape(m, m, -1)
-        flat = out.reshape(m * m, -1)
-        return flat[:, 0] if single else flat
+        out += 0.5 * (site_left(self.ad_x, omega(v), 0) - omega(site_left(self.ad_x, v, 0)))
+        return out
 
     def dense(self) -> np.ndarray:
         """Materialize the action as a dense matrix on the two-site space."""

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import ad_matrix, adjoint_rep, build_decomposition
+from adjrmat.adjoint_tensor import ad_matrix, adjoint_rep, apply_swap, build_decomposition, root_action
 from adjrmat.liealg import build_basis, matrix_unit
-from adjrmat.numerics import DEFAULT_TOL
+from adjrmat.numerics import DEFAULT_TOL, max_abs
+from adjrmat.rmatrix import intertwiner_op, r_op
 
 try:
     from hypothesis import settings
@@ -96,6 +97,100 @@ def _assemble(dec, diag, block):
     for sub in dec.submodules:
         if sub.role in diag:
             out += diag[sub.role] * sub.projector
+    return out
+
+
+# -- the retired Gell-Mann apply of PairOperator, and the identity sweeps built on it
+
+# the apply took Omega_op and E dense below this rank and as scipy CSR from it on
+_SPARSE_FROM_RANK = 6
+# identity columns per chunk of a sweep
+_CHUNK = 256
+
+
+def _pair_factors(frame):
+    """(Omega_op, E, E^dagger) of a PairFrame, dense below rank 6 and CSR from it on."""
+    e_h = np.ascontiguousarray(np.conj(frame.E).T)
+    if frame.n < _SPARSE_FROM_RANK:
+        return frame.dense_omega(), frame.E, e_h
+    from scipy import sparse
+
+    D = frame.m * frame.m
+    rows, cols, vals = frame.omega_entries
+    omega = sparse.csr_array((vals, (rows, cols)), shape=(D, D))
+    return omega, sparse.csr_array(frame.E), sparse.csr_array(e_h)
+
+
+def retired_apply(op, x):
+    """PairOperator.apply as it was: sigma a transpose, Omega_op and E from _pair_factors, s^dagger a trace."""
+    m = op.frame.m
+    v = np.asarray(x, dtype=complex).reshape(m, m, -1)
+    k = v.shape[2]
+    omega, e, e_h = _pair_factors(op.frame)
+    sym = 0.5 * (v + v.transpose(1, 0, 2))
+    out = (op.plus - op.minus) * sym + op.minus * v
+    out += op.omega * (omega @ sym.reshape(m * m, k)).reshape(m, m, k)
+    coef = (e_h @ v.reshape(m * m, k)).reshape(2, m * k)
+    out += (e @ (op.block @ coef).reshape(2 * m, k)).reshape(m, m, k)
+    diag = np.arange(m)
+    out[diag, diag] += (op.singlet / m) * np.trace(v)
+    return out.reshape(np.shape(x))
+
+
+def _identity_columns(D):
+    """The D x D identity, _CHUNK columns at a time."""
+    for start in range(0, D, _CHUNK):
+        cols = np.arange(start, min(D, start + _CHUNK))
+        block = np.zeros((D, len(cols)), dtype=complex)
+        block[cols, np.arange(len(cols))] = 1.0
+        yield block
+
+
+def swept_r_at_zero(rep):
+    """Max-abs of R(0) - sigma in Gell-Mann coordinates, R(0) applied to the identity in chunks."""
+    m = rep.dim
+    op = r_op(rep, 0.0)
+    return max(max_abs(retired_apply(op, e) - apply_swap(e, m)) for e in _identity_columns(m * m))
+
+
+def swept_inversion(rep, lam):
+    """Max-abs of I(lam) I(-lam) e - e over the identity columns e."""
+    plus, minus = intertwiner_op(rep, lam), intertwiner_op(rep, -lam)
+    return max(max_abs(retired_apply(plus, retired_apply(minus, e)) - e)
+               for e in _identity_columns(rep.dim**2))
+
+
+def swept_asymptotic_remainders(rep, lams):
+    """Frobenius norms of R(lam) - (1 + 2/lam) 1 + Omega_op/lam, applied to the identity in chunks."""
+    omega = _pair_factors(rep.frame)[0]
+    out = []
+    for z in lams:
+        op = r_op(rep, z)
+        square = sum(np.linalg.norm(retired_apply(op, e) - (1.0 + 2.0 / z) * e + (omega @ e) / z) ** 2
+                     for e in _identity_columns(rep.dim**2))
+        out.append(float(np.sqrt(square)))
+    return out
+
+
+def casimir_sector_blocks(rep):
+    """Omega_op on each sector W of ``rep.weight_frame`` as C_total/2 - 2n, reading no f.
+
+    C_total = sum_{p != q} J(e_pq) J(e_qp) + |W|^2, with J(x) = x (x) 1 +
+    1 (x) x: the root blocks come from ``WeightChain.shift_blocks`` and the
+    Cartan generators act on W by the charges W . diag(H).
+    """
+    chain = rep.weight_frame
+    roots = chain.weights[: rep.dim - (rep.n - 1)]
+    shift = {tuple(a): {k: (t, b) for k, t, b in chain.shift_blocks(root_action(chain, a), a)}
+             for a in roots}
+    out = []
+    for w, weight in enumerate(chain.sector_weights):
+        total = float(weight @ weight) * np.eye(len(chain.blocks[w]), dtype=complex)
+        for a in roots:
+            if w in shift[tuple(-a)]:
+                t, down = shift[tuple(-a)][w]
+                total += shift[tuple(a)][t][1] @ down
+        out.append(0.5 * total - 2.0 * rep.n * np.eye(len(total)))
     return out
 
 

@@ -265,7 +265,7 @@ def test_chain_suite_builds_each_chain_operator_once(tmp_path, monkeypatch):
 
 
 def test_cli_import_and_decomposition_leave_scipy_unloaded(tmp_path):
-    """scipy is imported only by the first sparse apply (n >= 6), never by a cold start."""
+    """No command imports scipy: neither a cold start nor ``verify ybe --n 4`` loads it."""
     code = (
         "import sys\n"
         "import adjrmat.cli\n"
@@ -276,6 +276,21 @@ def test_cli_import_and_decomposition_leave_scipy_unloaded(tmp_path):
         f"argv = ['verify', 'ybe', '--n', '4', '--samples', '1', '--out', {str(tmp_path / 'r.json')!r}]\n"
         "assert adjrmat.cli.main(argv) == 0\n"
         "assert 'scipy' not in sys.modules, 'verify ybe --n 4 imported scipy'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rank_six_commands_leave_scipy_unloaded(tmp_path):
+    """``verify ybe`` and ``verify intertwiner`` at n = 6 apply every operator without scipy."""
+    code = (
+        "import sys\n"
+        "import adjrmat.cli\n"
+        "for suite in ('ybe', 'intertwiner'):\n"
+        f"    argv = ['verify', suite, '--n', '6', '--samples', '1', '--out', {str(tmp_path / 'r.json')!r}]\n"
+        "    assert adjrmat.cli.main(argv) == 0, suite\n"
+        "    assert 'scipy' not in sys.modules, f'verify {suite} --n 6 imported scipy'\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import casimir_op
+from adjrmat.adjoint_tensor import TERMS, adjoint_rep, casimir_op
 from adjrmat.spinchain import local_h
 from adjrmat.liealg import weight_basis
 from adjrmat.numerics import DEFAULT_TOL, max_abs
@@ -31,7 +31,16 @@ from adjrmat.rmatrix import (
 )
 from adjrmat.yangian_action import delta_action, level1_action
 
-from conftest import _assemble, permutation_op, traced_peak
+from conftest import (
+    _assemble,
+    casimir_sector_blocks,
+    permutation_op,
+    retired_apply,
+    swept_asymptotic_remainders,
+    swept_inversion,
+    swept_r_at_zero,
+    traced_peak,
+)
 
 TOL = 1e-9
 
@@ -413,7 +422,7 @@ def test_r_assembly_forms_no_dense_matrix(algebra):
     """At n = 6 the r-assembly oracle peaks below half of one D x D complex array."""
     dec = algebra.dec(6)
     D = 35 * 35
-    r_assembly_residual(dec, 0.37 + 0.21j)  # builds the sparse factors of the frame
+    r_assembly_residual(dec, 0.37 + 0.21j)  # builds the term blocks of the frame
     assert traced_peak(r_assembly_residual, dec, 0.37 + 0.21j) < 0.5 * D * D * 16
 
 
@@ -462,6 +471,58 @@ def test_operator_apply_matches_dense(algebra, rng, n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_block_apply_matches_retired_apply(algebra, rng, n):
+    """apply through the sector blocks against the retired dense/CSR apply, on (D,), (D, k) and (m, m, k) arrays."""
+    rep = algebra.rep(n)
+    m = n * n - 1
+    x = rng.standard_normal((m * m, 4)) + 1j * rng.standard_normal((m * m, 4))
+    for op in (r_op(rep, 0.6 - 0.4j), intertwiner_op(rep, -1.3 + 0.8j), r_tilde_op(rep, 0.37 + 0.21j)):
+        want = retired_apply(op, x)
+        assert _scaled_gap(op.apply(x), want) <= 1e-13
+        assert _scaled_gap(op.apply(x[:, 0]), want[:, 0]) <= 1e-13
+        assert _scaled_gap(op.apply(x.reshape(m, m, 4)).reshape(m * m, 4), want) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_block_residuals_match_identity_sweeps(algebra, n):
+    """r-at-zero, inversion and the asymptotic remainders over the blocks against the retired sweeps."""
+    rep = algebra.rep(n)
+    assert abs(r_at_zero_residual(rep) - swept_r_at_zero(rep)) <= 1e-13
+    for lam in (0.37 - 0.52j, -1.2 + 0.8j):
+        assert abs(inversion_residual(rep, lam) - swept_inversion(rep, lam)) <= 1e-13
+    lams = [100.0, 1000.0]
+    for got, want in zip(asymptotic_check(rep, lams)["remainders"], swept_asymptotic_remainders(rep, lams)):
+        assert abs(got - want) <= 1e-10 * want
+
+
+def test_block_residuals_fail_with_the_sweeps(algebra, monkeypatch):
+    """With the parity diag(1, -1) dropped from N and M replaced by N, blocks and sweeps both fail."""
+    rep = algebra.rep(4)
+    monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
+    assert r_at_zero_residual(rep) > 0.1 and swept_r_at_zero(rep) > 0.1
+    monkeypatch.setattr(CoefficientSet, "M", lambda self, lam: np.diag([1.0, -1.0]) * (1.0 + lam))
+    assert inversion_residual(rep, 0.37 - 0.52j) > 1e-8 and swept_inversion(rep, 0.37 - 0.52j) > 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_omega_blocks_match_casimir_of_the_roots(algebra, n):
+    """The Omega_op blocks rotated from f against C_total/2 - 2n from the root blocks, which reads no f."""
+    rep = algebra.rep(n)
+    for w, want in enumerate(casimir_sector_blocks(rep)):
+        assert max_abs(rep.frame.sector_terms(w)[TERMS.index("omega")] - want) <= 1e-13
+
+
+@pytest.mark.parametrize("term", ["swap", "dd", "ff"])
+def test_block_checks_catch_one_wrong_term_entry(algebra, term):
+    """A 1e-6 error in one entry of sigma_W or of one E-term fails r-at-zero-is-swap or intertwiner-inversion."""
+    rep = adjoint_rep(algebra.basis(3))  # with a frame of its own
+    lam = 0.37 - 0.52j
+    assert r_at_zero_residual(rep) <= 1e-12 and inversion_residual(rep, lam) <= 1e-8
+    rep.frame.terms[-1][TERMS.index(term), 0, 0, 1] += 1e-6  # the zero-weight sector
+    assert r_at_zero_residual(rep) > 1e-12 or inversion_residual(rep, lam) > 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_omega_from_f_matches_casimir_op(algebra, rng, n):
     """The frame's Omega_op, scattered dense and applied, against the S-stack tensordot."""
     rep = algebra.rep(n)
@@ -476,7 +537,7 @@ def test_omega_from_f_matches_casimir_op(algebra, rng, n):
 
 
 def test_intertwining_probes_su6(algebra):
-    """From n = 6 the intertwining relations are probed through the CSR frame."""
+    """From n = 6 the intertwining relations are probed through the sector blocks of the frame."""
     rep = algebra.rep(6)
     [(res0, res1)] = intertwining_residual(rep, [0.37 - 0.52j], probes=2, rng=np.random.default_rng(5))
     assert res0 <= 1e-8 and res1 <= 1e-8

@@ -194,6 +194,18 @@ def test_k_ca_do_not_commute(algebra, n):
     assert np.linalg.norm(ops.K @ ops.C_A - ops.C_A @ ops.K) > 0.1
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_spin_form_reads_the_one_commutator(algebra, n):
+    """spinform_h reads the [K, C_A] that the operators keep, so a suite forms it once."""
+    ops = spin_operators(algebra.rep(n))
+    comm = ops.commutator
+    assert ops.commutator is comm
+    assert np.array_equal(comm, ops.K @ ops.C_A - ops.C_A @ ops.K)
+    want = spinform_h(ops, n)
+    vars(ops)["commutator"] = 2.0 * comm  # the spin form follows the kept commutator
+    assert not np.array_equal(spinform_h(ops, n), want)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spinform_fit(algebra, locals_cache, n):
     ops = spin_operators(algebra.rep(n))
