@@ -31,8 +31,10 @@ from .rmatrix import (
     asymptotic_check,
     build_R,
     derive_coefficients,
+    generating_set,
     intertwining_residual,
     inversion_residual,
+    level1_covariance_residual,
     r_assembly_residual,
     r_at_zero_residual,
     sample_spectral_parameters,
@@ -203,10 +205,14 @@ def suite_intertwiner(ctx: _Context) -> list[dict]:
                              params={"lambda": _cpair(lam)}))
     lams = sample_spectral_parameters(rng, n, count)
     residuals = intertwining_residual(rep, lams, rng=rng)
+    chevalley, top = generating_set(n)  # (i, j) of the matrix units e_ij
     for lam, (worst0, worst1) in zip(lams, residuals):
-        params = {"lambda": _cpair(lam)}
-        checks.append(_check("intertwining-level0", worst0, 1e-8, params=params))
-        checks.append(_check("intertwining-level1", worst1, 1e-8, params=params))
+        checks.append(_check("intertwining-level0", worst0, 1e-8,
+                             params={"lambda": _cpair(lam), "generators": chevalley}))
+        checks.append(_check("intertwining-level1", worst1, 1e-8,
+                             params={"lambda": _cpair(lam), "generators": [top]}))
+    checks.append(_check("level1-covariance", level1_covariance_residual(rep), 1e-8,
+                         params={"y": chevalley, "x": top}))
     recovery = derive_coefficients(rep, sample_spectral_parameters(rng, n, 3), rng=rng)
     checks.append(
         _check(

@@ -35,7 +35,11 @@ random unit columns, a Freivalds check (the ``r-assembly-agreement`` check of
 ``verify ybe``); its dense form survives in the tests as the oracle of the
 apply.  :func:`derive_coefficients` recovers the coefficients from the
 level-1 action on the highest-weight vectors and takes an
-:class:`AdjointRep`.
+:class:`AdjointRep`.  :func:`intertwining_residual` checks that I(lam)
+intertwines the Yangian action on a generating set: level 0 on the
+Chevalley generators and level 1 on the highest root vector e_1n alone,
+which is enough because the level-1 action is covariant
+(:func:`level1_covariance_residual`, the ``level1-covariance`` check).
 
 The dense Yang-Baxter residual works in the weight frame of
 :func:`liealg.weight_chain`.  R(lam) is su(n)-invariant, so it conserves
@@ -68,7 +72,7 @@ from .adjoint_tensor import (
 )
 from .liealg import matrix_unit
 from .numerics import max_abs
-from .yangian_action import LevelOneAction, quartic_part
+from .yangian_action import LevelOneAction
 
 __all__ = [
     "POLE_GUARD",
@@ -90,6 +94,8 @@ __all__ = [
     "r_at_zero_residual",
     "inversion_residual",
     "intertwining_residual",
+    "level1_covariance_residual",
+    "generating_set",
     "ybe_residual",
     "asymptotic_check",
     "derive_coefficients",
@@ -535,6 +541,49 @@ def inversion_residual(rep: AdjointRep, lam: complex) -> float:
     return max(max_abs(a @ b - np.eye(a.shape[1])) for a, b in zip(plus, minus))
 
 
+def generating_set(n: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """The (i, j) of the matrix units e_ij on which the intertwining relations are checked.
+
+    Level 0 runs on the Chevalley generators e_{i,i+1} and e_{i+1,i},
+    i = 1..n-1, which generate su(n); level 1 on the highest root vector e_1n.
+    """
+    return [ij for i in range(1, n) for ij in ((i, i + 1), (i + 1, i))], (1, n)
+
+
+# spectral parameters (mu, lam) of J(x) in level1_covariance_residual: both site terms enter
+_COVARIANCE_AT = (1.0, -1.0)
+
+
+def _unit(rep: AdjointRep, ij: tuple[int, int]) -> np.ndarray:
+    return matrix_unit(rep.basis, *ij, coords=False).matrix
+
+
+def level1_covariance_residual(rep: AdjointRep) -> float:
+    """Worst relative residual of [D(y), J(x0)] = J([y, x0]) on a probe block, over the Chevalley y.
+
+    x0 = e_1n, D(y) = ad y (x) 1 + 1 (x) ad y, and J is the level-1 action at
+    spectral parameters :data:`_COVARIANCE_AT`.  Both sides are applied to
+    the random unit columns V of :func:`_probe_block` (a generator of its
+    own); the residual for y is max_abs([D(y), J(x0)] V - J([y, x0]) V) /
+    max(1, max_abs(J([y, x0]) V)).  This covariance is the premise on which
+    :func:`intertwining_residual` checks level 1 on x0 alone.
+    """
+    chevalley, top = generating_set(rep.n)
+    v = _probe_block(rep.dim**2)
+    x0 = _unit(rep, top)
+    j = LevelOneAction(rep, x0, *_COVARIANCE_AT)
+    jv = j.apply(v)
+    worst = 0.0
+    for ij in chevalley:
+        y = _unit(rep, ij)
+        a = ad_matrix(rep.basis, y)
+        gap = apply_pair(a, jv) - j.apply(apply_pair(a, v))
+        comm = y @ x0 - x0 @ y  # zero but for y = e_21 and e_{n,n-1}, and J(0) = 0
+        rhs = LevelOneAction(rep, comm, *_COVARIANCE_AT).apply(v) if comm.any() else 0.0
+        worst = max(worst, max_abs(gap - rhs) / max(1.0, max_abs(rhs)))
+    return worst
+
+
 def intertwining_residual(
     rep: AdjointRep,
     lams,
@@ -543,87 +592,94 @@ def intertwining_residual(
 ) -> list[tuple[float, float]]:
     """Worst relative residuals of the level-0 and level-1 intertwining relations, per lam.
 
-    Checks I(lam) D(x) = D(x) I(lam) and I(lam) J(x)_{0,lam} = J(x)_{lam,0} I(lam)
-    for every generator x of ``rep.basis`` and every spectral parameter in
-    ``lams``, and returns one (level-0, level-1) pair per lam: the largest
-    over the generators of max_abs(I D - D I) / max(1, max_abs(D)) and
-    max_abs(I J_0 - J_1 I) / max(1, max_abs(J_0)).
+    Checks I(lam) D(y) = D(y) I(lam) for the Chevalley generators y
+    (:func:`generating_set`) and I(lam) J(x0)_{0,lam} = J(x0)_{lam,0} I(lam)
+    for the highest root vector x0 = e_1n, and returns one (level-0, level-1)
+    pair per spectral parameter in ``lams``: the largest over the y of
+    max_abs(I D - D I) / max(1, max_abs(D)), and max_abs(I J_0 - J_1 I) /
+    max(1, max_abs(J_0)).
 
-    Up to n = 5 the commutators are formed densely, using linearity in lam:
-    each generator's lam-independent level-1 part is built once for all of
-    ``lams`` (:func:`_dense_intertwining`).  Larger ranks apply the operator
-    form of I(lam) to random unit probe vectors (same contract, sampled),
-    ``probes`` fresh ones per generator, drawn lam by lam and generator by
-    generator.
+    This generating set gives both relations for every x in su(n).  The y
+    generate su(n) and D is a Lie homomorphism, so level 0 holds for all x.
+    J is covariant, [D(y), J(x)] = J([y, x]) (:func:`level1_covariance_residual`),
+    so once level 0 holds, I J_0(x) = J_1(x) I gives I J_0([y, x]) =
+    [D(y), I J_0(x)] = J_1([y, x]) I, and the commutators with the y reach
+    every x from x0.
+
+    Up to n = 5 the commutators are formed densely, one I(lam) at a time
+    (:func:`_dense_generating_set`).  Larger ranks apply the operator form of
+    I(lam) to ``probes`` random unit columns per lam, drawn lam by lam (same
+    contract, sampled, with each column's residual relative to max(1, its
+    norm of I D v or I J_0 v)).
     """
     lams = [complex(z) for z in lams]
+    chevalley, top = generating_set(rep.n)
+    ads = [ad_matrix(rep.basis, _unit(rep, ij)) for ij in chevalley]
+    x0 = _unit(rep, top)
     if rep.dim <= 24:  # n <= 5: dense operators stay small
-        return _dense_intertwining(rep, lams)
-    m = rep.dim
+        return _dense_generating_set(rep, ads, x0, lams)
+    D = rep.dim**2
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     out = []
     for lam in lams:
         op = intertwiner_op(rep, lam)
-        res0 = res1 = 0.0
-        for x in rep.basis.generators:
-            a = ad_matrix(rep.basis, x)
-            j0 = LevelOneAction(rep, x, 0.0, lam)
-            j1 = LevelOneAction(rep, x, lam, 0.0)
-            for _ in range(probes):
-                v = rng.standard_normal(m * m) + 1j * rng.standard_normal(m * m)
-                v /= np.linalg.norm(v)
-                iv = op.apply(v)
-                lhs0 = op.apply(apply_pair(a, v))
-                rhs0 = apply_pair(a, iv)
-                err0 = np.linalg.norm(lhs0 - rhs0) / max(1.0, np.linalg.norm(lhs0))
-                res0 = max(res0, float(err0))
-                lhs1 = op.apply(j0.apply(v))
-                rhs1 = j1.apply(iv)
-                err1 = np.linalg.norm(lhs1 - rhs1) / max(1.0, np.linalg.norm(lhs1))
-                res1 = max(res1, float(err1))
-        out.append((res0, res1))
+        j0, j1 = LevelOneAction(rep, x0, 0.0, lam), LevelOneAction(rep, x0, lam, 0.0)
+        v = rng.standard_normal((D, probes)) + 1j * rng.standard_normal((D, probes))
+        v /= np.linalg.norm(v, axis=0)
+        iv = op.apply(v)
+        res0 = max(_column_gap(op.apply(apply_pair(a, v)), apply_pair(a, iv)) for a in ads)
+        out.append((res0, _column_gap(op.apply(j0.apply(v)), j1.apply(iv))))
     return out
 
 
-def _dense_intertwining(rep: AdjointRep, lams: list[complex]):
+def _column_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """The largest column norm of lhs - rhs, each over max(1, the norm of that column of lhs)."""
+    gaps = np.linalg.norm(lhs - rhs, axis=0) / np.maximum(1.0, np.linalg.norm(lhs, axis=0))
+    return float(np.max(gaps, initial=0.0))
+
+
+def _dense_generating_set(rep: AdjointRep, ads: list[np.ndarray], x0: np.ndarray, lams: list[complex]):
     """The dense residuals of :func:`intertwining_residual`, using linearity in lam.
 
-    With a = ad(x), T = T(x) and K = T (x) 1 + 1 (x) T + (1/2)[a (x) 1, Omega_op],
+    With a = ad(x0), T = T(x0) and K = T (x) 1 + 1 (x) T + (1/2)[a (x) 1, Omega_op],
     the level-1 actions are J_0 = lam (1 (x) a) + K and J_1 = lam (a (x) 1) + K, so
 
         I J_0 - J_1 I = lam (I (1 (x) a) - (a (x) 1) I) + (I K - K I).
 
-    K is built once per generator, and every product with a (x) 1 or 1 (x) a
-    is an m x m matmul (:func:`site_left`, :func:`site_right`); only I K and
-    K I are D^3 products.
+    K is built once, and every product with a one-site factor is an m x m
+    matmul (:func:`site_left`, :func:`site_right`); I K and K I are the
+    only D^3 products, two per lam.
     """
-    i_lams = [build_intertwiner(rep, lam) for lam in lams]
-    omega = rep.frame.dense_omega()
     eye = np.eye(rep.dim)
-    res = np.zeros((len(lams), 2))
-    for x in rep.basis.generators:
-        a = ad_matrix(rep.basis, x)
-        one_a = np.kron(eye, a)
-        scale0 = max(1.0, max_abs(np.kron(a, eye) + one_a))
-        k = site_left(a, omega, 0)
-        k -= site_right(omega, a, 0)
-        k *= 0.5
-        t = quartic_part(rep, x)
-        k += np.kron(t, eye) + np.kron(eye, t)
-        for row, lam, i_lam in zip(res, lams, i_lams):
-            # lin = I (1 (x) a) - (a (x) 1) I, and c = [I, a (x) 1 + 1 (x) a] from it
-            lin = site_right(i_lam, a, 1)
-            lin -= site_left(a, i_lam, 0)
-            c = site_right(i_lam, a, 0)
-            c -= site_left(a, i_lam, 1)
-            c += lin
-            row[0] = max(row[0], max_abs(c) / scale0)
-            c = i_lam @ k
-            c -= k @ i_lam
-            c += lam * lin
-            row[1] = max(row[1], max_abs(c) / max(1.0, max_abs(k + lam * one_a)))
-    return [(float(r0), float(r1)) for r0, r1 in res]
+    scales = [max(1.0, max_abs(np.kron(y, eye) + np.kron(eye, y))) for y in ads]
+    j = LevelOneAction(rep, x0, 0.0, 0.0)
+    a = j.ad_x
+    one_a = np.kron(eye, a)
+    omega = rep.frame.dense_omega()
+    k = site_left(a, omega, 0)
+    k -= site_right(omega, a, 0)
+    k *= 0.5
+    del omega
+    k += np.kron(j.quartic, eye) + np.kron(eye, j.quartic)
+    out = []
+    for lam in lams:
+        i_lam = build_intertwiner(rep, lam)
+        res0 = max(max_abs(_delta_commutator(i_lam, y)) / s for y, s in zip(ads, scales))
+        c = i_lam @ k
+        c -= k @ i_lam
+        c += lam * (site_right(i_lam, a, 1) - site_left(a, i_lam, 0))
+        out.append((res0, max_abs(c) / max(1.0, max_abs(k + lam * one_a))))
+    return out
+
+
+def _delta_commutator(i: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """[I, a (x) 1 + 1 (x) a] for a dense two-site I, four m x m matmuls over its rows or columns."""
+    c = site_right(i, a, 0)
+    c += site_right(i, a, 1)
+    c -= site_left(a, i, 0)
+    c -= site_left(a, i, 1)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +748,7 @@ def derive_coefficients(
     n = rep.n
     hw = {row.role: row.coords for row in highest_weight_vectors(rep.basis)}
     e_12, e_1n1, e_n1n, e_1n = (1, 2), (1, n - 1), (n - 1, n), (1, n)
-    units = {ij: matrix_unit(rep.basis, *ij, coords=False).matrix for ij in (e_12, e_1n1, e_n1n, e_1n)}
+    units = {ij: _unit(rep, ij) for ij in (e_12, e_1n1, e_n1n, e_1n)}
     paths = {"f1": ("anti_left", [e_n1n]), "f2": ("anti_right", [e_12]),
              "f3": ("mixed_sym", [e_12, e_n1n]), "f4": ("singlet", [e_1n, e_1n])}
     if "mixed_sym" not in hw:  # n = 3

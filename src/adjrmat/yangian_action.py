@@ -13,9 +13,9 @@ matrix products.
 On vectors (:meth:`LevelOneAction.apply`) the site factors are m x m
 matmuls and Omega_op acts through its weight-sector blocks in ``rep.frame``.
 The dense D x D forms (:meth:`LevelOneAction.dense`, :func:`level1_action`,
-:func:`delta_action`) are the oracle of the dense intertwining checks of
-:func:`rmatrix.intertwining_residual`, which use linearity in the spectral
-parameters instead; no command builds them.
+:func:`delta_action`) are test oracles: the tests run the intertwining
+relations with them over every generator, against the generating-set checks
+of :func:`rmatrix.intertwining_residual`.  No command builds them.
 """
 
 from __future__ import annotations

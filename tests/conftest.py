@@ -4,10 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import ad_matrix, adjoint_rep, apply_swap, build_decomposition, root_action
+from adjrmat.adjoint_tensor import (
+    ad_matrix,
+    adjoint_rep,
+    apply_swap,
+    build_decomposition,
+    root_action,
+    site_left,
+    site_right,
+)
 from adjrmat.liealg import build_basis, matrix_unit
 from adjrmat.numerics import DEFAULT_TOL, max_abs
-from adjrmat.rmatrix import intertwiner_op, r_op
+from adjrmat.rmatrix import build_intertwiner, intertwiner_op, r_op
+from adjrmat.yangian_action import quartic_part
 
 try:
     from hypothesis import settings
@@ -170,6 +179,46 @@ def swept_asymptotic_remainders(rep, lams):
                      for e in _identity_columns(rep.dim**2))
         out.append(float(np.sqrt(square)))
     return out
+
+
+def all_generator_intertwining(rep, lams):
+    """The intertwining residuals over every generator of ``rep.basis``, dense, using linearity in lam.
+
+    The package checks the generating set of Y(su(n)) instead
+    (``rmatrix.intertwining_residual``); this is the all-generator form it
+    replaced, with the same normalizations: per lam, the largest over the
+    generators x of max_abs([I, D(x)]) / max(1, max_abs(D(x))) and of
+    max_abs(I J_0 - J_1 I) / max(1, max_abs(J_0)).  With a = ad(x), T = T(x)
+    and K = T (x) 1 + 1 (x) T + (1/2)[a (x) 1, Omega_op], J_0 = lam (1 (x) a) + K
+    and J_1 = lam (a (x) 1) + K; K is built once per generator and every
+    product with a one-site factor is an m x m matmul.
+    """
+    i_lams = [build_intertwiner(rep, lam) for lam in lams]
+    omega = rep.frame.dense_omega()
+    eye = np.eye(rep.dim)
+    res = np.zeros((len(lams), 2))
+    for x in rep.basis.generators:
+        a = ad_matrix(rep.basis, x)
+        one_a = np.kron(eye, a)
+        scale0 = max(1.0, max_abs(np.kron(a, eye) + one_a))
+        k = site_left(a, omega, 0)
+        k -= site_right(omega, a, 0)
+        k *= 0.5
+        t = quartic_part(rep, x)
+        k += np.kron(t, eye) + np.kron(eye, t)
+        for row, lam, i_lam in zip(res, lams, i_lams):
+            # lin = I (1 (x) a) - (a (x) 1) I, and c = [I, a (x) 1 + 1 (x) a] from it
+            lin = site_right(i_lam, a, 1)
+            lin -= site_left(a, i_lam, 0)
+            c = site_right(i_lam, a, 0)
+            c -= site_left(a, i_lam, 1)
+            c += lin
+            row[0] = max(row[0], max_abs(c) / scale0)
+            c = i_lam @ k
+            c -= k @ i_lam
+            c += lam * lin
+            row[1] = max(row[1], max_abs(c) / max(1.0, max_abs(k + lam * one_a)))
+    return [(float(r0), float(r1)) for r0, r1 in res]
 
 
 def casimir_sector_blocks(rep):

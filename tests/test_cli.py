@@ -108,7 +108,7 @@ def test_determinism_byte_identical(tmp_path):
 VERIFY_ALL_N3_IDS = (
     ["intertwiner-inversion"] * 5
     + ["intertwining-level0", "intertwining-level1"] * 5
-    + ["coefficient-recovery"]
+    + ["level1-covariance", "coefficient-recovery"]
     + ["r-at-zero-is-swap", "r-assembly-agreement"]
     + ["ybe-R", "ybe-Rtilde"] * 5
     + ["asymptotic-falloff"]
@@ -328,7 +328,7 @@ def test_intertwiner_checks_build_no_dense_level1_action(tmp_path, monkeypatch):
     code, payload = run(tmp_path, "verify", "intertwiner", "--n", "4")
     assert code == 0
     # the intertwiner suite's ids, which lead the n = 3 list
-    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[:16]
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[:17]
     code, payload = run(tmp_path, "verify", "all", "--n", "3", "--seed", "42")
     assert code == 0
     assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS
@@ -469,3 +469,21 @@ def test_small_commands_run_on_one_blas_thread(tmp_path, monkeypatch, n, sites, 
         assert seen == [threads] and get() == 2
     finally:
         put(before)
+
+
+def test_intertwining_checks_name_their_generating_set(tmp_path, monkeypatch):
+    """Level 0 on the Chevalley generators, level 1 on e_1n; a non-covariant level-1 action fails level1-covariance."""
+    code, payload = run(tmp_path, "verify", "intertwiner", "--n", "4", "--samples", "1")
+    assert code == 0
+    params = {c["id"]: c.get("params") for c in payload["checks"]}
+    chevalley = [[1, 2], [2, 1], [2, 3], [3, 2], [3, 4], [4, 3]]
+    assert params["intertwining-level0"]["generators"] == chevalley
+    assert params["intertwining-level1"]["generators"] == [[1, 4]]
+    assert params["level1-covariance"] == {"y": chevalley, "x": [1, 4]}
+
+    right = yangian_action.quartic_part
+    monkeypatch.setattr(yangian_action, "quartic_part",
+                        lambda rep, x: right(rep, x) + 1e-6 * x[0, 2] * np.eye(rep.dim))
+    code, payload = run(tmp_path, "verify", "intertwiner", "--n", "4", "--samples", "1")
+    assert code == 1
+    assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["level1-covariance"]

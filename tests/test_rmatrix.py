@@ -3,9 +3,9 @@ import pytest
 
 from adjrmat.adjoint_tensor import TERMS, adjoint_rep, casimir_op
 from adjrmat.spinchain import local_h
-from adjrmat.liealg import weight_basis
+from adjrmat.liealg import matrix_unit, weight_basis
 from adjrmat.numerics import DEFAULT_TOL, max_abs
-from adjrmat import rmatrix, spinchain
+from adjrmat import rmatrix, spinchain, yangian_action
 from adjrmat.rmatrix import (
     DENSE_YBE_MAX_DIM,
     SAMPLE_RADIUS,
@@ -17,9 +17,11 @@ from adjrmat.rmatrix import (
     build_intertwiner,
     check_pole_distance,
     derive_coefficients,
+    generating_set,
     intertwiner_op,
     intertwining_residual,
     inversion_residual,
+    level1_covariance_residual,
     operator_form,
     r_assembly_residual,
     r_at_zero_residual,
@@ -33,6 +35,7 @@ from adjrmat.yangian_action import delta_action, level1_action
 
 from conftest import (
     _assemble,
+    all_generator_intertwining,
     casimir_sector_blocks,
     permutation_op,
     retired_apply,
@@ -79,7 +82,7 @@ def test_intertwining_property(algebra, rng, n):
 
 
 def _intertwining_oracle(rep, xs, lams):
-    """The retired dense path: delta_action and level1_action per generator and per lam."""
+    """The retired dense path: delta_action and level1_action per generator in ``xs`` and per lam."""
     out = []
     for lam in lams:
         i_lam = build_intertwiner(rep, lam)
@@ -94,14 +97,24 @@ def _intertwining_oracle(rep, xs, lams):
     return out
 
 
+def _generating_set_oracle(rep, lams):
+    """The retired dense path on the generating set: level 0 on the Chevalley generators, level 1 on e_1n."""
+    chevalley, top = generating_set(rep.n)
+    level0 = [matrix_unit(rep.basis, *ij, coords=False).matrix for ij in chevalley]
+    level1 = [matrix_unit(rep.basis, *top, coords=False).matrix]
+    return [(r0, r1) for (r0, _), (_, r1) in zip(_intertwining_oracle(rep, level0, lams),
+                                                 _intertwining_oracle(rep, level1, lams))]
+
+
 # the last one lies near the edge |lam| = SAMPLE_RADIUS of the sampling disk
 _ORACLE_LAMS = [0.37 - 0.52j, -1.2 + 0.8j, 0.98 * SAMPLE_RADIUS * np.exp(2.0j)]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4])
 def test_dense_intertwining_matches_retired_path(algebra, n):
+    """The all-generator oracle of the tests, linear in lam, against the per-generator dense actions."""
     basis, rep = algebra.basis(n), algebra.rep(n)
-    got = intertwining_residual(rep, _ORACLE_LAMS)
+    got = all_generator_intertwining(rep, _ORACLE_LAMS)
     want = _intertwining_oracle(rep, basis.generators, _ORACLE_LAMS)
     assert len(got) == len(_ORACLE_LAMS)
     for pair, oracle in zip(got, want):
@@ -109,18 +122,88 @@ def test_dense_intertwining_matches_retired_path(algebra, n):
         assert max(abs(g - w) for g, w in zip(pair, oracle)) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_generating_set_agrees_with_all_generators(algebra, n):
+    """The generating-set residuals and the all-generator oracle both pass; below n = 5 the
+    generating-set values equal the retired dense path run on that set."""
+    rep = algebra.rep(n)
+    got = intertwining_residual(rep, _ORACLE_LAMS)
+    assert len(got) == len(_ORACLE_LAMS)
+    assert max(map(max, got)) <= 1e-8
+    assert max(map(max, all_generator_intertwining(rep, _ORACLE_LAMS))) <= 1e-8
+    if n < 5:
+        for pair, oracle in zip(got, _generating_set_oracle(rep, _ORACLE_LAMS)):
+            assert max(abs(g - w) for g, w in zip(pair, oracle)) <= 1e-13
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_intertwining_level1_catches_wrong_block(algebra, monkeypatch, n):
     """Any 2x2 block keeps I(lam) invariant, so only the level-1 relation sees N(lam) in place of M(lam)."""
-    basis, rep = algebra.basis(n), algebra.rep(n)
+    rep = algebra.rep(n)
     right = CoefficientSet.M
     monkeypatch.setattr(CoefficientSet, "M", lambda self, lam: right(self, lam) @ np.diag([1.0, -1.0]))
     lams = _ORACLE_LAMS[:2]
     got = intertwining_residual(rep, lams)
-    for (r0, r1), (_, oracle1) in zip(got, _intertwining_oracle(rep, basis.generators, lams)):
+    for (r0, r1), (_, oracle1) in zip(got, _generating_set_oracle(rep, lams)):
         assert r0 <= 1e-8
         assert r1 > 1e-8
         assert abs(r1 - oracle1) <= 1e-12 * oracle1
+
+
+# the projector scalars that carry f1 = f2, f3 and f4, and the entries of M; n = 3 has no mixed_sym module
+_COEFFICIENT_ERRORS = [
+    pytest.param(n, target, id=f"{name}-{n}")
+    for n in (3, 4, 5)
+    for name, target in [("f1f2", ("anti_left", "anti_right")), ("f3", ("mixed_sym",)), ("f4", ("singlet",))]
+    + [(f"M{i}{j}", (i, j)) for i in (0, 1) for j in (0, 1)]
+    if (n, name) != (3, "f3")
+]
+
+
+@pytest.mark.parametrize("n, target", _COEFFICIENT_ERRORS)
+def test_intertwining_level1_catches_a_coefficient_error(algebra, monkeypatch, n, target):
+    """A 1e-6 relative error in one coefficient of I(lam) keeps it invariant but fails level 1.
+
+    f1 and f2 are perturbed together: the operator form holds both
+    antisymmetric modules in one term and refuses unequal coefficients.
+    """
+    right = rmatrix._intertwiner_coefficients
+
+    def wrong(c, lam):
+        diag, block = right(c, lam)
+        if isinstance(target[0], str):
+            diag = {**diag, **{role: diag[role] * (1.0 + 1e-6) for role in target}}
+        else:
+            block = block.copy()
+            block[target] *= 1.0 + 1e-6
+        return diag, block
+
+    monkeypatch.setattr(rmatrix, "_intertwiner_coefficients", wrong)
+    for r0, r1 in intertwining_residual(algebra.rep(n), _ORACLE_LAMS[:2]):
+        assert r0 <= 1e-12
+        assert r1 > 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_level1_covariance_catches_a_non_covariant_quartic_part(algebra, monkeypatch, n):
+    """T(x) plus eps x_{1,n-1} 1 is linear in x but not covariant: level1-covariance fails.
+
+    J at (0, lam) and at (lam, 0) shift by the same multiple of 1, which
+    commutes with I(lam), so the intertwining checks cannot see it.  The
+    entry (1, n-1) is the one [e_{n,n-1}, e_1n] = -e_{1,n-1} carries.
+    """
+    rep = algebra.rep(n)
+    assert level1_covariance_residual(rep) <= 1e-12
+    right = yangian_action.quartic_part
+    eps = 1e-6
+
+    def wrong(rep, x):
+        return right(rep, x) + eps * x[0, n - 2] * np.eye(rep.dim)
+
+    monkeypatch.setattr(yangian_action, "quartic_part", wrong)
+    assert level1_covariance_residual(rep) > 1e-8
+    for r0, r1 in intertwining_residual(rep, _ORACLE_LAMS[:1]):
+        assert max(r0, r1) <= 1e-12
 
 
 def test_coefficient_closed_forms():
@@ -541,6 +624,15 @@ def test_intertwining_probes_su6(algebra):
     rep = algebra.rep(6)
     [(res0, res1)] = intertwining_residual(rep, [0.37 - 0.52j], probes=2, rng=np.random.default_rng(5))
     assert res0 <= 1e-8 and res1 <= 1e-8
+
+
+def test_intertwining_probes_catch_wrong_block_su6(algebra, monkeypatch):
+    """The probes on the generating set see N(lam) in place of M(lam) at level 1 only."""
+    rep = algebra.rep(6)
+    right = CoefficientSet.M
+    monkeypatch.setattr(CoefficientSet, "M", lambda self, lam: right(self, lam) @ np.diag([1.0, -1.0]))
+    [(res0, res1)] = intertwining_residual(rep, [0.37 - 0.52j], probes=2, rng=np.random.default_rng(5))
+    assert res0 <= 1e-8 < res1
 
 
 def test_operator_form_refuses_unequal_antisymmetric_coefficients(algebra):
