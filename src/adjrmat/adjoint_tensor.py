@@ -615,11 +615,17 @@ class PairFrame:
         """The sector blocks of the term ``name`` of :data:`TERMS`, one (S, d, d) stack per size."""
         return [t[TERMS.index(name)] for t in self.terms]
 
+    @cached_property
+    def places(self) -> list[tuple[int, int]]:
+        """Where each sector of ``chain`` sits in ``sectors``: (g, r) such that blocks[g][r] is its block."""
+        where = {first: (g, r) for g, states in enumerate(self.sectors)
+                 for r, first in enumerate(states[:, 0].tolist())}
+        return [where[int(idx[0])] for idx in self.chain.blocks]
+
     def sector_terms(self, w: int) -> np.ndarray:
         """The (len(TERMS), d, d) term blocks of sector ``w`` of ``chain``."""
-        idx = self.chain.blocks[w]
-        g = next(g for g, states in enumerate(self.sectors) if states.shape[1] == len(idx))
-        return self.terms[g][:, np.flatnonzero(self.sectors[g][:, 0] == idx[0])[0]]
+        g, r = self.places[w]
+        return self.terms[g][:, r]
 
     def combine(self, coefficients) -> list[np.ndarray]:
         """The sector blocks of sum_t coefficients[t] TERMS[t], one (S, d, d) stack per size."""

@@ -204,7 +204,7 @@ def suite_intertwiner(ctx: _Context) -> list[dict]:
         checks.append(_check("intertwiner-inversion", inversion_residual(rep, lam), 1e-8,
                              params={"lambda": _cpair(lam)}))
     lams = sample_spectral_parameters(rng, n, count)
-    residuals = intertwining_residual(rep, lams, rng=rng)
+    residuals = intertwining_residual(rep, lams)
     chevalley, top = generating_set(n)  # (i, j) of the matrix units e_ij
     for lam, (worst0, worst1) in zip(lams, residuals):
         checks.append(_check("intertwining-level0", worst0, 1e-8,

@@ -235,23 +235,29 @@ class WeightChain:
             pos[idx] = np.arange(len(idx))
         return on_site, m ** np.arange(sites - 1, -1, -1), pos
 
-    def shift_blocks(self, x: np.ndarray, alpha: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+    def on_shift(self, alpha: np.ndarray) -> np.ndarray:
+        """The (m, m) mask of the single-site entries (c, a) with weights[c] - weights[a] = ``alpha``."""
+        return np.all(self.weights[:, None] - self.weights[None, :] == alpha, axis=2)
+
+    def shift_blocks(self, x: np.ndarray, alpha: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+                     sites: tuple[int, ...] | None = None):
         """The sector blocks of sum_s x_s, for a single-site x that shifts weight by ``alpha``.
 
-        ``x`` is an m x m operator in weight coordinates and x_s acts as x on
-        site s.  Sector W goes to sector W + alpha, so sum_s x_s is a list of
-        (source sector, target sector, block) triples, in source sector
-        order; sectors whose image is empty are left out.  An entry of x
-        above ``tol.abs_tol`` that does not shift weight by alpha means the
-        frame is wrong, and raises ``AssertionError``.
+        ``x`` is an m x m operator in weight coordinates, x_s acts as x on
+        site s, and s runs over ``sites`` (every site by default).  Sector W
+        goes to sector W + alpha, so sum_s x_s is a list of (source sector,
+        target sector, block) triples, in source sector order; sectors whose
+        image is empty are left out.  An entry of x above ``tol.abs_tol``
+        that does not shift weight by alpha means the frame is wrong, and
+        raises ``AssertionError``.
         """
-        on_shift = np.all(self.weights[:, None] - self.weights[None, :] == alpha, axis=2)
+        on_shift = self.on_shift(alpha)
         stray = max_abs(x[~on_shift])
         if stray > tol.abs_tol:
             raise AssertionError(f"single-site operator leaves its weight shift ({stray:.3e})")
         on_site, strides, pos = self._site_tables
         src, dst, vals = [], [], []
-        for s in range(self.sites):
+        for s in range(self.sites) if sites is None else sites:
             for c, a in np.argwhere(on_shift):  # site s goes from a to c
                 src.append(on_site[s][a])
                 dst.append(on_site[s][a] + (c - a) * strides[s])
@@ -260,15 +266,15 @@ class WeightChain:
         order = np.argsort(self.label[src], kind="stable")  # grouped by source sector
         src, dst, vals = src[order], dst[order], vals[order]
         starts = np.flatnonzero(np.diff(self.label[src], prepend=-1))
-        ends = np.append(starts[1:], len(src))
-        rows, cols = pos[dst], pos[src]
-        out = []
-        for k, t, lo, hi in zip(self.label[src[starts]].tolist(), self.label[dst[starts]].tolist(),
-                                starts.tolist(), ends.tolist()):
-            block = np.zeros((len(self.blocks[t]), len(self.blocks[k])), dtype=complex)
-            block[rows[lo:hi], cols[lo:hi]] = vals[lo:hi]
-            out.append((k, t, block))
-        return out
+        ks, ts = self.label[src[starts]], self.label[dst[starts]]
+        sizes = np.bincount(self.label)
+        rows, cols = sizes[ts], sizes[ks]
+        begin = np.cumsum(rows * cols) - rows * cols
+        group = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(src))))
+        flat = np.zeros(begin[-1] + rows[-1] * cols[-1], dtype=complex)  # every block is a view of it
+        flat[begin[group] + pos[dst] * cols[group] + pos[src]] = vals
+        return [(k, t, flat[b : b + r * c].reshape(r, c))
+                for k, t, b, r, c in zip(*(v.tolist() for v in (ks, ts, begin, rows, cols)))]
 
     def split(self, op_w: np.ndarray) -> tuple[list[np.ndarray], float]:
         """The diagonal sector blocks of ``op_w`` and the Frobenius norm of everything outside them.

@@ -23,9 +23,9 @@ Pi+, a rank-2m part and the singlet (:class:`PairOperator`), built from
 ``rep.frame`` alone, so the builders and the checks that only apply them take
 an :class:`AdjointRep`.  Each acts through its weight-sector blocks, a
 combination of the term blocks of the frame, on one path at every n: the
-probes apply them, and ``r-at-zero-is-swap``, the inversion and the
-asymptotic check compare them, exactly over every column and without
-forming a D x D matrix; :func:`build_R` and the
+probes apply them, and ``r-at-zero-is-swap``, the inversion, the
+asymptotic check and the Yangian checks compare them, exactly over every
+column and without forming a D x D matrix; :func:`build_R` and the
 other ``build_*`` functions return its :meth:`PairOperator.dense`.  Only one
 oracle reads the submodules of a :class:`Decomposition`: the projector-sum
 assembly, applied to a block of columns as sum_r c_r B_r (B_r^dagger v)
@@ -39,7 +39,8 @@ level-1 action on the highest-weight vectors and takes an
 intertwines the Yangian action on a generating set: level 0 on the
 Chevalley generators and level 1 on the highest root vector e_1n alone,
 which is enough because the level-1 action is covariant
-(:func:`level1_covariance_residual`, the ``level1-covariance`` check).
+(:func:`level1_covariance_residual`); both read the shifted sector blocks
+of D(y) and of J(x) (:func:`yangian_action.level1_blocks`).
 
 The dense Yang-Baxter residual works in the weight frame of
 :func:`liealg.weight_chain`.  R(lam) is su(n)-invariant, so it conserves
@@ -62,17 +63,14 @@ from .adjoint_tensor import (
     AdjointRep,
     Decomposition,
     PairFrame,
-    ad_matrix,
-    apply_pair,
     apply_swap,
     highest_weight_vectors,
+    root_action,
     rotate_pair,
-    site_left,
-    site_right,
 )
 from .liealg import matrix_unit
 from .numerics import max_abs
-from .yangian_action import LevelOneAction
+from .yangian_action import LevelOneAction, level1_blocks
 
 __all__ = [
     "POLE_GUARD",
@@ -558,128 +556,92 @@ def _unit(rep: AdjointRep, ij: tuple[int, int]) -> np.ndarray:
     return matrix_unit(rep.basis, *ij, coords=False).matrix
 
 
+def _root(n: int, ij: tuple[int, int]) -> np.ndarray:
+    """The weight e_i - e_j of the matrix unit e_ij."""
+    e = np.eye(n, dtype=int)
+    return e[ij[0] - 1] - e[ij[1] - 1]
+
+
+def _delta_blocks(rep: AdjointRep, ij: tuple[int, int]) -> tuple[dict[int, tuple[int, np.ndarray]], float]:
+    """D(e_ij) in ``rep.weight_frame`` as source sector -> (target, block), and max(1, its max-abs).
+
+    No entry of D = ad e_ij (x) 1 + 1 (x) ad e_ij has a term from both sites: its max-abs is that of ad e_ij.
+    """
+    chain, alpha = rep.weight_frame, _root(rep.n, ij)
+    x = root_action(chain, alpha)
+    return {k: (t, b) for k, t, b in chain.shift_blocks(x, alpha)}, max(1.0, max_abs(x))
+
+
 def level1_covariance_residual(rep: AdjointRep) -> float:
-    """Worst relative residual of [D(y), J(x0)] = J([y, x0]) on a probe block, over the Chevalley y.
+    """Worst relative residual of [D(y), J(x0)] = J([y, x0]) over the Chevalley y, on the sector blocks.
 
     x0 = e_1n, D(y) = ad y (x) 1 + 1 (x) ad y, and J is the level-1 action at
-    spectral parameters :data:`_COVARIANCE_AT`.  Both sides are applied to
-    the random unit columns V of :func:`_probe_block` (a generator of its
-    own); the residual for y is max_abs([D(y), J(x0)] V - J([y, x0]) V) /
-    max(1, max_abs(J([y, x0]) V)).  This covariance is the premise on which
-    :func:`intertwining_residual` checks level 1 on x0 alone.
+    :data:`_COVARIANCE_AT`.  Each term maps sector W of ``rep.weight_frame``
+    to W + alpha + theta (alpha, theta the weights of y, x0).  Per y: max-abs
+    of D(y) J(x0) - J(x0) D(y) - J([y, x0]) over max(1, max-abs J([y, x0])),
+    at least the floors of both J (:func:`level1_blocks`).
     """
     chevalley, top = generating_set(rep.n)
-    v = _probe_block(rep.dim**2)
-    x0 = _unit(rep, top)
-    j = LevelOneAction(rep, x0, *_COVARIANCE_AT)
-    jv = j.apply(v)
-    worst = 0.0
+    x0, theta = _unit(rep, top), _root(rep.n, top)
+    mu, lam = _COVARIANCE_AT
+
+    def action(x, beta):  # the blocks of J(x) at _COVARIANCE_AT, and their floor
+        blocks, floor = level1_blocks(rep, x, beta)
+        return {k: (t, mu * s[0] + lam * s[1] + s[2]) for k, (t, s) in blocks.items()}, floor
+
+    j, worst = action(x0, theta)
     for ij in chevalley:
         y = _unit(rep, ij)
-        a = ad_matrix(rep.basis, y)
-        gap = apply_pair(a, jv) - j.apply(apply_pair(a, v))
         comm = y @ x0 - x0 @ y  # zero but for y = e_21 and e_{n,n-1}, and J(0) = 0
-        rhs = LevelOneAction(rep, comm, *_COVARIANCE_AT).apply(v) if comm.any() else 0.0
-        worst = max(worst, max_abs(gap - rhs) / max(1.0, max_abs(rhs)))
+        rhs, floor = action(comm, _root(rep.n, ij) + theta) if comm.any() else ({}, 0.0)
+        gap = {k: -b for k, (_, b) in rhs.items()}
+        d, _ = _delta_blocks(rep, ij)
+        for sign, second, first in ((1.0, d, j), (-1.0, j, d)):  # D(y) J(x0), then J(x0) D(y)
+            for k, (t, b) in first.items():
+                if t in second:
+                    gap[k] = gap.get(k, 0.0) + sign * (second[t][1] @ b)
+        peak = max((np.abs(g).max() for g in gap.values()), default=0.0)
+        scale = max((np.abs(b).max() for _, b in rhs.values()), default=0.0)
+        worst = max(worst, floor, float(peak / max(1.0, scale)))
     return worst
 
 
-def intertwining_residual(
-    rep: AdjointRep,
-    lams,
-    probes: int = 5,
-    rng: np.random.Generator | None = None,
-) -> list[tuple[float, float]]:
+def intertwining_residual(rep: AdjointRep, lams) -> list[tuple[float, float]]:
     """Worst relative residuals of the level-0 and level-1 intertwining relations, per lam.
 
     Checks I(lam) D(y) = D(y) I(lam) for the Chevalley generators y
-    (:func:`generating_set`) and I(lam) J(x0)_{0,lam} = J(x0)_{lam,0} I(lam)
-    for the highest root vector x0 = e_1n, and returns one (level-0, level-1)
-    pair per spectral parameter in ``lams``: the largest over the y of
+    (:func:`generating_set`) and I(lam) J_0 = J_1 I(lam) for J(x0) at (0, lam)
+    and at (lam, 0), x0 = e_1n.  Per lam it returns the largest over the y of
     max_abs(I D - D I) / max(1, max_abs(D)), and max_abs(I J_0 - J_1 I) /
-    max(1, max_abs(J_0)).
-
-    This generating set gives both relations for every x in su(n).  The y
-    generate su(n) and D is a Lie homomorphism, so level 0 holds for all x.
-    J is covariant, [D(y), J(x)] = J([y, x]) (:func:`level1_covariance_residual`),
-    so once level 0 holds, I J_0(x) = J_1(x) I gives I J_0([y, x]) =
-    [D(y), I J_0(x)] = J_1([y, x]) I, and the commutators with the y reach
-    every x from x0.
-
-    Up to n = 5 the commutators are formed densely, one I(lam) at a time
-    (:func:`_dense_generating_set`).  Larger ranks apply the operator form of
-    I(lam) to ``probes`` random unit columns per lam, drawn lam by lam (same
-    contract, sampled, with each column's residual relative to max(1, its
-    norm of I D v or I J_0 v)).
+    max(1, max_abs(J_0)), at least the floor of J(x0) (:func:`level1_blocks`).
+    The y generate su(n) and D is a Lie homomorphism, so level 0 holds for all
+    x.  J is covariant (:func:`level1_covariance_residual`), so I J_0([y, x])
+    = [D(y), I J_0(x)] = J_1([y, x]) I, and the commutators reach every x from x0.
+    Every max-abs is read in ``rep.weight_frame``, where I(lam) is block-diagonal
+    and D(y), J(x0) map sector W to W + (the weight of y or x0): each residual
+    is exact, a sector at a time.
     """
-    lams = [complex(z) for z in lams]
+    lams = np.asarray(lams, dtype=complex)
+    if not lams.size:
+        return []
     chevalley, top = generating_set(rep.n)
-    ads = [ad_matrix(rep.basis, _unit(rep, ij)) for ij in chevalley]
-    x0 = _unit(rep, top)
-    if rep.dim <= 24:  # n <= 5: dense operators stay small
-        return _dense_generating_set(rep, ads, x0, lams)
-    D = rep.dim**2
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
-    out = []
-    for lam in lams:
-        op = intertwiner_op(rep, lam)
-        j0, j1 = LevelOneAction(rep, x0, 0.0, lam), LevelOneAction(rep, x0, lam, 0.0)
-        v = rng.standard_normal((D, probes)) + 1j * rng.standard_normal((D, probes))
-        v /= np.linalg.norm(v, axis=0)
-        iv = op.apply(v)
-        res0 = max(_column_gap(op.apply(apply_pair(a, v)), apply_pair(a, iv)) for a in ads)
-        out.append((res0, _column_gap(op.apply(j0.apply(v)), j1.apply(iv))))
-    return out
-
-
-def _column_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """The largest column norm of lhs - rhs, each over max(1, the norm of that column of lhs)."""
-    gaps = np.linalg.norm(lhs - rhs, axis=0) / np.maximum(1.0, np.linalg.norm(lhs, axis=0))
-    return float(np.max(gaps, initial=0.0))
-
-
-def _dense_generating_set(rep: AdjointRep, ads: list[np.ndarray], x0: np.ndarray, lams: list[complex]):
-    """The dense residuals of :func:`intertwining_residual`, using linearity in lam.
-
-    With a = ad(x0), T = T(x0) and K = T (x) 1 + 1 (x) T + (1/2)[a (x) 1, Omega_op],
-    the level-1 actions are J_0 = lam (1 (x) a) + K and J_1 = lam (a (x) 1) + K, so
-
-        I J_0 - J_1 I = lam (I (1 (x) a) - (a (x) 1) I) + (I K - K I).
-
-    K is built once, and every product with a one-site factor is an m x m
-    matmul (:func:`site_left`, :func:`site_right`); I K and K I are the
-    only D^3 products, two per lam.
-    """
-    eye = np.eye(rep.dim)
-    scales = [max(1.0, max_abs(np.kron(y, eye) + np.kron(eye, y))) for y in ads]
-    j = LevelOneAction(rep, x0, 0.0, 0.0)
-    a = j.ad_x
-    one_a = np.kron(eye, a)
-    omega = rep.frame.dense_omega()
-    k = site_left(a, omega, 0)
-    k -= site_right(omega, a, 0)
-    k *= 0.5
-    del omega
-    k += np.kron(j.quartic, eye) + np.kron(eye, j.quartic)
-    out = []
-    for lam in lams:
-        i_lam = build_intertwiner(rep, lam)
-        res0 = max(max_abs(_delta_commutator(i_lam, y)) / s for y, s in zip(ads, scales))
-        c = i_lam @ k
-        c -= k @ i_lam
-        c += lam * (site_right(i_lam, a, 1) - site_left(a, i_lam, 0))
-        out.append((res0, max_abs(c) / max(1.0, max_abs(k + lam * one_a))))
-    return out
-
-
-def _delta_commutator(i: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """[I, a (x) 1 + 1 (x) a] for a dense two-site I, four m x m matmuls over its rows or columns."""
-    c = site_right(i, a, 0)
-    c += site_right(i, a, 1)
-    c -= site_left(a, i, 0)
-    c -= site_left(a, i, 1)
-    return c
+    # the block of I(lam) on sector W, stacked over the lams
+    stacks = [np.stack(per, axis=1) for per in zip(*(intertwiner_op(rep, z).blocks for z in lams))]
+    i_w = [stacks[g][r] for g, r in rep.frame.places]
+    res0 = []
+    for ij in chevalley:
+        d, scale = _delta_blocks(rep, ij)
+        gaps = [np.abs(i_w[t] @ b - b @ i_w[k]).max(axis=(1, 2)) for k, (t, b) in d.items()]
+        res0.append(np.max(gaps, axis=0) / scale)
+    res0 = np.max(res0, axis=0)
+    blocks, floor = level1_blocks(rep, _unit(rep, top), _root(rep.n, top))
+    lam = lams[:, None, None]
+    res1, scale1 = np.zeros(len(lams)), np.ones(len(lams))
+    for k, (t, (a, b, kk)) in blocks.items():  # J(x0) at (mu, lam) is mu a + lam b + kk
+        gap = i_w[t] @ kk - kk @ i_w[k] + lam * (i_w[t] @ b - a @ i_w[k])
+        res1 = np.maximum(res1, np.abs(gap).max(axis=(1, 2)))
+        scale1 = np.maximum(scale1, np.abs(lam * b + kk).max(axis=(1, 2)))
+    return [(float(r0), max(float(r1), floor)) for r0, r1 in zip(res0, res1 / scale1)]
 
 
 # ---------------------------------------------------------------------------

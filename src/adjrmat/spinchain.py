@@ -27,8 +27,8 @@ and t_w(lam) (:func:`weight_transfer`) the ring of the rotated R.  Every
 chain check goes one total-weight sector at a time: the spectrum
 (:func:`sector_spectrum`, in real arithmetic, as the two-site one), the
 transfer commutators (:func:`sector_commutator`) and the su(n) invariance of
-H (:func:`global_symmetry_residual`, over the weight basis of su(n)).  No
-m^L x m^L matrix product is formed.
+H (:func:`global_symmetry_residual`, on the Cartan and Chevalley
+generators).  No m^L x m^L matrix product is formed.
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ from .rmatrix import (
     CoefficientSet,
     _assemble_apply,
     _probe_block,
+    _root,
     _swap_perm,
     build_R,
+    generating_set,
     operator_form,
 )
 
@@ -364,8 +366,10 @@ def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
     """Largest normalized commutator of a chain H with the diagonal action of su(n).
 
     ``h_w`` is H in the product weight basis of ``chain``.  Returns the max
-    over x in the weight basis of su(n) (x) C of max_abs([H_w, sum_s
-    ad_s(x)]) / max(1, max_abs(H_w)), where ad_s(x) acts on site s:
+    over the Cartan and Chevalley generators x (:func:`rmatrix.generating_set`)
+    of max_abs([H_w, sum_s ad_s(x)]) / max(1, max_abs(H_w)), where ad_s(x)
+    acts on site s; they generate su(n) and x -> sum_s ad_s(x) is a Lie
+    homomorphism, so this covers all of su(n):
     - for a Cartan generator H_k, sum_s ad_s(H_k) is diagonal, the charge
       diag(H_k) . W of each state's total weight W, so the commutator is
       each entry of H_w times the charge difference of its column and row.
@@ -374,10 +378,9 @@ def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
       alpha = e_i - e_j, so the commutator is H_{W+alpha} X - X H_W, one
       sector pair at a time, with the blocks X of
       :meth:`WeightChain.shift_blocks` (which raises if the frame is wrong).
-    For an H that conserves weight this is the maximum over the dense
-    Kronecker sums up to roundoff.  Otherwise the root terms see only the
-    sector blocks of H_w, and the Cartan terms carry what lies outside them.
-    Nothing of the size of H is allocated besides row blocks.
+    For an H that conserves weight this is the dense Kronecker-sum maximum
+    up to roundoff; otherwise the root terms see the sector blocks of H_w and
+    the Cartan terms the rest.  Only row blocks of H are allocated.
     """
     basis, sites, blocks = chain.basis, chain.sites, chain.blocks
     n, m = basis.n, basis.dim
@@ -395,7 +398,7 @@ def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
         # max over the H_k of |H_ab| |charge_k(b) - charge_k(a)|, the charge spread taken first
         spread = np.max(np.abs(charge - charge[idx[0]]), axis=1)
         worst = max(worst, max_abs(np.abs(rows) * spread))
-    for alpha in chain.weights[:roots]:
+    for alpha in (_root(n, ij) for ij in generating_set(n)[0]):
         for k, t, x in chain.shift_blocks(root_action(chain, alpha), alpha):
             worst = max(worst, max_abs(diag[t] @ x - x @ diag[k]))
     return worst / max(1.0, max_abs(h_w))

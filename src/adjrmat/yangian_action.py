@@ -12,10 +12,11 @@ matrix products.
 
 On vectors (:meth:`LevelOneAction.apply`) the site factors are m x m
 matmuls and Omega_op acts through its weight-sector blocks in ``rep.frame``.
-The dense D x D forms (:meth:`LevelOneAction.dense`, :func:`level1_action`,
-:func:`delta_action`) are test oracles: the tests run the intertwining
-relations with them over every generator, against the generating-set checks
-of :func:`rmatrix.intertwining_residual`.  No command builds them.
+For a root vector x of weight beta the action is a set of sector blocks of
+the two-site weight frame, from W to W + beta (:func:`level1_blocks`); the
+intertwining and covariance checks of :mod:`rmatrix` read them.  The dense
+D x D forms (:func:`level1_action`, :func:`delta_action`) are test oracles,
+run over every generator against those checks.  No command builds them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adjoint_tensor import (
+    TERMS,
     AdjointRep,
     HighestWeight,
     ad_matrix,
@@ -32,10 +34,11 @@ from .adjoint_tensor import (
     site_left,
 )
 from .liealg import matrix_unit
-from .numerics import DEFAULT_TOL, kron
+from .numerics import DEFAULT_TOL, kron, max_abs
 
 __all__ = [
     "LevelOneAction",
+    "level1_blocks",
     "level1_action",
     "delta_action",
     "quartic_part",
@@ -79,20 +82,39 @@ class LevelOneAction:
         out += 0.5 * (site_left(self.ad_x, omega(v), 0) - omega(site_left(self.ad_x, v, 0)))
         return out
 
-    def dense(self) -> np.ndarray:
-        """Materialize the action as a dense matrix on the two-site space."""
-        m = self.rep.dim
-        eye = np.eye(m)
-        x1 = self.mu * self.ad_x + self.quartic
-        x2 = self.lam * self.ad_x + self.quartic
-        omega = casimir_op(self.rep)
-        left = kron(self.ad_x, eye)
-        return kron(x1, eye) + kron(eye, x2) + 0.5 * (left @ omega - omega @ left)
+
+def level1_blocks(rep: AdjointRep, x: np.ndarray, beta: np.ndarray) -> tuple[dict, float]:
+    """The sector blocks of J(x) in ``rep.weight_frame`` for an x of root weight ``beta``, and their floor.
+
+    J(x) maps sector W to W + beta: the blocks are a dict W -> (W + beta, s),
+    s the (3, d', d) stack of a (x) 1, 1 (x) a and K = T (x) 1 + 1 (x) T +
+    (1/2)[a (x) 1, Omega_op], so that J(x) at (mu, lam) is mu s[0] + lam s[1]
+    + s[2].  a = ad(x) and T = T(x) are taken in weight coordinates; their
+    entries that do not shift weight by beta are left out, and the max-abs of
+    those is the floor.  That is the Cartan half of covariance, [D(h), J(x)]
+    = beta(h) J(x), and any check that reads the blocks must report it.
+    """
+    frame, chain = rep.frame, rep.weight_frame
+    mask = chain.on_shift(beta)
+    a, t = (chain.u @ y @ np.conj(chain.u).T for y in (ad_matrix(rep.basis, x), quartic_part(rep, x)))
+    floor = max(max_abs(a[~mask]), max_abs(t[~mask]))
+    a, t = np.where(mask, a, 0.0), np.where(mask, t, 0.0)
+    left, right = ({k: b for k, _, b in chain.shift_blocks(a, beta, sites=(s,))} for s in (0, 1))
+    omega = TERMS.index("omega")
+    blocks = {}
+    for k, tgt, t_w in chain.shift_blocks(t, beta):
+        a1, a2 = (side.get(k, 0.0 * t_w) for side in (left, right))
+        k_w = t_w + 0.5 * (a1 @ frame.sector_terms(k)[omega] - frame.sector_terms(tgt)[omega] @ a1)
+        blocks[k] = (tgt, np.stack([a1, a2, k_w]))
+    return blocks, float(floor)
 
 
 def level1_action(rep: AdjointRep, x: np.ndarray, mu: complex, lam: complex) -> np.ndarray:
     """Dense two-site action of the level-1 generator attached to x."""
-    return LevelOneAction(rep, x, mu, lam).dense()
+    j, eye = LevelOneAction(rep, x, mu, lam), np.eye(rep.dim)
+    omega, left = casimir_op(rep), kron(j.ad_x, eye)
+    sites = kron(j.mu * j.ad_x + j.quartic, eye) + kron(eye, j.lam * j.ad_x + j.quartic)
+    return sites + 0.5 * (left @ omega - omega @ left)
 
 
 def delta_action(rep: AdjointRep, x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adjrmat import cli, jsonio, spinchain, yangian_action
+from adjrmat import adjoint_tensor, cli, jsonio, rmatrix, spinchain, yangian_action
 from adjrmat.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -317,21 +317,23 @@ def test_rmatrix_and_hamiltonian_commands_build_no_decomposition(tmp_path, monke
 
 
 def test_intertwiner_checks_build_no_dense_level1_action(tmp_path, monkeypatch):
-    """The dense intertwining checks use linearity in lambda, not the dense actions of the tests' oracle."""
+    """No suite builds the dense actions of the tests' oracle, and the intertwiner suite
+    forms no dense two-site operator at all: no I(lam), no Omega_op."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a dense level-0 or level-1 action was built")
+        raise AssertionError("a dense two-site operator was built")
 
     monkeypatch.setattr(yangian_action, "level1_action", refuse)
     monkeypatch.setattr(yangian_action, "delta_action", refuse)
-    monkeypatch.setattr(yangian_action.LevelOneAction, "dense", refuse)
+    code, payload = run(tmp_path, "verify", "all", "--n", "3", "--seed", "42")
+    assert code == 0
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS
+    monkeypatch.setattr(rmatrix.PairOperator, "dense", refuse)
+    monkeypatch.setattr(adjoint_tensor.PairFrame, "dense_omega", refuse)
     code, payload = run(tmp_path, "verify", "intertwiner", "--n", "4")
     assert code == 0
     # the intertwiner suite's ids, which lead the n = 3 list
     assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[:17]
-    code, payload = run(tmp_path, "verify", "all", "--n", "3", "--seed", "42")
-    assert code == 0
-    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS
 
 
 def test_wrong_h_table_fails_only_its_check(tmp_path, monkeypatch):

@@ -218,24 +218,33 @@ def test_weight_chain_blocks_are_the_pair_and_triple_groupings(algebra, n):
         assert np.array_equal(chain.sector_weights, [total[idx[0]] for idx in want])
 
 
+def _rebuilt(chain, x, alpha, sites=None):
+    """The dense operator on the states of ``chain`` assembled from ``shift_blocks``."""
+    out = np.zeros((len(chain.label),) * 2, dtype=complex)
+    for k, t, block in chain.shift_blocks(x, alpha, sites=sites):
+        assert np.array_equal(chain.sector_weights[t], chain.sector_weights[k] + alpha)
+        out[np.ix_(chain.blocks[t], chain.blocks[k])] = block
+    return out
+
+
 def test_shift_blocks_match_dense_kronecker_sums(algebra):
-    """At n = 3, L = 3, the sector blocks of every root rebuild the rotated sum_s ad_s(e_alpha)."""
+    """At n = 3 the sector blocks of every root rebuild the rotated sum_s ad_s(e_alpha) at L = 3,
+    and at L = 2 the blocks of ``sites=(0,)`` and ``(1,)`` rebuild x (x) 1 and 1 (x) x."""
     basis = algebra.basis(3)
     m, sites = basis.dim, 3
-    chain = weight_chain(basis, sites)
+    chain, pair = weight_chain(basis, sites), weight_chain(basis, 2)
     u = chain.u
     units = np.einsum("ba,aij->bij", np.conj(u), basis.generators)  # the weight basis B_b
     roots = m - (basis.n - 1)
+    eye = np.eye(m)
     for unit, alpha in zip(units[:roots], chain.weights[:roots]):
         x = u @ ad_matrix(basis, unit) @ np.conj(u).T
         assert np.max(np.abs(root_action(chain, alpha) - x)) <= 1e-14
         total = sum(np.kron(np.kron(np.eye(m**s), x), np.eye(m ** (sites - 1 - s)))
                     for s in range(sites))
-        rebuilt = np.zeros_like(total)
-        for k, t, block in chain.shift_blocks(x, alpha):
-            assert np.array_equal(chain.sector_weights[t], chain.sector_weights[k] + alpha)
-            rebuilt[np.ix_(chain.blocks[t], chain.blocks[k])] = block
-        assert np.max(np.abs(rebuilt - total)) <= 1e-14
+        assert np.max(np.abs(_rebuilt(chain, x, alpha) - total)) <= 1e-14
+        assert np.max(np.abs(_rebuilt(pair, x, alpha, sites=(0,)) - np.kron(x, eye))) <= 1e-14
+        assert np.max(np.abs(_rebuilt(pair, x, alpha, sites=(1,)) - np.kron(eye, x))) <= 1e-14
 
 
 def test_a_frame_with_swapped_weights_is_refused(algebra, monkeypatch):

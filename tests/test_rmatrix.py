@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import TERMS, adjoint_rep, casimir_op
+from adjrmat.adjoint_tensor import TERMS, adjoint_rep, casimir_op, rotate_pair
 from adjrmat.spinchain import local_h
 from adjrmat.liealg import matrix_unit, weight_basis
 from adjrmat.numerics import DEFAULT_TOL, max_abs
@@ -98,12 +98,38 @@ def _intertwining_oracle(rep, xs, lams):
 
 
 def _generating_set_oracle(rep, lams):
-    """The retired dense path on the generating set: level 0 on the Chevalley generators, level 1 on e_1n."""
+    """The dense generating-set commutators, rotated into ``rep.weight_frame`` by rotate_pair.
+
+    Per lam: level 0 on the Chevalley generators y, the largest max_abs([I,
+    D(y)]_w) / max(1, max_abs(D(y)_w)); level 1 on e_1n, max_abs((I J_0 - J_1
+    I)_w) / max(1, max_abs(J_0,w)); and the largest entry of any of these
+    commutators outside the sector pairs (W + alpha, W) that the block
+    checks read, alpha the weight of the generator.
+    """
+    chain = rep.weight_frame
+    pair_w = chain.sector_weights[chain.label]
     chevalley, top = generating_set(rep.n)
-    level0 = [matrix_unit(rep.basis, *ij, coords=False).matrix for ij in chevalley]
-    level1 = [matrix_unit(rep.basis, *top, coords=False).matrix]
-    return [(r0, r1) for (r0, _), (_, r1) in zip(_intertwining_oracle(rep, level0, lams),
-                                                 _intertwining_oracle(rep, level1, lams))]
+
+    def rotated(a):
+        return rotate_pair(chain.u, a)
+
+    def off_blocks(c, ij):
+        return max_abs(c[~np.all(pair_w[:, None] - pair_w[None, :] == rmatrix._root(rep.n, ij), axis=2)])
+
+    out = []
+    for lam in lams:
+        i_lam = build_intertwiner(rep, lam)
+        res0 = stray = 0.0
+        for ij in chevalley:
+            d_op = delta_action(rep, matrix_unit(rep.basis, *ij, coords=False).matrix)
+            c = rotated(i_lam @ d_op - d_op @ i_lam)
+            res0 = max(res0, max_abs(c) / max(1.0, max_abs(rotated(d_op))))
+            stray = max(stray, off_blocks(c, ij))
+        x0 = matrix_unit(rep.basis, *top, coords=False).matrix
+        j0, j1 = level1_action(rep, x0, 0.0, lam), level1_action(rep, x0, lam, 0.0)
+        c = rotated(i_lam @ j0 - j1 @ i_lam)
+        out.append((res0, max_abs(c) / max(1.0, max_abs(rotated(j0))), max(stray, off_blocks(c, top))))
+    return out
 
 
 # the last one lies near the edge |lam| = SAMPLE_RADIUS of the sampling disk
@@ -125,35 +151,42 @@ def test_dense_intertwining_matches_retired_path(algebra, n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_generating_set_agrees_with_all_generators(algebra, n):
     """The generating-set residuals and the all-generator oracle both pass; below n = 5 the
-    generating-set values equal the retired dense path run on that set."""
+    block values equal the dense generating-set commutators rotated into the weight frame,
+    and those vanish outside the sector pairs that the blocks hold."""
     rep = algebra.rep(n)
     got = intertwining_residual(rep, _ORACLE_LAMS)
     assert len(got) == len(_ORACLE_LAMS)
     assert max(map(max, got)) <= 1e-8
     assert max(map(max, all_generator_intertwining(rep, _ORACLE_LAMS))) <= 1e-8
     if n < 5:
-        for pair, oracle in zip(got, _generating_set_oracle(rep, _ORACLE_LAMS)):
-            assert max(abs(g - w) for g, w in zip(pair, oracle)) <= 1e-13
+        for (r0, r1), (want0, want1, stray) in zip(got, _generating_set_oracle(rep, _ORACLE_LAMS)):
+            assert abs(r0 - want0) <= 1e-13 and abs(r1 - want1) <= 1e-13
+            assert stray <= 1e-13
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 6])
 def test_intertwining_level1_catches_wrong_block(algebra, monkeypatch, n):
-    """Any 2x2 block keeps I(lam) invariant, so only the level-1 relation sees N(lam) in place of M(lam)."""
+    """Any 2x2 block keeps I(lam) invariant, so only the level-1 relation sees N(lam) in place of M(lam).
+
+    Below n = 5 the block value equals the rotated dense oracle.
+    """
     rep = algebra.rep(n)
     right = CoefficientSet.M
     monkeypatch.setattr(CoefficientSet, "M", lambda self, lam: right(self, lam) @ np.diag([1.0, -1.0]))
     lams = _ORACLE_LAMS[:2]
     got = intertwining_residual(rep, lams)
-    for (r0, r1), (_, oracle1) in zip(got, _generating_set_oracle(rep, lams)):
-        assert r0 <= 1e-8
-        assert r1 > 1e-8
-        assert abs(r1 - oracle1) <= 1e-12 * oracle1
+    for r0, r1 in got:
+        assert r0 <= 1e-8 < r1
+    if n < 5:
+        for (_, r1), (_, oracle1, stray) in zip(got, _generating_set_oracle(rep, lams)):
+            assert abs(r1 - oracle1) <= 1e-12 * oracle1
+            assert stray <= 1e-13
 
 
 # the projector scalars that carry f1 = f2, f3 and f4, and the entries of M; n = 3 has no mixed_sym module
 _COEFFICIENT_ERRORS = [
     pytest.param(n, target, id=f"{name}-{n}")
-    for n in (3, 4, 5)
+    for n in (3, 4, 5, 6)
     for name, target in [("f1f2", ("anti_left", "anti_right")), ("f3", ("mixed_sym",)), ("f4", ("singlet",))]
     + [(f"M{i}{j}", (i, j)) for i in (0, 1) for j in (0, 1)]
     if (n, name) != (3, "f3")
@@ -184,13 +217,15 @@ def test_intertwining_level1_catches_a_coefficient_error(algebra, monkeypatch, n
         assert r1 > 1e-8
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_level1_covariance_catches_a_non_covariant_quartic_part(algebra, monkeypatch, n):
     """T(x) plus eps x_{1,n-1} 1 is linear in x but not covariant: level1-covariance fails.
 
     J at (0, lam) and at (lam, 0) shift by the same multiple of 1, which
     commutes with I(lam), so the intertwining checks cannot see it.  The
-    entry (1, n-1) is the one [e_{n,n-1}, e_1n] = -e_{1,n-1} carries.
+    entry (1, n-1) is the one [e_{n,n-1}, e_1n] = -e_{1,n-1} carries.  The
+    multiple of 1 does not shift weight, so it is read through the floor
+    of J([y, x0]): the residual is eps itself.
     """
     rep = algebra.rep(n)
     assert level1_covariance_residual(rep) <= 1e-12
@@ -201,7 +236,7 @@ def test_level1_covariance_catches_a_non_covariant_quartic_part(algebra, monkeyp
         return right(rep, x) + eps * x[0, n - 2] * np.eye(rep.dim)
 
     monkeypatch.setattr(yangian_action, "quartic_part", wrong)
-    assert level1_covariance_residual(rep) > 1e-8
+    assert abs(level1_covariance_residual(rep) - eps) <= 1e-12
     for r0, r1 in intertwining_residual(rep, _ORACLE_LAMS[:1]):
         assert max(r0, r1) <= 1e-12
 
@@ -619,20 +654,21 @@ def test_omega_from_f_matches_casimir_op(algebra, rng, n):
     assert np.max(np.abs(diff)) < 1e-14
 
 
-def test_intertwining_probes_su6(algebra):
-    """From n = 6 the intertwining relations are probed through the sector blocks of the frame."""
+def test_intertwining_blocks_su6(algebra):
+    """From n = 6 the checks run on the same sector blocks as below, with no probe columns drawn."""
     rep = algebra.rep(6)
-    [(res0, res1)] = intertwining_residual(rep, [0.37 - 0.52j], probes=2, rng=np.random.default_rng(5))
-    assert res0 <= 1e-8 and res1 <= 1e-8
+    got = intertwining_residual(rep, _ORACLE_LAMS)
+    assert len(got) == len(_ORACLE_LAMS)
+    assert max(map(max, got)) <= 1e-12
+    assert level1_covariance_residual(rep) <= 1e-12
 
 
-def test_intertwining_probes_catch_wrong_block_su6(algebra, monkeypatch):
-    """The probes on the generating set see N(lam) in place of M(lam) at level 1 only."""
-    rep = algebra.rep(6)
-    right = CoefficientSet.M
-    monkeypatch.setattr(CoefficientSet, "M", lambda self, lam: right(self, lam) @ np.diag([1.0, -1.0]))
-    [(res0, res1)] = intertwining_residual(rep, [0.37 - 0.52j], probes=2, rng=np.random.default_rng(5))
-    assert res0 <= 1e-8 < res1
+def test_intertwining_checks_form_no_dense_matrix(algebra):
+    """At n = 8 (D = 3969) both checks, the frame's term blocks included, peak far below one D x D array."""
+    rep = adjoint_rep(algebra.basis(8), validate=False)  # with a frame of its own
+    limit = 64 * 2**20  # one D x D complex array is 252 MB
+    assert traced_peak(intertwining_residual, rep, [0.37 - 0.52j]) < limit
+    assert traced_peak(level1_covariance_residual, rep) < limit
 
 
 def test_operator_form_refuses_unequal_antisymmetric_coefficients(algebra):

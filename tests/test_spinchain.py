@@ -8,7 +8,8 @@ from scipy.optimize import linear_sum_assignment
 from adjrmat.adjoint_tensor import ad_matrix, rotate_pair
 from adjrmat.liealg import weight_basis, weight_chain
 from adjrmat.numerics import eig_general
-from adjrmat.rmatrix import CoefficientSet, build_R, sample_ybe_pairs
+from adjrmat import rmatrix
+from adjrmat.rmatrix import CoefficientSet, build_R, generating_set, sample_ybe_pairs
 from adjrmat.spinchain import (
     _h_table_residual,
     chain_H,
@@ -354,13 +355,24 @@ def test_chain_global_symmetry(algebra, locals_cache):
         assert global_symmetry_residual(chain, weight_hamiltonian(chain, h)) <= 1e-13
 
 
+def _chevalley_rows(chain):
+    """The rows of :func:`_weight_commutators` that the residual reads: Chevalley roots, then the Cartan generators."""
+    n = chain.basis.n
+    roots = chain.basis.dim - (n - 1)
+    chevalley = [np.flatnonzero(np.all(chain.weights[:roots] == rmatrix._root(n, ij), axis=1))[0]
+                 for ij in generating_set(n)[0]]
+    return np.array(chevalley + list(range(roots, chain.basis.dim)))
+
+
 @pytest.mark.parametrize("sites", [2, 3])
 def test_global_symmetry_residual_matches_weight_kronecker_oracle(algebra, locals_cache, sites):
+    """The residual against the dense Kronecker sums of the Chevalley and Cartan generators."""
     basis = algebra.basis(3)
     chain = weight_chain(basis, sites)
+    rows = _chevalley_rows(chain)
     for h in (locals_cache(3), _weight_conserving_noise(basis, locals_cache(3), 7)):
         h_w = weight_hamiltonian(chain, h)
-        want = _weight_commutators(chain, h_w).max() / max(1.0, np.max(np.abs(h_w)))
+        want = _weight_commutators(chain, h_w)[rows].max() / max(1.0, np.max(np.abs(h_w)))
         assert abs(global_symmetry_residual(chain, h_w) - want) <= 1e-13
 
 
@@ -375,8 +387,9 @@ def test_global_symmetry_residual_reads_the_stray_through_the_cartan_generators(
     for idx in chain.blocks:
         inside[np.ix_(idx, idx)] = h_w[np.ix_(idx, idx)]
     roots = basis.dim - (basis.n - 1)
+    chevalley = _chevalley_rows(chain)[: 2 * (basis.n - 1)]
     want = max(_weight_commutators(chain, h_w)[roots:].max(),
-               _weight_commutators(chain, inside)[:roots].max())
+               _weight_commutators(chain, inside)[chevalley].max())
     got = global_symmetry_residual(chain, h_w) * max(1.0, np.max(np.abs(h_w)))
     assert want > 1e-4
     assert abs(got - want) <= 1e-13

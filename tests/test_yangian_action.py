@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import ad_matrix, apply_pair, highest_weight_vectors
+from adjrmat import rmatrix
+from adjrmat.adjoint_tensor import ad_matrix, apply_pair, highest_weight_vectors, rotate_pair
 from adjrmat.liealg import matrix_unit
 from adjrmat.rmatrix import generating_set
 from adjrmat.yangian_action import (
     LevelOneAction,
     delta_action,
     level1_action,
+    level1_blocks,
     verify_anticommutator_identity,
     verify_hw_relations,
     verify_singlet_double_action,
@@ -131,9 +133,30 @@ def test_dense_matches_matrix_free(algebra, rng):
     basis, rep = algebra.basis(3), algebra.rep(3)
     x = matrix_unit(basis, 1, 2, coords=False).matrix
     act = LevelOneAction(rep, x, 0.2 + 0.5j, -1.4)
-    dense = act.dense()
+    dense = level1_action(rep, x, 0.2 + 0.5j, -1.4)
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     assert np.linalg.norm(act.apply(v) - dense @ v) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_level1_blocks_rebuild_the_rotated_dense_action(algebra, n):
+    """The sector blocks of J(e_1n) at (mu, lam), placed in a D x D array, are the rotated dense action.
+
+    An x with a Cartan part has no single weight: that part is read as the floor.
+    """
+    rep = algebra.rep(n)
+    chain = rep.weight_frame
+    x = matrix_unit(rep.basis, 1, n, coords=False).matrix
+    beta = rmatrix._root(n, (1, n))
+    mu, lam = 0.4 - 0.9j, -1.2 + 0.3j
+    blocks, floor = level1_blocks(rep, x, beta)
+    rebuilt = np.zeros((rep.dim**2,) * 2, dtype=complex)
+    for k, (t, s) in blocks.items():
+        assert np.array_equal(chain.sector_weights[t], chain.sector_weights[k] + beta)
+        rebuilt[np.ix_(chain.blocks[t], chain.blocks[k])] = mu * s[0] + lam * s[1] + s[2]
+    assert np.max(np.abs(rebuilt - rotate_pair(chain.u, level1_action(rep, x, mu, lam)))) <= 1e-13
+    assert floor <= 1e-14
+    assert level1_blocks(rep, x + 0.3 * rep.basis.generators[-1], beta)[1] > 1e-2
 
 
 def test_apply_matches_kron_built_action_su6(algebra, rng):
