@@ -708,9 +708,7 @@ def _sector_columns(chain: WeightChain, xw: np.ndarray) -> tuple[list[tuple[int,
     cols = np.argsort(home, kind="stable")
     sectors, starts = np.unique(home[cols], return_index=True)
     ends = np.append(starts[1:], len(cols))
-    rows = xw[np.concatenate(chain.blocks)]  # grouped by sector, as the columns are below
-    edges = np.cumsum([0] + [len(idx) for idx in chain.blocks])
-    parts = [(w, rows[edges[w] : edges[w + 1]][:, cols[lo:hi]])
+    parts = [(w, xw[chain.blocks[w]][:, cols[lo:hi]])
              for w, lo, hi in zip(sectors.tolist(), starts.tolist(), ends.tolist())]
     return parts, off
 

@@ -23,10 +23,11 @@ Pi+, a rank-2m part and the singlet (:class:`PairOperator`), built from
 ``rep.frame`` alone, so the builders and the checks that only apply them take
 an :class:`AdjointRep`.  Each acts through its weight-sector blocks, a
 combination of the term blocks of the frame, on one path at every n: the
-probes apply them, and ``r-at-zero-is-swap``, the inversion, the
-asymptotic check and the Yangian checks compare them, exactly over every
-column and without forming a D x D matrix; :func:`build_R` and the
-other ``build_*`` functions return its :meth:`PairOperator.dense`.  Only one
+Yang-Baxter residuals and the chain's transfer matrices read them, and
+``r-at-zero-is-swap``, the inversion, the asymptotic check and the Yangian
+checks compare them exactly over every column; :func:`build_R` and the other
+``build_*`` functions return :meth:`PairOperator.dense`, in Gell-Mann
+coordinates.  Only one
 oracle reads the submodules of a :class:`Decomposition`: the projector-sum
 assembly, applied to a block of columns as sum_r c_r B_r (B_r^dagger v)
 (:func:`_assemble_apply`), so that it forms no D x D projector or isometry.
@@ -42,14 +43,12 @@ which is enough because the level-1 action is covariant
 (:func:`level1_covariance_residual`); both read the shifted sector blocks
 of D(y) and of J(x) (:func:`yangian_action.level1_blocks`).
 
-The dense Yang-Baxter residual works in the weight frame of
-:func:`liealg.weight_chain`.  R(lam) is su(n)-invariant, so it conserves
-Cartan weight and both sides of the YBE are block-diagonal in the total
-weight of the three sites; they are formed one sector at a time, with the
-off-sector share of the rotated R-matrices in the two-site frame
-(``rep.weight_frame``) kept as a floor on the result.  The block gather
-indices depend only on the basis and are built once per representation
-(``rep.ybe_gathers``).
+The dense Yang-Baxter residual works in the three-site weight frame of
+:func:`liealg.weight_chain`, where both sides of the YBE are block-diagonal
+in the total weight; they are formed one sector at a time from the blocks of
+R(lam) scattered into two-site weight coordinates
+(:meth:`PairOperator.weight_dense`), through gather indices built once per
+representation (``rep.ybe_gathers``).
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from .adjoint_tensor import (
     apply_swap,
     highest_weight_vectors,
     root_action,
-    rotate_pair,
 )
 from .liealg import matrix_unit
 from .numerics import max_abs
@@ -189,7 +187,9 @@ class PairOperator:
     Pi+- = (1 +- sigma)/2, E = [Ed Ef] from the frame, and s = vec(1)/sqrt(m).
     X acts through its blocks in the two-site weight frame (:attr:`blocks`,
     applied by :meth:`PairFrame.apply_weight`), on Gell-Mann coordinates
-    rotated in and out by :meth:`apply`; :meth:`dense` materializes X.
+    rotated in and out by :meth:`apply`.  :meth:`weight_dense` scatters the
+    blocks into a D x D array in weight coordinates; :meth:`dense`
+    materializes X in Gell-Mann coordinates.
     """
 
     frame: PairFrame
@@ -221,8 +221,15 @@ class PairOperator:
         v = np.reshape(x, (frame.m**2, -1))
         return frame.from_weight(frame.apply_weight(self.blocks, frame.to_weight(v))).reshape(np.shape(x))
 
+    def weight_dense(self) -> np.ndarray:
+        """X as a dense D x D matrix in two-site weight coordinates, scattered from :attr:`blocks`."""
+        out = np.zeros((self.frame.m**2,) * 2, dtype=complex)
+        for idx, b in zip(self.frame.sectors, self.blocks):
+            out[idx[:, :, None], idx[:, None, :]] = b
+        return out
+
     def dense(self) -> np.ndarray:
-        """X as a dense D x D matrix."""
+        """X as a dense D x D matrix in Gell-Mann coordinates, scattered from the nonzeros of f."""
         m = self.frame.m
         D = m * m
         idx = np.arange(D)
@@ -421,21 +428,19 @@ def ybe_residual(
 ) -> float:
     """Relative residual of the Yang-Baxter equation at (lam, mu).
 
+    Both modes read the sector blocks of :func:`r_op` or :func:`r_tilde_op`.
     Dense mode (allowed for (n^2-1)^3 <= DENSE_YBE_MAX_DIM, i.e. n <= 4)
     forms both sides R12(lam) R13(lam+mu) R23(mu) and R23(mu) R13(lam+mu)
     R12(lam) exactly, one total-weight block of the three-site space at a
     time, and returns sqrt(sum_W ||L_W - R_W||^2 / sum_W ||L_W||^2), the
-    Frobenius ratio over the whole space.  The blocks are exact because
-    R(lam) is su(n)-invariant and so conserves Cartan weight; the weight
-    violation max_k ||offblock(R_k)|| / ||R_k|| of the three rotated
-    R-matrices is a floor on the result, so a non-invariant R cannot hide
-    its error outside the blocks.  Dense mode reads the module-level
-    :func:`build_R` / :func:`build_R_tilde`.  Matrix-free mode rotates random
-    unit probe vectors once into the three-site weight frame (the norms are
-    unitarily invariant), applies both sides there one factor at a time
-    through its sector blocks, and returns the maximum relative residual
-    over the probes; its oracles are the dense mode at n <= 4 and the
-    dense-R einsums of the tests (``_ybe_probe_oracle``).
+    Frobenius ratio over the whole space.  An operator made of weight-sector
+    blocks conserves Cartan weight, so the blocks are exact; that they hold
+    all of R is the ``r-assembly-agreement`` check.  Matrix-free mode
+    rotates random unit probe vectors once into the three-site weight frame
+    (the norms are unitarily invariant), applies both sides there one factor
+    at a time through its sector blocks, and returns the maximum relative
+    residual over the probes; its oracles are the dense mode at n <= 4 and
+    the dense-R einsums of the tests (``_ybe_probe_oracle``).
 
     Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
     benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
@@ -443,16 +448,15 @@ def ybe_residual(
     rep = dec.rep
     for z in (lam, mu, lam + mu):
         check_pole_distance(z, rep.n)
-    build = {"R": build_R, "Rtilde": build_R_tilde}[solution]
+    ops = {"R": r_op, "Rtilde": r_tilde_op}[solution]
+    r_lam, r_sum, r_mu = (ops(rep, z) for z in (lam, lam + mu, mu))
     m = rep.dim
     if mode == "dense":
         if m**3 > DENSE_YBE_MAX_DIM:
             raise ValueError(f"dense mode needs (n^2-1)^3 <= {DENSE_YBE_MAX_DIM}, got {m**3}")
-        return _ybe_dense_blocks(rep, [build(rep, z) for z in (lam, lam + mu, mu)])
+        return _ybe_dense_blocks(rep, [r_lam, r_sum, r_mu])
     if mode != "matrix_free":
         raise ValueError(f"unknown mode {mode!r}")
-    ops = {"R": r_op, "Rtilde": r_tilde_op}[solution]
-    r_lam, r_sum, r_mu = (ops(rep, z) for z in (lam, lam + mu, mu))
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     u = rep.weight_frame.u
@@ -475,17 +479,14 @@ def _on_sites(op: PairOperator, pair: tuple[int, int], v: np.ndarray) -> np.ndar
     return out.reshape(m, m, m).transpose(np.argsort(axes))
 
 
-def _ybe_dense_blocks(rep: AdjointRep, rs: list[np.ndarray]) -> float:
-    """Dense YBE residual of (R12, R13, R23) = ``rs``, block by block in total weight.
+def _ybe_dense_blocks(rep: AdjointRep, ops: list[PairOperator]) -> float:
+    """Dense YBE residual of (R12, R13, R23) = ``ops``, block by block in total weight.
 
-    The R-matrices are rotated to weight coordinates by ``rep.weight_frame``,
-    whose off-sector share of each is the floor, and the per-sector gather
-    indices are ``rep.ybe_gathers``, both built once per representation.
+    Each operator is read in two-site weight coordinates
+    (:meth:`PairOperator.weight_dense`), and the per-sector gather indices
+    are ``rep.ybe_gathers``, built once per representation.
     """
-    frame = rep.weight_frame
-    r12, r13, r23 = (rotate_pair(frame.u, r) for r in rs)
-    floor = max(frame.split(r)[1] / np.linalg.norm(r) for r in (r12, r13, r23))
-    r12, r13, r23 = (np.append(r.ravel(), 0.0) for r in (r12, r13, r23))
+    r12, r13, r23 = (np.append(op.weight_dense().ravel(), 0.0) for op in ops)
     diff2 = norm2 = 0.0
     for i12, i13, i23 in rep.ybe_gathers:
         x12, x13, x23 = r12[i12], r13[i13], r23[i23]
@@ -493,7 +494,7 @@ def _ybe_dense_blocks(rep: AdjointRep, rs: list[np.ndarray]) -> float:
         rhs = x23 @ (x13 @ x12)
         diff2 += np.linalg.norm(lhs - rhs) ** 2
         norm2 += np.linalg.norm(lhs) ** 2
-    return float(max(np.sqrt(diff2 / norm2), floor))
+    return float(np.sqrt(diff2 / norm2))
 
 
 def asymptotic_check(rep: AdjointRep, lam_list) -> dict:

@@ -23,7 +23,8 @@ H and t(lam) conserve the total Cartan weight, so the chain is studied in
 the weight frame of :func:`liealg.weight_chain` (:func:`chain_frame`), where
 both are block-diagonal.  What needs h or R is here, as functions of the
 frame: H_w (:func:`weight_hamiltonian`) is the chain of the rotated density
-and t_w(lam) (:func:`weight_transfer`) the ring of the rotated R.  Every
+and t_w(lam) (:func:`weight_transfer`) the ring of the sector blocks of
+R(lam), scattered into weight coordinates, which forms no Gell-Mann R.  Every
 chain check goes one total-weight sector at a time: the spectrum
 (:func:`sector_spectrum`, in real arithmetic, as the two-site one), the
 transfer commutators (:func:`sector_commutator`) and the su(n) invariance of
@@ -51,6 +52,7 @@ from .rmatrix import (
     build_R,
     generating_set,
     operator_form,
+    r_op,
 )
 
 __all__ = [
@@ -282,17 +284,14 @@ def _ring_trace(r: np.ndarray, sites: int) -> np.ndarray:
     never formed.  The result is written in the site coordinates of ``r``.
     """
     m = math.isqrt(r.shape[0])
-    if sites < 2:
-        raise ValueError("a chain needs at least two sites")
-    if m**sites > CHAIN_DIM_CAP:
-        raise ValueError(f"transfer-matrix dimension {m**sites} exceeds the dense cap")
+    dim = _chain_dim(m, sites)
     r4 = r.reshape(m, m, m, m)  # [aux_out, site_out, aux_in, site_in]
     # labels: aux_k is k, out_k is sites + k, in_k is 2 sites + k
     operands = []
     for k in range(sites):
         operands += [r4, [k, sites + k, (k + 1) % sites, 2 * sites + k]]
     t = np.einsum(*operands, list(range(sites, 3 * sites)), optimize=True)
-    return t.reshape(m**sites, m**sites)
+    return t.reshape(dim, dim)
 
 
 def transfer_matrix(dec: Decomposition, lam: complex, sites: int) -> np.ndarray:
@@ -328,8 +327,8 @@ def weight_hamiltonian(chain: WeightChain, h: np.ndarray) -> np.ndarray:
 
 
 def weight_transfer(chain: WeightChain, rep: AdjointRep, lam: complex) -> np.ndarray:
-    """t_w(lam) = U^(x)L t(lam) U^(x)L^dagger, the ring contraction of (u (x) u) R (u (x) u)^dagger."""
-    return _ring_trace(rotate_pair(chain.u, build_R(rep, lam)), chain.sites)
+    """t_w(lam) = U^(x)L t(lam) U^(x)L^dagger, the ring of :meth:`rmatrix.PairOperator.weight_dense` of R(lam)."""
+    return _ring_trace(r_op(rep, lam).weight_dense(), chain.sites)
 
 
 def sector_commutator(chain: WeightChain, a: np.ndarray, b: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adjrmat import adjoint_tensor, cli, jsonio, rmatrix, spinchain, yangian_action
+from adjrmat import adjoint_tensor, cli, jsonio, liealg, rmatrix, spinchain, yangian_action
 from adjrmat.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -334,6 +334,65 @@ def test_intertwiner_checks_build_no_dense_level1_action(tmp_path, monkeypatch):
     assert code == 0
     # the intertwiner suite's ids, which lead the n = 3 list
     assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[:17]
+
+
+def test_ybe_and_transfer_checks_read_only_the_blocks_of_R(tmp_path, monkeypatch):
+    """The dense YBE and the chain's t_w(lam) read R's sector blocks: no Gell-Mann R, no off-sector floor."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gell-Mann R was built or its off-sector share measured")
+
+    monkeypatch.setattr(rmatrix.PairOperator, "dense", refuse)
+    monkeypatch.setattr(liealg.WeightChain, "split", refuse)
+    code, payload = run(tmp_path, "verify", "ybe", "--n", "4")
+    assert code == 0
+    # the ybe suite's ids, which follow the intertwiner suite's in the n = 3 list
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[17:30]
+    assert {c["params"]["mode"] for c in payload["checks"] if c["id"].startswith("ybe-")} == {"dense"}
+    monkeypatch.undo()
+    monkeypatch.setattr(spinchain, "build_R", refuse)
+    code, payload = run(tmp_path, "verify", "chain", "--n", "3", "--sites", "3")
+    assert code == 0
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[37:43]
+
+
+def test_blocks_that_lose_part_of_R_fail_r_assembly_agreement(tmp_path, monkeypatch):
+    """With Ed Ed^dagger left out of one sector of every operator's blocks, r-assembly-agreement fails.
+
+    The blocks define R for every other check of ``verify ybe``, so this
+    comparison with the projector sum, which has no weight frame, is the
+    check that they hold all of R.
+    """
+    combine = adjoint_tensor.PairFrame.combine
+    dd = adjoint_tensor.TERMS.index("dd")  # at n = 3 the Omega_op term of R is 0
+
+    def lossy(frame, coefficients):
+        blocks = combine(frame, coefficients)
+        w = int(np.flatnonzero(~frame.chain.sector_weights.any(axis=1))[0])  # the zero-weight sector
+        g, r = frame.places[w]
+        blocks[g][r] -= coefficients[dd] * frame.terms[g][dd, r]
+        return blocks
+
+    monkeypatch.setattr(adjoint_tensor.PairFrame, "combine", lossy)
+    code, payload = run(tmp_path, "verify", "ybe", "--n", "3")
+    assert code == 1
+    failed = [c["id"] for c in payload["checks"] if not c["pass"]]
+    assert "r-assembly-agreement" in failed
+    assert "r-at-zero-is-swap" not in failed  # R(0) = sigma has no Ed Ed^dagger term to lose
+
+
+def test_f4_error_fails_coefficient_recovery_at_large_rank(tmp_path, monkeypatch):
+    """A 1e-6 relative error in f4 fails coefficient-recovery at n = 6 and 8.
+
+    The singlet term has entries 1/m, so the level-1 check sees such an
+    error less and less as n grows; the recovery reads f4 directly.
+    """
+    exact = rmatrix.CoefficientSet.f4
+    monkeypatch.setattr(rmatrix.CoefficientSet, "f4", lambda self, lam: (1.0 + 1e-6) * exact(self, lam))
+    for argv in (["--n", "6"], ["--n", "8", "--samples", "1"]):
+        code, payload = run(tmp_path, "verify", "intertwiner", *argv)
+        assert code == 1, argv
+        assert "coefficient-recovery" in [c["id"] for c in payload["checks"] if not c["pass"]], argv
 
 
 def test_wrong_h_table_fails_only_its_check(tmp_path, monkeypatch):
