@@ -12,7 +12,10 @@ only its (D, dim) bases: the D x D projectors and the s->a isometry are
 formed when they are read, and no check of :func:`build_decomposition` forms
 one.  The representation also holds
 the gather indices of the dense Yang-Baxter blocks over the three-site
-frame (``rep.ybe_gathers``), built once.
+frame (``rep.ybe_gathers``, one Weyl orbit of sectors each) and the sector
+blocks of D(y) for the Chevalley generators y (``rep.chevalley_deltas``),
+each built once, and a ``memo`` for what the modules above build once per
+representation.
 
 Two distinct objects both called "Casimir" are kept strictly separate:
 
@@ -54,6 +57,8 @@ __all__ = [
     "site_left",
     "site_right",
     "rotate_pair",
+    "generating_set",
+    "root_weight",
     "root_action",
     "highest_weight_vectors",
     "build_decomposition",
@@ -97,9 +102,32 @@ class AdjointRep:
         return weight_chain(self.basis, 2)
 
     @cached_property
-    def ybe_gathers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The gather indices of the dense Yang-Baxter blocks (:func:`_triple_gathers`), built on first use."""
+    def ybe_gathers(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """The gather indices of the dense Yang-Baxter blocks, one Weyl orbit of three-site sectors each, with its size.
+
+        See :func:`_triple_gathers`; built on first use.
+        """
         return _triple_gathers(weight_chain(self.basis, 3))
+
+    @cached_property
+    def chevalley_deltas(self) -> dict[tuple[int, int], tuple[dict[int, tuple[int, np.ndarray]], float]]:
+        """D(y) = ad y (x) 1 + 1 (x) ad y for the Chevalley generators y = e_ij of :func:`generating_set`, built on first use.
+
+        Each D(y) is a dict source sector -> (target, block) over
+        ``weight_frame``, with max(1, max-abs ad y): no entry of D(y) has a
+        term from both sites, so that is also max(1, max-abs D(y)).
+        """
+        chain, out = self.weight_frame, {}
+        for ij in generating_set(self.n)[0]:
+            alpha = root_weight(self.n, ij)
+            x = root_action(chain, alpha)
+            out[ij] = ({k: (t, b) for k, t, b in chain.shift_blocks(x, alpha)}, max(1.0, max_abs(x)))
+        return out
+
+    @cached_property
+    def memo(self) -> dict:
+        """What the modules above this one build once per representation, by name; empty until they do."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -289,6 +317,21 @@ def rotate_pair(u: np.ndarray, r: np.ndarray) -> np.ndarray:
     return site_right(site_right(r, u_h, 1), u_h, 0)
 
 
+def generating_set(n: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """The (i, j) of the matrix units e_ij on which the intertwining relations are checked.
+
+    Level 0 runs on the Chevalley generators e_{i,i+1} and e_{i+1,i},
+    i = 1..n-1, which generate su(n); level 1 on the highest root vector e_1n.
+    """
+    return [ij for i in range(1, n) for ij in ((i, i + 1), (i + 1, i))], (1, n)
+
+
+def root_weight(n: int, ij: tuple[int, int]) -> np.ndarray:
+    """The weight e_i - e_j of the matrix unit e_ij."""
+    e = np.eye(n, dtype=int)
+    return e[ij[0] - 1] - e[ij[1] - 1]
+
+
 def root_action(chain: WeightChain, alpha: np.ndarray) -> np.ndarray:
     """ad(e_pq) for the root alpha = e_p - e_q, in the single-site weight coordinates of ``chain``."""
     unit = np.zeros((chain.basis.n, chain.basis.n))
@@ -296,16 +339,18 @@ def root_action(chain: WeightChain, alpha: np.ndarray) -> np.ndarray:
     return chain.u @ ad_matrix(chain.basis, unit) @ np.conj(chain.u).T
 
 
-def _triple_gathers(chain: WeightChain) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Gather indices of the dense Yang-Baxter blocks, one triple per sector of a 3-site ``chain``.
+def _triple_gathers(chain: WeightChain) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Gather indices of the dense Yang-Baxter blocks, one (orbit size, i12, i13, i23) per Weyl orbit of a 3-site ``chain``.
 
-    Each triple reads R12, R13 and R23 restricted to the sector out of
-    their (m, m, m, m) weight-coordinate arrays with one zero appended: an
-    entry whose spectator site differs between row and column reads that
-    zero.
+    Only the representative sector of each orbit (:attr:`WeightChain.weyl_orbits`)
+    is gathered: for an invariant R, both sides of the YBE have the same
+    Frobenius norms on every sector of an orbit.  Each triple reads R12, R13
+    and R23 restricted to the sector out of their (m, m, m, m)
+    weight-coordinate arrays with one zero appended: an entry whose
+    spectator site differs between row and column reads that zero.
     """
     m = chain.basis.dim
-    # the smallest unsigned type that holds m^4: 1.4 MB of indices at n = 4
+    # the smallest unsigned type that holds m^4: 0.3 MB of indices at n = 4
     dtype = np.min_scalar_type(m**4)
 
     def flat(p, q, spectator):
@@ -314,9 +359,9 @@ def _triple_gathers(chain: WeightChain) -> list[tuple[np.ndarray, np.ndarray, np
         return np.where(spectator[:, None] == spectator[None, :], idx, m**4).astype(dtype)
 
     gathers = []
-    for block in chain.blocks:
-        a, b, c = np.unravel_index(block, (m, m, m))
-        gathers.append((flat(a, b, c), flat(a, c, b), flat(b, c, a)))
+    for w, size in zip(*(x.tolist() for x in chain.weyl_orbits)):
+        a, b, c = np.unravel_index(chain.blocks[w], (m, m, m))
+        gathers.append((size, flat(a, b, c), flat(a, c, b), flat(b, c, a)))
     return gathers
 
 

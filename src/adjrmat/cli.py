@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, jsonio
-from .adjoint_tensor import adjoint_rep, build_decomposition
+from .adjoint_tensor import adjoint_rep, build_decomposition, generating_set
 from .liealg import build_basis
 from .numerics import Tolerance, blas_threads_at_most, frobenius
 from .rmatrix import (
@@ -31,12 +31,12 @@ from .rmatrix import (
     asymptotic_check,
     build_R,
     derive_coefficients,
-    generating_set,
     intertwining_residual,
     inversion_residual,
     level1_covariance_residual,
     r_assembly_residual,
     r_at_zero_residual,
+    r_terms_invariance_residual,
     sample_spectral_parameters,
     sample_ybe_pairs,
     ybe_residual,
@@ -242,6 +242,10 @@ def suite_ybe(ctx: _Context) -> list[dict]:
     for lam, _ in pairs[:1]:
         checks.append(_check("r-assembly-agreement", r_assembly_residual(dec, lam),
                              cfg.tol.abs_tol * m, params={"lambda": _cpair(lam)}))
+    # the dense residual sums over Weyl orbits of sectors, which holds for an invariant R
+    if pairs and mode == "dense":
+        checks.append(_check("r-terms-invariance", r_terms_invariance_residual(ctx.rep),
+                             cfg.tol.abs_tol * m, params={"y": generating_set(n)[0]}))
     for lam, mu in pairs:
         params = {"lambda": _cpair(lam), "mu": _cpair(mu), "mode": mode}
         for solution in ("R", "Rtilde"):

@@ -41,14 +41,18 @@ intertwines the Yangian action on a generating set: level 0 on the
 Chevalley generators and level 1 on the highest root vector e_1n alone,
 which is enough because the level-1 action is covariant
 (:func:`level1_covariance_residual`); both read the shifted sector blocks
-of D(y) and of J(x) (:func:`yangian_action.level1_blocks`).
+of D(y) and of J(x) (:func:`yangian_action.level1_blocks`), those of the
+generating set built once per representation (``rep.chevalley_deltas`` and
+:func:`yangian_action.top_level1_blocks`).
 
 The dense Yang-Baxter residual works in the three-site weight frame of
 :func:`liealg.weight_chain`, where both sides of the YBE are block-diagonal
 in the total weight; they are formed one sector at a time from the blocks of
 R(lam) scattered into two-site weight coordinates
 (:meth:`PairOperator.weight_dense`), through gather indices built once per
-representation (``rep.ybe_gathers``).
+representation (``rep.ybe_gathers``), for one sector per orbit of the Weyl
+group.  That is exact for an invariant R, and :func:`r_terms_invariance_residual`
+checks that the terms R is made of are invariant.
 """
 
 from __future__ import annotations
@@ -63,12 +67,13 @@ from .adjoint_tensor import (
     Decomposition,
     PairFrame,
     apply_swap,
+    generating_set,
     highest_weight_vectors,
-    root_action,
+    root_weight,
 )
 from .liealg import matrix_unit
 from .numerics import max_abs
-from .yangian_action import LevelOneAction, level1_blocks
+from .yangian_action import LevelOneAction, level1_blocks, top_level1_blocks
 
 __all__ = [
     "POLE_GUARD",
@@ -91,7 +96,7 @@ __all__ = [
     "inversion_residual",
     "intertwining_residual",
     "level1_covariance_residual",
-    "generating_set",
+    "r_terms_invariance_residual",
     "ybe_residual",
     "asymptotic_check",
     "derive_coefficients",
@@ -435,7 +440,13 @@ def ybe_residual(
     time, and returns sqrt(sum_W ||L_W - R_W||^2 / sum_W ||L_W||^2), the
     Frobenius ratio over the whole space.  An operator made of weight-sector
     blocks conserves Cartan weight, so the blocks are exact; that they hold
-    all of R is the ``r-assembly-agreement`` check.  Matrix-free mode
+    all of R is the ``r-assembly-agreement`` check.  The sums run over one
+    sector per orbit of the Weyl group, each term weighted by the orbit's
+    size (``rep.ybe_gathers``): a lift of a Weyl element to SU(n) maps a
+    sector onto its image unitarily and commutes with an invariant R, so
+    both norms are constant on an orbit.  That R's terms are invariant is
+    the ``r-terms-invariance`` check (:func:`r_terms_invariance_residual`),
+    and the all-sector sum survives as the tests' oracle.  Matrix-free mode
     rotates random unit probe vectors once into the three-site weight frame
     (the norms are unitarily invariant), applies both sides there one factor
     at a time through its sector blocks, and returns the maximum relative
@@ -483,17 +494,18 @@ def _ybe_dense_blocks(rep: AdjointRep, ops: list[PairOperator]) -> float:
     """Dense YBE residual of (R12, R13, R23) = ``ops``, block by block in total weight.
 
     Each operator is read in two-site weight coordinates
-    (:meth:`PairOperator.weight_dense`), and the per-sector gather indices
-    are ``rep.ybe_gathers``, built once per representation.
+    (:meth:`PairOperator.weight_dense`).  The gather indices are
+    ``rep.ybe_gathers``, built once per representation: one sector per Weyl
+    orbit, whose squared norms count once for each sector of the orbit.
     """
     r12, r13, r23 = (np.append(op.weight_dense().ravel(), 0.0) for op in ops)
     diff2 = norm2 = 0.0
-    for i12, i13, i23 in rep.ybe_gathers:
+    for size, i12, i13, i23 in rep.ybe_gathers:
         x12, x13, x23 = r12[i12], r13[i13], r23[i23]
         lhs = x12 @ (x13 @ x23)
         rhs = x23 @ (x13 @ x12)
-        diff2 += np.linalg.norm(lhs - rhs) ** 2
-        norm2 += np.linalg.norm(lhs) ** 2
+        diff2 += size * np.linalg.norm(lhs - rhs) ** 2
+        norm2 += size * np.linalg.norm(lhs) ** 2
     return float(np.sqrt(diff2 / norm2))
 
 
@@ -540,15 +552,6 @@ def inversion_residual(rep: AdjointRep, lam: complex) -> float:
     return max(max_abs(a @ b - np.eye(a.shape[1])) for a, b in zip(plus, minus))
 
 
-def generating_set(n: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    """The (i, j) of the matrix units e_ij on which the intertwining relations are checked.
-
-    Level 0 runs on the Chevalley generators e_{i,i+1} and e_{i+1,i},
-    i = 1..n-1, which generate su(n); level 1 on the highest root vector e_1n.
-    """
-    return [ij for i in range(1, n) for ij in ((i, i + 1), (i + 1, i))], (1, n)
-
-
 # spectral parameters (mu, lam) of J(x) in level1_covariance_residual: both site terms enter
 _COVARIANCE_AT = (1.0, -1.0)
 
@@ -557,20 +560,23 @@ def _unit(rep: AdjointRep, ij: tuple[int, int]) -> np.ndarray:
     return matrix_unit(rep.basis, *ij, coords=False).matrix
 
 
-def _root(n: int, ij: tuple[int, int]) -> np.ndarray:
-    """The weight e_i - e_j of the matrix unit e_ij."""
-    e = np.eye(n, dtype=int)
-    return e[ij[0] - 1] - e[ij[1] - 1]
+def r_terms_invariance_residual(rep: AdjointRep) -> float:
+    """Max-abs of [D(y), T] over the Chevalley y and the nine terms T of ``rep.frame``, over the terms' max-abs.
 
-
-def _delta_blocks(rep: AdjointRep, ij: tuple[int, int]) -> tuple[dict[int, tuple[int, np.ndarray]], float]:
-    """D(e_ij) in ``rep.weight_frame`` as source sector -> (target, block), and max(1, its max-abs).
-
-    No entry of D = ad e_ij (x) 1 + 1 (x) ad e_ij has a term from both sites: its max-abs is that of ad e_ij.
+    Every R(lam), sigma I(lam) and I(lam) is a combination of the terms
+    (:data:`adjoint_tensor.TERMS`), so this covers every factor of the YBE
+    at once, with no lam.  D(y) maps sector W of ``rep.weight_frame`` to
+    W + alpha (``rep.chevalley_deltas``), so each commutator is D_W T_W -
+    T_{W+alpha} D_W, exact over every column.  The y generate su(n), so the
+    terms are invariant, as the Weyl-orbit sum of the dense YBE residual
+    (:func:`ybe_residual`) needs, when this is roundoff.
     """
-    chain, alpha = rep.weight_frame, _root(rep.n, ij)
-    x = root_action(chain, alpha)
-    return {k: (t, b) for k, t, b in chain.shift_blocks(x, alpha)}, max(1.0, max_abs(x))
+    frame = rep.frame
+    worst = 0.0
+    for d, _ in rep.chevalley_deltas.values():
+        for k, (t, b) in d.items():
+            worst = max(worst, max_abs(b @ frame.sector_terms(k) - frame.sector_terms(t) @ b))
+    return worst / max(max_abs(t) for t in frame.terms)
 
 
 def level1_covariance_residual(rep: AdjointRep) -> float:
@@ -580,23 +586,26 @@ def level1_covariance_residual(rep: AdjointRep) -> float:
     :data:`_COVARIANCE_AT`.  Each term maps sector W of ``rep.weight_frame``
     to W + alpha + theta (alpha, theta the weights of y, x0).  Per y: max-abs
     of D(y) J(x0) - J(x0) D(y) - J([y, x0]) over max(1, max-abs J([y, x0])),
-    at least the floors of both J (:func:`level1_blocks`).
+    at least the floors of both J (:func:`level1_blocks`; those of J(x0) and
+    of the D(y) are built once per representation, :func:`top_level1_blocks`
+    and ``rep.chevalley_deltas``).
     """
     chevalley, top = generating_set(rep.n)
-    x0, theta = _unit(rep, top), _root(rep.n, top)
+    x0, theta = _unit(rep, top), root_weight(rep.n, top)
     mu, lam = _COVARIANCE_AT
 
-    def action(x, beta):  # the blocks of J(x) at _COVARIANCE_AT, and their floor
-        blocks, floor = level1_blocks(rep, x, beta)
+    def action(blocks, floor):  # the blocks of J(x) at _COVARIANCE_AT, and their floor
         return {k: (t, mu * s[0] + lam * s[1] + s[2]) for k, (t, s) in blocks.items()}, floor
 
-    j, worst = action(x0, theta)
+    j, worst = action(*top_level1_blocks(rep))
     for ij in chevalley:
         y = _unit(rep, ij)
         comm = y @ x0 - x0 @ y  # zero but for y = e_21 and e_{n,n-1}, and J(0) = 0
-        rhs, floor = action(comm, _root(rep.n, ij) + theta) if comm.any() else ({}, 0.0)
+        rhs, floor = {}, 0.0
+        if comm.any():
+            rhs, floor = action(*level1_blocks(rep, comm, root_weight(rep.n, ij) + theta))
         gap = {k: -b for k, (_, b) in rhs.items()}
-        d, _ = _delta_blocks(rep, ij)
+        d, _ = rep.chevalley_deltas[ij]
         for sign, second, first in ((1.0, d, j), (-1.0, j, d)):  # D(y) J(x0), then J(x0) D(y)
             for k, (t, b) in first.items():
                 if t in second:
@@ -625,17 +634,15 @@ def intertwining_residual(rep: AdjointRep, lams) -> list[tuple[float, float]]:
     lams = np.asarray(lams, dtype=complex)
     if not lams.size:
         return []
-    chevalley, top = generating_set(rep.n)
     # the block of I(lam) on sector W, stacked over the lams
     stacks = [np.stack(per, axis=1) for per in zip(*(intertwiner_op(rep, z).blocks for z in lams))]
     i_w = [stacks[g][r] for g, r in rep.frame.places]
     res0 = []
-    for ij in chevalley:
-        d, scale = _delta_blocks(rep, ij)
+    for d, scale in rep.chevalley_deltas.values():
         gaps = [np.abs(i_w[t] @ b - b @ i_w[k]).max(axis=(1, 2)) for k, (t, b) in d.items()]
         res0.append(np.max(gaps, axis=0) / scale)
     res0 = np.max(res0, axis=0)
-    blocks, floor = level1_blocks(rep, _unit(rep, top), _root(rep.n, top))
+    blocks, floor = top_level1_blocks(rep)
     lam = lams[:, None, None]
     res1, scale1 = np.zeros(len(lams)), np.ones(len(lams))
     for k, (t, (a, b, kk)) in blocks.items():  # J(x0) at (mu, lam) is mu a + lam b + kk

@@ -40,17 +40,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .adjoint_tensor import AdjointRep, Decomposition, casimir_op, root_action, rotate_pair
+from .adjoint_tensor import (
+    AdjointRep,
+    Decomposition,
+    casimir_op,
+    generating_set,
+    root_action,
+    root_weight,
+    rotate_pair,
+)
 from .liealg import SunBasis, WeightChain, weight_chain
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, max_abs
 from .rmatrix import (
     CoefficientSet,
     _assemble_apply,
     _probe_block,
-    _root,
     _swap_perm,
     build_R,
-    generating_set,
     operator_form,
     r_op,
 )
@@ -365,7 +371,7 @@ def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
     """Largest normalized commutator of a chain H with the diagonal action of su(n).
 
     ``h_w`` is H in the product weight basis of ``chain``.  Returns the max
-    over the Cartan and Chevalley generators x (:func:`rmatrix.generating_set`)
+    over the Cartan and Chevalley generators x (:func:`adjoint_tensor.generating_set`)
     of max_abs([H_w, sum_s ad_s(x)]) / max(1, max_abs(H_w)), where ad_s(x)
     acts on site s; they generate su(n) and x -> sum_s ad_s(x) is a Lie
     homomorphism, so this covers all of su(n):
@@ -397,7 +403,7 @@ def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
         # max over the H_k of |H_ab| |charge_k(b) - charge_k(a)|, the charge spread taken first
         spread = np.max(np.abs(charge - charge[idx[0]]), axis=1)
         worst = max(worst, max_abs(np.abs(rows) * spread))
-    for alpha in (_root(n, ij) for ij in generating_set(n)[0]):
+    for alpha in (root_weight(n, ij) for ij in generating_set(n)[0]):
         for k, t, x in chain.shift_blocks(root_action(chain, alpha), alpha):
             worst = max(worst, max_abs(diag[t] @ x - x @ diag[k]))
     return worst / max(1.0, max_abs(h_w))

@@ -14,7 +14,8 @@ On vectors (:meth:`LevelOneAction.apply`) the site factors are m x m
 matmuls and Omega_op acts through its weight-sector blocks in ``rep.frame``.
 For a root vector x of weight beta the action is a set of sector blocks of
 the two-site weight frame, from W to W + beta (:func:`level1_blocks`); the
-intertwining and covariance checks of :mod:`rmatrix` read them.  The dense
+intertwining and covariance checks of :mod:`rmatrix` read them, those of
+e_1n built once per representation (:func:`top_level1_blocks`).  The dense
 D x D forms (:func:`level1_action`, :func:`delta_action`) are test oracles,
 run over every generator against those checks.  No command builds them.
 """
@@ -30,7 +31,9 @@ from .adjoint_tensor import (
     ad_matrix,
     apply_pair,
     casimir_op,
+    generating_set,
     highest_weight_vectors,
+    root_weight,
     site_left,
 )
 from .liealg import matrix_unit
@@ -39,6 +42,7 @@ from .numerics import DEFAULT_TOL, kron, max_abs
 __all__ = [
     "LevelOneAction",
     "level1_blocks",
+    "top_level1_blocks",
     "level1_action",
     "delta_action",
     "quartic_part",
@@ -107,6 +111,15 @@ def level1_blocks(rep: AdjointRep, x: np.ndarray, beta: np.ndarray) -> tuple[dic
         k_w = t_w + 0.5 * (a1 @ frame.sector_terms(k)[omega] - frame.sector_terms(tgt)[omega] @ a1)
         blocks[k] = (tgt, np.stack([a1, a2, k_w]))
     return blocks, float(floor)
+
+
+def top_level1_blocks(rep: AdjointRep) -> tuple[dict, float]:
+    """:func:`level1_blocks` of the highest root vector e_1n, built once per representation and kept in ``rep.memo``."""
+    if "top_level1" not in rep.memo:
+        top = generating_set(rep.n)[1]
+        x = matrix_unit(rep.basis, *top, coords=False).matrix
+        rep.memo["top_level1"] = level1_blocks(rep, x, root_weight(rep.n, top))
+    return rep.memo["top_level1"]
 
 
 def level1_action(rep: AdjointRep, x: np.ndarray, mu: complex, lam: complex) -> np.ndarray:

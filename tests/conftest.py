@@ -13,9 +13,9 @@ from adjrmat.adjoint_tensor import (
     site_left,
     site_right,
 )
-from adjrmat.liealg import build_basis, matrix_unit
+from adjrmat.liealg import build_basis, matrix_unit, weight_chain
 from adjrmat.numerics import DEFAULT_TOL, max_abs
-from adjrmat.rmatrix import build_intertwiner, intertwiner_op, r_op
+from adjrmat.rmatrix import build_intertwiner, intertwiner_op, r_op, r_tilde_op
 from adjrmat.yangian_action import quartic_part
 
 try:
@@ -219,6 +219,45 @@ def all_generator_intertwining(rep, lams):
             c += lam * lin
             row[1] = max(row[1], max_abs(c) / max(1.0, max_abs(k + lam * one_a)))
     return [(float(r0), float(r1)) for r0, r1 in res]
+
+
+def _all_sector_gathers(chain):
+    """Gather indices of the dense Yang-Baxter blocks, one triple per sector of a 3-site ``chain``.
+
+    Each triple reads R12, R13 and R23 restricted to the sector out of their
+    (m, m, m, m) weight-coordinate arrays with one zero appended: an entry
+    whose spectator site differs between row and column reads that zero.
+    """
+    m = chain.basis.dim
+
+    def flat(p, q, spectator):
+        idx = ((p[:, None] * m + q[:, None]) * m + p[None, :]) * m + q[None, :]
+        return np.where(spectator[:, None] == spectator[None, :], idx, m**4)
+
+    gathers = []
+    for block in chain.blocks:
+        a, b, c = np.unravel_index(block, (m, m, m))
+        gathers.append((flat(a, b, c), flat(a, c, b), flat(b, c, a)))
+    return gathers
+
+
+def all_sector_ybe(dec, lam, mu, solution="R"):
+    """The dense YBE residual summed over every sector of the three-site weight frame.
+
+    The package sums one sector per Weyl orbit, weighted by the orbit's size
+    (``rmatrix._ybe_dense_blocks``); this is the all-sector loop it replaced.
+    """
+    rep = dec.rep
+    ops = {"R": r_op, "Rtilde": r_tilde_op}[solution]
+    r12, r13, r23 = (np.append(ops(rep, z).weight_dense().ravel(), 0.0) for z in (lam, lam + mu, mu))
+    diff2 = norm2 = 0.0
+    for i12, i13, i23 in _all_sector_gathers(weight_chain(rep.basis, 3)):
+        x12, x13, x23 = r12[i12], r13[i13], r23[i23]
+        lhs = x12 @ (x13 @ x23)
+        rhs = x23 @ (x13 @ x12)
+        diff2 += np.linalg.norm(lhs - rhs) ** 2
+        norm2 += np.linalg.norm(lhs) ** 2
+    return float(np.sqrt(diff2 / norm2))
 
 
 def casimir_sector_blocks(rep):

@@ -109,7 +109,7 @@ VERIFY_ALL_N3_IDS = (
     ["intertwiner-inversion"] * 5
     + ["intertwining-level0", "intertwining-level1"] * 5
     + ["level1-covariance", "coefficient-recovery"]
-    + ["r-at-zero-is-swap", "r-assembly-agreement"]
+    + ["r-at-zero-is-swap", "r-assembly-agreement", "r-terms-invariance"]
     + ["ybe-R", "ybe-Rtilde"] * 5
     + ["asymptotic-falloff"]
     + [
@@ -347,13 +347,13 @@ def test_ybe_and_transfer_checks_read_only_the_blocks_of_R(tmp_path, monkeypatch
     code, payload = run(tmp_path, "verify", "ybe", "--n", "4")
     assert code == 0
     # the ybe suite's ids, which follow the intertwiner suite's in the n = 3 list
-    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[17:30]
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[17:31]
     assert {c["params"]["mode"] for c in payload["checks"] if c["id"].startswith("ybe-")} == {"dense"}
     monkeypatch.undo()
     monkeypatch.setattr(spinchain, "build_R", refuse)
     code, payload = run(tmp_path, "verify", "chain", "--n", "3", "--sites", "3")
     assert code == 0
-    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[37:43]
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[38:44]
 
 
 def test_blocks_that_lose_part_of_R_fail_r_assembly_agreement(tmp_path, monkeypatch):

@@ -218,6 +218,21 @@ def test_weight_chain_blocks_are_the_pair_and_triple_groupings(algebra, n):
         assert np.array_equal(chain.sector_weights, [total[idx[0]] for idx in want])
 
 
+@pytest.mark.parametrize("n, sectors, orbits", [(3, 37, 8), (4, 147, 12), (5, 471, 14), (6, 1281, 15)])
+def test_weyl_orbits_of_three_site_sectors(algebra, n, sectors, orbits):
+    """One dominant sector per orbit of S_n on the weights; the orbit sizes add up to every sector."""
+    chain = weight_chain(algebra.basis(n), 3)
+    reps, sizes = chain.weyl_orbits
+    assert (len(chain.blocks), len(reps)) == (sectors, orbits)
+    assert sizes.sum() == sectors
+    ordered = np.sort(chain.sector_weights, axis=1)
+    for w, size in zip(reps, sizes):
+        assert np.array_equal(chain.sector_weights[w], ordered[w][::-1])
+        members = np.flatnonzero((ordered == ordered[w]).all(axis=1))
+        assert len(members) == size
+        assert {len(chain.blocks[k]) for k in members} == {len(chain.blocks[w])}
+
+
 def _rebuilt(chain, x, alpha, sites=None):
     """The dense operator on the states of ``chain`` assembled from ``shift_blocks``."""
     out = np.zeros((len(chain.label),) * 2, dtype=complex)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import TERMS, adjoint_rep, casimir_op, rotate_pair
+from adjrmat.adjoint_tensor import TERMS, adjoint_rep, casimir_op, generating_set, root_weight, rotate_pair
 from adjrmat.spinchain import local_h
 from adjrmat.liealg import matrix_unit
 from adjrmat.numerics import DEFAULT_TOL, max_abs
@@ -17,7 +17,6 @@ from adjrmat.rmatrix import (
     build_intertwiner,
     check_pole_distance,
     derive_coefficients,
-    generating_set,
     intertwiner_op,
     intertwining_residual,
     inversion_residual,
@@ -26,6 +25,7 @@ from adjrmat.rmatrix import (
     r_assembly_residual,
     r_at_zero_residual,
     r_op,
+    r_terms_invariance_residual,
     r_tilde_op,
     sample_spectral_parameters,
     sample_ybe_pairs,
@@ -36,6 +36,7 @@ from adjrmat.yangian_action import delta_action, level1_action
 from conftest import (
     _assemble,
     all_generator_intertwining,
+    all_sector_ybe,
     casimir_sector_blocks,
     permutation_op,
     retired_apply,
@@ -114,7 +115,7 @@ def _generating_set_oracle(rep, lams):
         return rotate_pair(chain.u, a)
 
     def off_blocks(c, ij):
-        return max_abs(c[~np.all(pair_w[:, None] - pair_w[None, :] == rmatrix._root(rep.n, ij), axis=2)])
+        return max_abs(c[~np.all(pair_w[:, None] - pair_w[None, :] == root_weight(rep.n, ij), axis=2)])
 
     out = []
     for lam in lams:
@@ -345,11 +346,13 @@ def _ybe_einsum_oracle(dec, lam, mu, solution="R"):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_ybe_weight_blocks_match_einsum_oracle(algebra, n):
+    """The sum over one sector per Weyl orbit matches the m^8 contraction and the sum over every sector."""
     dec = algebra.dec(n)
     for lam, mu in sample_ybe_pairs(np.random.default_rng(n), n, 2):
         for solution in ("R", "Rtilde"):
             blocks = ybe_residual(dec, lam, mu, mode="dense", solution=solution)
             assert abs(blocks - _ybe_einsum_oracle(dec, lam, mu, solution)) < 1e-13
+            assert abs(blocks - all_sector_ybe(dec, lam, mu, solution)) <= 1e-13
 
 
 def test_ybe_weight_blocks_match_oracle_when_failing(algebra, monkeypatch):
@@ -361,6 +364,40 @@ def test_ybe_weight_blocks_match_oracle_when_failing(algebra, monkeypatch):
     oracle = _ybe_einsum_oracle(dec, lam, mu)
     assert blocks > 1e-8
     assert abs(blocks - oracle) <= 1e-10 * oracle
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ybe_orbit_sum_matches_all_sectors_when_failing(algebra, monkeypatch, n):
+    """With N = M, R is still invariant but fails the YBE: both sums give the same failure."""
+    dec = algebra.dec(n)
+    monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
+    lam, mu = 0.5 + 0.2j, -0.3 + 0.4j
+    orbits = ybe_residual(dec, lam, mu, mode="dense")
+    oracle = all_sector_ybe(dec, lam, mu)
+    assert orbits > 1e-8
+    assert abs(orbits - oracle) <= 1e-10 * oracle
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_r_terms_are_invariant(algebra, n):
+    assert r_terms_invariance_residual(algebra.rep(n)) <= DEFAULT_TOL.abs_tol * (n * n - 1)
+
+
+def test_r_terms_invariance_rejects_noise_in_one_non_dominant_sector(algebra):
+    """Weight-conserving noise of size 1e-6 in the term blocks of one two-site sector fails the check.
+
+    The sector's weight is not dominant (sorted in descending order): the
+    case a sum over Weyl orbits, which trusts invariance, could miss.
+    """
+    rep = adjoint_rep(algebra.basis(3))  # a rep of its own: the noise goes into its cached terms
+    chain, frame = rep.weight_frame, rep.frame
+    weights = chain.sector_weights
+    w = next(w for w, idx in enumerate(chain.blocks)
+             if len(idx) > 1 and not np.array_equal(weights[w], np.sort(weights[w])[::-1]))
+    g, r = frame.places[w]
+    noise = np.random.default_rng(5).standard_normal(frame.terms[g][:, r].shape)
+    frame.terms[g][:, r] += 1e-6 * noise
+    assert r_terms_invariance_residual(rep) > DEFAULT_TOL.abs_tol * rep.dim
 
 
 def test_ybe_dense_rejects_perturbed_R_blocks(algebra, monkeypatch):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from adjrmat.adjoint_tensor import ad_matrix, rotate_pair
+from adjrmat.adjoint_tensor import ad_matrix, generating_set, root_weight, rotate_pair
 from adjrmat.liealg import weight_basis, weight_chain
 from adjrmat.numerics import eig_general
-from adjrmat import rmatrix
-from adjrmat.rmatrix import CoefficientSet, build_R, generating_set, sample_ybe_pairs
+from adjrmat.rmatrix import CoefficientSet, build_R, sample_ybe_pairs
 from adjrmat.spinchain import (
     _h_table_residual,
     chain_H,
@@ -359,7 +358,7 @@ def _chevalley_rows(chain):
     """The rows of :func:`_weight_commutators` that the residual reads: Chevalley roots, then the Cartan generators."""
     n = chain.basis.n
     roots = chain.basis.dim - (n - 1)
-    chevalley = [np.flatnonzero(np.all(chain.weights[:roots] == rmatrix._root(n, ij), axis=1))[0]
+    chevalley = [np.flatnonzero(np.all(chain.weights[:roots] == root_weight(n, ij), axis=1))[0]
                  for ij in generating_set(n)[0]]
     return np.array(chevalley + list(range(roots, chain.basis.dim)))
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from adjrmat import rmatrix
-from adjrmat.adjoint_tensor import ad_matrix, apply_pair, highest_weight_vectors, rotate_pair
+from adjrmat.adjoint_tensor import (
+    ad_matrix,
+    apply_pair,
+    generating_set,
+    highest_weight_vectors,
+    root_weight,
+    rotate_pair,
+)
 from adjrmat.liealg import matrix_unit
-from adjrmat.rmatrix import generating_set
 from adjrmat.yangian_action import (
     LevelOneAction,
     delta_action,
@@ -147,7 +152,7 @@ def test_level1_blocks_rebuild_the_rotated_dense_action(algebra, n):
     rep = algebra.rep(n)
     chain = rep.weight_frame
     x = matrix_unit(rep.basis, 1, n, coords=False).matrix
-    beta = rmatrix._root(n, (1, n))
+    beta = root_weight(n, (1, n))
     mu, lam = 0.4 - 0.9j, -1.2 + 0.3j
     blocks, floor = level1_blocks(rep, x, beta)
     rebuilt = np.zeros((rep.dim**2,) * 2, dtype=complex)
