@@ -11,11 +11,11 @@ this module returns is in these Gell-Mann coordinates.  A decomposition holds
 only its (D, dim) bases: the D x D projectors and the s->a isometry are
 formed when they are read, and no check of :func:`build_decomposition` forms
 one.  The representation also holds
-the gather indices of the dense Yang-Baxter blocks over the three-site
-frame (``rep.ybe_gathers``, one Weyl orbit of sectors each) and the sector
-blocks of D(y) for the Chevalley generators y (``rep.chevalley_deltas``),
-each built once, and a ``memo`` for what the modules above build once per
-representation.
+the dominant sectors of the three-site weight frame on their highest-weight
+vectors, with the gathers that compress a two-site operator onto them
+(``rep.ybe_frame``, :class:`TripleSector`), and the sector blocks of D(y)
+for the Chevalley generators y (``rep.chevalley_deltas``), each built once,
+and a ``memo`` for what the modules above build once per representation.
 
 Two distinct objects both called "Casimir" are kept strictly separate:
 
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .liealg import SunBasis, WeightChain, matrix_unit, weight_chain
+from .liealg import SunBasis, WeightChain, matrix_unit, weight_chain, weyl_dimension
 from .numerics import DEFAULT_TOL, Tolerance, kron, max_abs
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "Submodule",
     "Decomposition",
     "PairFrame",
+    "TripleSector",
     "TERMS",
     "ROLE_ORDER",
     "adjoint_rep",
@@ -61,6 +62,7 @@ __all__ = [
     "root_weight",
     "root_action",
     "highest_weight_vectors",
+    "highest_weight_bases",
     "build_decomposition",
 ]
 
@@ -102,12 +104,26 @@ class AdjointRep:
         return weight_chain(self.basis, 2)
 
     @cached_property
-    def ybe_gathers(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """The gather indices of the dense Yang-Baxter blocks, one Weyl orbit of three-site sectors each, with its size.
-
-        See :func:`_triple_gathers`; built on first use.
-        """
-        return _triple_gathers(weight_chain(self.basis, 3))
+    def ybe_frame(self) -> list["TripleSector"]:
+        """The :class:`TripleSector` of each dominant sector of ``weight_chain(basis, 3)``, built on first use."""
+        chain, m = weight_chain(self.basis, 3), self.dim
+        pair_label, places = self.weight_frame.label, self.frame.places
+        out = []
+        for w, dim, p in highest_weight_bases(chain):
+            site = np.unravel_index(chain.blocks[w], (m, m, m))
+            pairs = []
+            for first, second, spectator in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                order = np.argsort(site[spectator], kind="stable")  # by spectator, in state order within
+                starts = np.flatnonzero(np.diff(site[spectator][order], prepend=-1))
+                two = pair_label[site[first] * m + site[second]]  # the two-site sector of each state
+                groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+                for rows in np.split(order, starts[1:]):
+                    g, r = places[two[rows[0]]]
+                    groups.setdefault(g, ([], []))[0].append(r)
+                    groups[g][1].append(rows)
+                pairs.append([(g, np.array(at), p[np.stack(gathered)]) for g, (at, gathered) in groups.items()])
+            out.append(TripleSector(dim, p, tuple(pairs)))
+        return out
 
     @cached_property
     def chevalley_deltas(self) -> dict[tuple[int, int], tuple[dict[int, tuple[int, np.ndarray]], float]]:
@@ -339,30 +355,55 @@ def root_action(chain: WeightChain, alpha: np.ndarray) -> np.ndarray:
     return chain.u @ ad_matrix(chain.basis, unit) @ np.conj(chain.u).T
 
 
-def _triple_gathers(chain: WeightChain) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Gather indices of the dense Yang-Baxter blocks, one (orbit size, i12, i13, i23) per Weyl orbit of a 3-site ``chain``.
+@dataclass(frozen=True)
+class TripleSector:
+    """A dominant sector of the three-site weight frame, on its highest-weight vectors.
 
-    Only the representative sector of each orbit (:attr:`WeightChain.weyl_orbits`)
-    is gathered: for an invariant R, both sides of the YBE have the same
-    Frobenius norms on every sector of an orbit.  Each triple reads R12, R13
-    and R23 restricted to the sector out of their (m, m, m, m)
-    weight-coordinate arrays with one zero appended: an entry whose
-    spectator site differs between row and column reads that zero.
+    ``basis`` is P, the (d, k) real orthonormal highest-weight vectors of the
+    sector, one per copy of the module V of its weight, and ``dim`` is dim V:
+    an invariant X acts on the copies as 1 (x) A on V (x) C^k (Schur's
+    lemma), A = P^T X P.  A two-site operator on the sites (1, 2), (1, 3) or
+    (2, 3) (``pairs[0..2]``) is block-diagonal in the sector over the state
+    of the spectator site, each block its two-site sector block at the
+    weight left, states in the same order.  So each pair lists (g, r, p), one
+    per sector size of ``rep.frame.sectors``: p[s] holds the rows of P with
+    one spectator state, and blocks[g][r[s]] is the block they meet.
     """
-    m = chain.basis.dim
-    # the smallest unsigned type that holds m^4: 0.3 MB of indices at n = 4
-    dtype = np.min_scalar_type(m**4)
 
-    def flat(p, q, spectator):
-        # entry (p, q; p', q') of a two-site operator, (p*m + q)*m^2 + p'*m + q'
-        idx = ((p[:, None] * m + q[:, None]) * m + p[None, :]) * m + q[None, :]
-        return np.where(spectator[:, None] == spectator[None, :], idx, m**4).astype(dtype)
+    dim: int
+    basis: np.ndarray
+    pairs: tuple[list[tuple[int, np.ndarray, np.ndarray]], ...]
 
-    gathers = []
-    for w, size in zip(*(x.tolist() for x in chain.weyl_orbits)):
-        a, b, c = np.unravel_index(chain.blocks[w], (m, m, m))
-        gathers.append((size, flat(a, b, c), flat(a, c, b), flat(b, c, a)))
-    return gathers
+    def compress(self, blocks: list[np.ndarray], pair: int) -> np.ndarray:
+        """P^T X P for the two-site operator X with sector blocks ``blocks`` on the sites ``pairs[pair]``."""
+        return sum(np.tensordot(p, blocks[g][r] @ p, axes=([0, 1], [0, 1])) for g, r, p in self.pairs[pair])
+
+
+def highest_weight_bases(chain: WeightChain, tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, int, np.ndarray]]:
+    """(sector, dim V, P) for each dominant sector of ``chain`` that holds highest-weight vectors.
+
+    P is an orthonormal basis of the common kernel in the sector of the
+    simple raising operators sum_s ad_s(e_{i,i+1}), the null space of the
+    Gram sum_i E_i^T E_i of their blocks, which are real and built for the
+    dominant sectors alone; dim V is :func:`liealg.weyl_dimension` of the
+    sector's weight.  Unless sum k dim V = m^L, ``AssertionError`` is raised.
+    """
+    n, dominant = chain.basis.n, chain.weyl_orbits
+    gram = {w: np.zeros((len(chain.blocks[w]),) * 2) for w in dominant.tolist()}
+    for i in range(1, n):
+        alpha = root_weight(n, (i, i + 1))
+        for k, _, b in chain.shift_blocks(root_action(chain, alpha).real, alpha, tol, sources=dominant):
+            gram[k] += b.T @ b
+    out = []
+    for w, g in gram.items():
+        vals, vecs = np.linalg.eigh(g)
+        kernel = vals <= tol.rank_tol
+        if kernel.any():
+            out.append((w, weyl_dimension(chain.sector_weights[w]), vecs[:, kernel]))
+    filled = sum(dim * p.shape[1] for _, dim, p in out)
+    if filled != len(chain.label):
+        raise AssertionError(f"highest-weight modules fill {filled} of {len(chain.label)} states")
+    return out
 
 
 def _labels(n: int) -> dict[str, str]:

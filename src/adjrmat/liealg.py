@@ -13,7 +13,9 @@ one weight frame of the package: the product weight basis of any number of
 adjoint sites, split into total-weight sectors, with the sector blocks of
 sum_s x_s for a single-site x that shifts weight by a root
 (:meth:`WeightChain.shift_blocks`).  The orbits of the decomposition, the
-dense Yang-Baxter residual and both spectra work on it one sector at a time.
+highest-weight vectors of the Yang-Baxter residual and both spectra work on
+it one sector at a time; :func:`weyl_dimension` gives the dimension of a
+module from its highest weight.
 
 Conventions: [I^a, I^b] = sum_c f^{abc} I^c with f purely imaginary and
 totally antisymmetric; {I^a, I^b} = sum_c d^{abc} I^c + (2/n) delta_ab 1
@@ -22,6 +24,8 @@ with d real and totally symmetric.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +42,7 @@ __all__ = [
     "weight_basis",
     "WeightChain",
     "weight_chain",
+    "weyl_dimension",
 ]
 
 
@@ -210,10 +215,10 @@ class WeightChain:
     ``sector_weights``, and ``label`` gives the sector of each state (37
     sectors at n = 3, L = 3, the largest of 56; 61 at L = 4, the largest of
     346).  Every weight-sector computation of the package reads this frame:
-    the lowering orbits and the two-site spectrum (2 sites), the dense
-    Yang-Baxter blocks (3 sites) and the chain checks (L sites).  Besides
-    ``u`` it holds tables of the m^L states, never an m^L x m^L array, and
-    it applies no dense cap.
+    the lowering orbits and the two-site spectrum (2 sites), the
+    highest-weight vectors of the Yang-Baxter residual (3 sites) and the
+    chain checks (L sites).  Besides ``u`` it holds tables of the m^L
+    states, never an m^L x m^L array, and it applies no dense cap.
     """
 
     basis: SunBasis
@@ -236,41 +241,39 @@ class WeightChain:
         return on_site, m ** np.arange(sites - 1, -1, -1), pos
 
     @cached_property
-    def weyl_orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """One sector per orbit of the Weyl group S_n, which permutes the entries of a weight, and the orbit sizes.
+    def weyl_orbits(self) -> np.ndarray:
+        """The dominant sectors, whose weights are sorted in descending order: one per orbit of the Weyl group S_n.
 
-        The representative is the sector whose weight equals its own entries
-        sorted in descending order.  A lift of each Weyl element to SU(n)
-        maps sector W onto sector w(W) unitarily, so an invariant operator has
-        blocks of one size and one Frobenius norm over an orbit (8 orbits of
-        the 37 sectors at n = 3, L = 3; 12 of 147 at n = 4).
+        Every highest weight is dominant (8 of the 37 sectors at n = 3,
+        L = 3; 12 of 147 at n = 4).
         """
-        ordered = -np.sort(-self.sector_weights, axis=1)
-        _, orbit, sizes = np.unique(ordered, axis=0, return_inverse=True, return_counts=True)
-        reps = np.flatnonzero((ordered == self.sector_weights).all(axis=1))
-        return reps, sizes[orbit.ravel()[reps]]
+        return np.flatnonzero((-np.sort(-self.sector_weights, axis=1) == self.sector_weights).all(axis=1))
 
     def on_shift(self, alpha: np.ndarray) -> np.ndarray:
         """The (m, m) mask of the single-site entries (c, a) with weights[c] - weights[a] = ``alpha``."""
         return np.all(self.weights[:, None] - self.weights[None, :] == alpha, axis=2)
 
     def shift_blocks(self, x: np.ndarray, alpha: np.ndarray, tol: Tolerance = DEFAULT_TOL,
-                     sites: tuple[int, ...] | None = None):
+                     sites: tuple[int, ...] | None = None, sources: np.ndarray | None = None):
         """The sector blocks of sum_s x_s, for a single-site x that shifts weight by ``alpha``.
 
         ``x`` is an m x m operator in weight coordinates, x_s acts as x on
         site s, and s runs over ``sites`` (every site by default).  Sector W
         goes to sector W + alpha, so sum_s x_s is a list of (source sector,
-        target sector, block) triples, in source sector order; sectors whose
-        image is empty are left out.  An entry of x above ``tol.abs_tol``
-        that does not shift weight by alpha means the frame is wrong, and
-        raises ``AssertionError``.
+        target sector, block) triples, in source sector order, for the source
+        sectors ``sources`` (every sector by default), with the dtype of x;
+        sectors whose image is empty are left out.  An entry of x above
+        ``tol.abs_tol`` that does not shift weight by alpha means the frame is
+        wrong, and raises ``AssertionError``.
         """
         on_shift = self.on_shift(alpha)
         stray = max_abs(x[~on_shift])
         if stray > tol.abs_tol:
             raise AssertionError(f"single-site operator leaves its weight shift ({stray:.3e})")
         on_site, strides, pos = self._site_tables
+        if sources is not None:
+            keep = np.isin(self.label, sources)
+            on_site = [[states[keep[states]] for states in site] for site in on_site]
         src, dst, vals = [], [], []
         for s in range(self.sites) if sites is None else sites:
             for c, a in np.argwhere(on_shift):  # site s goes from a to c
@@ -286,7 +289,7 @@ class WeightChain:
         rows, cols = sizes[ts], sizes[ks]
         begin = np.cumsum(rows * cols) - rows * cols
         group = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(src))))
-        flat = np.zeros(begin[-1] + rows[-1] * cols[-1], dtype=complex)  # every block is a view of it
+        flat = np.zeros(begin[-1] + rows[-1] * cols[-1], dtype=x.dtype)  # every block is a view of it
         flat[begin[group] + pos[dst] * cols[group] + pos[src]] = vals
         return [(k, t, flat[b : b + r * c].reshape(r, c))
                 for k, t, b, r, c in zip(*(v.tolist() for v in (ks, ts, begin, rows, cols)))]
@@ -304,6 +307,12 @@ class WeightChain:
             rows[:, idx] = 0.0
             off2 += np.linalg.norm(rows) ** 2
         return diag, float(np.sqrt(off2))
+
+
+def weyl_dimension(weight) -> int:
+    """dim V of the su(n) module of highest weight ``weight`` (in e_1..e_n): prod_{i<j} (w_i - w_j + j - i) / (j - i), exactly."""
+    w, pairs = [int(x) for x in weight], list(itertools.combinations(range(len(weight)), 2))
+    return math.prod(w[i] - w[j] + j - i for i, j in pairs) // math.prod(j - i for i, j in pairs)
 
 
 def weight_chain(basis: SunBasis, sites: int) -> WeightChain:

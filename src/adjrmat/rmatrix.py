@@ -45,14 +45,14 @@ of D(y) and of J(x) (:func:`yangian_action.level1_blocks`), those of the
 generating set built once per representation (``rep.chevalley_deltas`` and
 :func:`yangian_action.top_level1_blocks`).
 
-The dense Yang-Baxter residual works in the three-site weight frame of
-:func:`liealg.weight_chain`, where both sides of the YBE are block-diagonal
-in the total weight; they are formed one sector at a time from the blocks of
-R(lam) scattered into two-site weight coordinates
-(:meth:`PairOperator.weight_dense`), through gather indices built once per
-representation (``rep.ybe_gathers``), for one sector per orbit of the Weyl
-group.  That is exact for an invariant R, and :func:`r_terms_invariance_residual`
-checks that the terms R is made of are invariant.
+The Yang-Baxter residual (:func:`ybe_residual`) is exact over the whole
+three-site space on one path at every n: by Schur's lemma each factor acts
+on the multiplicity space of each module of adj (x) adj (x) adj, read on the
+highest-weight vectors of a dominant sector of the three-site weight frame
+(``rep.ybe_frame``), and the factors there are compressed from the sector
+blocks of R(lam).  That is exact for an invariant R, and
+:func:`r_terms_invariance_residual` checks that the terms R is made of are
+invariant.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ __all__ = [
     "SAMPLE_RADIUS",
     "MAX_RESAMPLES",
     "DEFAULT_SEED",
-    "DENSE_YBE_MAX_DIM",
     "CoefficientSet",
     "check_pole_distance",
     "PairOperator",
@@ -110,8 +109,6 @@ SAMPLE_RADIUS = 3.0
 # ill-conditioned samples derive_coefficients may replace before it gives up
 MAX_RESAMPLES = 20
 DEFAULT_SEED = 7
-# largest three-site dimension (n^2-1)^3 for which the dense YBE residual runs
-DENSE_YBE_MAX_DIM = 3375
 
 
 @dataclass(frozen=True)
@@ -426,86 +423,37 @@ def ybe_residual(
     dec: Decomposition,
     lam: complex,
     mu: complex,
-    mode: str = "dense",
-    probes: int = 10,
+    mode: str | None = None,
+    probes: int = 0,
     solution: str = "R",
-    rng: np.random.Generator | None = None,
 ) -> float:
-    """Relative residual of the Yang-Baxter equation at (lam, mu).
+    """Frobenius ratio ||L - R|| / ||L|| of the YBE at (lam, mu), exact over the whole three-site space.
 
-    Both modes read the sector blocks of :func:`r_op` or :func:`r_tilde_op`.
-    Dense mode (allowed for (n^2-1)^3 <= DENSE_YBE_MAX_DIM, i.e. n <= 4)
-    forms both sides R12(lam) R13(lam+mu) R23(mu) and R23(mu) R13(lam+mu)
-    R12(lam) exactly, one total-weight block of the three-site space at a
-    time, and returns sqrt(sum_W ||L_W - R_W||^2 / sum_W ||L_W||^2), the
-    Frobenius ratio over the whole space.  An operator made of weight-sector
-    blocks conserves Cartan weight, so the blocks are exact; that they hold
-    all of R is the ``r-assembly-agreement`` check.  The sums run over one
-    sector per orbit of the Weyl group, each term weighted by the orbit's
-    size (``rep.ybe_gathers``): a lift of a Weyl element to SU(n) maps a
-    sector onto its image unitarily and commutes with an invariant R, so
-    both norms are constant on an orbit.  That R's terms are invariant is
-    the ``r-terms-invariance`` check (:func:`r_terms_invariance_residual`),
-    and the all-sector sum survives as the tests' oracle.  Matrix-free mode
-    rotates random unit probe vectors once into the three-site weight frame
-    (the norms are unitarily invariant), applies both sides there one factor
-    at a time through its sector blocks, and returns the maximum relative
-    residual over the probes; its oracles are the dense mode at n <= 4 and
-    the dense-R einsums of the tests (``_ybe_probe_oracle``).
+    L = R12(lam) R13(lam+mu) R23(mu) and R = R23(mu) R13(lam+mu) R12(lam),
+    for :func:`r_op` or :func:`r_tilde_op`.  Each factor commutes with su(n),
+    so on adj^(x)3 = sum_V V (x) C^k it acts as 1 (x) A_V (Schur's lemma):
+    the YBE holds if and only if it holds on each multiplicity space, and
+    ||L - R||^2 = sum_V dim V ||L_V - R_V||^2, ||L||^2 likewise.  Each
+    A_V = P_V^T R_ij P_V is compressed from the sector blocks of R onto the
+    highest-weight vectors P_V of ``rep.ybe_frame`` (at most 9 for n <= 8).
+    That R is invariant is the ``r-terms-invariance`` check, and that its
+    blocks hold all of R is ``r-assembly-agreement``.
 
-    Only ``dec.rep`` is read.  ``dec`` stays the parameter because the
-    benchmark tracer (``perfbench/tracing.py``) reads ``dec.n`` by that name.
+    Only ``dec.rep`` is read.  ``dec``, ``mode`` and ``probes`` stay because
+    the benchmark tracer (``perfbench/tracing.py``) reads them by name, and
+    it is their only reader: no caller passes ``mode`` or ``probes``.
     """
     rep = dec.rep
     for z in (lam, mu, lam + mu):
         check_pole_distance(z, rep.n)
     ops = {"R": r_op, "Rtilde": r_tilde_op}[solution]
-    r_lam, r_sum, r_mu = (ops(rep, z) for z in (lam, lam + mu, mu))
-    m = rep.dim
-    if mode == "dense":
-        if m**3 > DENSE_YBE_MAX_DIM:
-            raise ValueError(f"dense mode needs (n^2-1)^3 <= {DENSE_YBE_MAX_DIM}, got {m**3}")
-        return _ybe_dense_blocks(rep, [r_lam, r_sum, r_mu])
-    if mode != "matrix_free":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
-    u = rep.weight_frame.u
-    worst = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
-        v /= np.linalg.norm(v)
-        v = np.matmul(u, (u @ v.reshape(m, -1)).reshape(m, m, m)) @ u.T  # to the three-site weight frame
-        lhs = _on_sites(r_lam, (0, 1), _on_sites(r_sum, (0, 2), _on_sites(r_mu, (1, 2), v)))
-        rhs = _on_sites(r_mu, (1, 2), _on_sites(r_sum, (0, 2), _on_sites(r_lam, (0, 1), v)))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)))
-    return worst
-
-
-def _on_sites(op: PairOperator, pair: tuple[int, int], v: np.ndarray) -> np.ndarray:
-    """Apply the two-site operator ``op`` to the sites ``pair`` of an (m, m, m) array in weight coordinates."""
-    m = v.shape[0]
-    axes = (*pair, 3 - sum(pair))  # the spectator site goes last, as the batch axis
-    out = op.frame.apply_weight(op.blocks, v.transpose(axes).reshape(m * m, m))
-    return out.reshape(m, m, m).transpose(np.argsort(axes))
-
-
-def _ybe_dense_blocks(rep: AdjointRep, ops: list[PairOperator]) -> float:
-    """Dense YBE residual of (R12, R13, R23) = ``ops``, block by block in total weight.
-
-    Each operator is read in two-site weight coordinates
-    (:meth:`PairOperator.weight_dense`).  The gather indices are
-    ``rep.ybe_gathers``, built once per representation: one sector per Weyl
-    orbit, whose squared norms count once for each sector of the orbit.
-    """
-    r12, r13, r23 = (np.append(op.weight_dense().ravel(), 0.0) for op in ops)
+    factors = [ops(rep, z).blocks for z in (lam, lam + mu, mu)]  # on the sites (1, 2), (1, 3), (2, 3)
     diff2 = norm2 = 0.0
-    for size, i12, i13, i23 in rep.ybe_gathers:
-        x12, x13, x23 = r12[i12], r13[i13], r23[i23]
-        lhs = x12 @ (x13 @ x23)
-        rhs = x23 @ (x13 @ x12)
-        diff2 += size * np.linalg.norm(lhs - rhs) ** 2
-        norm2 += size * np.linalg.norm(lhs) ** 2
+    for sector in rep.ybe_frame:
+        a12, a13, a23 = (sector.compress(blocks, pair) for pair, blocks in enumerate(factors))
+        lhs = a12 @ a13 @ a23
+        diff2 += sector.dim * np.linalg.norm(lhs - a23 @ a13 @ a12) ** 2
+        norm2 += sector.dim * np.linalg.norm(lhs) ** 2
     return float(np.sqrt(diff2 / norm2))
 
 
@@ -568,7 +516,7 @@ def r_terms_invariance_residual(rep: AdjointRep) -> float:
     at once, with no lam.  D(y) maps sector W of ``rep.weight_frame`` to
     W + alpha (``rep.chevalley_deltas``), so each commutator is D_W T_W -
     T_{W+alpha} D_W, exact over every column.  The y generate su(n), so the
-    terms are invariant, as the Weyl-orbit sum of the dense YBE residual
+    terms are invariant, as the YBE residual on highest-weight vectors
     (:func:`ybe_residual`) needs, when this is roundoff.
     """
     frame = rep.frame

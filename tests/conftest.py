@@ -244,8 +244,8 @@ def _all_sector_gathers(chain):
 def all_sector_ybe(dec, lam, mu, solution="R"):
     """The dense YBE residual summed over every sector of the three-site weight frame.
 
-    The package sums one sector per Weyl orbit, weighted by the orbit's size
-    (``rmatrix._ybe_dense_blocks``); this is the all-sector loop it replaced.
+    The package sums the same Frobenius ratio over the highest-weight
+    vectors of each module of the three sites (``rmatrix.ybe_residual``).
     """
     rep = dec.rep
     ops = {"R": r_op, "Rtilde": r_tilde_op}[solution]

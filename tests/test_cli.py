@@ -141,6 +141,28 @@ def test_verify_all_check_ids_are_pinned(tmp_path):
     assert payload["counts"]["total"] == len(VERIFY_ALL_N3_IDS)
 
 
+def test_verify_ybe_check_ids_at_n5_include_the_invariance_premise(tmp_path):
+    """From n = 5 as below, the YBE residual rests on R's invariance, so r-terms-invariance runs at every n."""
+    code, payload = run(tmp_path, "verify", "ybe", "--n", "5", "--samples", "2")
+    assert code == 0
+    assert [c["id"] for c in payload["checks"]] == (
+        ["r-at-zero-is-swap", "r-assembly-agreement", "r-terms-invariance"]
+        + ["ybe-R", "ybe-Rtilde"] * 2
+        + ["asymptotic-falloff"]
+    )
+
+
+def test_ybe_at_n6_fails_a_solution_that_is_invariant_but_wrong(tmp_path, monkeypatch):
+    """With N = M, R stays invariant and fails the YBE at n = 6, where no dense oracle runs."""
+    monkeypatch.setattr(rmatrix.CoefficientSet, "N", rmatrix.CoefficientSet.M)
+    code, payload = run(tmp_path, "verify", "ybe", "--n", "6", "--samples", "1")
+    assert code == 1
+    checks = {c["id"]: c for c in payload["checks"]}
+    assert checks["r-terms-invariance"]["pass"]
+    assert checks["ybe-R"]["residual"] > 1e-2 and not checks["ybe-R"]["pass"]
+    assert checks["ybe-Rtilde"]["pass"]  # sigma I(lam) reads M, which is right
+
+
 def test_verify_ybe_without_samples(tmp_path):
     """With no (lam, mu) pairs drawn there is no lambda for the R-assembly check."""
     code, payload = run(tmp_path, "verify", "ybe", "--n", "3", "--samples", "0")
@@ -337,18 +359,22 @@ def test_intertwiner_checks_build_no_dense_level1_action(tmp_path, monkeypatch):
 
 
 def test_ybe_and_transfer_checks_read_only_the_blocks_of_R(tmp_path, monkeypatch):
-    """The dense YBE and the chain's t_w(lam) read R's sector blocks: no Gell-Mann R, no off-sector floor."""
+    """The YBE and the chain's t_w(lam) read R's sector blocks: no Gell-Mann R, no off-sector floor.
+
+    The YBE forms no weight-coordinate R either.
+    """
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a Gell-Mann R was built or its off-sector share measured")
+        raise AssertionError("a dense R was built or its off-sector share measured")
 
     monkeypatch.setattr(rmatrix.PairOperator, "dense", refuse)
+    monkeypatch.setattr(rmatrix.PairOperator, "weight_dense", refuse)
     monkeypatch.setattr(liealg.WeightChain, "split", refuse)
     code, payload = run(tmp_path, "verify", "ybe", "--n", "4")
     assert code == 0
     # the ybe suite's ids, which follow the intertwiner suite's in the n = 3 list
     assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[17:31]
-    assert {c["params"]["mode"] for c in payload["checks"] if c["id"].startswith("ybe-")} == {"dense"}
+    assert not any("mode" in c.get("params", {}) for c in payload["checks"])
     monkeypatch.undo()
     monkeypatch.setattr(spinchain, "build_R", refuse)
     code, payload = run(tmp_path, "verify", "chain", "--n", "3", "--sites", "3")
@@ -481,7 +507,7 @@ def test_rejects_small_n(tmp_path):
 
 
 def test_ybe_mode_flags_are_usage_errors(tmp_path, capsys):
-    """verify ybe picks dense or probes from the rank; there is no flag to force either."""
+    """verify ybe has one exact path at every rank: there is no flag to pick one, and no mode is reported."""
     out = tmp_path / "out.json"
     for flag in ("--dense", "--matrix-free"):
         with pytest.raises(SystemExit) as info:
@@ -491,7 +517,8 @@ def test_ybe_mode_flags_are_usage_errors(tmp_path, capsys):
     assert not out.exists()
     code, payload = run(tmp_path, "verify", "ybe", "--n", "3", "--samples", "1")
     assert code == 0 and "mode" not in payload
-    assert {c["params"]["mode"] for c in payload["checks"] if c["id"].startswith("ybe-")} == {"dense"}
+    ybe = [c for c in payload["checks"] if c["id"].startswith("ybe-")]
+    assert ybe and all(set(c["params"]) == {"lambda", "mu"} for c in ybe)
 
 
 def test_bad_lambda_format():

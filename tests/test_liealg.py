@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from adjrmat import liealg
-from adjrmat.adjoint_tensor import ad_matrix, adjoint_rep, build_decomposition, root_action
+from adjrmat import adjoint_tensor, liealg
+from adjrmat.adjoint_tensor import ad_matrix, adjoint_rep, build_decomposition, highest_weight_bases, root_action
 from adjrmat.liealg import (
     build_basis,
     matrix_unit,
@@ -220,17 +220,48 @@ def test_weight_chain_blocks_are_the_pair_and_triple_groupings(algebra, n):
 
 @pytest.mark.parametrize("n, sectors, orbits", [(3, 37, 8), (4, 147, 12), (5, 471, 14), (6, 1281, 15)])
 def test_weyl_orbits_of_three_site_sectors(algebra, n, sectors, orbits):
-    """One dominant sector per orbit of S_n on the weights; the orbit sizes add up to every sector."""
+    """One dominant sector per orbit of S_n on the weights; the orbits cover every sector."""
     chain = weight_chain(algebra.basis(n), 3)
-    reps, sizes = chain.weyl_orbits
+    reps = chain.weyl_orbits
     assert (len(chain.blocks), len(reps)) == (sectors, orbits)
-    assert sizes.sum() == sectors
     ordered = np.sort(chain.sector_weights, axis=1)
-    for w, size in zip(reps, sizes):
+    covered = 0
+    for w in reps:
         assert np.array_equal(chain.sector_weights[w], ordered[w][::-1])
         members = np.flatnonzero((ordered == ordered[w]).all(axis=1))
-        assert len(members) == size
+        covered += len(members)
         assert {len(chain.blocks[k]) for k in members} == {len(chain.blocks[w])}
+    assert covered == sectors
+
+
+@pytest.mark.parametrize("n, sectors, multiplicity", [(3, 8, 29), (4, 12, 45), (5, 14, 50), (6, 15, 51),
+                                                      (7, 15, 51)])
+def test_highest_weight_frame_of_three_sites(algebra, n, sectors, multiplicity):
+    """Every dominant sector holds highest-weight vectors, sum k = ``multiplicity``, and the modules fill adj^(x)3."""
+    chain = weight_chain(algebra.basis(n), 3)
+    frame = highest_weight_bases(chain)
+    assert [w for w, _, _ in frame] == chain.weyl_orbits.tolist()
+    assert len(frame) == sectors
+    assert sum(p.shape[1] for _, _, p in frame) == multiplicity
+    assert sum(dim * p.shape[1] for _, dim, p in frame) == (n * n - 1) ** 3
+    for _, _, p in frame:
+        assert np.isrealobj(p)
+        assert np.max(np.abs(p.T @ p - np.eye(p.shape[1]))) <= 1e-13
+
+
+def test_highest_weight_frame_refuses_modules_that_do_not_fill_the_sites(algebra, monkeypatch):
+    """A wrong module dimension breaks sum k dim V = m^3, which the frame asserts when it is built."""
+    monkeypatch.setattr(adjoint_tensor, "weyl_dimension", lambda weight: 1)
+    with pytest.raises(AssertionError, match="fill"):
+        highest_weight_bases(weight_chain(algebra.basis(3), 3))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_highest_weight_frame_of_two_sites_matches_the_decomposition(algebra, n):
+    """On two sites the frame's modules are the submodules of the decomposition: k = 2 for the adjoint, 1 otherwise."""
+    frame = highest_weight_bases(weight_chain(algebra.basis(n), 2))
+    got = sorted(dim for _, dim, p in frame for _ in range(p.shape[1]))
+    assert got == sorted(sub.dim for sub in algebra.dec(n).submodules)
 
 
 def _rebuilt(chain, x, alpha, sites=None):

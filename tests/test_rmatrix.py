@@ -7,7 +7,6 @@ from adjrmat.liealg import matrix_unit
 from adjrmat.numerics import DEFAULT_TOL, max_abs
 from adjrmat import rmatrix, spinchain, yangian_action
 from adjrmat.rmatrix import (
-    DENSE_YBE_MAX_DIM,
     SAMPLE_RADIUS,
     CoefficientSet,
     _intertwiner_coefficients,
@@ -318,12 +317,12 @@ def test_rtilde_is_swap_conjugate(algebra, rng):
 
 def test_ybe_su3_paper_point(algebra):
     dec = algebra.dec(3)
-    assert ybe_residual(dec, 0.7, -1.3j, mode="dense") < TOL
+    assert ybe_residual(dec, 0.7, -1.3j) < TOL
 
 
 def test_ybe_boundary_mu_zero(algebra):
     dec = algebra.dec(3)
-    assert ybe_residual(dec, 0.45 + 0.3j, 0.0, mode="dense") < 1e-10
+    assert ybe_residual(dec, 0.45 + 0.3j, 0.0) < 1e-10
 
 
 @pytest.mark.parametrize("solution", ["R", "Rtilde"])
@@ -331,7 +330,7 @@ def test_ybe_dense_both_solutions(algebra, rng, solution):
     for n in (3, 4):
         dec = algebra.dec(n)
         lam, mu = sample_ybe_pairs(rng, n, 1)[0]
-        assert ybe_residual(dec, lam, mu, mode="dense", solution=solution) < 1e-8
+        assert ybe_residual(dec, lam, mu, solution=solution) < 1e-8
 
 
 def _ybe_einsum_oracle(dec, lam, mu, solution="R"):
@@ -344,14 +343,15 @@ def _ybe_einsum_oracle(dec, lam, mu, solution="R"):
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_ybe_weight_blocks_match_einsum_oracle(algebra, n):
-    """The sum over one sector per Weyl orbit matches the m^8 contraction and the sum over every sector."""
+    """The sum over highest-weight vectors matches the sum over every weight sector, and at n = 3 the m^8 contraction."""
     dec = algebra.dec(n)
     for lam, mu in sample_ybe_pairs(np.random.default_rng(n), n, 2):
         for solution in ("R", "Rtilde"):
-            blocks = ybe_residual(dec, lam, mu, mode="dense", solution=solution)
-            assert abs(blocks - _ybe_einsum_oracle(dec, lam, mu, solution)) < 1e-13
+            blocks = ybe_residual(dec, lam, mu, solution=solution)
+            if n == 3:
+                assert abs(blocks - _ybe_einsum_oracle(dec, lam, mu, solution)) < 1e-13
             assert abs(blocks - all_sector_ybe(dec, lam, mu, solution)) <= 1e-13
 
 
@@ -360,22 +360,28 @@ def test_ybe_weight_blocks_match_oracle_when_failing(algebra, monkeypatch):
     dec = algebra.dec(3)
     monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
     lam, mu = 0.5 + 0.2j, -0.3 + 0.4j
-    blocks = ybe_residual(dec, lam, mu, mode="dense")
+    blocks = ybe_residual(dec, lam, mu)
     oracle = _ybe_einsum_oracle(dec, lam, mu)
     assert blocks > 1e-8
     assert abs(blocks - oracle) <= 1e-10 * oracle
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_ybe_orbit_sum_matches_all_sectors_when_failing(algebra, monkeypatch, n):
-    """With N = M, R is still invariant but fails the YBE: both sums give the same failure."""
+    """With M replaced by M diag(1, -1), R and R~ stay invariant but fail the YBE: both sums give the same failure.
+
+    N = M diag(1, -1) then equals the closed-form M (the N = M case of R),
+    and sigma I(lam) carries the flipped block.
+    """
     dec = algebra.dec(n)
-    monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
+    block = CoefficientSet.M
+    monkeypatch.setattr(CoefficientSet, "M", lambda self, lam: block(self, lam) @ np.diag([1.0, -1.0]))
     lam, mu = 0.5 + 0.2j, -0.3 + 0.4j
-    orbits = ybe_residual(dec, lam, mu, mode="dense")
-    oracle = all_sector_ybe(dec, lam, mu)
-    assert orbits > 1e-8
-    assert abs(orbits - oracle) <= 1e-10 * oracle
+    for solution in ("R", "Rtilde"):
+        got = ybe_residual(dec, lam, mu, solution=solution)
+        oracle = all_sector_ybe(dec, lam, mu, solution)
+        assert got > 1e-8
+        assert abs(got - oracle) <= 1e-10 * oracle
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -401,9 +407,10 @@ def test_r_terms_invariance_rejects_noise_in_one_non_dominant_sector(algebra):
 
 
 def test_ybe_dense_rejects_perturbed_R_blocks(algebra, monkeypatch):
-    """Noise of relative size 1e-6 inside the sector blocks of R fails the dense YBE check.
+    """Noise of relative size 1e-6 inside the sector blocks of R fails the YBE check.
 
-    The noisy R still conserves Cartan weight but is no longer su(n)-invariant.
+    The noisy R still conserves Cartan weight but is no longer su(n)-invariant;
+    compressed onto the highest-weight vectors it still fails the YBE.
     """
     dec = algebra.dec(3)
     exact = rmatrix.r_op
@@ -419,30 +426,13 @@ def test_ybe_dense_rejects_perturbed_R_blocks(algebra, monkeypatch):
         return op
 
     monkeypatch.setattr(rmatrix, "r_op", perturbed)
-    assert ybe_residual(dec, 0.7, -1.3j, mode="dense") > 1e-8
-
-
-def test_ybe_matrix_free_agrees_with_dense(algebra, rng):
-    """The probe estimator is validated against the dense residual."""
-    dec = algebra.dec(3)
-    lam, mu = 0.9 + 0.4j, -0.6 + 0.2j
-    dense = ybe_residual(dec, lam, mu, mode="dense")
-    probed = ybe_residual(dec, lam, mu, mode="matrix_free", probes=10, rng=rng)
-    assert probed < 1e-8
-    assert abs(probed - dense) < 1e-8
+    assert ybe_residual(dec, 0.7, -1.3j) > 1e-8
 
 
 def test_ybe_matrix_free_su5(algebra, rng):
     dec = algebra.dec(5)
     for lam, mu in sample_ybe_pairs(rng, 5, 3):
-        assert ybe_residual(dec, lam, mu, mode="matrix_free", probes=10, rng=rng) < 1e-8
-
-
-def test_ybe_dense_mode_capped(algebra):
-    dec = algebra.dec(5)
-    assert 24**3 > DENSE_YBE_MAX_DIM >= 15**3
-    with pytest.raises(ValueError):
-        ybe_residual(dec, 0.4, 0.2, mode="dense")
+        assert ybe_residual(dec, lam, mu) < 1e-8
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -506,7 +496,7 @@ def test_pole_guard(algebra):
     with pytest.raises(ValueError, match="pole at 3"):
         build_R(dec.rep, 2.95)
     with pytest.raises(ValueError):
-        ybe_residual(dec, 0.6, 0.45, mode="dense")  # lam + mu hits the pole at 1
+        ybe_residual(dec, 0.6, 0.45)  # lam + mu hits the pole at 1
     check_pole_distance(0.5, 3)
 
 
@@ -712,51 +702,3 @@ def test_r_at_zero_residual_catches_dropped_parity(algebra, monkeypatch):
     assert r_at_zero_residual(rep) <= 1e-12
     monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
     assert r_at_zero_residual(rep) > 0.1
-
-
-def _ybe_probe_oracle(dec, lam, mu, probes, rng, solution="R"):
-    """The retired probe path: dense m^4 R applied to each probe by einsum."""
-    build = {"R": build_R, "Rtilde": build_R_tilde}[solution]
-    m = dec.n * dec.n - 1
-    r_lam, r_sum, r_mu = (build(dec.rep, z).reshape(m, m, m, m) for z in (lam, lam + mu, mu))
-
-    def apply_12(r4, v):
-        return np.einsum("abxy,xyc->abc", r4, v, optimize=True)
-
-    def apply_13(r4, v):
-        return np.einsum("acxz,xyz->ayc", r4, v, optimize=True)
-
-    def apply_23(r4, v):
-        return np.einsum("bcyz,xyz->xbc", r4, v, optimize=True)
-
-    worst = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
-        v /= np.linalg.norm(v)
-        lhs = apply_12(r_lam, apply_13(r_sum, apply_23(r_mu, v)))
-        rhs = apply_23(r_mu, apply_13(r_sum, apply_12(r_lam, v)))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)))
-    return worst
-
-
-@pytest.mark.parametrize("solution", ["R", "Rtilde"])
-def test_ybe_probes_match_einsum_oracle(algebra, solution):
-    dec = algebra.dec(5)
-    for k, (lam, mu) in enumerate(sample_ybe_pairs(np.random.default_rng(11), 5, 2)):
-        probed = ybe_residual(dec, lam, mu, mode="matrix_free", probes=3, solution=solution,
-                              rng=np.random.default_rng(k))
-        oracle = _ybe_probe_oracle(dec, lam, mu, 3, np.random.default_rng(k), solution)
-        assert probed < 1e-8
-        assert abs(probed - oracle) <= 1e-12
-
-
-def test_ybe_probes_match_einsum_oracle_when_failing(algebra, monkeypatch):
-    """With the parity diag(1, -1) dropped from N, both probe paths fail alike."""
-    dec = algebra.dec(5)
-    monkeypatch.setattr(CoefficientSet, "N", CoefficientSet.M)
-    lam, mu = 0.5 + 0.2j, -0.3 + 0.4j
-    probed = ybe_residual(dec, lam, mu, mode="matrix_free", probes=3,
-                          rng=np.random.default_rng(3))
-    oracle = _ybe_probe_oracle(dec, lam, mu, 3, np.random.default_rng(3))
-    assert probed > 1e-8 and oracle > 1e-8
-    assert abs(probed - oracle) <= 1e-12
