@@ -56,8 +56,6 @@ __all__ = [
     "apply_swap",
     "apply_pair",
     "site_left",
-    "site_right",
-    "rotate_pair",
     "generating_set",
     "root_weight",
     "root_action",
@@ -316,21 +314,6 @@ def site_left(a: np.ndarray, x: np.ndarray, site: int) -> np.ndarray:
     if site == 0:
         return (a @ x.reshape(m, -1)).reshape(x.shape)
     return np.matmul(a, x.reshape(m, m, -1)).reshape(x.shape)
-
-
-def site_right(x: np.ndarray, a: np.ndarray, site: int) -> np.ndarray:
-    """x (a (x) 1) for ``site`` 0 and x (1 (x) a) for ``site`` 1, on a (k, D) array."""
-    m = a.shape[0]
-    if site == 0:
-        return np.matmul(a.T, x.reshape(-1, m, m)).reshape(x.shape)
-    return (x.reshape(-1, m) @ a).reshape(x.shape)
-
-
-def rotate_pair(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(u (x) u) r (u (x) u)^dagger for a D x D two-site operator r, one site index at a time."""
-    u_h = np.conj(u).T
-    r = site_left(u, site_left(u, r, 0), 1)
-    return site_right(site_right(r, u_h, 1), u_h, 0)
 
 
 def generating_set(n: int) -> tuple[list[tuple[int, int]], tuple[int, int]]:

@@ -45,14 +45,15 @@ from .spinchain import (
     chain_H,
     chain_spectrum,
     global_symmetry_residual,
+    h_op,
     h_oracle_residuals,
     local_h,
+    nonhermiticity,
     sector_commutator,
     sector_spectrum,
     spin_operators,
     two_site_spectrum,
     verify_spinform,
-    weight_hamiltonian,
     weight_transfer,
 )
 from .yangian_action import (
@@ -121,8 +122,8 @@ class _Context:
         return build_decomposition(self.rep, self.cfg.tol)
 
     @cached_property
-    def h(self):
-        return local_h(self.rep)
+    def h_op(self):
+        return h_op(self.rep)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.cfg.seed)
@@ -235,12 +236,10 @@ def suite_ybe(ctx: _Context) -> list[dict]:
     else:
         pairs = sample_ybe_pairs(rng, n, count)
     checks = [_check("r-at-zero-is-swap", r_at_zero_residual(ctx.rep), 1e-12)]
-    if pairs:  # the Yang-Baxter frame before the decomposition, so that their transients do not stack
-        ctx.rep.ybe_frame
-    dec = ctx.dec
     # the direct and the composed assembly of R are compared once, at the first pair
     for lam, _ in pairs[:1]:
-        checks.append(_check("r-assembly-agreement", r_assembly_residual(dec, lam),
+        ctx.rep.ybe_frame  # before the decomposition, so that their transients do not stack
+        checks.append(_check("r-assembly-agreement", r_assembly_residual(ctx.dec, lam),
                              cfg.tol.abs_tol * m, params={"lambda": _cpair(lam)}))
         # the YBE residual reads each factor on highest-weight vectors, which holds for an invariant R
         checks.append(_check("r-terms-invariance", r_terms_invariance_residual(ctx.rep),
@@ -248,7 +247,7 @@ def suite_ybe(ctx: _Context) -> list[dict]:
     for lam, mu in pairs:
         params = {"lambda": _cpair(lam), "mu": _cpair(mu)}
         for solution in ("R", "Rtilde"):
-            checks.append(_check(f"ybe-{solution}", ybe_residual(dec, lam, mu, solution=solution),
+            checks.append(_check(f"ybe-{solution}", ybe_residual(ctx.dec, lam, mu, solution=solution),
                                  1e-8, params=params))
     asym = asymptotic_check(ctx.rep, [100.0, 1000.0])
     ratio = asym["ratios"][0]
@@ -266,15 +265,15 @@ def suite_ybe(ctx: _Context) -> list[dict]:
 def suite_hamiltonian(ctx: _Context) -> list[dict]:
     cfg = ctx.cfg
     n = cfg.n
-    h = ctx.h
+    h = ctx.h_op
     m = n * n - 1
     table_residual, fd_residual = h_oracle_residuals(ctx.dec, h)
     checks = [
         _check("h-assembly-agreement", table_residual, cfg.tol.abs_tol * m),
         _check("h-finite-difference", fd_residual, 1e-6),
-        _check("h-nonhermiticity", frobenius(h - h.conj().T), 0.1, op=">"),
+        _check("h-nonhermiticity", nonhermiticity(h), 0.1, op=">"),
     ]
-    spectrum = two_site_spectrum(h, ctx.basis, cfg.tol)
+    spectrum = two_site_spectrum(h, cfg.tol)
     max_imag = max(abs(w.imag) for w in spectrum)
     checks.append(_check("two-site-spectrum-real", max_imag, 1e-8))
     # spectral consistency: projector coefficients + the 2x2 block spectrum
@@ -295,7 +294,7 @@ def suite_hamiltonian(ctx: _Context) -> list[dict]:
     )
     ops = spin_operators(ctx.rep, cfg.tol)
     checks.append(_check("spin-operators-noncommuting", frobenius(ops.commutator), 0.1, op=">"))
-    fit = verify_spinform(h, ops, n, cfg.tol)
+    fit = verify_spinform(local_h(ctx.rep), ops, n, cfg.tol)
     checks.append(
         _check("spinform-fit", fit["residual"], 1e-9,
                params={"scale": fit["scale"], "shift": fit["shift"]})
@@ -311,9 +310,11 @@ def suite_chain(ctx: _Context) -> list[dict]:
     sites = cfg.sites
     m = n * n - 1
     # every check runs in the product weight basis, one total-weight sector at a time;
-    # H_w is built once per chain length, the chain under test first
+    # H_w, the chain of h's blocks in weight coordinates, is built once per chain length,
+    # the chain under test first
     chains = {L: chain_frame(ctx.basis, L) for L in dict.fromkeys((sites, 2, 3))}
-    hams = {L: weight_hamiltonian(chain, ctx.h) for L, chain in chains.items()}
+    h_pair = ctx.h_op.weight_dense()
+    hams = {L: chain_H(h_pair, L) for L in chains}
     chain, h_w = chains[sites], hams[sites]
     checks = [_check("chain-global-symmetry", global_symmetry_residual(chain, h_w), 1e-8)]
     eigs = sector_spectrum(chain, h_w, cfg.tol)
@@ -358,16 +359,15 @@ def suite_su3(ctx: _Context) -> list[dict]:
         )
         res = max(abs(g - w) for g, w in zip(got, want))
         checks.append(_check("su3-nblock-eigenvalues", res, 1e-9, params={"lambda": _cpair(lam)}))
-    h = ctx.h
-    got = {}
-    for sub in dec.submodules:
-        got[sub.role] = complex(np.trace(sub.projector @ h) / sub.dim)
+    h = ctx.h_op
+    # tr(P h) = tr(B^dagger h B) on the orthonormal columns B of each submodule
+    got = {sub.role: complex(np.vdot(sub.basis, h.apply(sub.basis))) / sub.dim for sub in dec.submodules}
     vs = dec.by_role("adjoint_sym").hw_vector
     va = dec.by_role("adjoint_anti").hw_vector
     vs = vs / np.linalg.norm(vs)
     va = va / np.linalg.norm(va)
-    off_sa = complex(np.vdot(vs, h @ va))
-    off_as = complex(np.vdot(va, h @ vs))
+    off_sa = complex(np.vdot(vs, h.apply(va)))
+    off_as = complex(np.vdot(va, h.apply(vs)))
     want = {
         "anti_left": 2.0,
         "anti_right": 2.0,
@@ -461,7 +461,7 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
             raise ConfigError("build rmatrix requires --lambda RE,IM")
         return jsonio.matrix_payload(build_R(ctx.rep, lam))
     if kind == "hamiltonian":
-        return jsonio.matrix_payload(chain_H(ctx.h, cfg.sites))
+        return jsonio.matrix_payload(chain_H(local_h(ctx.rep), cfg.sites))
     raise ConfigError(f"unknown build kind {kind!r}")
 
 
@@ -469,12 +469,11 @@ def run_spectrum(cfg: RunConfig, convention: str) -> dict:
     if cfg.sites < 2:
         raise ConfigError("spectrum requires at least two sites")
     ctx = _Context(cfg)
-    h = ctx.h
+    h_w = ctx.h_op.weight_dense()
     if convention == "rescaled":
-        ops = spin_operators(ctx.rep, cfg.tol)
-        fit = verify_spinform(h, ops, cfg.n, cfg.tol)
-        h = fit["scale"] * h + fit["shift"] * np.eye(h.shape[0])
-    eigs = chain_spectrum(h, ctx.basis, cfg.sites, cfg.tol)
+        fit = verify_spinform(local_h(ctx.rep), spin_operators(ctx.rep, cfg.tol), cfg.n, cfg.tol)
+        h_w = fit["scale"] * h_w + fit["shift"] * np.eye(len(h_w))
+    eigs = chain_spectrum(h_w, ctx.basis, cfg.sites, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)
     return {
         "kind": "spectrum",

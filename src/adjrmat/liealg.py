@@ -321,9 +321,12 @@ def weight_chain(basis: SunBasis, sites: int) -> WeightChain:
     total = weights  # total[a_1..a_k] = weights[a_1] + ... + weights[a_k], site 1 slowest
     for _ in range(sites - 1):
         total = (total[:, None, :] + weights[None, :, :]).reshape(-1, weights.shape[1])
-    sector_weights, label, sizes = np.unique(total, axis=0, return_inverse=True,
-                                             return_counts=True)
-    label = label.ravel()
+    # a mixed-radix key per total weight, the first column most significant: keys sort as the weights
+    low = total.min(axis=0)
+    radix = total.max(axis=0) - low + 1
+    key = (total - low) @ np.cumprod(np.append(radix[1:], 1)[::-1])[::-1]
+    _, first, label, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    sector_weights = total[first]
     blocks = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
     return WeightChain(basis=basis, sites=sites, u=u, weights=weights, blocks=blocks,
                        sector_weights=sector_weights, label=label)

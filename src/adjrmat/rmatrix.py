@@ -23,11 +23,13 @@ Pi+, a rank-2m part and the singlet (:class:`PairOperator`), built from
 ``rep.frame`` alone, so the builders and the checks that only apply them take
 an :class:`AdjointRep`.  Each acts through its weight-sector blocks, a
 combination of the term blocks of the frame, on one path at every n: the
-Yang-Baxter residuals and the chain's transfer matrices read them, and
-``r-at-zero-is-swap``, the inversion, the asymptotic check and the Yangian
-checks compare them exactly over every column; :func:`build_R` and the other
-``build_*`` functions return :meth:`PairOperator.dense`, in Gell-Mann
-coordinates.  Only one
+Yang-Baxter residuals, the chain's transfer matrices and every check of h
+(:func:`spinchain.h_op`) read them, and ``r-at-zero-is-swap``, the
+inversion, the asymptotic check and the Yangian checks compare them exactly
+over every column.  :meth:`PairOperator.dense`, in Gell-Mann coordinates, is
+formed only by :func:`build_R`, the other ``build_*`` functions and
+:func:`spinchain.local_h`, for the dense partners of the spin form and the
+artifacts.  Only one
 oracle reads the submodules of a :class:`Decomposition`: the projector-sum
 assembly, applied to a block of columns as sum_r c_r B_r (B_r^dagger v)
 (:func:`_assemble_apply`), so that it forms no D x D projector or isometry.

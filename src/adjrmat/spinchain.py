@@ -2,17 +2,16 @@
 
 The local Hamiltonian is the logarithmic-derivative density h = R'(0) sigma,
 assembled once from the exact rational derivatives of the scalar coefficient
-functions through the operator form of :mod:`rmatrix`, so :func:`local_h`
-takes only the :class:`AdjointRep`, builds no decomposition and returns h as
-a plain D x D array in Gell-Mann coordinates, the form every function here
-takes it in.  Two independent constructions, a direct assembly from the
-closed-form projector coefficients (which reads the submodules of a
-:class:`Decomposition` and is compared with h on a block of random unit
-columns) and a central finite difference of R(lam) sigma, are kept as an
-oracle, :func:`h_oracle_residuals`, which ``verify hamiltonian`` reports as
-the ``h-assembly-agreement`` and ``h-finite-difference`` checks.
-The density is deliberately non-Hermitian while keeping a real two-site
-spectrum.
+functions through the operator form of :mod:`rmatrix`: :func:`h_op` takes
+only the :class:`AdjointRep` and returns h as a :class:`rmatrix.PairOperator`,
+whose weight-sector blocks every check of h reads, as the checks of R do;
+the D x D Gell-Mann array :func:`local_h` serves only the spin form and the
+chain artifact.  A direct assembly from the closed-form projector
+coefficients (which reads the submodules of a :class:`Decomposition`) and a
+central finite difference of R(lam) sigma are kept as an oracle,
+:func:`h_oracle_residuals`, reported as the ``h-assembly-agreement`` and
+``h-finite-difference`` checks.  The density is deliberately non-Hermitian
+while keeping a real two-site spectrum.
 
 The periodic chain is built bond by bond: :func:`chain_H` adds h into the
 diagonal view of H for each bond of the ring, never forming h (x) 1, and
@@ -22,14 +21,14 @@ contraction of L R factors around the auxiliary ring.
 H and t(lam) conserve the total Cartan weight, so the chain is studied in
 the weight frame of :func:`liealg.weight_chain` (:func:`chain_frame`), where
 both are block-diagonal.  What needs h or R is here, as functions of the
-frame: H_w (:func:`weight_hamiltonian`) is the chain of the rotated density
-and t_w(lam) (:func:`weight_transfer`) the ring of the sector blocks of
-R(lam), scattered into weight coordinates, which forms no Gell-Mann R.  Every
-chain check goes one total-weight sector at a time: the spectrum
-(:func:`sector_spectrum`, in real arithmetic, as the two-site one), the
-transfer commutators (:func:`sector_commutator`) and the su(n) invariance of
-H (:func:`global_symmetry_residual`, on the Cartan and Chevalley
-generators).  No m^L x m^L matrix product is formed.
+frame: H_w is :func:`chain_H` of h's blocks scattered into weight
+coordinates (:meth:`rmatrix.PairOperator.weight_dense`) and t_w(lam)
+(:func:`weight_transfer`) the ring of R(lam)'s, so no Gell-Mann h or R is
+formed.  Every chain check goes one total-weight sector at a time: the
+spectrum (:func:`sector_spectrum`, in real arithmetic, as the two-site one),
+the transfer commutators (:func:`sector_commutator`) and the su(n)
+invariance of H (:func:`global_symmetry_residual`, on the Cartan and
+Chevalley generators).  No m^L x m^L matrix product is formed.
 """
 
 from __future__ import annotations
@@ -47,15 +46,14 @@ from .adjoint_tensor import (
     generating_set,
     root_action,
     root_weight,
-    rotate_pair,
 )
 from .liealg import SunBasis, WeightChain, weight_chain
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, max_abs
 from .rmatrix import (
     CoefficientSet,
+    PairOperator,
     _assemble_apply,
     _probe_block,
-    _swap_perm,
     build_R,
     operator_form,
     r_op,
@@ -64,15 +62,16 @@ from .rmatrix import (
 __all__ = [
     "CHAIN_DIM_CAP",
     "SpinOperators",
+    "h_op",
     "local_h",
     "h_oracle_residuals",
+    "nonhermiticity",
     "spin_operators",
     "spinform_h",
     "verify_spinform",
     "chain_H",
     "transfer_matrix",
     "chain_frame",
-    "weight_hamiltonian",
     "weight_transfer",
     "sector_spectrum",
     "sector_commutator",
@@ -120,13 +119,13 @@ def _h_coefficients(n: int) -> tuple[dict[str, float], np.ndarray]:
     return diag, block
 
 
-def local_h(rep: AdjointRep) -> np.ndarray:
-    """Local Hamiltonian h = R'(0) sigma, the D x D array in Gell-Mann coordinates.
+def h_op(rep: AdjointRep) -> PairOperator:
+    """Local Hamiltonian h = R'(0) sigma in operator form.
 
     The exact derivatives of the R-form coefficients at 0 go through the
-    operator form of :mod:`rmatrix`, which is composed with sigma and made
-    dense.  ``verify hamiltonian`` compares the result with two independent
-    constructions through :func:`h_oracle_residuals`.
+    operator form of :mod:`rmatrix`, composed with sigma.  ``verify
+    hamiltonian`` compares its blocks with two independent constructions
+    through :func:`h_oracle_residuals`.
     """
     c = CoefficientSet(rep.n)
     deriv_diag = {
@@ -136,29 +135,39 @@ def local_h(rep: AdjointRep) -> np.ndarray:
         "mixed_sym": c.f3_deriv0(),
         "singlet": c.f4_deriv0(),
     }
-    return operator_form(rep.frame, deriv_diag, c.N_deriv0()).swap_right().dense()
+    return operator_form(rep.frame, deriv_diag, c.N_deriv0()).swap_right()
 
 
-def h_oracle_residuals(dec: Decomposition, h: np.ndarray) -> tuple[float, float]:
-    """Max-abs residuals of the density ``h`` against its two independent constructions.
+def local_h(rep: AdjointRep) -> np.ndarray:
+    """h as a D x D array in Gell-Mann coordinates, for the spin form and ``build hamiltonian``."""
+    return h_op(rep).dense()
+
+
+def h_oracle_residuals(dec: Decomposition, h: PairOperator) -> tuple[float, float]:
+    """Max-abs residuals of the density ``h`` (:func:`h_op`) against its two independent constructions.
 
     Returns (table, finite difference): max_abs(h V - A V) on a block V of
     random unit columns (:func:`rmatrix._probe_block`, from a generator of
     its own), where A is the direct assembly from the closed-form projector
     coefficients of :func:`_h_coefficients`, applied without forming it
     (:func:`rmatrix._assemble_apply`); and the central finite difference of
-    R(lam) sigma with step :data:`FD_STEP`, on all of h.  Only the table
-    reads the submodules of ``dec``.
+    R(lam) sigma with step :data:`FD_STEP`, over every entry of the sector
+    blocks of h.  Only the table reads the submodules of ``dec``.
     """
-    swap = _swap_perm(dec.rep.dim)  # R sigma, without forming sigma
-    fd = (build_R(dec.rep, FD_STEP)[:, swap] - build_R(dec.rep, -FD_STEP)[:, swap]) / (2.0 * FD_STEP)
-    return _h_table_residual(dec, h), max_abs(h - fd)
+    plus, minus = (r_op(dec.rep, s * FD_STEP).swap_right().blocks for s in (1.0, -1.0))
+    fd = max(max_abs(b - (p - q) / (2.0 * FD_STEP)) for b, p, q in zip(h.blocks, plus, minus))
+    return _h_table_residual(dec, h), fd
 
 
-def _h_table_residual(dec: Decomposition, h: np.ndarray) -> float:
-    """The table half of :func:`h_oracle_residuals`; it forms no D x D array besides ``h``."""
-    v = _probe_block(h.shape[0])
-    return max_abs(h @ v - _assemble_apply(dec, *_h_coefficients(dec.n), v))
+def _h_table_residual(dec: Decomposition, h: PairOperator) -> float:
+    """The table half of :func:`h_oracle_residuals`; it forms no D x D array."""
+    v = _probe_block(dec.rep.dim**2)
+    return max_abs(h.apply(v) - _assemble_apply(dec, *_h_coefficients(dec.n), v))
+
+
+def nonhermiticity(h: PairOperator) -> float:
+    """||h - h^dagger||_F over the sector blocks of ``h``: the weight frame is unitary, so it is the Gell-Mann norm."""
+    return float(np.sqrt(sum(np.linalg.norm(b - np.conj(b).transpose(0, 2, 1)) ** 2 for b in h.blocks)))
 
 
 def spin_operators(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> SpinOperators:
@@ -327,11 +336,6 @@ def chain_frame(basis: SunBasis, sites: int) -> WeightChain:
     return weight_chain(basis, sites)
 
 
-def weight_hamiltonian(chain: WeightChain, h: np.ndarray) -> np.ndarray:
-    """H_w = U^(x)L H U^(x)L^dagger: :func:`chain_H` of the density rotated by :func:`rotate_pair`."""
-    return chain_H(rotate_pair(chain.u, h), chain.sites)
-
-
 def weight_transfer(chain: WeightChain, rep: AdjointRep, lam: complex) -> np.ndarray:
     """t_w(lam) = U^(x)L t(lam) U^(x)L^dagger, the ring of :meth:`rmatrix.PairOperator.weight_dense` of R(lam)."""
     return _ring_trace(r_op(rep, lam).weight_dense(), chain.sites)
@@ -409,63 +413,57 @@ def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
     return worst / max(1.0, max_abs(h_w))
 
 
-def sector_spectrum(
-    chain: WeightChain, op_w: np.ndarray, tol: Tolerance = DEFAULT_TOL,
-    what: str = "chain Hamiltonian",
-) -> list[complex]:
-    """Eigenvalues of a real operator in the weight coordinates of ``chain``, one sector at a time.
+def _block_spectrum(blocks, tol: Tolerance) -> list[complex]:
+    """Eigenvalues of the operator with the diagonal blocks ``blocks``, sorted by real, then imaginary part.
 
-    An entry of ``op_w`` above ``tol.abs_tol`` joining two different
-    sectors raises ``AssertionError`` (its message names ``what``), and so
-    does an imaginary part above ``tol.abs_tol``.
-    The blocks are then solved in real arithmetic, so every complex
-    eigenvalue comes with its exact (bit-equal) conjugate; each goes through
-    :func:`eig_general` with its residual contract.
+    The blocks are read one at a time.  An imaginary part above
+    ``tol.abs_tol`` raises ``AssertionError``; each block is solved in real
+    arithmetic, so every complex eigenvalue comes with its exact (bit-equal)
+    conjugate, through :func:`eig_general` with its residual contract.
     """
-    stray = imag = 0.0
-    for idx in chain.blocks:  # a block of rows at a time: no dense mask or abs(op_w) beside op_w
-        rows = op_w[idx]
-        imag = max(imag, max_abs(rows.imag))
-        rows = np.abs(rows)
-        rows[:, idx] = 0.0
-        stray = max(stray, max_abs(rows))
-    if stray > tol.abs_tol:
-        raise AssertionError(f"{what} leaves its weight blocks ({stray:.3e})")
-    if imag > tol.abs_tol:
-        raise AssertionError(f"{what} is not real in weight coordinates ({imag:.3e})")
-    op_w = op_w.real
     eigenvalues = []
-    for idx in chain.blocks:
-        eigenvalues.extend(z for z, _ in eig_general(op_w[np.ix_(idx, idx)], tol))
+    for b in blocks:
+        imag = max_abs(b.imag)
+        if imag > tol.abs_tol:
+            raise AssertionError(f"operator is not real in weight coordinates ({imag:.3e})")
+        eigenvalues.extend(z for z, _ in eig_general(b.real, tol))
     return sorted(eigenvalues, key=lambda z: (z.real, z.imag))
 
 
-def two_site_spectrum(h: np.ndarray, basis: SunBasis, tol: Tolerance = DEFAULT_TOL):
-    """Eigenvalues of the two-site density ``h`` (sorted by real, then imaginary part).
+def sector_spectrum(chain: WeightChain, op_w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
+    """Eigenvalues of a real operator in the weight coordinates of ``chain``, one sector at a time.
 
-    ``basis`` gives the Gell-Mann coordinates ``h`` is written in.  h is
-    su(n)-invariant, so it conserves Cartan weight: rotated to the two-site
-    frame of :func:`liealg.weight_chain` it is block-diagonal in the total
-    weight, and each block goes through
-    :func:`eig_general` with its residual contract (at n = 5 the largest
-    block has 36 of the 576 dimensions).  In weight coordinates h is real,
-    so the blocks are solved in real arithmetic, the same block solve as
-    :func:`chain_spectrum`.  An entry of the rotated h above ``tol.abs_tol``
-    outside the blocks, or an imaginary part above it, raises
-    ``AssertionError``.
+    An entry of ``op_w`` above ``tol.abs_tol`` joining two different
+    sectors raises ``AssertionError``; the sector blocks are then solved as
+    in :func:`two_site_spectrum`.
     """
-    chain = weight_chain(basis, 2)
-    return sector_spectrum(chain, rotate_pair(chain.u, h), tol, "two-site density")
+    stray = 0.0
+    for idx in chain.blocks:  # a block of rows at a time: no dense mask or abs(op_w) beside op_w
+        rows = np.abs(op_w[idx])
+        rows[:, idx] = 0.0
+        stray = max(stray, max_abs(rows))
+    if stray > tol.abs_tol:
+        raise AssertionError(f"operator leaves its weight blocks ({stray:.3e})")
+    return _block_spectrum((op_w[np.ix_(idx, idx)] for idx in chain.blocks), tol)
 
 
-def chain_spectrum(h: np.ndarray, basis: SunBasis, sites: int, tol: Tolerance = DEFAULT_TOL):
-    """Eigenvalues of the periodic chain H of ``h`` (sorted by real, then imaginary part).
+def two_site_spectrum(h: PairOperator, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
+    """Eigenvalues of the two-site density ``h`` (:func:`h_op`), sorted by real, then imaginary part.
 
-    ``basis`` gives the Gell-Mann coordinates ``h`` is written in.  H
-    conserves the total Cartan weight, so in the product weight basis of
-    :func:`chain_frame` it is block-diagonal; the sectors are solved as in
-    :func:`two_site_spectrum`, in real arithmetic, so every complex
-    eigenvalue comes with its exact (bit-equal) conjugate.
+    h acts through its real sector blocks in the two-site weight frame (at
+    n = 5 the largest has 36 of the 576 dimensions), each solved as in
+    :func:`sector_spectrum`.
+    """
+    return _block_spectrum((b for stack in h.blocks for b in stack), tol)
+
+
+def chain_spectrum(h_w: np.ndarray, basis: SunBasis, sites: int, tol: Tolerance = DEFAULT_TOL):
+    """Eigenvalues of the periodic chain H of the density ``h_w`` (sorted by real, then imaginary part).
+
+    ``h_w`` is the density in the two-site weight coordinates of ``basis``
+    (:meth:`rmatrix.PairOperator.weight_dense`), so H_w = :func:`chain_H` of
+    it is H in the product weight basis of :func:`chain_frame`, where it is
+    block-diagonal; the sectors are solved by :func:`sector_spectrum`.
     """
     chain = chain_frame(basis, sites)
-    return sector_spectrum(chain, weight_hamiltonian(chain, h), tol)
+    return sector_spectrum(chain, chain_H(h_w, sites), tol)

@@ -11,7 +11,6 @@ from adjrmat.adjoint_tensor import (
     build_decomposition,
     root_action,
     site_left,
-    site_right,
 )
 from adjrmat.liealg import build_basis, matrix_unit, weight_chain
 from adjrmat.numerics import DEFAULT_TOL, max_abs
@@ -55,6 +54,26 @@ def orthonormalize(vectors, tol=DEFAULT_TOL):
         if nrm >= tol.rank_tol:
             basis.append(u / nrm)
     return basis
+
+
+def site_right(x, a, site):
+    """x (a (x) 1) for ``site`` 0 and x (1 (x) a) for ``site`` 1, on a (k, D) array."""
+    m = a.shape[0]
+    if site == 0:
+        return np.matmul(a.T, x.reshape(-1, m, m)).reshape(x.shape)
+    return (x.reshape(-1, m) @ a).reshape(x.shape)
+
+
+def rotate_pair(u, r):
+    """(u (x) u) r (u (x) u)^dagger for a D x D two-site operator r, one site index at a time.
+
+    The package reads two-site operators in the weight frame through their
+    sector blocks (``PairOperator.blocks`` and ``weight_dense``); this is the
+    rotation of a dense Gell-Mann operator that they replaced.
+    """
+    u_h = np.conj(u).T
+    r = site_left(u, site_left(u, r, 0), 1)
+    return site_right(site_right(r, u_h, 1), u_h, 0)
 
 
 def permutation_op(dim_v):

@@ -28,6 +28,7 @@ from adjrmat.rmatrix import (
 from adjrmat.spinchain import (
     chain_H,
     commutation_check,
+    h_op,
     h_oracle_residuals,
     local_h,
     spin_operators,
@@ -216,9 +217,10 @@ def test_criterion_7_hamiltonian():
             dec = build_decomposition(adjoint_rep(build_basis(n), validate=False))
             h = local_h(dec.rep)
             locs[n] = (dec, h)
-            assert h_oracle_residuals(dec, h)[1] <= 1e-6
+            op = h_op(dec.rep)
+            assert h_oracle_residuals(dec, op)[1] <= 1e-6
             assert np.linalg.norm(h - h.conj().T) > 0.1
-            spec = two_site_spectrum(h, dec.rep.basis)
+            spec = two_site_spectrum(op)
             assert max(abs(w.imag) for w in spec) <= 1e-8
         for n in (3, 4, 5):
             dec, h = locs[n]

@@ -16,15 +16,21 @@ from adjrmat.adjoint_tensor import (
     build_decomposition,
     casimir_op,
     highest_weight_vectors,
-    rotate_pair,
     site_left,
-    site_right,
     tensor_coords,
 )
 from adjrmat.liealg import build_basis, matrix_unit, weight_basis
 from adjrmat.numerics import DEFAULT_TOL, extend_orthonormal
 
-from conftest import lowering_ops, permutation_op, raising_ops, tensor_from_coords, traced_peak
+from conftest import (
+    lowering_ops,
+    permutation_op,
+    raising_ops,
+    rotate_pair,
+    site_right,
+    tensor_from_coords,
+    traced_peak,
+)
 
 TOL = 1e-9
 

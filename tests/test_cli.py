@@ -163,8 +163,13 @@ def test_ybe_at_n6_fails_a_solution_that_is_invariant_but_wrong(tmp_path, monkey
     assert checks["ybe-Rtilde"]["pass"]  # sigma I(lam) reads M, which is right
 
 
-def test_verify_ybe_without_samples(tmp_path):
-    """With no (lam, mu) pairs drawn there is no lambda for the R-assembly check."""
+def test_verify_ybe_without_samples(tmp_path, monkeypatch):
+    """With no (lam, mu) pairs drawn there is no lambda for the R-assembly check, and no decomposition."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_decomposition was called")
+
+    monkeypatch.setattr(cli, "build_decomposition", refuse)
     code, payload = run(tmp_path, "verify", "ybe", "--n", "3", "--samples", "0")
     assert code == 0
     assert [c["id"] for c in payload["checks"]] == ["r-at-zero-is-swap", "asymptotic-falloff"]
@@ -266,8 +271,8 @@ def test_chain_suite_builds_each_chain_operator_once(tmp_path, monkeypatch):
     """H_w once per chain length, t(lambda) once per (lambda, length), and no decomposition."""
     calls = Counter()
 
-    def counted(name):
-        original = getattr(spinchain, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(op, sites):
             calls[name, sites] += 1
@@ -278,8 +283,8 @@ def test_chain_suite_builds_each_chain_operator_once(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("build_decomposition was called")
 
-    for name in ("chain_H", "_ring_trace"):
-        monkeypatch.setattr(spinchain, name, counted(name))
+    for module, name in ((cli, "chain_H"), (spinchain, "_ring_trace")):
+        monkeypatch.setattr(module, name, counted(module, name))
     monkeypatch.setattr(cli, "build_decomposition", refuse)
     assert run(tmp_path, "verify", "chain", "--n", "3", "--sites", "3")[0] == 0
     assert calls == {("chain_H", 3): 1, ("chain_H", 2): 1,
@@ -405,6 +410,70 @@ def test_blocks_that_lose_part_of_R_fail_r_assembly_agreement(tmp_path, monkeypa
     failed = [c["id"] for c in payload["checks"] if not c["pass"]]
     assert "r-assembly-agreement" in failed
     assert "r-at-zero-is-swap" not in failed  # R(0) = sigma has no Ed Ed^dagger term to lose
+
+
+def test_blocks_that_lose_part_of_h_fail_h_assembly_agreement(tmp_path, monkeypatch):
+    """With Ed Ed^dagger left out of one sector of every operator's blocks, h-assembly-agreement fails.
+
+    Every other check of h reads the blocks, and the finite difference
+    loses the same part of R(lam) sigma, so the comparison with the table,
+    which has no weight frame, is the check that the blocks hold all of h.
+    """
+    combine = adjoint_tensor.PairFrame.combine
+    dd = adjoint_tensor.TERMS.index("dd")
+
+    def lossy(frame, coefficients):
+        blocks = combine(frame, coefficients)
+        w = int(np.flatnonzero(~frame.chain.sector_weights.any(axis=1))[0])  # the zero-weight sector
+        g, r = frame.places[w]
+        blocks[g][r] -= coefficients[dd] * frame.terms[g][dd, r]
+        return blocks
+
+    monkeypatch.setattr(adjoint_tensor.PairFrame, "combine", lossy)
+    code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "3")
+    assert code == 1
+    failed = [c["id"] for c in payload["checks"] if not c["pass"]]
+    assert "h-assembly-agreement" in failed
+    assert "h-finite-difference" not in failed
+
+
+def _counting_dense(monkeypatch):
+    """Count the calls of PairOperator.dense, and refuse build_R wherever it is bound."""
+    calls = []
+    dense = rmatrix.PairOperator.dense
+
+    def counted(op):
+        calls.append(op)
+        return dense(op)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense R was built")
+
+    monkeypatch.setattr(rmatrix.PairOperator, "dense", counted)
+    for module in (rmatrix, spinchain, cli):
+        monkeypatch.setattr(module, "build_R", refuse)
+    return calls
+
+
+def test_hamiltonian_suite_forms_the_dense_h_once_for_the_spin_form(tmp_path, monkeypatch):
+    """verify hamiltonian reads h's blocks: one dense h, for the spin form, and no dense R(+-eps)."""
+    calls = _counting_dense(monkeypatch)
+    code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "4")
+    assert code == 0
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[31:38]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "chain", "--n", "3"],
+    ["verify", "su3", "--n", "3"],
+    ["spectrum", "--n", "3", "--sites", "3"],
+])
+def test_chain_su3_and_spectrum_form_no_dense_operator(tmp_path, monkeypatch, argv):
+    """The chain, su3 and raw spectrum paths read h's blocks only: no dense h or R in Gell-Mann coordinates."""
+    calls = _counting_dense(monkeypatch)
+    assert run(tmp_path, *argv)[0] == 0
+    assert calls == []
 
 
 def test_f4_error_fails_coefficient_recovery_at_large_rank(tmp_path, monkeypatch):

@@ -16,8 +16,9 @@ from adjrmat.spinchain import (
     chain_H,
     global_symmetry_residual,
     local_h,
-    weight_hamiltonian,
 )
+
+from conftest import rotate_pair
 
 TOL = 1e-9
 
@@ -202,20 +203,29 @@ def _grouped(total):
     return [np.array(groups[w]) for w in sorted(groups)]
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_weight_chain_blocks_are_the_pair_and_triple_groupings(algebra, n):
-    """The frames of 2 and 3 sites group the pair and triple weights, as the orbits and the YBE did."""
+    """The frames of 2 and 3 sites (and 4 at n = 3) group the summed site weights, as the orbits and the YBE did.
+
+    The sectors come in the lexicographic order of their weights, and each
+    state's label is the place of its sector.
+    """
+    most = 4 if n == 3 else 3
     basis = algebra.basis(n)
     m = basis.dim
     _, weights = weight_basis(basis)
-    pair_w = (weights[:, None, :] + weights[None, :, :]).reshape(m * m, -1)
-    triple_w = (pair_w.reshape(m, m, 1, -1) + weights[None, None, :, :]).reshape(m**3, -1)
-    for sites, total in ((2, pair_w), (3, triple_w)):
+    total = weights
+    for sites in range(2, most + 1):
+        total = (total.reshape(m ** (sites - 1), 1, -1) + weights[None, :, :]).reshape(m**sites, -1)
         chain = weight_chain(basis, sites)
         want = _grouped(total)
         assert len(chain.blocks) == len(want)
         assert all(np.array_equal(got, idx) for got, idx in zip(chain.blocks, want))
         assert np.array_equal(chain.sector_weights, [total[idx[0]] for idx in want])
+        label = np.empty(m**sites, dtype=int)
+        for k, idx in enumerate(want):
+            label[idx] = k
+        assert np.array_equal(chain.label, label)
 
 
 @pytest.mark.parametrize("n, sectors, orbits", [(3, 37, 8), (4, 147, 12), (5, 471, 14), (6, 1281, 15)])
@@ -308,7 +318,7 @@ def test_a_frame_with_swapped_weights_is_refused(algebra, monkeypatch):
         build_decomposition(adjoint_rep(basis))  # a new rep builds its frame under the swap
     chain = weight_chain(basis, 2)
     with pytest.raises(AssertionError, match="leaves its weight shift"):
-        global_symmetry_residual(chain, weight_hamiltonian(chain, h))
+        global_symmetry_residual(chain, chain_H(rotate_pair(chain.u, h), 2))
 
 
 def test_the_frame_has_no_dense_cap(algebra):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import TERMS, adjoint_rep, casimir_op, generating_set, root_weight, rotate_pair
+from adjrmat.adjoint_tensor import TERMS, adjoint_rep, casimir_op, generating_set, root_weight
 from adjrmat.spinchain import local_h
 from adjrmat.liealg import matrix_unit
 from adjrmat.numerics import DEFAULT_TOL, max_abs
@@ -39,6 +39,7 @@ from conftest import (
     casimir_sector_blocks,
     permutation_op,
     retired_apply,
+    rotate_pair,
     swept_asymptotic_remainders,
     swept_inversion,
     swept_r_at_zero,

@@ -1,33 +1,37 @@
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from adjrmat.adjoint_tensor import ad_matrix, generating_set, root_weight, rotate_pair
+from adjrmat.adjoint_tensor import ad_matrix, apply_swap, generating_set, root_weight
 from adjrmat.liealg import weight_basis, weight_chain
-from adjrmat.numerics import eig_general
+from adjrmat.numerics import eig_general, frobenius
 from adjrmat.rmatrix import CoefficientSet, build_R, sample_ybe_pairs
 from adjrmat.spinchain import (
+    FD_STEP,
     _h_table_residual,
     chain_H,
     chain_spectrum,
     commutation_check,
     global_symmetry_residual,
+    h_op,
     h_oracle_residuals,
     local_h,
+    nonhermiticity,
     sector_commutator,
+    sector_spectrum,
     spin_operators,
     spinform_h,
     transfer_matrix,
     two_site_spectrum,
     verify_spinform,
-    weight_hamiltonian,
     weight_transfer,
 )
 
-from conftest import permutation_op, traced_peak
+from conftest import permutation_op, rotate_pair, traced_peak
 
 TOL = 1e-9
 
@@ -39,6 +43,19 @@ def locals_cache(algebra):
     def get(n):
         if n not in cache:
             cache[n] = local_h(algebra.rep(n))
+        return cache[n]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def pair_cache(algebra):
+    """h in two-site weight coordinates, scattered from its sector blocks, as the chain checks read it."""
+    cache = {}
+
+    def get(n):
+        if n not in cache:
+            cache[n] = h_op(algebra.rep(n)).weight_dense()
         return cache[n]
 
     return get
@@ -87,58 +104,75 @@ def test_su3_local_coefficients(algebra, locals_cache):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_local_h_diagnostics(algebra, locals_cache, n):
-    h = locals_cache(n)
+def test_local_h_diagnostics(algebra, n):
+    h = h_op(algebra.rep(n))
     table_residual, fd_residual = h_oracle_residuals(algebra.dec(n), h)
     assert table_residual < TOL
     assert fd_residual < 1e-6
-    assert np.linalg.norm(h - h.conj().T) > 0.1
+    assert nonhermiticity(h) > 0.1
 
 
 def test_h_table_forms_no_dense_matrix_besides_h(algebra):
     """At n = 6 the table half of the h oracle peaks below half of one D x D complex array."""
     rep = algebra.rep(6)
     D = rep.dim**2
-    h = local_h(rep)
-    assert traced_peak(_h_table_residual, algebra.dec(6), h) < 0.5 * D * D * 16
+    assert traced_peak(_h_table_residual, algebra.dec(6), h_op(rep)) < 0.5 * D * D * 16
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_h_blocks_match_the_rotated_dense_h(algebra, n):
+    """Every check of h on its sector blocks against the same check on the dense h rotated by rotate_pair.
+
+    The blocks are real; scattered, they are the rotated h.  The block
+    spectrum, finite difference and non-Hermiticity norm agree with the
+    sector solve of the rotated h, the finite difference of the dense
+    R(lam) sigma and the Gell-Mann Frobenius norm.
+    """
+    rep = algebra.rep(n)
+    op, h = h_op(rep), local_h(rep)
+    chain = weight_chain(rep.basis, 2)
+    rotated = rotate_pair(chain.u, h)
+    assert not any(b.imag.any() for b in op.blocks)
+    assert np.max(np.abs(op.weight_dense() - rotated)) <= 1e-13
+    dense = sector_spectrum(chain, rotated)
+    blocks = two_site_spectrum(op)
+    assert len(blocks) == len(dense) == rep.dim**2
+    assert max(abs(a - b) for a, b in zip(blocks, dense)) <= 1e-10
+    swap = apply_swap(np.arange(rep.dim**2), rep.dim)
+    fd = (build_R(rep, FD_STEP)[:, swap] - build_R(rep, -FD_STEP)[:, swap]) / (2.0 * FD_STEP)
+    assert np.max(np.abs(h - fd)) <= 1e-6
+    assert h_oracle_residuals(algebra.dec(n), op)[1] <= 1e-6
+    want = frobenius(h - h.conj().T)
+    assert abs(nonhermiticity(op) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_two_site_spectrum_real(algebra, locals_cache, n):
-    spec = two_site_spectrum(locals_cache(n), algebra.basis(n))
+def test_two_site_spectrum_real(algebra, n):
+    spec = two_site_spectrum(h_op(algebra.rep(n)))
     assert max(abs(w.imag) for w in spec) < 1e-8
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_two_site_spectrum_blocks_match_dense(algebra, locals_cache, n):
     """The weight-block spectrum against one dense solve of h."""
-    h = locals_cache(n)
-    dense = sorted((w for w, _ in eig_general(h)), key=lambda z: (z.real, z.imag))
-    blocks = two_site_spectrum(h, algebra.basis(n))
+    dense = sorted((w for w, _ in eig_general(locals_cache(n))), key=lambda z: (z.real, z.imag))
+    blocks = two_site_spectrum(h_op(algebra.rep(n)))
     assert len(blocks) == len(dense)
     assert max(abs(a - b) for a, b in zip(blocks, dense)) <= 1e-10
 
 
-def test_two_site_spectrum_refuses_weight_violation(algebra, locals_cache):
-    h = locals_cache(3)
-    rng = np.random.default_rng(2)
-    noise = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
-    with pytest.raises(AssertionError, match="weight blocks"):
-        two_site_spectrum(h + 1e-6 * noise, algebra.basis(3))
-
-
-def test_two_site_spectrum_refuses_imaginary_part(algebra, locals_cache):
-    """An imaginary shift conserves weight but leaves h complex in weight coordinates."""
-    h = locals_cache(3)
+def test_two_site_spectrum_refuses_imaginary_part(algebra):
+    """An imaginary shift h + 1e-6j conserves weight but leaves the blocks of h complex."""
+    op = h_op(algebra.rep(3))
+    shifted = replace(op, plus=op.plus + 1e-6j, minus=op.minus + 1e-6j)
     with pytest.raises(AssertionError, match="not real in weight coordinates"):
-        two_site_spectrum(h + 1e-6j * np.eye(h.shape[0]), algebra.basis(3))
+        two_site_spectrum(shifted)
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_two_site_spectrum_values(algebra, locals_cache, n):
+def test_two_site_spectrum_values(algebra, n):
     """Spectrum = projector coefficients plus the block eigenvalues (x m)."""
     dec = algebra.dec(n)
-    h = locals_cache(n)
     m = n * n - 1
     coeffs = {"sym_top": 0.0, "anti_left": 2.0, "anti_right": 2.0, "mixed_sym": 4.0,
               "singlet": (2.0 + 2.0 * n) / n}
@@ -149,7 +183,7 @@ def test_two_site_spectrum_values(algebra, locals_cache, n):
     for w in np.linalg.eigvals(CoefficientSet(n).N_deriv0() @ np.diag([1.0, -1.0])):
         expected.extend([w.real] * m)
     expected.sort()
-    got = sorted(w.real for w in two_site_spectrum(h, algebra.basis(n)))
+    got = sorted(w.real for w in two_site_spectrum(h_op(algebra.rep(n))))
     assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-8
 
 
@@ -332,26 +366,24 @@ def _weight_commutators(chain, h_w):
     return np.array(out)
 
 
-def _weight_conserving_noise(basis, h, seed):
-    """h plus real noise of size 1e-3 inside the two-site weight blocks of rotate_pair(u, h), rotated back.
+def _weight_conserving_noise(basis, h_w, seed):
+    """The two-site weight-coordinate density ``h_w`` plus real noise of size 1e-3 inside its weight blocks.
 
     The result conserves weight but is not su(n)-invariant.
     """
-    u, weights = weight_basis(basis)
+    _, weights = weight_basis(basis)
     pair_w = (weights[:, None, :] + weights[None, :, :]).reshape(len(weights) ** 2, -1)
     inside = np.all(pair_w[:, None, :] == pair_w[None, :, :], axis=2)
-    noise = np.where(inside, np.random.default_rng(seed).standard_normal(h.shape), 0.0)
-    return rotate_pair(np.conj(u).T, rotate_pair(u, h) + 1e-3 * noise)
+    return h_w + 1e-3 * np.where(inside, np.random.default_rng(seed).standard_normal(h_w.shape), 0.0)
 
 
-def test_chain_global_symmetry(algebra, locals_cache):
+def test_chain_global_symmetry(algebra, locals_cache, pair_cache):
     """On the true H the Gell-Mann Kronecker-sum oracle and the sector residual both vanish."""
     basis = algebra.basis(3)
-    h = locals_cache(3)
     for sites in (2, 3):
-        assert _gell_mann_symmetry_oracle(chain_H(h, sites), basis, sites) <= 1e-13
+        assert _gell_mann_symmetry_oracle(chain_H(locals_cache(3), sites), basis, sites) <= 1e-13
         chain = weight_chain(basis, sites)
-        assert global_symmetry_residual(chain, weight_hamiltonian(chain, h)) <= 1e-13
+        assert global_symmetry_residual(chain, chain_H(pair_cache(3), sites)) <= 1e-13
 
 
 def _chevalley_rows(chain):
@@ -364,24 +396,24 @@ def _chevalley_rows(chain):
 
 
 @pytest.mark.parametrize("sites", [2, 3])
-def test_global_symmetry_residual_matches_weight_kronecker_oracle(algebra, locals_cache, sites):
+def test_global_symmetry_residual_matches_weight_kronecker_oracle(algebra, pair_cache, sites):
     """The residual against the dense Kronecker sums of the Chevalley and Cartan generators."""
     basis = algebra.basis(3)
     chain = weight_chain(basis, sites)
     rows = _chevalley_rows(chain)
-    for h in (locals_cache(3), _weight_conserving_noise(basis, locals_cache(3), 7)):
-        h_w = weight_hamiltonian(chain, h)
+    for h in (pair_cache(3), _weight_conserving_noise(basis, pair_cache(3), 7)):
+        h_w = chain_H(h, sites)
         want = _weight_commutators(chain, h_w)[rows].max() / max(1.0, np.max(np.abs(h_w)))
         assert abs(global_symmetry_residual(chain, h_w) - want) <= 1e-13
 
 
-def test_global_symmetry_residual_reads_the_stray_through_the_cartan_generators(algebra, locals_cache):
+def test_global_symmetry_residual_reads_the_stray_through_the_cartan_generators(algebra, pair_cache):
     """For an H that leaves its sectors, the root terms see the sector blocks and the Cartan terms the rest."""
     basis = algebra.basis(3)
     chain = weight_chain(basis, 2)
-    h = locals_cache(3)
+    h = pair_cache(3)
     noise = np.random.default_rng(3).standard_normal(h.shape)
-    h_w = weight_hamiltonian(chain, h + 1e-3 * noise)
+    h_w = chain_H(h + 1e-3 * noise, 2)
     inside = np.zeros_like(h_w)
     for idx in chain.blocks:
         inside[np.ix_(idx, idx)] = h_w[np.ix_(idx, idx)]
@@ -394,27 +426,27 @@ def test_global_symmetry_residual_reads_the_stray_through_the_cartan_generators(
     assert abs(got - want) <= 1e-13
 
 
-def test_global_symmetry_residual_detects_broken_invariance(algebra, locals_cache):
+def test_global_symmetry_residual_detects_broken_invariance(algebra, pair_cache):
     """Noise that leaves the weight sectors is caught; so is noise that keeps them.
 
     The weight-conserving density passes the sector spectrum, so its stray
     is below tolerance: its residual comes from the root commutators.
     """
     basis = algebra.basis(3)
-    h = locals_cache(3)
+    h = pair_cache(3)
     rng = np.random.default_rng(5)
     noise = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
     conserving = _weight_conserving_noise(basis, h, 5)
     for sites in (2, 3):
         chain = weight_chain(basis, sites)
-        assert global_symmetry_residual(chain, weight_hamiltonian(chain, h + 1e-3 * noise)) > 1e-8
+        assert global_symmetry_residual(chain, chain_H(h + 1e-3 * noise, sites)) > 1e-8
         chain_spectrum(conserving, basis, sites)  # raises if the density leaves its sectors
-        assert global_symmetry_residual(chain, weight_hamiltonian(chain, conserving)) > 1e-8
+        assert global_symmetry_residual(chain, chain_H(conserving, sites)) > 1e-8
 
 
 @pytest.mark.parametrize("sites", [2, 3])
-def test_weight_chain_is_the_rotated_gell_mann_chain(algebra, locals_cache, sites):
-    """H_w and t_w(lam) are U^(x)L H U^(x)L^dagger and U^(x)L t U^(x)L^dagger."""
+def test_weight_chain_is_the_rotated_gell_mann_chain(algebra, locals_cache, pair_cache, sites):
+    """H_w, the chain of h's scattered blocks, and t_w(lam) are U^(x)L H U^(x)L^dagger and U^(x)L t U^(x)L^dagger."""
     basis, rep, dec = algebra(3)
     h = locals_cache(3)
     chain = weight_chain(basis, sites)
@@ -423,7 +455,7 @@ def test_weight_chain_is_the_rotated_gell_mann_chain(algebra, locals_cache, site
     def rotated(op):
         return big_u @ op @ np.conj(big_u).T
 
-    assert np.max(np.abs(weight_hamiltonian(chain, h) - rotated(chain_H(h, sites)))) <= 1e-12
+    assert np.max(np.abs(chain_H(pair_cache(3), sites) - rotated(chain_H(h, sites)))) <= 1e-12
     lam = 0.37 + 0.21j
     t = transfer_matrix(dec, lam, sites)
     assert np.max(np.abs(weight_transfer(chain, rep, lam) - rotated(t))) <= 1e-12 * np.max(np.abs(t))
@@ -442,20 +474,19 @@ def test_weight_chain_sectors(algebra):
         assert np.all(total[idx] == chain.sector_weights[k])
 
 
-def test_chain_three_sites_has_complex_spectrum(algebra, locals_cache):
-    eigs = chain_spectrum(locals_cache(3), algebra.basis(3), 3)
+def test_chain_three_sites_has_complex_spectrum(algebra, pair_cache):
+    eigs = chain_spectrum(pair_cache(3), algebra.basis(3), 3)
     assert max(abs(w.imag) for w in eigs) > 1e-6
 
 
 @pytest.mark.parametrize("n, sites", [(3, 2), (3, 3), (4, 2)])
-def test_chain_spectrum_matches_dense(algebra, locals_cache, n, sites):
-    """The weight-sector spectrum against one dense solve of H, matched by assignment.
+def test_chain_spectrum_matches_dense(algebra, locals_cache, pair_cache, n, sites):
+    """The weight-sector spectrum against one dense solve of the Gell-Mann H, matched by assignment.
 
     The defective cluster of L = 3 is resolved only to about 1e-7.
     """
-    h = locals_cache(n)
-    dense = np.array([w for w, _ in eig_general(chain_H(h, sites))])
-    sectors = np.array(chain_spectrum(h, algebra.basis(n), sites))
+    dense = np.array([w for w, _ in eig_general(chain_H(locals_cache(n), sites))])
+    sectors = np.array(chain_spectrum(pair_cache(n), algebra.basis(n), sites))
     assert len(sectors) == len(dense)
     cost = np.abs(sectors[:, None] - dense[None, :])
     rows, cols = linear_sum_assignment(cost)
@@ -463,8 +494,8 @@ def test_chain_spectrum_matches_dense(algebra, locals_cache, n, sites):
     assert np.sum(np.abs(sectors.imag) > 1e-6) == np.sum(np.abs(dense.imag) > 1e-6)
 
 
-def test_chain_spectrum_refuses_weight_violation(algebra, locals_cache):
-    h = locals_cache(3)
+def test_chain_spectrum_refuses_weight_violation(algebra, pair_cache):
+    h = pair_cache(3)
     rng = np.random.default_rng(2)
     noise = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
     with pytest.raises(AssertionError, match="weight blocks"):
@@ -502,7 +533,7 @@ def _dense_ratio(a, b):
     return np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b))
 
 
-def test_transfer_residuals_match_dense_ratio(algebra, locals_cache, rng):
+def test_transfer_residuals_match_dense_ratio(algebra, locals_cache, pair_cache, rng):
     """The sector residuals against the dense ratio, at the lambdas of test_transfer_commutes_with_chain."""
     basis, rep, dec = algebra(3)
     h = locals_cache(3)
@@ -513,15 +544,15 @@ def test_transfer_residuals_match_dense_ratio(algebra, locals_cache, rng):
         t, t_mu = transfer_matrix(dec, lam, sites), transfer_matrix(dec, mu, sites)
         got = sector_commutator(chain, t_w, weight_transfer(chain, rep, mu))
         assert abs(got - _dense_ratio(t, t_mu)) <= 1e-15
-        got_h = sector_commutator(chain, t_w, weight_hamiltonian(chain, h))
+        got_h = sector_commutator(chain, t_w, chain_H(pair_cache(3), sites))
         assert abs(got_h - _dense_ratio(t, chain_H(h, sites))) <= 1e-15
 
 
-def test_sector_commutator_cannot_hide_off_sector_error(algebra, locals_cache):
+def test_sector_commutator_cannot_hide_off_sector_error(algebra, pair_cache):
     """A t_w whose blocks commute with H_w, plus one off-sector entry of relative size 1e-6."""
     basis, rep, _ = algebra(3)
     chain = weight_chain(basis, 3)
-    h_w = weight_hamiltonian(chain, locals_cache(3))
+    h_w = chain_H(pair_cache(3), 3)
     t_w = weight_transfer(chain, rep, 0.37 + 0.21j)
     assert sector_commutator(chain, t_w, h_w) <= 1e-15
     t_w[chain.blocks[0][0], chain.blocks[1][0]] += 1e-6 * np.linalg.norm(t_w)

@@ -7,7 +7,6 @@ from adjrmat.adjoint_tensor import (
     generating_set,
     highest_weight_vectors,
     root_weight,
-    rotate_pair,
 )
 from adjrmat.liealg import matrix_unit
 from adjrmat.yangian_action import (
@@ -19,6 +18,8 @@ from adjrmat.yangian_action import (
     verify_hw_relations,
     verify_singlet_double_action,
 )
+
+from conftest import rotate_pair
 
 TOL = 1e-9
 
