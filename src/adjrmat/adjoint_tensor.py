@@ -3,14 +3,15 @@
 Vectors of the two-site module live in coordinates: an element
 sum_{a,b} v^{ab} I^a (x) I^b of su(n) (x) su(n) is stored as the flat complex
 array v of length (n^2-1)^2 with row-major index a*(n^2-1)+b, matching the
-Kronecker-product convention of :mod:`adjrmat.numerics`.  Lowering orbits
-are closed internally in the two-site weight frame ``rep.weight_frame`` of
-:func:`liealg.weight_chain` (see :func:`_orbit`), and the decomposition is
-checked there, one weight sector at a time, but every basis
-this module returns is in these Gell-Mann coordinates.  A decomposition holds
-only its (D, dim) bases: the D x D projectors and the s->a isometry are
-formed when they are read, and no check of :func:`build_decomposition` forms
-one.  The representation also holds
+Kronecker-product convention of :mod:`adjrmat.numerics`.  A decomposition
+(:func:`build_decomposition`) is built and checked on the highest-weight
+vectors of its modules, in the two-site weight frame ``rep.weight_frame``
+of :func:`liealg.weight_chain`.  Its (D, dim) bases are the lowering orbits
+of those vectors, closed there one weight sector at a time (see
+:func:`_orbit`) on their first read, but every basis this module returns is
+in these Gell-Mann coordinates.  The D x D projectors and the s->a
+isometry are formed when they are read, and no check of the decomposition
+forms one.  The representation also holds
 the dominant sectors of the three-site weight frame on their highest-weight
 vectors, with the gathers that compress a two-site operator onto them
 (``rep.ybe_frame``, :class:`TripleSector`), and the sector blocks of D(y)
@@ -31,7 +32,7 @@ Two distinct objects both called "Casimir" are kept strictly separate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -158,21 +159,27 @@ class HighestWeight:
 class Submodule:
     """Irreducible factor of adjoint (x) adjoint.
 
-    ``basis`` holds orthonormal coordinate columns.  The D x D projector
-    basis @ basis^dagger is formed on each access and never kept: the hot
-    paths use the operator form of :mod:`adjrmat.rmatrix` instead.
+    ``dim``, ``omega_eigenvalue`` and ``exchange_parity`` are read off the
+    highest-weight vector ``hw_vector`` when the decomposition is built.
+    ``basis`` holds orthonormal coordinate columns of the lowering orbit of
+    ``hw_vector``; ``orbits`` closes it on the first read of any basis of
+    the decomposition.  The D x D projector basis @ basis^dagger is formed
+    on each access and never kept: the hot paths use the operator form of
+    :mod:`adjrmat.rmatrix` instead.
     """
 
     label: str
     role: str
     hw_vector: np.ndarray
-    basis: np.ndarray  # (D, dim) orthonormal columns
+    dim: int
     omega_eigenvalue: float
     exchange_parity: int
+    orbits: "_Orbits" = field(repr=False, compare=False)
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
+    def basis(self) -> np.ndarray:
+        """The (D, dim) orthonormal columns of the module."""
+        return self.orbits.closed[0][self.role]
 
     @property
     def projector(self) -> np.ndarray:
@@ -181,19 +188,30 @@ class Submodule:
 
 @dataclass
 class Decomposition:
-    """Full decomposition of the adjoint tensor square with the s->a isometry."""
+    """The decomposition of the adjoint tensor square, held on its highest-weight vectors.
+
+    ``vectors`` holds the normalised highest-weight vectors of the
+    ``submodules`` as (D, k) columns, in the same order.  The bases, their
+    completeness residual and the s->a isometry come from ``orbits``, which
+    closes every lowering orbit on the first read of any of them.
+    """
 
     n: int
     rep: AdjointRep
     submodules: list[Submodule]
-    # max_abs(B^dagger B - 1) of the stacked bases, taken one weight sector at a time
-    completeness_residual: float
+    vectors: np.ndarray
+    orbits: "_Orbits" = field(repr=False, compare=False)
 
     def by_role(self, role: str) -> Submodule:
         for sub in self.submodules:
             if sub.role == role:
                 return sub
         raise KeyError(f"no submodule with role {role!r}")
+
+    @property
+    def completeness_residual(self) -> float:
+        """max_abs(B^dagger B - 1) of the stacked bases, taken one weight sector at a time."""
+        return self.orbits.closed[1]
 
     @cached_property
     def iso_s_to_a(self) -> np.ndarray:
@@ -204,6 +222,20 @@ class Decomposition:
         """
         anti = self.by_role("adjoint_anti").basis
         return anti @ np.conj(self.by_role("adjoint_sym").basis).T
+
+    def apply_table(self, diag: dict[str, complex], block: np.ndarray) -> np.ndarray:
+        """V T: sum_role diag[role] P_role + ``block`` on the adjoint pair, applied to ``vectors`` = V.
+
+        An invariant operator with this projector table maps the
+        highest-weight vector of a scalar module to diag[role] times itself
+        (a missing role counts as 0), and the pair (v_s, v_a), which the
+        s->a isometry maps onto each other, to (v_s, v_a) ``block``.
+        """
+        roles = [sub.role for sub in self.submodules]
+        table = np.diag([complex(diag.get(role, 0.0)) for role in roles])
+        pair = [roles.index("adjoint_sym"), roles.index("adjoint_anti")]
+        table[np.ix_(pair, pair)] = block
+        return self.vectors @ table
 
 
 def adjoint_rep(basis: SunBasis, tol: Tolerance = DEFAULT_TOL, validate: bool = True) -> AdjointRep:
@@ -782,80 +814,126 @@ def _sector_columns(chain: WeightChain, xw: np.ndarray) -> tuple[list[tuple[int,
     return parts, off
 
 
-def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
-    """Decompose adjoint (x) adjoint into submodules with the s->a isometry.
+@dataclass(frozen=True)
+class _Orbits:
+    """The submodule bases of a decomposition, closed on first read, all at once (:attr:`closed`).
 
-    The two adjoint copies are spanned by the invariant tensors: the columns
-    d^{a..}/||d^{a..}|| give the symmetric copy and minus the columns
-    f^{a..}/||f^{a..}|| the antisymmetric one.  Column a of each basis is the
-    image of the generator I^a, so mapping column to column is the
-    equivariant isometry -Ef Ed^dagger (``Decomposition.iso_s_to_a``, formed
-    only when read); the sign fixes the phase convention iso(v_s) = +(norm
-    ratio) v_a.  Every other submodule is the lowering orbit of its
-    highest-weight vector, closed one sector of ``rep.weight_frame`` at a
-    time (the stacked lowering blocks are built once per call and shared by
-    the orbits).  Every basis is checked in that frame, split by sector:
-    the orbits come in weight coordinates from :func:`_orbit`, and the
-    adjoint copies are rotated there on both indices, (U (x) U) B U^T, so
-    that every column is a weight vector.  Checked before returning, with no
-    D x D array formed:
-
-    * the Casimir eigenvalue and exchange parity of every basis, with the
-      Omega_op and sigma blocks of ``rep.frame`` (:func:`_measure`);
-    * the sum of dimensions;
-    * completeness and mutual orthogonality, as the Gram residual
-      max_W max_abs(G_W - 1) over the sectors W of the weight frame.
-      Columns in different sectors are orthogonal, so the largest
-      off-sector share of any column is a floor on the residual, and so is
-      max_abs(U U^dagger - 1): the sector Grams equal the Gell-Mann one only
-      if U is unitary.  The result is kept as ``completeness_residual``;
-    * the isometry phase, as B_a (B_s^dagger v_s).
+    ``rows`` are the highest-weight vectors and ``dims`` their Weyl
+    dimensions, in table order, as :func:`build_decomposition` checked them.
     """
-    basis = rep.basis
-    m = rep.dim
-    D = m * m
+
+    rep: AdjointRep
+    rows: list[HighestWeight]
+    dims: list[int]
+    tol: Tolerance
+
+    @cached_property
+    def closed(self) -> tuple[dict[str, np.ndarray], float]:
+        """(the basis of each role, the completeness residual), checked before they are kept.
+
+        The adjoint copies are the columns d^{a..}/||d^{a..}|| and
+        -f^{a..}/||f^{a..}|| of the invariant tensors, so mapping column to
+        column is the equivariant isometry -Ef Ed^dagger, whose sign fixes
+        iso(v_s) = +(norm ratio) v_a.  Every other basis is the lowering
+        orbit of its row, closed one sector of ``rep.weight_frame`` at a time
+        (:func:`_orbit`).  Each basis is checked in that frame, split by
+        sector (the adjoint copies rotated there as (U (x) U) B U^T), with no
+        D x D array formed: its Casimir eigenvalue and parity
+        (:func:`_measure`) and its Weyl dimension; then completeness and
+        mutual orthogonality, as the Gram residual max_W max_abs(G_W - 1)
+        over the sectors W, floored by the largest off-sector share of any
+        column and by max_abs(U U^dagger - 1); then the isometry phase, as
+        B_a (B_s^dagger v_s).
+        """
+        rep, tol = self.rep, self.tol
+        basis, m = rep.basis, rep.dim
+        lowering, pair = _weight_blocks(rep, tol), rep.frame
+        chain = lowering.chain
+        u = chain.u
+        embeddings = {
+            "adjoint_sym": _tensor_embedding(basis.d),
+            "adjoint_anti": -_tensor_embedding(basis.f),
+        }
+        bases: dict[str, np.ndarray] = {}
+        sectors: dict[int, list[np.ndarray]] = {}
+        gram_res = max_abs(u @ np.conj(u).T - np.eye(m))
+        for row, dim in zip(self.rows, self.dims):
+            if row.role in embeddings:
+                B = embeddings[row.role]
+                xw = pair.to_weight(B) @ u.T
+            else:
+                xw = _orbit(lowering, row.coords, tol)
+                B = pair.from_weight(xw)
+            if B.shape[1] != dim:
+                raise AssertionError(f"the {row.role} basis has {B.shape[1]} columns, "
+                                     f"not its Weyl dimension {dim}")
+            parts, off = _sector_columns(chain, xw)
+            del xw
+            gram_res = max(gram_res, off)
+            for w, cols in parts:
+                sectors.setdefault(w, []).append(cols)
+            _measure(pair, parts, tol, row.parity)
+            bases[row.role] = B
+        for parts in sectors.values():
+            cols = np.hstack(parts)
+            gram_res = max(gram_res, max_abs(np.conj(cols).T @ cols - np.eye(cols.shape[1])))
+        if gram_res > tol.abs_tol * m:
+            raise AssertionError(f"projector completeness residual {gram_res:.3e}")
+        # phase check: iso maps the symmetric hwv onto a positive multiple of the antisymmetric one
+        hw = {row.role: row.coords / np.linalg.norm(row.coords) for row in self.rows}
+        sym, anti = bases["adjoint_sym"], bases["adjoint_anti"]
+        overlap = np.vdot(hw["adjoint_anti"], anti @ (np.conj(sym).T @ hw["adjoint_sym"]))
+        if not (abs(overlap - 1.0) <= 1e-6):
+            raise AssertionError(f"isometry phase convention violated (overlap {overlap})")
+        return bases, float(gram_res)
+
+
+def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
+    """Decompose adjoint (x) adjoint into submodules, on their highest-weight vectors.
+
+    An invariant operator is fixed by what it does to the highest-weight
+    vectors of the modules (Schur's lemma), so the decomposition is built
+    and checked on the normalised rows of :func:`highest_weight_vectors`
+    (seven at n >= 4, six at n = 3), ``Decomposition.vectors``, and closes
+    no orbit.  Each row is checked, to within ``abs_tol * (n^2 - 1)``, in
+    ``rep.weight_frame``:
+
+    * it is a weight vector: its share outside one sector (:func:`_sector_columns`);
+    * the n - 1 simple raising operators kill it; their sector blocks are
+      the e_{i,i+1} entries of ``rep.chevalley_deltas``;
+    * Omega_op v = omega v with omega real, and sigma v = parity v for its
+      stated parity, with the blocks of ``rep.frame`` (:func:`_measure`).
+
+    The rows must be orthonormal, and the Weyl dimensions of their weights
+    (:func:`liealg.weyl_dimension`) must sum to D.  These checks give each
+    submodule its ``dim``, ``omega_eigenvalue`` and ``exchange_parity``; a
+    failure raises ``AssertionError``.  The bases, the completeness
+    residual and the isometry are closed on first read (:class:`_Orbits`).
+    """
+    basis, m = rep.basis, rep.dim
     rows = highest_weight_vectors(basis, tol)
-    lowering, pair = _weight_blocks(rep, tol), rep.frame
-    chain = lowering.chain
-    u = chain.u
-    embeddings = {
-        "adjoint_sym": _tensor_embedding(basis.d),
-        "adjoint_anti": -_tensor_embedding(basis.f),
-    }
-    submodules: list[Submodule] = []
-    sectors: dict[int, list[np.ndarray]] = {}
-    gram_res = max_abs(u @ np.conj(u).T - np.eye(m))
-    for row in rows:
-        if row.role in embeddings:
-            B = embeddings[row.role]
-            xw = pair.to_weight(B) @ u.T
-        else:
-            xw = _orbit(lowering, row.coords, tol)
-            B = pair.from_weight(xw)
-        parts, off = _sector_columns(chain, xw)
-        del xw
-        gram_res = max(gram_res, off)
-        for w, cols in parts:
-            sectors.setdefault(w, []).append(cols)
-        omega_ev, parity = _measure(pair, parts, tol, row.parity)
-        submodules.append(Submodule(row.label, row.role, row.coords, B, omega_ev, parity))
-
-    dims = sum(sub.dim for sub in submodules)
-    if dims != D:
-        raise AssertionError(f"submodule dimensions sum to {dims}, expected {D}")
-    for parts in sectors.values():
-        cols = np.hstack(parts)
-        gram_res = max(gram_res, max_abs(np.conj(cols).T @ cols - np.eye(cols.shape[1])))
-    if gram_res > tol.abs_tol * m:
-        raise AssertionError(f"projector completeness residual {gram_res:.3e}")
-
-    dec = Decomposition(n=basis.n, rep=rep, submodules=submodules,
-                        completeness_residual=float(gram_res))
-    # phase check: iso maps the symmetric hwv onto a positive multiple of the antisymmetric one
-    sym, anti = dec.by_role("adjoint_sym"), dec.by_role("adjoint_anti")
-    v_s = sym.hw_vector / np.linalg.norm(sym.hw_vector)
-    v_a = anti.hw_vector / np.linalg.norm(anti.hw_vector)
-    overlap = np.vdot(v_a, anti.basis @ (np.conj(sym.basis).T @ v_s))
-    if not (abs(overlap - 1.0) <= 1e-6):
-        raise AssertionError(f"isometry phase convention violated (overlap {overlap})")
-    return dec
+    chain, pair, tol_m = rep.weight_frame, rep.frame, tol.abs_tol * m
+    vectors = np.stack([row.coords / np.linalg.norm(row.coords) for row in rows], axis=1)
+    raising = [rep.chevalley_deltas[i, i + 1][0] for i in range(1, rep.n)]
+    xw = pair.to_weight(vectors)
+    dims, measured = [], []
+    for row, col in zip(rows, xw.T):
+        [(w, x)], off = _sector_columns(chain, col[:, None])
+        if off > tol_m:
+            raise AssertionError(f"the {row.role} highest-weight vector is not a weight vector: "
+                                 f"{off:.3e} of its norm lies outside its sector")
+        raised = max((max_abs(d[w][1] @ x) for d in raising if w in d), default=0.0)
+        if raised > tol_m:
+            raise AssertionError(f"a simple raising operator does not kill the {row.role} "
+                                 f"highest-weight vector (residual {raised:.3e})")
+        measured.append(_measure(pair, [(w, x)], tol, row.parity))
+        dims.append(weyl_dimension(chain.sector_weights[w]))
+    gram = max_abs(np.conj(vectors).T @ vectors - np.eye(len(rows)))
+    if gram > tol_m:
+        raise AssertionError(f"the highest-weight vectors are not orthonormal (residual {gram:.3e})")
+    if sum(dims) != m * m:
+        raise AssertionError(f"submodule dimensions sum to {sum(dims)}, expected {m * m}")
+    orbits = _Orbits(rep, rows, dims, tol)
+    submodules = [Submodule(row.label, row.role, row.coords, dim, ev, parity, orbits)
+                  for row, dim, (ev, parity) in zip(rows, dims, measured)]
+    return Decomposition(n=basis.n, rep=rep, submodules=submodules, vectors=vectors, orbits=orbits)

@@ -103,8 +103,12 @@ class RunConfig:
 class _Context:
     """Lazily built algebra objects shared by the checks of one command.
 
-    R(lam), I(lam) and h need only ``rep``; ``dec`` is built on first use,
-    by the checks and artifacts that read a submodule.
+    R(lam), I(lam) and h need only ``rep``.  ``dec`` is built on first use,
+    on its highest-weight vectors, by the checks and artifacts that read a
+    submodule; only ``verify su3`` and ``build projectors`` read its bases,
+    which close its lowering orbits.  The ``r-terms-invariance`` residual,
+    the premise of every check that reads an operator on highest-weight
+    vectors, is computed once per command.
     """
 
     cfg: RunConfig
@@ -125,6 +129,10 @@ class _Context:
     def h_op(self):
         return h_op(self.rep)
 
+    @cached_property
+    def r_terms_invariance(self) -> float:
+        return r_terms_invariance_residual(self.rep)
+
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.cfg.seed)
 
@@ -142,6 +150,13 @@ def _check(check_id: str, residual: float, threshold: float, params=None, op="<=
 
 def _cpair(z: complex):
     return jsonio.complex_pair(z)
+
+
+def _invariance_check(ctx: _Context) -> dict:
+    """The ``r-terms-invariance`` entry: the premise of reading R, h and the YBE on highest-weight vectors."""
+    n = ctx.cfg.n
+    return _check("r-terms-invariance", ctx.r_terms_invariance, ctx.cfg.tol.abs_tol * (n * n - 1),
+                  params={"y": generating_set(n)[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +253,9 @@ def suite_ybe(ctx: _Context) -> list[dict]:
     checks = [_check("r-at-zero-is-swap", r_at_zero_residual(ctx.rep), 1e-12)]
     # the direct and the composed assembly of R are compared once, at the first pair
     for lam, _ in pairs[:1]:
-        ctx.rep.ybe_frame  # before the decomposition, so that their transients do not stack
         checks.append(_check("r-assembly-agreement", r_assembly_residual(ctx.dec, lam),
                              cfg.tol.abs_tol * m, params={"lambda": _cpair(lam)}))
-        # the YBE residual reads each factor on highest-weight vectors, which holds for an invariant R
-        checks.append(_check("r-terms-invariance", r_terms_invariance_residual(ctx.rep),
-                             cfg.tol.abs_tol * m, params={"y": generating_set(n)[0]}))
+        checks.append(_invariance_check(ctx))
     for lam, mu in pairs:
         params = {"lambda": _cpair(lam), "mu": _cpair(mu)}
         for solution in ("R", "Rtilde"):
@@ -270,19 +282,21 @@ def suite_hamiltonian(ctx: _Context) -> list[dict]:
     table_residual, fd_residual = h_oracle_residuals(ctx.dec, h)
     checks = [
         _check("h-assembly-agreement", table_residual, cfg.tol.abs_tol * m),
+        _invariance_check(ctx),
         _check("h-finite-difference", fd_residual, 1e-6),
         _check("h-nonhermiticity", nonhermiticity(h), 0.1, op=">"),
     ]
     spectrum = two_site_spectrum(h, cfg.tol)
     max_imag = max(abs(w.imag) for w in spectrum)
     checks.append(_check("two-site-spectrum-real", max_imag, 1e-8))
-    # spectral consistency: projector coefficients + the 2x2 block spectrum
+    # spectral consistency: projector coefficients + the 2x2 block spectrum, with the Weyl dimensions
+    dims = {sub.role: sub.dim for sub in ctx.dec.submodules}
     expected = []
     coeffs = {"sym_top": 0.0, "anti_left": 2.0, "anti_right": 2.0, "mixed_sym": 4.0,
               "singlet": (2.0 + 2.0 * n) / n}
-    for sub in ctx.dec.submodules:
-        if sub.role in coeffs:
-            expected.extend([coeffs[sub.role]] * sub.dim)
+    for role, dim in dims.items():
+        if role in coeffs:
+            expected.extend([coeffs[role]] * dim)
     # h = I'(0), so its adjoint-pair block is M'(0) = N'(0) diag(1, -1)
     block_eigs = np.linalg.eigvals(CoefficientSet(n).N_deriv0() @ np.diag([1.0, -1.0]))
     for w in block_eigs:
@@ -290,7 +304,8 @@ def suite_hamiltonian(ctx: _Context) -> list[dict]:
     expected.sort()
     got = sorted(w.real for w in spectrum)
     checks.append(
-        _check("two-site-spectrum-values", float(np.max(np.abs(np.array(got) - np.array(expected)))), 1e-8)
+        _check("two-site-spectrum-values", float(np.max(np.abs(np.array(got) - np.array(expected)))), 1e-8,
+               params={"dims": dims})
     )
     ops = spin_operators(ctx.rep, cfg.tol)
     checks.append(_check("spin-operators-noncommuting", frobenius(ops.commutator), 0.1, op=">"))

@@ -29,15 +29,15 @@ inversion, the asymptotic check and the Yangian checks compare them exactly
 over every column.  :meth:`PairOperator.dense`, in Gell-Mann coordinates, is
 formed only by :func:`build_R`, the other ``build_*`` functions and
 :func:`spinchain.local_h`, for the dense partners of the spin form and the
-artifacts.  Only one
-oracle reads the submodules of a :class:`Decomposition`: the projector-sum
-assembly, applied to a block of columns as sum_r c_r B_r (B_r^dagger v)
-(:func:`_assemble_apply`), so that it forms no D x D projector or isometry.
-:func:`r_assembly_residual` compares it with the operator form of R(lam) on
-random unit columns, a Freivalds check (the ``r-assembly-agreement`` check of
-``verify ybe``); its dense form survives in the tests as the oracle of the
-apply.  :func:`derive_coefficients` recovers the coefficients from the
-level-1 action on the highest-weight vectors and takes an
+artifacts.  Only one check reads a :class:`Decomposition`:
+:func:`r_assembly_residual` (the ``r-assembly-agreement`` check of ``verify
+ybe``) compares the operator form of R(lam) with the table of I(lam)
+composed with sigma on the normalised highest-weight vectors of
+adj (x) adj, which fix an invariant operator (Schur's lemma), so it closes
+no lowering orbit and forms no D x D projector; the projector-sum assembly
+on random columns survives in the tests as its oracle.
+:func:`derive_coefficients` recovers the coefficients from the level-1
+action on the highest-weight vectors and takes an
 :class:`AdjointRep`.  :func:`intertwining_residual` checks that I(lam)
 intertwines the Yangian action on a generating set: level 0 on the
 Chevalley generators and level 1 on the highest root vector e_1n alone,
@@ -257,9 +257,10 @@ class PairOperator:
 def operator_form(frame: PairFrame, diag: dict[str, complex], block: np.ndarray) -> PairOperator:
     """The :class:`PairOperator` of sum_role diag[role] P_role + ``block`` on the adjoint pair.
 
-    ``diag`` and ``block`` are what the projector-sum assembly
-    :func:`_assemble_apply` takes: scalars on the submodule projectors (a
-    missing role counts as 0) and the 2 x 2 block in the {v_s, v_a} basis.
+    ``diag`` and ``block`` are the projector table that
+    :meth:`Decomposition.apply_table` reads: scalars on the submodule
+    projectors (a missing role counts as 0) and the 2 x 2 block in the
+    {v_s, v_a} basis.
     The projectors in closed form,
 
         P_top = [(Omega_op + 2) Pi+ - (2 - n) Ed Ed^dagger - (2 - 2n) s s^dagger] / 4,
@@ -347,63 +348,29 @@ def build_R_tilde(rep: AdjointRep, lam: complex) -> np.ndarray:
     return r_tilde_op(rep, lam).dense()
 
 
-# random unit columns on which the projector-sum oracles are compared
-_ASSEMBLY_PROBES = 8
-
-
-def _probe_block(D: int) -> np.ndarray:
-    """:data:`_ASSEMBLY_PROBES` random complex unit columns of length D.
-
-    They are drawn from a fresh generator seeded with :data:`DEFAULT_SEED`,
-    so an oracle that draws them leaves the stream of its caller as it was.
-    """
-    rng = np.random.default_rng(DEFAULT_SEED)
-    v = rng.standard_normal((D, _ASSEMBLY_PROBES)) + 1j * rng.standard_normal((D, _ASSEMBLY_PROBES))
-    return v / np.linalg.norm(v, axis=0)
-
-
-def _assemble_apply(dec: Decomposition, diag: dict[str, complex], block: np.ndarray,
-                    v: np.ndarray) -> np.ndarray:
-    """The projector-sum assembly applied to the columns of a (D, k) array ``v``.
-
-    Returns sum_role diag[role] B_role (B_role^dagger v) plus ``block`` on the
-    adjoint pair in the {v_s, v_a} basis, with the isometry applied as
-    iso v = B_a (B_s^dagger v) and iso^dagger v = B_s (B_a^dagger v).  Only
-    (D, k) and (dim, k) arrays are formed.
-    """
-
-    def coords(b):  # b^dagger v, without a conjugate copy of b
-        return np.conj(b.T @ np.conj(v))
-
-    b_s = dec.by_role("adjoint_sym").basis
-    b_a = dec.by_role("adjoint_anti").basis
-    c_s, c_a = coords(b_s), coords(b_a)
-    out = b_s @ (block[0, 0] * c_s + block[0, 1] * c_a)
-    out += b_a @ (block[1, 0] * c_s + block[1, 1] * c_a)
-    for sub in dec.submodules:
-        if sub.role in diag:
-            out += diag[sub.role] * (sub.basis @ coords(sub.basis))
-    return out
-
-
 def r_assembly_residual(dec: Decomposition, lam: complex) -> float:
     """Max-abs disagreement of the operator form of R(lam) with I(lam) sigma, over max(1, max-abs R V).
 
-    Both are applied to the same block V of :data:`_ASSEMBLY_PROBES` random
-    unit columns (:func:`_probe_block`, from a generator of its own): R(lam)
-    V in operator form against the projector sum
-    :func:`_assemble_apply` of I(lam), with the M(lam) block, on sigma V.
-    This checks the operator form, its N(lam) block and the closed-form
-    projectors at once; the two agree to within ``abs_tol * (n^2 - 1)``.
-    Operators that differ disagree on random columns with probability 1.
+    Both are applied to the normalised highest-weight vectors V of ``dec``
+    (``dec.vectors``, no orbit closed): R(lam) V in operator form against
+    I(lam) sigma V = V T P from the table of :func:`_intertwiner_coefficients`,
+    where P holds the exchange parities and V T is
+    :meth:`Decomposition.apply_table` (c_M(lam) on each scalar module and
+    M(lam) on the adjoint pair).  This checks the operator form, its N(lam)
+    block and the closed-form projectors at once; the two agree to within
+    ``abs_tol * (n^2 - 1)``.  An invariant operator is fixed by what it does
+    to V (Schur's lemma), so agreement on V is agreement everywhere once
+    the blocks that R(lam) is applied through commute with su(n): the
+    residual is at least their relative commutator with the Chevalley
+    generators (:func:`_invariance_gap`).  The terms the blocks are
+    combined from are checked once per suite (``r-terms-invariance``).
     """
     lam = complex(lam)
-    m = dec.rep.dim
-    v = _probe_block(m * m)
-    direct = r_op(dec.rep, lam).apply(v)
-    coeffs = _intertwiner_coefficients(CoefficientSet(dec.n), lam)
-    composed = _assemble_apply(dec, *coeffs, apply_swap(v, m))
-    return max_abs(direct - composed) / max(1.0, max_abs(direct))
+    op = r_op(dec.rep, lam)
+    direct = op.apply(dec.vectors)
+    parity = np.array([sub.exchange_parity for sub in dec.submodules])
+    composed = dec.apply_table(*_intertwiner_coefficients(CoefficientSet(dec.n), lam)) * parity
+    return max(max_abs(direct - composed) / max(1.0, max_abs(direct)), _invariance_gap(dec.rep, op))
 
 
 def r_at_zero_residual(rep: AdjointRep) -> float:
@@ -439,7 +406,8 @@ def ybe_residual(
     A_V = P_V^T R_ij P_V is compressed from the sector blocks of R onto the
     highest-weight vectors P_V of ``rep.ybe_frame`` (at most 9 for n <= 8).
     That R is invariant is the ``r-terms-invariance`` check, and that its
-    blocks hold all of R is ``r-assembly-agreement``.
+    blocks hold the R of the paper's coefficients is ``r-assembly-agreement``,
+    on the highest-weight vectors of adj (x) adj.
 
     Only ``dec.rep`` is read.  ``dec``, ``mode`` and ``probes`` stay because
     the benchmark tracer (``perfbench/tracing.py``) reads them by name, and
@@ -521,12 +489,50 @@ def r_terms_invariance_residual(rep: AdjointRep) -> float:
     terms are invariant, as the YBE residual on highest-weight vectors
     (:func:`ybe_residual`) needs, when this is roundoff.
     """
-    frame = rep.frame
+    terms = rep.frame.terms
+    return _chevalley_commutator(rep, terms) / max(max_abs(t) for t in terms)
+
+
+def _chevalley_groups(rep: AdjointRep) -> list[tuple[int, np.ndarray, int, np.ndarray, np.ndarray]]:
+    """The blocks of every D(y) of ``rep.chevalley_deltas``, grouped by the sizes of their source and target sectors.
+
+    Each group is (g, r, h, q, B): B[p] maps the sector at (g, r[p]) of
+    ``rep.frame.sectors`` to the one at (h, q[p]).  Built once per
+    representation and kept in ``rep.memo``.
+    """
+    if "chevalley_groups" not in rep.memo:
+        places, groups = rep.frame.places, {}
+        for d, _ in rep.chevalley_deltas.values():
+            for k, (t, b) in d.items():
+                sources, targets, blocks = groups.setdefault((places[k][0], places[t][0]), ([], [], []))
+                sources.append(places[k][1])
+                targets.append(places[t][1])
+                blocks.append(b)
+        rep.memo["chevalley_groups"] = [(g, np.array(r), h, np.array(q), np.stack(b))
+                                        for (g, h), (r, q, b) in groups.items()]
+    return rep.memo["chevalley_groups"]
+
+
+def _chevalley_commutator(rep: AdjointRep, stacks: list[np.ndarray]) -> float:
+    """Max-abs of D(y) X - X D(y) over the Chevalley y, for X with the sector blocks ``stacks``.
+
+    ``stacks`` holds one stack per size of ``rep.frame.sectors``, the
+    sectors on axis -3; leading axes hold several operators at once.  One
+    batched product per group of :func:`_chevalley_groups`.
+    """
     worst = 0.0
-    for d, _ in rep.chevalley_deltas.values():
-        for k, (t, b) in d.items():
-            worst = max(worst, max_abs(b @ frame.sector_terms(k) - frame.sector_terms(t) @ b))
-    return worst / max(max_abs(t) for t in frame.terms)
+    for g, r, h, q, b in _chevalley_groups(rep):
+        worst = max(worst, max_abs(b @ np.take(stacks[g], r, axis=-3) - np.take(stacks[h], q, axis=-3) @ b))
+    return worst
+
+
+def _invariance_gap(rep: AdjointRep, op: PairOperator) -> float:
+    """Max-abs of [D(y), X] over the Chevalley y, for the sector blocks of X = ``op``, over max(1, max-abs X).
+
+    The terms of ``rep.frame`` are invariant (:func:`r_terms_invariance_residual`);
+    this checks that the blocks ``op`` is applied through, combined from them, are too.
+    """
+    return _chevalley_commutator(rep, op.blocks) / max(1.0, max(max_abs(b) for b in op.blocks))
 
 
 def level1_covariance_residual(rep: AdjointRep) -> float:

@@ -6,9 +6,10 @@ functions through the operator form of :mod:`rmatrix`: :func:`h_op` takes
 only the :class:`AdjointRep` and returns h as a :class:`rmatrix.PairOperator`,
 whose weight-sector blocks every check of h reads, as the checks of R do;
 the D x D Gell-Mann array :func:`local_h` serves only the spin form and the
-chain artifact.  A direct assembly from the closed-form projector
-coefficients (which reads the submodules of a :class:`Decomposition`) and a
-central finite difference of R(lam) sigma are kept as an oracle,
+chain artifact.  The table of closed-form projector coefficients, applied
+to the highest-weight vectors of a :class:`Decomposition` (which fix an
+invariant operator, so no lowering orbit is closed), and a central finite
+difference of R(lam) sigma are kept as an oracle,
 :func:`h_oracle_residuals`, reported as the ``h-assembly-agreement`` and
 ``h-finite-difference`` checks.  The density is deliberately non-Hermitian
 while keeping a real two-site spectrum.
@@ -52,8 +53,7 @@ from .numerics import DEFAULT_TOL, Tolerance, eig_general, max_abs
 from .rmatrix import (
     CoefficientSet,
     PairOperator,
-    _assemble_apply,
-    _probe_block,
+    _invariance_gap,
     build_R,
     operator_form,
     r_op,
@@ -146,13 +146,15 @@ def local_h(rep: AdjointRep) -> np.ndarray:
 def h_oracle_residuals(dec: Decomposition, h: PairOperator) -> tuple[float, float]:
     """Max-abs residuals of the density ``h`` (:func:`h_op`) against its two independent constructions.
 
-    Returns (table, finite difference): max_abs(h V - A V) on a block V of
-    random unit columns (:func:`rmatrix._probe_block`, from a generator of
-    its own), where A is the direct assembly from the closed-form projector
-    coefficients of :func:`_h_coefficients`, applied without forming it
-    (:func:`rmatrix._assemble_apply`); and the central finite difference of
-    R(lam) sigma with step :data:`FD_STEP`, over every entry of the sector
-    blocks of h.  Only the table reads the submodules of ``dec``.
+    Returns (table, finite difference): max_abs(h V - V T) on the
+    normalised highest-weight vectors V of ``dec`` (``dec.vectors``, no
+    orbit closed), where V T is the table of :func:`_h_coefficients`
+    applied by :meth:`Decomposition.apply_table`; and the central finite
+    difference of R(lam) sigma with step :data:`FD_STEP`, over every entry
+    of the sector blocks of h.  An invariant h is fixed by what it does to
+    V (Schur's lemma), so the table half is at least the relative
+    commutator of h's blocks with the Chevalley generators
+    (:func:`rmatrix._invariance_gap`).  Only the table reads ``dec``.
     """
     plus, minus = (r_op(dec.rep, s * FD_STEP).swap_right().blocks for s in (1.0, -1.0))
     fd = max(max_abs(b - (p - q) / (2.0 * FD_STEP)) for b, p, q in zip(h.blocks, plus, minus))
@@ -161,8 +163,8 @@ def h_oracle_residuals(dec: Decomposition, h: PairOperator) -> tuple[float, floa
 
 def _h_table_residual(dec: Decomposition, h: PairOperator) -> float:
     """The table half of :func:`h_oracle_residuals`; it forms no D x D array."""
-    v = _probe_block(dec.rep.dim**2)
-    return max_abs(h.apply(v) - _assemble_apply(dec, *_h_coefficients(dec.n), v))
+    table = max_abs(h.apply(dec.vectors) - dec.apply_table(*_h_coefficients(dec.n)))
+    return max(table, _invariance_gap(dec.rep, h))
 
 
 def nonhermiticity(h: PairOperator) -> float:

@@ -1,12 +1,15 @@
+import dataclasses
 import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from adjrmat import adjoint_tensor, rmatrix, spinchain
 from adjrmat.adjoint_tensor import (
     ad_matrix,
     adjoint_rep,
+    apply_pair,
     apply_swap,
     build_decomposition,
     root_action,
@@ -116,8 +119,8 @@ def _assemble(dec, diag, block):
     """The dense projector-sum assembly: sum_role diag[role] P_role plus ``block`` on the adjoint pair.
 
     ``block`` acts in the {v_s, v_a} basis through the D x D projectors and
-    the isometry of ``dec``.  The package applies this sum to columns
-    instead (``rmatrix._assemble_apply``); this is its oracle.
+    the isometry of ``dec``.  :func:`_assemble_apply` applies this sum to
+    columns instead; this is its oracle.
     """
     iso = dec.iso_s_to_a
     out = block[0, 0] * dec.by_role("adjoint_sym").projector + block[0, 1] * iso.conj().T
@@ -126,6 +129,104 @@ def _assemble(dec, diag, block):
         if sub.role in diag:
             out += diag[sub.role] * sub.projector
     return out
+
+
+# random unit columns on which the projector-sum oracles are compared
+_ASSEMBLY_PROBES = 8
+
+
+def _probe_block(D):
+    """:data:`_ASSEMBLY_PROBES` random complex unit columns of length D.
+
+    They are drawn from a fresh generator seeded with ``rmatrix.DEFAULT_SEED``,
+    so an oracle that draws them leaves the stream of its caller as it was.
+    """
+    rng = np.random.default_rng(rmatrix.DEFAULT_SEED)
+    v = rng.standard_normal((D, _ASSEMBLY_PROBES)) + 1j * rng.standard_normal((D, _ASSEMBLY_PROBES))
+    return v / np.linalg.norm(v, axis=0)
+
+
+def _assemble_apply(dec, diag, block, v):
+    """The projector-sum assembly applied to the columns of a (D, k) array ``v``.
+
+    Returns sum_role diag[role] B_role (B_role^dagger v) plus ``block`` on the
+    adjoint pair in the {v_s, v_a} basis, with the isometry applied as
+    iso v = B_a (B_s^dagger v) and iso^dagger v = B_s (B_a^dagger v).  Only
+    (D, k) and (dim, k) arrays are formed, but every basis of ``dec`` is read.
+    """
+
+    def coords(b):  # b^dagger v, without a conjugate copy of b
+        return np.conj(b.T @ np.conj(v))
+
+    b_s = dec.by_role("adjoint_sym").basis
+    b_a = dec.by_role("adjoint_anti").basis
+    c_s, c_a = coords(b_s), coords(b_a)
+    out = b_s @ (block[0, 0] * c_s + block[0, 1] * c_a)
+    out += b_a @ (block[1, 0] * c_s + block[1, 1] * c_a)
+    for sub in dec.submodules:
+        if sub.role in diag:
+            out += diag[sub.role] * (sub.basis @ coords(sub.basis))
+    return out
+
+
+def probe_r_assembly_residual(dec, lam):
+    """r-assembly-agreement as the projector sum on random columns, the oracle of ``rmatrix.r_assembly_residual``.
+
+    R(lam) V in operator form against :func:`_assemble_apply` of I(lam), with
+    the M(lam) block, on sigma V, for the block V of :func:`_probe_block`,
+    over max(1, max-abs R V).  It reads ``rmatrix.r_op`` and
+    ``rmatrix._intertwiner_coefficients`` at call time, as the package check
+    does, so a test that rebinds either moves both.
+    """
+    lam = complex(lam)
+    m = dec.rep.dim
+    v = _probe_block(m * m)
+    direct = rmatrix.r_op(dec.rep, lam).apply(v)
+    coeffs = rmatrix._intertwiner_coefficients(rmatrix.CoefficientSet(dec.n), lam)
+    composed = _assemble_apply(dec, *coeffs, apply_swap(v, m))
+    return max_abs(direct - composed) / max(1.0, max_abs(direct))
+
+
+def probe_h_table_residual(dec, h):
+    """h-assembly-agreement as the projector sum on random columns, the oracle of ``spinchain._h_table_residual``."""
+    v = _probe_block(dec.rep.dim**2)
+    return max_abs(h.apply(v) - _assemble_apply(dec, *spinchain._h_coefficients(dec.n), v))
+
+
+# -- highest-weight rows that are not: each must stop build_decomposition
+
+
+def with_bad_row(monkeypatch, role, edit):
+    """Rebind ``adjoint_tensor.highest_weight_vectors`` so that the row ``role`` is ``edit(basis, row)``."""
+    original = adjoint_tensor.highest_weight_vectors
+
+    def rows(basis, tol=DEFAULT_TOL):
+        return [edit(basis, row) if row.role == role else row for row in original(basis, tol)]
+
+    monkeypatch.setattr(adjoint_tensor, "highest_weight_vectors", rows)
+
+
+def _lowered(basis, row):
+    """The row under ad(e_21) (x) 1 + 1 (x) ad(e_21): a weight vector one root down, not highest."""
+    a = ad_matrix(basis, matrix_unit(basis, 2, 1, coords=False).matrix)
+    return dataclasses.replace(row, coords=apply_pair(a, row.coords))
+
+
+def _mixed(basis, row):
+    """The row plus the singlet row: support in two weight sectors."""
+    return dataclasses.replace(row, coords=row.coords + np.eye(basis.dim).ravel())
+
+
+def _wrong_parity(basis, row):
+    return dataclasses.replace(row, parity=-row.parity)
+
+
+# (edit, role, what the AssertionError says)
+BAD_HIGHEST_WEIGHT_ROWS = [
+    (_lowered, "sym_top", "raising operator does not kill"),
+    (_mixed, "sym_top", "not a weight vector"),
+    (_wrong_parity, "adjoint_sym", "parity"),
+]
 
 
 # -- the retired Gell-Mann apply of PairOperator, and the identity sweeps built on it

@@ -23,6 +23,7 @@ from adjrmat.liealg import build_basis, matrix_unit, weight_basis
 from adjrmat.numerics import DEFAULT_TOL, extend_orthonormal
 
 from conftest import (
+    BAD_HIGHEST_WEIGHT_ROWS,
     lowering_ops,
     permutation_op,
     raising_ops,
@@ -30,6 +31,7 @@ from conftest import (
     site_right,
     tensor_from_coords,
     traced_peak,
+    with_bad_row,
 )
 
 TOL = 1e-9
@@ -229,7 +231,7 @@ def test_completeness_catches_a_scaled_orbit_column(algebra, monkeypatch):
 
     _edit_first_orbit(monkeypatch, scale)
     with pytest.raises(AssertionError, match="completeness"):
-        build_decomposition(algebra.rep(3))
+        build_decomposition(algebra.rep(3)).completeness_residual
 
 
 def test_completeness_catches_a_column_rotated_into_another_sector(algebra, monkeypatch):
@@ -247,14 +249,51 @@ def test_completeness_catches_a_column_rotated_into_another_sector(algebra, monk
 
     _edit_first_orbit(monkeypatch, rotate)
     with pytest.raises(AssertionError, match="completeness"):
+        build_decomposition(algebra.rep(3)).completeness_residual
+
+
+def test_closing_catches_an_orbit_short_of_its_weyl_dimension(algebra, monkeypatch):
+    """An orbit that loses a column is refused when the bases are closed, as none can be a module."""
+    original = adjoint_tensor._orbit
+    monkeypatch.setattr(adjoint_tensor, "_orbit", lambda *args: original(*args)[:, :-1])
+    dec = build_decomposition(algebra.rep(3))
+    with pytest.raises(AssertionError, match="not its Weyl dimension 27"):
+        dec.by_role("sym_top").basis
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closed_bases_have_their_weyl_dimensions(algebra, monkeypatch, n):
+    """dim, the Casimir eigenvalue and the parity are read with no orbit closed; the bases, closed at once, match them."""
+    closed = []
+    monkeypatch.setattr(adjoint_tensor, "_weight_blocks",
+                        lambda *args: closed.append(args) or _weight_blocks(*args))
+    dec = build_decomposition(algebra.rep(n))
+    dims = [sub.dim for sub in dec.submodules]
+    assert [_weyl_dimension(sub.label) for sub in dec.submodules] == dims
+    assert sum(dims) == algebra.rep(n).dim ** 2
+    casimir = {"sym_top": 2.0, "anti_left": 0.0, "anti_right": 0.0, "mixed_sym": -2.0,
+               "adjoint_sym": -n, "adjoint_anti": -n, "singlet": -2.0 * n}
+    for sub in dec.submodules:
+        assert abs(sub.omega_eigenvalue - casimir[sub.role]) <= TOL
+        assert sub.exchange_parity == (-1 if sub.role in ("anti_left", "anti_right", "adjoint_anti") else 1)
+    assert closed == []
+    assert [sub.basis.shape[1] for sub in dec.submodules] == dims
+    assert dec.completeness_residual <= TOL
+    assert len(closed) == 1
+
+
+@pytest.mark.parametrize("edit, role, message", BAD_HIGHEST_WEIGHT_ROWS)
+def test_decomposition_refuses_a_bad_highest_weight_row(algebra, monkeypatch, edit, role, message):
+    with_bad_row(monkeypatch, role, edit)
+    with pytest.raises(AssertionError, match=message):
         build_decomposition(algebra.rep(3))
 
 
 def test_decomposition_forms_no_dense_gram(algebra):
-    """At n = 6 the decomposition peaks below three D x D complex arrays (its bases hold one)."""
+    """At n = 6 the decomposition and the closing of its bases peak below three D x D complex arrays (the bases hold one)."""
     rep = algebra.rep(6)
     D = rep.dim**2
-    assert traced_peak(build_decomposition, rep) < 3 * D * D * 16
+    assert traced_peak(lambda: build_decomposition(rep).completeness_residual) < 3 * D * D * 16
 
 
 def test_isometry_is_formed_only_when_read(algebra):

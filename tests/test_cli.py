@@ -12,6 +12,8 @@ import pytest
 from adjrmat import adjoint_tensor, cli, jsonio, liealg, rmatrix, spinchain, yangian_action
 from adjrmat.cli import main
 
+from conftest import BAD_HIGHEST_WEIGHT_ROWS, with_bad_row
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -114,6 +116,7 @@ VERIFY_ALL_N3_IDS = (
     + ["asymptotic-falloff"]
     + [
         "h-assembly-agreement",
+        "r-terms-invariance",
         "h-finite-difference",
         "h-nonhermiticity",
         "two-site-spectrum-real",
@@ -384,7 +387,7 @@ def test_ybe_and_transfer_checks_read_only_the_blocks_of_R(tmp_path, monkeypatch
     monkeypatch.setattr(spinchain, "build_R", refuse)
     code, payload = run(tmp_path, "verify", "chain", "--n", "3", "--sites", "3")
     assert code == 0
-    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[38:44]
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[39:45]
 
 
 def test_blocks_that_lose_part_of_R_fail_r_assembly_agreement(tmp_path, monkeypatch):
@@ -460,7 +463,7 @@ def test_hamiltonian_suite_forms_the_dense_h_once_for_the_spin_form(tmp_path, mo
     calls = _counting_dense(monkeypatch)
     code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "4")
     assert code == 0
-    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[31:38]
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[31:39]
     assert len(calls) == 1
 
 
@@ -644,3 +647,49 @@ def test_intertwining_checks_name_their_generating_set(tmp_path, monkeypatch):
     code, payload = run(tmp_path, "verify", "intertwiner", "--n", "4", "--samples", "1")
     assert code == 1
     assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["level1-covariance"]
+
+
+def _count_orbit_work(monkeypatch):
+    """Count the calls of adjoint_tensor._weight_blocks and _orbit, the work of closing a lowering orbit."""
+    calls = Counter()
+    for name in ("_weight_blocks", "_orbit"):
+        original = getattr(adjoint_tensor, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(adjoint_tensor, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ybe", "--n", "4", "--samples", "1"],
+    ["verify", "hamiltonian", "--n", "4"],
+    ["verify", "all", "--n", "4"],
+])
+def test_verify_path_closes_no_orbit(tmp_path, monkeypatch, argv):
+    """The assembly checks and the module dimensions read the highest-weight vectors alone."""
+    calls = _count_orbit_work(monkeypatch)
+    assert run(tmp_path, *argv)[0] == 0
+    assert calls == {}
+
+
+@pytest.mark.parametrize("argv", [["verify", "su3", "--n", "3"], ["build", "projectors", "--n", "3"]])
+def test_basis_readers_close_the_orbits_once(tmp_path, monkeypatch, argv):
+    calls = _count_orbit_work(monkeypatch)
+    assert run(tmp_path, *argv)[0] == 0
+    assert calls["_weight_blocks"] == 1
+    assert calls["_orbit"] == 4  # the six modules at n = 3 but the two adjoint copies, which come from d and f
+
+
+@pytest.mark.parametrize("edit, role, message", BAD_HIGHEST_WEIGHT_ROWS)
+def test_bad_highest_weight_row_is_a_clean_self_check_failure(tmp_path, capsys, monkeypatch, edit, role, message):
+    """A row that is not a highest-weight vector stops verify ybe: exit 1, one line, no report."""
+    with_bad_row(monkeypatch, role, edit)
+    code, payload = run(tmp_path, "verify", "ybe", "--n", "3")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert payload is None
+    assert err.startswith("adjrmat: self-check failed: ") and message in err
+    assert err.count("\n") == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import TERMS, adjoint_rep, casimir_op, generating_set, root_weight
+from adjrmat.adjoint_tensor import TERMS, adjoint_rep, build_decomposition, casimir_op, generating_set, root_weight
 from adjrmat.spinchain import local_h
 from adjrmat.liealg import matrix_unit
 from adjrmat.numerics import DEFAULT_TOL, max_abs
@@ -34,10 +34,13 @@ from adjrmat.yangian_action import delta_action, level1_action
 
 from conftest import (
     _assemble,
+    _assemble_apply,
+    _probe_block,
     all_generator_intertwining,
     all_sector_ybe,
     casimir_sector_blocks,
     permutation_op,
+    probe_r_assembly_residual,
     retired_apply,
     rotate_pair,
     swept_asymptotic_remainders,
@@ -530,18 +533,70 @@ def test_assembly_residual_catches_dropped_parity(algebra, monkeypatch):
     assert r_assembly_residual(dec, 0.5 + 0.2j) > DEFAULT_TOL.abs_tol * m
 
 
+def _pin_r_op(monkeypatch, rep, lam):
+    """Rebind ``rmatrix.r_op`` to R(lam) built now, so that a later edit of a table moves only the table side."""
+    op = r_op(rep, lam)
+    monkeypatch.setattr(rmatrix, "r_op", lambda rep, z: op)
+
+
+def _edit_table(monkeypatch, edit):
+    """Rebind the I(lam) table that r-assembly-agreement reads (``_intertwiner_coefficients``) to ``edit`` of it."""
+    table = rmatrix._intertwiner_coefficients
+    monkeypatch.setattr(rmatrix, "_intertwiner_coefficients", lambda c, lam: edit(*table(c, lam)))
+
+
+def _scalar_error(role):
+    """One projector scalar of a table off by 1e-6 relative."""
+    return lambda diag, block: ({**diag, role: diag[role] * (1.0 + 1e-6)}, block)
+
+
+def _flipped_block_sign(diag, block):
+    """The upper off-diagonal entry of a table's 2 x 2 block with its sign flipped."""
+    return diag, block * np.array([[1.0, -1.0], [1.0, 1.0]])
+
+
 @pytest.mark.parametrize("role", ["sym_top", "anti_left", "singlet"])
 def test_assembly_residual_catches_one_wrong_scalar(algebra, monkeypatch, role):
-    """A 1e-6 relative error in one projector scalar of I(lam), on the projector-sum side, fails."""
+    """A 1e-6 relative error in one projector scalar of the I(lam) table fails."""
     dec = algebra.dec(3)
-    apply = rmatrix._assemble_apply
-
-    def perturbed(dec, diag, block, v):
-        return apply(dec, {**diag, role: diag[role] * (1.0 + 1e-6)}, block, v)
-
     assert r_assembly_residual(dec, 0.5 + 0.2j) <= DEFAULT_TOL.abs_tol * 8
-    monkeypatch.setattr(rmatrix, "_assemble_apply", perturbed)
+    _pin_r_op(monkeypatch, dec.rep, 0.5 + 0.2j)
+    _edit_table(monkeypatch, _scalar_error(role))
     assert r_assembly_residual(dec, 0.5 + 0.2j) > DEFAULT_TOL.abs_tol * 8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_highest_weight_assembly_agrees_with_projector_sum_oracle(algebra, monkeypatch, n):
+    """r-assembly-agreement on the highest-weight vectors and the projector sum on random columns.
+
+    Both pass when clean, and both fail for each error: one scalar of the
+    table off by 1e-6 relative, N replaced by M in R's operator form, and a
+    flipped off-diagonal sign in the table's 2 x 2 block.  The one
+    exception is the oracle's: its eight random unit columns meet the
+    singlet in about 1/sqrt(D) of their norm, so at n = 6 it reads the
+    singlet error as 1.7e-8, under the threshold 3.5e-8 but far above its
+    clean value, where the check on the singlet's own vector reads 2.7e-7.
+    """
+    dec = algebra.dec(n)
+    lam, threshold = 0.37 + 0.21j, DEFAULT_TOL.abs_tol * (n * n - 1)
+    assert r_assembly_residual(dec, lam) <= threshold
+    clean = probe_r_assembly_residual(dec, lam)
+    assert clean <= threshold
+    errors = {role: _scalar_error(role) for role in ("sym_top", "anti_left", "singlet")}
+    errors.update({"N = M": None, "flipped block sign": _flipped_block_sign})
+    for name, edit in errors.items():
+        with monkeypatch.context() as patch:
+            if edit is None:
+                patch.setattr(CoefficientSet, "N", CoefficientSet.M)
+            else:
+                _pin_r_op(patch, dec.rep, lam)
+                _edit_table(patch, edit)
+            assert r_assembly_residual(dec, lam) > threshold, name
+            oracle = probe_r_assembly_residual(dec, lam)
+            if (n, name) == (6, "singlet"):
+                assert oracle > 1e3 * clean
+            else:
+                assert oracle > threshold, name
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -549,16 +604,16 @@ def test_assemble_apply_matches_dense_projector_sum(algebra, n):
     """The projector sum applied to columns equals the retired dense sum times them."""
     dec = algebra.dec(n)
     m = n * n - 1
-    v = rmatrix._probe_block(m * m)
+    v = _probe_block(m * m)
     for diag, block in (_intertwiner_coefficients(CoefficientSet(n), 0.37 + 0.21j),
                         spinchain._h_coefficients(n)):
         dense = _assemble(dec, diag, block) @ v
-        assert _scaled_gap(rmatrix._assemble_apply(dec, diag, block, v), dense) <= 1e-13
+        assert _scaled_gap(_assemble_apply(dec, diag, block, v), dense) <= 1e-13
 
 
 def test_r_assembly_forms_no_dense_matrix(algebra):
-    """At n = 6 the r-assembly oracle peaks below half of one D x D complex array."""
-    dec = algebra.dec(6)
+    """At n = 6 r-assembly-agreement, on a decomposition with no orbit closed, peaks below half of one D x D complex array."""
+    dec = build_decomposition(algebra.rep(6))
     D = 35 * 35
     r_assembly_residual(dec, 0.37 + 0.21j)  # builds the term blocks of the frame
     assert traced_peak(r_assembly_residual, dec, 0.37 + 0.21j) < 0.5 * D * D * 16

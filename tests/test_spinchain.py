@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from adjrmat.adjoint_tensor import ad_matrix, apply_swap, generating_set, root_weight
+from adjrmat import spinchain
+from adjrmat.adjoint_tensor import ad_matrix, apply_swap, build_decomposition, generating_set, root_weight
 from adjrmat.liealg import weight_basis, weight_chain
 from adjrmat.numerics import eig_general, frobenius
 from adjrmat.rmatrix import CoefficientSet, build_R, sample_ybe_pairs
@@ -31,7 +32,7 @@ from adjrmat.spinchain import (
     weight_transfer,
 )
 
-from conftest import permutation_op, rotate_pair, traced_peak
+from conftest import permutation_op, probe_h_table_residual, rotate_pair, traced_peak
 
 TOL = 1e-9
 
@@ -113,10 +114,40 @@ def test_local_h_diagnostics(algebra, n):
 
 
 def test_h_table_forms_no_dense_matrix_besides_h(algebra):
-    """At n = 6 the table half of the h oracle peaks below half of one D x D complex array."""
+    """At n = 6 the table half of the h oracle, on a decomposition with no orbit closed, peaks below half of one D x D complex array."""
     rep = algebra.rep(6)
     D = rep.dim**2
-    assert traced_peak(_h_table_residual, algebra.dec(6), h_op(rep)) < 0.5 * D * D * 16
+    assert traced_peak(_h_table_residual, build_decomposition(rep), h_op(rep)) < 0.5 * D * D * 16
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_h_table_agrees_with_projector_sum_oracle(algebra, monkeypatch, n):
+    """h-assembly-agreement on the highest-weight vectors and the projector sum on random columns.
+
+    Both pass when clean, and both fail when one scalar of the h table is
+    off by 1e-6 relative or an off-diagonal sign of its 2 x 2 block is
+    flipped; as for R, the oracle's random columns read a singlet error at
+    n = 6 (1.7e-8) under the threshold 3.5e-8.
+    """
+    dec, h = algebra.dec(n), h_op(algebra.rep(n))
+    threshold = TOL * (n * n - 1)
+    assert _h_table_residual(dec, h) <= threshold
+    clean = probe_h_table_residual(dec, h)
+    assert clean <= threshold
+    table = spinchain._h_coefficients
+    errors = {role: lambda diag, block, role=role: ({**diag, role: diag[role] * (1.0 + 1e-6)}, block)
+              for role in ("anti_left", "mixed_sym", "singlet")}
+    errors["flipped block sign"] = lambda diag, block: (diag, block * np.array([[1.0, -1.0], [1.0, 1.0]]))
+    if n == 3:
+        del errors["mixed_sym"]
+    for name, edit in errors.items():
+        monkeypatch.setattr(spinchain, "_h_coefficients", lambda n, edit=edit: edit(*table(n)))
+        assert _h_table_residual(dec, h) > threshold, name
+        oracle = probe_h_table_residual(dec, h)
+        if (n, name) == (6, "singlet"):
+            assert oracle > 1e3 * clean
+        else:
+            assert oracle > threshold, name
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
