@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, jsonio
 from .adjoint_tensor import adjoint_rep, build_decomposition, generating_set
 from .liealg import build_basis
-from .numerics import Tolerance, blas_threads_at_most, frobenius
+from .numerics import Tolerance, blas_threads_at_most
 from .rmatrix import (
     DEFAULT_SEED,
     CoefficientSet,
@@ -41,16 +41,19 @@ from .rmatrix import (
     ybe_residual,
 )
 from .spinchain import (
+    SPIN_PROBES,
     chain_frame,
     chain_H,
     chain_spectrum,
     global_symmetry_residual,
+    h_on_vectors,
     h_op,
     h_oracle_residuals,
     local_h,
     nonhermiticity,
     sector_commutator,
     sector_spectrum,
+    spin_invariance_residual,
     spin_operators,
     two_site_spectrum,
     verify_spinform,
@@ -307,9 +310,12 @@ def suite_hamiltonian(ctx: _Context) -> list[dict]:
         _check("two-site-spectrum-values", float(np.max(np.abs(np.array(got) - np.array(expected)))), 1e-8,
                params={"dims": dims})
     )
-    ops = spin_operators(ctx.rep, cfg.tol)
-    checks.append(_check("spin-operators-noncommuting", frobenius(ops.commutator), 0.1, op=">"))
-    fit = verify_spinform(local_h(ctx.rep), ops, n, cfg.tol)
+    # Q, C_A, K and h read on the highest-weight vectors, with the premise that they are invariant
+    ops = spin_operators(ctx.dec, cfg.tol)
+    checks.append(_check("spin-operators-noncommuting", ops.norm(ops.commutator), 0.1, op=">"))
+    checks.append(_check("spin-operators-invariance", spin_invariance_residual(ctx.rep, ops, ctx.rng()),
+                         cfg.tol.abs_tol * m, params={"y": generating_set(n)[0], "probes": SPIN_PROBES}))
+    fit = verify_spinform(h_on_vectors(ctx.dec, h), ops, n, cfg.tol)
     checks.append(
         _check("spinform-fit", fit["residual"], 1e-9,
                params={"scale": fit["scale"], "shift": fit["shift"]})
@@ -486,7 +492,7 @@ def run_spectrum(cfg: RunConfig, convention: str) -> dict:
     ctx = _Context(cfg)
     h_w = ctx.h_op.weight_dense()
     if convention == "rescaled":
-        fit = verify_spinform(local_h(ctx.rep), spin_operators(ctx.rep, cfg.tol), cfg.n, cfg.tol)
+        fit = verify_spinform(h_on_vectors(ctx.dec, ctx.h_op), spin_operators(ctx.dec, cfg.tol), cfg.n, cfg.tol)
         h_w = fit["scale"] * h_w + fit["shift"] * np.eye(len(h_w))
     eigs = chain_spectrum(h_w, ctx.basis, cfg.sites, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)

@@ -28,8 +28,8 @@ Yang-Baxter residuals, the chain's transfer matrices and every check of h
 inversion, the asymptotic check and the Yangian checks compare them exactly
 over every column.  :meth:`PairOperator.dense`, in Gell-Mann coordinates, is
 formed only by :func:`build_R`, the other ``build_*`` functions and
-:func:`spinchain.local_h`, for the dense partners of the spin form and the
-artifacts.  Only one check reads a :class:`Decomposition`:
+:func:`spinchain.local_h`, for the artifacts.  Only one check here reads a
+:class:`Decomposition`:
 :func:`r_assembly_residual` (the ``r-assembly-agreement`` check of ``verify
 ybe``) compares the operator form of R(lam) with the table of I(lam)
 composed with sigma on the normalised highest-weight vectors of

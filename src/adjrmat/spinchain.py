@@ -5,14 +5,24 @@ assembled once from the exact rational derivatives of the scalar coefficient
 functions through the operator form of :mod:`rmatrix`: :func:`h_op` takes
 only the :class:`AdjointRep` and returns h as a :class:`rmatrix.PairOperator`,
 whose weight-sector blocks every check of h reads, as the checks of R do;
-the D x D Gell-Mann array :func:`local_h` serves only the spin form and the
-chain artifact.  The table of closed-form projector coefficients, applied
-to the highest-weight vectors of a :class:`Decomposition` (which fix an
-invariant operator, so no lowering orbit is closed), and a central finite
-difference of R(lam) sigma are kept as an oracle,
+the D x D Gell-Mann array :func:`local_h` serves only the chain artifact
+(``build hamiltonian``).  The table of closed-form projector coefficients,
+applied to the highest-weight vectors of a :class:`Decomposition` (which
+fix an invariant operator, so no lowering orbit is closed), and a central
+finite difference of R(lam) sigma are kept as an oracle,
 :func:`h_oracle_residuals`, reported as the ``h-assembly-agreement`` and
 ``h-finite-difference`` checks.  The density is deliberately non-Hermitian
 while keeping a real two-site spectrum.
+
+The closed spin form of h in the operators Q, C_A and K is checked on the
+same highest-weight vectors V: the four commute with su(n), so each is the
+k x k matrix V^dagger A V (Schur's lemma; :class:`SpinOperators`), and the
+fit, its trace-matched shift and the Frobenius norm of [K, C_A] are
+functions of those matrices and the Weyl dimensions of the modules.  C_A
+and K are applied to V matrix-free (:func:`spin_apply`), h through its
+blocks (:func:`h_on_vectors`), and no D x D operator is formed;
+:func:`spin_invariance_residual` is the premise that the three map V into
+its span and commute with su(n).
 
 The periodic chain is built bond by bond: :func:`chain_H` adds h into the
 diagonal view of H for each bond of the ring, never forming h (x) 1, and
@@ -43,12 +53,13 @@ import numpy as np
 from .adjoint_tensor import (
     AdjointRep,
     Decomposition,
-    casimir_op,
+    ad_matrix,
+    apply_pair,
     generating_set,
     root_action,
     root_weight,
 )
-from .liealg import SunBasis, WeightChain, weight_chain
+from .liealg import SunBasis, WeightChain, matrix_unit, weight_chain
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, max_abs
 from .rmatrix import (
     CoefficientSet,
@@ -66,8 +77,11 @@ __all__ = [
     "local_h",
     "h_oracle_residuals",
     "nonhermiticity",
+    "spin_apply",
     "spin_operators",
+    "spin_invariance_residual",
     "spinform_h",
+    "h_on_vectors",
     "verify_spinform",
     "chain_H",
     "transfer_matrix",
@@ -83,20 +97,40 @@ __all__ = [
 
 CHAIN_DIM_CAP = 10_000
 FD_STEP = 1e-5  # step of the central finite difference in h_oracle_residuals
+# target size of an intermediate of the stack w and of the matrix-free C_A
+# and K, in bytes; a block is never less than one m^3 array (2 MB at n = 8)
+_SPIN_BLOCK_BYTES = 2**22
+# random columns of the spin-operators-invariance probe block
+SPIN_PROBES = 2
 
 
 @dataclass(frozen=True)
 class SpinOperators:
-    """Hermitian two-site operators entering the spin form of the density."""
+    """Q, C_A and K on the normalised highest-weight vectors V of adj (x) adj, as the k x k matrices V^dagger A V.
+
+    Each operator commutes with su(n), so by Schur's lemma it maps V into
+    its span and acts on module M as 1 (x) A_M: everything the spin form
+    reads is a function of these matrices and of ``dims``, the Weyl
+    dimension dim M of each column.  ``off_span`` is the largest share of
+    A V outside the span of V, max_abs((1 - V V^dagger) A V) / max_abs(A V),
+    over the three (0 when the compressions are dense operators with unit
+    ``dims``, as the tests' oracle builds them).
+    """
 
     Q: np.ndarray
     C_A: np.ndarray
     K: np.ndarray
+    dims: np.ndarray
+    off_span: float = 0.0
 
     @cached_property
     def commutator(self) -> np.ndarray:
         """[K, C_A], formed on first read and kept, so a suite forms it once."""
         return self.K @ self.C_A - self.C_A @ self.K
+
+    def norm(self, a: np.ndarray) -> float:
+        """sqrt(sum_M dim M ||row M of a||^2): the Frobenius norm of the invariant operator compressed to ``a``."""
+        return float(np.sqrt(self.dims @ np.sum(np.abs(a) ** 2, axis=1)))
 
 
 def _h_coefficients(n: int) -> tuple[dict[str, float], np.ndarray]:
@@ -139,7 +173,7 @@ def h_op(rep: AdjointRep) -> PairOperator:
 
 
 def local_h(rep: AdjointRep) -> np.ndarray:
-    """h as a D x D array in Gell-Mann coordinates, for the spin form and ``build hamiltonian``."""
+    """h as a D x D array in Gell-Mann coordinates, for ``build hamiltonian``."""
     return h_op(rep).dense()
 
 
@@ -172,8 +206,102 @@ def nonhermiticity(h: PairOperator) -> float:
     return float(np.sqrt(sum(np.linalg.norm(b - np.conj(b).transpose(0, 2, 1)) ** 2 for b in h.blocks)))
 
 
-def spin_operators(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> SpinOperators:
-    """The Hermitian two-site operators Q, C_A, K built from S^a and d^{abc}.
+def _block(m: int) -> int:
+    """How many m^3 arrays of floats fit in :data:`_SPIN_BLOCK_BYTES`, at least one."""
+    return max(1, _SPIN_BLOCK_BYTES // (8 * m**3))
+
+
+def _spin_factors(rep: AdjointRep) -> tuple[np.ndarray, np.ndarray]:
+    """(F, w), real (m, m, m) stacks: S^a = i F^a and w[x] = sum_{b,c} d^{xbc} S^b S^c, kept in ``rep.memo``.
+
+    With (S^a)_{bc} = f^{abc} (:func:`spin_operators`) and f = iF, F is real
+    and totally antisymmetric, so w[x] = -sum_b F^b (sum_c d^{xbc} F^c) is
+    real.  It is built for a block of x at a time (:func:`_block`); the m^4
+    stack of products S^b S^c is never formed.
+    """
+    if "spin_factors" not in rep.memo:
+        f = np.ascontiguousarray(rep.basis.f.imag)
+        d = np.real(rep.basis.d)
+        m = rep.dim
+        f_left = f.transpose(1, 0, 2).reshape(m, m * m)  # [i, (b, j)] = F^b_ij
+        w = np.empty((m, m, m))
+        step = _block(m)
+        for lo in range(0, m, step):
+            g = (d[lo : lo + step].reshape(-1, m) @ f.reshape(m, m * m)).reshape(-1, m * m, m)  # [x, (b, j), k]
+            w[lo : lo + step] = -np.matmul(f_left, g)
+        rep.memo["spin_factors"] = (f, w)
+    return rep.memo["spin_factors"]
+
+
+def _apply_c_a(f: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """C_A / i on real columns ``x`` shaped (c, m, m), each the m x m array of two-site coordinates.
+
+    C_A = sum_x (w[x] (x) S^x - S^x (x) w[x]) with S^x = i F^x, so C_A / i
+    maps X to sum_x (w[x] X F^x^T - F^x X w[x]^T): for each term, the
+    products with every x at once, then one (m, m^2) GEMM against them,
+    for a block of columns at a time (:func:`_block`).
+    """
+    c, m = len(x), len(f)
+    out = np.empty((c, m, m))
+    step = _block(m)
+    for lo in range(0, c, step):
+        rows = x[lo : lo + step].reshape(-1, m)
+        k = len(rows) // m
+        acc = np.zeros((m, k * m))
+        for left, right, sign in ((w, f, 1.0), (f, w, -1.0)):
+            u = (rows @ right.transpose(2, 0, 1).reshape(m, m * m)).reshape(k, m, m, m)  # [c, j, x, q]
+            u = u.transpose(2, 1, 0, 3).reshape(m * m, k * m)  # [(x, j), (c, q)] = (X right[x]^T)_jq
+            acc += sign * (left.transpose(1, 0, 2).reshape(m, m * m) @ u)
+        out[lo : lo + k] = acc.reshape(m, k, m).transpose(1, 0, 2)
+    return out
+
+
+def _apply_k(f: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K on real columns ``x`` shaped (c, m, m), as in :func:`_apply_c_a`.
+
+    K = sum_{a,f} S^a w[f] (x) S^f w[a] = -sum_{a,f} F^a w[f] (x) F^f w[a],
+    so K X = -sum_a F^a T(X w[a]^T) with T(Y) = sum_f w[f] Y F^f^T: all
+    real GEMMs, one column at a time, the (k m, m^2) products Y F^f^T
+    formed for a block of k generators a at a time (:func:`_block`).
+    """
+    c, m = len(x), len(f)
+    w_right = w.transpose(2, 0, 1).reshape(m, m * m)  # [l, (a, p)] = w[a]_pl
+    f_right = f.transpose(2, 0, 1).reshape(m, m * m)  # [l, (f, q)] = F^f_ql
+    w_left = w.transpose(1, 0, 2).reshape(m, m * m)  # [i, (f, j)] = w[f]_ij
+    f_left = f.transpose(1, 0, 2).reshape(m, m * m)  # [i, (a, j)] = F^a_ij
+    out = np.zeros((c, m, m))
+    step = _block(m)
+    for col, xc in enumerate(x):
+        y = (xc @ w_right).reshape(m, m, m).transpose(1, 0, 2)  # [a, j, p] = (X w[a]^T)_jp
+        for lo in range(0, m, step):
+            k = min(step, m - lo)
+            u = (y[lo : lo + k].reshape(k * m, m) @ f_right).reshape(k, m, m, m)  # [a, j, f, q]
+            u = u.transpose(2, 1, 0, 3).reshape(m * m, k * m)  # [(f, j), (a, q)] = (Y_a F^f^T)_jq
+            t = (w_left @ u).reshape(m, k, m).transpose(1, 0, 2).reshape(k * m, m)  # [(a, i), q] = T(Y_a)_iq
+            out[col] -= f_left[:, lo * m : (lo + k) * m] @ t
+    return out
+
+
+def spin_apply(rep: AdjointRep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q x, C_A x, K x) for the complex columns of a (D, k) array, matrix-free.
+
+    Q is Omega_op (``rep.frame.omega``); C_A and K act through the real
+    stacks of :func:`_spin_factors` on the real and imaginary parts of x,
+    and no D x D array is formed.
+    """
+    f, w = _spin_factors(rep)
+    m, k = rep.dim, x.shape[1]
+    parts = np.concatenate([x.real, x.imag], axis=1).T.reshape(2 * k, m, m)
+
+    def columns(y):
+        y = y.reshape(2 * k, m * m).T
+        return y[:, :k] + 1j * y[:, k:]
+
+    return rep.frame.omega(x), 1j * columns(_apply_c_a(f, w, parts)), columns(_apply_k(f, w, parts))
+
+
+def spin_operators(dec: Decomposition, tol: Tolerance = DEFAULT_TOL) -> SpinOperators:
+    """The Hermitian two-site operators Q, C_A, K built from S^a and d^{abc}, on the highest-weight vectors of ``dec``.
 
     Q = sum_a S^a_1 S^a_2;
     C_A = sum d^{abc} (S^a_1 S^b_1 S^c_2 - S^a_1 S^b_2 S^c_2);
@@ -185,29 +313,52 @@ def spin_operators(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> SpinOperato
     the sign of C_A (and hence of [K, C_A]) is fixed by it: this is the
     convention under which the closed spin form of the density holds.
 
-    Both cubic sums reduce to the single stack w[x] = sum_{b,c} d^{xbc} S^b S^c,
-    since d is totally symmetric; it is formed with two matmuls, the stack of
-    products S^b S^c and then d reshaped to (m, m^2) against it.
+    Both cubic sums reduce to the stack w[x] = sum_{b,c} d^{xbc} S^b S^c,
+    since d is totally symmetric: C_A = sum_x (w[x] (x) S^x - S^x (x) w[x])
+    and K = sum_{a,f} S^a w[f] (x) S^f w[a].  Each is applied to the
+    normalised highest-weight vectors V (``dec.vectors``) by
+    :func:`spin_apply` and compressed to V^dagger A V (:class:`SpinOperators`);
+    each compression must be Hermitian to within ``abs_tol * (n^2 - 1)``.
     """
-    S = np.ascontiguousarray(rep.S.transpose(0, 2, 1))
-    d = rep.basis.d
-    m = rep.dim
-    q = casimir_op(rep)
-    # pair[(b, i), (c, k)] = (S^b S^c)_{ik}, regrouped as rows (b, c), columns (i, k)
-    pair = S.reshape(m * m, m) @ np.ascontiguousarray(S.transpose(1, 0, 2)).reshape(m, m * m)
-    pair = pair.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-    w = (d.reshape(m, m * m) @ pair).reshape(m, m, m)
-    term1 = np.einsum("cik,cjl->ijkl", w, S, optimize=True)
-    term2 = np.einsum("aik,ajl->ijkl", S, w, optimize=True)
-    c_a = (term1 - term2).reshape(m * m, m * m)
-    left = np.einsum("aij,fjk->afik", S, w, optimize=True)  # S^a w[f] on site 1
-    right = np.einsum("fij,ajk->afik", S, w, optimize=True)  # S^f w[a] on site 2
-    k = np.einsum("afik,afjl->ijkl", left, right, optimize=True).reshape(m * m, m * m)
-    for name, op in (("Q", q), ("C_A", c_a), ("K", k)):
+    v = dec.vectors
+    applied = spin_apply(dec.rep, v)
+    v_h = np.conj(v).T
+    compressed = [v_h @ av for av in applied]
+    for name, op in zip(("Q", "C_A", "K"), compressed):
         herm = max_abs(op - np.conj(op).T)
-        if herm > tol.abs_tol * m:
+        if herm > tol.abs_tol * dec.rep.dim:
             raise AssertionError(f"{name} is not Hermitian (deviation {herm:.3e})")
-    return SpinOperators(Q=q, C_A=c_a, K=k)
+    off_span = max(max_abs(av - v @ a) / max_abs(av) for av, a in zip(applied, compressed))
+    dims = np.array([sub.dim for sub in dec.submodules])
+    return SpinOperators(*compressed, dims=dims, off_span=float(off_span))
+
+
+def spin_invariance_residual(rep: AdjointRep, ops: SpinOperators, rng: np.random.Generator) -> float:
+    """The premise of reading Q, C_A and K on highest-weight vectors: the ``spin-operators-invariance`` residual.
+
+    The larger of ``ops.off_span`` and, for A = C_A and K, max_abs([D(y), A] X)
+    over max(1, max_abs(ad y)) max_abs(A X), with D(y) = ad y (x) 1 + 1 (x) ad y.
+    y is one real combination of the Chevalley generators
+    (:func:`adjoint_tensor.generating_set`), which generate su(n), with
+    standard normal coefficients, and X a block of :data:`SPIN_PROBES`
+    random complex unit columns, drawn from ``rng`` in that order; both
+    operators are applied by :func:`spin_apply`.  A nonzero [D(y_i), A]
+    for any generator leaves the combination nonzero, and it on X, with
+    probability 1 (Freivalds).  Q is Omega_op, a term of ``rep.frame``,
+    whose invariance is ``r-terms-invariance``.
+    """
+    chevalley = generating_set(rep.n)[0]
+    coefficients = rng.standard_normal(len(chevalley))
+    y = sum(c * matrix_unit(rep.basis, *ij, coords=False).matrix for c, ij in zip(coefficients, chevalley))
+    a = ad_matrix(rep.basis, y)
+    shape = (rep.dim**2, SPIN_PROBES)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x /= np.linalg.norm(x, axis=0)
+    _, c_a, k = spin_apply(rep, np.hstack([x, apply_pair(a, x)]))
+    scale = max(1.0, max_abs(a))
+    gap = max(max_abs(apply_pair(a, ax[:, :SPIN_PROBES]) - ax[:, SPIN_PROBES:])
+              / (scale * max_abs(ax[:, :SPIN_PROBES])) for ax in (c_a, k))
+    return max(ops.off_span, float(gap))
 
 
 def spinform_h(ops: SpinOperators, n: int) -> np.ndarray:
@@ -235,24 +386,33 @@ def spinform_h(ops: SpinOperators, n: int) -> np.ndarray:
     )
 
 
+def h_on_vectors(dec: Decomposition, h: PairOperator) -> np.ndarray:
+    """V^dagger h V on the normalised highest-weight vectors V of ``dec``: the density in the basis of :class:`SpinOperators`."""
+    return np.conj(dec.vectors).T @ h.apply(dec.vectors)
+
+
 def verify_spinform(
     h: np.ndarray, ops: SpinOperators, n: int, tol: Tolerance = DEFAULT_TOL
 ) -> dict:
-    """Fit spinform_h = scale * h + c * 1 to the density ``h`` and validate the residual.
+    """Fit spinform_h = scale * h + c * 1 to the density ``h``.
 
-    ``scale`` is the fixed rescaling 8 / (6 + n^2), or 8/3 at n = 3, whose
-    spin form carries its own normalization; the additive constant is
-    recovered by trace matching (the unique least-squares optimal shift).
+    ``h`` is in the basis of ``ops`` (:func:`h_on_vectors`).  ``scale`` is
+    the fixed rescaling 8 / (6 + n^2), or 8/3 at n = 3, whose spin form
+    carries its own normalization; the additive constant is recovered by
+    trace matching (the unique least-squares optimal shift), the trace of
+    the D-dimensional operator being sum_M dim M (spin form - scale h)_MM.
+    A shift with an imaginary part above ``abs_tol * D`` raises
+    ``AssertionError``.  The residual, the max-abs of the fit on the
+    compressions, is returned for the caller to judge (``spinform-fit``),
+    so a wrong spin form is a failing check rather than an abort.
     """
-    hs = spinform_h(ops, n)
-    dim = hs.shape[0]
     scale = 8.0 / (6.0 + n * n) if n > 3 else 8.0 / 3.0
-    shift = complex(np.trace(hs - scale * h)) / dim
+    diff = spinform_h(ops, n) - scale * h
+    dim = int(ops.dims.sum())
+    shift = complex(ops.dims @ np.diagonal(diff)) / dim
     if abs(shift.imag) > tol.abs_tol * dim:
         raise AssertionError(f"trace-matched shift is not real: {shift}")
-    residual = max_abs(hs - scale * h - shift * np.eye(dim))
-    if residual > tol.abs_tol * dim:
-        raise AssertionError(f"spin-form fit residual {residual:.3e} exceeds tolerance")
+    residual = max_abs(diff - shift * np.eye(len(diff)))
     return {"scale": float(scale), "shift": float(shift.real), "residual": float(residual)}
 
 

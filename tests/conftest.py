@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tempfile
 import tracemalloc
 
@@ -12,12 +13,14 @@ from adjrmat.adjoint_tensor import (
     apply_pair,
     apply_swap,
     build_decomposition,
+    casimir_op,
     root_action,
     site_left,
 )
 from adjrmat.liealg import build_basis, matrix_unit, weight_chain
 from adjrmat.numerics import DEFAULT_TOL, max_abs
 from adjrmat.rmatrix import build_intertwiner, intertwiner_op, r_op, r_tilde_op
+from adjrmat.spinchain import SpinOperators
 from adjrmat.yangian_action import quartic_part
 
 try:
@@ -339,6 +342,74 @@ def all_generator_intertwining(rep, lams):
             c += lam * lin
             row[1] = max(row[1], max_abs(c) / max(1.0, max_abs(k + lam * one_a)))
     return [(float(r0), float(r1)) for r0, r1 in res]
+
+
+def dense_spin_operators(rep, tol=DEFAULT_TOL):
+    """Q, C_A and K as D x D Gell-Mann arrays, in a :class:`SpinOperators` with unit weights.
+
+    This is the construction ``spinchain.spin_operators`` replaced by its
+    compressions onto the highest-weight vectors: with ``dims`` all 1, the
+    spin form, the trace-matched shift and the weighted norm of the package
+    are the dense ones.  The m^4 stack of products S^b S^c builds w, and
+    C_A and K are m^4 einsums (1.1 s at n = 6).
+    """
+    S = np.ascontiguousarray(rep.S.transpose(0, 2, 1))
+    d = rep.basis.d
+    m = rep.dim
+    q = casimir_op(rep)
+    # pair[(b, i), (c, k)] = (S^b S^c)_{ik}, regrouped as rows (b, c), columns (i, k)
+    pair = S.reshape(m * m, m) @ np.ascontiguousarray(S.transpose(1, 0, 2)).reshape(m, m * m)
+    pair = pair.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+    w = (d.reshape(m, m * m) @ pair).reshape(m, m, m)
+    term1 = np.einsum("cik,cjl->ijkl", w, S, optimize=True)
+    term2 = np.einsum("aik,ajl->ijkl", S, w, optimize=True)
+    c_a = (term1 - term2).reshape(m * m, m * m)
+    left = np.einsum("aij,fjk->afik", S, w, optimize=True)  # S^a w[f] on site 1
+    right = np.einsum("fij,ajk->afik", S, w, optimize=True)  # S^f w[a] on site 2
+    k = np.einsum("afik,afjl->ijkl", left, right, optimize=True).reshape(m * m, m * m)
+    for name, op in (("Q", q), ("C_A", c_a), ("K", k)):
+        herm = max_abs(op - np.conj(op).T)
+        if herm > tol.abs_tol * m:
+            raise AssertionError(f"{name} is not Hermitian (deviation {herm:.3e})")
+    return SpinOperators(Q=q, C_A=c_a, K=k, dims=np.ones(m * m, dtype=int))
+
+
+# -- spin operators that are wrong, each in place of spinchain._apply_k or _apply_c_a
+
+_APPLY_K, _APPLY_C_A = spinchain._apply_k, spinchain._apply_c_a
+
+
+def non_invariant_k(f, w, x):
+    """K from d^{xbc} = c_x delta^{bc}, symmetric in b and c but not invariant.
+
+    Then w[x] = 2n c_x 1 and K = (2n)^2 S_c (x) S_c for S_c = sum_x c_x S^x:
+    Hermitian, so only the invariance premise can refuse it.
+    """
+    m = len(f)
+    c = np.random.default_rng(7).standard_normal(m)
+    return _APPLY_K(f, 2.0 * math.isqrt(m + 1) * c[:, None, None] * np.eye(m), x)
+
+
+def _first_c_a_term(w, f, x):
+    """sum_x w[x] X F^x^T on the (c, m, m) columns X: the w[x] (x) S^x term of C_A / i."""
+    wx = np.tensordot(w, x, axes=(2, 1))  # [x, i, c, l]
+    return np.tensordot(wx, f, axes=([0, 3], [0, 2])).transpose(1, 0, 2)
+
+
+def relabelled_c_a(f, w, x):
+    """C_A with S^0 and S^(m-1) swapped on site 2 of its first term: a label mix-up, Hermitian but not invariant."""
+    swap = np.arange(len(f))
+    swap[[0, -1]] = swap[[-1, 0]]
+    return _APPLY_C_A(f, w, x) + _first_c_a_term(w, f[swap], x) - _first_c_a_term(w, f, x)
+
+
+def transposed_c_a(f, w, x):
+    """C_A with S^x transposed on site 2 of its first term.
+
+    f is totally antisymmetric, so the transpose is -S^x: this C_A is
+    invariant, and only the sign of its first term is wrong.
+    """
+    return _APPLY_C_A(f, w, x) + _first_c_a_term(w, f.transpose(0, 2, 1), x) - _first_c_a_term(w, f, x)
 
 
 def _all_sector_gathers(chain):

@@ -28,6 +28,7 @@ from adjrmat.rmatrix import (
 from adjrmat.spinchain import (
     chain_H,
     commutation_check,
+    h_on_vectors,
     h_op,
     h_oracle_residuals,
     local_h,
@@ -224,8 +225,8 @@ def test_criterion_7_hamiltonian():
             assert max(abs(w.imag) for w in spec) <= 1e-8
         for n in (3, 4, 5):
             dec, h = locs[n]
-            ops = spin_operators(dec.rep)
-            assert verify_spinform(h, ops, n)["residual"] <= 1e-9
+            ops = spin_operators(dec)
+            assert verify_spinform(h_on_vectors(dec, h_op(dec.rep)), ops, n)["residual"] <= 1e-9
         dec3, h3 = locs[3]
         eigs = [w for w, _ in eig_general(chain_H(h3, 3))]
         assert max(abs(w.imag) for w in eigs) > 1e-6

@@ -12,7 +12,7 @@ import pytest
 from adjrmat import adjoint_tensor, cli, jsonio, liealg, rmatrix, spinchain, yangian_action
 from adjrmat.cli import main
 
-from conftest import BAD_HIGHEST_WEIGHT_ROWS, with_bad_row
+from conftest import BAD_HIGHEST_WEIGHT_ROWS, non_invariant_k, transposed_c_a, with_bad_row
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -122,6 +122,7 @@ VERIFY_ALL_N3_IDS = (
         "two-site-spectrum-real",
         "two-site-spectrum-values",
         "spin-operators-noncommuting",
+        "spin-operators-invariance",
         "spinform-fit",
     ]
     + [
@@ -387,7 +388,7 @@ def test_ybe_and_transfer_checks_read_only_the_blocks_of_R(tmp_path, monkeypatch
     monkeypatch.setattr(spinchain, "build_R", refuse)
     code, payload = run(tmp_path, "verify", "chain", "--n", "3", "--sites", "3")
     assert code == 0
-    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[39:45]
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[40:46]
 
 
 def test_blocks_that_lose_part_of_R_fail_r_assembly_agreement(tmp_path, monkeypatch):
@@ -458,25 +459,62 @@ def _counting_dense(monkeypatch):
     return calls
 
 
-def test_hamiltonian_suite_forms_the_dense_h_once_for_the_spin_form(tmp_path, monkeypatch):
-    """verify hamiltonian reads h's blocks: one dense h, for the spin form, and no dense R(+-eps)."""
+def test_hamiltonian_suite_forms_no_dense_operator(tmp_path, monkeypatch):
+    """verify hamiltonian reads h's blocks and the spin form on the highest-weight vectors: no dense h, R(+-eps) or Omega_op."""
     calls = _counting_dense(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense Omega_op was built")
+
+    monkeypatch.setattr(adjoint_tensor.PairFrame, "dense_omega", refuse)
     code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "4")
     assert code == 0
-    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[31:39]
-    assert len(calls) == 1
+    assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[31:40]
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "chain", "--n", "3"],
     ["verify", "su3", "--n", "3"],
     ["spectrum", "--n", "3", "--sites", "3"],
+    ["spectrum", "--n", "3", "--sites", "3", "--rescaled"],
 ])
 def test_chain_su3_and_spectrum_form_no_dense_operator(tmp_path, monkeypatch, argv):
-    """The chain, su3 and raw spectrum paths read h's blocks only: no dense h or R in Gell-Mann coordinates."""
+    """The chain, su3 and spectrum paths read h's blocks only, and the rescaled fit the highest-weight vectors:
+    no dense h or R in Gell-Mann coordinates."""
     calls = _counting_dense(monkeypatch)
     assert run(tmp_path, *argv)[0] == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_non_invariant_k_fails_only_the_spin_form_checks(tmp_path, monkeypatch, n):
+    """A Hermitian K built from a non-invariant d fails spin-operators-invariance, in the report, and the fit."""
+    monkeypatch.setattr(spinchain, "_apply_k", non_invariant_k)
+    code, payload = run(tmp_path, "verify", "hamiltonian", "--n", n)
+    assert code == 1
+    assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["spin-operators-invariance", "spinform-fit"]
+
+
+def test_c_a_with_one_site_transposed_is_invariant_but_fails_the_spin_form(tmp_path, monkeypatch):
+    """Every transpose of S is -S (f is totally antisymmetric), so C_A with one site's S transposed stays
+    invariant: the premise passes it.  It is the symmetric sum of the two terms, which commutes with K, so
+    spin-operators-noncommuting and spinform-fit refuse it."""
+    monkeypatch.setattr(spinchain, "_apply_c_a", transposed_c_a)
+    code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "3")
+    assert code == 1
+    assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["spin-operators-noncommuting", "spinform-fit"]
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_wrong_q3_coefficient_fails_only_spinform_fit(tmp_path, monkeypatch, n):
+    """A Q^3 coefficient off by 1e-6 relative is a failing spinform-fit entry in the report, not an abort."""
+    exact = spinchain.spinform_h
+    c3 = -2.0 / 9.0 if n == 3 else -3.0 / (6.0 + n * n)
+    monkeypatch.setattr(spinchain, "spinform_h", lambda ops, k: exact(ops, k) + 1e-6 * c3 * (ops.Q @ ops.Q @ ops.Q))
+    code, payload = run(tmp_path, "verify", "hamiltonian", "--n", str(n))
+    assert code == 1
+    assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["spinform-fit"]
 
 
 def test_f4_error_fails_coefficient_recovery_at_large_rank(tmp_path, monkeypatch):

@@ -18,12 +18,15 @@ from adjrmat.spinchain import (
     chain_spectrum,
     commutation_check,
     global_symmetry_residual,
+    h_on_vectors,
     h_op,
     h_oracle_residuals,
     local_h,
     nonhermiticity,
     sector_commutator,
     sector_spectrum,
+    spin_apply,
+    spin_invariance_residual,
     spin_operators,
     spinform_h,
     transfer_matrix,
@@ -32,7 +35,15 @@ from adjrmat.spinchain import (
     weight_transfer,
 )
 
-from conftest import permutation_op, probe_h_table_residual, rotate_pair, traced_peak
+from conftest import (
+    dense_spin_operators,
+    non_invariant_k,
+    permutation_op,
+    probe_h_table_residual,
+    relabelled_c_a,
+    rotate_pair,
+    traced_peak,
+)
 
 TOL = 1e-9
 
@@ -220,16 +231,20 @@ def test_two_site_spectrum_values(algebra, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spin_operators_hermitian_and_q_is_casimir(algebra, n):
-    rep = algebra.rep(n)
-    ops = spin_operators(rep)
-    assert np.max(np.abs(ops.Q - algebra.omega_oracle(n))) < 1e-14
-    m = rep.dim
+    """On the highest-weight vectors Q is diagonal, each module's Casimir eigenvalue, and all three are Hermitian."""
+    dec = algebra.dec(n)
+    ops = spin_operators(dec)
+    v = dec.vectors
+    assert np.max(np.abs(ops.Q - v.conj().T @ algebra.omega_oracle(n) @ v)) < 1e-13
+    assert np.max(np.abs(ops.Q - np.diag([sub.omega_eigenvalue for sub in dec.submodules]))) < 1e-12
+    assert list(ops.dims) == [sub.dim for sub in dec.submodules]
+    assert ops.dims.sum() == dec.rep.dim**2
     for op in (ops.Q, ops.C_A, ops.K):
-        assert np.max(np.abs(op - op.conj().T)) < TOL * m
+        assert np.max(np.abs(op - op.conj().T)) < TOL * dec.rep.dim
 
 
 def _spin_operators_einsum_oracle(algebra, n):
-    """Q from the S stack, and C_A and K from the three-operand einsums that spin_operators replaced."""
+    """Q from the S stack, and C_A and K from the three-operand einsums that the dense oracle replaced."""
     rep = algebra.rep(n)
     S = np.ascontiguousarray(rep.S.transpose(0, 2, 1))
     d = rep.basis.d
@@ -247,22 +262,60 @@ def _spin_operators_einsum_oracle(algebra, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spin_operators_match_einsum_oracle(algebra, n):
-    rep = algebra.rep(n)
-    ops = spin_operators(rep)
+    """The dense oracle of the tests against the three-operand einsums."""
+    ops = dense_spin_operators(algebra.rep(n))
     for got, want in zip((ops.Q, ops.C_A, ops.K), _spin_operators_einsum_oracle(algebra, n)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_compressed_spin_form_matches_the_dense_oracle(algebra, n):
+    """V^dagger A V, the fitted shift and ||[K, C_A]||_F on the highest-weight vectors against the dense D x D path."""
+    dec = algebra.dec(n)
+    rep, v = dec.rep, dec.vectors
+    ops, dense = spin_operators(dec), dense_spin_operators(rep)
+    assert ops.off_span <= 1e-14
+    for got, full in zip((ops.Q, ops.C_A, ops.K), (dense.Q, dense.C_A, dense.K)):
+        want = v.conj().T @ (full @ v)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    fit = verify_spinform(h_on_vectors(dec, h_op(rep)), ops, n)
+    dense_fit = verify_spinform(local_h(rep), dense, n)
+    assert fit["scale"] == dense_fit["scale"]
+    assert abs(fit["shift"] - dense_fit["shift"]) <= 1e-12
+    assert max(fit["residual"], dense_fit["residual"]) < TOL
+    want = frobenius(dense.commutator)
+    assert abs(ops.norm(ops.commutator) - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_spin_apply_matches_the_dense_oracle_on_random_columns(algebra, rng, n):
+    """The matrix-free Q, C_A and K on columns outside the span of the highest-weight vectors."""
+    rep = algebra.rep(n)
+    dense = dense_spin_operators(rep)
+    x = rng.standard_normal((rep.dim**2, 3)) + 1j * rng.standard_normal((rep.dim**2, 3))
+    for got, full in zip(spin_apply(rep, x), (dense.Q, dense.C_A, dense.K)):
+        want = full @ x
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_spin_operators_form_no_dense_operator(algebra):
+    """At n = 7 the compressed spin operators, the stack w built afresh, peak below a quarter of one D x D complex array."""
+    dec = algebra.dec(7)
+    dec.rep.memo.pop("spin_factors", None)
+    D = dec.rep.dim**2
+    assert traced_peak(spin_operators, dec) < 0.25 * D * D * 16
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_k_ca_do_not_commute(algebra, n):
-    ops = spin_operators(algebra.rep(n))
-    assert np.linalg.norm(ops.K @ ops.C_A - ops.C_A @ ops.K) > 0.1
+    ops = spin_operators(algebra.dec(n))
+    assert ops.norm(ops.commutator) > 0.1
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_spin_form_reads_the_one_commutator(algebra, n):
     """spinform_h reads the [K, C_A] that the operators keep, so a suite forms it once."""
-    ops = spin_operators(algebra.rep(n))
+    ops = spin_operators(algebra.dec(n))
     comm = ops.commutator
     assert ops.commutator is comm
     assert np.array_equal(comm, ops.K @ ops.C_A - ops.C_A @ ops.K)
@@ -272,9 +325,9 @@ def test_spin_form_reads_the_one_commutator(algebra, n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_spinform_fit(algebra, locals_cache, n):
-    ops = spin_operators(algebra.rep(n))
-    fit = verify_spinform(locals_cache(n), ops, n)
+def test_spinform_fit(algebra, n):
+    dec = algebra.dec(n)
+    fit = verify_spinform(h_on_vectors(dec, h_op(dec.rep)), spin_operators(dec), n)
     assert fit["residual"] < TOL
     if n == 3:
         assert abs(fit["scale"] - 8.0 / 3.0) < 1e-12
@@ -282,17 +335,54 @@ def test_spinform_fit(algebra, locals_cache, n):
         assert abs(fit["scale"] - 8.0 / (6.0 + n * n)) < 1e-12
 
 
+def _q3_coefficient(n):
+    return -2.0 / 9.0 if n == 3 else -3.0 / (6.0 + n * n)
+
+
+def _commutator_coefficient(n):
+    return 1.0 / 324.0 if n == 3 else 1.0 / (4.0 * n**3 * (6.0 + n * n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("error", ["q3-relative-1e-6", "commutator-sign"])
+def test_spinform_fit_fails_a_wrong_spin_form(algebra, monkeypatch, n, error):
+    """A Q^3 coefficient off by 1e-6 relative, or [K, C_A] with its sign flipped, fails the 1e-9 fit at every n."""
+    dec = algebra.dec(n)
+    ops = spin_operators(dec)
+    exact = spinchain.spinform_h
+    if error == "commutator-sign":
+        wrong = exact(ops, n) - 2.0 * _commutator_coefficient(n) * ops.commutator
+    else:
+        wrong = exact(ops, n) + 1e-6 * _q3_coefficient(n) * (ops.Q @ ops.Q @ ops.Q)
+    monkeypatch.setattr(spinchain, "spinform_h", lambda o, k: wrong)
+    assert verify_spinform(h_on_vectors(dec, h_op(dec.rep)), ops, n)["residual"] > 1e-9
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_commutator_term_is_sole_antihermitian_part(algebra, n):
     """Removing the commutator term leaves a Hermitian operator."""
-    ops = spin_operators(algebra.rep(n))
+    ops = spin_operators(algebra.dec(n))
     hs = spinform_h(ops, n)
     comm = ops.K @ ops.C_A - ops.C_A @ ops.K
-    coeff = 1.0 / 324.0 if n == 3 else 1.0 / (4.0 * n**3 * (6.0 + n * n))
-    rest = hs - coeff * comm
+    rest = hs - _commutator_coefficient(n) * comm
     m = (n * n - 1) ** 2
     assert np.max(np.abs(rest - rest.conj().T)) < TOL * m
     assert np.max(np.abs(hs - hs.conj().T)) > 1e-3
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name, bad", [("_apply_k", non_invariant_k), ("_apply_c_a", relabelled_c_a)])
+def test_spin_invariance_fails_a_non_invariant_operator(algebra, monkeypatch, n, name, bad):
+    """Both halves of the premise, the off-span share and the probe commutator, see a non-invariant K or C_A."""
+    dec = algebra.dec(n)
+    rep = dec.rep
+    threshold = TOL * rep.dim
+    assert spin_invariance_residual(rep, spin_operators(dec), np.random.default_rng(1)) <= threshold
+    clean = spin_operators(dec)
+    monkeypatch.setattr(spinchain, name, bad)
+    ops = spin_operators(dec)
+    assert ops.off_span > threshold
+    assert spin_invariance_residual(rep, clean, np.random.default_rng(1)) > threshold  # the commutator half alone
 
 
 def test_two_site_chain_is_h_plus_flipped(locals_cache):
