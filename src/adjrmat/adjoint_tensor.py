@@ -223,19 +223,20 @@ class Decomposition:
         anti = self.by_role("adjoint_anti").basis
         return anti @ np.conj(self.by_role("adjoint_sym").basis).T
 
-    def apply_table(self, diag: dict[str, complex], block: np.ndarray) -> np.ndarray:
-        """V T: sum_role diag[role] P_role + ``block`` on the adjoint pair, applied to ``vectors`` = V.
+    def table(self, diag: dict[str, complex], block: np.ndarray) -> np.ndarray:
+        """The k x k matrix T of sum_role diag[role] P_role + ``block`` on the adjoint pair, on ``vectors`` = V.
 
         An invariant operator with this projector table maps the
         highest-weight vector of a scalar module to diag[role] times itself
         (a missing role counts as 0), and the pair (v_s, v_a), which the
-        s->a isometry maps onto each other, to (v_s, v_a) ``block``.
+        s->a isometry maps onto each other, to (v_s, v_a) ``block``: it maps
+        V to V T, and V^dagger X V = T.
         """
         roles = [sub.role for sub in self.submodules]
         table = np.diag([complex(diag.get(role, 0.0)) for role in roles])
         pair = [roles.index("adjoint_sym"), roles.index("adjoint_anti")]
         table[np.ix_(pair, pair)] = block
-        return self.vectors @ table
+        return table
 
 
 def adjoint_rep(basis: SunBasis, tol: Tolerance = DEFAULT_TOL, validate: bool = True) -> AdjointRep:

@@ -27,6 +27,7 @@ from .numerics import Tolerance, blas_threads_at_most
 from .rmatrix import (
     DEFAULT_SEED,
     CoefficientSet,
+    _invariance_gap,
     asymptotic_check,
     build_R,
     derive_coefficients,
@@ -46,9 +47,9 @@ from .spinchain import (
     chain_H,
     chain_spectrum,
     global_symmetry_residual,
-    h_on_vectors,
     h_op,
     h_oracle_residuals,
+    h_table,
     local_h,
     nonhermiticity,
     sector_commutator,
@@ -108,10 +109,13 @@ class _Context:
 
     R(lam), I(lam) and h need only ``rep``.  ``dec`` is built on first use,
     on its highest-weight vectors, by the checks and artifacts that read a
-    submodule; only ``verify su3`` and ``build projectors`` read its bases,
-    which close its lowering orbits.  The ``r-terms-invariance`` residual,
-    the premise of every check that reads an operator on highest-weight
-    vectors, is computed once per command.
+    submodule; only ``build projectors`` reads its bases, which close its
+    lowering orbits.  h V on its highest-weight vectors V (``h_vectors``),
+    which ``h-assembly-agreement`` reads, and hc = V^dagger h V, which
+    every other check of h and the fit of ``spectrum --rescaled`` read, and
+    the ``r-terms-invariance`` residual, the premise of every check that
+    reads an operator on highest-weight vectors, are computed once per
+    command.
     """
 
     cfg: RunConfig
@@ -131,6 +135,14 @@ class _Context:
     @cached_property
     def h_op(self):
         return h_op(self.rep)
+
+    @cached_property
+    def h_vectors(self) -> np.ndarray:
+        return self.h_op.apply(self.dec.vectors)
+
+    @cached_property
+    def hc(self) -> np.ndarray:
+        return np.conj(self.dec.vectors).T @ self.h_vectors
 
     @cached_property
     def r_terms_invariance(self) -> float:
@@ -280,42 +292,28 @@ def suite_ybe(ctx: _Context) -> list[dict]:
 def suite_hamiltonian(ctx: _Context) -> list[dict]:
     cfg = ctx.cfg
     n = cfg.n
-    h = ctx.h_op
     m = n * n - 1
-    table_residual, fd_residual = h_oracle_residuals(ctx.dec, h)
+    table_residual, fd_residual = h_oracle_residuals(ctx.dec, ctx.h_op, ctx.h_vectors)
+    dims = {sub.role: sub.dim for sub in ctx.dec.submodules}
+    column_dims = np.array(list(dims.values()))
     checks = [
         _check("h-assembly-agreement", table_residual, cfg.tol.abs_tol * m),
         _invariance_check(ctx),
         _check("h-finite-difference", fd_residual, 1e-6),
-        _check("h-nonhermiticity", nonhermiticity(h), 0.1, op=">"),
+        _check("h-nonhermiticity", nonhermiticity(ctx.hc, column_dims), 0.1, op=">"),
     ]
-    spectrum = two_site_spectrum(h, cfg.tol)
-    max_imag = max(abs(w.imag) for w in spectrum)
-    checks.append(_check("two-site-spectrum-real", max_imag, 1e-8))
-    # spectral consistency: projector coefficients + the 2x2 block spectrum, with the Weyl dimensions
-    dims = {sub.role: sub.dim for sub in ctx.dec.submodules}
-    expected = []
-    coeffs = {"sym_top": 0.0, "anti_left": 2.0, "anti_right": 2.0, "mixed_sym": 4.0,
-              "singlet": (2.0 + 2.0 * n) / n}
-    for role, dim in dims.items():
-        if role in coeffs:
-            expected.extend([coeffs[role]] * dim)
-    # h = I'(0), so its adjoint-pair block is M'(0) = N'(0) diag(1, -1)
-    block_eigs = np.linalg.eigvals(CoefficientSet(n).N_deriv0() @ np.diag([1.0, -1.0]))
-    for w in block_eigs:
-        expected.extend([w.real] * m)
-    expected.sort()
-    got = sorted(w.real for w in spectrum)
-    checks.append(
-        _check("two-site-spectrum-values", float(np.max(np.abs(np.array(got) - np.array(expected)))), 1e-8,
-               params={"dims": dims})
-    )
+    # the eigenvalues of hc against those of the projector table, each dim M times
+    spectrum = two_site_spectrum(ctx.hc, column_dims, cfg.tol)
+    checks.append(_check("two-site-spectrum-real", max(abs(w.imag) for w in spectrum), 1e-8))
+    expected = two_site_spectrum(h_table(ctx.dec), column_dims, cfg.tol)
+    checks.append(_check("two-site-spectrum-values", np.max(np.abs(np.real(spectrum) - np.real(expected))),
+                         1e-8, params={"dims": dims}))
     # Q, C_A, K and h read on the highest-weight vectors, with the premise that they are invariant
     ops = spin_operators(ctx.dec, cfg.tol)
     checks.append(_check("spin-operators-noncommuting", ops.norm(ops.commutator), 0.1, op=">"))
     checks.append(_check("spin-operators-invariance", spin_invariance_residual(ctx.rep, ops, ctx.rng()),
                          cfg.tol.abs_tol * m, params={"y": generating_set(n)[0], "probes": SPIN_PROBES}))
-    fit = verify_spinform(h_on_vectors(ctx.dec, h), ops, n, cfg.tol)
+    fit = verify_spinform(ctx.hc, ops, n)
     checks.append(
         _check("spinform-fit", fit["residual"], 1e-9,
                params={"scale": fit["scale"], "shift": fit["shift"]})
@@ -363,7 +361,6 @@ def suite_su3(ctx: _Context) -> list[dict]:
     cfg = ctx.cfg
     if cfg.n != 3:
         raise ConfigError("the su3 suite requires --n 3")
-    dec = ctx.dec
     coeffs = CoefficientSet(3)
     checks = []
     for lam in (0.5, 2j, -1.7):
@@ -380,15 +377,12 @@ def suite_su3(ctx: _Context) -> list[dict]:
         )
         res = max(abs(g - w) for g, w in zip(got, want))
         checks.append(_check("su3-nblock-eigenvalues", res, 1e-9, params={"lambda": _cpair(lam)}))
-    h = ctx.h_op
-    # tr(P h) = tr(B^dagger h B) on the orthonormal columns B of each submodule
-    got = {sub.role: complex(np.vdot(sub.basis, h.apply(sub.basis))) / sub.dim for sub in dec.submodules}
-    vs = dec.by_role("adjoint_sym").hw_vector
-    va = dec.by_role("adjoint_anti").hw_vector
-    vs = vs / np.linalg.norm(vs)
-    va = va / np.linalg.norm(va)
-    off_sa = complex(np.vdot(vs, h.apply(va)))
-    off_as = complex(np.vdot(va, h.apply(vs)))
+    # on the highest-weight vectors, tr(P h) / dim M is the diagonal of hc and the adjoint pair its
+    # (sym, anti) entries (Schur's lemma), given that h's blocks commute with su(n)
+    hc = ctx.hc
+    roles = [sub.role for sub in ctx.dec.submodules]
+    got = dict(zip(roles, np.diagonal(hc)))
+    s, a = roles.index("adjoint_sym"), roles.index("adjoint_anti")
     want = {
         "anti_left": 2.0,
         "anti_right": 2.0,
@@ -398,7 +392,8 @@ def suite_su3(ctx: _Context) -> list[dict]:
         "sym_top": 0.0,
     }
     res = max(abs(got[k] - v) for k, v in want.items())
-    res = max(res, abs(off_sa - np.sqrt(5.0) / 2.0), abs(off_as + np.sqrt(5.0) / 2.0))
+    res = max(res, abs(hc[s, a] - np.sqrt(5.0) / 2.0), abs(hc[a, s] + np.sqrt(5.0) / 2.0),
+              _invariance_gap(ctx.rep, ctx.h_op))
     checks.append(_check("su3-local-h-coefficients", res, 1e-10))
     return checks
 
@@ -492,7 +487,7 @@ def run_spectrum(cfg: RunConfig, convention: str) -> dict:
     ctx = _Context(cfg)
     h_w = ctx.h_op.weight_dense()
     if convention == "rescaled":
-        fit = verify_spinform(h_on_vectors(ctx.dec, ctx.h_op), spin_operators(ctx.dec, cfg.tol), cfg.n, cfg.tol)
+        fit = verify_spinform(ctx.hc, spin_operators(ctx.dec, cfg.tol), cfg.n)
         h_w = fit["scale"] * h_w + fit["shift"] * np.eye(len(h_w))
     eigs = chain_spectrum(h_w, ctx.basis, cfg.sites, cfg.tol)
     max_imag = max(abs(w.imag) for w in eigs)

@@ -258,7 +258,7 @@ def operator_form(frame: PairFrame, diag: dict[str, complex], block: np.ndarray)
     """The :class:`PairOperator` of sum_role diag[role] P_role + ``block`` on the adjoint pair.
 
     ``diag`` and ``block`` are the projector table that
-    :meth:`Decomposition.apply_table` reads: scalars on the submodule
+    :meth:`Decomposition.table` reads: scalars on the submodule
     projectors (a missing role counts as 0) and the 2 x 2 block in the
     {v_s, v_a} basis.
     The projectors in closed form,
@@ -354,8 +354,8 @@ def r_assembly_residual(dec: Decomposition, lam: complex) -> float:
     Both are applied to the normalised highest-weight vectors V of ``dec``
     (``dec.vectors``, no orbit closed): R(lam) V in operator form against
     I(lam) sigma V = V T P from the table of :func:`_intertwiner_coefficients`,
-    where P holds the exchange parities and V T is
-    :meth:`Decomposition.apply_table` (c_M(lam) on each scalar module and
+    where P holds the exchange parities and T is
+    :meth:`Decomposition.table` (c_M(lam) on each scalar module and
     M(lam) on the adjoint pair).  This checks the operator form, its N(lam)
     block and the closed-form projectors at once; the two agree to within
     ``abs_tol * (n^2 - 1)``.  An invariant operator is fixed by what it does
@@ -369,7 +369,7 @@ def r_assembly_residual(dec: Decomposition, lam: complex) -> float:
     op = r_op(dec.rep, lam)
     direct = op.apply(dec.vectors)
     parity = np.array([sub.exchange_parity for sub in dec.submodules])
-    composed = dec.apply_table(*_intertwiner_coefficients(CoefficientSet(dec.n), lam)) * parity
+    composed = dec.vectors @ dec.table(*_intertwiner_coefficients(CoefficientSet(dec.n), lam)) * parity
     return max(max_abs(direct - composed) / max(1.0, max_abs(direct)), _invariance_gap(dec.rep, op))
 
 

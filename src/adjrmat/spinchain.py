@@ -3,16 +3,19 @@
 The local Hamiltonian is the logarithmic-derivative density h = R'(0) sigma,
 assembled once from the exact rational derivatives of the scalar coefficient
 functions through the operator form of :mod:`rmatrix`: :func:`h_op` takes
-only the :class:`AdjointRep` and returns h as a :class:`rmatrix.PairOperator`,
-whose weight-sector blocks every check of h reads, as the checks of R do;
+only the :class:`AdjointRep` and returns h as a :class:`rmatrix.PairOperator`;
 the D x D Gell-Mann array :func:`local_h` serves only the chain artifact
-(``build hamiltonian``).  The table of closed-form projector coefficients,
-applied to the highest-weight vectors of a :class:`Decomposition` (which
-fix an invariant operator, so no lowering orbit is closed), and a central
-finite difference of R(lam) sigma are kept as an oracle,
-:func:`h_oracle_residuals`, reported as the ``h-assembly-agreement`` and
-``h-finite-difference`` checks.  The density is deliberately non-Hermitian
-while keeping a real two-site spectrum.
+(``build hamiltonian``).  h commutes with su(n), so the checks of h read
+it on the normalised highest-weight vectors V of a :class:`Decomposition`
+(Schur's lemma; no lowering orbit is closed): h V against the table of
+closed-form projector coefficients (:func:`h_table`), and everything else
+from hc = V^dagger h V (:func:`h_on_vectors`) and the Weyl dimensions.
+h's weight-sector blocks are read only by the premise, their commutator
+with the Chevalley generators (:func:`rmatrix._invariance_gap`), and by a
+central finite difference of R(lam) sigma: :func:`h_oracle_residuals`,
+the ``h-assembly-agreement`` and ``h-finite-difference`` checks.  The
+density is deliberately non-Hermitian while keeping a real two-site
+spectrum (:func:`nonhermiticity`, :func:`two_site_spectrum`).
 
 The closed spin form of h in the operators Q, C_A and K is checked on the
 same highest-weight vectors V: the four commute with su(n), so each is the
@@ -20,9 +23,8 @@ k x k matrix V^dagger A V (Schur's lemma; :class:`SpinOperators`), and the
 fit, its trace-matched shift and the Frobenius norm of [K, C_A] are
 functions of those matrices and the Weyl dimensions of the modules.  C_A
 and K are applied to V matrix-free (:func:`spin_apply`), h through its
-blocks (:func:`h_on_vectors`), and no D x D operator is formed;
-:func:`spin_invariance_residual` is the premise that the three map V into
-its span and commute with su(n).
+blocks, and no D x D operator is formed; :func:`spin_invariance_residual`
+is the premise that the three map V into its span and commute with su(n).
 
 The periodic chain is built bond by bond: :func:`chain_H` adds h into the
 diagonal view of H for each bond of the ring, never forming h (x) 1, and
@@ -36,7 +38,7 @@ frame: H_w is :func:`chain_H` of h's blocks scattered into weight
 coordinates (:meth:`rmatrix.PairOperator.weight_dense`) and t_w(lam)
 (:func:`weight_transfer`) the ring of R(lam)'s, so no Gell-Mann h or R is
 formed.  Every chain check goes one total-weight sector at a time: the
-spectrum (:func:`sector_spectrum`, in real arithmetic, as the two-site one),
+spectrum (:func:`sector_spectrum`, in real arithmetic),
 the transfer commutators (:func:`sector_commutator`) and the su(n)
 invariance of H (:func:`global_symmetry_residual`, on the Cartan and
 Chevalley generators).  No m^L x m^L matrix product is formed.
@@ -75,6 +77,7 @@ __all__ = [
     "SpinOperators",
     "h_op",
     "local_h",
+    "h_table",
     "h_oracle_residuals",
     "nonhermiticity",
     "spin_apply",
@@ -129,8 +132,12 @@ class SpinOperators:
         return self.K @ self.C_A - self.C_A @ self.K
 
     def norm(self, a: np.ndarray) -> float:
-        """sqrt(sum_M dim M ||row M of a||^2): the Frobenius norm of the invariant operator compressed to ``a``."""
-        return float(np.sqrt(self.dims @ np.sum(np.abs(a) ** 2, axis=1)))
+        return _weighted_norm(a, self.dims)
+
+
+def _weighted_norm(a: np.ndarray, dims: np.ndarray) -> float:
+    """sqrt(sum_M dim M ||row M of a||^2): the Frobenius norm of the invariant operator compressed to ``a``."""
+    return float(np.sqrt(dims @ np.sum(np.abs(a) ** 2, axis=1)))
 
 
 def _h_coefficients(n: int) -> tuple[dict[str, float], np.ndarray]:
@@ -177,33 +184,36 @@ def local_h(rep: AdjointRep) -> np.ndarray:
     return h_op(rep).dense()
 
 
-def h_oracle_residuals(dec: Decomposition, h: PairOperator) -> tuple[float, float]:
+def h_table(dec: Decomposition) -> np.ndarray:
+    """The k x k table T of :func:`_h_coefficients` on the highest-weight vectors of ``dec`` (:meth:`Decomposition.table`)."""
+    return dec.table(*_h_coefficients(dec.n))
+
+
+def h_oracle_residuals(dec: Decomposition, h: PairOperator, hv: np.ndarray) -> tuple[float, float]:
     """Max-abs residuals of the density ``h`` (:func:`h_op`) against its two independent constructions.
 
     Returns (table, finite difference): max_abs(h V - V T) on the
-    normalised highest-weight vectors V of ``dec`` (``dec.vectors``, no
-    orbit closed), where V T is the table of :func:`_h_coefficients`
-    applied by :meth:`Decomposition.apply_table`; and the central finite
-    difference of R(lam) sigma with step :data:`FD_STEP`, over every entry
-    of the sector blocks of h.  An invariant h is fixed by what it does to
-    V (Schur's lemma), so the table half is at least the relative
+    normalised highest-weight vectors V of ``dec``, with ``hv`` = h V
+    (``h.apply(dec.vectors)``) and T = :func:`h_table`; and the central
+    finite difference of R(lam) sigma with step :data:`FD_STEP`, over every
+    entry of the sector blocks of h.  An invariant h is fixed by what it
+    does to V (Schur's lemma), so the table half is at least the relative
     commutator of h's blocks with the Chevalley generators
     (:func:`rmatrix._invariance_gap`).  Only the table reads ``dec``.
     """
     plus, minus = (r_op(dec.rep, s * FD_STEP).swap_right().blocks for s in (1.0, -1.0))
     fd = max(max_abs(b - (p - q) / (2.0 * FD_STEP)) for b, p, q in zip(h.blocks, plus, minus))
-    return _h_table_residual(dec, h), fd
+    return _h_table_residual(dec, h, hv), fd
 
 
-def _h_table_residual(dec: Decomposition, h: PairOperator) -> float:
+def _h_table_residual(dec: Decomposition, h: PairOperator, hv: np.ndarray) -> float:
     """The table half of :func:`h_oracle_residuals`; it forms no D x D array."""
-    table = max_abs(h.apply(dec.vectors) - dec.apply_table(*_h_coefficients(dec.n)))
-    return max(table, _invariance_gap(dec.rep, h))
+    return max(max_abs(hv - dec.vectors @ h_table(dec)), _invariance_gap(dec.rep, h))
 
 
-def nonhermiticity(h: PairOperator) -> float:
-    """||h - h^dagger||_F over the sector blocks of ``h``: the weight frame is unitary, so it is the Gell-Mann norm."""
-    return float(np.sqrt(sum(np.linalg.norm(b - np.conj(b).transpose(0, 2, 1)) ** 2 for b in h.blocks)))
+def nonhermiticity(hc: np.ndarray, dims: np.ndarray) -> float:
+    """||h - h^dagger||_F: :func:`_weighted_norm` of hc - hc^dagger, hc = V^dagger h V (:func:`h_on_vectors`)."""
+    return _weighted_norm(hc - np.conj(hc).T, dims)
 
 
 def _block(m: int) -> int:
@@ -391,9 +401,7 @@ def h_on_vectors(dec: Decomposition, h: PairOperator) -> np.ndarray:
     return np.conj(dec.vectors).T @ h.apply(dec.vectors)
 
 
-def verify_spinform(
-    h: np.ndarray, ops: SpinOperators, n: int, tol: Tolerance = DEFAULT_TOL
-) -> dict:
+def verify_spinform(h: np.ndarray, ops: SpinOperators, n: int) -> dict:
     """Fit spinform_h = scale * h + c * 1 to the density ``h``.
 
     ``h`` is in the basis of ``ops`` (:func:`h_on_vectors`).  ``scale`` is
@@ -401,19 +409,15 @@ def verify_spinform(
     carries its own normalization; the additive constant is recovered by
     trace matching (the unique least-squares optimal shift), the trace of
     the D-dimensional operator being sum_M dim M (spin form - scale h)_MM.
-    A shift with an imaginary part above ``abs_tol * D`` raises
-    ``AssertionError``.  The residual, the max-abs of the fit on the
-    compressions, is returned for the caller to judge (``spinform-fit``),
-    so a wrong spin form is a failing check rather than an abort.
+    The residual, the max-abs of the fit on the compressions after the real
+    part of that shift, is returned for the caller to judge (``spinform-fit``),
+    so a wrong spin form or an imaginary shift is a failing check, not an abort.
     """
     scale = 8.0 / (6.0 + n * n) if n > 3 else 8.0 / 3.0
     diff = spinform_h(ops, n) - scale * h
-    dim = int(ops.dims.sum())
-    shift = complex(ops.dims @ np.diagonal(diff)) / dim
-    if abs(shift.imag) > tol.abs_tol * dim:
-        raise AssertionError(f"trace-matched shift is not real: {shift}")
+    shift = float(np.real(ops.dims @ np.diagonal(diff))) / int(ops.dims.sum())
     residual = max_abs(diff - shift * np.eye(len(diff)))
-    return {"scale": float(scale), "shift": float(shift.real), "residual": float(residual)}
+    return {"scale": float(scale), "shift": shift, "residual": float(residual)}
 
 
 def _chain_dim(m: int, sites: int) -> int:
@@ -575,48 +579,40 @@ def global_symmetry_residual(chain: WeightChain, h_w: np.ndarray) -> float:
     return worst / max(1.0, max_abs(h_w))
 
 
-def _block_spectrum(blocks, tol: Tolerance) -> list[complex]:
-    """Eigenvalues of the operator with the diagonal blocks ``blocks``, sorted by real, then imaginary part.
+def sector_spectrum(chain: WeightChain, op_w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
+    """Eigenvalues of a real operator in the weight coordinates of ``chain``, one sector at a time.
 
-    The blocks are read one at a time.  An imaginary part above
-    ``tol.abs_tol`` raises ``AssertionError``; each block is solved in real
-    arithmetic, so every complex eigenvalue comes with its exact (bit-equal)
-    conjugate, through :func:`eig_general` with its residual contract.
+    An entry of ``op_w`` above ``tol.abs_tol`` joining two sectors, or an
+    imaginary part above it, raises ``AssertionError``.  Each sector is
+    solved in real arithmetic by :func:`eig_general`, so every complex
+    eigenvalue comes with its bit-equal conjugate; they are sorted by real,
+    then imaginary part.
     """
     eigenvalues = []
-    for b in blocks:
-        imag = max_abs(b.imag)
-        if imag > tol.abs_tol:
-            raise AssertionError(f"operator is not real in weight coordinates ({imag:.3e})")
+    for idx in chain.blocks:  # a block of rows at a time: no dense mask or abs(op_w) beside op_w
+        rows = op_w[idx]
+        b = rows[:, idx]
+        rows = np.abs(rows)
+        rows[:, idx] = 0.0
+        if max_abs(rows) > tol.abs_tol:
+            raise AssertionError(f"operator leaves its weight blocks ({max_abs(rows):.3e})")
+        if max_abs(b.imag) > tol.abs_tol:
+            raise AssertionError(f"operator is not real in weight coordinates ({max_abs(b.imag):.3e})")
         eigenvalues.extend(z for z, _ in eig_general(b.real, tol))
     return sorted(eigenvalues, key=lambda z: (z.real, z.imag))
 
 
-def sector_spectrum(chain: WeightChain, op_w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
-    """Eigenvalues of a real operator in the weight coordinates of ``chain``, one sector at a time.
+def two_site_spectrum(hc: np.ndarray, dims: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
+    """The D eigenvalues of h from hc = V^dagger h V (:func:`h_on_vectors`), sorted as :func:`sector_spectrum`'s.
 
-    An entry of ``op_w`` above ``tol.abs_tol`` joining two different
-    sectors raises ``AssertionError``; the sector blocks are then solved as
-    in :func:`two_site_spectrum`.
+    An eigenvector x of hc lies in one isotypic component (Schur's lemma),
+    so its eigenvalue is listed dims[M] times, M the column where x is
+    largest.  hc is solved as it is: the caller judges any imaginary part.
     """
-    stray = 0.0
-    for idx in chain.blocks:  # a block of rows at a time: no dense mask or abs(op_w) beside op_w
-        rows = np.abs(op_w[idx])
-        rows[:, idx] = 0.0
-        stray = max(stray, max_abs(rows))
-    if stray > tol.abs_tol:
-        raise AssertionError(f"operator leaves its weight blocks ({stray:.3e})")
-    return _block_spectrum((op_w[np.ix_(idx, idx)] for idx in chain.blocks), tol)
-
-
-def two_site_spectrum(h: PairOperator, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
-    """Eigenvalues of the two-site density ``h`` (:func:`h_op`), sorted by real, then imaginary part.
-
-    h acts through its real sector blocks in the two-site weight frame (at
-    n = 5 the largest has 36 of the 576 dimensions), each solved as in
-    :func:`sector_spectrum`.
-    """
-    return _block_spectrum((b for stack in h.blocks for b in stack), tol)
+    eigenvalues = []
+    for z, x in eig_general(hc, tol):
+        eigenvalues += [z] * int(dims[np.argmax(np.abs(x))])
+    return sorted(eigenvalues, key=lambda z: (z.real, z.imag))
 
 
 def chain_spectrum(h_w: np.ndarray, basis: SunBasis, sites: int, tol: Tolerance = DEFAULT_TOL):

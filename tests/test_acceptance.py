@@ -219,9 +219,9 @@ def test_criterion_7_hamiltonian():
             h = local_h(dec.rep)
             locs[n] = (dec, h)
             op = h_op(dec.rep)
-            assert h_oracle_residuals(dec, op)[1] <= 1e-6
+            assert h_oracle_residuals(dec, op, op.apply(dec.vectors))[1] <= 1e-6
             assert np.linalg.norm(h - h.conj().T) > 0.1
-            spec = two_site_spectrum(op)
+            spec = two_site_spectrum(h_on_vectors(dec, op), np.array([sub.dim for sub in dec.submodules]))
             assert max(abs(w.imag) for w in spec) <= 1e-8
         for n in (3, 4, 5):
             dec, h = locs[n]

@@ -531,18 +531,22 @@ def test_f4_error_fails_coefficient_recovery_at_large_rank(tmp_path, monkeypatch
         assert "coefficient-recovery" in [c["id"] for c in payload["checks"] if not c["pass"]], argv
 
 
-def test_wrong_h_table_fails_only_its_check(tmp_path, monkeypatch):
-    """A wrong projector coefficient in the h table is a failing check, not a crash."""
+def test_wrong_h_table_fails_both_of_its_checks(tmp_path, monkeypatch):
+    """A projector coefficient of the h table off by 1e-6 relative fails the two checks that read the table, not a crash.
+
+    h-assembly-agreement compares h V with the table and two-site-spectrum-values
+    the eigenvalues of V^dagger h V with the table's: there is one table.
+    """
     original = spinchain._h_coefficients
 
     def wrong_diag(n):  # n = 3 has no mixed module, so perturb an antisymmetric one
         diag, block = original(n)
-        return {**diag, "anti_left": 2.5}, block
+        return {**diag, "anti_left": diag["anti_left"] * (1.0 + 1e-6)}, block
 
     monkeypatch.setattr(spinchain, "_h_coefficients", wrong_diag)
     code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "3")
     assert code == 1
-    assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["h-assembly-agreement"]
+    assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["h-assembly-agreement", "two-site-spectrum-values"]
 
 
 @pytest.mark.parametrize(
@@ -705,20 +709,24 @@ def _count_orbit_work(monkeypatch):
     ["verify", "ybe", "--n", "4", "--samples", "1"],
     ["verify", "hamiltonian", "--n", "4"],
     ["verify", "all", "--n", "4"],
+    ["verify", "su3", "--n", "3"],
+    ["verify", "all", "--n", "3", "--sites", "3"],
 ])
 def test_verify_path_closes_no_orbit(tmp_path, monkeypatch, argv):
-    """The assembly checks and the module dimensions read the highest-weight vectors alone."""
+    """The assembly checks, the module dimensions and every check of h read the highest-weight vectors alone."""
     calls = _count_orbit_work(monkeypatch)
     assert run(tmp_path, *argv)[0] == 0
     assert calls == {}
 
 
-@pytest.mark.parametrize("argv", [["verify", "su3", "--n", "3"], ["build", "projectors", "--n", "3"]])
+@pytest.mark.parametrize("argv", [["build", "projectors", "--n", "3"], ["build", "projectors", "--n", "4"]])
 def test_basis_readers_close_the_orbits_once(tmp_path, monkeypatch, argv):
+    """build projectors, the one command that reads the bases, closes each orbit once."""
     calls = _count_orbit_work(monkeypatch)
     assert run(tmp_path, *argv)[0] == 0
     assert calls["_weight_blocks"] == 1
-    assert calls["_orbit"] == 4  # the six modules at n = 3 but the two adjoint copies, which come from d and f
+    # every module but the two adjoint copies, which come from d and f: six at n = 3, seven from n = 4
+    assert calls["_orbit"] == (4 if argv[-1] == "3" else 5)
 
 
 @pytest.mark.parametrize("edit, role, message", BAD_HIGHEST_WEIGHT_ROWS)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from adjrmat import spinchain
+from adjrmat import cli, spinchain
 from adjrmat.adjoint_tensor import ad_matrix, apply_swap, build_decomposition, generating_set, root_weight
 from adjrmat.liealg import weight_basis, weight_chain
 from adjrmat.numerics import eig_general, frobenius
@@ -24,7 +25,6 @@ from adjrmat.spinchain import (
     local_h,
     nonhermiticity,
     sector_commutator,
-    sector_spectrum,
     spin_apply,
     spin_invariance_residual,
     spin_operators,
@@ -115,20 +115,26 @@ def test_su3_local_coefficients(algebra, locals_cache):
     assert abs(np.vdot(va, h @ vs) + np.sqrt(5.0) / 2.0) < 1e-10
 
 
+def dims(dec):
+    """The Weyl dimension of each column of ``dec.vectors``."""
+    return np.array([sub.dim for sub in dec.submodules])
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_local_h_diagnostics(algebra, n):
-    h = h_op(algebra.rep(n))
-    table_residual, fd_residual = h_oracle_residuals(algebra.dec(n), h)
+    dec, h = algebra.dec(n), h_op(algebra.rep(n))
+    table_residual, fd_residual = h_oracle_residuals(dec, h, h.apply(dec.vectors))
     assert table_residual < TOL
     assert fd_residual < 1e-6
-    assert nonhermiticity(h) > 0.1
+    assert nonhermiticity(h_on_vectors(dec, h), dims(dec)) > 0.1
 
 
 def test_h_table_forms_no_dense_matrix_besides_h(algebra):
-    """At n = 6 the table half of the h oracle, on a decomposition with no orbit closed, peaks below half of one D x D complex array."""
+    """At n = 6, h V and the table half of the h oracle, on a decomposition with no orbit closed, peak below half of one D x D complex array."""
     rep = algebra.rep(6)
     D = rep.dim**2
-    assert traced_peak(_h_table_residual, build_decomposition(rep), h_op(rep)) < 0.5 * D * D * 16
+    dec, h = build_decomposition(rep), h_op(rep)
+    assert traced_peak(lambda: _h_table_residual(dec, h, h.apply(dec.vectors))) < 0.5 * D * D * 16
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -141,8 +147,9 @@ def test_h_table_agrees_with_projector_sum_oracle(algebra, monkeypatch, n):
     n = 6 (1.7e-8) under the threshold 3.5e-8.
     """
     dec, h = algebra.dec(n), h_op(algebra.rep(n))
+    hv = h.apply(dec.vectors)
     threshold = TOL * (n * n - 1)
-    assert _h_table_residual(dec, h) <= threshold
+    assert _h_table_residual(dec, h, hv) <= threshold
     clean = probe_h_table_residual(dec, h)
     assert clean <= threshold
     table = spinchain._h_coefficients
@@ -153,7 +160,7 @@ def test_h_table_agrees_with_projector_sum_oracle(algebra, monkeypatch, n):
         del errors["mixed_sym"]
     for name, edit in errors.items():
         monkeypatch.setattr(spinchain, "_h_coefficients", lambda n, edit=edit: edit(*table(n)))
-        assert _h_table_residual(dec, h) > threshold, name
+        assert _h_table_residual(dec, h, hv) > threshold, name
         oracle = probe_h_table_residual(dec, h)
         if (n, name) == (6, "singlet"):
             assert oracle > 1e3 * clean
@@ -163,52 +170,58 @@ def test_h_table_agrees_with_projector_sum_oracle(algebra, monkeypatch, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_h_blocks_match_the_rotated_dense_h(algebra, n):
-    """Every check of h on its sector blocks against the same check on the dense h rotated by rotate_pair.
+    """h's sector blocks and its compression against the dense h, rotated by rotate_pair where the blocks are read.
 
-    The blocks are real; scattered, they are the rotated h.  The block
-    spectrum, finite difference and non-Hermiticity norm agree with the
-    sector solve of the rotated h, the finite difference of the dense
-    R(lam) sigma and the Gell-Mann Frobenius norm.
+    The blocks are real; scattered, they are the rotated h.  Their finite
+    difference agrees with that of the dense R(lam) sigma, and the
+    non-Hermiticity norm of the compression with the Gell-Mann Frobenius
+    norm.
     """
-    rep = algebra.rep(n)
+    rep, dec = algebra.rep(n), algebra.dec(n)
     op, h = h_op(rep), local_h(rep)
     chain = weight_chain(rep.basis, 2)
-    rotated = rotate_pair(chain.u, h)
     assert not any(b.imag.any() for b in op.blocks)
-    assert np.max(np.abs(op.weight_dense() - rotated)) <= 1e-13
-    dense = sector_spectrum(chain, rotated)
-    blocks = two_site_spectrum(op)
-    assert len(blocks) == len(dense) == rep.dim**2
-    assert max(abs(a - b) for a, b in zip(blocks, dense)) <= 1e-10
+    assert np.max(np.abs(op.weight_dense() - rotate_pair(chain.u, h))) <= 1e-13
     swap = apply_swap(np.arange(rep.dim**2), rep.dim)
     fd = (build_R(rep, FD_STEP)[:, swap] - build_R(rep, -FD_STEP)[:, swap]) / (2.0 * FD_STEP)
     assert np.max(np.abs(h - fd)) <= 1e-6
-    assert h_oracle_residuals(algebra.dec(n), op)[1] <= 1e-6
+    assert h_oracle_residuals(dec, op, op.apply(dec.vectors))[1] <= 1e-6
     want = frobenius(h - h.conj().T)
-    assert abs(nonhermiticity(op) - want) <= 1e-12 * want
+    assert abs(nonhermiticity(h_on_vectors(dec, op), dims(dec)) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_two_site_spectrum_real(algebra, n):
-    spec = two_site_spectrum(h_op(algebra.rep(n)))
+    dec = algebra.dec(n)
+    spec = two_site_spectrum(h_on_vectors(dec, h_op(dec.rep)), dims(dec))
     assert max(abs(w.imag) for w in spec) < 1e-8
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_two_site_spectrum_blocks_match_dense(algebra, locals_cache, n):
-    """The weight-block spectrum against one dense solve of h."""
+    """The eigenvalues of the compression V^dagger h V, each repeated dim M times, against one dense solve of h."""
     dense = sorted((w for w, _ in eig_general(locals_cache(n))), key=lambda z: (z.real, z.imag))
-    blocks = two_site_spectrum(h_op(algebra.rep(n)))
-    assert len(blocks) == len(dense)
-    assert max(abs(a - b) for a, b in zip(blocks, dense)) <= 1e-10
+    dec = algebra.dec(n)
+    compressed = two_site_spectrum(h_on_vectors(dec, h_op(dec.rep)), dims(dec))
+    assert len(compressed) == len(dense)
+    assert max(abs(a - b) for a, b in zip(compressed, dense)) <= 1e-10
 
 
-def test_two_site_spectrum_refuses_imaginary_part(algebra):
-    """An imaginary shift h + 1e-6j conserves weight but leaves the blocks of h complex."""
-    op = h_op(algebra.rep(3))
-    shifted = replace(op, plus=op.plus + 1e-6j, minus=op.minus + 1e-6j)
-    with pytest.raises(AssertionError, match="not real in weight coordinates"):
-        two_site_spectrum(shifted)
+def test_two_site_spectrum_refuses_imaginary_part(tmp_path, monkeypatch):
+    """An imaginary shift h + 1e-6j fails two-site-spectrum-real in a full report, not an abort."""
+
+    def shifted(rep):
+        op = h_op(rep)
+        return replace(op, plus=op.plus + 1e-6j, minus=op.minus + 1e-6j)
+
+    monkeypatch.setattr(cli, "h_op", shifted)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "hamiltonian", "--n", "3", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 9
+    real = next(c for c in checks if c["id"] == "two-site-spectrum-real")
+    assert not real["pass"]
+    assert abs(real["residual"] - 1e-6) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -225,7 +238,7 @@ def test_two_site_spectrum_values(algebra, n):
     for w in np.linalg.eigvals(CoefficientSet(n).N_deriv0() @ np.diag([1.0, -1.0])):
         expected.extend([w.real] * m)
     expected.sort()
-    got = sorted(w.real for w in two_site_spectrum(h_op(algebra.rep(n))))
+    got = [w.real for w in two_site_spectrum(h_on_vectors(dec, h_op(dec.rep)), dims(dec))]
     assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-8
 
 
