@@ -623,6 +623,25 @@ _SPARSE_ZERO = 1e-12
 TERMS = ("eye", "swap", "omega", "omega_swap", "dd", "df", "fd", "ff", "singlet")
 
 
+def _crossed_entries(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros (rows, columns, values) of sum_c A^c (x) B^c, [(i, k), (j, l)] = sum_c A^c_ij B^c_kl, for real a, b."""
+    m = len(a)
+    (ca, i, j), (cb, k, l) = (np.nonzero(np.abs(t) > _SPARSE_ZERO) for t in (a, b))
+    sa, sb = np.searchsorted(ca, np.arange(m + 1)), np.searchsorted(cb, np.arange(m + 1))
+    flat, vals = [], []
+    for c in range(m):
+        p, q = slice(sa[c], sa[c + 1]), slice(sb[c], sb[c + 1])  # the nonzeros of A^c and of B^c
+        rows = (i[p, None] * m + k[None, q]).ravel()
+        cols = (j[p, None] * m + l[None, q]).ravel()
+        flat.append(rows * (m * m) + cols)
+        vals.append(np.outer(a[c, i[p], j[p]], b[c, k[q], l[q]]).ravel())
+    key, inverse = np.unique(np.concatenate(flat), return_inverse=True)
+    total = np.bincount(inverse.ravel(), weights=np.concatenate(vals))
+    keep = np.abs(total) > _SPARSE_ZERO
+    rows, cols = np.divmod(key[keep], m * m)
+    return rows, cols, total[keep]
+
+
 class PairFrame:
     """Invariant building blocks of operators on adjoint (x) adjoint, from the basis alone.
 
@@ -636,6 +655,8 @@ class PairFrame:
     sector size (at most five sizes at any n).  An operator is a combination
     of them (:meth:`combine`) and acts by one gather, batched matmul and
     scatter per size (:meth:`apply_weight`), as Omega_op does in :meth:`omega`.
+    Omega_op and every crossed sum sum_c A^c (x) B^c (:meth:`crossed`) go
+    from their nonzeros to sector blocks by :meth:`sector_blocks`.
     """
 
     def __init__(self, basis: SunBasis, chain: WeightChain):
@@ -644,21 +665,8 @@ class PairFrame:
         e = np.hstack([_tensor_embedding(basis.d), -_tensor_embedding(basis.f)])
         self.E = np.where(np.abs(e) > _SPARSE_ZERO, e, 0.0)
         # Omega[(i,k),(j,l)] = sum_c S^c_ij S^c_kl = -sum_c F^{cij} F^{ckl}, where f = iF
-        big_f = basis.f.imag
-        c, i, j = np.nonzero(np.abs(big_f) > _SPARSE_ZERO)
-        starts = np.searchsorted(c, np.arange(m + 1))
-        flat, vals = [], []
-        for a in range(m):
-            ii, jj = i[starts[a] : starts[a + 1]], j[starts[a] : starts[a + 1]]
-            rows = (ii[:, None] * m + ii[None, :]).ravel()
-            cols = (jj[:, None] * m + jj[None, :]).ravel()
-            flat.append(rows * (m * m) + cols)
-            vals.append(-np.outer(big_f[a, ii, jj], big_f[a, ii, jj]).ravel())
-        key, inverse = np.unique(np.concatenate(flat), return_inverse=True)
-        total = np.bincount(inverse.ravel(), weights=np.concatenate(vals))
-        keep = np.abs(total) > _SPARSE_ZERO
-        rows, cols = np.divmod(key[keep], m * m)
-        self.omega_entries = (rows, cols, total[keep])
+        rows, cols, vals = _crossed_entries(basis.f.imag, basis.f.imag)
+        self.omega_entries = (rows, cols, -vals)
 
     @cached_property
     def sectors(self) -> list[np.ndarray]:
@@ -667,17 +675,11 @@ class PairFrame:
         return [np.stack([idx for idx in self.chain.blocks if len(idx) == d]) for d in sizes]
 
     @cached_property
-    def terms(self) -> list[np.ndarray]:
-        """The sector blocks of the :data:`TERMS`, one (len(TERMS), S, d, d) stack per entry of ``sectors``.
-
-        sigma permutes the states of a sector, E is rotated on its rows and
-        s is vec(U U^T)/sqrt(m).  Omega_op is ``omega_entries`` rotated
-        through U (x) U, at most 16 entries for each (U has at most two
-        nonzeros per column); those that leave their sector cancel exactly.
-        """
+    def _rotation(self) -> tuple[np.ndarray, ...]:
+        """Start of each size and of each state's row in one flat array of blocks, each state's place, U's nonzeros."""
         m, u, D = self.m, self.chain.u, self.m * self.m
         offsets = np.cumsum([0] + [idx.size * idx.shape[1] for idx in self.sectors])
-        pos, row0 = np.empty(D, dtype=int), np.empty(D, dtype=int)  # place in the sector, flat row start
+        pos, row0 = np.empty(D, dtype=int), np.empty(D, dtype=int)
         for idx, lo in zip(self.sectors, offsets):
             S, d = idx.shape
             pos[idx] = np.arange(d)
@@ -685,26 +687,57 @@ class PairFrame:
         big = np.abs(u) > _SPARSE_ZERO
         nz = np.argsort(~big, axis=0, kind="stable")[:2]  # (2, m): rows of the nonzeros of each column
         nz_u = np.where(np.take_along_axis(big, nz, 0), np.take_along_axis(u, nz, 0), 0.0)
-        rows, cols, vals = self.omega_entries
+        return offsets, row0, pos, nz, nz_u
+
+    def sector_blocks(self, entries: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[np.ndarray]:
+        """The sector blocks of an invariant operator from its nonzeros ``entries`` (rows, columns, values).
+
+        U (x) U takes each entry to at most 16 (U has at most two nonzeros
+        per column), rotated one row and column corner at a time to bound the
+        temporaries; those that leave their sector cancel exactly.
+        """
+        m, label = self.m, self.chain.label
+        offsets, row0, pos, nz, nz_u = self._rotation
+        rows, cols, vals = entries
         (i, k), (j, l) = np.divmod(rows, m), np.divmod(cols, m)
-        to_row = (nz[:, None, i] * m + nz[None, :, k]).reshape(4, 1, -1)
-        to_col = (nz[:, None, j] * m + nz[None, :, l]).reshape(1, 4, -1)
-        weight = (nz_u[:, None, i] * nz_u[None, :, k]).reshape(4, 1, -1) * vals
-        weight = weight * np.conj(nz_u[:, None, j] * nz_u[None, :, l]).reshape(1, 4, -1)
-        to_row, to_col = np.broadcast_arrays(to_row, to_col)
-        inside = self.chain.label[to_row] == self.chain.label[to_col]
-        key, weight = row0[to_row[inside]] + pos[to_col[inside]], weight[inside]
-        omega = np.bincount(key, weight.real, offsets[-1]) + 1j * np.bincount(key, weight.imag, offsets[-1])
+        flat = np.zeros(offsets[-1], dtype=complex)
+        for p in range(4):
+            to_row = nz[p // 2, i] * m + nz[p % 2, k]
+            weight = nz_u[p // 2, i] * nz_u[p % 2, k] * vals
+            for q in range(4):
+                to_col = nz[q // 2, j] * m + nz[q % 2, l]
+                inside = label[to_row] == label[to_col]
+                np.add.at(flat, row0[to_row[inside]] + pos[to_col[inside]],
+                          weight[inside] * np.conj(nz_u[q // 2, j[inside]] * nz_u[q % 2, l[inside]]))
+        return [flat[lo:hi].reshape(idx.shape + idx.shape[1:])
+                for idx, lo, hi in zip(self.sectors, offsets, offsets[1:])]
+
+    def crossed(self, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+        """The sector blocks of sum_c A^c (x) B^c for real (m, m, m) tensors ``a`` and ``b``, from their nonzeros."""
+        return self.sector_blocks(_crossed_entries(a, b))
+
+    @cached_property
+    def terms(self) -> list[np.ndarray]:
+        """The sector blocks of the :data:`TERMS`, one (len(TERMS), S, d, d) stack per entry of ``sectors``.
+
+        sigma permutes the states of a sector, E is rotated on its rows and
+        s is vec(U U^T)/sqrt(m).  Omega_op is ``omega_entries`` rotated by
+        :meth:`sector_blocks`.
+        """
+        m, D = self.m, self.m * self.m
+        _, _, pos, _, _ = self._rotation
+        omega = self.sector_blocks(self.omega_entries)
         swap = apply_swap(np.arange(D), m)
         e_w = self.to_weight(self.E).reshape(D, 2, m)
+        u = self.chain.u
         s_w = (u @ u.T).ravel() / np.sqrt(m)
         out = []
-        for idx, lo, hi in zip(self.sectors, offsets, offsets[1:]):
+        for idx, blocks in zip(self.sectors, omega):
             S, d = idx.shape
             t = np.zeros((len(TERMS), S, d, d), dtype=complex)
             t[0] = np.eye(d)
             t[1, np.arange(S)[:, None], pos[swap[idx]], np.arange(d)] = 1.0
-            t[2] = omega[lo:hi].reshape(S, d, d)
+            t[2] = blocks
             t[3] = t[2] @ t[1]
             e, s = e_w[idx], s_w[idx]
             for p in range(4):

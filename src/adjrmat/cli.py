@@ -42,7 +42,6 @@ from .rmatrix import (
     ybe_residual,
 )
 from .spinchain import (
-    SPIN_PROBES,
     chain_frame,
     chain_H,
     chain_spectrum,
@@ -311,8 +310,8 @@ def suite_hamiltonian(ctx: _Context) -> list[dict]:
     # Q, C_A, K and h read on the highest-weight vectors, with the premise that they are invariant
     ops = spin_operators(ctx.dec, cfg.tol)
     checks.append(_check("spin-operators-noncommuting", ops.norm(ops.commutator), 0.1, op=">"))
-    checks.append(_check("spin-operators-invariance", spin_invariance_residual(ctx.rep, ops, ctx.rng()),
-                         cfg.tol.abs_tol * m, params={"y": generating_set(n)[0], "probes": SPIN_PROBES}))
+    checks.append(_check("spin-operators-invariance", spin_invariance_residual(ctx.rep, ops),
+                         cfg.tol.abs_tol * m, params={"y": generating_set(n)[0]}))
     fit = verify_spinform(ctx.hc, ops, n)
     checks.append(
         _check("spinform-fit", fit["residual"], 1e-9,
@@ -393,7 +392,7 @@ def suite_su3(ctx: _Context) -> list[dict]:
     }
     res = max(abs(got[k] - v) for k, v in want.items())
     res = max(res, abs(hc[s, a] - np.sqrt(5.0) / 2.0), abs(hc[a, s] + np.sqrt(5.0) / 2.0),
-              _invariance_gap(ctx.rep, ctx.h_op))
+              _invariance_gap(ctx.rep, ctx.h_op.blocks))
     checks.append(_check("su3-local-h-coefficients", res, 1e-10))
     return checks
 

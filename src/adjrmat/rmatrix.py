@@ -370,7 +370,7 @@ def r_assembly_residual(dec: Decomposition, lam: complex) -> float:
     direct = op.apply(dec.vectors)
     parity = np.array([sub.exchange_parity for sub in dec.submodules])
     composed = dec.vectors @ dec.table(*_intertwiner_coefficients(CoefficientSet(dec.n), lam)) * parity
-    return max(max_abs(direct - composed) / max(1.0, max_abs(direct)), _invariance_gap(dec.rep, op))
+    return max(max_abs(direct - composed) / max(1.0, max_abs(direct)), _invariance_gap(dec.rep, op.blocks))
 
 
 def r_at_zero_residual(rep: AdjointRep) -> float:
@@ -489,8 +489,7 @@ def r_terms_invariance_residual(rep: AdjointRep) -> float:
     terms are invariant, as the YBE residual on highest-weight vectors
     (:func:`ybe_residual`) needs, when this is roundoff.
     """
-    terms = rep.frame.terms
-    return _chevalley_commutator(rep, terms) / max(max_abs(t) for t in terms)
+    return _invariance_gap(rep, rep.frame.terms)
 
 
 def _chevalley_groups(rep: AdjointRep) -> list[tuple[int, np.ndarray, int, np.ndarray, np.ndarray]]:
@@ -513,26 +512,18 @@ def _chevalley_groups(rep: AdjointRep) -> list[tuple[int, np.ndarray, int, np.nd
     return rep.memo["chevalley_groups"]
 
 
-def _chevalley_commutator(rep: AdjointRep, stacks: list[np.ndarray]) -> float:
-    """Max-abs of D(y) X - X D(y) over the Chevalley y, for X with the sector blocks ``stacks``.
+def _invariance_gap(rep: AdjointRep, stacks: list[np.ndarray]) -> float:
+    """Max-abs of D(y) X - X D(y) over the Chevalley y, over max(1, max-abs X), for X with the sector blocks ``stacks``.
 
     ``stacks`` holds one stack per size of ``rep.frame.sectors``, the
     sectors on axis -3; leading axes hold several operators at once.  One
-    batched product per group of :func:`_chevalley_groups`.
+    batched product per group of :func:`_chevalley_groups`: the commutator
+    is exact over every column.
     """
     worst = 0.0
     for g, r, h, q, b in _chevalley_groups(rep):
         worst = max(worst, max_abs(b @ np.take(stacks[g], r, axis=-3) - np.take(stacks[h], q, axis=-3) @ b))
-    return worst
-
-
-def _invariance_gap(rep: AdjointRep, op: PairOperator) -> float:
-    """Max-abs of [D(y), X] over the Chevalley y, for the sector blocks of X = ``op``, over max(1, max-abs X).
-
-    The terms of ``rep.frame`` are invariant (:func:`r_terms_invariance_residual`);
-    this checks that the blocks ``op`` is applied through, combined from them, are too.
-    """
-    return _chevalley_commutator(rep, op.blocks) / max(1.0, max(max_abs(b) for b in op.blocks))
+    return worst / max(1.0, max(max_abs(t) for t in stacks))
 
 
 def level1_covariance_residual(rep: AdjointRep) -> float:

@@ -21,10 +21,12 @@ The closed spin form of h in the operators Q, C_A and K is checked on the
 same highest-weight vectors V: the four commute with su(n), so each is the
 k x k matrix V^dagger A V (Schur's lemma; :class:`SpinOperators`), and the
 fit, its trace-matched shift and the Frobenius norm of [K, C_A] are
-functions of those matrices and the Weyl dimensions of the modules.  C_A
-and K are applied to V matrix-free (:func:`spin_apply`), h through its
-blocks, and no D x D operator is formed; :func:`spin_invariance_residual`
-is the premise that the three map V into its span and commute with su(n).
+functions of those matrices and the Weyl dimensions of the modules.  Like
+h, each acts on V through its weight-sector blocks (:func:`spin_apply`):
+Q is Omega_op, and C_A and K combine crossed sums of d and f built like it
+(:func:`_spin_blocks`), so no D x D operator is formed.
+:func:`spin_invariance_residual` is the premise that the three map V into
+its span and that the blocks of C_A and K commute with su(n).
 
 The periodic chain is built bond by bond: :func:`chain_H` adds h into the
 diagonal view of H for each bond of the ring, never forming h (x) 1, and
@@ -55,13 +57,12 @@ import numpy as np
 from .adjoint_tensor import (
     AdjointRep,
     Decomposition,
-    ad_matrix,
-    apply_pair,
+    PairFrame,
     generating_set,
     root_action,
     root_weight,
 )
-from .liealg import SunBasis, WeightChain, matrix_unit, weight_chain
+from .liealg import SunBasis, WeightChain, weight_chain
 from .numerics import DEFAULT_TOL, Tolerance, eig_general, max_abs
 from .rmatrix import (
     CoefficientSet,
@@ -100,11 +101,6 @@ __all__ = [
 
 CHAIN_DIM_CAP = 10_000
 FD_STEP = 1e-5  # step of the central finite difference in h_oracle_residuals
-# target size of an intermediate of the stack w and of the matrix-free C_A
-# and K, in bytes; a block is never less than one m^3 array (2 MB at n = 8)
-_SPIN_BLOCK_BYTES = 2**22
-# random columns of the spin-operators-invariance probe block
-SPIN_PROBES = 2
 
 
 @dataclass(frozen=True)
@@ -114,10 +110,11 @@ class SpinOperators:
     Each operator commutes with su(n), so by Schur's lemma it maps V into
     its span and acts on module M as 1 (x) A_M: everything the spin form
     reads is a function of these matrices and of ``dims``, the Weyl
-    dimension dim M of each column.  ``off_span`` is the largest share of
-    A V outside the span of V, max_abs((1 - V V^dagger) A V) / max_abs(A V),
-    over the three (0 when the compressions are dense operators with unit
-    ``dims``, as the tests' oracle builds them).
+    dimension dim M of each column, with A V from A's sector blocks
+    (:func:`spin_apply`).  ``off_span`` is the largest share of A V outside
+    the span of V, max_abs((1 - V V^dagger) A V) / max_abs(A V), over the
+    three (0 when the compressions are dense operators with unit ``dims``,
+    as the tests' oracle builds them).
     """
 
     Q: np.ndarray
@@ -208,7 +205,7 @@ def h_oracle_residuals(dec: Decomposition, h: PairOperator, hv: np.ndarray) -> t
 
 def _h_table_residual(dec: Decomposition, h: PairOperator, hv: np.ndarray) -> float:
     """The table half of :func:`h_oracle_residuals`; it forms no D x D array."""
-    return max(max_abs(hv - dec.vectors @ h_table(dec)), _invariance_gap(dec.rep, h))
+    return max(max_abs(hv - dec.vectors @ h_table(dec)), _invariance_gap(dec.rep, h.blocks))
 
 
 def nonhermiticity(hc: np.ndarray, dims: np.ndarray) -> float:
@@ -216,98 +213,31 @@ def nonhermiticity(hc: np.ndarray, dims: np.ndarray) -> float:
     return _weighted_norm(hc - np.conj(hc).T, dims)
 
 
-def _block(m: int) -> int:
-    """How many m^3 arrays of floats fit in :data:`_SPIN_BLOCK_BYTES`, at least one."""
-    return max(1, _SPIN_BLOCK_BYTES // (8 * m**3))
+def _spin_blocks(frame: PairFrame, d: np.ndarray, big_f: np.ndarray) -> list[np.ndarray]:
+    """The sector blocks of Q, C_A and K, one (3, S, d, d) stack per sector size of ``frame``.
 
-
-def _spin_factors(rep: AdjointRep) -> tuple[np.ndarray, np.ndarray]:
-    """(F, w), real (m, m, m) stacks: S^a = i F^a and w[x] = sum_{b,c} d^{xbc} S^b S^c, kept in ``rep.memo``.
-
-    With (S^a)_{bc} = f^{abc} (:func:`spin_operators`) and f = iF, F is real
-    and totally antisymmetric, so w[x] = -sum_b F^b (sum_c d^{xbc} F^c) is
-    real.  It is built for a block of x at a time (:func:`_block`); the m^4
-    stack of products S^b S^c is never formed.
+    ``d`` and ``big_f`` are the real (m, m, m) tensors of (D^a)_bc = d^{abc}
+    and of S^a = i F^a.  In this basis's normalisation
+    sum_{b,c} d^{xbc} S^b S^c = n D^x and sum_{a,f} f^{afg} S^f D^a = -n D^g
+    (Haber 2021, SciPost Phys. Lect. Notes 21), so with the crossed sums
+    C+ = sum_c D^c (x) S^c and DD = sum_c D^c (x) D^c (:meth:`PairFrame.crossed`),
+    C_A = n (C+ - sigma C+ sigma) and K = n^2 (C+ sigma C+ sigma + n DD),
+    block by block, with sigma the ``swap`` term; Q is the ``omega`` term.
     """
-    if "spin_factors" not in rep.memo:
-        f = np.ascontiguousarray(rep.basis.f.imag)
-        d = np.real(rep.basis.d)
-        m = rep.dim
-        f_left = f.transpose(1, 0, 2).reshape(m, m * m)  # [i, (b, j)] = F^b_ij
-        w = np.empty((m, m, m))
-        step = _block(m)
-        for lo in range(0, m, step):
-            g = (d[lo : lo + step].reshape(-1, m) @ f.reshape(m, m * m)).reshape(-1, m * m, m)  # [x, (b, j), k]
-            w[lo : lo + step] = -np.matmul(f_left, g)
-        rep.memo["spin_factors"] = (f, w)
-    return rep.memo["spin_factors"]
-
-
-def _apply_c_a(f: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """C_A / i on real columns ``x`` shaped (c, m, m), each the m x m array of two-site coordinates.
-
-    C_A = sum_x (w[x] (x) S^x - S^x (x) w[x]) with S^x = i F^x, so C_A / i
-    maps X to sum_x (w[x] X F^x^T - F^x X w[x]^T): for each term, the
-    products with every x at once, then one (m, m^2) GEMM against them,
-    for a block of columns at a time (:func:`_block`).
-    """
-    c, m = len(x), len(f)
-    out = np.empty((c, m, m))
-    step = _block(m)
-    for lo in range(0, c, step):
-        rows = x[lo : lo + step].reshape(-1, m)
-        k = len(rows) // m
-        acc = np.zeros((m, k * m))
-        for left, right, sign in ((w, f, 1.0), (f, w, -1.0)):
-            u = (rows @ right.transpose(2, 0, 1).reshape(m, m * m)).reshape(k, m, m, m)  # [c, j, x, q]
-            u = u.transpose(2, 1, 0, 3).reshape(m * m, k * m)  # [(x, j), (c, q)] = (X right[x]^T)_jq
-            acc += sign * (left.transpose(1, 0, 2).reshape(m, m * m) @ u)
-        out[lo : lo + k] = acc.reshape(m, k, m).transpose(1, 0, 2)
-    return out
-
-
-def _apply_k(f: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K on real columns ``x`` shaped (c, m, m), as in :func:`_apply_c_a`.
-
-    K = sum_{a,f} S^a w[f] (x) S^f w[a] = -sum_{a,f} F^a w[f] (x) F^f w[a],
-    so K X = -sum_a F^a T(X w[a]^T) with T(Y) = sum_f w[f] Y F^f^T: all
-    real GEMMs, one column at a time, the (k m, m^2) products Y F^f^T
-    formed for a block of k generators a at a time (:func:`_block`).
-    """
-    c, m = len(x), len(f)
-    w_right = w.transpose(2, 0, 1).reshape(m, m * m)  # [l, (a, p)] = w[a]_pl
-    f_right = f.transpose(2, 0, 1).reshape(m, m * m)  # [l, (f, q)] = F^f_ql
-    w_left = w.transpose(1, 0, 2).reshape(m, m * m)  # [i, (f, j)] = w[f]_ij
-    f_left = f.transpose(1, 0, 2).reshape(m, m * m)  # [i, (a, j)] = F^a_ij
-    out = np.zeros((c, m, m))
-    step = _block(m)
-    for col, xc in enumerate(x):
-        y = (xc @ w_right).reshape(m, m, m).transpose(1, 0, 2)  # [a, j, p] = (X w[a]^T)_jp
-        for lo in range(0, m, step):
-            k = min(step, m - lo)
-            u = (y[lo : lo + k].reshape(k * m, m) @ f_right).reshape(k, m, m, m)  # [a, j, f, q]
-            u = u.transpose(2, 1, 0, 3).reshape(m * m, k * m)  # [(f, j), (a, q)] = (Y_a F^f^T)_jq
-            t = (w_left @ u).reshape(m, k, m).transpose(1, 0, 2).reshape(k * m, m)  # [(a, i), q] = T(Y_a)_iq
-            out[col] -= f_left[:, lo * m : (lo + k) * m] @ t
+    n, out = frame.n, []
+    for q, s, c, dd in zip(frame.term("omega"), frame.term("swap"), frame.crossed(d, big_f), frame.crossed(d, d)):
+        c = 1j * c
+        flipped = s @ c @ s
+        out.append(np.stack([q, n * (c - flipped), n * n * (c @ flipped + n * dd)]))
     return out
 
 
 def spin_apply(rep: AdjointRep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q x, C_A x, K x) for the complex columns of a (D, k) array, matrix-free.
-
-    Q is Omega_op (``rep.frame.omega``); C_A and K act through the real
-    stacks of :func:`_spin_factors` on the real and imaginary parts of x,
-    and no D x D array is formed.
-    """
-    f, w = _spin_factors(rep)
-    m, k = rep.dim, x.shape[1]
-    parts = np.concatenate([x.real, x.imag], axis=1).T.reshape(2 * k, m, m)
-
-    def columns(y):
-        y = y.reshape(2 * k, m * m).T
-        return y[:, :k] + 1j * y[:, k:]
-
-    return rep.frame.omega(x), 1j * columns(_apply_c_a(f, w, parts)), columns(_apply_k(f, w, parts))
+    """(Q x, C_A x, K x) for a (D,) vector or the columns of a (D, k) array, through the blocks of :func:`_spin_blocks`."""
+    frame = rep.frame
+    xw = frame.to_weight(x)
+    stacks = _spin_blocks(frame, np.real(rep.basis.d), rep.basis.f.imag)
+    return tuple(frame.from_weight(frame.apply_weight([t[a] for t in stacks], xw)) for a in range(3))
 
 
 def spin_operators(dec: Decomposition, tol: Tolerance = DEFAULT_TOL) -> SpinOperators:
@@ -323,12 +253,12 @@ def spin_operators(dec: Decomposition, tol: Tolerance = DEFAULT_TOL) -> SpinOper
     the sign of C_A (and hence of [K, C_A]) is fixed by it: this is the
     convention under which the closed spin form of the density holds.
 
-    Both cubic sums reduce to the stack w[x] = sum_{b,c} d^{xbc} S^b S^c,
-    since d is totally symmetric: C_A = sum_x (w[x] (x) S^x - S^x (x) w[x])
-    and K = sum_{a,f} S^a w[f] (x) S^f w[a].  Each is applied to the
-    normalised highest-weight vectors V (``dec.vectors``) by
-    :func:`spin_apply` and compressed to V^dagger A V (:class:`SpinOperators`);
-    each compression must be Hermitian to within ``abs_tol * (n^2 - 1)``.
+    Both cubic sums reduce to crossed sums sum_c A^c (x) B^c of d and f,
+    built as weight-sector blocks like Omega_op (:func:`_spin_blocks`).
+    Each operator is applied through its blocks to the normalised
+    highest-weight vectors V (``dec.vectors``) by :func:`spin_apply` and
+    compressed to V^dagger A V (:class:`SpinOperators`); each compression
+    must be Hermitian to within ``abs_tol * (n^2 - 1)``.
     """
     v = dec.vectors
     applied = spin_apply(dec.rep, v)
@@ -343,32 +273,18 @@ def spin_operators(dec: Decomposition, tol: Tolerance = DEFAULT_TOL) -> SpinOper
     return SpinOperators(*compressed, dims=dims, off_span=float(off_span))
 
 
-def spin_invariance_residual(rep: AdjointRep, ops: SpinOperators, rng: np.random.Generator) -> float:
+def spin_invariance_residual(rep: AdjointRep, ops: SpinOperators) -> float:
     """The premise of reading Q, C_A and K on highest-weight vectors: the ``spin-operators-invariance`` residual.
 
-    The larger of ``ops.off_span`` and, for A = C_A and K, max_abs([D(y), A] X)
-    over max(1, max_abs(ad y)) max_abs(A X), with D(y) = ad y (x) 1 + 1 (x) ad y.
-    y is one real combination of the Chevalley generators
-    (:func:`adjoint_tensor.generating_set`), which generate su(n), with
-    standard normal coefficients, and X a block of :data:`SPIN_PROBES`
-    random complex unit columns, drawn from ``rng`` in that order; both
-    operators are applied by :func:`spin_apply`.  A nonzero [D(y_i), A]
-    for any generator leaves the combination nonzero, and it on X, with
-    probability 1 (Freivalds).  Q is Omega_op, a term of ``rep.frame``,
-    whose invariance is ``r-terms-invariance``.
+    The larger of ``ops.off_span`` and, for A = C_A and K, the relative
+    commutator of the blocks of :func:`_spin_blocks` with the Chevalley
+    generators, which generate su(n) (:func:`rmatrix._invariance_gap`, as
+    for R's terms and h): exact over every column, with no random draw.  Q
+    is Omega_op, a term of ``rep.frame``, whose invariance is
+    ``r-terms-invariance``.
     """
-    chevalley = generating_set(rep.n)[0]
-    coefficients = rng.standard_normal(len(chevalley))
-    y = sum(c * matrix_unit(rep.basis, *ij, coords=False).matrix for c, ij in zip(coefficients, chevalley))
-    a = ad_matrix(rep.basis, y)
-    shape = (rep.dim**2, SPIN_PROBES)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    x /= np.linalg.norm(x, axis=0)
-    _, c_a, k = spin_apply(rep, np.hstack([x, apply_pair(a, x)]))
-    scale = max(1.0, max_abs(a))
-    gap = max(max_abs(apply_pair(a, ax[:, :SPIN_PROBES]) - ax[:, SPIN_PROBES:])
-              / (scale * max_abs(ax[:, :SPIN_PROBES])) for ax in (c_a, k))
-    return max(ops.off_span, float(gap))
+    stacks = _spin_blocks(rep.frame, np.real(rep.basis.d), rep.basis.f.imag)
+    return max(ops.off_span, *(_invariance_gap(rep, [t[a] for t in stacks]) for a in (1, 2)))
 
 
 def spinform_h(ops: SpinOperators, n: int) -> np.ndarray:

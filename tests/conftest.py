@@ -374,42 +374,48 @@ def dense_spin_operators(rep, tol=DEFAULT_TOL):
     return SpinOperators(Q=q, C_A=c_a, K=k, dims=np.ones(m * m, dtype=int))
 
 
-# -- spin operators that are wrong, each in place of spinchain._apply_k or _apply_c_a
+# -- spin operators that are wrong, each from a wrong input to spinchain._spin_blocks
 
-_APPLY_K, _APPLY_C_A = spinchain._apply_k, spinchain._apply_c_a
+_SPIN_BLOCKS = spinchain._spin_blocks
 
 
-def non_invariant_k(f, w, x):
-    """K from d^{xbc} = c_x delta^{bc}, symmetric in b and c but not invariant.
+def non_invariant_k(frame, d, big_f):
+    """K from d^{xbc} = c_x delta^{bc}, symmetric in b and c but not invariant; Q and C_A as they are.
 
-    Then w[x] = 2n c_x 1 and K = (2n)^2 S_c (x) S_c for S_c = sum_x c_x S^x:
-    Hermitian, so only the invariance premise can refuse it.
+    Then D^x = c_x 1, so C+ = 1 (x) S_c and DD = |c|^2 1 for S_c = sum_x c_x S^x,
+    and K = n^2 (S_c (x) S_c + n |c|^2): Hermitian, so only the invariance
+    premise can refuse it.
     """
-    m = len(f)
-    c = np.random.default_rng(7).standard_normal(m)
-    return _APPLY_K(f, 2.0 * math.isqrt(m + 1) * c[:, None, None] * np.eye(m), x)
+    c = np.random.default_rng(7).standard_normal(len(d))
+    wrong = _SPIN_BLOCKS(frame, c[:, None, None] * np.eye(len(d)), big_f)
+    out = _SPIN_BLOCKS(frame, d, big_f)
+    for t, w in zip(out, wrong):
+        t[2] = w[2]
+    return out
 
 
-def _first_c_a_term(w, f, x):
-    """sum_x w[x] X F^x^T on the (c, m, m) columns X: the w[x] (x) S^x term of C_A / i."""
-    wx = np.tensordot(w, x, axes=(2, 1))  # [x, i, c, l]
-    return np.tensordot(wx, f, axes=([0, 3], [0, 2])).transpose(1, 0, 2)
+def _with_first_c_a_term(frame, d, big_f, wrong_f):
+    """Q, C_A and K with S^c = i wrong_f^c in C_A's first term n C+ = n sum_c D^c (x) S^c alone."""
+    out = _SPIN_BLOCKS(frame, d, big_f)
+    for t, good, bad in zip(out, frame.crossed(d, big_f), frame.crossed(d, wrong_f)):
+        t[1] += 1j * frame.n * (bad - good)
+    return out
 
 
-def relabelled_c_a(f, w, x):
+def relabelled_c_a(frame, d, big_f):
     """C_A with S^0 and S^(m-1) swapped on site 2 of its first term: a label mix-up, Hermitian but not invariant."""
-    swap = np.arange(len(f))
+    swap = np.arange(len(big_f))
     swap[[0, -1]] = swap[[-1, 0]]
-    return _APPLY_C_A(f, w, x) + _first_c_a_term(w, f[swap], x) - _first_c_a_term(w, f, x)
+    return _with_first_c_a_term(frame, d, big_f, big_f[swap])
 
 
-def transposed_c_a(f, w, x):
+def transposed_c_a(frame, d, big_f):
     """C_A with S^x transposed on site 2 of its first term.
 
     f is totally antisymmetric, so the transpose is -S^x: this C_A is
     invariant, and only the sign of its first term is wrong.
     """
-    return _APPLY_C_A(f, w, x) + _first_c_a_term(w, f.transpose(0, 2, 1), x) - _first_c_a_term(w, f, x)
+    return _with_first_c_a_term(frame, d, big_f, big_f.transpose(0, 2, 1))
 
 
 def _all_sector_gathers(chain):

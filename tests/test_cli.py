@@ -490,7 +490,7 @@ def test_chain_su3_and_spectrum_form_no_dense_operator(tmp_path, monkeypatch, ar
 @pytest.mark.parametrize("n", ["3", "4"])
 def test_non_invariant_k_fails_only_the_spin_form_checks(tmp_path, monkeypatch, n):
     """A Hermitian K built from a non-invariant d fails spin-operators-invariance, in the report, and the fit."""
-    monkeypatch.setattr(spinchain, "_apply_k", non_invariant_k)
+    monkeypatch.setattr(spinchain, "_spin_blocks", non_invariant_k)
     code, payload = run(tmp_path, "verify", "hamiltonian", "--n", n)
     assert code == 1
     assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["spin-operators-invariance", "spinform-fit"]
@@ -500,7 +500,7 @@ def test_c_a_with_one_site_transposed_is_invariant_but_fails_the_spin_form(tmp_p
     """Every transpose of S is -S (f is totally antisymmetric), so C_A with one site's S transposed stays
     invariant: the premise passes it.  It is the symmetric sum of the two terms, which commutes with K, so
     spin-operators-noncommuting and spinform-fit refuse it."""
-    monkeypatch.setattr(spinchain, "_apply_c_a", transposed_c_a)
+    monkeypatch.setattr(spinchain, "_spin_blocks", transposed_c_a)
     code, payload = run(tmp_path, "verify", "hamiltonian", "--n", "3")
     assert code == 1
     assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["spin-operators-noncommuting", "spinform-fit"]
