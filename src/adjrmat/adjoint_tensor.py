@@ -14,9 +14,11 @@ isometry are formed when they are read, and no check of the decomposition
 forms one.  The representation also holds
 the dominant sectors of the three-site weight frame on their highest-weight
 vectors, with the gathers that compress a two-site operator onto them
-(``rep.ybe_frame``, :class:`TripleSector`), and the sector blocks of D(y)
-for the Chevalley generators y (``rep.chevalley_deltas``), each built once,
-and a ``memo`` for what the modules above build once per representation.
+(``rep.ybe_frame``, :class:`TripleSector`; :func:`highest_weight_bases`
+takes the vectors by inverse iteration on Grams of the raising operators,
+assembled from their entries), and the sector blocks of D(y) for the
+Chevalley generators y (``rep.chevalley_deltas``), each built once, and a
+``memo`` for what the modules above build once per representation.
 
 Two distinct objects both called "Casimir" are kept strictly separate:
 
@@ -141,7 +143,7 @@ class AdjointRep:
 
     @cached_property
     def memo(self) -> dict:
-        """What the modules above this one build once per representation, by name; empty until they do."""
+        """What the modules above this one build once per representation, by name or by builder; empty until they do."""
         return {}
 
 
@@ -378,12 +380,15 @@ class TripleSector:
     ``basis`` is P, the (d, k) real orthonormal highest-weight vectors of the
     sector, one per copy of the module V of its weight, and ``dim`` is dim V:
     an invariant X acts on the copies as 1 (x) A on V (x) C^k (Schur's
-    lemma), A = P^T X P.  A two-site operator on the sites (1, 2), (1, 3) or
-    (2, 3) (``pairs[0..2]``) is block-diagonal in the sector over the state
-    of the spectator site, each block its two-site sector block at the
-    weight left, states in the same order.  So each pair lists (g, r, p), one
-    per sector size of ``rep.frame.sectors``: p[s] holds the rows of P with
-    one spectator state, and blocks[g][r[s]] is the block they meet.
+    lemma), A = P^T X P.  P is fixed only up to a rotation of the copies
+    (:func:`highest_weight_bases` takes it by inverse iteration on fixed
+    draws), which turns A and moves no norm of it.  A two-site operator on
+    the sites (1, 2), (1, 3) or (2, 3) (``pairs[0..2]``) is block-diagonal
+    in the sector over the state of the spectator site, each block its
+    two-site sector block at the weight left, states in the same order.
+    So each pair lists (g, r, p), one per sector size of
+    ``rep.frame.sectors``: p[s] holds the rows of P with one spectator
+    state, and blocks[g][r[s]] is the block they meet.
     """
 
     dim: int
@@ -395,27 +400,97 @@ class TripleSector:
         return sum(np.tensordot(p, blocks[g][r] @ p, axes=([0, 1], [0, 1])) for g, r, p in self.pairs[pair])
 
 
+# columns of the first block of the inverse iteration: more than the largest multiplicity
+# at three sites (9), so no three-site sector doubles its block
+_KERNEL_BLOCK = 16
+
+
+def _raising_grams(chain: WeightChain, tol: Tolerance):
+    """(sector, G, bound) for each dominant sector of ``chain``, in order, one Gram at a time.
+
+    G = sum_i E_i^T E_i over the simple raising operators sum_s ad_s(e_{i,i+1}),
+    whose sector blocks E_i are real.  It is assembled from their nonzero
+    entries (:meth:`WeightChain.shift_entries`) and no E_i is formed: two
+    entries v1, v2 of one E_i on the same target row add v1 v2 to G at their
+    source states.  ``bound``, the largest sum of |v1 v2| over a row of G,
+    is at least G's largest absolute row sum, so it bounds G's largest
+    eigenvalue.
+    """
+    n, label, dominant = chain.basis.n, chain.label, chain.weyl_orbits
+    src, row, val = [], [], []
+    for i in range(1, n):
+        alpha = root_weight(n, (i, i + 1))
+        s, t, v = chain.shift_entries(root_action(chain, alpha).real, alpha, tol, sources=dominant)
+        nz = v != 0.0
+        src.append(s[nz])
+        row.append(t[nz] + (i - 1) * len(label))  # a row of E_i: the root and the target state
+        val.append(v[nz])
+    order = np.argsort(np.concatenate(row), kind="stable")
+    src, row, val = (np.concatenate(x)[order] for x in (src, row, val))
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    sizes = np.diff(np.append(starts, len(row)))
+    # every ordered pair (left, right) of entries on one row
+    reach = np.repeat(sizes, sizes)  # the number of entries on each entry's row
+    left = np.repeat(np.arange(len(row)), reach)
+    first = np.repeat(np.repeat(starts, sizes), reach)  # the first entry on the row of each pair
+    right = first + np.arange(len(left)) - np.repeat(np.cumsum(reach) - reach, reach)
+    sector = label[src[left]]
+    order = np.argsort(sector, kind="stable")
+    sector = sector[order]
+    place = chain.place
+    for w, lo, hi in zip(dominant.tolist(), np.searchsorted(sector, dominant),
+                         np.searchsorted(sector, dominant, side="right")):
+        at = order[lo:hi]
+        d = len(chain.blocks[w])
+        r, c, v = place[src[left[at]]], place[src[right[at]]], val[left[at]] * val[right[at]]
+        gram = np.bincount(r * d + c, weights=v, minlength=d * d).astype(float, copy=False).reshape(d, d)
+        yield w, gram, np.bincount(r, weights=np.abs(v), minlength=d).max()
+
+
 def highest_weight_bases(chain: WeightChain, tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, int, np.ndarray]]:
     """(sector, dim V, P) for each dominant sector of ``chain`` that holds highest-weight vectors.
 
-    P is an orthonormal basis of the common kernel in the sector of the
-    simple raising operators sum_s ad_s(e_{i,i+1}), the null space of the
-    Gram sum_i E_i^T E_i of their blocks, which are real and built for the
-    dominant sectors alone; dim V is :func:`liealg.weyl_dimension` of the
-    sector's weight.  Unless sum k dim V = m^L, ``AssertionError`` is raised.
+    P is a real orthonormal basis of the common kernel in the sector of the
+    simple raising operators, the null space of their Gram G
+    (:func:`_raising_grams`), and dim V is :func:`liealg.weyl_dimension` of
+    the sector's weight.  The kernel is taken by inverse iteration and
+    Rayleigh-Ritz (Golub and Van Loan, Matrix Computations, 4th ed.,
+    sections 8.2 and 10.1):
+
+    * sigma = 1e-10 times a bound on G's largest eigenvalue is added to
+      G's diagonal in place, so that the one LU copy of a solve is the only
+      other array of G's size;
+    * two solves of G + sigma on a block of random columns, orthonormalised,
+      give Q, whose span holds the kernel to roundoff (in the largest
+      sector the smallest nonzero eigenvalue is about 0.1 at n = 8 and 10);
+    * the eigenvalues of Q^T (G + sigma) Q, less sigma, at most
+      ``tol.rank_tol`` count the kernel, and their eigenvectors give P.  If
+      all of them do, the block doubles.
+
+    A sector no larger than the block takes Q = 1, a plain ``eigh``.  The
+    columns are drawn from a generator seeded in this call, so equal chains
+    give bit-identical P.  Unless sum k dim V = m^L, ``AssertionError`` is
+    raised.
     """
-    n, dominant = chain.basis.n, chain.weyl_orbits
-    gram = {w: np.zeros((len(chain.blocks[w]),) * 2) for w in dominant.tolist()}
-    for i in range(1, n):
-        alpha = root_weight(n, (i, i + 1))
-        for k, _, b in chain.shift_blocks(root_action(chain, alpha).real, alpha, tol, sources=dominant):
-            gram[k] += b.T @ b
-    out = []
-    for w, g in gram.items():
-        vals, vecs = np.linalg.eigh(g)
-        kernel = vals <= tol.rank_tol
+    rng, out = np.random.default_rng(0), []
+    for w, gram, bound in _raising_grams(chain, tol):
+        d = len(gram)
+        sigma = 1e-10 * max(bound, 1.0)  # at least 1e-10, so G + sigma is regular when G = 0
+        gram.flat[:: d + 1] += sigma
+        block = _KERNEL_BLOCK
+        while True:
+            if d <= block:
+                q = np.eye(d)
+            else:
+                x = rng.standard_normal((d, block))
+                q = np.linalg.qr(np.linalg.solve(gram, np.linalg.solve(gram, x)))[0]
+            vals, vecs = np.linalg.eigh(q.T @ gram @ q)
+            kernel = vals - sigma <= tol.rank_tol
+            if d <= block or not kernel.all():
+                break
+            block *= 2
         if kernel.any():
-            out.append((w, weyl_dimension(chain.sector_weights[w]), vecs[:, kernel]))
+            out.append((w, weyl_dimension(chain.sector_weights[w]), q @ vecs[:, kernel]))
     filled = sum(dim * p.shape[1] for _, dim, p in out)
     if filled != len(chain.label):
         raise AssertionError(f"highest-weight modules fill {filled} of {len(chain.label)} states")

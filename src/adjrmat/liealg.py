@@ -230,15 +230,20 @@ class WeightChain:
     label: np.ndarray
 
     @cached_property
-    def _site_tables(self) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
-        """The states with site s in state a, the stride of each site, and each state's place in its sector."""
+    def _site_tables(self) -> tuple[list[list[np.ndarray]], np.ndarray]:
+        """The states with site s in state a, and the stride of each site."""
         m, sites = self.basis.dim, self.sites
         digits = np.indices((m,) * sites).reshape(sites, -1)
         on_site = [[np.flatnonzero(digits[s] == a) for a in range(m)] for s in range(sites)]
+        return on_site, m ** np.arange(sites - 1, -1, -1)
+
+    @cached_property
+    def place(self) -> np.ndarray:
+        """Each state's place in its sector: state ``blocks[w][i]`` has place i."""
         pos = np.empty(len(self.label), dtype=int)
         for idx in self.blocks:
             pos[idx] = np.arange(len(idx))
-        return on_site, m ** np.arange(sites - 1, -1, -1), pos
+        return pos
 
     @cached_property
     def weyl_orbits(self) -> np.ndarray:
@@ -253,24 +258,24 @@ class WeightChain:
         """The (m, m) mask of the single-site entries (c, a) with weights[c] - weights[a] = ``alpha``."""
         return np.all(self.weights[:, None] - self.weights[None, :] == alpha, axis=2)
 
-    def shift_blocks(self, x: np.ndarray, alpha: np.ndarray, tol: Tolerance = DEFAULT_TOL,
-                     sites: tuple[int, ...] | None = None, sources: np.ndarray | None = None):
-        """The sector blocks of sum_s x_s, for a single-site x that shifts weight by ``alpha``.
+    def shift_entries(self, x: np.ndarray, alpha: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+                      sites: tuple[int, ...] | None = None, sources: np.ndarray | None = None):
+        """The entries (source state, target state, value) of sum_s x_s, for a single-site x shifting weight by ``alpha``.
 
         ``x`` is an m x m operator in weight coordinates, x_s acts as x on
-        site s, and s runs over ``sites`` (every site by default).  Sector W
-        goes to sector W + alpha, so sum_s x_s is a list of (source sector,
-        target sector, block) triples, in source sector order, for the source
-        sectors ``sources`` (every sector by default), with the dtype of x;
-        sectors whose image is empty are left out.  An entry of x above
-        ``tol.abs_tol`` that does not shift weight by alpha means the frame is
-        wrong, and raises ``AssertionError``.
+        site s, and s runs over ``sites`` (every site by default).  Each
+        entry (c, a) of x on the shift gives one entry per state with site s
+        in state a whose sector is in ``sources`` (every sector by default).
+        They come as three arrays, in which no two entries share both states
+        and an entry may be 0.  An entry of x above ``tol.abs_tol`` that does
+        not shift weight by alpha means the frame is wrong, and raises
+        ``AssertionError``.
         """
         on_shift = self.on_shift(alpha)
         stray = max_abs(x[~on_shift])
         if stray > tol.abs_tol:
             raise AssertionError(f"single-site operator leaves its weight shift ({stray:.3e})")
-        on_site, strides, pos = self._site_tables
+        on_site, strides = self._site_tables
         if sources is not None:
             keep = np.isin(self.label, sources)
             on_site = [[states[keep[states]] for states in site] for site in on_site]
@@ -280,7 +285,20 @@ class WeightChain:
                 src.append(on_site[s][a])
                 dst.append(on_site[s][a] + (c - a) * strides[s])
                 vals.append(np.full(len(on_site[s][a]), x[c, a]))
-        src, dst, vals = (np.concatenate(v) for v in (src, dst, vals))
+        return tuple(np.concatenate(v) for v in (src, dst, vals))
+
+    def shift_blocks(self, x: np.ndarray, alpha: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+                     sites: tuple[int, ...] | None = None, sources: np.ndarray | None = None):
+        """The sector blocks of sum_s x_s, for a single-site x that shifts weight by ``alpha``.
+
+        The entries of :meth:`shift_entries` (same arguments), scattered:
+        sector W goes to sector W + alpha, so sum_s x_s is a list of (source
+        sector, target sector, block) triples, in source sector order, for
+        the source sectors ``sources`` (every sector by default), with the
+        dtype of x; sectors whose image is empty are left out.
+        """
+        src, dst, vals = self.shift_entries(x, alpha, tol, sites, sources)
+        pos = self.place
         order = np.argsort(self.label[src], kind="stable")  # grouped by source sector
         src, dst, vals = src[order], dst[order], vals[order]
         starts = np.flatnonzero(np.diff(self.label[src], prepend=-1))

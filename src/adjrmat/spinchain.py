@@ -24,7 +24,8 @@ fit, its trace-matched shift and the Frobenius norm of [K, C_A] are
 functions of those matrices and the Weyl dimensions of the modules.  Like
 h, each acts on V through its weight-sector blocks (:func:`spin_apply`):
 Q is Omega_op, and C_A and K combine crossed sums of d and f built like it
-(:func:`_spin_blocks`), so no D x D operator is formed.
+(:func:`_spin_blocks`, built once per representation), so no D x D
+operator is formed.
 :func:`spin_invariance_residual` is the premise that the three map V into
 its span and that the blocks of C_A and K commute with su(n).
 
@@ -232,11 +233,22 @@ def _spin_blocks(frame: PairFrame, d: np.ndarray, big_f: np.ndarray) -> list[np.
     return out
 
 
+def _spin_stacks(rep: AdjointRep) -> list[np.ndarray]:
+    """:func:`_spin_blocks` of ``rep``, built once per representation and kept in ``rep.memo``.
+
+    They are kept under the builder itself, so a substituted builder builds
+    and keeps its own blocks.
+    """
+    if _spin_blocks not in rep.memo:
+        rep.memo[_spin_blocks] = _spin_blocks(rep.frame, np.real(rep.basis.d), rep.basis.f.imag)
+    return rep.memo[_spin_blocks]
+
+
 def spin_apply(rep: AdjointRep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q x, C_A x, K x) for a (D,) vector or the columns of a (D, k) array, through the blocks of :func:`_spin_blocks`."""
+    """(Q x, C_A x, K x) for a (D,) vector or the columns of a (D, k) array, through the blocks of :func:`_spin_stacks`."""
     frame = rep.frame
     xw = frame.to_weight(x)
-    stacks = _spin_blocks(frame, np.real(rep.basis.d), rep.basis.f.imag)
+    stacks = _spin_stacks(rep)
     return tuple(frame.from_weight(frame.apply_weight([t[a] for t in stacks], xw)) for a in range(3))
 
 
@@ -277,13 +289,13 @@ def spin_invariance_residual(rep: AdjointRep, ops: SpinOperators) -> float:
     """The premise of reading Q, C_A and K on highest-weight vectors: the ``spin-operators-invariance`` residual.
 
     The larger of ``ops.off_span`` and, for A = C_A and K, the relative
-    commutator of the blocks of :func:`_spin_blocks` with the Chevalley
+    commutator of the blocks of :func:`_spin_stacks` with the Chevalley
     generators, which generate su(n) (:func:`rmatrix._invariance_gap`, as
     for R's terms and h): exact over every column, with no random draw.  Q
     is Omega_op, a term of ``rep.frame``, whose invariance is
     ``r-terms-invariance``.
     """
-    stacks = _spin_blocks(rep.frame, np.real(rep.basis.d), rep.basis.f.imag)
+    stacks = _spin_stacks(rep)
     return max(ops.off_span, *(_invariance_gap(rep, [t[a] for t in stacks]) for a in (1, 2)))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tempfile
 import tracemalloc
@@ -15,9 +16,10 @@ from adjrmat.adjoint_tensor import (
     build_decomposition,
     casimir_op,
     root_action,
+    root_weight,
     site_left,
 )
-from adjrmat.liealg import build_basis, matrix_unit, weight_chain
+from adjrmat.liealg import build_basis, matrix_unit, weight_chain, weyl_dimension
 from adjrmat.numerics import DEFAULT_TOL, max_abs
 from adjrmat.rmatrix import build_intertwiner, intertwiner_op, r_op, r_tilde_op
 from adjrmat.spinchain import SpinOperators
@@ -477,6 +479,55 @@ def casimir_sector_blocks(rep):
                 total += shift[tuple(a)][t][1] @ down
         out.append(0.5 * total - 2.0 * rep.n * np.eye(len(total)))
     return out
+
+
+def dense_raising_grams(chain, tol=DEFAULT_TOL):
+    """{dominant sector: G} of ``chain``, G = sum_i E_i^T E_i over the dense sector blocks E_i of the simple raising
+    operators.
+
+    ``adjoint_tensor.highest_weight_bases`` assembles the same Grams from
+    the nonzero entries of the E_i and forms no E_i.
+    """
+    n, dominant = chain.basis.n, chain.weyl_orbits
+    gram = {w: np.zeros((len(chain.blocks[w]),) * 2) for w in dominant.tolist()}
+    for i in range(1, n):
+        alpha = root_weight(n, (i, i + 1))
+        for k, _, b in chain.shift_blocks(root_action(chain, alpha).real, alpha, tol, sources=dominant):
+            gram[k] += b.T @ b
+    return gram
+
+
+def eigh_frame(chain, tol=DEFAULT_TOL):
+    """(sector, dim V, P) for each dominant sector of ``chain`` with highest-weight vectors, by a full eigh.
+
+    P holds the eigenvectors of the dense Gram (:func:`dense_raising_grams`)
+    with eigenvalue at most ``tol.rank_tol``.  The package takes the same
+    kernels by inverse iteration (``adjoint_tensor.highest_weight_bases``).
+    """
+    out = []
+    for w, g in dense_raising_grams(chain, tol).items():
+        vals, vecs = np.linalg.eigh(g)
+        kernel = vals <= tol.rank_tol
+        if kernel.any():
+            out.append((w, weyl_dimension(chain.sector_weights[w]), vecs[:, kernel]))
+    return out
+
+
+def racah_speiser_count(chain, weight):
+    """How many copies of the module of highest weight ``weight`` the sites of ``chain`` hold, from its sector sizes.
+
+    The Racah-Speiser (Brauer) formula (Humphreys section 24):
+    sum over w in S_n of sign(w) |sector(weight + rho - w rho)|, with
+    rho = (n - 1, ..., 1, 0) and an absent sector counting 0.
+    """
+    n = chain.basis.n
+    size = {tuple(w): len(idx) for w, idx in zip(chain.sector_weights.tolist(), chain.blocks)}
+    rho = np.arange(n - 1, -1, -1)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * size.get(tuple((np.asarray(weight) + rho - rho[list(perm)]).tolist()), 0)
+    return total
 
 
 def traced_peak(fn, *args):

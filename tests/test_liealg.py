@@ -18,6 +18,8 @@ from adjrmat.spinchain import (
     local_h,
 )
 
+from conftest import dense_raising_grams, eigh_frame, racah_speiser_count
+
 from conftest import rotate_pair
 
 TOL = 1e-9
@@ -272,6 +274,44 @@ def test_highest_weight_frame_of_two_sites_matches_the_decomposition(algebra, n)
     frame = highest_weight_bases(weight_chain(algebra.basis(n), 2))
     got = sorted(dim for _, dim, p in frame for _ in range(p.shape[1]))
     assert got == sorted(sub.dim for sub in algebra.dec(n).submodules)
+
+
+@pytest.mark.parametrize("n, sites", [(3, 3), (4, 3), (5, 3), (6, 3), (7, 3), (8, 3), (3, 2), (4, 2), (5, 2)])
+def test_highest_weight_frame_matches_the_full_eigh(algebra, n, sites):
+    """Inverse iteration finds the kernels that a full eigh of each dense raising Gram finds: the same sectors and k,
+    the same projector P P^T, killed by G, with real orthonormal P."""
+    chain = weight_chain(algebra.basis(n), sites)
+    frame, oracle = highest_weight_bases(chain), eigh_frame(chain)
+    assert [(w, dim, p.shape[1]) for w, dim, p in frame] == [(w, dim, p.shape[1]) for w, dim, p in oracle]
+    grams = dense_raising_grams(chain)
+    for (w, _, p), (_, _, q) in zip(frame, oracle):
+        assert np.isrealobj(p)
+        assert np.max(np.abs(p @ p.T - q @ q.T)) <= 1e-12
+        assert np.max(np.abs(grams[w] @ p)) <= 1e-12
+        assert np.max(np.abs(p.T @ p - np.eye(p.shape[1]))) <= 1e-13
+
+
+@pytest.mark.parametrize("n, sites", [(3, 3), (4, 3), (5, 3), (3, 2), (4, 2), (5, 2)])
+def test_highest_weight_multiplicities_match_racah_speiser(algebra, n, sites):
+    """Each k is the Racah-Speiser count of its module, from the sector sizes alone, and no other dominant sector
+    holds a module."""
+    chain = weight_chain(algebra.basis(n), sites)
+    found = {w: p.shape[1] for w, _, p in highest_weight_bases(chain)}
+    for w in chain.weyl_orbits.tolist():
+        assert found.get(w, 0) == racah_speiser_count(chain, chain.sector_weights[w])
+
+
+def test_highest_weight_frame_is_bit_identical_whatever_the_global_seed(algebra):
+    """The random block of the inverse iteration comes from a generator seeded in the call: numpy's global state
+    does not reach it, and a second call returns the same bits."""
+    chain = weight_chain(algebra.basis(4), 3)
+    np.random.seed(1)
+    first = highest_weight_bases(chain)
+    np.random.seed(2)
+    np.random.standard_normal(5)
+    second = highest_weight_bases(chain)
+    assert [(w, dim) for w, dim, _ in first] == [(w, dim) for w, dim, _ in second]
+    assert all(np.array_equal(p, q) for (_, _, p), (_, _, q) in zip(first, second))
 
 
 def _rebuilt(chain, x, alpha, sites=None):

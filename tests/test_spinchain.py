@@ -329,9 +329,10 @@ def test_spin_apply_matches_the_dense_oracle_on_random_columns(algebra, rng, n):
 
 
 def test_spin_operators_form_no_dense_operator(algebra):
-    """At n = 7 the compressed spin operators, their sector blocks built on each call, peak below a quarter of one
+    """At n = 7 the compressed spin operators, their sector blocks built afresh, peak below a quarter of one
     D x D complex array."""
     dec = algebra.dec(7)
+    dec.rep.memo.pop(spinchain._spin_blocks, None)
     D = dec.rep.dim**2
     assert traced_peak(spin_operators, dec) < 0.25 * D * D * 16
 
