@@ -36,7 +36,7 @@ from .spinchain import (
     transfer_matrix,
     verify_spinform,
 )
-from .yangian_action import LevelOneAction, delta_action, level1_action
+from .yangian_action import delta_action, level1_action
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "CoefficientSet",
     "DEFAULT_TOL",
     "Decomposition",
-    "LevelOneAction",
     "SpinOperators",
     "Submodule",
     "SunBasis",

@@ -410,17 +410,19 @@ def _raising_grams(chain: WeightChain, tol: Tolerance):
 
     G = sum_i E_i^T E_i over the simple raising operators sum_s ad_s(e_{i,i+1}),
     whose sector blocks E_i are real.  It is assembled from their nonzero
-    entries (:meth:`WeightChain.shift_entries`) and no E_i is formed: two
-    entries v1, v2 of one E_i on the same target row add v1 v2 to G at their
-    source states.  ``bound``, the largest sum of |v1 v2| over a row of G,
-    is at least G's largest absolute row sum, so it bounds G's largest
-    eigenvalue.
+    entries (:meth:`WeightChain.shift_entries`, on the site tables cut once
+    to the dominant sectors by :meth:`WeightChain.restricted`) and no E_i
+    is formed: two entries v1, v2 of one E_i on the same target row add
+    v1 v2 to G at their source states.  ``bound``, the largest sum of
+    |v1 v2| over a row of G, is at least G's largest absolute row sum, so it
+    bounds G's largest eigenvalue.
     """
     n, label, dominant = chain.basis.n, chain.label, chain.weyl_orbits
+    leaving = chain.restricted(dominant)
     src, row, val = [], [], []
     for i in range(1, n):
         alpha = root_weight(n, (i, i + 1))
-        s, t, v = chain.shift_entries(root_action(chain, alpha).real, alpha, tol, sources=dominant)
+        s, t, v = leaving.shift_entries(root_action(chain, alpha).real, alpha, tol)
         nz = v != 0.0
         src.append(s[nz])
         row.append(t[nz] + (i - 1) * len(label))  # a row of E_i: the root and the target state
@@ -729,7 +731,7 @@ class PairFrame:
     sector blocks: ``terms`` holds those of the :data:`TERMS`, stacked by
     sector size (at most five sizes at any n).  An operator is a combination
     of them (:meth:`combine`) and acts by one gather, batched matmul and
-    scatter per size (:meth:`apply_weight`), as Omega_op does in :meth:`omega`.
+    scatter per size (:meth:`apply_weight`).
     Omega_op and every crossed sum sum_c A^c (x) B^c (:meth:`crossed`) go
     from their nonzeros to sector blocks by :meth:`sector_blocks`.
     """
@@ -865,10 +867,6 @@ class PairFrame:
         omega = np.zeros((D, D), dtype=complex)
         omega[rows, cols] = vals
         return omega
-
-    def omega(self, x: np.ndarray) -> np.ndarray:
-        """Omega_op applied to a (D,) vector or to the columns of a (D, k) array, through its sector blocks."""
-        return self.from_weight(self.apply_weight(self.term("omega"), self.to_weight(x)))
 
 
 def _measure(frame: PairFrame, parts: list[tuple[int, np.ndarray]], tol: Tolerance,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -258,16 +258,24 @@ class WeightChain:
         """The (m, m) mask of the single-site entries (c, a) with weights[c] - weights[a] = ``alpha``."""
         return np.all(self.weights[:, None] - self.weights[None, :] == alpha, axis=2)
 
+    def restricted(self, sources: np.ndarray) -> "WeightChain":
+        """This chain with its site tables cut, once, to the sectors ``sources``: its shift entries leave from them only."""
+        on_site, strides = self._site_tables
+        keep = np.isin(self.label, sources)
+        out = replace(self)
+        out.__dict__["_site_tables"] = [[states[keep[states]] for states in site] for site in on_site], strides
+        return out
+
     def shift_entries(self, x: np.ndarray, alpha: np.ndarray, tol: Tolerance = DEFAULT_TOL,
-                      sites: tuple[int, ...] | None = None, sources: np.ndarray | None = None):
+                      sites: tuple[int, ...] | None = None):
         """The entries (source state, target state, value) of sum_s x_s, for a single-site x shifting weight by ``alpha``.
 
         ``x`` is an m x m operator in weight coordinates, x_s acts as x on
         site s, and s runs over ``sites`` (every site by default).  Each
-        entry (c, a) of x on the shift gives one entry per state with site s
-        in state a whose sector is in ``sources`` (every sector by default).
-        They come as three arrays, in which no two entries share both states
-        and an entry may be 0.  An entry of x above ``tol.abs_tol`` that does
+        entry (c, a) of x on the shift gives one entry per state of the site
+        tables with site s in state a (:meth:`restricted` cuts them).  They
+        come as three arrays, in which no two entries share both states and
+        an entry may be 0.  An entry of x above ``tol.abs_tol`` that does
         not shift weight by alpha means the frame is wrong, and raises
         ``AssertionError``.
         """
@@ -276,9 +284,6 @@ class WeightChain:
         if stray > tol.abs_tol:
             raise AssertionError(f"single-site operator leaves its weight shift ({stray:.3e})")
         on_site, strides = self._site_tables
-        if sources is not None:
-            keep = np.isin(self.label, sources)
-            on_site = [[states[keep[states]] for states in site] for site in on_site]
         src, dst, vals = [], [], []
         for s in range(self.sites) if sites is None else sites:
             for c, a in np.argwhere(on_shift):  # site s goes from a to c
@@ -288,16 +293,15 @@ class WeightChain:
         return tuple(np.concatenate(v) for v in (src, dst, vals))
 
     def shift_blocks(self, x: np.ndarray, alpha: np.ndarray, tol: Tolerance = DEFAULT_TOL,
-                     sites: tuple[int, ...] | None = None, sources: np.ndarray | None = None):
+                     sites: tuple[int, ...] | None = None):
         """The sector blocks of sum_s x_s, for a single-site x that shifts weight by ``alpha``.
 
         The entries of :meth:`shift_entries` (same arguments), scattered:
         sector W goes to sector W + alpha, so sum_s x_s is a list of (source
-        sector, target sector, block) triples, in source sector order, for
-        the source sectors ``sources`` (every sector by default), with the
-        dtype of x; sectors whose image is empty are left out.
+        sector, target sector, block) triples, in source sector order, with
+        the dtype of x; sectors whose image is empty are left out.
         """
-        src, dst, vals = self.shift_entries(x, alpha, tol, sites, sources)
+        src, dst, vals = self.shift_entries(x, alpha, tol, sites)
         pos = self.place
         order = np.argsort(self.label[src], kind="stable")  # grouped by source sector
         src, dst, vals = src[order], dst[order], vals[order]

@@ -20,7 +20,6 @@ __all__ = [
     "DEFAULT_TOL",
     "EigensolverError",
     "kron",
-    "dagger",
     "frobenius",
     "max_abs",
     "ensure_finite",
@@ -58,10 +57,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a).T
-
-
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
@@ -97,7 +92,7 @@ def extend_orthonormal(
     cands = np.asarray(candidates, dtype=complex).copy()
     d, p = cands.shape
     if basis is not None and basis.shape[1] > 0:
-        basis_h = dagger(basis)
+        basis_h = np.conj(basis).T
         for _ in range(2):
             cands -= basis @ (basis_h @ cands)
     out_cols: list[np.ndarray] = []

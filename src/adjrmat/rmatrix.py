@@ -37,15 +37,15 @@ adj (x) adj, which fix an invariant operator (Schur's lemma), so it closes
 no lowering orbit and forms no D x D projector; the projector-sum assembly
 on random columns survives in the tests as its oracle.
 :func:`derive_coefficients` recovers the coefficients from the level-1
-action on the highest-weight vectors and takes an
-:class:`AdjointRep`.  :func:`intertwining_residual` checks that I(lam)
-intertwines the Yangian action on a generating set: level 0 on the
-Chevalley generators and level 1 on the highest root vector e_1n alone,
+action on the highest-weight vectors (:func:`yangian_action.weight_rows`)
+and takes an :class:`AdjointRep`.  :func:`intertwining_residual` checks
+that I(lam) intertwines the Yangian action on a generating set: level 0 on
+the Chevalley generators and level 1 on the highest root vector e_1n alone,
 which is enough because the level-1 action is covariant
-(:func:`level1_covariance_residual`); both read the shifted sector blocks
-of D(y) and of J(x) (:func:`yangian_action.level1_blocks`), those of the
-generating set built once per representation (``rep.chevalley_deltas`` and
-:func:`yangian_action.top_level1_blocks`).
+(:func:`level1_covariance_residual`); all three read the shifted sector
+blocks of J(x) (:func:`yangian_action.level1_blocks`), those of D(y) and of
+the matrix units built once per representation (``rep.chevalley_deltas``
+and :func:`yangian_action.unit_level1_blocks`).
 
 The Yang-Baxter residual (:func:`ybe_residual`) is exact over the whole
 three-site space on one path at every n: by Schur's lemma each factor acts
@@ -70,12 +70,11 @@ from .adjoint_tensor import (
     PairFrame,
     apply_swap,
     generating_set,
-    highest_weight_vectors,
     root_weight,
 )
 from .liealg import matrix_unit
 from .numerics import max_abs
-from .yangian_action import LevelOneAction, level1_blocks, top_level1_blocks
+from .yangian_action import apply_level1, level1_blocks, unit_level1_blocks, weight_rows
 
 __all__ = [
     "POLE_GUARD",
@@ -534,7 +533,7 @@ def level1_covariance_residual(rep: AdjointRep) -> float:
     to W + alpha + theta (alpha, theta the weights of y, x0).  Per y: max-abs
     of D(y) J(x0) - J(x0) D(y) - J([y, x0]) over max(1, max-abs J([y, x0])),
     at least the floors of both J (:func:`level1_blocks`; those of J(x0) and
-    of the D(y) are built once per representation, :func:`top_level1_blocks`
+    of the D(y) are built once per representation, :func:`unit_level1_blocks`
     and ``rep.chevalley_deltas``).
     """
     chevalley, top = generating_set(rep.n)
@@ -544,7 +543,7 @@ def level1_covariance_residual(rep: AdjointRep) -> float:
     def action(blocks, floor):  # the blocks of J(x) at _COVARIANCE_AT, and their floor
         return {k: (t, mu * s[0] + lam * s[1] + s[2]) for k, (t, s) in blocks.items()}, floor
 
-    j, worst = action(*top_level1_blocks(rep))
+    j, worst = action(*unit_level1_blocks(rep, top))
     for ij in chevalley:
         y = _unit(rep, ij)
         comm = y @ x0 - x0 @ y  # zero but for y = e_21 and e_{n,n-1}, and J(0) = 0
@@ -589,7 +588,7 @@ def intertwining_residual(rep: AdjointRep, lams) -> list[tuple[float, float]]:
         gaps = [np.abs(i_w[t] @ b - b @ i_w[k]).max(axis=(1, 2)) for k, (t, b) in d.items()]
         res0.append(np.max(gaps, axis=0) / scale)
     res0 = np.max(res0, axis=0)
-    blocks, floor = top_level1_blocks(rep)
+    blocks, floor = unit_level1_blocks(rep, generating_set(rep.n)[1])
     lam = lams[:, None, None]
     res1, scale1 = np.zeros(len(lams)), np.ones(len(lams))
     for k, (t, (a, b, kk)) in blocks.items():  # J(x0) at (mu, lam) is mu a + lam b + kk
@@ -634,13 +633,6 @@ def sample_ybe_pairs(rng: np.random.Generator, n: int, count: int) -> list[tuple
     return pairs
 
 
-def _top_coefficient(v_top: np.ndarray, path: list[LevelOneAction], v: np.ndarray) -> complex:
-    """<v_top, J(y_k) ... J(y_1) v> / <v_top, v_top> for ``path`` = [J(y_1), ..., J(y_k)]."""
-    for j in path:
-        v = j.apply(v)
-    return complex(np.vdot(v_top, v) / np.vdot(v_top, v_top))
-
-
 def derive_coefficients(
     rep: AdjointRep,
     lam_samples,
@@ -653,26 +645,33 @@ def derive_coefficients(
     generators from a highest-weight vector v to the top vector,
     <top, J_{0,lam}(y_k) ... J_{0,lam}(y_1) v> = <top, J_{lam,0}(y_k) ...
     J_{lam,0}(y_1) I(lam) v>, and a scalar of I(lam) is the ratio of the two
-    top coefficients (:func:`_top_coefficient`): f1 along [e_{n-1,n}] from
-    anti_left, f2 along [e_12] from anti_right, f3 along [e_12, e_{n-1,n}]
-    from mixed_sym (n >= 4) and f4 along [e_1n, e_1n] from the singlet.  M
-    is the 2x2 solve of the paths [e_1n] and [e_{1,n-1}, e_{n-1,n}] on v_s
-    and v_a.  Only the adjoint representation is read, never the closed
-    forms, which makes this the anti-regression oracle for the assembled
-    operator.  Samples whose 2x2 system turns out ill-conditioned are
-    replaced by fresh draws, at most :data:`MAX_RESAMPLES` times.
+    top coefficients <top, J(y_k) ... J(y_1) v> / <top, top>: f1 along
+    [e_{n-1,n}] from anti_left, f2 along [e_12] from anti_right, f3 along
+    [e_12, e_{n-1,n}] from mixed_sym (n >= 4) and f4 along [e_1n, e_1n] from
+    the singlet.  M is the 2x2 solve of the paths [e_1n] and [e_{1,n-1},
+    e_{n-1,n}] on v_s and v_a.  Each J(y) acts through its sector blocks
+    (:func:`yangian_action.unit_level1_blocks`) on the rows in the weight
+    frame (:func:`yangian_action.weight_rows`).  Only the adjoint
+    representation is read, never the closed forms, which makes this the
+    anti-regression oracle for the assembled operator.  Samples whose 2x2
+    system turns out ill-conditioned are replaced by fresh draws, at most
+    :data:`MAX_RESAMPLES` times.
     """
     n = rep.n
-    hw = {row.role: row.coords for row in highest_weight_vectors(rep.basis)}
+    rows, _ = weight_rows(rep)
     e_12, e_1n1, e_n1n, e_1n = (1, 2), (1, n - 1), (n - 1, n), (1, n)
-    units = {ij: _unit(rep, ij) for ij in (e_12, e_1n1, e_n1n, e_1n)}
     paths = {"f1": ("anti_left", [e_n1n]), "f2": ("anti_right", [e_12]),
              "f3": ("mixed_sym", [e_12, e_n1n]), "f4": ("singlet", [e_1n, e_1n])}
-    if "mixed_sym" not in hw:  # n = 3
+    if "mixed_sym" not in rows:  # n = 3
         del paths["f3"]
+    top_w, top_x = rows["sym_top"]
 
-    def top(side, path, role):
-        return _top_coefficient(hw["sym_top"], [side[ij] for ij in path], hw[role])
+    def top(side, path, role):  # the top coefficient of J at side = (mu, lam) along path from role
+        v = rows[role]
+        for ij in path:
+            v = apply_level1(unit_level1_blocks(rep, ij)[0], *side, v)
+        w, x = v
+        return complex(np.vdot(top_x, x) / np.vdot(top_x, top_x)) if w == top_w else 0j
 
     def adjoint_rows(side):
         return np.array([[top(side, path, role) for role in ("adjoint_sym", "adjoint_anti")]
@@ -686,9 +685,7 @@ def derive_coefficients(
     while queue:
         lam = queue.pop(0)
         check_pole_distance(lam, n)
-        # J(x) at (0, lam) and at (lam, 0), built once per generator
-        j0, j1 = ({ij: LevelOneAction(rep, x, mu, nu) for ij, x in units.items()}
-                  for mu, nu in ((0.0, lam), (lam, 0.0)))
+        j0, j1 = (0.0, lam), (lam, 0.0)  # J at (0, lam) and at (lam, 0)
         system = adjoint_rows(j1)
         if np.linalg.cond(system) > 1e8:
             attempts += 1

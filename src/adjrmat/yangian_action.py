@@ -10,14 +10,14 @@ with the quartic part T(x) = (1/4) sum_ab tr(x {I^a, I^b}) S^a S^b, traces
 taken in the fundamental n x n space and all products S^a S^b as adjoint
 matrix products.
 
-On vectors (:meth:`LevelOneAction.apply`) the site factors are m x m
-matmuls and Omega_op acts through its weight-sector blocks in ``rep.frame``.
 For a root vector x of weight beta the action is a set of sector blocks of
-the two-site weight frame, from W to W + beta (:func:`level1_blocks`); the
-intertwining and covariance checks of :mod:`rmatrix` read them, those of
-e_1n built once per representation (:func:`top_level1_blocks`).  The dense
-D x D forms (:func:`level1_action`, :func:`delta_action`) are test oracles,
-run over every generator against those checks.  No command builds them.
+the two-site weight frame, from W to W + beta (:func:`level1_blocks`), its
+only form on any command's path: every x a check applies is a matrix unit,
+whose blocks are built once per representation (:func:`unit_level1_blocks`)
+and act one block at a time (:func:`apply_level1`) on the highest-weight
+rows, rotated once into the frame (:func:`weight_rows`).  The dense D x D
+forms (:func:`level1_action`, :func:`delta_action`) are test oracles, run
+over every generator against those checks.  No command builds them.
 """
 
 from __future__ import annotations
@@ -27,22 +27,21 @@ import numpy as np
 from .adjoint_tensor import (
     TERMS,
     AdjointRep,
-    HighestWeight,
+    _sector_columns,
     ad_matrix,
     apply_pair,
     casimir_op,
-    generating_set,
     highest_weight_vectors,
     root_weight,
-    site_left,
 )
 from .liealg import matrix_unit
 from .numerics import DEFAULT_TOL, kron, max_abs
 
 __all__ = [
-    "LevelOneAction",
     "level1_blocks",
-    "top_level1_blocks",
+    "unit_level1_blocks",
+    "weight_rows",
+    "apply_level1",
     "level1_action",
     "delta_action",
     "quartic_part",
@@ -65,28 +64,6 @@ def quartic_part(rep: AdjointRep, x: np.ndarray) -> np.ndarray:
     return 0.25 * np.einsum("ab,aij,bjk->ik", t2, rep.S, rep.S, optimize=True)
 
 
-class LevelOneAction:
-    """Evaluation action of one level-1 generator on the two-site module."""
-
-    def __init__(self, rep: AdjointRep, x: np.ndarray, mu: complex, lam: complex):
-        if abs(np.trace(x)) > DEFAULT_TOL.abs_tol:
-            raise ValueError("level-1 generators are attached to traceless matrices only")
-        self.rep = rep
-        self.mu = complex(mu)
-        self.lam = complex(lam)
-        self.ad_x = ad_matrix(rep.basis, x)
-        self.quartic = quartic_part(rep, x)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply to flat two-site coordinates (vector or column block), Omega_op by :meth:`PairFrame.omega`."""
-        omega = self.rep.frame.omega
-        out = site_left(self.mu * self.ad_x + self.quartic, v, 0)
-        out += site_left(self.lam * self.ad_x + self.quartic, v, 1)
-        # mixing term (1/2) [ad(x) (x) 1, Omega_op]
-        out += 0.5 * (site_left(self.ad_x, omega(v), 0) - omega(site_left(self.ad_x, v, 0)))
-        return out
-
-
 def level1_blocks(rep: AdjointRep, x: np.ndarray, beta: np.ndarray) -> tuple[dict, float]:
     """The sector blocks of J(x) in ``rep.weight_frame`` for an x of root weight ``beta``, and their floor.
 
@@ -96,8 +73,12 @@ def level1_blocks(rep: AdjointRep, x: np.ndarray, beta: np.ndarray) -> tuple[dic
     + s[2].  a = ad(x) and T = T(x) are taken in weight coordinates; their
     entries that do not shift weight by beta are left out, and the max-abs of
     those is the floor.  That is the Cartan half of covariance, [D(h), J(x)]
-    = beta(h) J(x), and any check that reads the blocks must report it.
+    = beta(h) J(x), and any check that reads the blocks must report it.  A
+    sector with no block is killed by J(x).  An x with a trace raises
+    ``ValueError``.
     """
+    if abs(np.trace(x)) > DEFAULT_TOL.abs_tol:
+        raise ValueError("level-1 generators are attached to traceless matrices only")
     frame, chain = rep.frame, rep.weight_frame
     mask = chain.on_shift(beta)
     a, t = (chain.u @ y @ np.conj(chain.u).T for y in (ad_matrix(rep.basis, x), quartic_part(rep, x)))
@@ -113,20 +94,57 @@ def level1_blocks(rep: AdjointRep, x: np.ndarray, beta: np.ndarray) -> tuple[dic
     return blocks, float(floor)
 
 
-def top_level1_blocks(rep: AdjointRep) -> tuple[dict, float]:
-    """:func:`level1_blocks` of the highest root vector e_1n, built once per representation and kept in ``rep.memo``."""
-    if "top_level1" not in rep.memo:
-        top = generating_set(rep.n)[1]
-        x = matrix_unit(rep.basis, *top, coords=False).matrix
-        rep.memo["top_level1"] = level1_blocks(rep, x, root_weight(rep.n, top))
-    return rep.memo["top_level1"]
+def unit_level1_blocks(rep: AdjointRep, ij: tuple[int, int]) -> tuple[dict, float]:
+    """:func:`level1_blocks` of the matrix unit e_ij, built the first time a check asks and kept in ``rep.memo``."""
+    key = ("level1", ij)
+    if key not in rep.memo:
+        x = matrix_unit(rep.basis, *ij, coords=False).matrix
+        rep.memo[key] = level1_blocks(rep, x, root_weight(rep.n, ij))
+    return rep.memo[key]
+
+
+def weight_rows(rep: AdjointRep) -> tuple[dict[str, tuple[int, np.ndarray]], float]:
+    """The unnormalised rows of :func:`highest_weight_vectors` in ``rep.weight_frame``, and their floor.
+
+    role -> (sector, coordinates in it) (:func:`adjoint_tensor._sector_columns`);
+    the floor is the largest share of a row's norm outside its sector.  Built
+    once per representation and kept in ``rep.memo``.
+    """
+    if "weight_rows" not in rep.memo:
+        rows = highest_weight_vectors(rep.basis)
+        xw = rep.frame.to_weight(np.stack([row.coords for row in rows], axis=1))
+        out, floor = {}, 0.0
+        for row, col in zip(rows, xw.T):
+            [(w, x)], off = _sector_columns(rep.weight_frame, col[:, None])
+            out[row.role] = (w, x[:, 0])
+            floor = max(floor, off)
+        rep.memo["weight_rows"] = out, floor
+    return rep.memo["weight_rows"]
+
+
+def apply_level1(blocks: dict, mu: complex, lam: complex, v: tuple) -> tuple:
+    """J(x) at (mu, lam) from its ``blocks`` (:func:`level1_blocks`) on v = (sector, coordinates); zero is (None, 0.0)."""
+    w, x = v
+    if w not in blocks:
+        return None, 0.0
+    t, s = blocks[w]
+    return t, (mu * s[0] + lam * s[1] + s[2]) @ x
+
+
+def _distance(v: tuple, c: complex, top: tuple) -> float:
+    """||v - c top|| for weight vectors (sector, coordinates): vectors of two sectors are orthogonal."""
+    if v[0] == top[0]:
+        return float(np.linalg.norm(v[1] - c * top[1]))
+    return float(np.hypot(np.linalg.norm(v[1]), abs(c) * np.linalg.norm(top[1])))
 
 
 def level1_action(rep: AdjointRep, x: np.ndarray, mu: complex, lam: complex) -> np.ndarray:
-    """Dense two-site action of the level-1 generator attached to x."""
-    j, eye = LevelOneAction(rep, x, mu, lam), np.eye(rep.dim)
-    omega, left = casimir_op(rep), kron(j.ad_x, eye)
-    sites = kron(j.mu * j.ad_x + j.quartic, eye) + kron(eye, j.lam * j.ad_x + j.quartic)
+    """Dense two-site action of the level-1 generator attached to x; an x with a trace raises ``ValueError``."""
+    if abs(np.trace(x)) > DEFAULT_TOL.abs_tol:
+        raise ValueError("level-1 generators are attached to traceless matrices only")
+    a, t, eye = ad_matrix(rep.basis, x), quartic_part(rep, x), np.eye(rep.dim)
+    omega, left = casimir_op(rep), kron(a, eye)
+    sites = kron(mu * a + t, eye) + kron(eye, lam * a + t)
     return sites + 0.5 * (left @ omega - omega @ left)
 
 
@@ -136,10 +154,6 @@ def delta_action(rep: AdjointRep, x: np.ndarray) -> np.ndarray:
     a = ad_matrix(rep.basis, x)
     eye = np.eye(m)
     return kron(a, eye) + kron(eye, a)
-
-
-def _hw_map(rep: AdjointRep) -> dict[str, HighestWeight]:
-    return {row.role: row for row in highest_weight_vectors(rep.basis)}
 
 
 def verify_anticommutator_identity(rep: AdjointRep, target: str = "anti_left") -> float:
@@ -158,7 +172,7 @@ def verify_anticommutator_identity(rep: AdjointRep, target: str = "anti_left") -
         raise ValueError(f"unknown target {target!r}; expected one of {sorted(defaults)}")
     i, j = defaults[target]
     x = matrix_unit(rep.basis, i, j, coords=False).matrix
-    v = _hw_map(rep)[target].coords
+    v = next(row.coords for row in highest_weight_vectors(rep.basis) if row.role == target)
     t_full = 4.0 * quartic_part(rep, x)  # identity carries no 1/4 prefactor
     image = apply_pair(t_full, v)
     return float(np.linalg.norm(image) / np.linalg.norm(v))
@@ -180,49 +194,40 @@ def verify_hw_relations(rep: AdjointRep, mu: complex, lam: complex) -> dict[str,
 
     Each action maps the symmetric/antisymmetric adjoint highest-weight vector
     onto a stated multiple of the top highest-weight vector e_1n (x) e_1n;
-    residuals are normalized by the norm of the acted-on vector.
+    residuals are normalized by the norm of the acted-on vector.  They are
+    read on the sector blocks (:func:`unit_level1_blocks`, :func:`weight_rows`),
+    each at least the floors of the blocks it applies and of the rows.
     """
     n = rep.n
     if n < VERIFIED_RANGE[0]:
         raise ValueError(f"identity checks require n >= {VERIFIED_RANGE[0]}, got n={n}")
-    hw = _hw_map(rep)
-    v_top = hw["sym_top"].coords
-    v_s = hw["adjoint_sym"].coords
-    v_a = hw["adjoint_anti"].coords
-    basis = rep.basis
-    j_1n = LevelOneAction(rep, matrix_unit(basis, 1, n, coords=False).matrix, mu, lam)
-    j_n1n = LevelOneAction(rep, matrix_unit(basis, n - 1, n, coords=False).matrix, mu, lam)
-    j_1n1 = LevelOneAction(rep, matrix_unit(basis, 1, n - 1, coords=False).matrix, mu, lam)
-    rhs = _rhs_factors(n, mu, lam)
-    out = {}
-    out["single_sym"] = np.linalg.norm(j_1n.apply(v_s) - rhs["single_sym"] * v_top)
-    out["single_anti"] = np.linalg.norm(j_1n.apply(v_a) - rhs["single_anti"] * v_top)
-    out["double_sym"] = np.linalg.norm(
-        j_n1n.apply(j_1n1.apply(v_s)) - rhs["double_sym"] * v_top
-    )
-    out["double_anti"] = np.linalg.norm(
-        j_n1n.apply(j_1n1.apply(v_a)) - rhs["double_anti"] * v_top
-    )
-    out["single_sym"] /= np.linalg.norm(v_s)
-    out["single_anti"] /= np.linalg.norm(v_a)
-    out["double_sym"] /= np.linalg.norm(v_s)
-    out["double_anti"] /= np.linalg.norm(v_a)
-    return {k: float(v) for k, v in out.items()}
+    rows, row_floor = weight_rows(rep)
+    (j_1n, f_1n), (j_n1n, f_n1n), (j_1n1, f_1n1) = (
+        unit_level1_blocks(rep, ij) for ij in ((1, n), (n - 1, n), (1, n - 1)))
+    rhs, out = _rhs_factors(n, mu, lam), {}
+    for key in ("single_sym", "single_anti", "double_sym", "double_anti"):
+        v = rows["adjoint_" + key.split("_")[1]]
+        if key.startswith("single"):
+            image, floor = apply_level1(j_1n, mu, lam, v), f_1n
+        else:
+            image, floor = apply_level1(j_n1n, mu, lam, apply_level1(j_1n1, mu, lam, v)), max(f_1n1, f_n1n)
+        out[key] = float(max(_distance(image, rhs[key], rows["sym_top"]) / np.linalg.norm(v[1]), floor, row_floor))
+    return out
 
 
 def verify_singlet_double_action(rep: AdjointRep, mu: complex, lam: complex) -> float:
     """Residual of the double action of J(e_1n) on the singlet hwv.
 
     J(e_1n)^2 maps the singlet onto -2(mu-lam-1)(mu-lam-n) e_1n (x) e_1n;
-    the residual is normalized by the norm of the singlet vector.
+    the residual is normalized by the norm of the singlet vector, and is at
+    least the floors of the blocks of J(e_1n) and of the rows.
     """
     n = rep.n
     if n < VERIFIED_RANGE[0]:
         raise ValueError(f"identity checks require n >= {VERIFIED_RANGE[0]}, got n={n}")
-    hw = _hw_map(rep)
-    v0 = hw["singlet"].coords
-    v_top = hw["sym_top"].coords
-    j = LevelOneAction(rep, matrix_unit(rep.basis, 1, n, coords=False).matrix, mu, lam)
+    rows, row_floor = weight_rows(rep)
+    v0 = rows["singlet"]
+    j, floor = unit_level1_blocks(rep, (1, n))
     factor = -2.0 * (mu - lam - 1.0) * (mu - lam - n)
-    res = np.linalg.norm(j.apply(j.apply(v0)) - factor * v_top)
-    return float(res / np.linalg.norm(v0))
+    res = _distance(apply_level1(j, mu, lam, apply_level1(j, mu, lam, v0)), factor, rows["sym_top"])
+    return float(max(res / np.linalg.norm(v0[1]), floor, row_floor))

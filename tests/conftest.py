@@ -72,6 +72,11 @@ def site_right(x, a, site):
     return (x.reshape(-1, m) @ a).reshape(x.shape)
 
 
+def apply_omega(frame, x):
+    """Omega_op on a (D,) vector or the columns of a (D, k) array, through the frame's sector blocks."""
+    return frame.from_weight(frame.apply_weight(frame.term("omega"), frame.to_weight(x)))
+
+
 def rotate_pair(u, r):
     """(u (x) u) r (u (x) u)^dagger for a D x D two-site operator r, one site index at a time.
 
@@ -492,8 +497,9 @@ def dense_raising_grams(chain, tol=DEFAULT_TOL):
     gram = {w: np.zeros((len(chain.blocks[w]),) * 2) for w in dominant.tolist()}
     for i in range(1, n):
         alpha = root_weight(n, (i, i + 1))
-        for k, _, b in chain.shift_blocks(root_action(chain, alpha).real, alpha, tol, sources=dominant):
-            gram[k] += b.T @ b
+        for k, _, b in chain.shift_blocks(root_action(chain, alpha).real, alpha, tol):
+            if k in gram:  # a dominant sector
+                gram[k] += b.T @ b
     return gram
 
 

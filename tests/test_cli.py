@@ -731,6 +731,62 @@ def test_verify_path_closes_no_orbit(tmp_path, monkeypatch, argv):
     assert calls == {}
 
 
+def test_verify_all_builds_each_level1_action_once(tmp_path, monkeypatch):
+    """One ``verify all --n 4`` builds the sector blocks of each level-1 generator once and rotates the rows once.
+
+    The blocks of J(e_12), J(e_13), J(e_34) and J(e_14) come from one memo
+    for every check, and level1-covariance builds those of its two
+    commutators; the rows are read once for the level-1 checks, once by
+    each anticommutator check and once by the decomposition.
+    """
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    blocks = counted("level1_blocks", yangian_action.level1_blocks)
+    rows = counted("highest_weight_vectors", adjoint_tensor.highest_weight_vectors)
+    for module in (yangian_action, rmatrix):
+        monkeypatch.setattr(module, "level1_blocks", blocks)
+    for module in (yangian_action, adjoint_tensor):
+        monkeypatch.setattr(module, "highest_weight_vectors", rows)
+    assert run(tmp_path, "verify", "all", "--n", "4")[0] == 0
+    assert 0 < calls["level1_blocks"] <= 6
+    assert 0 < calls["highest_weight_vectors"] <= 4
+
+
+def test_off_shift_quartic_part_fails_the_double_actions(tmp_path, monkeypatch):
+    """T(x) plus eps x_13 1 leaves the weight shift of J(e_13) only: the hw-action-double-* entries fail.
+
+    The blocks leave that part out and report it as their floor, so each
+    double action, which applies J(e_13), reads at least eps; the other
+    identities apply no J(e_13).  The run writes its whole report and exits 1.
+    """
+    code, clean = run(tmp_path, "verify", "identities", "--n", "4")
+    assert code == 0
+    right = yangian_action.quartic_part
+    monkeypatch.setattr(yangian_action, "quartic_part",
+                        lambda rep, x: right(rep, x) + 1e-6 * x[0, 2] * np.eye(rep.dim))
+    code, payload = run(tmp_path, "verify", "identities", "--n", "4")
+    assert code == 1
+    assert [c["id"] for c in payload["checks"]] == [c["id"] for c in clean["checks"]]
+    failed = {c["id"] for c in payload["checks"] if not c["pass"]}
+    assert failed == {"hw-action-double-sym", "hw-action-double-anti"}
+    assert all(not c["pass"] for c in payload["checks"] if c["id"] in failed)
+
+
+def test_identity_reports_repeat_in_one_process(tmp_path):
+    """Two ``verify identities --n 5`` runs in one process write byte-identical reports: no memo leaks between runs."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for out in (first, second):
+        assert main(["verify", "identities", "--n", "5", "--out", str(out)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["build", "projectors", "--n", "3"], ["build", "projectors", "--n", "4"]])
 def test_basis_readers_close_the_orbits_once(tmp_path, monkeypatch, argv):
     """build projectors, the one command that reads the bases, closes each orbit once."""

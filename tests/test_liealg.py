@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from adjrmat import adjoint_tensor, liealg
-from adjrmat.adjoint_tensor import ad_matrix, adjoint_rep, build_decomposition, highest_weight_bases, root_action
+from adjrmat.adjoint_tensor import (
+    ad_matrix,
+    adjoint_rep,
+    build_decomposition,
+    highest_weight_bases,
+    root_action,
+    root_weight,
+)
 from adjrmat.liealg import (
     build_basis,
     matrix_unit,
@@ -341,6 +348,22 @@ def test_shift_blocks_match_dense_kronecker_sums(algebra):
         assert np.max(np.abs(_rebuilt(chain, x, alpha) - total)) <= 1e-14
         assert np.max(np.abs(_rebuilt(pair, x, alpha, sites=(0,)) - np.kron(x, eye))) <= 1e-14
         assert np.max(np.abs(_rebuilt(pair, x, alpha, sites=(1,)) - np.kron(eye, x))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_restricted_chain_leaves_from_its_sectors_only(algebra, n):
+    """The blocks of a chain restricted to the dominant sectors are the full chain's blocks from those sectors, bit for bit."""
+    chain = weight_chain(algebra.basis(n), 3)
+    dominant = set(chain.weyl_orbits.tolist())
+    cut = chain.restricted(chain.weyl_orbits)
+    for i in range(1, n):
+        alpha = root_weight(n, (i, i + 1))
+        x = root_action(chain, alpha)
+        full = {k: (t, b) for k, t, b in chain.shift_blocks(x, alpha)}
+        kept = cut.shift_blocks(x, alpha)
+        assert [k for k, _, _ in kept] == [k for k in full if k in dominant]
+        for k, t, b in kept:
+            assert t == full[k][0] and np.array_equal(b, full[k][1])
 
 
 def test_a_frame_with_swapped_weights_is_refused(algebra, monkeypatch):

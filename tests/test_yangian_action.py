@@ -10,13 +10,16 @@ from adjrmat.adjoint_tensor import (
 )
 from adjrmat.liealg import matrix_unit
 from adjrmat.yangian_action import (
-    LevelOneAction,
+    apply_level1,
     delta_action,
     level1_action,
     level1_blocks,
+    quartic_part,
+    unit_level1_blocks,
     verify_anticommutator_identity,
     verify_hw_relations,
     verify_singlet_double_action,
+    weight_rows,
 )
 
 from conftest import rotate_pair
@@ -40,20 +43,28 @@ def test_level0_level1_commutation(algebra, rng, n):
     """[Delta(y), J(x)] = J([y, x]) for every Chevalley y and every basis x, on probe columns.
 
     This covariance is the premise of the generating-set intertwining checks
-    (``rmatrix.intertwining_residual``).
+    (``rmatrix.intertwining_residual``).  J is the dense ``level1_action``,
+    built once per basis x; J([y, x]) is the combination of those of its
+    coordinates tr(I^c [y, x]), by linearity (``test_level1_linearity``).
     """
     basis, rep = algebra.basis(n), algebra.rep(n)
     m = rep.dim
     mu, lam = 0.7 + 0.1j, -0.4 - 0.9j
     v = rng.standard_normal((m * m, 4)) + 1j * rng.standard_normal((m * m, 4))
-    for ij in generating_set(n)[0]:
-        y = matrix_unit(basis, *ij, coords=False).matrix
-        a = ad_matrix(basis, y)
-        dv = apply_pair(a, v)
+    ys = [matrix_unit(basis, *ij, coords=False).matrix for ij in generating_set(n)[0]]
+    ads = [ad_matrix(basis, y) for y in ys]
+    dvs = [apply_pair(a, v) for a in ads]
+    jv, jdv = [], []  # J(I^b) v, and J(I^b) D(y) v for each y
+    for x in basis.generators:
+        j = level1_action(rep, x, mu, lam)
+        jv.append(j @ v)
+        jdv.append([j @ dv for dv in dvs])
+    jv = np.stack(jv)
+    for ij, y, a, dv_at in zip(generating_set(n)[0], ys, ads, zip(*jdv)):
         for b, x in enumerate(basis.generators):
-            jx = LevelOneAction(rep, x, mu, lam)
-            jcomm = LevelOneAction(rep, y @ x - x @ y, mu, lam)
-            res = np.max(np.abs(apply_pair(a, jx.apply(v)) - jx.apply(dv) - jcomm.apply(v)))
+            coords = np.einsum("cij,ji->c", basis.generators, y @ x - x @ y)
+            jcomm_v = np.tensordot(coords, jv, axes=1)
+            res = np.max(np.abs(apply_pair(a, jv[b]) - dv_at[b] - jcomm_v))
             assert res < TOL * m, (ij, b, res)
 
 
@@ -76,9 +87,6 @@ def test_anticommutator_identity_both_substitutions(algebra, n):
 def test_anticommutator_identity_zero_vector(algebra):
     """A vanishing input vector gives a vanishing image."""
     basis, rep = algebra.basis(4), algebra.rep(4)
-    from adjrmat.adjoint_tensor import apply_pair
-    from adjrmat.yangian_action import quartic_part
-
     x = matrix_unit(basis, 3, 4, coords=False).matrix
     t = 4.0 * quartic_part(rep, x)
     assert np.linalg.norm(apply_pair(t, np.zeros(225, dtype=complex))) == 0.0
@@ -104,23 +112,25 @@ def test_hw_relations_random_parameters(algebra, rng, n):
 
 
 def test_single_action_on_symmetric_hwv_is_parameter_free(algebra):
-    basis, rep = algebra.basis(5), algebra.rep(5)
-    hw = {r.role: r for r in highest_weight_vectors(basis)}
-    j1 = LevelOneAction(rep, matrix_unit(basis, 1, 5, coords=False).matrix, 0.3, -2.2)
-    j2 = LevelOneAction(rep, matrix_unit(basis, 1, 5, coords=False).matrix, -1.0 + 1j, 0.9j)
-    v1 = j1.apply(hw["adjoint_sym"].coords)
-    v2 = j2.apply(hw["adjoint_sym"].coords)
+    rep = algebra.rep(5)
+    rows, _ = weight_rows(rep)
+    blocks, _ = unit_level1_blocks(rep, (1, 5))
+    (w1, v1), (w2, v2) = (apply_level1(blocks, mu, lam, rows["adjoint_sym"])
+                          for mu, lam in ((0.3, -2.2), (-1.0 + 1j, 0.9j)))
+    assert w1 == w2 == rows["sym_top"][0]
     assert np.linalg.norm(v1 - v2) < TOL * np.linalg.norm(v1)
 
 
 def test_equal_parameter_antisymmetric_action(algebra):
     """At mu = lam the antisymmetric single action reduces to sqrt(n^2-4)(n+2)."""
-    basis, rep = algebra.basis(4), algebra.rep(4)
+    rep = algebra.rep(4)
     n = 4
-    hw = {r.role: r for r in highest_weight_vectors(basis)}
-    j = LevelOneAction(rep, matrix_unit(basis, 1, n, coords=False).matrix, 0.37, 0.37)
-    got = j.apply(hw["adjoint_anti"].coords)
-    want = np.sqrt(n * n - 4.0) * (n + 2.0) * hw["sym_top"].coords
+    rows, _ = weight_rows(rep)
+    blocks, _ = unit_level1_blocks(rep, (1, n))
+    w, got = apply_level1(blocks, 0.37, 0.37, rows["adjoint_anti"])
+    top_w, top = rows["sym_top"]
+    want = np.sqrt(n * n - 4.0) * (n + 2.0) * top
+    assert w == top_w
     assert np.linalg.norm(got - want) < TOL * np.linalg.norm(want)
 
 
@@ -136,12 +146,18 @@ def test_shift_covariance(algebra, rng):
 
 
 def test_dense_matches_matrix_free(algebra, rng):
+    """J(e_12) applied sector by sector to a random vector in the weight frame, against the dense action."""
     basis, rep = algebra.basis(3), algebra.rep(3)
+    chain, frame = rep.weight_frame, rep.frame
     x = matrix_unit(basis, 1, 2, coords=False).matrix
-    act = LevelOneAction(rep, x, 0.2 + 0.5j, -1.4)
+    blocks, _ = unit_level1_blocks(rep, (1, 2))
     dense = level1_action(rep, x, 0.2 + 0.5j, -1.4)
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert np.linalg.norm(act.apply(v) - dense @ v) < 1e-12
+    vw, got = frame.to_weight(v), np.zeros(64, dtype=complex)
+    for k in blocks:
+        t, image = apply_level1(blocks, 0.2 + 0.5j, -1.4, (k, vw[chain.blocks[k]]))
+        got[chain.blocks[t]] += image
+    assert np.linalg.norm(frame.from_weight(got) - dense @ v) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -166,24 +182,60 @@ def test_level1_blocks_rebuild_the_rotated_dense_action(algebra, n):
 
 
 def test_apply_matches_kron_built_action_su6(algebra, rng):
-    """apply (the frame's CSR Omega_op from n = 6) against J(x) built from krons and the S stack."""
+    """The dense action (the frame's Omega_op) against J(x) built from krons and the S-stack Omega_op.
+
+    x has a Cartan part, so it has no single weight and no sector blocks.
+    """
     basis, rep = algebra.basis(6), algebra.rep(6)
     m = rep.dim
     x = matrix_unit(basis, 2, 5, coords=False).matrix + 0.3 * basis.generators[7]
     mu, lam = 0.4 - 0.9j, -1.2 + 0.3j
-    act = LevelOneAction(rep, x, mu, lam)
+    dense = level1_action(rep, x, mu, lam)
+    ad_x, quartic = ad_matrix(basis, x), quartic_part(rep, x)
     eye = np.eye(m)
     omega = algebra.omega_oracle(6)
-    left = np.kron(act.ad_x, eye)
+    left = np.kron(ad_x, eye)
     v = rng.standard_normal((m * m, 3)) + 1j * rng.standard_normal((m * m, 3))
-    local = np.kron(mu * act.ad_x + act.quartic, eye) + np.kron(eye, lam * act.ad_x + act.quartic)
+    local = np.kron(mu * ad_x + quartic, eye) + np.kron(eye, lam * ad_x + quartic)
     want = local @ v + 0.5 * (left @ (omega @ v) - omega @ (left @ v))
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(act.apply(v) - want)) < 1e-12 * scale
-    assert np.max(np.abs(act.apply(v[:, 1]) - want[:, 1])) < 1e-12 * scale
+    assert np.max(np.abs(dense @ v - want)) < 1e-12 * scale
+    assert np.max(np.abs(dense @ v[:, 1] - want[:, 1])) < 1e-12 * scale
 
 
 def test_rejects_nontraceless_generator(algebra):
+    """Both forms of J refuse an x with a trace, before anything is built."""
     rep = algebra.rep(3)
-    with pytest.raises(ValueError):
-        LevelOneAction(rep, np.eye(3, dtype=complex), 0.0, 0.0)
+    with pytest.raises(ValueError, match="traceless"):
+        level1_action(rep, np.eye(3, dtype=complex), 0.0, 0.0)
+    with pytest.raises(ValueError, match="traceless"):
+        level1_blocks(rep, np.eye(3, dtype=complex), root_weight(3, (1, 3)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_block_action_on_rows_matches_rotated_dense_action(algebra, n):
+    """J(e_ij) on the weight-frame rows, block by block, is the dense action on the Gell-Mann rows, rotated.
+
+    For e_12, e_{1,n-1}, e_{n-1,n} and e_1n on every highest-weight row; a
+    row whose sector has no block goes to zero, and so must its dense image.
+    """
+    rep = algebra.rep(n)
+    chain, frame = rep.weight_frame, rep.frame
+    rows, _ = weight_rows(rep)
+    gell_mann = {row.role: row.coords for row in highest_weight_vectors(rep.basis)}
+    mu, lam = 0.4 - 0.9j, -1.2 + 0.3j
+    killed = []
+    for ij in ((1, 2), (1, n - 1), (n - 1, n), (1, n)):
+        blocks, _ = unit_level1_blocks(rep, ij)
+        dense = level1_action(rep, matrix_unit(rep.basis, *ij, coords=False).matrix, mu, lam)
+        for role, v in rows.items():
+            want = frame.to_weight(dense @ gell_mann[role])
+            t, image = apply_level1(blocks, mu, lam, v)
+            got = np.zeros_like(want)
+            if t is None:
+                killed.append((ij, role))
+            else:
+                got[chain.blocks[t]] = image
+            scale = max(np.linalg.norm(want), np.linalg.norm(gell_mann[role]))
+            assert np.linalg.norm(got - want) <= 1e-12 * scale, (ij, role)
+    assert ((1, n), "sym_top") in killed  # 3 theta is no weight of adj (x) adj
