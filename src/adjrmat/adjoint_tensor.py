@@ -13,12 +13,13 @@ in these Gell-Mann coordinates.  The D x D projectors and the s->a
 isometry are formed when they are read, and no check of the decomposition
 forms one.  The representation also holds
 the dominant sectors of the three-site weight frame on their highest-weight
-vectors, with the gathers that compress a two-site operator onto them
-(``rep.ybe_frame``, :class:`TripleSector`; :func:`highest_weight_bases`
-takes the vectors by inverse iteration on Grams of the raising operators,
-assembled from their entries), and the sector blocks of D(y) for the
-Chevalley generators y (``rep.chevalley_deltas``), each built once, and a
-``memo`` for what the modules above build once per representation.
+vectors, with the real term blocks of ``rep.frame`` compressed onto them
+for each site pair (``rep.ybe_frame``, :class:`TripleSector`;
+:func:`highest_weight_bases` takes the vectors by inverse iteration on
+Grams of the raising operators, assembled from their entries), and the
+real sector blocks of D(y) for the Chevalley generators y
+(``rep.chevalley_deltas``), each built once, and a ``memo`` for what the
+modules above build once per representation.
 
 Two distinct objects both called "Casimir" are kept strictly separate:
 
@@ -106,9 +107,13 @@ class AdjointRep:
 
     @cached_property
     def ybe_frame(self) -> list["TripleSector"]:
-        """The :class:`TripleSector` of each dominant sector of ``weight_chain(basis, 3)``, built on first use."""
+        """The :class:`TripleSector` of each dominant sector of ``weight_chain(basis, 3)``, built on first use.
+
+        Each sector holds the real term blocks of ``frame`` compressed onto
+        it for the three site pairs, once.
+        """
         chain, m = weight_chain(self.basis, 3), self.dim
-        pair_label, places = self.weight_frame.label, self.frame.places
+        pair_label, places, terms = self.weight_frame.label, self.frame.places, self.frame.terms
         out = []
         for w, dim, p in highest_weight_bases(chain):
             site = np.unravel_index(chain.blocks[w], (m, m, m))
@@ -123,23 +128,41 @@ class AdjointRep:
                     groups.setdefault(g, ([], []))[0].append(r)
                     groups[g][1].append(rows)
                 pairs.append([(g, np.array(at), p[np.stack(gathered)]) for g, (at, gathered) in groups.items()])
-            out.append(TripleSector(dim, p, tuple(pairs)))
+            k = p.shape[1]
+            # P^T T P for every term T on each pair, summed over the spectator states
+            compressed = [sum(x.reshape(-1, k).T @ (terms[g][:, r] @ x).reshape(len(TERMS), -1, k)
+                              for g, r, x in pair) for pair in pairs]
+            out.append(TripleSector(dim, p, tuple(pairs), np.stack(compressed)))
         return out
 
-    @cached_property
+    @property
     def chevalley_deltas(self) -> dict[tuple[int, int], tuple[dict[int, tuple[int, np.ndarray]], float]]:
         """D(y) = ad y (x) 1 + 1 (x) ad y for the Chevalley generators y = e_ij of :func:`generating_set`, built on first use.
 
-        Each D(y) is a dict source sector -> (target, block) over
+        Each D(y) is a dict source sector -> (target, real block) over
         ``weight_frame``, with max(1, max-abs ad y): no entry of D(y) has a
-        term from both sites, so that is also max(1, max-abs D(y)).
+        term from both sites, so that is also max(1, max-abs D(y)).  ad y
+        is real in the weight basis, so the blocks are float64 and the
+        largest imaginary part dropped from them is ``chevalley_imag``.
         """
-        chain, out = self.weight_frame, {}
+        return self._chevalley[0]
+
+    @property
+    def chevalley_imag(self) -> float:
+        """The largest imaginary part dropped from the blocks of :attr:`chevalley_deltas`."""
+        return self._chevalley[1]
+
+    @cached_property
+    def _chevalley(self) -> tuple[dict, float]:
+        """:attr:`chevalley_deltas` and :attr:`chevalley_imag`."""
+        chain, out, dropped = self.weight_frame, {}, 0.0
         for ij in generating_set(self.n)[0]:
             alpha = root_weight(self.n, ij)
             x = root_action(chain, alpha)
+            dropped = max(dropped, max_abs(x.imag))
+            x = x.real
             out[ij] = ({k: (t, b) for k, t, b in chain.shift_blocks(x, alpha)}, max(1.0, max_abs(x)))
-        return out
+        return out, dropped
 
     @cached_property
     def memo(self) -> dict:
@@ -389,15 +412,17 @@ class TripleSector:
     So each pair lists (g, r, p), one per sector size of
     ``rep.frame.sectors``: p[s] holds the rows of P with one spectator
     state, and blocks[g][r[s]] is the block they meet.
+
+    ``terms`` holds P^T T P for the real term blocks T of ``rep.frame``
+    (:data:`TERMS`) on each pair, a real (3, len(TERMS), k, k) array: a
+    two-site operator sum_t c_t T_t on pair p compresses to
+    sum_t c_t terms[p, t], with no block of it formed.
     """
 
     dim: int
     basis: np.ndarray
     pairs: tuple[list[tuple[int, np.ndarray, np.ndarray]], ...]
-
-    def compress(self, blocks: list[np.ndarray], pair: int) -> np.ndarray:
-        """P^T X P for the two-site operator X with sector blocks ``blocks`` on the sites ``pairs[pair]``."""
-        return sum(np.tensordot(p, blocks[g][r] @ p, axes=([0, 1], [0, 1])) for g, r, p in self.pairs[pair])
+    terms: np.ndarray
 
 
 # columns of the first block of the inverse iteration: more than the largest multiplicity
@@ -793,14 +818,26 @@ class PairFrame:
         """The sector blocks of sum_c A^c (x) B^c for real (m, m, m) tensors ``a`` and ``b``, from their nonzeros."""
         return self.sector_blocks(_crossed_entries(a, b))
 
-    @cached_property
+    @property
     def terms(self) -> list[np.ndarray]:
-        """The sector blocks of the :data:`TERMS`, one (len(TERMS), S, d, d) stack per entry of ``sectors``.
+        """The sector blocks of the :data:`TERMS`, one real (len(TERMS), S, d, d) stack per entry of ``sectors``.
 
         sigma permutes the states of a sector, E is rotated on its rows and
         s is vec(U U^T)/sqrt(m).  Omega_op is ``omega_entries`` rotated by
-        :meth:`sector_blocks`.
+        :meth:`sector_blocks`.  Every term is real in this frame, so the
+        blocks are kept as float64 and the largest imaginary part dropped
+        from them is ``terms_imag`` (0.0 at n = 3..8).
         """
+        return self._terms[0]
+
+    @property
+    def terms_imag(self) -> float:
+        """The largest imaginary part dropped from the blocks of :attr:`terms`."""
+        return self._terms[1]
+
+    @cached_property
+    def _terms(self) -> tuple[list[np.ndarray], float]:
+        """:attr:`terms` and :attr:`terms_imag`."""
         m, D = self.m, self.m * self.m
         _, _, pos, _, _ = self._rotation
         omega = self.sector_blocks(self.omega_entries)
@@ -821,7 +858,7 @@ class PairFrame:
                 t[4 + p] = e[:, :, p // 2] @ np.conj(e[:, :, p % 2]).transpose(0, 2, 1)
             t[8] = s[:, :, None] * np.conj(s)[:, None, :]
             out.append(t)
-        return out
+        return [np.ascontiguousarray(t.real) for t in out], max(max_abs(t.imag) for t in out)
 
     def term(self, name: str) -> list[np.ndarray]:
         """The sector blocks of the term ``name`` of :data:`TERMS`, one (S, d, d) stack per size."""

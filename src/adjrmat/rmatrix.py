@@ -21,16 +21,17 @@ and the columns of d and f (:func:`operator_form`), so I(lam), R(lam),
 sigma I(lam) and h = R'(0) sigma are each a few scalars on Pi+-, Omega_op
 Pi+, a rank-2m part and the singlet (:class:`PairOperator`), built from
 ``rep.frame`` alone, so the builders and the checks that only apply them take
-an :class:`AdjointRep`.  Each acts through its weight-sector blocks, a
-combination of the term blocks of the frame, on one path at every n: the
-Yang-Baxter residuals, the chain's transfer matrices and every check of h
-(:func:`spinchain.h_op`) read them, and ``r-at-zero-is-swap``, the
-inversion, the asymptotic check and the Yangian checks compare them exactly
-over every column.  :meth:`PairOperator.dense`, in Gell-Mann coordinates, is
-formed only by :func:`build_R`, the other ``build_*`` functions and
-:func:`spinchain.local_h`, for the artifacts.  Only one check here reads a
-:class:`Decomposition`:
-:func:`r_assembly_residual` (the ``r-assembly-agreement`` check of ``verify
+an :class:`AdjointRep`.  Each is a coefficient vector over the nine real
+term blocks of the frame (:data:`adjoint_tensor.TERMS`,
+:attr:`PairOperator.coefficients`) and acts through its weight-sector
+blocks, their combination, on one path at every n: the chain's transfer
+matrices and every check of h (:func:`spinchain.h_op`) read them, and
+``r-at-zero-is-swap``, the inversion, the asymptotic check and the Yangian
+checks compare them exactly over every column.  The Yang-Baxter residuals
+read the coefficients alone.  :meth:`PairOperator.dense`, in Gell-Mann
+coordinates, is formed only by :func:`build_R`, the other ``build_*``
+functions and :func:`spinchain.local_h`, for the artifacts.  Only one
+check here reads a :class:`Decomposition`: :func:`r_assembly_residual` (the ``r-assembly-agreement`` check of ``verify
 ybe``) compares the operator form of R(lam) with the table of I(lam)
 composed with sigma on the normalised highest-weight vectors of
 adj (x) adj, which fix an invariant operator (Schur's lemma), so it closes
@@ -51,10 +52,13 @@ The Yang-Baxter residual (:func:`ybe_residual`) is exact over the whole
 three-site space on one path at every n: by Schur's lemma each factor acts
 on the multiplicity space of each module of adj (x) adj (x) adj, read on the
 highest-weight vectors of a dominant sector of the three-site weight frame
-(``rep.ybe_frame``), and the factors there are compressed from the sector
-blocks of R(lam).  That is exact for an invariant R, and
-:func:`r_terms_invariance_residual` checks that the terms R is made of are
-invariant.
+(``rep.ybe_frame``).  The nine terms are compressed onto each such sector
+once, for the three site pairs, so a factor there is its coefficients
+times the compressed terms.  That is exact for an invariant R, and
+:func:`r_terms_invariance_residual` checks, in real arithmetic, that the
+terms R is made of are invariant.  The term blocks and those of D(y) are
+real and kept as float64; the largest imaginary part dropped from them is a
+floor of that check.
 """
 
 from __future__ import annotations
@@ -211,12 +215,17 @@ class PairOperator:
         return replace(self, minus=-self.minus, block=_FLIP @ self.block)
 
     @cached_property
+    def coefficients(self) -> np.ndarray:
+        """X = sum_t coefficients[t] T_t over the :data:`adjoint_tensor.TERMS` T_t of the frame."""
+        b = self.block
+        return np.array([0.5 * (self.plus + self.minus), 0.5 * (self.plus - self.minus),
+                         0.5 * self.omega, 0.5 * self.omega,
+                         b[0, 0], b[0, 1], b[1, 0], b[1, 1], self.singlet], dtype=complex)
+
+    @cached_property
     def blocks(self) -> list[np.ndarray]:
         """The sector blocks of X, one (S, d, d) stack per sector size of the frame, built on first use."""
-        b = self.block
-        return self.frame.combine([0.5 * (self.plus + self.minus), 0.5 * (self.plus - self.minus),
-                                   0.5 * self.omega, 0.5 * self.omega,
-                                   b[0, 0], b[0, 1], b[1, 0], b[1, 1], self.singlet])
+        return self.frame.combine(self.coefficients)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """X on two-site Gell-Mann coordinates shaped (D,), (D, batch) or (m, m, batch)."""
@@ -402,11 +411,15 @@ def ybe_residual(
     so on adj^(x)3 = sum_V V (x) C^k it acts as 1 (x) A_V (Schur's lemma):
     the YBE holds if and only if it holds on each multiplicity space, and
     ||L - R||^2 = sum_V dim V ||L_V - R_V||^2, ||L||^2 likewise.  Each
-    A_V = P_V^T R_ij P_V is compressed from the sector blocks of R onto the
-    highest-weight vectors P_V of ``rep.ybe_frame`` (at most 9 for n <= 8).
-    That R is invariant is the ``r-terms-invariance`` check, and that its
-    blocks hold the R of the paper's coefficients is ``r-assembly-agreement``,
-    on the highest-weight vectors of adj (x) adj.
+    A_V = P_V^T R_ij P_V on the highest-weight vectors P_V of
+    ``rep.ybe_frame`` (at most 9 for n <= 8) is read from the coefficients of
+    R_ij alone: R = sum_t c_t T_t over the nine real terms of ``rep.frame``,
+    so A_V = sum_t c_t P_V^T T_t P_V, and the sector holds those
+    compressed terms for each site pair (``TripleSector.terms``), compressed
+    once per representation.  No block of R is formed.  That the terms are
+    invariant is the ``r-terms-invariance`` check, and that R's
+    coefficients make the R of the paper's projector table is
+    ``r-assembly-agreement``, on the highest-weight vectors of adj (x) adj.
 
     Only ``dec.rep`` is read.  ``dec``, ``mode`` and ``probes`` stay because
     the benchmark tracer (``perfbench/tracing.py``) reads them by name, and
@@ -416,10 +429,10 @@ def ybe_residual(
     for z in (lam, mu, lam + mu):
         check_pole_distance(z, rep.n)
     ops = {"R": r_op, "Rtilde": r_tilde_op}[solution]
-    factors = [ops(rep, z).blocks for z in (lam, lam + mu, mu)]  # on the sites (1, 2), (1, 3), (2, 3)
+    c = np.stack([ops(rep, z).coefficients for z in (lam, lam + mu, mu)])  # on the sites (1, 2), (1, 3), (2, 3)
     diff2 = norm2 = 0.0
     for sector in rep.ybe_frame:
-        a12, a13, a23 = (sector.compress(blocks, pair) for pair, blocks in enumerate(factors))
+        a12, a13, a23 = np.einsum("pt,ptij->pij", c, sector.terms)
         lhs = a12 @ a13 @ a23
         diff2 += sector.dim * np.linalg.norm(lhs - a23 @ a13 @ a12) ** 2
         norm2 += sector.dim * np.linalg.norm(lhs) ** 2
@@ -484,11 +497,14 @@ def r_terms_invariance_residual(rep: AdjointRep) -> float:
     (:data:`adjoint_tensor.TERMS`), so this covers every factor of the YBE
     at once, with no lam.  D(y) maps sector W of ``rep.weight_frame`` to
     W + alpha (``rep.chevalley_deltas``), so each commutator is D_W T_W -
-    T_{W+alpha} D_W, exact over every column.  The y generate su(n), so the
-    terms are invariant, as the YBE residual on highest-weight vectors
-    (:func:`ybe_residual`) needs, when this is roundoff.
+    T_{W+alpha} D_W, exact over every column, in real arithmetic.  The y
+    generate su(n), so the terms are invariant, as the YBE residual on
+    highest-weight vectors (:func:`ybe_residual`) needs, when this is
+    roundoff.  The blocks of both are kept real, so the largest imaginary
+    part dropped from either (``rep.frame.terms_imag``,
+    ``rep.chevalley_imag``) is a floor of the residual.
     """
-    return _invariance_gap(rep, rep.frame.terms)
+    return max(_invariance_gap(rep, rep.frame.terms), rep.frame.terms_imag, rep.chevalley_imag)
 
 
 def _chevalley_groups(rep: AdjointRep) -> list[tuple[int, np.ndarray, int, np.ndarray, np.ndarray]]:
@@ -517,11 +533,17 @@ def _invariance_gap(rep: AdjointRep, stacks: list[np.ndarray]) -> float:
     ``stacks`` holds one stack per size of ``rep.frame.sectors``, the
     sectors on axis -3; leading axes hold several operators at once.  One
     batched product per group of :func:`_chevalley_groups`: the commutator
-    is exact over every column.
+    is exact over every column.  The blocks of D(y) are real, so every
+    product is real: a complex X (R(lam), h, the spin operators) is applied
+    as its real and imaginary parts, and the commutator's modulus taken
+    from the two.
     """
+    cplx = np.iscomplexobj(stacks[0])
+    parts = [np.stack([t.real, t.imag]) for t in stacks] if cplx else stacks
     worst = 0.0
     for g, r, h, q, b in _chevalley_groups(rep):
-        worst = max(worst, max_abs(b @ np.take(stacks[g], r, axis=-3) - np.take(stacks[h], q, axis=-3) @ b))
+        comm = b @ np.take(parts[g], r, axis=-3) - np.take(parts[h], q, axis=-3) @ b
+        worst = max(worst, max_abs(np.hypot(comm[0], comm[1]) if cplx else comm))
     return worst / max(1.0, max(max_abs(t) for t in stacks))
 
 

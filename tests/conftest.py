@@ -464,6 +464,30 @@ def all_sector_ybe(dec, lam, mu, solution="R"):
     return float(np.sqrt(diff2 / norm2))
 
 
+def compress(sector, blocks, pair):
+    """P^T X P for the two-site operator X with sector blocks ``blocks`` on the sites ``sector.pairs[pair]``.
+
+    ``rmatrix.ybe_residual`` combines the terms compressed once per sector
+    (``TripleSector.terms``); this compression of each factor's combined
+    blocks, on every call, is the path it replaced.
+    """
+    return sum(np.tensordot(p, blocks[g][r] @ p, axes=([0, 1], [0, 1])) for g, r, p in sector.pairs[pair])
+
+
+def compressed_ybe(dec, lam, mu, solution="R"):
+    """The Yang-Baxter residual of ``rmatrix.ybe_residual``, each factor compressed from its blocks by :func:`compress`."""
+    rep = dec.rep
+    ops = {"R": r_op, "Rtilde": r_tilde_op}[solution]
+    factors = [ops(rep, z).blocks for z in (lam, lam + mu, mu)]  # on the sites (1, 2), (1, 3), (2, 3)
+    diff2 = norm2 = 0.0
+    for sector in rep.ybe_frame:
+        a12, a13, a23 = (compress(sector, blocks, pair) for pair, blocks in enumerate(factors))
+        lhs = a12 @ a13 @ a23
+        diff2 += sector.dim * np.linalg.norm(lhs - a23 @ a13 @ a12) ** 2
+        norm2 += sector.dim * np.linalg.norm(lhs) ** 2
+    return float(np.sqrt(diff2 / norm2))
+
+
 def casimir_sector_blocks(rep):
     """Omega_op on each sector W of ``rep.weight_frame`` as C_total/2 - 2n, reading no f.
 

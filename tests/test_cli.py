@@ -561,6 +561,28 @@ def test_wrong_h_table_fails_both_of_its_checks(tmp_path, monkeypatch):
     assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["h-assembly-agreement", "two-site-spectrum-values"]
 
 
+def test_imaginary_part_dropped_from_a_term_fails_r_terms_invariance(tmp_path, capsys, monkeypatch):
+    """A 1e-6 imaginary part in one entry of the Omega_op term fails r-terms-invariance as a report entry.
+
+    The term blocks are kept real, so the part is dropped; the largest part
+    dropped is a floor of the check: exit 1, no trace, every other check passes.
+    """
+    sector_blocks = adjoint_tensor.PairFrame.sector_blocks
+
+    def with_imaginary_part(frame, entries):
+        blocks = sector_blocks(frame, entries)
+        blocks[-1][0, 0, 0] += 1e-6j
+        return blocks
+
+    monkeypatch.setattr(adjoint_tensor.PairFrame, "sector_blocks", with_imaginary_part)
+    code, payload = run(tmp_path, "verify", "ybe", "--n", "3")
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    failed = [c for c in payload["checks"] if not c["pass"]]
+    assert [c["id"] for c in failed] == ["r-terms-invariance"]
+    assert failed[0]["residual"] == pytest.approx(1e-6)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -40,6 +40,8 @@ from conftest import (
     all_sector_ybe,
     apply_omega,
     casimir_sector_blocks,
+    compress,
+    compressed_ybe,
     permutation_op,
     probe_r_assembly_residual,
     retired_apply,
@@ -411,27 +413,53 @@ def test_r_terms_invariance_rejects_noise_in_one_non_dominant_sector(algebra):
     assert r_terms_invariance_residual(rep) > DEFAULT_TOL.abs_tol * rep.dim
 
 
-def test_ybe_dense_rejects_perturbed_R_blocks(algebra, monkeypatch):
-    """Noise of relative size 1e-6 inside the sector blocks of R fails the YBE check.
+def test_ybe_dense_rejects_perturbed_R_blocks(algebra):
+    """Noise of relative size 1e-6 in the term blocks that R is combined from fails the YBE check.
 
-    The noisy R still conserves Cartan weight but is no longer su(n)-invariant;
-    compressed onto the highest-weight vectors it still fails the YBE.
+    The noise goes into the terms of a rep of its own before its three-site
+    frame compresses them.  The noisy R still conserves Cartan weight but is
+    no longer su(n)-invariant; compressed onto the highest-weight vectors it
+    still fails the YBE.
     """
-    dec = algebra.dec(3)
-    exact = rmatrix.r_op
-
-    def perturbed(rep, lam):
-        op = exact(rep, lam)
-        rng = np.random.default_rng(5)
-        total = np.sqrt(sum(np.linalg.norm(b) ** 2 for b in op.blocks))
-        noise = [rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape) for b in op.blocks]
-        scale = 1e-6 * total / np.sqrt(sum(np.linalg.norm(x) ** 2 for x in noise))
-        for b, x in zip(op.blocks, noise):  # in place, in the blocks cached on this operator
-            b += scale * x
-        return op
-
-    monkeypatch.setattr(rmatrix, "r_op", perturbed)
+    rep = adjoint_rep(algebra.basis(3))
+    dec = build_decomposition(rep)  # reads the terms, and builds no three-site frame
+    assert "ybe_frame" not in vars(rep)
+    rng = np.random.default_rng(5)
+    terms = rep.frame.terms
+    noise = [rng.standard_normal(t.shape) for t in terms]
+    scale = 1e-6 * np.sqrt(sum(np.linalg.norm(t) ** 2 for t in terms) / sum(np.linalg.norm(x) ** 2 for x in noise))
+    for t, x in zip(terms, noise):  # in place, in the blocks cached on this frame
+        t += scale * x
     assert ybe_residual(dec, 0.7, -1.3j) > 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_ybe_from_compressed_terms_matches_compressed_blocks(algebra, n):
+    """Each factor combined from the terms compressed once per sector matches its blocks compressed per call.
+
+    Per sector and site pair to 1e-13 relative, for R and R~ at lam, lam + mu
+    and mu; the two Yang-Baxter residuals, ratios over ||L||, to 1e-13.
+    """
+    rep, dec = algebra.rep(n), algebra.dec(n)
+    lam, mu = sample_ybe_pairs(np.random.default_rng(n), n, 1)[0]
+    for solution, ops in (("R", r_op), ("Rtilde", r_tilde_op)):
+        for pair, z in enumerate((lam, lam + mu, mu)):
+            op = ops(rep, z)
+            for sector in rep.ybe_frame:
+                want = compress(sector, op.blocks, pair)
+                got = np.einsum("t,tij->ij", op.coefficients, sector.terms[pair])
+                assert max_abs(got - want) <= 1e-13 * max_abs(want)
+        assert abs(ybe_residual(dec, lam, mu, solution=solution) - compressed_ybe(dec, lam, mu, solution)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_terms_and_chevalley_blocks_are_real(algebra, n):
+    """The term blocks and the D(y) blocks are kept as float64, and no imaginary part is dropped from them."""
+    rep = algebra.rep(n)
+    assert all(t.dtype == np.float64 for t in rep.frame.terms)
+    assert all(b.dtype == np.float64 for d, _ in rep.chevalley_deltas.values() for _, b in d.values())
+    assert rep.frame.terms_imag == 0.0 and rep.chevalley_imag == 0.0
+    assert all(s.terms.dtype == np.float64 for s in rep.ybe_frame)
 
 
 def test_ybe_matrix_free_su5(algebra, rng):
