@@ -1,17 +1,19 @@
 """Adjoint representation of su(n) and the decomposition of its tensor square.
 
-Vectors of the two-site module live in coordinates: an element
-sum_{a,b} v^{ab} I^a (x) I^b of su(n) (x) su(n) is stored as the flat complex
-array v of length (n^2-1)^2 with row-major index a*(n^2-1)+b, matching the
-Kronecker-product convention of :mod:`adjrmat.numerics`.  A decomposition
-(:func:`build_decomposition`) is built and checked on the highest-weight
-vectors of its modules, in the two-site weight frame ``rep.weight_frame``
-of :func:`liealg.weight_chain`.  Its (D, dim) bases are the lowering orbits
-of those vectors, closed there one weight sector at a time (see
-:func:`_orbit`) on their first read, but every basis this module returns is
-in these Gell-Mann coordinates.  The D x D projectors and the s->a
-isometry are formed when they are read, and no check of the decomposition
-forms one.  The representation also holds
+Vectors of the two-site module live in the weight coordinates of
+:func:`liealg.weight_basis` (matrix units, then Cartan generators B_b): an
+element sum_{b,c} v^{bc} B_b (x) B_c is stored as the flat array v of length
+(n^2-1)^2, row-major index b*(n^2-1)+c (the Kronecker convention of
+:mod:`adjrmat.numerics`), and built there from matrix units, as ad(e_pq) is
+(:func:`weight_ad`).  A decomposition (:func:`build_decomposition`) is built
+and checked on the highest-weight vectors of its modules, in the two-site
+weight frame ``rep.weight_frame`` of :func:`liealg.weight_chain`.  Its
+(D, dim) bases are the lowering orbits of those vectors, closed there one
+weight sector at a time (see :func:`_orbit`) on their first read, and
+returned in the Gell-Mann coordinates of I^a (x) I^b for ``build
+projectors``.  The D x D projectors and the s->a isometry are formed when
+they are read, and no check of the decomposition forms one.  The
+representation also holds
 the dominant sectors of the three-site weight frame on their highest-weight
 vectors, with the real term blocks of ``rep.frame`` compressed onto them
 for each site pair (``rep.ybe_frame``, :class:`TripleSector`;
@@ -40,8 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .liealg import SunBasis, WeightChain, matrix_unit, weight_chain, weyl_dimension
-from .numerics import DEFAULT_TOL, Tolerance, kron, max_abs
+from .liealg import SunBasis, WeightChain, weight_chain, weight_coords, weight_units, weyl_dimension
+from .numerics import DEFAULT_TOL, Tolerance, max_abs
 
 __all__ = [
     "AdjointRep",
@@ -54,11 +56,9 @@ __all__ = [
     "ROLE_ORDER",
     "adjoint_rep",
     "ad_matrix",
-    "tensor_coords",
-    "casimir_element",
+    "weight_ad",
     "casimir_op",
     "apply_swap",
-    "apply_pair",
     "site_left",
     "generating_set",
     "root_weight",
@@ -82,10 +82,9 @@ ROLE_ORDER = (
 
 @dataclass(frozen=True)
 class AdjointRep:
-    """Adjoint representation: S^a = ad(I^a), Hermitian (n^2-1)-dim matrices."""
+    """Adjoint representation of su(n) on ``basis``: S^a = ad(I^a), (S^a)_bc = f^{acb}, read off ``basis.f``."""
 
     basis: SunBasis
-    S: np.ndarray  # (m, m, m) stack, S[a] = matrix of ad(I^a)
 
     @property
     def n(self) -> int:
@@ -135,34 +134,22 @@ class AdjointRep:
             out.append(TripleSector(dim, p, tuple(pairs), np.stack(compressed)))
         return out
 
-    @property
+    @cached_property
     def chevalley_deltas(self) -> dict[tuple[int, int], tuple[dict[int, tuple[int, np.ndarray]], float]]:
         """D(y) = ad y (x) 1 + 1 (x) ad y for the Chevalley generators y = e_ij of :func:`generating_set`, built on first use.
 
         Each D(y) is a dict source sector -> (target, real block) over
         ``weight_frame``, with max(1, max-abs ad y): no entry of D(y) has a
         term from both sites, so that is also max(1, max-abs D(y)).  ad y
-        is real in the weight basis, so the blocks are float64 and the
-        largest imaginary part dropped from them is ``chevalley_imag``.
+        is built real in the weight basis (:func:`root_action`), so the
+        blocks are float64.
         """
-        return self._chevalley[0]
-
-    @property
-    def chevalley_imag(self) -> float:
-        """The largest imaginary part dropped from the blocks of :attr:`chevalley_deltas`."""
-        return self._chevalley[1]
-
-    @cached_property
-    def _chevalley(self) -> tuple[dict, float]:
-        """:attr:`chevalley_deltas` and :attr:`chevalley_imag`."""
-        chain, out, dropped = self.weight_frame, {}, 0.0
+        chain, out = self.weight_frame, {}
         for ij in generating_set(self.n)[0]:
             alpha = root_weight(self.n, ij)
             x = root_action(chain, alpha)
-            dropped = max(dropped, max_abs(x.imag))
-            x = x.real
             out[ij] = ({k: (t, b) for k, t, b in chain.shift_blocks(x, alpha)}, max(1.0, max_abs(x)))
-        return out, dropped
+        return out
 
     @cached_property
     def memo(self) -> dict:
@@ -172,7 +159,7 @@ class AdjointRep:
 
 @dataclass(frozen=True)
 class HighestWeight:
-    """One row of the highest-weight-vector table for the tensor square."""
+    """One row of the highest-weight-vector table for the tensor square; ``coords`` are two-site weight coordinates."""
 
     role: str
     label: str
@@ -185,12 +172,12 @@ class Submodule:
     """Irreducible factor of adjoint (x) adjoint.
 
     ``dim``, ``omega_eigenvalue`` and ``exchange_parity`` are read off the
-    highest-weight vector ``hw_vector`` when the decomposition is built.
-    ``basis`` holds orthonormal coordinate columns of the lowering orbit of
-    ``hw_vector``; ``orbits`` closes it on the first read of any basis of
-    the decomposition.  The D x D projector basis @ basis^dagger is formed
-    on each access and never kept: the hot paths use the operator form of
-    :mod:`adjrmat.rmatrix` instead.
+    highest-weight vector ``hw_vector`` (weight coordinates) when the
+    decomposition is built.  ``basis`` holds orthonormal Gell-Mann columns of
+    the lowering orbit of ``hw_vector``; ``orbits`` closes it on the first
+    read of any basis of the decomposition.  The D x D projector basis @
+    basis^dagger is formed on each access and never kept: the hot paths use
+    the operator form of :mod:`adjrmat.rmatrix` instead.
     """
 
     label: str
@@ -216,7 +203,8 @@ class Decomposition:
     """The decomposition of the adjoint tensor square, held on its highest-weight vectors.
 
     ``vectors`` holds the normalised highest-weight vectors of the
-    ``submodules`` as (D, k) columns, in the same order.  The bases, their
+    ``submodules`` as (D, k) columns of two-site weight coordinates, in the
+    same order.  The bases (in Gell-Mann coordinates), their
     completeness residual and the s->a isometry come from ``orbits``, which
     closes every lowering orbit on the first read of any of them.
     """
@@ -269,11 +257,10 @@ def adjoint_rep(basis: SunBasis, tol: Tolerance = DEFAULT_TOL, validate: bool = 
 
     Validates Hermiticity, the representation property
     [S^a, S^b] = sum_c f^{abc} S^c, and the Casimir sum
-    sum_a S^a S^a = 2n * 1.
+    sum_a S^a S^a = 2n * 1, all on a view of ``basis.f``.
     """
-    S = basis.f.transpose(0, 2, 1).copy()
     if validate:
-        m = basis.dim
+        m, S = basis.dim, basis.f.transpose(0, 2, 1)
         if max_abs(S - np.conj(S).transpose(0, 2, 1)) > tol.abs_tol:
             raise AssertionError("adjoint matrices are not Hermitian")
         if _representation_residual(S, basis.f) > tol.abs_tol * m:
@@ -281,7 +268,7 @@ def adjoint_rep(basis: SunBasis, tol: Tolerance = DEFAULT_TOL, validate: bool = 
         cas = np.einsum("aij,ajk->ik", S, S, optimize=True)
         if max_abs(cas - 2.0 * basis.n * np.eye(m)) > tol.abs_tol * m:
             raise AssertionError("adjoint Casimir sum deviates from 2n * 1")
-    return AdjointRep(basis=basis, S=S)
+    return AdjointRep(basis=basis)
 
 
 # target size of a temporary of the representation check, in bytes: blocks of
@@ -320,28 +307,14 @@ def ad_matrix(basis: SunBasis, x: np.ndarray) -> np.ndarray:
     return np.einsum("aij,bji->ab", gens, comm, optimize=True)
 
 
-def casimir_element(basis: SunBasis) -> np.ndarray:
-    """The element Omega = sum_a I^a (x) I^a as an n^2 x n^2 matrix."""
-    g = basis.generators
-    return np.einsum("aij,akl->ikjl", g, g, optimize=True).reshape(basis.n**2, basis.n**2)
+def weight_ad(basis: SunBasis, x: np.ndarray) -> np.ndarray:
+    """ad(x) in weight coordinates, column b :func:`liealg.weight_coords` of [x, B_b], for an n x n x or a stack of them.
 
-
-def tensor_coords(basis: SunBasis, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Expand an n^2 x n^2 matrix over the I^a (x) I^b basis.
-
-    Returns the flat coordinate vector of length (n^2-1)^2.  An expansion
-    residual above ``tol.abs_tol`` (the matrix does not lie in
-    su(n) (x) su(n)) raises, which signals a convention bug upstream.
+    A real x gives a real ad(x); ad(e_pq) has O(n) nonzeros in this basis.
     """
-    n, g = basis.n, basis.generators
-    y4 = y.reshape(n, n, n, n)
-    z = np.einsum("aij,jlik->alk", g, y4, optimize=True)
-    c = np.einsum("bkl,alk->ab", g, z, optimize=True)
-    recon = np.einsum("ab,aij,bkl->ikjl", c, g, g, optimize=True).reshape(n * n, n * n)
-    res = max_abs(recon - y)
-    if res > tol.abs_tol * basis.dim:
-        raise ValueError(f"expansion residual {res:.3e}: matrix is outside su(n) (x) su(n)")
-    return c.ravel()
+    units = weight_units(basis)
+    x = np.asarray(x)[..., None, :, :]
+    return np.swapaxes(weight_coords(basis, x @ units - units @ x), -1, -2)
 
 
 def casimir_op(rep: AdjointRep) -> np.ndarray:
@@ -355,11 +328,6 @@ def casimir_op(rep: AdjointRep) -> np.ndarray:
 def apply_swap(v: np.ndarray, dim_v: int) -> np.ndarray:
     """sigma v for flat two-site coordinates shaped (D,) or (D, k): entry (a, b) goes to (b, a)."""
     return v.reshape(dim_v, dim_v, -1).transpose(1, 0, 2).reshape(v.shape)
-
-
-def apply_pair(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply a (x) 1 + 1 (x) a to flat two-site coordinates (batched)."""
-    return site_left(a, v, 0) + site_left(a, v, 1)
 
 
 def site_left(a: np.ndarray, x: np.ndarray, site: int) -> np.ndarray:
@@ -390,10 +358,10 @@ def root_weight(n: int, ij: tuple[int, int]) -> np.ndarray:
 
 
 def root_action(chain: WeightChain, alpha: np.ndarray) -> np.ndarray:
-    """ad(e_pq) for the root alpha = e_p - e_q, in the single-site weight coordinates of ``chain``."""
+    """ad(e_pq) for the root alpha = e_p - e_q, in the single-site weight coordinates of ``chain``, real (:func:`weight_ad`)."""
     unit = np.zeros((chain.basis.n, chain.basis.n))
     unit[np.argmax(alpha), np.argmin(alpha)] = 1.0
-    return chain.u @ ad_matrix(chain.basis, unit) @ np.conj(chain.u).T
+    return weight_ad(chain.basis, unit)
 
 
 @dataclass(frozen=True)
@@ -447,7 +415,7 @@ def _raising_grams(chain: WeightChain, tol: Tolerance):
     src, row, val = [], [], []
     for i in range(1, n):
         alpha = root_weight(n, (i, i + 1))
-        s, t, v = leaving.shift_entries(root_action(chain, alpha).real, alpha, tol)
+        s, t, v = leaving.shift_entries(root_action(chain, alpha), alpha, tol)
         nz = v != 0.0
         src.append(s[nz])
         row.append(t[nz] + (i - 1) * len(label))  # a row of E_i: the root and the target state
@@ -545,58 +513,46 @@ def _labels(n: int) -> dict[str, str]:
     return labels
 
 
-def highest_weight_vectors(basis: SunBasis, tol: Tolerance = DEFAULT_TOL) -> list[HighestWeight]:
-    """Highest-weight vectors of the tensor-square submodules, in table order.
+def _partner(n: int) -> np.ndarray:
+    """The index of B_b^dagger in the weight basis for each b: e_ij and e_ji swap, each Cartan generator is its own."""
+    partner = np.arange(n * n - 1)
+    partner[: n * (n - 1)] ^= 1  # e_ij is listed just before e_ji
+    return partner
 
-    The adjoint-copy rows are built in the fundamental tensor-square space
-    ({Omega, 1 (x) e_1n} etc. as n^2 x n^2 products) and re-expanded into
-    I^a (x) I^b coordinates by trace projection.
+
+def highest_weight_vectors(basis: SunBasis, tol: Tolerance = DEFAULT_TOL) -> list[HighestWeight]:
+    """Highest-weight vectors of the tensor-square submodules, in table order, in two-site weight coordinates.
+
+    Each is a sum of products c(e_ij) (x) c(e_kl), c the weight coordinates of
+    a matrix unit's traceless part (:func:`liealg.weight_coords`): 1 to m
+    nonzeros.  The adjoint rows n {Omega, 1 (x) e_1n} and sqrt(n^2 - 4)
+    [Omega, 1 (x) e_1n] use Omega = P - 1/n, P the swap of the fundamental
+    factors, with P (1 (x) e_1n) = sum_j e_1j (x) e_jn and (1 (x) e_1n) P =
+    sum_j e_jn (x) e_1j; the singlet is sum_b B_b^dagger (x) B_b.  ``tol``
+    is unread.
     """
     n = basis.n
     labels = _labels(n)
-    w_1n = matrix_unit(basis, 1, n).coords
-    w_1n1 = matrix_unit(basis, 1, n - 1).coords
-    w_2n = matrix_unit(basis, 2, n).coords
+    c = weight_coords(basis, np.eye(n * n).reshape(n, n, n, n))  # c[i, j] = c(e_ij), 0-based
 
-    def outer(u, v):
+    def pair(u, v):
         return np.outer(u, v).ravel()
 
-    rows: list[HighestWeight] = []
-    rows.append(HighestWeight("sym_top", labels["sym_top"], 1, outer(w_1n, w_1n)))
-    rows.append(
-        HighestWeight(
-            "anti_left", labels["anti_left"], -1, outer(w_1n1, w_1n) - outer(w_1n, w_1n1)
-        )
-    )
-    rows.append(
-        HighestWeight(
-            "anti_right", labels["anti_right"], -1, outer(w_2n, w_1n) - outer(w_1n, w_2n)
-        )
-    )
+    top, left, right = c[0, n - 1], c[0, n - 2], c[1, n - 1]
+    rows = [
+        HighestWeight("sym_top", labels["sym_top"], 1, pair(top, top)),
+        HighestWeight("anti_left", labels["anti_left"], -1, pair(left, top) - pair(top, left)),
+        HighestWeight("anti_right", labels["anti_right"], -1, pair(right, top) - pair(top, right)),
+    ]
     if n >= 4:
-        w_2n1 = matrix_unit(basis, 2, n - 1).coords
-        sym = (
-            outer(w_2n1, w_1n)
-            + outer(w_1n, w_2n1)
-            - outer(w_1n1, w_2n)
-            - outer(w_2n, w_1n1)
-        )
+        inner = c[1, n - 2]
+        sym = pair(inner, top) + pair(top, inner) - pair(left, right) - pair(right, left)
         rows.append(HighestWeight("mixed_sym", labels["mixed_sym"], 1, sym))
-
-    # adjoint copies: products taken in the fundamental (x) fundamental space
-    omega = casimir_element(basis)
-    one_e1n = kron(np.eye(n), matrix_unit(basis, 1, n, coords=False).matrix)
-    e1n_one = kron(matrix_unit(basis, 1, n, coords=False).matrix, np.eye(n))
-    v_s_mat = n * (omega @ one_e1n + one_e1n @ omega - (2.0 / n) * e1n_one)
-    v_a_mat = np.sqrt(n * n - 4.0) * (omega @ one_e1n - one_e1n @ omega)
-    v_s = tensor_coords(basis, v_s_mat, tol)
-    v_a = tensor_coords(basis, v_a_mat, tol)
-    rows.append(HighestWeight("adjoint_sym", labels["adjoint_sym"], 1, v_s))
-    rows.append(HighestWeight("adjoint_anti", labels["adjoint_anti"], -1, v_a))
-
-    rows.append(
-        HighestWeight("singlet", labels["singlet"], 1, np.eye(basis.dim, dtype=complex).ravel())
-    )
+    swap_e, e_swap = c[0].T @ c[:, n - 1], c[:, n - 1].T @ c[0]  # P (1 (x) e_1n), (1 (x) e_1n) P
+    rows.append(HighestWeight("adjoint_sym", labels["adjoint_sym"], 1, n * (swap_e + e_swap).ravel()))
+    rows.append(HighestWeight("adjoint_anti", labels["adjoint_anti"], -1,
+                              np.sqrt(n * n - 4.0) * (swap_e - e_swap).ravel()))
+    rows.append(HighestWeight("singlet", labels["singlet"], 1, np.eye(basis.dim)[_partner(n)].ravel()))
     return rows
 
 
@@ -646,14 +602,12 @@ def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray
     There the images are normalized (near-null ones dropped), projected twice
     against the columns the block already holds, and the new directions are
     the left singular vectors with singular value at least ``tol.rank_tol``.
-    The orbit is closed when a round adds nothing.  The basis is returned in
-    two-site weight coordinates, its columns grouped by sector in increasing
-    order; :meth:`PairFrame.from_weight` takes it to Gell-Mann
-    coordinates.  ``seed`` must be a weight vector: support in more than one
-    weight block raises ``ValueError``.
+    The orbit is closed when a round adds nothing.  ``seed`` and the basis
+    are in two-site weight coordinates, the basis columns grouped by sector
+    in increasing order.  ``seed`` must be a weight vector: support in more
+    than one weight block raises ``ValueError``.
     """
-    u = frame.chain.u
-    xw = (u @ np.reshape(seed, (len(u), -1)) @ u.T).ravel()
+    xw = np.ravel(seed)
     nrm = np.linalg.norm(xw)
     if nrm < tol.rank_tol:
         raise ValueError("highest-weight vector is numerically zero")
@@ -708,15 +662,23 @@ def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray
     return basis_w
 
 
-def _tensor_embedding(t: np.ndarray) -> np.ndarray:
-    """Columns t^{a..}/||t^{a..}|| of an invariant 3-tensor, as a (D, m) basis.
+def _adjoint_copies(basis: SunBasis) -> np.ndarray:
+    """E = [Ed Ef], the two adjoint copies in adj (x) adj, as a real (D, 2m) array of weight coordinates.
 
-    For t = d (resp. f) the columns span the symmetric (resp. antisymmetric)
-    adjoint copy in adjoint (x) adjoint; they are orthonormal by invariance.
+    Column x of Ed is sum_b B_b^dagger (x) {B_x, B_b}, the basis-free form of
+    sum_bc d^{abc} I^b (x) I^c at I^a = B_x, and of Ef -sum_b B_b^dagger (x)
+    [B_x, B_b], that of -f^{a..}, normalized: orthonormal by invariance, and
+    exact, as the products of matrix units and Cartan generators are.
     """
-    m = t.shape[0]
-    cols = t.reshape(m, m * m).T
-    return cols / np.linalg.norm(cols, axis=0)
+    units, m, partner = weight_units(basis), basis.dim, _partner(basis.n)
+    prod = units[:, None] @ units[None, :]  # (x, b): B_x B_b
+    swapped = prod.transpose(1, 0, 2, 3)
+    cols = []
+    for sign, y in ((1.0, prod + swapped), (-1.0, prod - swapped)):
+        c = weight_coords(basis, y)[:, partner]  # (x, b, .): the coordinates on B_b^dagger (x) .
+        c = c.transpose(1, 2, 0).reshape(m * m, m)
+        cols.append(sign * c / np.linalg.norm(c, axis=0))
+    return np.hstack(cols)
 
 
 # entries of d, f, u and Omega_op below this size are roundoff of the trace projection
@@ -747,8 +709,10 @@ def _crossed_entries(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 class PairFrame:
     """Invariant building blocks of operators on adjoint (x) adjoint, from the basis alone.
 
-    ``E = [Ed Ef]`` holds the normalized columns d^{a..} and -f^{a..}, the
-    bases of the two adjoint copies.  Omega_op = sum_c S^c (x) S^c is kept
+    ``E_w = [Ed Ef]`` holds orthonormal weight-coordinate columns of the two
+    adjoint copies (:func:`_adjoint_copies`), the spans of the columns
+    d^{a..} and -f^{a..}; ``E`` is them in Gell-Mann coordinates, for
+    :meth:`rmatrix.PairOperator.dense`.  Omega_op = sum_c S^c (x) S^c is kept
     as its nonzeros (``omega_entries``: rows, columns, values), from the
     nonzeros of f; :meth:`dense_omega` scatters them.  An invariant operator
     conserves total weight, so in the weight frame ``chain``
@@ -764,11 +728,21 @@ class PairFrame:
     def __init__(self, basis: SunBasis, chain: WeightChain):
         n, m = basis.n, basis.dim
         self.n, self.m, self.chain = n, m, chain
-        e = np.hstack([_tensor_embedding(basis.d), -_tensor_embedding(basis.f)])
-        self.E = np.where(np.abs(e) > _SPARSE_ZERO, e, 0.0)
+        self.E_w = _adjoint_copies(basis)
         # Omega[(i,k),(j,l)] = sum_c S^c_ij S^c_kl = -sum_c F^{cij} F^{ckl}, where f = iF
         rows, cols, vals = _crossed_entries(basis.f.imag, basis.f.imag)
         self.omega_entries = (rows, cols, -vals)
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        """``E_w`` on the columns of the I^a in Gell-Mann coordinates, (D, 2m): the normalized columns d^{a..} and -f^{a..}.
+
+        Formed from d and f on first read; only the artifacts read it.
+        """
+        basis, m = self.chain.basis, self.m
+        e = np.hstack([t.reshape(m, m * m).T for t in (basis.d, -basis.f)])
+        e = e / np.linalg.norm(e, axis=0)
+        return np.where(np.abs(e) > _SPARSE_ZERO, e, 0.0)
 
     @cached_property
     def sectors(self) -> list[np.ndarray]:
@@ -822,8 +796,9 @@ class PairFrame:
     def terms(self) -> list[np.ndarray]:
         """The sector blocks of the :data:`TERMS`, one real (len(TERMS), S, d, d) stack per entry of ``sectors``.
 
-        sigma permutes the states of a sector, E is rotated on its rows and
-        s is vec(U U^T)/sqrt(m).  Omega_op is ``omega_entries`` rotated by
+        sigma permutes the states of a sector, E is ``E_w`` and s is the
+        singlet row of :func:`highest_weight_vectors` over sqrt(m), both
+        built in this frame.  Omega_op is ``omega_entries`` rotated by
         :meth:`sector_blocks`.  Every term is real in this frame, so the
         blocks are kept as float64 and the largest imaginary part dropped
         from them is ``terms_imag`` (0.0 at n = 3..8).
@@ -842,9 +817,8 @@ class PairFrame:
         _, _, pos, _, _ = self._rotation
         omega = self.sector_blocks(self.omega_entries)
         swap = apply_swap(np.arange(D), m)
-        e_w = self.to_weight(self.E).reshape(D, 2, m)
-        u = self.chain.u
-        s_w = (u @ u.T).ravel() / np.sqrt(m)
+        e_w = self.E_w.reshape(D, 2, m)
+        s_w = np.eye(m)[_partner(self.n)].ravel() / np.sqrt(m)
         out = []
         for idx, blocks in zip(self.sectors, omega):
             S, d = idx.shape
@@ -855,8 +829,8 @@ class PairFrame:
             t[3] = t[2] @ t[1]
             e, s = e_w[idx], s_w[idx]
             for p in range(4):
-                t[4 + p] = e[:, :, p // 2] @ np.conj(e[:, :, p % 2]).transpose(0, 2, 1)
-            t[8] = s[:, :, None] * np.conj(s)[:, None, :]
+                t[4 + p] = e[:, :, p // 2] @ e[:, :, p % 2].transpose(0, 2, 1)
+            t[8] = s[:, :, None] * s[:, None, :]
             out.append(t)
         return [np.ascontiguousarray(t.real) for t in out], max(max_abs(t.imag) for t in out)
 
@@ -877,8 +851,14 @@ class PairFrame:
         return self.terms[g][:, r]
 
     def combine(self, coefficients) -> list[np.ndarray]:
-        """The sector blocks of sum_t coefficients[t] TERMS[t], one (S, d, d) stack per size."""
-        return [np.tensordot(np.asarray(coefficients, dtype=complex), t, axes=1) for t in self.terms]
+        """The sector blocks of sum_t coefficients[t] TERMS[t], one (S, d, d) stack per size.
+
+        One real product per size, against the real and imaginary parts of
+        the coefficients side by side, read back as complex.
+        """
+        c = np.asarray(coefficients, dtype=complex)
+        parts = np.stack([c.real, c.imag], axis=1)
+        return [(t.reshape(len(t), -1).T @ parts).view(complex).reshape(t.shape[1:]) for t in self.terms]
 
     def apply_weight(self, blocks: list[np.ndarray], xw: np.ndarray) -> np.ndarray:
         """The operator with sector blocks ``blocks`` on weight coordinates shaped (D,) or (D, k)."""
@@ -975,52 +955,44 @@ class _Orbits:
     def closed(self) -> tuple[dict[str, np.ndarray], float]:
         """(the basis of each role, the completeness residual), checked before they are kept.
 
-        The adjoint copies are the columns d^{a..}/||d^{a..}|| and
-        -f^{a..}/||f^{a..}|| of the invariant tensors, so mapping column to
-        column is the equivariant isometry -Ef Ed^dagger, whose sign fixes
-        iso(v_s) = +(norm ratio) v_a.  Every other basis is the lowering
-        orbit of its row, closed one sector of ``rep.weight_frame`` at a time
+        The adjoint copies are the columns Ed and Ef of ``rep.frame.E_w``,
+        the spans of d^{a..} and -f^{a..}, so mapping column to column is the
+        equivariant isometry -Ef Ed^dagger, whose sign fixes iso(v_s) =
+        +(norm ratio) v_a.  Every other basis is the lowering orbit of its
+        row, closed one sector of ``rep.weight_frame`` at a time
         (:func:`_orbit`).  Each basis is checked in that frame, split by
-        sector (the adjoint copies rotated there as (U (x) U) B U^T), with no
-        D x D array formed: its Casimir eigenvalue and parity
+        sector, with no D x D array formed: its Casimir eigenvalue and parity
         (:func:`_measure`) and its Weyl dimension; then completeness and
         mutual orthogonality, as the Gram residual max_W max_abs(G_W - 1)
         over the sectors W, floored by the largest off-sector share of any
         column and by max_abs(U U^dagger - 1); then the isometry phase, as
-        B_a (B_s^dagger v_s).
+        B_a (B_s^dagger v_s).  Only then are the orbits rotated to Gell-Mann
+        coordinates, one at a time; the copies there are ``rep.frame.E``.
         """
         rep, tol = self.rep, self.tol
-        basis, m = rep.basis, rep.dim
+        m = rep.dim
         lowering, pair = _weight_blocks(rep, tol), rep.frame
         chain = lowering.chain
         u = chain.u
-        embeddings = {
-            "adjoint_sym": _tensor_embedding(basis.d),
-            "adjoint_anti": -_tensor_embedding(basis.f),
-        }
+        copies = {"adjoint_sym": slice(0, m), "adjoint_anti": slice(m, 2 * m)}
         bases: dict[str, np.ndarray] = {}
         sectors: dict[int, list[np.ndarray]] = {}
         gram_res = max_abs(u @ np.conj(u).T - np.eye(m))
         for row, dim in zip(self.rows, self.dims):
-            if row.role in embeddings:
-                B = embeddings[row.role]
-                xw = pair.to_weight(B) @ u.T
-            else:
-                xw = _orbit(lowering, row.coords, tol)
-                B = pair.from_weight(xw)
-            if B.shape[1] != dim:
-                raise AssertionError(f"the {row.role} basis has {B.shape[1]} columns, "
+            xw = pair.E_w[:, copies[row.role]] if row.role in copies else _orbit(lowering, row.coords, tol)
+            if xw.shape[1] != dim:
+                raise AssertionError(f"the {row.role} basis has {xw.shape[1]} columns, "
                                      f"not its Weyl dimension {dim}")
             parts, off = _sector_columns(chain, xw)
-            del xw
             gram_res = max(gram_res, off)
             for w, cols in parts:
                 sectors.setdefault(w, []).append(cols)
             _measure(pair, parts, tol, row.parity)
-            bases[row.role] = B
+            bases[row.role] = xw
         for parts in sectors.values():
             cols = np.hstack(parts)
             gram_res = max(gram_res, max_abs(np.conj(cols).T @ cols - np.eye(cols.shape[1])))
+        del sectors
         if gram_res > tol.abs_tol * m:
             raise AssertionError(f"projector completeness residual {gram_res:.3e}")
         # phase check: iso maps the symmetric hwv onto a positive multiple of the antisymmetric one
@@ -1029,7 +1001,8 @@ class _Orbits:
         overlap = np.vdot(hw["adjoint_anti"], anti @ (np.conj(sym).T @ hw["adjoint_sym"]))
         if not (abs(overlap - 1.0) <= 1e-6):
             raise AssertionError(f"isometry phase convention violated (overlap {overlap})")
-        return bases, float(gram_res)
+        return {role: pair.E[:, copies[role]] if role in copies else pair.from_weight(bases.pop(role))
+                for role in list(bases)}, float(gram_res)
 
 
 def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomposition:
@@ -1059,9 +1032,8 @@ def build_decomposition(rep: AdjointRep, tol: Tolerance = DEFAULT_TOL) -> Decomp
     chain, pair, tol_m = rep.weight_frame, rep.frame, tol.abs_tol * m
     vectors = np.stack([row.coords / np.linalg.norm(row.coords) for row in rows], axis=1)
     raising = [rep.chevalley_deltas[i, i + 1][0] for i in range(1, rep.n)]
-    xw = pair.to_weight(vectors)
     dims, measured = [], []
-    for row, col in zip(rows, xw.T):
+    for row, col in zip(rows, vectors.T):
         [(w, x)], off = _sector_columns(chain, col[:, None])
         if off > tol_m:
             raise AssertionError(f"the {row.role} highest-weight vector is not a weight vector: "

@@ -39,6 +39,8 @@ __all__ = [
     "build_basis",
     "structure_constants",
     "matrix_unit",
+    "weight_units",
+    "weight_coords",
     "weight_basis",
     "WeightChain",
     "weight_chain",
@@ -174,33 +176,45 @@ def matrix_unit(basis: SunBasis, i: int, j: int, coords: bool = True) -> MatrixU
     return MatrixUnit(i=i, j=j, matrix=mat, coords=w)
 
 
+def _root_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based (p, q) of the matrix units e_pq of the weight basis, in its order: pairs i < j, e_ij before e_ji."""
+    upper = np.array(np.triu_indices(n, 1))
+    return tuple(np.stack([upper, upper[::-1]], axis=-1).reshape(2, -1))
+
+
+def weight_units(basis: SunBasis) -> np.ndarray:
+    """The weight basis {B_b} of :func:`weight_basis` as a real (m, n, n) stack of matrices."""
+    p, q = _root_pairs(basis.n)
+    units = np.zeros((basis.dim, basis.n, basis.n))
+    units[np.arange(len(p)), p, q] = 1.0
+    units[len(p):] = basis.generators[len(p):].real  # the Cartan generators are real and diagonal
+    return units
+
+
+def weight_coords(basis: SunBasis, y: np.ndarray) -> np.ndarray:
+    """tr(B_b^dagger Y) over the weight basis, for the n x n matrices Y on the last two axes of ``y``.
+
+    The entries Y_pq, then diag(Y) against each Cartan generator's: the
+    coordinates of the traceless part of Y.
+    """
+    p, q = _root_pairs(basis.n)
+    cartan = np.diagonal(basis.generators[len(p):], axis1=1, axis2=2).real
+    return np.concatenate([y[..., p, q], np.diagonal(y, axis1=-2, axis2=-1) @ cartan.T], axis=-1)
+
+
 def weight_basis(basis: SunBasis) -> tuple[np.ndarray, np.ndarray]:
     """Unitary change of coordinates to the weight basis of the adjoint module.
 
-    The weight basis {B_b} is orthonormal for tr(X^dagger Y): the matrix units
-    e_ij (i != j, same pair order as the generators, e_ij before e_ji) with
-    weight e_i - e_j, then the n-1 Cartan generators with weight 0.  Returns
-    ``(U, weights)`` with U[b, a] = tr(B_b^dagger I^a), so U x are the weight
-    coordinates of sum_a x^a I^a, and ``weights`` the (m, n) integer array of
-    the weights in the e_1..e_n frame: ad(H) acts on B_b as diag(H) . weights[b].
+    The weight basis {B_b} (:func:`weight_units`) is orthonormal for tr(X^dagger Y):
+    the matrix units e_ij (i != j, same pair order as the generators, e_ij before
+    e_ji) with weight e_i - e_j, then the n-1 Cartan generators with weight 0.
+    Returns ``(U, weights)`` with U[b, a] = tr(B_b^dagger I^a), so U x are the
+    weight coordinates of sum_a x^a I^a, and ``weights`` the (m, n) integer array
+    of the weights in the e_1..e_n frame: ad(H) acts on B_b as diag(H) . weights[b].
     """
-    n = basis.n
-    m = basis.dim
-    gens = basis.generators
-    units = np.zeros((m, n, n), dtype=complex)
-    weights = np.zeros((m, n), dtype=int)
-    b = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for p, q in ((i, j), (j, i)):
-                units[b, p, q] = 1.0
-                weights[b, p] += 1
-                weights[b, q] -= 1
-                b += 1
-    units[b:] = gens[m - (n - 1):]
-    # tr(B_b^dagger I^a) = sum_ij conj(B_b)_ij (I^a)_ij
-    U = np.einsum("bij,aij->ba", np.conj(units), gens)
-    return U, weights
+    (p, q), e = _root_pairs(basis.n), np.eye(basis.n, dtype=int)
+    weights = np.vstack([e[p] - e[q], np.zeros((basis.n - 1, basis.n), dtype=int)])
+    return weight_coords(basis, basis.generators).T, weights
 
 
 @dataclass(frozen=True)

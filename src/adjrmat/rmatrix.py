@@ -28,7 +28,8 @@ blocks, their combination, on one path at every n: the chain's transfer
 matrices and every check of h (:func:`spinchain.h_op`) read them, and
 ``r-at-zero-is-swap``, the inversion, the asymptotic check and the Yangian
 checks compare them exactly over every column.  The Yang-Baxter residuals
-read the coefficients alone.  :meth:`PairOperator.dense`, in Gell-Mann
+read the coefficients alone.  Every vector an operator is applied to is in
+two-site weight coordinates.  :meth:`PairOperator.dense`, in Gell-Mann
 coordinates, is formed only by :func:`build_R`, the other ``build_*``
 functions and :func:`spinchain.local_h`, for the artifacts.  Only one
 check here reads a :class:`Decomposition`: :func:`r_assembly_residual` (the ``r-assembly-agreement`` check of ``verify
@@ -57,8 +58,8 @@ once, for the three site pairs, so a factor there is its coefficients
 times the compressed terms.  That is exact for an invariant R, and
 :func:`r_terms_invariance_residual` checks, in real arithmetic, that the
 terms R is made of are invariant.  The term blocks and those of D(y) are
-real and kept as float64; the largest imaginary part dropped from them is a
-floor of that check.
+real and kept as float64; the largest imaginary part dropped from the terms
+is a floor of that check.
 """
 
 from __future__ import annotations
@@ -192,11 +193,10 @@ class PairOperator:
     """X = plus Pi+ + minus Pi- + omega Omega_op Pi+ + E (block (x) 1_m) E^dagger + singlet s s^dagger.
 
     Pi+- = (1 +- sigma)/2, E = [Ed Ef] from the frame, and s = vec(1)/sqrt(m).
-    X acts through its blocks in the two-site weight frame (:attr:`blocks`,
-    applied by :meth:`PairFrame.apply_weight`), on Gell-Mann coordinates
-    rotated in and out by :meth:`apply`.  :meth:`weight_dense` scatters the
-    blocks into a D x D array in weight coordinates; :meth:`dense`
-    materializes X in Gell-Mann coordinates.
+    X acts through its blocks in the two-site weight frame (:attr:`blocks`),
+    on weight coordinates (:meth:`apply`).  :meth:`weight_dense` scatters
+    the blocks into a D x D array in weight coordinates; :meth:`dense`
+    materializes X in Gell-Mann coordinates, for the artifacts.
     """
 
     frame: PairFrame
@@ -228,10 +228,9 @@ class PairOperator:
         return self.frame.combine(self.coefficients)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """X on two-site Gell-Mann coordinates shaped (D,), (D, batch) or (m, m, batch)."""
+        """X on two-site weight coordinates shaped (D,), (D, batch) or (m, m, batch) (:meth:`PairFrame.apply_weight`)."""
         frame = self.frame
-        v = np.reshape(x, (frame.m**2, -1))
-        return frame.from_weight(frame.apply_weight(self.blocks, frame.to_weight(v))).reshape(np.shape(x))
+        return frame.apply_weight(self.blocks, np.reshape(x, (frame.m**2, -1))).reshape(np.shape(x))
 
     def weight_dense(self) -> np.ndarray:
         """X as a dense D x D matrix in two-site weight coordinates, scattered from :attr:`blocks`."""
@@ -245,7 +244,7 @@ class PairOperator:
         m = self.frame.m
         D = m * m
         idx = np.arange(D)
-        swap = _swap_perm(m)
+        swap = apply_swap(idx, m)
         out = np.zeros((D, D), dtype=complex)
         out[idx, idx] = 0.5 * (self.plus + self.minus)
         out[idx, swap] += 0.5 * (self.plus - self.minus)
@@ -338,12 +337,12 @@ def r_tilde_op(rep: AdjointRep, lam: complex) -> PairOperator:
 
 
 def build_intertwiner(rep: AdjointRep, lam: complex) -> np.ndarray:
-    """Dense intertwiner I(lam) on the two-site coordinates."""
+    """Dense intertwiner I(lam) on the two-site Gell-Mann coordinates."""
     return intertwiner_op(rep, lam).dense()
 
 
 def build_R(rep: AdjointRep, lam: complex) -> np.ndarray:
-    """Dense R(lam) = I(lam) sigma, from its operator form.
+    """Dense R(lam) = I(lam) sigma in Gell-Mann coordinates, from its operator form.
 
     Its agreement with the projector-sum I(lam) composed with sigma is
     :func:`r_assembly_residual`.
@@ -385,10 +384,6 @@ def r_at_zero_residual(rep: AdjointRep) -> float:
     """Max-abs of R(0) - sigma over every entry of their sector blocks in the two-site weight frame."""
     blocks = r_op(rep, 0.0).blocks
     return max(max_abs(r - s) for r, s in zip(blocks, rep.frame.term("swap")))
-
-
-def _swap_perm(m: int) -> np.ndarray:
-    return apply_swap(np.arange(m * m), m)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +495,12 @@ def r_terms_invariance_residual(rep: AdjointRep) -> float:
     T_{W+alpha} D_W, exact over every column, in real arithmetic.  The y
     generate su(n), so the terms are invariant, as the YBE residual on
     highest-weight vectors (:func:`ybe_residual`) needs, when this is
-    roundoff.  The blocks of both are kept real, so the largest imaginary
-    part dropped from either (``rep.frame.terms_imag``,
-    ``rep.chevalley_imag``) is a floor of the residual.
+    roundoff.  The blocks of both are kept real: those of D(y) are built
+    real, and the largest imaginary part dropped from the terms
+    (``rep.frame.terms_imag``, from the rotated Omega_op) is a floor of the
+    residual.
     """
-    return max(_invariance_gap(rep, rep.frame.terms), rep.frame.terms_imag, rep.chevalley_imag)
+    return max(_invariance_gap(rep, rep.frame.terms), rep.frame.terms_imag)
 
 
 def _chevalley_groups(rep: AdjointRep) -> list[tuple[int, np.ndarray, int, np.ndarray, np.ndarray]]:

@@ -7,7 +7,8 @@ only the :class:`AdjointRep` and returns h as a :class:`rmatrix.PairOperator`;
 the D x D Gell-Mann array :func:`local_h` serves only the chain artifact
 (``build hamiltonian``).  h commutes with su(n), so the checks of h read
 it on the normalised highest-weight vectors V of a :class:`Decomposition`
-(Schur's lemma; no lowering orbit is closed): h V against the table of
+(Schur's lemma; no lowering orbit is closed), in two-site weight
+coordinates as every vector of this module: h V against the table of
 closed-form projector coefficients (:func:`h_table`), and everything else
 from hc = V^dagger h V (:func:`h_on_vectors`) and the Weyl dimensions.
 h's weight-sector blocks are read only by the premise, their commutator
@@ -245,11 +246,9 @@ def _spin_stacks(rep: AdjointRep) -> list[np.ndarray]:
 
 
 def spin_apply(rep: AdjointRep, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q x, C_A x, K x) for a (D,) vector or the columns of a (D, k) array, through the blocks of :func:`_spin_stacks`."""
-    frame = rep.frame
-    xw = frame.to_weight(x)
-    stacks = _spin_stacks(rep)
-    return tuple(frame.from_weight(frame.apply_weight([t[a] for t in stacks], xw)) for a in range(3))
+    """(Q x, C_A x, K x) for a (D,) vector or the columns of a (D, k) array of weight coordinates, through the blocks of :func:`_spin_stacks`."""
+    frame, stacks = rep.frame, _spin_stacks(rep)
+    return tuple(frame.apply_weight([t[a] for t in stacks], x) for a in range(3))
 
 
 def spin_operators(dec: Decomposition, tol: Tolerance = DEFAULT_TOL) -> SpinOperators:

@@ -8,16 +8,18 @@ parameters (mu, lam) is
 
 with the quartic part T(x) = (1/4) sum_ab tr(x {I^a, I^b}) S^a S^b, traces
 taken in the fundamental n x n space and all products S^a S^b as adjoint
-matrix products.
+matrix products.  ad(x) and T(x) are built in the weight coordinates of
+:func:`liealg.weight_basis`, from the matrix units (:func:`quartic_part`).
 
 For a root vector x of weight beta the action is a set of sector blocks of
 the two-site weight frame, from W to W + beta (:func:`level1_blocks`), its
 only form on any command's path: every x a check applies is a matrix unit,
 whose blocks are built once per representation (:func:`unit_level1_blocks`)
 and act one block at a time (:func:`apply_level1`) on the highest-weight
-rows, rotated once into the frame (:func:`weight_rows`).  The dense D x D
-forms (:func:`level1_action`, :func:`delta_action`) are test oracles, run
-over every generator against those checks.  No command builds them.
+rows, split once by sector (:func:`weight_rows`).  The dense D x D forms
+in Gell-Mann coordinates (:func:`level1_action`, :func:`delta_action`) are
+test oracles, run over every generator against those checks.  No command
+builds them.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .adjoint_tensor import (
     AdjointRep,
     _sector_columns,
     ad_matrix,
-    apply_pair,
     casimir_op,
     highest_weight_vectors,
     root_weight,
+    weight_ad,
 )
 from .liealg import matrix_unit
 from .numerics import DEFAULT_TOL, kron, max_abs
@@ -57,11 +59,20 @@ VERIFIED_RANGE = (4, 7)
 
 
 def quartic_part(rep: AdjointRep, x: np.ndarray) -> np.ndarray:
-    """T(x) = (1/4) sum_ab tr(x {I^a, I^b}) S^a S^b as an adjoint matrix."""
-    g = rep.basis.generators
-    prod = np.einsum("ij,ajk,bki->ab", x, g, g, optimize=True)
-    t2 = prod + prod.T
-    return 0.25 * np.einsum("ab,aij,bjk->ik", t2, rep.S, rep.S, optimize=True)
+    """T(x) = (1/4) sum_ab tr(x {I^a, I^b}) S^a S^b as an m x m matrix in weight coordinates.
+
+    sum_a (I^a)_qr ad(I^a) = ad(e_rq) (sum_a I^a (x) I^a = P - 1/n), so T(x)
+    = (1/4) sum_{q,r} {ad e_rq, ad(x e_qr)} (:func:`weight_ad`) over the
+    nonzero columns q of x: 2n products of m x m matrices for a matrix unit.
+    """
+    basis, n, m = rep.basis, rep.n, rep.dim
+    units = np.eye(n * n).reshape(n, n, n, n)  # units[p, q] = e_pq
+    t = np.zeros((m, m), dtype=np.result_type(x, float))
+    for q in np.flatnonzero(np.any(x != 0, axis=0)):
+        a, b = weight_ad(basis, units[:, q]), weight_ad(basis, x @ units[q])  # over r: ad e_rq, ad(x e_qr)
+        a_rows, b_rows = (y.transpose(1, 0, 2).reshape(m, -1) for y in (a, b))
+        t += a_rows @ b.reshape(-1, m) + b_rows @ a.reshape(-1, m)  # sum_r a_r b_r + b_r a_r
+    return 0.25 * t
 
 
 def level1_blocks(rep: AdjointRep, x: np.ndarray, beta: np.ndarray) -> tuple[dict, float]:
@@ -81,7 +92,7 @@ def level1_blocks(rep: AdjointRep, x: np.ndarray, beta: np.ndarray) -> tuple[dic
         raise ValueError("level-1 generators are attached to traceless matrices only")
     frame, chain = rep.frame, rep.weight_frame
     mask = chain.on_shift(beta)
-    a, t = (chain.u @ y @ np.conj(chain.u).T for y in (ad_matrix(rep.basis, x), quartic_part(rep, x)))
+    a, t = weight_ad(rep.basis, x), quartic_part(rep, x)
     floor = max(max_abs(a[~mask]), max_abs(t[~mask]))
     a, t = np.where(mask, a, 0.0), np.where(mask, t, 0.0)
     left, right = ({k: b for k, _, b in chain.shift_blocks(a, beta, sites=(s,))} for s in (0, 1))
@@ -104,18 +115,16 @@ def unit_level1_blocks(rep: AdjointRep, ij: tuple[int, int]) -> tuple[dict, floa
 
 
 def weight_rows(rep: AdjointRep) -> tuple[dict[str, tuple[int, np.ndarray]], float]:
-    """The unnormalised rows of :func:`highest_weight_vectors` in ``rep.weight_frame``, and their floor.
+    """The unnormalised rows of :func:`highest_weight_vectors`, split by sector of ``rep.weight_frame``, and their floor.
 
     role -> (sector, coordinates in it) (:func:`adjoint_tensor._sector_columns`);
     the floor is the largest share of a row's norm outside its sector.  Built
     once per representation and kept in ``rep.memo``.
     """
     if "weight_rows" not in rep.memo:
-        rows = highest_weight_vectors(rep.basis)
-        xw = rep.frame.to_weight(np.stack([row.coords for row in rows], axis=1))
         out, floor = {}, 0.0
-        for row, col in zip(rows, xw.T):
-            [(w, x)], off = _sector_columns(rep.weight_frame, col[:, None])
+        for row in highest_weight_vectors(rep.basis):
+            [(w, x)], off = _sector_columns(rep.weight_frame, row.coords[:, None])
             out[row.role] = (w, x[:, 0])
             floor = max(floor, off)
         rep.memo["weight_rows"] = out, floor
@@ -142,7 +151,8 @@ def level1_action(rep: AdjointRep, x: np.ndarray, mu: complex, lam: complex) -> 
     """Dense two-site action of the level-1 generator attached to x; an x with a trace raises ``ValueError``."""
     if abs(np.trace(x)) > DEFAULT_TOL.abs_tol:
         raise ValueError("level-1 generators are attached to traceless matrices only")
-    a, t, eye = ad_matrix(rep.basis, x), quartic_part(rep, x), np.eye(rep.dim)
+    u = rep.weight_frame.u
+    a, t, eye = ad_matrix(rep.basis, x), np.conj(u).T @ quartic_part(rep, x) @ u, np.eye(rep.dim)
     omega, left = casimir_op(rep), kron(a, eye)
     sites = kron(mu * a + t, eye) + kron(eye, lam * a + t)
     return sites + 0.5 * (left @ omega - omega @ left)
@@ -159,10 +169,13 @@ def delta_action(rep: AdjointRep, x: np.ndarray) -> np.ndarray:
 def verify_anticommutator_identity(rep: AdjointRep, target: str = "anti_left") -> float:
     """Residual of the quartic-part annihilation identity on a mixed-parity hwv.
 
-    The sum tr(x {I^a, I^b}) (S^a S^b (x) 1 + 1 (x) S^a S^b) annihilates the
-    highest-weight vector of the (2 0...0 1 0) module for x = e_{(n-1)n}, and
-    of the (0 1 0...0 2) module for x = e_12.  Returns the relative residual
-    (normalized by the norm of the acted-on vector).
+    The sum tr(x {I^a, I^b}) (S^a S^b (x) 1 + 1 (x) S^a S^b) = 4 (T(x) (x) 1
+    + 1 (x) T(x)) annihilates the highest-weight vector of the
+    (2 0...0 1 0) module for x = e_{(n-1)n}, and of the (0 1 0...0 2) module
+    for x = e_12.  Returns the relative residual, the row of
+    :func:`weight_rows` under the one shift block of the sum that leaves
+    its sector; the entries of T(x) off the weight shift of x, and the
+    rows' floor, are floors.
     """
     n = rep.n
     if n < VERIFIED_RANGE[0]:
@@ -170,12 +183,15 @@ def verify_anticommutator_identity(rep: AdjointRep, target: str = "anti_left") -
     defaults = {"anti_left": (n - 1, n), "anti_right": (1, 2)}
     if target not in defaults:
         raise ValueError(f"unknown target {target!r}; expected one of {sorted(defaults)}")
-    i, j = defaults[target]
-    x = matrix_unit(rep.basis, i, j, coords=False).matrix
-    v = next(row.coords for row in highest_weight_vectors(rep.basis) if row.role == target)
-    t_full = 4.0 * quartic_part(rep, x)  # identity carries no 1/4 prefactor
-    image = apply_pair(t_full, v)
-    return float(np.linalg.norm(image) / np.linalg.norm(v))
+    ij = defaults[target]
+    rows, row_floor = weight_rows(rep)
+    w, v = rows[target]
+    chain, beta = rep.weight_frame, root_weight(n, ij)
+    t = 4.0 * quartic_part(rep, matrix_unit(rep.basis, *ij, coords=False).matrix.real)  # no 1/4 prefactor
+    mask = chain.on_shift(beta)
+    image = [b @ v for _, _, b in chain.restricted(np.array([w])).shift_blocks(np.where(mask, t, 0.0), beta)]
+    res = np.linalg.norm(image) / np.linalg.norm(v) if image else 0.0
+    return float(max(res, max_abs(t[~mask]), row_floor))
 
 
 def _rhs_factors(n: int, mu: complex, lam: complex) -> dict[str, complex]:

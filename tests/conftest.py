@@ -9,21 +9,23 @@ import pytest
 
 from adjrmat import adjoint_tensor, rmatrix, spinchain
 from adjrmat.adjoint_tensor import (
+    HighestWeight,
+    _labels,
+    _partner,
     ad_matrix,
     adjoint_rep,
-    apply_pair,
     apply_swap,
     build_decomposition,
     casimir_op,
     root_action,
     root_weight,
     site_left,
+    weight_ad,
 )
 from adjrmat.liealg import build_basis, matrix_unit, weight_chain, weyl_dimension
-from adjrmat.numerics import DEFAULT_TOL, max_abs
+from adjrmat.numerics import DEFAULT_TOL, kron, max_abs
 from adjrmat.rmatrix import build_intertwiner, intertwiner_op, r_op, r_tilde_op
 from adjrmat.spinchain import SpinOperators
-from adjrmat.yangian_action import quartic_part
 
 try:
     from hypothesis import settings
@@ -64,6 +66,102 @@ def orthonormalize(vectors, tol=DEFAULT_TOL):
     return basis
 
 
+def apply_pair(a, v):
+    """a (x) 1 + 1 (x) a on flat two-site coordinates shaped (D,) or (D, k)."""
+    return site_left(a, v, 0) + site_left(a, v, 1)
+
+
+def adjoint_stack(rep):
+    """S^a = ad(I^a) in Gell-Mann coordinates as an (m, m, m) stack, (S^a)_bc = f^{acb}."""
+    return np.ascontiguousarray(rep.basis.f.transpose(0, 2, 1))
+
+
+def casimir_element(basis):
+    """The element Omega = sum_a I^a (x) I^a as an n^2 x n^2 matrix."""
+    g = basis.generators
+    return np.einsum("aij,akl->ikjl", g, g, optimize=True).reshape(basis.n**2, basis.n**2)
+
+
+def tensor_coords(basis, y, tol=DEFAULT_TOL):
+    """Expand an n^2 x n^2 matrix over the I^a (x) I^b basis: its flat Gell-Mann coordinates.
+
+    An expansion residual above ``tol.abs_tol`` (the matrix does not lie in
+    su(n) (x) su(n)) raises ``ValueError``.
+    """
+    n, g = basis.n, basis.generators
+    y4 = y.reshape(n, n, n, n)
+    z = np.einsum("aij,jlik->alk", g, y4, optimize=True)
+    c = np.einsum("bkl,alk->ab", g, z, optimize=True)
+    recon = np.einsum("ab,aij,bkl->ikjl", c, g, g, optimize=True).reshape(n * n, n * n)
+    res = max_abs(recon - y)
+    if res > tol.abs_tol * basis.dim:
+        raise ValueError(f"expansion residual {res:.3e}: matrix is outside su(n) (x) su(n)")
+    return c.ravel()
+
+
+def gell_mann_rows(basis, tol=DEFAULT_TOL):
+    """The highest-weight rows in Gell-Mann coordinates, as the package built them before the weight frame.
+
+    The adjoint-copy rows are products taken in the fundamental
+    tensor-square space ({Omega, 1 (x) e_1n} etc. as n^2 x n^2 matrices),
+    re-expanded over I^a (x) I^b by trace projection (:func:`tensor_coords`).
+    ``adjoint_tensor.highest_weight_vectors`` builds them in weight
+    coordinates from matrix units.
+    """
+    n = basis.n
+    labels = _labels(n)
+    w_1n, w_1n1, w_2n = (matrix_unit(basis, *ij).coords for ij in ((1, n), (1, n - 1), (2, n)))
+
+    def outer(u, v):
+        return np.outer(u, v).ravel()
+
+    rows = [
+        HighestWeight("sym_top", labels["sym_top"], 1, outer(w_1n, w_1n)),
+        HighestWeight("anti_left", labels["anti_left"], -1, outer(w_1n1, w_1n) - outer(w_1n, w_1n1)),
+        HighestWeight("anti_right", labels["anti_right"], -1, outer(w_2n, w_1n) - outer(w_1n, w_2n)),
+    ]
+    if n >= 4:
+        w_2n1 = matrix_unit(basis, 2, n - 1).coords
+        sym = outer(w_2n1, w_1n) + outer(w_1n, w_2n1) - outer(w_1n1, w_2n) - outer(w_2n, w_1n1)
+        rows.append(HighestWeight("mixed_sym", labels["mixed_sym"], 1, sym))
+    omega = casimir_element(basis)
+    e_1n = matrix_unit(basis, 1, n, coords=False).matrix
+    one_e1n, e1n_one = kron(np.eye(n), e_1n), kron(e_1n, np.eye(n))
+    v_s_mat = n * (omega @ one_e1n + one_e1n @ omega - (2.0 / n) * e1n_one)
+    v_a_mat = np.sqrt(n * n - 4.0) * (omega @ one_e1n - one_e1n @ omega)
+    rows.append(HighestWeight("adjoint_sym", labels["adjoint_sym"], 1, tensor_coords(basis, v_s_mat, tol)))
+    rows.append(HighestWeight("adjoint_anti", labels["adjoint_anti"], -1, tensor_coords(basis, v_a_mat, tol)))
+    rows.append(HighestWeight("singlet", labels["singlet"], 1, np.eye(basis.dim, dtype=complex).ravel()))
+    return rows
+
+
+def gell_mann_copies(basis):
+    """E = [Ed Ef] as the package built it before the weight frame: the normalized columns d^{a..} and -f^{a..}.
+
+    In Gell-Mann coordinates, (D, 2m).  ``PairFrame.E_w`` builds the two
+    adjoint copies in weight coordinates from matrix units.
+    """
+    m = basis.dim
+
+    def embedding(t):
+        cols = t.reshape(m, m * m).T
+        return cols / np.linalg.norm(cols, axis=0)
+
+    return np.hstack([embedding(basis.d), -embedding(basis.f)])
+
+
+def quartic_oracle(rep, x):
+    """T(x) = (1/4) sum_ab tr(x {I^a, I^b}) S^a S^b in Gell-Mann coordinates, as two einsums over the S stack.
+
+    ``yangian_action.quartic_part`` builds T(x) in weight coordinates from
+    the matrix units; this is the form it replaced.
+    """
+    g, S = rep.basis.generators, adjoint_stack(rep)
+    prod = np.einsum("ij,ajk,bki->ab", x, g, g, optimize=True)
+    t2 = prod + prod.T
+    return 0.25 * np.einsum("ab,aij,bjk->ik", t2, S, S, optimize=True)
+
+
 def site_right(x, a, site):
     """x (a (x) 1) for ``site`` 0 and x (1 (x) a) for ``site`` 1, on a (k, D) array."""
     m = a.shape[0]
@@ -73,8 +171,14 @@ def site_right(x, a, site):
 
 
 def apply_omega(frame, x):
-    """Omega_op on a (D,) vector or the columns of a (D, k) array, through the frame's sector blocks."""
+    """Omega_op on a (D,) vector or the columns of a (D, k) array of Gell-Mann coordinates, through the frame's sector blocks."""
     return frame.from_weight(frame.apply_weight(frame.term("omega"), frame.to_weight(x)))
+
+
+def gell_mann_apply(op, x):
+    """A ``rmatrix.PairOperator`` on Gell-Mann coordinates, rotated into the weight frame and back."""
+    frame = op.frame
+    return frame.from_weight(op.apply(frame.to_weight(x)))
 
 
 def rotate_pair(u, r):
@@ -191,7 +295,7 @@ def probe_r_assembly_residual(dec, lam):
     lam = complex(lam)
     m = dec.rep.dim
     v = _probe_block(m * m)
-    direct = rmatrix.r_op(dec.rep, lam).apply(v)
+    direct = gell_mann_apply(rmatrix.r_op(dec.rep, lam), v)
     coeffs = rmatrix._intertwiner_coefficients(rmatrix.CoefficientSet(dec.n), lam)
     composed = _assemble_apply(dec, *coeffs, apply_swap(v, m))
     return max_abs(direct - composed) / max(1.0, max_abs(direct))
@@ -200,14 +304,14 @@ def probe_r_assembly_residual(dec, lam):
 def probe_h_table_residual(dec, h):
     """h-assembly-agreement as the projector sum on random columns, the oracle of ``spinchain._h_table_residual``."""
     v = _probe_block(dec.rep.dim**2)
-    return max_abs(h.apply(v) - _assemble_apply(dec, *spinchain._h_coefficients(dec.n), v))
+    return max_abs(gell_mann_apply(h, v) - _assemble_apply(dec, *spinchain._h_coefficients(dec.n), v))
 
 
 # -- highest-weight rows that are not: each must stop build_decomposition
 
 
 def with_bad_row(monkeypatch, role, edit):
-    """Rebind ``adjoint_tensor.highest_weight_vectors`` so that the row ``role`` is ``edit(basis, row)``."""
+    """Rebind ``adjoint_tensor.highest_weight_vectors`` so that the row ``role`` is ``edit(basis, row)``, in weight coordinates."""
     original = adjoint_tensor.highest_weight_vectors
 
     def rows(basis, tol=DEFAULT_TOL):
@@ -218,13 +322,13 @@ def with_bad_row(monkeypatch, role, edit):
 
 def _lowered(basis, row):
     """The row under ad(e_21) (x) 1 + 1 (x) ad(e_21): a weight vector one root down, not highest."""
-    a = ad_matrix(basis, matrix_unit(basis, 2, 1, coords=False).matrix)
+    a = weight_ad(basis, matrix_unit(basis, 2, 1, coords=False).matrix.real)
     return dataclasses.replace(row, coords=apply_pair(a, row.coords))
 
 
 def _mixed(basis, row):
-    """The row plus the singlet row: support in two weight sectors."""
-    return dataclasses.replace(row, coords=row.coords + np.eye(basis.dim).ravel())
+    """The row plus the singlet row, sum_b B_b^dagger (x) B_b: support in two weight sectors."""
+    return dataclasses.replace(row, coords=row.coords + np.eye(basis.dim)[_partner(basis.n)].ravel())
 
 
 def _wrong_parity(basis, row):
@@ -334,7 +438,7 @@ def all_generator_intertwining(rep, lams):
         k = site_left(a, omega, 0)
         k -= site_right(omega, a, 0)
         k *= 0.5
-        t = quartic_part(rep, x)
+        t = quartic_oracle(rep, x)
         k += np.kron(t, eye) + np.kron(eye, t)
         for row, lam, i_lam in zip(res, lams, i_lams):
             # lin = I (1 (x) a) - (a (x) 1) I, and c = [I, a (x) 1 + 1 (x) a] from it
@@ -360,7 +464,7 @@ def dense_spin_operators(rep, tol=DEFAULT_TOL):
     are the dense ones.  The m^4 stack of products S^b S^c builds w, and
     C_A and K are m^4 einsums (1.1 s at n = 6).
     """
-    S = np.ascontiguousarray(rep.S.transpose(0, 2, 1))
+    S = np.ascontiguousarray(rep.basis.f)  # (S^a)^T, the spin matrices of spinchain.spin_operators
     d = rep.basis.d
     m = rep.dim
     q = casimir_op(rep)
@@ -600,7 +704,7 @@ class _Algebra:
         (``PairFrame``); this is its independent oracle.  Not cached: at
         n = 7 it takes 85 MB.
         """
-        S = self.rep(n).S
+        S = adjoint_stack(self.rep(n))
         m = S.shape[1]
         t = np.tensordot(S, S, axes=(0, 0))  # (i, j, k, l)
         return np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(m * m, m * m)

@@ -202,8 +202,7 @@ def test_criterion_6_su3_closed_forms():
         ):
             sub = dec.by_role(role)
             assert abs(np.trace(sub.projector @ h) / sub.dim - want) <= 1e-10
-        vs = dec.by_role("adjoint_sym").hw_vector
-        va = dec.by_role("adjoint_anti").hw_vector
+        vs, va = (dec.rep.frame.from_weight(dec.by_role(role).hw_vector) for role in ("adjoint_sym", "adjoint_anti"))
         vs = vs / np.linalg.norm(vs)
         va = va / np.linalg.norm(va)
         assert abs(np.vdot(vs, h @ va) - np.sqrt(5.0) / 2.0) <= 1e-10

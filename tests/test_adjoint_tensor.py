@@ -11,25 +11,28 @@ from adjrmat.adjoint_tensor import (
     _weight_blocks,
     ad_matrix,
     adjoint_rep,
-    apply_pair,
     apply_swap,
     build_decomposition,
     casimir_op,
     highest_weight_vectors,
     site_left,
-    tensor_coords,
 )
 from adjrmat.liealg import build_basis, matrix_unit, weight_basis
-from adjrmat.numerics import DEFAULT_TOL, extend_orthonormal
+from adjrmat.numerics import DEFAULT_TOL, extend_orthonormal, max_abs
 
 from conftest import (
     BAD_HIGHEST_WEIGHT_ROWS,
+    adjoint_stack,
     apply_omega,
+    apply_pair,
+    gell_mann_copies,
+    gell_mann_rows,
     lowering_ops,
     permutation_op,
     raising_ops,
     rotate_pair,
     site_right,
+    tensor_coords,
     tensor_from_coords,
     traced_peak,
     with_bad_row,
@@ -59,20 +62,20 @@ def test_rotate_pair_matches_kron(rng):
 
 
 def test_adjoint_matrices_su3(algebra):
-    basis, rep = algebra.basis(3), algebra.rep(3)
-    assert rep.S.shape == (8, 8, 8)
-    assert np.max(np.abs(rep.S - rep.S.conj().transpose(0, 2, 1))) < TOL
-    cas = np.einsum("aij,ajk->ik", rep.S, rep.S)
+    basis, S = algebra.basis(3), adjoint_stack(algebra.rep(3))
+    assert S.shape == (8, 8, 8)
+    assert np.max(np.abs(S - S.conj().transpose(0, 2, 1))) < TOL
+    cas = np.einsum("aij,ajk->ik", S, S)
     assert np.max(np.abs(cas - 6.0 * np.eye(8))) < TOL
-    assert np.max(np.abs(np.einsum("aii->a", rep.S))) < TOL
+    assert np.max(np.abs(np.einsum("aii->a", S))) < TOL
 
 
 def test_representation_property(algebra):
-    basis, rep = algebra.basis(3), algebra.rep(3)
+    basis, S = algebra.basis(3), adjoint_stack(algebra.rep(3))
     for a in range(8):
         for b in range(8):
-            comm = rep.S[a] @ rep.S[b] - rep.S[b] @ rep.S[a]
-            rhs = np.einsum("c,cij->ij", basis.f[a, b], rep.S)
+            comm = S[a] @ S[b] - S[b] @ S[a]
+            rhs = np.einsum("c,cij->ij", basis.f[a, b], S)
             assert np.max(np.abs(comm - rhs)) < TOL
 
 
@@ -116,7 +119,7 @@ def test_permutation_operator(algebra):
 @pytest.mark.parametrize("n", [4, 5])
 def test_vs_constructions_agree(algebra, n):
     basis = algebra.basis(n)
-    hw = {r.role: r for r in highest_weight_vectors(basis)}
+    hw = {r.role: r for r in gell_mann_rows(basis)}
     w_1n = matrix_unit(basis, 1, n).coords
     alt_s = n * np.einsum("a,abc->bc", w_1n, basis.d).ravel()
     alt_a = np.sqrt(n * n - 4.0) * np.einsum("a,abc->bc", w_1n, basis.f).ravel()
@@ -138,8 +141,10 @@ def test_adjoint_hwv_norms(algebra, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_hwvs_annihilated_by_raising(algebra, n):
+    """In weight coordinates, with the raising operators ad(e_ij), i < j, rotated there from Gell-Mann coordinates."""
     basis, rep = algebra.basis(n), algebra.rep(n)
-    ups = raising_ops(rep)
+    u = rep.weight_frame.u
+    ups = [u @ a @ u.conj().T for a in raising_ops(rep)]
     m = rep.dim
     for row in highest_weight_vectors(basis):
         mat = row.coords.reshape(m, m)
@@ -307,7 +312,7 @@ def test_isometry_is_formed_only_when_read(algebra):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_blocked_representation_check_matches_the_generator_loop(algebra, n):
     basis, rep = algebra.basis(n), algebra.rep(n)
-    S = rep.S
+    S = adjoint_stack(rep)
     loop = max(np.max(np.abs(S[a] @ S - S @ S[a] - np.einsum("bc,cij->bij", basis.f[a], S)))
                for a in range(rep.dim))
     assert abs(_representation_residual(S, basis.f) - loop) <= 1e-14
@@ -335,9 +340,9 @@ def test_representation_check_never_forms_an_m4_array():
 @pytest.mark.parametrize("n", [3, 4])
 def test_projectors_commute_with_diagonal_action(algebra, n):
     basis, rep, dec = algebra(n)
-    m = rep.dim
+    m, S = rep.dim, adjoint_stack(rep)
     for a in range(m):
-        action = np.kron(rep.S[a], np.eye(m)) + np.kron(np.eye(m), rep.S[a])
+        action = np.kron(S[a], np.eye(m)) + np.kron(np.eye(m), S[a])
         for sub in dec.submodules:
             comm = sub.projector @ action - action @ sub.projector
             assert np.max(np.abs(comm)) < TOL * m
@@ -361,8 +366,7 @@ def test_isometry_properties(algebra, n):
     p_a = dec.by_role("adjoint_anti").projector
     assert np.max(np.abs(iso.conj().T @ iso - p_s)) < TOL
     assert np.max(np.abs(iso @ iso.conj().T - p_a)) < TOL
-    v_s = dec.by_role("adjoint_sym").hw_vector
-    v_a = dec.by_role("adjoint_anti").hw_vector
+    v_s, v_a = (rep.frame.from_weight(dec.by_role(role).hw_vector) for role in ("adjoint_sym", "adjoint_anti"))
     image = iso @ v_s
     ratio = np.vdot(v_a, image) / np.vdot(v_a, v_a)
     assert ratio.real > 0
@@ -377,7 +381,7 @@ def test_isometry_equivariance(algebra, rng, n):
     applied to a few random unit vectors instead of forming D x D actions.
     """
     basis, rep, dec = algebra(n)
-    m = rep.dim
+    m, S = rep.dim, adjoint_stack(rep)
     iso = dec.iso_s_to_a
     p_s = dec.by_role("adjoint_sym").projector
     p_a = dec.by_role("adjoint_anti").projector
@@ -387,8 +391,8 @@ def test_isometry_equivariance(algebra, rng, n):
         x = rng.standard_normal((m * m, 4)) + 1j * rng.standard_normal((m * m, 4))
         x /= np.linalg.norm(x, axis=0)
     for a in range(m):
-        lhs = iso @ apply_pair(rep.S[a], p_s @ x)
-        rhs = apply_pair(rep.S[a], p_a @ (iso @ x))
+        lhs = iso @ apply_pair(S[a], p_s @ x)
+        rhs = apply_pair(S[a], p_a @ (iso @ x))
         assert np.max(np.abs(lhs - rhs)) < TOL * m
 
 
@@ -491,7 +495,7 @@ def test_weight_block_orbit_matches_oracle(algebra, n):
     """
     basis, rep, dec = algebra(n)
     m = rep.dim
-    rows = {r.role: r for r in highest_weight_vectors(basis)}
+    rows = {r.role: r for r in gell_mann_rows(basis)}
     oracle = {}
     for sub in dec.submodules:
         B = _orbit_oracle(rep, rows[sub.role].coords)
@@ -501,12 +505,9 @@ def test_weight_block_orbit_matches_oracle(algebra, n):
         if sub.role in ("adjoint_sym", "adjoint_anti"):
             oracle[sub.role] = proj
 
-    def embedding(t):
-        cols = t.reshape(m, m * m).T
-        return cols / np.linalg.norm(cols, axis=0)
-
+    e = gell_mann_copies(basis)
     iso = dec.iso_s_to_a
-    assert np.max(np.abs(iso + embedding(basis.f) @ embedding(basis.d).conj().T)) <= 1e-13
+    assert np.max(np.abs(iso - e[:, m:] @ e[:, :m].conj().T)) <= 1e-13
     assert np.max(np.abs(iso.conj().T @ iso - oracle["adjoint_sym"])) <= 1e-13
     assert np.max(np.abs(iso @ iso.conj().T - oracle["adjoint_anti"])) <= 1e-13
 
@@ -587,7 +588,11 @@ def _lowering_gather_oracle(rep):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_lowering_blocks_match_retired_gather(algebra, n):
-    """The frame's root blocks, stacked per sector, equal the retired gather bit for bit."""
+    """The frame's root blocks, stacked per sector, equal the retired gather to roundoff.
+
+    The gather rotates ad(e_ji) from Gell-Mann coordinates; the frame builds
+    it from matrix units, exactly.
+    """
     rep = algebra.rep(n)
     blocks, lowers, targets = _lowering_gather_oracle(rep)
     frame = _weight_blocks(rep, DEFAULT_TOL)
@@ -596,4 +601,33 @@ def test_lowering_blocks_match_retired_gather(algebra, n):
     assert frame.targets == targets
     for got, want, segs in zip(frame.lowers, lowers, targets):
         assert got.shape == want.shape
-        assert all(np.array_equal(got[lo:hi], want[lo:hi]) for _, lo, hi in segs)
+        assert all(np.max(np.abs(got[lo:hi] - want[lo:hi]), initial=0.0) <= 1e-15 for _, lo, hi in segs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_weight_rows_are_the_rotated_gell_mann_rows(algebra, n):
+    """Each row built from matrix units is (U (x) U) times its Gell-Mann oracle row, sign included.
+
+    The isometry phase and the sign of the M block read the signs of the adjoint rows.
+    """
+    basis, frame = algebra.basis(n), algebra.rep(n).frame
+    for got, want in zip(highest_weight_vectors(basis), gell_mann_rows(basis), strict=True):
+        assert (got.role, got.label, got.parity) == (want.role, want.label, want.parity)
+        assert got.coords.dtype == np.float64
+        assert 1 <= np.count_nonzero(got.coords) <= basis.dim, got.role
+        rotated = frame.to_weight(want.coords)
+        assert max_abs(got.coords - rotated) <= 1e-13 * max(1.0, max_abs(rotated)), got.role
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_adjoint_copies_give_the_e_terms_of_the_rotated_gell_mann_columns(algebra, n):
+    """The E terms of the frame, from the copies built in weight coordinates, against those of the rotated d and -f columns."""
+    rep = algebra.rep(n)
+    frame, m = rep.frame, rep.dim
+    e = frame.to_weight(gell_mann_copies(rep.basis)).reshape(m * m, 2, m)
+    for idx, t in zip(frame.sectors, frame.terms):
+        x = e[idx]
+        for p in range(4):
+            want = x[:, :, p // 2] @ np.conj(x[:, :, p % 2]).transpose(0, 2, 1)
+            assert max_abs(t[4 + p] - want) <= 1e-14
+

@@ -379,6 +379,31 @@ def test_intertwiner_checks_build_no_dense_level1_action(tmp_path, monkeypatch):
     assert [c["id"] for c in payload["checks"]] == VERIFY_ALL_N3_IDS[:17]
 
 
+def test_verify_and_spectrum_commands_rotate_no_vector(tmp_path, monkeypatch):
+    """Every vector a verify or spectrum command reads is built in weight coordinates: no Gell-Mann round trip.
+
+    With the rotations refused, the reports are the same as without.
+    ``build projectors`` writes its bases in Gell-Mann coordinates, so it
+    still rotates them.
+    """
+    commands = (["verify", "all", "--n", "3"], ["verify", "all", "--n", "4"],
+                ["spectrum", "--n", "3", "--sites", "3", "--rescaled"])
+    clean = [run(tmp_path, *argv) for argv in commands]
+    assert [c["id"] for c in clean[0][1]["checks"]] == VERIFY_ALL_N3_IDS
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vector was rotated between Gell-Mann and weight coordinates")
+
+    monkeypatch.setattr(adjoint_tensor.PairFrame, "to_weight", refuse)
+    monkeypatch.setattr(adjoint_tensor.PairFrame, "from_weight", refuse)
+    for argv, (code, payload) in zip(commands, clean):
+        assert code == 0
+        assert run(tmp_path, *argv) == (0, payload), argv
+    assert run(tmp_path, "build", "projectors", "--n", "4")[0] == 1  # the patch is live
+    monkeypatch.undo()
+    assert run(tmp_path, "build", "projectors", "--n", "4")[0] == 0
+
+
 def test_ybe_and_transfer_checks_read_only_the_blocks_of_R(tmp_path, monkeypatch):
     """The YBE and the chain's t_w(lam) read R's sector blocks: no Gell-Mann R, no off-sector floor.
 
@@ -754,12 +779,12 @@ def test_verify_path_closes_no_orbit(tmp_path, monkeypatch, argv):
 
 
 def test_verify_all_builds_each_level1_action_once(tmp_path, monkeypatch):
-    """One ``verify all --n 4`` builds the sector blocks of each level-1 generator once and rotates the rows once.
+    """One ``verify all --n 4`` builds the sector blocks of each level-1 generator once and splits the rows once.
 
     The blocks of J(e_12), J(e_13), J(e_34) and J(e_14) come from one memo
     for every check, and level1-covariance builds those of its two
-    commutators; the rows are read once for the level-1 checks, once by
-    each anticommutator check and once by the decomposition.
+    commutators; the rows are built once for the level-1 and anticommutator
+    checks (:func:`yangian_action.weight_rows`) and once by the decomposition.
     """
     calls = Counter()
 
@@ -778,7 +803,7 @@ def test_verify_all_builds_each_level1_action_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "highest_weight_vectors", rows)
     assert run(tmp_path, "verify", "all", "--n", "4")[0] == 0
     assert 0 < calls["level1_blocks"] <= 6
-    assert 0 < calls["highest_weight_vectors"] <= 4
+    assert calls["highest_weight_vectors"] == 2
 
 
 def test_off_shift_quartic_part_fails_the_double_actions(tmp_path, monkeypatch):

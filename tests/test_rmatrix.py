@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from adjrmat.adjoint_tensor import TERMS, adjoint_rep, build_decomposition, casimir_op, generating_set, root_weight
+from adjrmat.adjoint_tensor import (
+    TERMS,
+    adjoint_rep,
+    apply_swap,
+    build_decomposition,
+    casimir_op,
+    generating_set,
+    root_weight,
+)
 from adjrmat.spinchain import local_h
 from adjrmat.liealg import matrix_unit
 from adjrmat.numerics import DEFAULT_TOL, max_abs
@@ -36,12 +44,14 @@ from conftest import (
     _assemble,
     _assemble_apply,
     _probe_block,
+    adjoint_stack,
     all_generator_intertwining,
     all_sector_ybe,
     apply_omega,
     casimir_sector_blocks,
     compress,
     compressed_ybe,
+    gell_mann_apply,
     permutation_op,
     probe_r_assembly_residual,
     retired_apply,
@@ -454,11 +464,11 @@ def test_ybe_from_compressed_terms_matches_compressed_blocks(algebra, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_terms_and_chevalley_blocks_are_real(algebra, n):
-    """The term blocks and the D(y) blocks are kept as float64, and no imaginary part is dropped from them."""
+    """The term blocks and the D(y) blocks are kept as float64, and no imaginary part is dropped from the terms."""
     rep = algebra.rep(n)
     assert all(t.dtype == np.float64 for t in rep.frame.terms)
     assert all(b.dtype == np.float64 for d, _ in rep.chevalley_deltas.values() for _, b in d.values())
-    assert rep.frame.terms_imag == 0.0 and rep.chevalley_imag == 0.0
+    assert rep.frame.terms_imag == 0.0
     assert all(s.terms.dtype == np.float64 for s in rep.ybe_frame)
 
 
@@ -481,11 +491,11 @@ def test_unitarity(algebra, rng, n):
 
 def test_sun_invariance(algebra, rng):
     rep = algebra.rep(4)
-    m = rep.dim
+    m, S = rep.dim, adjoint_stack(rep)
     lam = sample_spectral_parameters(rng, 4, 1)[0]
     r = build_R(rep, lam)
     for a in range(m):
-        action = np.kron(rep.S[a], np.eye(m)) + np.kron(np.eye(m), rep.S[a])
+        action = np.kron(S[a], np.eye(m)) + np.kron(np.eye(m), S[a])
         assert np.max(np.abs(r @ action - action @ r)) < 1e-8
 
 
@@ -657,7 +667,7 @@ def test_operator_form_matches_projector_sum(algebra, n):
     """dense() of I, R, sigma I and h against the projector-sum assembly it replaces."""
     dec = algebra.dec(n)
     m = n * n - 1
-    swap = rmatrix._swap_perm(m)
+    swap = apply_swap(np.arange(m * m), m)
     c = CoefficientSet(n)
     for lam in (0.37 + 0.21j, -1.3 + 0.8j):
         oracle_i = _assemble(dec, *_intertwiner_coefficients(c, lam))
@@ -678,31 +688,34 @@ def test_operator_form_matches_projector_sum(algebra, n):
 
 @pytest.mark.parametrize("n", [3, 6])  # dense and sparse factors
 def test_operator_apply_matches_dense(algebra, rng, n):
-    """apply on (D,), (D, k) and (m, m, k) arrays agrees with dense()."""
+    """apply on (D,), (D, k) and (m, m, k) arrays of weight coordinates agrees with the rotated dense()."""
     rep = algebra.rep(n)
     m = n * n - 1
     op = r_op(rep, 0.6 - 0.4j)
-    dense = op.dense()
+    dense, frame = op.dense(), op.frame
     x = rng.standard_normal((m * m, 3)) + 1j * rng.standard_normal((m * m, 3))
-    want = dense @ x
-    assert np.max(np.abs(op.apply(x) - want)) < 1e-13
-    assert np.max(np.abs(op.apply(x[:, 0]) - want[:, 0])) < 1e-13
-    assert np.max(np.abs(op.apply(x.reshape(m, m, 3)).reshape(m * m, 3) - want)) < 1e-13
+    xw, want = frame.to_weight(x), frame.to_weight(dense @ x)
+    assert np.max(np.abs(op.apply(xw) - want)) < 1e-13
+    assert np.max(np.abs(op.apply(xw[:, 0]) - want[:, 0])) < 1e-13
+    assert np.max(np.abs(op.apply(xw.reshape(m, m, 3)).reshape(m * m, 3) - want)) < 1e-13
     swapped = x.reshape(m, m, 3).transpose(1, 0, 2).reshape(m * m, 3)  # sigma x
-    assert np.max(np.abs(op.swap_right().apply(x) - dense @ swapped)) < 1e-13
+    assert np.max(np.abs(op.swap_right().apply(xw) - frame.to_weight(dense @ swapped))) < 1e-13
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_block_apply_matches_retired_apply(algebra, rng, n):
-    """apply through the sector blocks against the retired dense/CSR apply, on (D,), (D, k) and (m, m, k) arrays."""
+    """apply through the sector blocks, rotated from and to Gell-Mann coordinates, against the retired dense/CSR apply.
+
+    On (D,), (D, k) and (m, m, k) arrays.
+    """
     rep = algebra.rep(n)
     m = n * n - 1
     x = rng.standard_normal((m * m, 4)) + 1j * rng.standard_normal((m * m, 4))
     for op in (r_op(rep, 0.6 - 0.4j), intertwiner_op(rep, -1.3 + 0.8j), r_tilde_op(rep, 0.37 + 0.21j)):
         want = retired_apply(op, x)
-        assert _scaled_gap(op.apply(x), want) <= 1e-13
-        assert _scaled_gap(op.apply(x[:, 0]), want[:, 0]) <= 1e-13
-        assert _scaled_gap(op.apply(x.reshape(m, m, 4)).reshape(m * m, 4), want) <= 1e-13
+        assert _scaled_gap(gell_mann_apply(op, x), want) <= 1e-13
+        assert _scaled_gap(gell_mann_apply(op, x[:, 0]), want[:, 0]) <= 1e-13
+        assert _scaled_gap(gell_mann_apply(op, x.reshape(m, m, 4)).reshape(m * m, 4), want) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

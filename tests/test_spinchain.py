@@ -107,8 +107,7 @@ def test_su3_local_coefficients(algebra, locals_cache):
     ):
         sub = dec.by_role(role)
         assert abs(np.trace(sub.projector @ h) / sub.dim - want) < 1e-10
-    vs = dec.by_role("adjoint_sym").hw_vector
-    va = dec.by_role("adjoint_anti").hw_vector
+    vs, va = (dec.rep.frame.from_weight(dec.by_role(role).hw_vector) for role in ("adjoint_sym", "adjoint_anti"))
     vs = vs / np.linalg.norm(vs)
     va = va / np.linalg.norm(va)
     assert abs(np.vdot(vs, h @ va) - np.sqrt(5.0) / 2.0) < 1e-10
@@ -264,7 +263,7 @@ def test_spin_operators_hermitian_and_q_is_casimir(algebra, n):
     """On the highest-weight vectors Q is diagonal, each module's Casimir eigenvalue, and all three are Hermitian."""
     dec = algebra.dec(n)
     ops = spin_operators(dec)
-    v = dec.vectors
+    v = dec.rep.frame.from_weight(dec.vectors)
     assert np.max(np.abs(ops.Q - v.conj().T @ algebra.omega_oracle(n) @ v)) < 1e-13
     assert np.max(np.abs(ops.Q - np.diag([sub.omega_eigenvalue for sub in dec.submodules]))) < 1e-12
     assert list(ops.dims) == [sub.dim for sub in dec.submodules]
@@ -276,7 +275,7 @@ def test_spin_operators_hermitian_and_q_is_casimir(algebra, n):
 def _spin_operators_einsum_oracle(algebra, n):
     """Q from the S stack, and C_A and K from the three-operand einsums that the dense oracle replaced."""
     rep = algebra.rep(n)
-    S = np.ascontiguousarray(rep.S.transpose(0, 2, 1))
+    S = np.ascontiguousarray(rep.basis.f)  # (S^a)^T, the spin matrices of spinchain.spin_operators
     d = rep.basis.d
     m = rep.dim
     w = np.einsum("xbc,bij,cjk->xik", d, S, S, optimize=True)
@@ -302,7 +301,8 @@ def test_spin_operators_match_einsum_oracle(algebra, n):
 def test_compressed_spin_form_matches_the_dense_oracle(algebra, n):
     """V^dagger A V, the fitted shift and ||[K, C_A]||_F on the highest-weight vectors against the dense D x D path."""
     dec = algebra.dec(n)
-    rep, v = dec.rep, dec.vectors
+    rep = dec.rep
+    v = rep.frame.from_weight(dec.vectors)
     ops, dense = spin_operators(dec), dense_spin_operators(rep)
     assert ops.off_span <= 1e-14
     for got, full in zip((ops.Q, ops.C_A, ops.K), (dense.Q, dense.C_A, dense.K)):
@@ -319,12 +319,12 @@ def test_compressed_spin_form_matches_the_dense_oracle(algebra, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spin_apply_matches_the_dense_oracle_on_random_columns(algebra, rng, n):
-    """The matrix-free Q, C_A and K on columns outside the span of the highest-weight vectors."""
+    """The matrix-free Q, C_A and K on columns outside the span of the highest-weight vectors, rotated from Gell-Mann coordinates."""
     rep = algebra.rep(n)
-    dense = dense_spin_operators(rep)
+    frame, dense = rep.frame, dense_spin_operators(rep)
     x = rng.standard_normal((rep.dim**2, 3)) + 1j * rng.standard_normal((rep.dim**2, 3))
-    for got, full in zip(spin_apply(rep, x), (dense.Q, dense.C_A, dense.K)):
-        want = full @ x
+    for got, full in zip(spin_apply(rep, frame.to_weight(x)), (dense.Q, dense.C_A, dense.K)):
+        got, want = frame.from_weight(got), full @ x
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

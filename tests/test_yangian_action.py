@@ -3,12 +3,11 @@ import pytest
 
 from adjrmat.adjoint_tensor import (
     ad_matrix,
-    apply_pair,
     generating_set,
-    highest_weight_vectors,
+    root_action,
     root_weight,
 )
-from adjrmat.liealg import matrix_unit
+from adjrmat.liealg import matrix_unit, weight_chain
 from adjrmat.yangian_action import (
     apply_level1,
     delta_action,
@@ -22,7 +21,7 @@ from adjrmat.yangian_action import (
     weight_rows,
 )
 
-from conftest import rotate_pair
+from conftest import apply_pair, gell_mann_rows, quartic_oracle, rotate_pair, traced_peak
 
 TOL = 1e-9
 
@@ -191,7 +190,7 @@ def test_apply_matches_kron_built_action_su6(algebra, rng):
     x = matrix_unit(basis, 2, 5, coords=False).matrix + 0.3 * basis.generators[7]
     mu, lam = 0.4 - 0.9j, -1.2 + 0.3j
     dense = level1_action(rep, x, mu, lam)
-    ad_x, quartic = ad_matrix(basis, x), quartic_part(rep, x)
+    ad_x, quartic = ad_matrix(basis, x), quartic_oracle(rep, x)
     eye = np.eye(m)
     omega = algebra.omega_oracle(6)
     left = np.kron(ad_x, eye)
@@ -222,7 +221,7 @@ def test_block_action_on_rows_matches_rotated_dense_action(algebra, n):
     rep = algebra.rep(n)
     chain, frame = rep.weight_frame, rep.frame
     rows, _ = weight_rows(rep)
-    gell_mann = {row.role: row.coords for row in highest_weight_vectors(rep.basis)}
+    gell_mann = {row.role: row.coords for row in gell_mann_rows(rep.basis)}
     mu, lam = 0.4 - 0.9j, -1.2 + 0.3j
     killed = []
     for ij in ((1, 2), (1, n - 1), (n - 1, n), (1, n)):
@@ -239,3 +238,32 @@ def test_block_action_on_rows_matches_rotated_dense_action(algebra, n):
             scale = max(np.linalg.norm(want), np.linalg.norm(gell_mann[role]))
             assert np.linalg.norm(got - want) <= 1e-12 * scale, (ij, role)
     assert ((1, n), "sym_top") in killed  # 3 theta is no weight of adj (x) adj
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_weight_ad_and_quartic_part_match_the_rotated_oracles(algebra, n):
+    """ad(e_pq) and T(e_pq), built from matrix units, are U ad(e_pq) U^dagger and U T(e_pq) U^dagger for every root.
+
+    The oracles are ``ad_matrix`` and the einsum over the S stack, in
+    Gell-Mann coordinates; ad(e_pq) is built real.
+    """
+    rep = algebra.rep(n)
+    chain = weight_chain(rep.basis, 1)
+    u, uh = chain.u, chain.u.conj().T
+    for alpha in chain.weights[: n * (n - 1)]:
+        p, q = int(np.argmax(alpha)) + 1, int(np.argmin(alpha)) + 1
+        x = matrix_unit(rep.basis, p, q, coords=False).matrix
+        ad = root_action(chain, alpha)
+        assert ad.dtype == np.float64
+        assert np.max(np.abs(ad - u @ ad_matrix(rep.basis, x) @ uh)) <= 1e-14, (p, q)
+        want = u @ quartic_oracle(rep, x) @ uh
+        assert np.max(np.abs(quartic_part(rep, x) - want)) <= 1e-14 * max(1.0, np.max(np.abs(want))), (p, q)
+    x = rep.basis.generators[0] + 0.3j * rep.basis.generators[-1]  # no single weight, and complex
+    assert np.max(np.abs(quartic_part(rep, x) - u @ quartic_oracle(rep, x) @ uh)) <= 1e-13
+
+
+def test_anticommutator_identity_forms_no_m3_array(algebra):
+    """At n = 8 the identity reads one row and T's shift block: its peak stays below one (m, m, m) complex array."""
+    rep = algebra.rep(8)
+    m = rep.dim
+    assert traced_peak(verify_anticommutator_identity, rep, "anti_left") < m**3 * 16
