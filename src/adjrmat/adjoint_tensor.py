@@ -955,19 +955,20 @@ class _Orbits:
     def closed(self) -> tuple[dict[str, np.ndarray], float]:
         """(the basis of each role, the completeness residual), checked before they are kept.
 
-        The adjoint copies are the columns Ed and Ef of ``rep.frame.E_w``,
-        the spans of d^{a..} and -f^{a..}, so mapping column to column is the
+        The adjoint copies are the columns Ed and Ef of ``rep.frame.E``, the
+        normalized d^{a..} and -f^{a..}, so mapping column to column is the
         equivariant isometry -Ef Ed^dagger, whose sign fixes iso(v_s) =
         +(norm ratio) v_a.  Every other basis is the lowering orbit of its
         row, closed one sector of ``rep.weight_frame`` at a time
         (:func:`_orbit`).  Each basis is checked in that frame, split by
-        sector, with no D x D array formed: its Casimir eigenvalue and parity
+        sector (the copies, as written, rotated there as (U (x) U) B U^T), with
+        no D x D array formed: its Casimir eigenvalue and parity
         (:func:`_measure`) and its Weyl dimension; then completeness and
         mutual orthogonality, as the Gram residual max_W max_abs(G_W - 1)
         over the sectors W, floored by the largest off-sector share of any
         column and by max_abs(U U^dagger - 1); then the isometry phase, as
         B_a (B_s^dagger v_s).  Only then are the orbits rotated to Gell-Mann
-        coordinates, one at a time; the copies there are ``rep.frame.E``.
+        coordinates, one at a time.
         """
         rep, tol = self.rep, self.tol
         m = rep.dim
@@ -979,7 +980,7 @@ class _Orbits:
         sectors: dict[int, list[np.ndarray]] = {}
         gram_res = max_abs(u @ np.conj(u).T - np.eye(m))
         for row, dim in zip(self.rows, self.dims):
-            xw = pair.E_w[:, copies[row.role]] if row.role in copies else _orbit(lowering, row.coords, tol)
+            xw = pair.to_weight(pair.E[:, copies[row.role]]) @ u.T if row.role in copies else _orbit(lowering, row.coords, tol)
             if xw.shape[1] != dim:
                 raise AssertionError(f"the {row.role} basis has {xw.shape[1]} columns, "
                                      f"not its Weyl dimension {dim}")
