@@ -4,24 +4,15 @@ Vectors of the two-site module live in the weight coordinates of
 :func:`liealg.weight_basis` (matrix units, then Cartan generators B_b): an
 element sum_{b,c} v^{bc} B_b (x) B_c is stored as the flat array v of length
 (n^2-1)^2, row-major index b*(n^2-1)+c (the Kronecker convention of
-:mod:`adjrmat.numerics`), and built there from matrix units, as ad(e_pq) is
-(:func:`weight_ad`).  A decomposition (:func:`build_decomposition`) is built
-and checked on the highest-weight vectors of its modules, in the two-site
-weight frame ``rep.weight_frame`` of :func:`liealg.weight_chain`.  Its
-(D, dim) bases are the lowering orbits of those vectors, closed there one
-weight sector at a time (see :func:`_orbit`) on their first read, and
-returned in the Gell-Mann coordinates of I^a (x) I^b for ``build
-projectors``.  The D x D projectors and the s->a isometry are formed when
-they are read, and no check of the decomposition forms one.  The
-representation also holds
-the dominant sectors of the three-site weight frame on their highest-weight
-vectors, with the real term blocks of ``rep.frame`` compressed onto them
-for each site pair (``rep.ybe_frame``, :class:`TripleSector`;
-:func:`highest_weight_bases` takes the vectors by inverse iteration on
-Grams of the raising operators, assembled from their entries), and the
-real sector blocks of D(y) for the Chevalley generators y
-(``rep.chevalley_deltas``), each built once, and a ``memo`` for what the
-modules above build once per representation.
+:mod:`adjrmat.numerics`).  A decomposition (:func:`build_decomposition`) is
+built and checked on the highest-weight vectors of its modules, in the
+two-site weight frame ``rep.weight_frame``; its bases, the lowering orbits
+of those vectors (:func:`_orbit`), are closed on first read, in Gell-Mann
+coordinates, for ``build projectors``.  The representation also holds the
+term blocks of ``rep.frame`` compressed onto the highest-weight vectors of
+the three-site frame (``rep.ybe_frame``, :class:`TripleSector`), the sector
+blocks of D(y) for the Chevalley generators y (``rep.chevalley_deltas``)
+and a ``memo`` for what the modules above build once per representation.
 
 Two distinct objects both called "Casimir" are kept strictly separate:
 
@@ -30,9 +21,8 @@ Two distinct objects both called "Casimir" are kept strictly separate:
   tensor-square space);
 * the *operator* Omega_op = sum_a S^a (x) S^a acting on the adjoint two-site
   coordinates, whose eigenvalues label the irreducible submodules.  It is
-  built in one place, :class:`PairFrame` (``rep.frame``), from the nonzeros
-  of f, and acts through its weight-sector blocks, as every invariant
-  two-site term of the frame does.
+  built in one place, :class:`PairFrame` (``rep.frame``), from the table of
+  :func:`liealg.weight_products`, and acts through its weight-sector blocks.
 """
 
 from __future__ import annotations
@@ -42,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .liealg import SunBasis, WeightChain, weight_chain, weight_coords, weight_units, weyl_dimension
-from .numerics import DEFAULT_TOL, Tolerance, max_abs
+from .liealg import SunBasis, WeightChain, weight_chain, weight_coords, weight_products, weight_units, weyl_dimension
+from .numerics import DEFAULT_TOL, Tolerance, matching_pairs, max_abs
 
 __all__ = [
     "AdjointRep",
@@ -82,7 +72,7 @@ ROLE_ORDER = (
 
 @dataclass(frozen=True)
 class AdjointRep:
-    """Adjoint representation of su(n) on ``basis``: S^a = ad(I^a), (S^a)_bc = f^{acb}, read off ``basis.f``."""
+    """Adjoint representation of su(n) on ``basis``: ad(B_x) over the weight basis, in ``frame``."""
 
     basis: SunBasis
 
@@ -253,50 +243,46 @@ class Decomposition:
 
 
 def adjoint_rep(basis: SunBasis, tol: Tolerance = DEFAULT_TOL, validate: bool = True) -> AdjointRep:
-    """Build S^a = ad(I^a); entries (S^a)_{bc} = f^{acb} = tr(I^b [I^a, I^c]).
+    """The adjoint representation on ``basis``.
 
-    Validates Hermiticity, the representation property
-    [S^a, S^b] = sum_c f^{abc} S^c, and the Casimir sum
-    sum_a S^a S^a = 2n * 1, all on a view of ``basis.f``.
+    ``validate`` checks the real stack A^x = ad(B_x) that ``rep.frame`` reads:
+    Hermiticity as ad(B_x)^T = ad(B_x^T), the representation property
+    (:func:`_representation_residual`) and sum_x ad(B_x^T) ad(B_x) = 2n * 1.
     """
+    rep = AdjointRep(basis=basis)
     if validate:
-        m, S = basis.dim, basis.f.transpose(0, 2, 1)
-        if max_abs(S - np.conj(S).transpose(0, 2, 1)) > tol.abs_tol:
+        m, partner = basis.dim, _partner(basis.n)
+        ad = np.zeros((m, m, m))
+        op, row, col, val = rep.frame.ad
+        ad[op, row, col] = val
+        if max_abs(ad.transpose(0, 2, 1) - ad[partner]) > tol.abs_tol:
             raise AssertionError("adjoint matrices are not Hermitian")
-        if _representation_residual(S, basis.f) > tol.abs_tol * m:
+        if _representation_residual(ad) > tol.abs_tol * m:
             raise AssertionError("adjoint matrices violate the representation property")
-        cas = np.einsum("aij,ajk->ik", S, S, optimize=True)
+        cas = np.einsum("aij,ajk->ik", ad[partner], ad, optimize=True)
         if max_abs(cas - 2.0 * basis.n * np.eye(m)) > tol.abs_tol * m:
             raise AssertionError("adjoint Casimir sum deviates from 2n * 1")
-    return AdjointRep(basis=basis)
+    return rep
 
 
 # target size of a temporary of the representation check, in bytes: blocks of
 # about 1 MB ran faster than one 5 MB block at n = 5 (cache), and a block is
-# never less than one generator (4 MB at n = 8)
+# never less than one generator (2 MB at n = 8)
 _VALIDATE_BLOCK_BYTES = 2**20
 
 
-def _representation_residual(S: np.ndarray, f: np.ndarray) -> float:
-    """max_abs([S^a, S^b] - sum_c f^{abc} S^c) over all a, b, for a Hermitian stack S.
+def _representation_residual(ad: np.ndarray) -> float:
+    """max_abs([A^x, A^y] - ad([B_x, B_y])) over all x, y, for the real stack A^x = ad(B_x).
 
-    The generators a are taken in blocks of b, sized so that a temporary
-    holds about :data:`_VALIDATE_BLOCK_BYTES` (b m^3 entries).  Per
-    block, the products (S^a S^b)_ij are one (b m, m) @ (m, m m) matmul;
-    S^b S^a is their conjugate transpose in (i, j), as S is Hermitian; and
-    the right side is one (b m, m) @ (m, m m) matmul of f against S.
+    ad([B_x, B_y]) = sum_c A^x_cy A^c.  The x are taken in blocks of k, so that
+    a temporary holds about :data:`_VALIDATE_BLOCK_BYTES` (k m^3 entries).
     """
-    m = S.shape[0]
-    step = max(1, _VALIDATE_BLOCK_BYTES // (16 * m**3))
-    right = S.transpose(1, 0, 2).reshape(m, m * m)  # (k; b, j) = S^b_kj
-    stack = S.reshape(m, m * m)  # (c; i, j) = S^c_ij
+    m = ad.shape[0]
+    step = max(1, _VALIDATE_BLOCK_BYTES // (8 * m**3))
     worst = 0.0
-    for lo in range(0, m, step):
-        block = slice(lo, lo + step)
-        prod = (S[block].reshape(-1, m) @ right).reshape(-1, m, m, m)  # (a, i, b, j)
-        comm = prod - np.conj(prod.transpose(0, 3, 2, 1))
-        rhs = (f[block].reshape(-1, m) @ stack).reshape(-1, m, m, m)  # (a, b, i, j)
-        worst = max(worst, max_abs(comm.transpose(0, 2, 1, 3) - rhs))
+    for block in (ad[lo : lo + step] for lo in range(0, m, step)):
+        comm = np.einsum("xij,yjk->xyik", block, ad, optimize=True) - np.einsum("yij,xjk->xyik", ad, block, optimize=True)
+        worst = max(worst, max_abs(comm - np.einsum("xcy,cik->xyik", block, ad, optimize=True)))
     return worst
 
 
@@ -318,7 +304,7 @@ def weight_ad(basis: SunBasis, x: np.ndarray) -> np.ndarray:
 
 
 def casimir_op(rep: AdjointRep) -> np.ndarray:
-    """Omega_op = sum_a S^a (x) S^a on the two-site coordinates, as a new dense array.
+    """Omega_op = sum_a S^a (x) S^a on the two-site Gell-Mann coordinates, as a new dense array.
 
     It is the scatter of ``rep.frame.omega_entries`` (:meth:`PairFrame.dense_omega`).
     """
@@ -422,13 +408,7 @@ def _raising_grams(chain: WeightChain, tol: Tolerance):
         val.append(v[nz])
     order = np.argsort(np.concatenate(row), kind="stable")
     src, row, val = (np.concatenate(x)[order] for x in (src, row, val))
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
-    sizes = np.diff(np.append(starts, len(row)))
-    # every ordered pair (left, right) of entries on one row
-    reach = np.repeat(sizes, sizes)  # the number of entries on each entry's row
-    left = np.repeat(np.arange(len(row)), reach)
-    first = np.repeat(np.repeat(starts, sizes), reach)  # the first entry on the row of each pair
-    right = first + np.arange(len(left)) - np.repeat(np.cumsum(reach) - reach, reach)
+    left, right = matching_pairs(row, row)  # every ordered pair of entries on one row
     sector = label[src[left]]
     order = np.argsort(sector, kind="stable")
     sector = sector[order]
@@ -662,87 +642,92 @@ def _orbit(frame: _WeightBlocks, seed: np.ndarray, tol: Tolerance) -> np.ndarray
     return basis_w
 
 
-def _adjoint_copies(basis: SunBasis) -> np.ndarray:
-    """E = [Ed Ef], the two adjoint copies in adj (x) adj, as a real (D, 2m) array of weight coordinates.
+def _weight_operators(basis: SunBasis) -> tuple[tuple, tuple]:
+    """The nonzeros (x, row, column, value), sorted, of ad(B_x) and of D(B_x), the traceless anticommutator.
+
+    Column b of each is T[x, b] -/+ T[b, x], T the table of :func:`liealg.weight_products`.
+    """
+    m, (x, b, c, v) = basis.dim, weight_products(basis)
+    rows, cols = np.concatenate([x * m + c, b * m + c]), np.concatenate([b, x])
+    return tuple((*np.divmod(r, m), col, val) for r, col, val in
+                 (_summed(rows, cols, np.concatenate([v, sign * v]), m) for sign in (-1.0, 1.0)))
+
+
+def _adjoint_copies(n: int, ad: tuple, anti: tuple) -> tuple[tuple, tuple]:
+    """The adjoint copies Ed and Ef in adj (x) adj, each as the nonzeros (rows, columns, values) of a real (D, m) array.
 
     Column x of Ed is sum_b B_b^dagger (x) {B_x, B_b}, the basis-free form of
     sum_bc d^{abc} I^b (x) I^c at I^a = B_x, and of Ef -sum_b B_b^dagger (x)
-    [B_x, B_b], that of -f^{a..}, normalized: orthonormal by invariance, and
-    exact, as the products of matrix units and Cartan generators are.
+    [B_x, B_b], that of -f^{a..}, normalized: entry (partner(b), c) is D(B_x)_cb or -ad(B_x)_cb.
     """
-    units, m, partner = weight_units(basis), basis.dim, _partner(basis.n)
-    prod = units[:, None] @ units[None, :]  # (x, b): B_x B_b
-    swapped = prod.transpose(1, 0, 2, 3)
-    cols = []
-    for sign, y in ((1.0, prod + swapped), (-1.0, prod - swapped)):
-        c = weight_coords(basis, y)[:, partner]  # (x, b, .): the coordinates on B_b^dagger (x) .
-        c = c.transpose(1, 2, 0).reshape(m * m, m)
-        cols.append(sign * c / np.linalg.norm(c, axis=0))
-    return np.hstack(cols)
+    m, partner = n * n - 1, _partner(n)
+    return tuple((partner[b] * m + c, x, sign * v / np.sqrt(np.bincount(x, weights=v * v, minlength=m))[x])
+                 for sign, (x, c, b, v) in ((1.0, anti), (-1.0, ad)))
 
 
-# entries of d, f, u and Omega_op below this size are roundoff of the trace projection
+# entries of d, f, E, Omega_op and the projectors in Gell-Mann coordinates below this size are roundoff
 _SPARSE_ZERO = 1e-12
 # the terms of PairFrame.terms: 1, sigma, Omega_op, Omega_op sigma, E^i E^j^dagger for i, j in {d, f}, s s^dagger
 TERMS = ("eye", "swap", "omega", "omega_swap", "dd", "df", "fd", "ff", "singlet")
 
 
-def _crossed_entries(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros (rows, columns, values) of sum_c A^c (x) B^c, [(i, k), (j, l)] = sum_c A^c_ij B^c_kl, for real a, b."""
-    m = len(a)
-    (ca, i, j), (cb, k, l) = (np.nonzero(np.abs(t) > _SPARSE_ZERO) for t in (a, b))
-    sa, sb = np.searchsorted(ca, np.arange(m + 1)), np.searchsorted(cb, np.arange(m + 1))
-    flat, vals = [], []
-    for c in range(m):
-        p, q = slice(sa[c], sa[c + 1]), slice(sb[c], sb[c + 1])  # the nonzeros of A^c and of B^c
-        rows = (i[p, None] * m + k[None, q]).ravel()
-        cols = (j[p, None] * m + l[None, q]).ravel()
-        flat.append(rows * (m * m) + cols)
-        vals.append(np.outer(a[c, i[p], j[p]], b[c, k[q], l[q]]).ravel())
-    key, inverse = np.unique(np.concatenate(flat), return_inverse=True)
-    total = np.bincount(inverse.ravel(), weights=np.concatenate(vals))
+def _cut(x: np.ndarray) -> np.ndarray:
+    """``x`` with every real and imaginary part of size at most :data:`_SPARSE_ZERO` set to 0, in place."""
+    for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
+        part[np.abs(part) <= _SPARSE_ZERO] = 0.0
+    return x
+
+
+def _summed(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """The distinct (rows, columns) of entries of a matrix with ``size`` columns, and their sums above ``_SPARSE_ZERO``."""
+    key, inverse = np.unique(rows * size + cols, return_inverse=True)
+    total = np.bincount(inverse, weights=vals)
     keep = np.abs(total) > _SPARSE_ZERO
-    rows, cols = np.divmod(key[keep], m * m)
-    return rows, cols, total[keep]
+    return (*np.divmod(key[keep], size), total[keep])
+
+
+def _crossed_entries(a: tuple, b: tuple, m: int) -> tuple[np.ndarray, ...]:
+    """The nonzeros of sum_c A^c (x) B^c, [(i, k), (j, l)] = sum_c A^c_ij B^c_kl, from those (c, i, j, value) of A and B."""
+    (ca, i, j, va), (cb, k, l, vb) = a, b
+    p, q = matching_pairs(ca, cb)
+    return _summed(i[p] * m + k[q], j[p] * m + l[q], va[p] * vb[q], m * m)
 
 
 class PairFrame:
-    """Invariant building blocks of operators on adjoint (x) adjoint, from the basis alone.
+    """Invariant building blocks of operators on adjoint (x) adjoint, from the weight basis alone.
 
-    ``E_w = [Ed Ef]`` holds orthonormal weight-coordinate columns of the two
-    adjoint copies (:func:`_adjoint_copies`), the spans of the columns
-    d^{a..} and -f^{a..}; ``E`` is them in Gell-Mann coordinates, for
-    :meth:`rmatrix.PairOperator.dense`.  Omega_op = sum_c S^c (x) S^c is kept
-    as its nonzeros (``omega_entries``: rows, columns, values), from the
-    nonzeros of f; :meth:`dense_omega` scatters them.  An invariant operator
-    conserves total weight, so in the weight frame ``chain``
-    (``rep.weight_frame``, coordinates (U (x) U) x) it is a set of small
-    sector blocks: ``terms`` holds those of the :data:`TERMS`, stacked by
-    sector size (at most five sizes at any n).  An operator is a combination
-    of them (:meth:`combine`) and acts by one gather, batched matmul and
-    scatter per size (:meth:`apply_weight`).
-    Omega_op and every crossed sum sum_c A^c (x) B^c (:meth:`crossed`) go
-    from their nonzeros to sector blocks by :meth:`sector_blocks`.
+    ``ad`` and ``anti`` hold the nonzeros of ad(B_x) and D(B_x)
+    (:func:`_weight_operators`), and ``E_w`` those of the two adjoint copies
+    (:func:`_adjoint_copies`).  An invariant operator conserves total weight,
+    so in the weight frame ``chain`` (``rep.weight_frame``) it is a set of
+    small sector blocks: ``terms`` holds those of the :data:`TERMS`, stacked
+    by sector size (at most five sizes at any n), all real and exact.  An
+    operator is a combination of them (:meth:`combine`) and acts by one
+    gather, batched matmul and scatter per size (:meth:`apply_weight`).
+    ``E`` and ``omega_entries`` are E and Omega_op in Gell-Mann coordinates,
+    formed from d and f on first read for the Gell-Mann writers.
     """
 
     def __init__(self, basis: SunBasis, chain: WeightChain):
-        n, m = basis.n, basis.dim
-        self.n, self.m, self.chain = n, m, chain
-        self.E_w = _adjoint_copies(basis)
-        # Omega[(i,k),(j,l)] = sum_c S^c_ij S^c_kl = -sum_c F^{cij} F^{ckl}, where f = iF
-        rows, cols, vals = _crossed_entries(basis.f.imag, basis.f.imag)
-        self.omega_entries = (rows, cols, -vals)
+        self.n, self.m, self.chain = basis.n, basis.dim, chain
+        self.ad, self.anti = _weight_operators(basis)
+        self.E_w = _adjoint_copies(basis.n, self.ad, self.anti)
 
     @cached_property
     def E(self) -> np.ndarray:
-        """``E_w`` on the columns of the I^a in Gell-Mann coordinates, (D, 2m): the normalized columns d^{a..} and -f^{a..}.
-
-        Formed from d and f on first read; only the artifacts read it.
-        """
+        """[Ed Ef] on the columns of the I^a in Gell-Mann coordinates, (D, 2m): the normalized columns d^{a..} and -f^{a..}."""
         basis, m = self.chain.basis, self.m
         e = np.hstack([t.reshape(m, m * m).T for t in (basis.d, -basis.f)])
-        e = e / np.linalg.norm(e, axis=0)
-        return np.where(np.abs(e) > _SPARSE_ZERO, e, 0.0)
+        return _cut(e / np.linalg.norm(e, axis=0))
+
+    @cached_property
+    def omega_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Omega_op's nonzeros (rows, columns, values) in Gell-Mann coordinates: -sum_c F^c (x) F^c, f = iF."""
+        big_f = self.chain.basis.f.imag
+        mask = np.abs(big_f) > _SPARSE_ZERO
+        nonzeros = (*np.nonzero(mask), big_f[mask])
+        rows, cols, vals = _crossed_entries(nonzeros, nonzeros, self.m)
+        return rows, cols, -vals
 
     @cached_property
     def sectors(self) -> list[np.ndarray]:
@@ -751,88 +736,65 @@ class PairFrame:
         return [np.stack([idx for idx in self.chain.blocks if len(idx) == d]) for d in sizes]
 
     @cached_property
-    def _rotation(self) -> tuple[np.ndarray, ...]:
-        """Start of each size and of each state's row in one flat array of blocks, each state's place, U's nonzeros."""
-        m, u, D = self.m, self.chain.u, self.m * self.m
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Start of each size and of each state's row in one flat array of blocks, and each state's place."""
+        D = self.m * self.m
         offsets = np.cumsum([0] + [idx.size * idx.shape[1] for idx in self.sectors])
         pos, row0 = np.empty(D, dtype=int), np.empty(D, dtype=int)
         for idx, lo in zip(self.sectors, offsets):
             S, d = idx.shape
             pos[idx] = np.arange(d)
             row0[idx] = lo + d * np.arange(S * d).reshape(S, d)
-        big = np.abs(u) > _SPARSE_ZERO
-        nz = np.argsort(~big, axis=0, kind="stable")[:2]  # (2, m): rows of the nonzeros of each column
-        nz_u = np.where(np.take_along_axis(big, nz, 0), np.take_along_axis(u, nz, 0), 0.0)
-        return offsets, row0, pos, nz, nz_u
+        return offsets, row0, pos
 
     def sector_blocks(self, entries: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[np.ndarray]:
-        """The sector blocks of an invariant operator from its nonzeros ``entries`` (rows, columns, values).
-
-        U (x) U takes each entry to at most 16 (U has at most two nonzeros
-        per column), rotated one row and column corner at a time to bound the
-        temporaries; those that leave their sector cancel exactly.
-        """
-        m, label = self.m, self.chain.label
-        offsets, row0, pos, nz, nz_u = self._rotation
+        """The sector blocks of an invariant operator from its distinct nonzeros, by one scatter; a stray entry raises."""
+        label = self.chain.label
+        offsets, row0, pos = self._layout
         rows, cols, vals = entries
-        (i, k), (j, l) = np.divmod(rows, m), np.divmod(cols, m)
-        flat = np.zeros(offsets[-1], dtype=complex)
-        for p in range(4):
-            to_row = nz[p // 2, i] * m + nz[p % 2, k]
-            weight = nz_u[p // 2, i] * nz_u[p % 2, k] * vals
-            for q in range(4):
-                to_col = nz[q // 2, j] * m + nz[q % 2, l]
-                inside = label[to_row] == label[to_col]
-                np.add.at(flat, row0[to_row[inside]] + pos[to_col[inside]],
-                          weight[inside] * np.conj(nz_u[q // 2, j[inside]] * nz_u[q % 2, l[inside]]))
+        stray = label[rows] != label[cols]
+        if stray.any():
+            raise AssertionError(f"{np.count_nonzero(stray)} entries of an invariant operator leave their weight sector")
+        flat = np.zeros(offsets[-1], dtype=vals.dtype)
+        flat[row0[rows] + pos[cols]] = vals
         return [flat[lo:hi].reshape(idx.shape + idx.shape[1:])
                 for idx, lo, hi in zip(self.sectors, offsets, offsets[1:])]
 
-    def crossed(self, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-        """The sector blocks of sum_c A^c (x) B^c for real (m, m, m) tensors ``a`` and ``b``, from their nonzeros."""
-        return self.sector_blocks(_crossed_entries(a, b))
+    def crossed(self, a: tuple, b: tuple) -> list[np.ndarray]:
+        """The sector blocks of sum_x A(B_x)^T (x) B(B_x), = sum_x A(B_x^T) (x) B(B_x) for ad and D, from their nonzeros."""
+        x, i, j, v = a
+        return self.sector_blocks(_crossed_entries((x, j, i, v), b, self.m))
 
-    @property
+    @cached_property
     def terms(self) -> list[np.ndarray]:
         """The sector blocks of the :data:`TERMS`, one real (len(TERMS), S, d, d) stack per entry of ``sectors``.
 
-        sigma permutes the states of a sector, E is ``E_w`` and s is the
-        singlet row of :func:`highest_weight_vectors` over sqrt(m), both
-        built in this frame.  Omega_op is ``omega_entries`` rotated by
-        :meth:`sector_blocks`.  Every term is real in this frame, so the
-        blocks are kept as float64 and the largest imaginary part dropped
-        from them is ``terms_imag`` (0.0 at n = 3..8).
+        sigma permutes the states of a sector, Omega_op is :meth:`crossed`
+        of ``ad`` with itself, E^i E^j^dagger sums the pairs of nonzeros of
+        E^i and E^j in one column, and s is the singlet row of
+        :func:`highest_weight_vectors` over sqrt(m).
         """
-        return self._terms[0]
-
-    @property
-    def terms_imag(self) -> float:
-        """The largest imaginary part dropped from the blocks of :attr:`terms`."""
-        return self._terms[1]
-
-    @cached_property
-    def _terms(self) -> tuple[list[np.ndarray], float]:
-        """:attr:`terms` and :attr:`terms_imag`."""
         m, D = self.m, self.m * self.m
-        _, _, pos, _, _ = self._rotation
-        omega = self.sector_blocks(self.omega_entries)
+        pos = self._layout[2]
         swap = apply_swap(np.arange(D), m)
-        e_w = self.E_w.reshape(D, 2, m)
+        products = []
+        for (ri, xi, vi), (rj, xj, vj) in ((e, f) for e in self.E_w for f in self.E_w):
+            p, q = matching_pairs(xi, xj)
+            products.append(self.sector_blocks(_summed(ri[p], rj[q], vi[p] * vj[q], D)))
         s_w = np.eye(m)[_partner(self.n)].ravel() / np.sqrt(m)
         out = []
-        for idx, blocks in zip(self.sectors, omega):
+        for g, (idx, omega) in enumerate(zip(self.sectors, self.crossed(self.ad, self.ad))):
             S, d = idx.shape
-            t = np.zeros((len(TERMS), S, d, d), dtype=complex)
+            t = np.zeros((len(TERMS), S, d, d))
             t[0] = np.eye(d)
             t[1, np.arange(S)[:, None], pos[swap[idx]], np.arange(d)] = 1.0
-            t[2] = blocks
+            t[2] = omega
             t[3] = t[2] @ t[1]
-            e, s = e_w[idx], s_w[idx]
-            for p in range(4):
-                t[4 + p] = e[:, :, p // 2] @ e[:, :, p % 2].transpose(0, 2, 1)
+            t[4:8] = [blocks[g] for blocks in products]
+            s = s_w[idx]
             t[8] = s[:, :, None] * s[:, None, :]
             out.append(t)
-        return [np.ascontiguousarray(t.real) for t in out], max(max_abs(t.imag) for t in out)
+        return out
 
     def term(self, name: str) -> list[np.ndarray]:
         """The sector blocks of the term ``name`` of :data:`TERMS`, one (S, d, d) stack per size."""

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, jsonio
-from .adjoint_tensor import adjoint_rep, build_decomposition, generating_set
+from .adjoint_tensor import _cut, adjoint_rep, build_decomposition, generating_set
 from .liealg import build_basis
 from .numerics import Tolerance, blas_threads_at_most
 from .rmatrix import (
@@ -466,7 +466,7 @@ def run_build(kind: str, cfg: RunConfig, lam: complex | None = None) -> dict:
                     "dim": s.dim,
                     "omega_eigenvalue": s.omega_eigenvalue,
                     "exchange_parity": s.exchange_parity,
-                    "projector": jsonio.matrix_payload(s.projector),
+                    "projector": jsonio.matrix_payload(_cut(s.projector)),
                 }
                 for s in dec.submodules
             ],

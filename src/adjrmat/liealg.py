@@ -4,7 +4,8 @@ The basis follows the generalized Gell-Mann construction normalized so that
 tr(I^a I^b) = delta_ab, i.e. the standard Gell-Mann matrices divided by
 sqrt(2).  Generator order: symmetric off-diagonal pairs (i<j, lexicographic),
 then antisymmetric off-diagonal pairs in the same order, then the n-1
-diagonal Cartan generators with increasing support.
+diagonal Cartan generators with increasing support.  Its dense f and d
+are formed, and checked, on first read: only the Gell-Mann writers read them.
 
 :func:`weight_basis` rotates these coordinates to the weight basis of the
 adjoint module (matrix units e_ij, i != j, then the Cartan generators),
@@ -19,7 +20,9 @@ module from its highest weight.
 
 Conventions: [I^a, I^b] = sum_c f^{abc} I^c with f purely imaginary and
 totally antisymmetric; {I^a, I^b} = sum_c d^{abc} I^c + (2/n) delta_ab 1
-with d real and totally symmetric.
+with d real and totally symmetric.  In the weight basis the structure is
+the real table of :func:`weight_products`: [B_x, B_b] and the traceless
+{B_x, B_b} are it minus and plus its (x, b)-transpose.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance, ensure_finite, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, ensure_finite, matching_pairs, max_abs
 
 __all__ = [
     "SunBasis",
@@ -41,6 +44,7 @@ __all__ = [
     "matrix_unit",
     "weight_units",
     "weight_coords",
+    "weight_products",
     "weight_basis",
     "WeightChain",
     "weight_chain",
@@ -50,17 +54,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SunBasis:
-    """Orthonormal Hermitian basis {I^a} of su(n) with its f and d tensors."""
+    """Orthonormal Hermitian basis {I^a} of su(n); f and d are formed, and checked against ``tol``, on first read."""
 
     n: int
     generators: np.ndarray  # (n^2-1, n, n)
-    f: np.ndarray  # (m, m, m), purely imaginary, totally antisymmetric
-    d: np.ndarray  # (m, m, m), real, totally symmetric
+    tol: Tolerance = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
         """Dimension n^2 - 1 of the algebra (= of the adjoint module)."""
         return self.n * self.n - 1
+
+    @cached_property
+    def _structure(self) -> tuple[np.ndarray, np.ndarray]:
+        f, d = structure_constants(self.generators)
+        _validate_structure(self.n, self.generators, f, d, self.tol)
+        return f, d
+
+    f = property(lambda self: self._structure[0])  # (m, m, m), purely imaginary, totally antisymmetric
+    d = property(lambda self: self._structure[1])  # (m, m, m), real, totally symmetric
 
 
 @dataclass(frozen=True)
@@ -109,15 +121,8 @@ def structure_constants(basis: SunBasis | np.ndarray) -> tuple[np.ndarray, np.nd
     return f, d
 
 
-def _validate_basis(n: int, gens: np.ndarray, f: np.ndarray, d: np.ndarray, tol: Tolerance):
+def _validate_structure(n: int, gens: np.ndarray, f: np.ndarray, d: np.ndarray, tol: Tolerance):
     m = n * n - 1
-    gram = np.einsum("aij,bji->ab", gens, gens, optimize=True)
-    if max_abs(gram - np.eye(m)) > tol.abs_tol:
-        raise AssertionError("generator Gram matrix deviates from identity")
-    if max_abs(gens - np.conj(gens).transpose(0, 2, 1)) > tol.abs_tol:
-        raise AssertionError("generators are not Hermitian")
-    if max_abs(np.einsum("aii->a", gens)) > tol.abs_tol:
-        raise AssertionError("generators are not traceless")
     if max_abs(f.real) > tol.abs_tol or max_abs(d.imag) > tol.abs_tol:
         raise AssertionError("f must be purely imaginary and d purely real")
     # total (anti)symmetry: pair swap is exact by construction, cyclic from traces
@@ -138,19 +143,19 @@ def _validate_basis(n: int, gens: np.ndarray, f: np.ndarray, d: np.ndarray, tol:
 
 
 def build_basis(n: int, tol: Tolerance = DEFAULT_TOL) -> SunBasis:
-    """Construct the orthonormal su(n) basis together with f and d.
-
-    The construction is self-validating: orthonormality, Hermiticity,
-    (anti)symmetry of f/d and both reconstruction identities are checked
-    against ``tol`` before the basis is returned.
-    """
+    """The orthonormal su(n) basis, its Gram, Hermiticity and tracelessness checked against ``tol``; f and d on first read."""
     if n < 3:
         raise ValueError(f"rank parameter must satisfy n >= 3, got {n}")
     gens = _generator_stack(n)
-    f, d = structure_constants(gens)
     ensure_finite(gens, "generators")
-    _validate_basis(n, gens, f, d, tol)
-    return SunBasis(n=n, generators=gens, f=f, d=d)
+    gram = np.einsum("aij,bji->ab", gens, gens, optimize=True)
+    if max_abs(gram - np.eye(len(gens))) > tol.abs_tol:
+        raise AssertionError("generator Gram matrix deviates from identity")
+    if max_abs(gens - np.conj(gens).transpose(0, 2, 1)) > tol.abs_tol:
+        raise AssertionError("generators are not Hermitian")
+    if max_abs(np.einsum("aii->a", gens)) > tol.abs_tol:
+        raise AssertionError("generators are not traceless")
+    return SunBasis(n=n, generators=gens, tol=tol)
 
 
 def matrix_unit(basis: SunBasis, i: int, j: int, coords: bool = True) -> MatrixUnit:
@@ -200,6 +205,28 @@ def weight_coords(basis: SunBasis, y: np.ndarray) -> np.ndarray:
     p, q = _root_pairs(basis.n)
     cartan = np.diagonal(basis.generators[len(p):], axis1=1, axis2=2).real
     return np.concatenate([y[..., p, q], np.diagonal(y, axis1=-2, axis2=-1) @ cartan.T], axis=-1)
+
+
+def weight_products(basis: SunBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros (x, b, c, value), sorted, of coordinate c (:func:`weight_coords`) of B_x B_b over :func:`weight_units`.
+
+    [B_x, B_b] and the traceless part of {B_x, B_b} are this table minus and
+    plus its (x, b)-transpose.  It joins the matrix entries of the B_b twice:
+    (x, i, j) meets (b, j, l) in (B_x B_b)_il, which meets each (c, i, l), as
+    coordinate c of e_il is (B_c)_il.  It is real, has O(n^3) entries (2,377
+    at n = 10, of m^3 = 970,299) and forms no (m, m, m) array.
+    """
+    n, m, units = basis.n, basis.dim, weight_units(basis)
+    b, i, j = np.nonzero(units)
+    v = units[b, i, j]
+    left, right = matching_pairs(j, i)
+    at, c = matching_pairs(i[left] * n + j[right], i * n + j)
+    left, right = left[at], right[at]
+    key, inverse = np.unique((b[left] * m + b[right]) * m + b[c], return_inverse=True)
+    total = np.bincount(inverse, weights=v[left] * v[right] * v[c])
+    nonzero = total != 0.0
+    x, rest = np.divmod(key[nonzero], m * m)
+    return (x, *np.divmod(rest, m), total[nonzero])
 
 
 def weight_basis(basis: SunBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ __all__ = [
     "kron",
     "frobenius",
     "max_abs",
+    "matching_pairs",
     "ensure_finite",
     "extend_orthonormal",
     "eig_general",
@@ -64,6 +65,15 @@ def frobenius(a: np.ndarray) -> float:
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def matching_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (p, q) with left[p] == right[q], in order of p and, for each p, of q."""
+    order = np.argsort(right, kind="stable")
+    lo, hi = np.searchsorted(right[order], left), np.searchsorted(right[order], left, side="right")
+    count = hi - lo
+    p = np.repeat(np.arange(len(left)), count)
+    return p, order[np.repeat(lo, count) + np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count)]
 
 
 def ensure_finite(a: np.ndarray, what: str = "array") -> np.ndarray:

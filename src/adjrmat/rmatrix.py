@@ -58,8 +58,7 @@ once, for the three site pairs, so a factor there is its coefficients
 times the compressed terms.  That is exact for an invariant R, and
 :func:`r_terms_invariance_residual` checks, in real arithmetic, that the
 terms R is made of are invariant.  The term blocks and those of D(y) are
-real and kept as float64; the largest imaginary part dropped from the terms
-is a floor of that check.
+built real.
 """
 
 from __future__ import annotations
@@ -495,12 +494,9 @@ def r_terms_invariance_residual(rep: AdjointRep) -> float:
     T_{W+alpha} D_W, exact over every column, in real arithmetic.  The y
     generate su(n), so the terms are invariant, as the YBE residual on
     highest-weight vectors (:func:`ybe_residual`) needs, when this is
-    roundoff.  The blocks of both are kept real: those of D(y) are built
-    real, and the largest imaginary part dropped from the terms
-    (``rep.frame.terms_imag``, from the rotated Omega_op) is a floor of the
-    residual.
+    roundoff.  The blocks of both are built real, with no rotation.
     """
-    return max(_invariance_gap(rep, rep.frame.terms), rep.frame.terms_imag)
+    return _invariance_gap(rep, rep.frame.terms)
 
 
 def _chevalley_groups(rep: AdjointRep) -> list[tuple[int, np.ndarray, int, np.ndarray, np.ndarray]]:

@@ -24,9 +24,9 @@ k x k matrix V^dagger A V (Schur's lemma; :class:`SpinOperators`), and the
 fit, its trace-matched shift and the Frobenius norm of [K, C_A] are
 functions of those matrices and the Weyl dimensions of the modules.  Like
 h, each acts on V through its weight-sector blocks (:func:`spin_apply`):
-Q is Omega_op, and C_A and K combine crossed sums of d and f built like it
-(:func:`_spin_blocks`, built once per representation), so no D x D
-operator is formed.
+Q is Omega_op, and C_A and K combine crossed sums of ad and D built like
+it, real and exact (:func:`_spin_blocks`, built once per representation),
+so no D x D operator is formed and no f or d is read.
 :func:`spin_invariance_residual` is the premise that the three map V into
 its span and that the blocks of C_A and K commute with su(n).
 
@@ -215,20 +215,21 @@ def nonhermiticity(hc: np.ndarray, dims: np.ndarray) -> float:
     return _weighted_norm(hc - np.conj(hc).T, dims)
 
 
-def _spin_blocks(frame: PairFrame, d: np.ndarray, big_f: np.ndarray) -> list[np.ndarray]:
+def _spin_blocks(frame: PairFrame, anti: tuple, ad: tuple) -> list[np.ndarray]:
     """The sector blocks of Q, C_A and K, one (3, S, d, d) stack per sector size of ``frame``.
 
-    ``d`` and ``big_f`` are the real (m, m, m) tensors of (D^a)_bc = d^{abc}
-    and of S^a = i F^a.  In this basis's normalisation
-    sum_{b,c} d^{xbc} S^b S^c = n D^x and sum_{a,f} f^{afg} S^f D^a = -n D^g
-    (Haber 2021, SciPost Phys. Lect. Notes 21), so with the crossed sums
-    C+ = sum_c D^c (x) S^c and DD = sum_c D^c (x) D^c (:meth:`PairFrame.crossed`),
+    ``anti`` and ``ad`` are the nonzeros of D(B_x) and ad(B_x) (``frame.anti``
+    and ``frame.ad``).  With (D^a)_bc = d^{abc} and (S^a)_bc = f^{abc} = -ad(I^a)_bc,
+    in this basis's normalisation sum_{b,c} d^{xbc} S^b S^c = n D^x and
+    sum_{a,f} f^{afg} S^f D^a = -n D^g (Haber 2021, SciPost Phys. Lect.
+    Notes 21), so with C+ = sum_c D^c (x) S^c = -sum_b D(B_b^T) (x) ad(B_b)
+    and DD = sum_b D(B_b^T) (x) D(B_b) (:meth:`PairFrame.crossed`, real),
     C_A = n (C+ - sigma C+ sigma) and K = n^2 (C+ sigma C+ sigma + n DD),
     block by block, with sigma the ``swap`` term; Q is the ``omega`` term.
     """
     n, out = frame.n, []
-    for q, s, c, dd in zip(frame.term("omega"), frame.term("swap"), frame.crossed(d, big_f), frame.crossed(d, d)):
-        c = 1j * c
+    for q, s, c, dd in zip(frame.term("omega"), frame.term("swap"), frame.crossed(anti, ad), frame.crossed(anti, anti)):
+        c = -c
         flipped = s @ c @ s
         out.append(np.stack([q, n * (c - flipped), n * n * (c @ flipped + n * dd)]))
     return out
@@ -241,7 +242,7 @@ def _spin_stacks(rep: AdjointRep) -> list[np.ndarray]:
     and keeps its own blocks.
     """
     if _spin_blocks not in rep.memo:
-        rep.memo[_spin_blocks] = _spin_blocks(rep.frame, np.real(rep.basis.d), rep.basis.f.imag)
+        rep.memo[_spin_blocks] = _spin_blocks(rep.frame, rep.frame.anti, rep.frame.ad)
     return rep.memo[_spin_blocks]
 
 
@@ -265,7 +266,8 @@ def spin_operators(dec: Decomposition, tol: Tolerance = DEFAULT_TOL) -> SpinOper
     convention under which the closed spin form of the density holds.
 
     Both cubic sums reduce to crossed sums sum_c A^c (x) B^c of d and f,
-    built as weight-sector blocks like Omega_op (:func:`_spin_blocks`).
+    built as weight-sector blocks like Omega_op from the table of
+    weight-basis products (:func:`_spin_blocks`).
     Each operator is applied through its blocks to the normalised
     highest-weight vectors V (``dec.vectors``) by :func:`spin_apply` and
     compressed to V^dagger A V (:class:`SpinOperators`); each compression

@@ -10,6 +10,7 @@ import pytest
 from adjrmat import adjoint_tensor, rmatrix, spinchain
 from adjrmat.adjoint_tensor import (
     HighestWeight,
+    _crossed_entries,
     _labels,
     _partner,
     ad_matrix,
@@ -22,7 +23,7 @@ from adjrmat.adjoint_tensor import (
     site_left,
     weight_ad,
 )
-from adjrmat.liealg import build_basis, matrix_unit, weight_chain, weyl_dimension
+from adjrmat.liealg import build_basis, matrix_unit, weight_chain, weight_coords, weight_units, weyl_dimension
 from adjrmat.numerics import DEFAULT_TOL, kron, max_abs
 from adjrmat.rmatrix import build_intertwiner, intertwiner_op, r_op, r_tilde_op
 from adjrmat.spinchain import SpinOperators
@@ -139,7 +140,7 @@ def gell_mann_copies(basis):
     """E = [Ed Ef] as the package built it before the weight frame: the normalized columns d^{a..} and -f^{a..}.
 
     In Gell-Mann coordinates, (D, 2m).  ``PairFrame.E_w`` builds the two
-    adjoint copies in weight coordinates from matrix units.
+    adjoint copies in weight coordinates from the weight-basis products.
     """
     m = basis.dim
 
@@ -485,48 +486,131 @@ def dense_spin_operators(rep, tol=DEFAULT_TOL):
     return SpinOperators(Q=q, C_A=c_a, K=k, dims=np.ones(m * m, dtype=int))
 
 
+# -- the Gell-Mann path of the frame's invariants, retired for the table of weight-basis products
+
+
+def rotated_sector_blocks(frame, entries):
+    """The sector blocks of an invariant operator from its Gell-Mann nonzeros ``entries`` (rows, columns, values).
+
+    U (x) U takes each entry to at most 16 (U has at most two nonzeros per
+    column), rotated one row and column corner at a time; those that leave
+    their sector cancel.  ``PairFrame.sector_blocks`` scatters entries
+    already in the weight frame instead.
+    """
+    m, label, u = frame.m, frame.chain.label, frame.chain.u
+    offsets, row0, pos = frame._layout
+    big = np.abs(u) > 1e-12
+    nz = np.argsort(~big, axis=0, kind="stable")[:2]  # (2, m): rows of the nonzeros of each column
+    nz_u = np.where(np.take_along_axis(big, nz, 0), np.take_along_axis(u, nz, 0), 0.0)
+    rows, cols, vals = entries
+    (i, k), (j, l) = np.divmod(rows, m), np.divmod(cols, m)
+    flat = np.zeros(offsets[-1], dtype=complex)
+    for p in range(4):
+        to_row = nz[p // 2, i] * m + nz[p % 2, k]
+        weight = nz_u[p // 2, i] * nz_u[p % 2, k] * vals
+        for q in range(4):
+            to_col = nz[q // 2, j] * m + nz[q % 2, l]
+            inside = label[to_row] == label[to_col]
+            np.add.at(flat, row0[to_row[inside]] + pos[to_col[inside]],
+                      weight[inside] * np.conj(nz_u[q // 2, j[inside]] * nz_u[q % 2, l[inside]]))
+    return [flat[lo:hi].reshape(idx.shape + idx.shape[1:])
+            for idx, lo, hi in zip(frame.sectors, offsets, offsets[1:])]
+
+
+def gell_mann_crossed(frame, a, b):
+    """The sector blocks of sum_c A^c (x) B^c for real dense (m, m, m) tensors ``a`` and ``b``, from their nonzeros."""
+
+    def nonzeros(t):
+        c, i, j = np.nonzero(np.abs(t) > 1e-12)
+        return c, i, j, t[c, i, j]
+
+    return rotated_sector_blocks(frame, _crossed_entries(nonzeros(a), nonzeros(b), frame.m))
+
+
+def gell_mann_invariants(frame):
+    """(Omega_op, C+, DD) as the sector blocks of the crossed sums of dense f and d, rotated into the weight frame.
+
+    Omega_op = -sum_c F^c (x) F^c, C+ = i sum_c D^c (x) F^c and DD = sum_c
+    D^c (x) D^c, with f = iF.  ``PairFrame`` reads all three off the table
+    of weight-basis products.
+    """
+    big_f, d = frame.chain.basis.f.imag, frame.chain.basis.d.real
+    omega = [-b for b in gell_mann_crossed(frame, big_f, big_f)]
+    return omega, [1j * b for b in gell_mann_crossed(frame, d, big_f)], gell_mann_crossed(frame, d, d)
+
+
+def product_copies(basis):
+    """E = [Ed Ef] in weight coordinates from the (m, m, n, n) stack of every product B_x B_b, as a dense (D, 2m) array.
+
+    ``PairFrame.E_w`` holds the same columns as their nonzeros, read from
+    those of ad and D.
+    """
+    units, m, partner = weight_units(basis), basis.dim, _partner(basis.n)
+    prod = units[:, None] @ units[None, :]  # (x, b): B_x B_b
+    swapped = prod.transpose(1, 0, 2, 3)
+    cols = []
+    for sign, y in ((1.0, prod + swapped), (-1.0, prod - swapped)):
+        c = weight_coords(basis, y)[:, partner]  # (x, b, .): the coordinates on B_b^dagger (x) .
+        c = c.transpose(1, 2, 0).reshape(m * m, m)
+        cols.append(sign * c / np.linalg.norm(c, axis=0))
+    return np.hstack(cols)
+
+
 # -- spin operators that are wrong, each from a wrong input to spinchain._spin_blocks
 
 _SPIN_BLOCKS = spinchain._spin_blocks
 
 
-def non_invariant_k(frame, d, big_f):
-    """K from d^{xbc} = c_x delta^{bc}, symmetric in b and c but not invariant; Q and C_A as they are.
+def non_invariant_k(frame, anti, ad):
+    """K plus the K of D(B_x) = c_x 1, which is symmetric in b and c but not invariant; Q and C_A as they are.
 
-    Then D^x = c_x 1, so C+ = 1 (x) S_c and DD = |c|^2 1 for S_c = sum_x c_x S^x,
-    and K = n^2 (S_c (x) S_c + n |c|^2): Hermitian, so only the invariance
-    premise can refuse it.
+    c is random on the Cartan generators and 0 on the roots, so that the
+    added term conserves weight, as every operator of the frame must.  For
+    it C+ = -sum_x c_x 1 (x) ad(B_x) = 1 (x) A for the real diagonal
+    A = -ad(sum_x c_x B_x), and DD = |c|^2 1, so it is n^2 (A (x) A + n |c|^2):
+    Hermitian, so only the invariance premise can refuse it.
     """
-    c = np.random.default_rng(7).standard_normal(len(d))
-    wrong = _SPIN_BLOCKS(frame, c[:, None, None] * np.eye(len(d)), big_f)
-    out = _SPIN_BLOCKS(frame, d, big_f)
+    m, roots = frame.m, frame.n * (frame.n - 1)
+    c = np.zeros(m)
+    c[roots:] = np.random.default_rng(7).standard_normal(m - roots)
+    x, diag = np.repeat(np.arange(m), m), np.tile(np.arange(m), m)
+    wrong = _SPIN_BLOCKS(frame, (x, diag, diag, c[x]), ad)
+    out = _SPIN_BLOCKS(frame, anti, ad)
     for t, w in zip(out, wrong):
-        t[2] = w[2]
+        t[2] += w[2]
     return out
 
 
-def _with_first_c_a_term(frame, d, big_f, wrong_f):
-    """Q, C_A and K with S^c = i wrong_f^c in C_A's first term n C+ = n sum_c D^c (x) S^c alone."""
-    out = _SPIN_BLOCKS(frame, d, big_f)
-    for t, good, bad in zip(out, frame.crossed(d, big_f), frame.crossed(d, wrong_f)):
-        t[1] += 1j * frame.n * (bad - good)
+def _with_first_c_a_term(frame, anti, ad, wrong_ad):
+    """Q, C_A and K with ad = ``wrong_ad`` in C_A's first term n C+ = -n sum_b D(B_b^T) (x) ad(B_b) alone."""
+    out = _SPIN_BLOCKS(frame, anti, ad)
+    for t, good, bad in zip(out, frame.crossed(anti, ad), frame.crossed(anti, wrong_ad)):
+        t[1] -= frame.n * (bad - good)
     return out
 
 
-def relabelled_c_a(frame, d, big_f):
-    """C_A with S^0 and S^(m-1) swapped on site 2 of its first term: a label mix-up, Hermitian but not invariant."""
-    swap = np.arange(len(big_f))
-    swap[[0, -1]] = swap[[-1, 0]]
-    return _with_first_c_a_term(frame, d, big_f, big_f[swap])
+def relabelled_c_a(frame, anti, ad):
+    """C_A with the last two Cartan generators swapped in ad on site 2 of its first term: Hermitian but not invariant.
 
-
-def transposed_c_a(frame, d, big_f):
-    """C_A with S^x transposed on site 2 of its first term.
-
-    f is totally antisymmetric, so the transpose is -S^x: this C_A is
-    invariant, and only the sign of its first term is wrong.
+    Both are their own transposes, so the swap commutes with B_b -> B_b^T
+    and C_A stays Hermitian.
     """
-    return _with_first_c_a_term(frame, d, big_f, big_f.transpose(0, 2, 1))
+    op, i, j, v = ad
+    swap = np.arange(frame.m)
+    swap[[-2, -1]] = swap[[-1, -2]]
+    order = np.argsort(swap[op], kind="stable")
+    return _with_first_c_a_term(frame, anti, ad, (swap[op][order], i[order], j[order], v[order]))
+
+
+def transposed_c_a(frame, anti, ad):
+    """C_A with S^x transposed in Gell-Mann coordinates on site 2 of its first term.
+
+    f is totally antisymmetric, so that transpose is -S^x, which is -ad(I^x)
+    in any coordinates: this C_A is invariant, and only the sign of its
+    first term is wrong.
+    """
+    op, i, j, v = ad
+    return _with_first_c_a_term(frame, anti, ad, (op, i, j, -v))
 
 
 def _all_sector_gathers(chain):

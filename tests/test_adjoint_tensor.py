@@ -16,8 +16,9 @@ from adjrmat.adjoint_tensor import (
     casimir_op,
     highest_weight_vectors,
     site_left,
+    weight_ad,
 )
-from adjrmat.liealg import build_basis, matrix_unit, weight_basis
+from adjrmat.liealg import build_basis, matrix_unit, weight_basis, weight_units
 from adjrmat.numerics import DEFAULT_TOL, extend_orthonormal, max_abs
 
 from conftest import (
@@ -26,9 +27,11 @@ from conftest import (
     apply_omega,
     apply_pair,
     gell_mann_copies,
+    gell_mann_invariants,
     gell_mann_rows,
     lowering_ops,
     permutation_op,
+    product_copies,
     raising_ops,
     rotate_pair,
     site_right,
@@ -309,32 +312,85 @@ def test_isometry_is_formed_only_when_read(algebra):
     assert fresh.iso_s_to_a is fresh.iso_s_to_a
 
 
+def _ad_stack(rep):
+    """The real (m, m, m) stack ad(B_x) over the weight basis, scattered from ``rep.frame.ad``."""
+    m = rep.dim
+    ad = np.zeros((m, m, m))
+    op, row, col, val = rep.frame.ad
+    ad[op, row, col] = val
+    return ad
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_blocked_representation_check_matches_the_generator_loop(algebra, n):
+    """The blocked residual of the table's ad against a loop over the generators, with the right side from weight_ad."""
     basis, rep = algebra.basis(n), algebra.rep(n)
-    S = adjoint_stack(rep)
-    loop = max(np.max(np.abs(S[a] @ S - S @ S[a] - np.einsum("bc,cij->bij", basis.f[a], S)))
-               for a in range(rep.dim))
-    assert abs(_representation_residual(S, basis.f) - loop) <= 1e-14
+    ad = _ad_stack(rep)
+    units = weight_units(basis)
+    loop = max(np.max(np.abs(ad[x] @ ad - ad @ ad[x] - weight_ad(basis, units[x] @ units - units @ units[x])))
+               for x in range(rep.dim))
+    assert loop <= 1e-13
+    assert abs(_representation_residual(ad) - loop) <= 1e-14
 
 
-def test_adjoint_rep_refuses_a_wrong_structure_constant(algebra):
-    """One f^{abc} off by 1e-6 (with its antisymmetric images, so S stays Hermitian) is refused."""
-    basis = algebra.basis(4)
-    f = basis.f.copy()
-    a, b, c = (int(i[0]) for i in np.nonzero(np.abs(f) > 0.1))
-    for p in ((a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a)):
-        f[p] *= 1.0 + 1e-6
+def test_adjoint_rep_refuses_a_wrong_structure_constant(algebra, monkeypatch):
+    """tr(B_y [B_x, B_b]) off by 1e-6 at one triple, with its images, so that ad stays Hermitian, is refused.
+
+    For x, b, y = e_12, e_23, e_31 the cyclic products B_x B_b, B_b B_y and
+    B_y B_x are the units e_13, e_21 and e_32, and for the transposed triple
+    e_21, e_32, e_13 the products in reverse order are e_31, e_23 and e_12.
+    """
+    table = adjoint_tensor.weight_products
+
+    def wrong(basis):
+        x, b, c, v = table(basis)
+        v = v.copy()
+        for ij, kl, pq in (((1, 2), (2, 3), (1, 3)), ((2, 3), (3, 1), (2, 1)), ((3, 1), (1, 2), (3, 2)),
+                           ((3, 2), (2, 1), (3, 1)), ((2, 1), (1, 3), (2, 3)), ((1, 3), (3, 2), (1, 2))):
+            hit = (x == _unit(basis, ij)) & (b == _unit(basis, kl)) & (c == _unit(basis, pq))
+            assert np.count_nonzero(hit) == 1 and v[hit] == 1.0
+            v[hit] *= 1.0 + 1e-6
+        return x, b, c, v
+
+    monkeypatch.setattr(adjoint_tensor, "weight_products", wrong)
     with pytest.raises(AssertionError, match="representation property"):
-        adjoint_rep(dataclasses.replace(basis, f=f))
+        adjoint_rep(algebra.basis(4))
+
+
+def _unit(basis, ij):
+    """The index of e_ij (1-based) in the weight basis."""
+    units = weight_units(basis)
+    return int(np.flatnonzero(units[:, ij[0] - 1, ij[1] - 1] == 1.0)[0])
 
 
 def test_representation_check_never_forms_an_m4_array():
     """At n = 8 the check runs one generator at a time, far below one m^4 complex array."""
-    basis = build_basis(8)
-    m = basis.dim
-    S = basis.f.transpose(0, 2, 1).copy()
-    assert traced_peak(_representation_residual, S, basis.f) < 0.15 * m**4 * 16
+    rep = adjoint_rep(build_basis(8), validate=False)
+    m = rep.dim
+    ad = _ad_stack(rep)
+    assert traced_peak(_representation_residual, ad) < 0.15 * m**4 * 16
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_frame_invariants_match_the_rotated_gell_mann_path(algebra, n):
+    """Omega_op, C+ and DD from the table against the crossed sums of dense f and d rotated into the frame, and E_w
+    against the weight coordinates of the stack of products."""
+    rep = algebra.rep(n)
+    frame = rep.frame
+    omega, c_plus, dd = gell_mann_invariants(frame)
+    got = (frame.term("omega"), [-b for b in frame.crossed(frame.anti, frame.ad)], frame.crossed(frame.anti, frame.anti))
+    for mine, theirs in zip(got, (omega, c_plus, dd)):
+        assert all(a.dtype == np.float64 for a in mine)
+        assert max(max_abs(a - b) for a, b in zip(mine, theirs, strict=True)) <= 1e-14
+    e = np.zeros((rep.dim**2, 2 * rep.dim))
+    for half, (rows, cols, vals) in enumerate(frame.E_w):
+        e[rows, half * rep.dim + cols] = vals
+    assert max_abs(e - product_copies(rep.basis)) <= 1e-16
+
+
+def test_frame_terms_form_no_dense_structure_constants():
+    """At n = 10 the basis, the frame and its term blocks peak below 40 MB: no (m, m, m) f or d, no (m, m, n, n) products."""
+    assert traced_peak(lambda: adjoint_rep(build_basis(10), validate=False).frame.terms) < 40e6
 
 
 @pytest.mark.parametrize("n", [3, 4])

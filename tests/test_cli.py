@@ -404,6 +404,28 @@ def test_verify_and_spectrum_commands_rotate_no_vector(tmp_path, monkeypatch):
     assert run(tmp_path, "build", "projectors", "--n", "4")[0] == 0
 
 
+def test_verify_and_spectrum_commands_form_no_structure_constants(tmp_path, monkeypatch):
+    """No verify or spectrum command forms f or d: every invariant they read comes from the weight-basis product table.
+
+    With ``structure_constants`` refused, the reports are the same as
+    without.  The Gell-Mann artifacts of ``build`` still read f and d.
+    """
+    commands = (["verify", "all", "--n", "3"], ["verify", "all", "--n", "4"],
+                ["verify", "all", "--n", "6", "--samples", "1"], ["verify", "identities", "--n", "7"],
+                ["spectrum", "--n", "3", "--sites", "3", "--rescaled"])
+    clean = [run(tmp_path, *argv) for argv in commands]
+    assert [c["id"] for c in clean[0][1]["checks"]] == VERIFY_ALL_N3_IDS
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("f and d were formed")
+
+    monkeypatch.setattr(liealg, "structure_constants", refuse)
+    for argv, (code, payload) in zip(commands, clean):
+        assert code == 0
+        assert run(tmp_path, *argv) == (0, payload), argv
+    assert run(tmp_path, "build", "basis", "--n", "3")[0] == 1  # the patch is live
+
+
 def test_ybe_and_transfer_checks_read_only_the_blocks_of_R(tmp_path, monkeypatch):
     """The YBE and the chain's t_w(lam) read R's sector blocks: no Gell-Mann R, no off-sector floor.
 
@@ -586,26 +608,28 @@ def test_wrong_h_table_fails_both_of_its_checks(tmp_path, monkeypatch):
     assert [c["id"] for c in payload["checks"] if not c["pass"]] == ["h-assembly-agreement", "two-site-spectrum-values"]
 
 
-def test_imaginary_part_dropped_from_a_term_fails_r_terms_invariance(tmp_path, capsys, monkeypatch):
-    """A 1e-6 imaginary part in one entry of the Omega_op term fails r-terms-invariance as a report entry.
+def test_table_entry_leaving_its_sector_is_a_clean_exit(tmp_path, capsys, monkeypatch):
+    """A 1e-10 entry of the weight-basis product table that breaks weight conservation stops verify ybe cleanly.
 
-    The term blocks are kept real, so the part is dropped; the largest part
-    dropped is a floor of the check: exit 1, no trace, every other check passes.
+    It is below the thresholds of adjoint_rep's validation, but the adjoint
+    copies and Omega_op then have entries that leave their weight sector,
+    which the frame refuses: exit 1, one line on stderr, no trace.
     """
-    sector_blocks = adjoint_tensor.PairFrame.sector_blocks
+    table = adjoint_tensor.weight_products
 
-    def with_imaginary_part(frame, entries):
-        blocks = sector_blocks(frame, entries)
-        blocks[-1][0, 0, 0] += 1e-6j
-        return blocks
+    def with_stray_entry(basis):
+        x, b, c, v = table(basis)
+        # e_12 e_21 has weight 0; give it a coordinate on e_12 (B_0, B_1 and B_0)
+        return np.append(x, 0), np.append(b, 1), np.append(c, 0), np.append(v, 1e-10)
 
-    monkeypatch.setattr(adjoint_tensor.PairFrame, "sector_blocks", with_imaginary_part)
+    monkeypatch.setattr(adjoint_tensor, "weight_products", with_stray_entry)
     code, payload = run(tmp_path, "verify", "ybe", "--n", "3")
+    err = capsys.readouterr().err
     assert code == 1
-    assert "Traceback" not in capsys.readouterr().err
-    failed = [c for c in payload["checks"] if not c["pass"]]
-    assert [c["id"] for c in failed] == ["r-terms-invariance"]
-    assert failed[0]["residual"] == pytest.approx(1e-6)
+    assert payload is None
+    assert err.startswith("adjrmat: self-check failed: ") and "weight sector" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,17 @@ from adjrmat.adjoint_tensor import (
     root_weight,
 )
 from adjrmat.liealg import (
+    SunBasis,
     build_basis,
     matrix_unit,
     structure_constants,
     weight_basis,
     weight_chain,
+    weight_coords,
+    weight_products,
+    weight_units,
 )
+from adjrmat.numerics import Tolerance
 from adjrmat.spinchain import (
     CHAIN_DIM_CAP,
     chain_frame,
@@ -25,7 +30,7 @@ from adjrmat.spinchain import (
     local_h,
 )
 
-from conftest import dense_raising_grams, eigh_frame, racah_speiser_count
+from conftest import dense_raising_grams, eigh_frame, racah_speiser_count, traced_peak
 
 from conftest import rotate_pair
 
@@ -136,6 +141,44 @@ def test_f_imaginary_d_real_and_symmetries(n):
     assert np.max(np.abs(basis.f - basis.f.transpose(1, 2, 0))) < TOL
     assert np.max(np.abs(basis.d - basis.d.transpose(1, 0, 2))) < TOL
     assert np.max(np.abs(basis.d - basis.d.transpose(1, 2, 0))) < TOL
+
+
+def test_f_and_d_are_formed_and_checked_on_first_read():
+    """build_basis forms no f or d; the first read forms both and checks them against the basis's tolerance."""
+    basis = build_basis(4)
+    assert "_structure" not in vars(basis)
+    assert basis.f is basis.f and "_structure" in vars(basis)
+    strict = SunBasis(n=4, generators=basis.generators, tol=Tolerance(abs_tol=1e-30))
+    with pytest.raises(AssertionError, match="purely imaginary"):  # roundoff of the trace projection
+        strict.d
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_weight_products_match_weight_ad_and_the_anticommutator(n):
+    """T - T^t is weight_ad of every B_x exactly, and T + T^t the traceless anticommutator to the last bit.
+
+    In the anticommutator only three Cartan generators give a sum, of n
+    products, which the table and the oracle's matmul add in their own order.
+    """
+    basis = build_basis(n)
+    m, units = basis.dim, weight_units(basis)
+    x, b, c, v = weight_products(basis)
+    assert np.all(v != 0.0) and np.all(np.diff((x * m + b) * m + c) > 0)
+    assert len(v) < 3 * n**3
+    table = np.zeros((m, m, m))
+    table[x, b, c] = v
+    comm = (table - table.transpose(1, 0, 2)).transpose(0, 2, 1)  # (x, c, b)
+    assert np.array_equal(comm, adjoint_tensor.weight_ad(basis, units))
+    anti = (table + table.transpose(1, 0, 2)).transpose(0, 2, 1)
+    want = np.swapaxes(weight_coords(basis, units[:, None] @ units[None] + units[None] @ units[:, None]), -1, -2)
+    assert np.max(np.abs(anti - want)) <= 2 * np.finfo(float).eps
+
+
+def test_weight_products_form_no_cube():
+    """At n = 10 the table has 2,377 entries and peaks far below one (m, m, m) real array."""
+    basis = build_basis(10)
+    assert len(weight_products(basis)[3]) == 2377
+    assert traced_peak(weight_products, basis) < 0.1 * basis.dim**3 * 8
 
 
 def test_structure_constants_recompute():

@@ -464,11 +464,10 @@ def test_ybe_from_compressed_terms_matches_compressed_blocks(algebra, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_terms_and_chevalley_blocks_are_real(algebra, n):
-    """The term blocks and the D(y) blocks are kept as float64, and no imaginary part is dropped from the terms."""
+    """The term blocks and the D(y) blocks are built as float64: nothing is rotated, so no imaginary part is dropped."""
     rep = algebra.rep(n)
     assert all(t.dtype == np.float64 for t in rep.frame.terms)
     assert all(b.dtype == np.float64 for d, _ in rep.chevalley_deltas.values() for _, b in d.values())
-    assert rep.frame.terms_imag == 0.0
     assert all(s.terms.dtype == np.float64 for s in rep.ybe_frame)
 
 
@@ -741,7 +740,7 @@ def test_block_residuals_fail_with_the_sweeps(algebra, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_omega_blocks_match_casimir_of_the_roots(algebra, n):
-    """The Omega_op blocks rotated from f against C_total/2 - 2n from the root blocks, which reads no f."""
+    """The Omega_op blocks from the table of weight-basis products against C_total/2 - 2n from the root blocks."""
     rep = algebra.rep(n)
     for w, want in enumerate(casimir_sector_blocks(rep)):
         assert max_abs(rep.frame.sector_terms(w)[TERMS.index("omega")] - want) <= 1e-13
